@@ -4,9 +4,7 @@
 //!
 //! Supports the abstract's "significant performance improvements" claim
 //! with concrete per-query costs at realistic registry scales. All paths
-//! exercise the bounded top-k engine (k = 5, the server default); the
-//! `laminar-bench` binary `bench_search` additionally compares against
-//! the old full-sort baseline and writes `BENCH_search.json`.
+//! exercise the bounded top-k engine (k = 5, the server default).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use embed::{Embedder, ReaccSim, UniXcoderSim};
@@ -21,13 +19,14 @@ fn build_indexes(n: usize) -> SearchIndexes {
     let corpus = search_corpus(n);
     let ix = SearchIndexes::new();
     let emb = UniXcoderSim::new();
+    let reacc = ReaccSim::new();
     for e in corpus.entries.iter().take(n) {
-        ix.upsert(
+        ix.upsert_embedded(
             e.id,
             EntryKind::Pe,
             emb.embed(&e.description),
             Spt::parse_source(&e.code).feature_vec(),
-            &e.code,
+            reacc.embed_code(&e.code),
         );
     }
     ix

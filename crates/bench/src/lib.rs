@@ -53,9 +53,8 @@ pub fn corpus_from_args() -> Dataset {
     corpus_with_variants(variants)
 }
 
-/// Corpus sized for the search-latency benches: `n` PEs spread across the
-/// whole family catalogue (the `search_latency` Criterion bench and the
-/// `bench_search` binary share it so their numbers are comparable).
+/// Corpus sized for the `search_latency` Criterion bench: `n` PEs spread
+/// across the whole family catalogue.
 pub fn search_corpus(n: usize) -> Dataset {
     Dataset::generate(DatasetConfig {
         families: csn::family_catalogue().len(),

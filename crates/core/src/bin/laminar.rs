@@ -18,10 +18,9 @@ fn main() -> ExitCode {
     // `--connect host:port` talks to a remote laminar-server over TCP;
     // otherwise an in-process stack is deployed. `--data-dir PATH` makes
     // the in-process registry durable: quit, relaunch with the same path,
-    // and every registered PE and workflow is still there. `--quantized`,
-    // `--rescore-window N` and `--query-cache-entries N` tune the
-    // in-process search path, and the `--reco-*` flags tune the Aroma
-    // recommendation pipeline, the same way the server flags do.
+    // and every registered PE and workflow is still there. The `--reco-*`
+    // flags tune the Aroma recommendation pipeline, the same way the
+    // server flags do.
     //
     // Any remaining positional words are executed as ONE command and the
     // process exits with the command's status — so
@@ -31,8 +30,6 @@ fn main() -> ExitCode {
     let value_flags = [
         "--connect",
         "--data-dir",
-        "--rescore-window",
-        "--query-cache-entries",
         "--reco-retrieve-n",
         "--reco-rerank-keep",
         "--reco-cluster-sim",
@@ -60,15 +57,12 @@ fn main() -> ExitCode {
         .iter()
         .position(|a| a == "--data-dir")
         .and_then(|i| args.get(i + 1).cloned());
-    let quantized = args.iter().any(|a| a == "--quantized");
     let flag_value = |name: &str| {
         args.iter()
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
             .and_then(|v| v.parse::<usize>().ok())
     };
-    let rescore_window = flag_value("--rescore-window");
-    let query_cache_entries = flag_value("--query-cache-entries");
     let reco_retrieve_n = flag_value("--reco-retrieve-n");
     let reco_rerank_keep = flag_value("--reco-rerank-keep");
     let reco_parallel_threshold = flag_value("--reco-parallel-threshold");
@@ -97,13 +91,6 @@ fn main() -> ExitCode {
                 data_dir: data_dir.map(Into::into),
                 ..LaminarConfig::default()
             };
-            config.server.quantized = quantized;
-            if let Some(w) = rescore_window {
-                config.server.rescore_window = w;
-            }
-            if let Some(n) = query_cache_entries {
-                config.server.query_cache_entries = n;
-            }
             if let Some(n) = reco_retrieve_n {
                 config.server.reco_retrieve_n = n;
             }

@@ -24,7 +24,6 @@ fn usage() -> ! {
         "usage: laminar-server [ADDR] [--max-connections N] \
          [--request-timeout-secs N] [--drain-timeout-secs N] \
          [--data-dir PATH] [--snapshot-every N] [--wal-fsync] \
-         [--quantized] [--rescore-window N] [--query-cache-entries N] \
          [--reco-retrieve-n N] [--reco-rerank-keep N] \
          [--reco-cluster-sim F] [--reco-parallel-threshold N] \
          [--reco-lsh-min-entries N] \
@@ -102,13 +101,6 @@ fn parse_args() -> (String, NetServerConfig, LaminarConfig) {
                 deploy.snapshot_every = numeric();
             }
             "--wal-fsync" => deploy.wal_fsync = true,
-            "--quantized" => deploy.server.quantized = true,
-            "--rescore-window" => {
-                deploy.server.rescore_window = numeric() as usize;
-            }
-            "--query-cache-entries" => {
-                deploy.server.query_cache_entries = numeric() as usize;
-            }
             "--reco-retrieve-n" => {
                 deploy.server.reco_retrieve_n = numeric() as usize;
             }

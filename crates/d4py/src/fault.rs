@@ -140,6 +140,7 @@ pub(crate) struct Supervisor {
 }
 
 /// Outcome of a supervised invocation.
+#[derive(Debug)]
 pub(crate) enum Supervised {
     /// The invocation succeeded; route its emissions.
     Done,

@@ -166,6 +166,7 @@ mod tests {
     use crate::mapping::{run, Mapping, RunInput};
     use crate::prelude::*;
     use crate::workflows;
+    use crate::GraphError;
 
     #[test]
     fn pipeline_runs_sequentially() {

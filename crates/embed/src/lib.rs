@@ -21,7 +21,6 @@
 
 pub mod codet5;
 pub mod dense;
-pub mod quant;
 pub mod reacc;
 pub mod tokenize;
 pub mod topk;
@@ -29,10 +28,6 @@ pub mod unixcoder;
 
 pub use codet5::{CodeT5Sim, DescriptionContext};
 pub use dense::{batch_rank, dot, slab_scan_above, slab_topk, DenseVec, RankedHit, DIM};
-pub use quant::{
-    dot_i8, quantize_into, quantize_row, quantized_topk, two_phase_topk, QuantizedVec,
-    TwoPhaseStats,
-};
 pub use reacc::ReaccSim;
 pub use tokenize::{split_identifier, subword_tokens, text_tokens};
 pub use topk::{ScoredRow, TopK};

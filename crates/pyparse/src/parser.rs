@@ -11,6 +11,13 @@
 //! resumes at the next statement boundary. A truncated input (the 50/75/90 %
 //! omission experiments of §VII-D) therefore still yields a tree covering
 //! everything before the truncation point.
+//!
+//! Nesting is budgeted (`MAX_DEPTH`): the parser is recursive, its
+//! input arrives from the network, and a stack overflow aborts the whole
+//! process. Past the budget the rest of the logical line is dropped
+//! behind an `ErrorNode` and parsing carries on with the next line —
+//! hostile nesting degrades to a partial tree like any other malformed
+//! input.
 
 use crate::lexer::lex;
 use crate::token::{TokKind, Token};
@@ -66,12 +73,23 @@ pub fn parse_expression(src: &str) -> ParseTree {
     tree
 }
 
+/// How many budgeted productions (statement, test, not-test, factor,
+/// atom, target atom — every recursion cycle of the grammar runs through
+/// one of them) may be in flight at once. One bracket level costs four,
+/// one block level one, so this admits 100 nested brackets and 400 nested
+/// blocks — CPython itself stops at 200 and 100 — and keeps the deepest
+/// descent under 1 MiB of stack in a debug build, half of what a spawned
+/// thread gets by default.
+const MAX_DEPTH: usize = 400;
+
 /// Recursive-descent parser state.
 pub struct Parser {
     toks: Vec<Token>,
     pos: usize,
     pub(crate) tree: ParseTree,
     errors: Vec<ParseError>,
+    /// Budgeted productions currently in flight (see `MAX_DEPTH`).
+    depth: usize,
 }
 
 impl Parser {
@@ -81,6 +99,7 @@ impl Parser {
             pos: 0,
             tree: ParseTree::new(),
             errors: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -190,6 +209,38 @@ impl Parser {
         self.tree.push(NodeKind::Internal(kind))
     }
 
+    /// Run one budgeted production a level deeper. Over budget, the rest
+    /// of the logical line (brackets suppress newlines, so that is the
+    /// whole over-deep construct) is dropped and an empty `ErrorNode`
+    /// stands in for it.
+    fn nested(&mut self, production: fn(&mut Self) -> NodeId) -> NodeId {
+        if self.depth >= MAX_DEPTH {
+            self.error_here(format!("nesting deeper than {MAX_DEPTH} levels"));
+            while !self.at_line_end() {
+                self.skip();
+            }
+            return self.node(SyntaxKind::ErrorNode);
+        }
+        self.depth += 1;
+        let n = production(self);
+        self.depth -= 1;
+        n
+    }
+
+    /// The left-nesting loops (`a + b + c`, `a.b.c`) deepen the *tree* by
+    /// one level per operator without recursing, and the tree's consumers
+    /// do recurse — so a chain gets the same budget. Over it the chain
+    /// stops where it is; the statement's end-of-line check then reports
+    /// and drops what is left.
+    fn chain_room(&mut self, links: &mut usize) -> bool {
+        *links += 1;
+        if *links > MAX_DEPTH {
+            self.error_here(format!("operator chain longer than {MAX_DEPTH}"));
+            return false;
+        }
+        true
+    }
+
     // ---- module & statements -------------------------------------------
 
     pub fn parse_module(&mut self) -> NodeId {
@@ -212,6 +263,10 @@ impl Parser {
     }
 
     fn parse_statement(&mut self) -> NodeId {
+        self.nested(Self::statement)
+    }
+
+    fn statement(&mut self) -> NodeId {
         if self.at_op("@") {
             return self.parse_decorated();
         }
@@ -752,6 +807,10 @@ impl Parser {
     }
 
     fn parse_target_atom(&mut self) -> NodeId {
+        self.nested(Self::target_atom)
+    }
+
+    fn target_atom(&mut self) -> NodeId {
         if self.at_op("*") {
             let n = self.node(SyntaxKind::Starred);
             self.bump_into(n);
@@ -825,6 +884,10 @@ impl Parser {
 
     /// test: or_test ['if' or_test 'else' test] | lambdef
     pub fn parse_test(&mut self) -> NodeId {
+        self.nested(Self::test)
+    }
+
+    fn test(&mut self) -> NodeId {
         if self.at_kw("lambda") {
             return self.parse_lambda();
         }
@@ -896,7 +959,8 @@ impl Parser {
 
     fn parse_or_test(&mut self) -> NodeId {
         let mut lhs = self.parse_and_test();
-        while self.at_kw("or") {
+        let mut links = 0;
+        while self.at_kw("or") && self.chain_room(&mut links) {
             let n = self.node(SyntaxKind::BoolOp);
             self.tree.add_child(n, lhs);
             self.bump_into(n);
@@ -909,7 +973,8 @@ impl Parser {
 
     fn parse_and_test(&mut self) -> NodeId {
         let mut lhs = self.parse_not_test();
-        while self.at_kw("and") {
+        let mut links = 0;
+        while self.at_kw("and") && self.chain_room(&mut links) {
             let n = self.node(SyntaxKind::BoolOp);
             self.tree.add_child(n, lhs);
             self.bump_into(n);
@@ -921,6 +986,10 @@ impl Parser {
     }
 
     fn parse_not_test(&mut self) -> NodeId {
+        self.nested(Self::not_test)
+    }
+
+    fn not_test(&mut self) -> NodeId {
         if self.at_kw("not") {
             let n = self.node(SyntaxKind::NotOp);
             self.bump_into(n);
@@ -979,7 +1048,11 @@ impl Parser {
         next: fn(&mut Self) -> NodeId,
     ) -> NodeId {
         let mut lhs = next(self);
-        while self.cur().kind == TokKind::Op && ops.contains(&self.cur().text.as_str()) {
+        let mut links = 0;
+        while self.cur().kind == TokKind::Op
+            && ops.contains(&self.cur().text.as_str())
+            && self.chain_room(&mut links)
+        {
             let n = self.node(SyntaxKind::BinOp);
             self.tree.add_child(n, lhs);
             self.bump_into(n);
@@ -1015,6 +1088,10 @@ impl Parser {
     }
 
     fn parse_factor(&mut self) -> NodeId {
+        self.nested(Self::factor)
+    }
+
+    fn factor(&mut self) -> NodeId {
         if self.at_op("+") || self.at_op("-") || self.at_op("~") {
             let n = self.node(SyntaxKind::UnaryOp);
             self.bump_into(n);
@@ -1052,7 +1129,12 @@ impl Parser {
     /// Postfix chain: atom (call | attribute | subscript)*
     fn parse_postfix(&mut self) -> NodeId {
         let mut e = self.parse_atom();
+        let mut links = 0;
         loop {
+            let at_postfix = self.at_op("(") || self.at_op(".") || self.at_op("[");
+            if !at_postfix || !self.chain_room(&mut links) {
+                return e;
+            }
             if self.at_op("(") {
                 let n = self.node(SyntaxKind::Call);
                 self.tree.add_child(n, e);
@@ -1070,7 +1152,7 @@ impl Parser {
                 self.bump_into(n); // .
                 self.expect_name(n);
                 e = n;
-            } else if self.at_op("[") {
+            } else {
                 let n = self.node(SyntaxKind::Subscript);
                 self.tree.add_child(n, e);
                 self.bump_into(n); // [
@@ -1078,8 +1160,6 @@ impl Parser {
                 self.tree.add_child(n, idx);
                 self.expect_op("]", n);
                 e = n;
-            } else {
-                return e;
             }
         }
     }
@@ -1181,6 +1261,10 @@ impl Parser {
     }
 
     fn parse_atom(&mut self) -> NodeId {
+        self.nested(Self::atom)
+    }
+
+    fn atom(&mut self) -> NodeId {
         let t = self.cur().clone();
         match t.kind {
             TokKind::Name | TokKind::Number => {
@@ -1719,6 +1803,101 @@ class IsPrime(IterativePE):
         for line in corpus {
             let t = parse(&format!("{line}\n"));
             assert!(t.errors.is_empty(), "{line:?} produced {:?}\n{}", t.errors, t.dump());
+        }
+    }
+
+    /// `levels` nested `def`/`if` blocks, one space of indent per level.
+    /// The source grows with the square of the depth, so block nesting is
+    /// exercised at thousands of levels, not the 100,000 of the one-line
+    /// forms (that would be 5 GB of spaces).
+    fn nested_blocks(levels: usize) -> String {
+        let mut src = String::new();
+        for level in 0..levels {
+            src.push_str(&" ".repeat(level));
+            src.push_str(if level % 2 == 0 { "def f():\n" } else { "if x:\n" });
+        }
+        src.push_str(&" ".repeat(levels));
+        src.push_str("pass\n");
+        src
+    }
+
+    /// Hostile nesting (test threads get the default 2 MiB stack, as the
+    /// server's connection threads do): every recursion cycle of the
+    /// grammar, driven far past the budget, still returns a tree — the
+    /// part inside the budget, an error for the rest, and the next line
+    /// parsed as if nothing had happened.
+    #[test]
+    fn nesting_past_the_budget_degrades_to_a_partial_tree() {
+        const N: usize = 100_000;
+        let wrap = |open: &str, close: &str| format!("x = {}1{}", open.repeat(N), close.repeat(N));
+        let cases = [
+            ("paren", wrap("(", ")")),
+            ("list", wrap("[", "]")),
+            ("set", wrap("{", "}")),
+            ("dict", wrap("{1:", "}")),
+            ("call", wrap("f(", ")")),
+            ("subscript", wrap("a[", "]")),
+            ("not", wrap("not ", "")),
+            ("unary", wrap("-", "")),
+            ("power", wrap("2**", "")),
+            ("lambda", wrap("lambda: ", "")),
+            ("ternary", wrap("1 if a else ", "")),
+            ("await", wrap("await ", "")),
+            ("yield", wrap("yield ", "")),
+            ("star target", format!("for {}a in b: pass", "*".repeat(N))),
+            ("async", format!("{}def f(): pass", "async ".repeat(N))),
+            ("blocks", nested_blocks(2_000)),
+        ];
+        for (name, src) in cases {
+            let t = parse(&format!("{src}\ny = 2\n"));
+            assert!(
+                t.errors.iter().any(|e| e.contains("nesting deeper than")),
+                "{name}: {:?}",
+                t.errors.first()
+            );
+            assert!(t.depth() <= 4 * MAX_DEPTH, "{name}: depth {}", t.depth());
+            let module = t.root.unwrap();
+            let last = *t.node(module).children.last().unwrap();
+            assert_eq!(t.text_of(last), "y = 2", "{name}: parsing resumed");
+        }
+        // Brackets that never close swallow the rest of the input, as
+        // they do below the budget; there is still a tree.
+        let t = parse(&format!("x = {}\ny = 2\n", "(".repeat(N)));
+        assert_eq!(t.node(t.root.unwrap()).children.len(), 1);
+    }
+
+    /// The left-nesting loops build deep trees without recursing; their
+    /// consumers recurse, so the same budget stops the chain.
+    #[test]
+    fn operator_chains_past_the_budget_are_cut() {
+        const N: usize = 100_000;
+        let cases = [
+            ("arith", format!("x = {}1", "1+".repeat(N))),
+            ("bool", format!("x = {}a", "a or ".repeat(N))),
+            ("attribute", format!("x = a{}", ".b".repeat(N))),
+            ("call", format!("x = a{}", "()".repeat(N))),
+        ];
+        for (name, src) in cases {
+            let t = parse(&format!("{src}\ny = 2\n"));
+            assert!(
+                t.errors.iter().any(|e| e.contains("operator chain longer than")),
+                "{name}: {:?}",
+                t.errors.first()
+            );
+            assert!(t.depth() <= MAX_DEPTH + 16, "{name}: depth {}", t.depth());
+            let module = t.root.unwrap();
+            let last = *t.node(module).children.last().unwrap();
+            assert_eq!(t.text_of(last), "y = 2", "{name}: parsing resumed");
+        }
+    }
+
+    #[test]
+    fn nesting_inside_the_budget_is_untouched() {
+        let brackets = format!("x = {}1{}\n", "(".repeat(90), ")".repeat(90));
+        let sum = format!("x = {}1\n", "1 + ".repeat(300));
+        for src in [brackets, sum, nested_blocks(100)] {
+            let t = ok(&src);
+            assert!(t.find_kind(ErrorNode).is_empty());
         }
     }
 

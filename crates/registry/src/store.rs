@@ -1608,7 +1608,7 @@ mod tests {
         let torn = dir.join("torn.json");
         std::fs::write(&torn, truncated).unwrap();
         assert!(matches!(
-            Registry::load_from(&torn).unwrap_err(),
+            Registry::load_from(&torn).err().unwrap(),
             RegistryError::Persistence(_)
         ));
 

@@ -18,8 +18,8 @@
 //!   recover a bit-identical registry.
 
 use laminar_registry::{
-    ExecutionStatus, FaultEvent, FaultHook, FaultKind, FaultMode, FaultSpec, IoFaultInjector,
-    IoSite, NewPe, NewWorkflow, PersistOptions, Registry, RegistrationUnit, RegistryError,
+    ExecutionStatus, FaultEvent, FaultHook, FaultKind, FaultMode, FaultSpec, IoFaultHook,
+    IoFaultInjector, IoSite, NewPe, NewWorkflow, PersistOptions, Registry, RegistrationUnit, RegistryError,
     SyncPolicy,
 };
 use std::path::PathBuf;

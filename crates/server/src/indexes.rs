@@ -19,7 +19,7 @@
 //! upsert (in-place overwrite of the row) and O(DIM) deletion
 //! (swap-remove: the last row is copied into the vacated slot).
 //!
-//! **Concurrency** is read-copy-update: the whole state lives in an
+//! **Concurrency** is read-copy-update: the state lives in an
 //! `Arc<IndexState>` behind a lock held only long enough to clone the
 //! `Arc`. Queries scan their snapshot entirely lock-free; writers mutate
 //! through [`Arc::make_mut`], which is in-place when no query holds a
@@ -33,29 +33,23 @@
 //! rayon workers; the total `(score, key)` order makes the merged result
 //! identical to the serial scan.
 //!
-//! **Prefiltering** (opt-in): an [`aroma::lsh::LshPrefilter`] shadows the
-//! SPT modality and, past a size threshold, shrinks the exact-rescore set
-//! from the whole corpus to the band-colliding candidate pool.
-//!
-//! **Quantized tier** (opt-in): each dense modality additionally keeps an
-//! `i8` code slab plus per-row `f32` scales (per-row symmetric
-//! quantization, ~4× fewer bytes per scanned row). Dense rankings then run
-//! **two-phase**: a quantized candidate pass over all rows selects a
-//! rescore window of `rescore_window · k` rows, and only those are scored
-//! against the `f32` slab — final scores and ranking stay full precision.
-//! The quantized slabs live inside [`IndexState`], so the RCU snapshot
-//! swap publishes both tiers atomically, and a monotone `generation`
-//! counter (bumped per published write) lets the server's result cache
-//! scope entries to one snapshot — publication invalidates by key miss,
-//! with no explicit invalidation protocol.
+//! **One cell.** The dense/SPT state above and the served
+//! [`AromaEngine`] (PE *source code* plus its own feature index and LSH
+//! tables — the full recommendation pipeline reparses candidates, which
+//! the slabs never stored) live in one cell behind one lock, each behind
+//! its own `Arc`. Every write API feeds both from the same registry row
+//! and bumps the cell's single monotone `generation` exactly once, so
+//! the two can never be observed out of step. Readers clone only the
+//! `Arc` they scan: a search in flight never forces a copy of the PE
+//! sources, and a recommendation in flight never forces a copy of the
+//! slabs.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use aroma::lsh::{LshConfig, LshPrefilter, LshSearchStats};
+use aroma::{AromaConfig, AromaEngine, Snippet};
 use embed::dense::{dot, slab_scan_above, slab_topk, PAR_SCAN_THRESHOLD};
-use embed::quant::{quantize_into, two_phase_topk, QuantizedVec, TwoPhaseStats};
 use embed::topk::{ScoredRow, TopK};
 use embed::{DenseVec, ReaccSim, DIM};
 use parking_lot::RwLock;
@@ -84,69 +78,6 @@ fn key_id(key: u64) -> u64 {
     key >> 1
 }
 
-#[inline]
-fn key_kind(key: u64) -> EntryKind {
-    if key & 1 == 0 {
-        EntryKind::Pe
-    } else {
-        EntryKind::Workflow
-    }
-}
-
-/// The opt-in int8 tier: per-row symmetric quantizations of both dense
-/// slabs, row-aligned with them and maintained through the exact same
-/// upsert / swap-remove / clear motions.
-#[derive(Clone, Default)]
-struct QuantState {
-    /// `i8` codes, `keys.len() * DIM` per modality.
-    desc_codes: Vec<i8>,
-    reacc_codes: Vec<i8>,
-    /// Per-row quantization scales (`max|v| / 127`).
-    desc_scales: Vec<f32>,
-    reacc_scales: Vec<f32>,
-}
-
-impl QuantState {
-    /// Quantize one row into the tier — append when `row` is the new
-    /// tail, overwrite in place otherwise (mirrors the slab upsert).
-    fn set_row(&mut self, row: usize, desc: &[f32], reacc: &[f32]) {
-        let mut dc = [0i8; DIM];
-        let mut rc = [0i8; DIM];
-        let ds = quantize_into(desc, &mut dc);
-        let rs = quantize_into(reacc, &mut rc);
-        if row == self.desc_scales.len() {
-            self.desc_scales.push(ds);
-            self.desc_codes.extend_from_slice(&dc);
-            self.reacc_scales.push(rs);
-            self.reacc_codes.extend_from_slice(&rc);
-        } else {
-            self.desc_scales[row] = ds;
-            self.desc_codes[row * DIM..(row + 1) * DIM].copy_from_slice(&dc);
-            self.reacc_scales[row] = rs;
-            self.reacc_codes[row * DIM..(row + 1) * DIM].copy_from_slice(&rc);
-        }
-    }
-
-    /// Mirror of the slab swap-remove: last row into the vacated stride.
-    fn swap_remove(&mut self, row: usize, last: usize) {
-        self.desc_codes
-            .copy_within(last * DIM..(last + 1) * DIM, row * DIM);
-        self.desc_codes.truncate(last * DIM);
-        self.desc_scales.swap_remove(row);
-        self.reacc_codes
-            .copy_within(last * DIM..(last + 1) * DIM, row * DIM);
-        self.reacc_codes.truncate(last * DIM);
-        self.reacc_scales.swap_remove(row);
-    }
-
-    fn clear(&mut self) {
-        self.desc_codes.clear();
-        self.desc_scales.clear();
-        self.reacc_codes.clear();
-        self.reacc_scales.clear();
-    }
-}
-
 /// One immutable snapshot of all three modalities. Cloned (copy-on-write)
 /// only when a writer mutates while a query still holds the previous
 /// snapshot.
@@ -165,14 +96,6 @@ struct IndexState {
     slots: HashMap<u64, usize>,
     pes: usize,
     workflows: usize,
-    /// Opt-in MinHash prefilter shadowing the SPT modality.
-    lsh: Option<LshPrefilter>,
-    /// Opt-in int8 tier shadowing both dense slabs.
-    quant: Option<QuantState>,
-    /// Monotone snapshot generation, bumped once per published write.
-    /// Result-cache entries key on it, so a new publication invalidates
-    /// them by construction.
-    generation: u64,
 }
 
 impl IndexState {
@@ -187,16 +110,12 @@ impl IndexState {
         debug_assert_eq!(desc.values.len(), DIM);
         debug_assert_eq!(reacc.values.len(), DIM);
         let key = entry_key(id, kind);
-        if let Some(lsh) = &mut self.lsh {
-            lsh.insert(key, &spt);
-        }
-        let row = match self.slots.entry(key) {
+        match self.slots.entry(key) {
             MapEntry::Occupied(e) => {
                 let row = *e.get();
                 self.desc[row * DIM..(row + 1) * DIM].copy_from_slice(&desc.values);
                 self.reacc[row * DIM..(row + 1) * DIM].copy_from_slice(&reacc.values);
                 self.spt[row] = spt;
-                row
             }
             MapEntry::Vacant(e) => {
                 let row = self.keys.len();
@@ -210,15 +129,7 @@ impl IndexState {
                     EntryKind::Pe => self.pes += 1,
                     EntryKind::Workflow => self.workflows += 1,
                 }
-                row
             }
-        };
-        if let Some(q) = &mut self.quant {
-            q.set_row(
-                row,
-                &self.desc[row * DIM..(row + 1) * DIM],
-                &self.reacc[row * DIM..(row + 1) * DIM],
-            );
         }
     }
 
@@ -227,9 +138,6 @@ impl IndexState {
         let Some(row) = self.slots.remove(&key) else {
             return;
         };
-        if let Some(lsh) = &mut self.lsh {
-            lsh.remove(key);
-        }
         match kind {
             EntryKind::Pe => self.pes -= 1,
             EntryKind::Workflow => self.workflows -= 1,
@@ -246,9 +154,6 @@ impl IndexState {
         self.reacc
             .copy_within(last * DIM..(last + 1) * DIM, row * DIM);
         self.reacc.truncate(last * DIM);
-        if let Some(q) = &mut self.quant {
-            q.swap_remove(row, last);
-        }
         if row != last {
             self.slots.insert(self.keys[row], row);
         }
@@ -263,12 +168,6 @@ impl IndexState {
         self.slots.clear();
         self.pes = 0;
         self.workflows = 0;
-        if let Some(lsh) = &mut self.lsh {
-            lsh.clear();
-        }
-        if let Some(q) = &mut self.quant {
-            q.clear();
-        }
     }
 
     #[inline]
@@ -277,42 +176,42 @@ impl IndexState {
     }
 }
 
-/// Construction-time options for [`SearchIndexes`].
+/// One analysed registry row, ready to index: the three embeddings for
+/// the slabs and — for PEs — the name and source the Aroma engine
+/// reparses during prune & rerank. Workflow rows carry theirs too but
+/// the engine never indexes them (workflow-scope recommendations
+/// aggregate PE hits over membership).
 #[derive(Debug, Clone)]
-pub struct IndexOptions {
-    /// Build a MinHash-LSH prefilter on the SPT modality.
-    pub lsh: Option<LshConfig>,
-    /// Corpus size at which the prefilter engages.
-    pub lsh_min_entries: usize,
-    /// Maintain the int8 tier and answer dense rankings two-phase.
-    pub quantized: bool,
-    /// Exact-rescore window as a multiple of `k` (clamped to ≥ 1).
-    pub rescore_window: usize,
+pub struct IndexRow {
+    pub id: u64,
+    pub kind: EntryKind,
+    pub name: String,
+    pub code: String,
+    pub desc: DenseVec,
+    pub spt: FeatureVec,
+    pub reacc: DenseVec,
 }
 
-/// Default rescore window: rescore `4·k` candidates per query.
-pub const DEFAULT_RESCORE_WINDOW: usize = 4;
-
-impl Default for IndexOptions {
-    fn default() -> Self {
-        IndexOptions {
-            lsh: None,
-            lsh_min_entries: usize::MAX,
-            quantized: false,
-            rescore_window: DEFAULT_RESCORE_WINDOW,
+impl IndexRow {
+    /// A row whose ReACC embedding is computed from `code` here.
+    pub fn embed(
+        id: u64,
+        kind: EntryKind,
+        name: &str,
+        code: &str,
+        desc: DenseVec,
+        spt: FeatureVec,
+    ) -> Self {
+        IndexRow {
+            id,
+            kind,
+            name: name.to_string(),
+            code: code.to_string(),
+            desc,
+            spt,
+            reacc: ReaccSim::new().embed_code(code),
         }
     }
-}
-
-/// Per-modality index footprint: bytes each scan tier streams for the
-/// current row count (`i8` tier bytes are 0 when the tier is off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierBytes {
-    pub rows: usize,
-    pub desc_f32: usize,
-    pub desc_i8: usize,
-    pub reacc_f32: usize,
-    pub reacc_i8: usize,
 }
 
 /// Which dense modality a ranking runs over.
@@ -322,14 +221,19 @@ enum DenseSlab {
     Reacc,
 }
 
-/// The three search indexes, kept consistent with the registry by the
-/// server's write paths.
+/// What the lock guards: the two copy-on-write components and the one
+/// generation that orders their publications.
+struct Cell {
+    index: Arc<IndexState>,
+    engine: Arc<AromaEngine>,
+    /// Bumped exactly once per write call, whatever it touched.
+    generation: u64,
+}
+
+/// The search indexes and the recommendation engine, kept consistent
+/// with the registry by the server's write paths.
 pub struct SearchIndexes {
-    state: RwLock<Arc<IndexState>>,
-    /// SPT corpus size at which the LSH prefilter (when built) engages.
-    lsh_min_entries: usize,
-    /// Two-phase rescore window multiple (`Some` ⇒ quantized tier on).
-    rescore_window: Option<usize>,
+    cell: RwLock<Cell>,
 }
 
 impl Default for SearchIndexes {
@@ -347,106 +251,83 @@ pub struct IndexHit {
 }
 
 impl SearchIndexes {
-    /// Exact-scan indexes (no LSH prefilter, no quantized tier).
+    /// Empty indexes around an engine with the default Aroma tunables.
     pub fn new() -> Self {
-        SearchIndexes::with_options(IndexOptions::default())
+        SearchIndexes::with_aroma(AromaConfig::default())
     }
 
-    /// Indexes with a MinHash-LSH prefilter on the SPT modality that
-    /// engages once the corpus reaches `min_entries` (below that, exact
-    /// scanning is both faster and lossless).
-    pub fn with_spt_prefilter(config: LshConfig, min_entries: usize) -> Self {
-        SearchIndexes::with_options(IndexOptions {
-            lsh: Some(config),
-            lsh_min_entries: min_entries,
-            ..IndexOptions::default()
-        })
-    }
-
-    /// Indexes with the full option set (LSH prefilter and/or the int8
-    /// two-phase tier).
-    pub fn with_options(opts: IndexOptions) -> Self {
+    /// Empty indexes around an engine with the given Aroma tunables.
+    pub fn with_aroma(config: AromaConfig) -> Self {
         SearchIndexes {
-            state: RwLock::new(Arc::new(IndexState {
-                lsh: opts.lsh.map(LshPrefilter::new),
-                quant: opts.quantized.then(QuantState::default),
-                ..IndexState::default()
-            })),
-            lsh_min_entries: opts.lsh_min_entries,
-            rescore_window: opts.quantized.then(|| opts.rescore_window.max(1)),
+            cell: RwLock::new(Cell {
+                index: Arc::default(),
+                engine: Arc::new(AromaEngine::new(config)),
+                generation: 0,
+            }),
         }
     }
 
-    /// Whether the int8 two-phase tier is maintained.
-    pub fn quantized(&self) -> bool {
-        self.rescore_window.is_some()
-    }
-
-    /// Current snapshot generation (bumped once per published write).
-    /// Cache entries keyed on it go stale — and therefore miss — the
-    /// moment a new snapshot publishes.
+    /// Number of writes published so far. Strictly increasing: every
+    /// write API bumps it by exactly one (a batch counts once).
     pub fn generation(&self) -> u64 {
-        self.state.read().generation
+        self.cell.read().generation
     }
 
-    /// Bytes each scan tier holds for the current corpus (feeds the
-    /// `search_quant` byte gauges; the i8 tier counts codes + scales).
-    pub fn tier_bytes(&self) -> TierBytes {
-        let st = self.state.read();
-        let rows = st.keys.len();
-        let f32_bytes = rows * DIM * std::mem::size_of::<f32>();
-        let i8_bytes = if st.quant.is_some() {
-            rows * (DIM * std::mem::size_of::<i8>() + std::mem::size_of::<f32>())
-        } else {
-            0
-        };
-        TierBytes {
-            rows,
-            desc_f32: f32_bytes,
-            desc_i8: i8_bytes,
-            reacc_f32: f32_bytes,
-            reacc_i8: i8_bytes,
-        }
-    }
-
-    /// Test/bench introspection: clones of the quantized tier's slabs as
-    /// `(desc scales, desc codes, reacc scales, reacc codes)`. The slab
-    /// bit-identity property suite compares these across construction
-    /// orders (per-row vs bulk vs registry replay).
-    pub fn quant_slabs(&self) -> Option<(Vec<f32>, Vec<i8>, Vec<f32>, Vec<i8>)> {
-        let st = self.state.read();
-        st.quant.as_ref().map(|q| {
-            (
-                q.desc_scales.clone(),
-                q.desc_codes.clone(),
-                q.reacc_scales.clone(),
-                q.reacc_codes.clone(),
-            )
-        })
-    }
-
-    /// Clone the current snapshot (an `Arc` bump — queries then scan it
-    /// without holding any lock).
+    /// Clone the current dense/SPT snapshot (an `Arc` bump — queries then
+    /// scan it without holding any lock).
     fn snapshot(&self) -> Arc<IndexState> {
-        self.state.read().clone()
+        self.cell.read().index.clone()
     }
 
-    /// Insert or replace the entry for `(kind, id)`, embedding `code` for
-    /// the ReACC modality.
-    pub fn upsert(
-        &self,
-        id: u64,
-        kind: EntryKind,
-        desc: DenseVec,
-        spt_vec: FeatureVec,
-        code: &str,
-    ) {
-        let reacc = ReaccSim::new().embed_code(code);
-        self.upsert_embedded(id, kind, desc, spt_vec, reacc);
+    /// The current recommendation engine. A recommendation runs entirely
+    /// on this snapshot, lock-free; later writes publish new ones without
+    /// disturbing it.
+    pub fn engine(&self) -> Arc<AromaEngine> {
+        self.cell.read().engine.clone()
     }
 
-    /// Insert or replace with a pre-computed ReACC embedding (the warm-load
-    /// path embeds registry rows in parallel before touching the index).
+    /// One published write: `f` mutates the components it needs through
+    /// [`Arc::make_mut`] (in place when no query holds that component's
+    /// snapshot, a copy-on-write clone of that component alone when one
+    /// does), then the generation moves.
+    fn write(&self, f: impl FnOnce(&mut Cell)) {
+        let mut cell = self.cell.write();
+        f(&mut cell);
+        cell.generation += 1;
+    }
+
+    /// Insert or replace one registry row in every modality (and, for a
+    /// PE, in the engine).
+    pub fn upsert(&self, row: IndexRow) {
+        self.bulk_upsert(vec![row]);
+    }
+
+    /// Insert or replace many rows in one published write — the batched
+    /// ingestion and warm-load path. Row-for-row equivalent to calling
+    /// [`upsert`](Self::upsert) in order.
+    pub fn bulk_upsert(&self, rows: Vec<IndexRow>) {
+        if rows.is_empty() {
+            return;
+        }
+        self.write(|cell| {
+            let index = Arc::make_mut(&mut cell.index);
+            let mut snippets = Vec::new();
+            for row in rows {
+                index.upsert(row.id, row.kind, row.desc, row.spt, row.reacc);
+                if row.kind == EntryKind::Pe {
+                    snippets.push(Snippet::new(row.id, row.name, row.code));
+                }
+            }
+            if !snippets.is_empty() {
+                Arc::make_mut(&mut cell.engine).add_batch(snippets);
+            }
+        });
+    }
+
+    /// The embeddings-only primitive: insert or replace the slab and SPT
+    /// rows for `(kind, id)` and leave the engine alone. The server goes
+    /// through [`upsert`](Self::upsert); this stays for callers that
+    /// measure the slab write by itself.
     pub fn upsert_embedded(
         &self,
         id: u64,
@@ -455,107 +336,61 @@ impl SearchIndexes {
         spt_vec: FeatureVec,
         reacc: DenseVec,
     ) {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut *guard);
-        st.upsert(id, kind, desc, spt_vec, reacc);
-        st.generation = st.generation.wrapping_add(1);
-    }
-
-    /// Insert or replace many pre-embedded entries under a *single*
-    /// copy-on-write clone — the batched-ingestion path publishes one RCU
-    /// snapshot swap per batch instead of one per row. Row-for-row
-    /// equivalent to calling [`upsert_embedded`](Self::upsert_embedded) in
-    /// order.
-    pub fn bulk_upsert_embedded(
-        &self,
-        rows: Vec<(u64, EntryKind, DenseVec, FeatureVec, DenseVec)>,
-    ) {
-        if rows.is_empty() {
-            return;
-        }
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut *guard);
-        for (id, kind, desc, spt_vec, reacc) in rows {
-            st.upsert(id, kind, desc, spt_vec, reacc);
-        }
-        st.generation = st.generation.wrapping_add(1);
+        self.write(|cell| Arc::make_mut(&mut cell.index).upsert(id, kind, desc, spt_vec, reacc));
     }
 
     pub fn remove(&self, id: u64, kind: EntryKind) {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut *guard);
-        st.remove(id, kind);
-        st.generation = st.generation.wrapping_add(1);
+        self.write(|cell| {
+            Arc::make_mut(&mut cell.index).remove(id, kind);
+            if kind == EntryKind::Pe {
+                Arc::make_mut(&mut cell.engine).remove(id);
+            }
+        });
     }
 
     pub fn clear(&self) {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut *guard);
-        st.clear();
-        st.generation = st.generation.wrapping_add(1);
+        self.write(|cell| {
+            Arc::make_mut(&mut cell.index).clear();
+            Arc::make_mut(&mut cell.engine).clear();
+        });
     }
 
     pub fn len(&self) -> usize {
-        self.state.read().keys.len()
+        self.cell.read().index.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.state.read().keys.is_empty()
+        self.len() == 0
     }
 
     /// `(PE entries, workflow entries)` — feeds the index-size gauges.
     pub fn counts(&self) -> (usize, usize) {
-        let st = self.state.read();
-        (st.pes, st.workflows)
+        let cell = self.cell.read();
+        (cell.index.pes, cell.index.workflows)
     }
 
     /// One dense ranking for both modalities. Zero queries short-circuit
     /// (a zero vector scores 0 against everything — scanning would return
-    /// `k` arbitrary zero-scored rows). When the quantized tier is on and
-    /// the corpus outgrows the rescore window, the scan runs two-phase:
-    /// int8 candidate pass, then exact `f32` rescore of the window — final
-    /// scores are always full-precision dots.
+    /// `k` arbitrary zero-scored rows).
     fn rank_dense(
         &self,
         slab: DenseSlab,
         query: &DenseVec,
         kind: Option<EntryKind>,
         k: usize,
-    ) -> (Vec<IndexHit>, Option<TwoPhaseStats>) {
+    ) -> Vec<IndexHit> {
         if query.is_zero() {
-            return (Vec::new(), None);
+            return Vec::new();
         }
         let st = self.snapshot();
         let values = match slab {
             DenseSlab::Desc => &st.desc,
             DenseSlab::Reacc => &st.reacc,
         };
-        if let (Some(factor), Some(q)) = (self.rescore_window, &st.quant) {
-            let window = k.saturating_mul(factor).max(k);
-            if k > 0 && st.keys.len() > window {
-                let (codes, scales) = match slab {
-                    DenseSlab::Desc => (&q.desc_codes, &q.desc_scales),
-                    DenseSlab::Reacc => (&q.reacc_codes, &q.reacc_scales),
-                };
-                let qquant = QuantizedVec::quantize(&query.values);
-                let (rows, stats) = two_phase_topk(
-                    &query.values,
-                    &qquant,
-                    values,
-                    codes,
-                    scales,
-                    &st.keys,
-                    k,
-                    window,
-                    |row| st.accepts(row, kind),
-                );
-                return (to_hits(&st, rows), Some(stats));
-            }
-        }
         let rows = slab_topk(&query.values, values, &st.keys, k, |row| {
             st.accepts(row, kind)
         });
-        (to_hits(&st, rows), None)
+        to_hits(&st, rows)
     }
 
     /// Top-`k` by cosine of description embeddings (semantic text search).
@@ -565,74 +400,18 @@ impl SearchIndexes {
         kind: Option<EntryKind>,
         k: usize,
     ) -> Vec<IndexHit> {
-        self.rank_semantic_with_stats(query, kind, k).0
-    }
-
-    /// Like [`rank_semantic`](Self::rank_semantic), also reporting the
-    /// two-phase scan stats when the quantized tier answered the query
-    /// (`None` ⇒ exact `f32` scan).
-    pub fn rank_semantic_with_stats(
-        &self,
-        query: &DenseVec,
-        kind: Option<EntryKind>,
-        k: usize,
-    ) -> (Vec<IndexHit>, Option<TwoPhaseStats>) {
         self.rank_dense(DenseSlab::Desc, query, kind, k)
     }
 
     /// Top-`k` by ReACC code-embedding cosine (`--embedding_type llm`).
     pub fn rank_reacc(&self, query: &DenseVec, kind: Option<EntryKind>, k: usize) -> Vec<IndexHit> {
-        self.rank_reacc_with_stats(query, kind, k).0
-    }
-
-    /// Like [`rank_reacc`](Self::rank_reacc), also reporting the two-phase
-    /// scan stats when the quantized tier answered the query.
-    pub fn rank_reacc_with_stats(
-        &self,
-        query: &DenseVec,
-        kind: Option<EntryKind>,
-        k: usize,
-    ) -> (Vec<IndexHit>, Option<TwoPhaseStats>) {
         self.rank_dense(DenseSlab::Reacc, query, kind, k)
     }
 
     /// Top-`k` by SPT feature overlap (structural code search).
     pub fn rank_spt(&self, query: &FeatureVec, kind: Option<EntryKind>, k: usize) -> Vec<IndexHit> {
-        self.rank_spt_with_stats(query, kind, k).0
-    }
-
-    /// Like [`rank_spt`](Self::rank_spt), also reporting the LSH candidate
-    /// pool when the prefilter engaged (`None` ⇒ exact scan).
-    pub fn rank_spt_with_stats(
-        &self,
-        query: &FeatureVec,
-        kind: Option<EntryKind>,
-        k: usize,
-    ) -> (Vec<IndexHit>, Option<LshSearchStats>) {
         let st = self.snapshot();
-        if let Some(lsh) = &st.lsh {
-            if st.keys.len() >= self.lsh_min_entries && !query.is_empty() {
-                let candidates = lsh.candidates(query);
-                let stats = LshSearchStats {
-                    candidates: candidates.len(),
-                    indexed: lsh.len(),
-                };
-                let mut top = TopK::new(k);
-                for key in candidates {
-                    if kind.is_some_and(|kf| key_kind(key) != kf) {
-                        continue;
-                    }
-                    // The prefilter shadows the slot map, so a candidate
-                    // always resolves; guard anyway.
-                    let Some(&row) = st.slots.get(&key) else {
-                        continue;
-                    };
-                    top.push(query.overlap(&st.spt[row]), key, row);
-                }
-                return (to_hits(&st, top.into_sorted()), Some(stats));
-            }
-        }
-        (to_hits(&st, spt_topk(&st, query, kind, k)), None)
+        to_hits(&st, spt_topk(&st, query, kind, k))
     }
 
     /// *All* SPT hits with overlap ≥ `min_score`, best first. The
@@ -733,14 +512,19 @@ mod tests {
 
     const ALL: usize = usize::MAX;
 
-    fn add(ix: &SearchIndexes, id: u64, kind: EntryKind, desc: &str, code: &str) {
-        ix.upsert(
+    fn row(id: u64, kind: EntryKind, desc: &str, code: &str) -> IndexRow {
+        IndexRow::embed(
             id,
             kind,
+            &format!("E{id}"),
+            code,
             UniXcoderSim::new().embed(desc),
             Spt::parse_source(code).feature_vec(),
-            code,
-        );
+        )
+    }
+
+    fn add(ix: &SearchIndexes, id: u64, kind: EntryKind, desc: &str, code: &str) {
+        ix.upsert(row(id, kind, desc, code));
     }
 
     #[test]
@@ -926,85 +710,50 @@ mod tests {
     }
 
     #[test]
-    fn lsh_prefilter_engages_past_threshold() {
-        let ix = SearchIndexes::with_spt_prefilter(LshConfig::default(), 4);
-        let mk = |i: usize| {
-            format!("def f{i}(data):\n    total{i} = {i}\n    for item in data:\n        total{i} += item\n    return total{i}\n")
-        };
-        for i in 0..3 {
-            add(&ix, i as u64, EntryKind::Pe, "", &mk(i));
-        }
-        let q = Spt::parse_source(&mk(0)).feature_vec();
-        // Below threshold: exact scan, no stats.
-        let (_, stats) = ix.rank_spt_with_stats(&q, None, 5);
-        assert!(stats.is_none());
-        for i in 3..12 {
-            add(&ix, i as u64, EntryKind::Pe, "", &mk(i));
-        }
-        let (hits, stats) = ix.rank_spt_with_stats(&q, None, 5);
-        let stats = stats.expect("prefilter engaged");
-        assert_eq!(stats.indexed, 12);
-        assert!(stats.candidates <= stats.indexed);
-        // The near-identical family collides; the top hit is the clone.
-        assert_eq!(hits.first().map(|h| h.id), Some(0));
-        // Removal propagates into the prefilter.
-        ix.remove(0, EntryKind::Pe);
-        let (hits, _) = ix.rank_spt_with_stats(&q, None, 5);
-        assert!(hits.iter().all(|h| h.id != 0));
-    }
-
-    #[test]
     fn bulk_upsert_matches_sequential_upserts() {
         let seq = SearchIndexes::new();
         let bulk = SearchIndexes::new();
-        let entries: Vec<(u64, EntryKind, String, String)> = (0..6)
+        let rows: Vec<IndexRow> = (0..6u64)
             .map(|i| {
                 let kind = if i % 3 == 0 {
                     EntryKind::Workflow
                 } else {
                     EntryKind::Pe
                 };
-                (
-                    i as u64,
+                row(
+                    i,
                     kind,
-                    format!("entry number {i} does thing {i}"),
-                    format!("def f{i}(a):\n    return a * {i} + {i}\n"),
+                    &format!("entry number {i} does thing {i}"),
+                    &format!("def f{i}(a):\n    return a * {i} + {i}\n"),
                 )
             })
             .collect();
-        let embed_row = |(id, kind, desc, code): &(u64, EntryKind, String, String)| {
-            (
-                *id,
-                *kind,
-                UniXcoderSim::new().embed(desc),
-                Spt::parse_source(code).feature_vec(),
-                ReaccSim::new().embed_code(code),
-            )
-        };
-        for e in &entries {
-            let (id, kind, desc, spt_vec, reacc) = embed_row(e);
-            seq.upsert_embedded(id, kind, desc, spt_vec, reacc);
+        for r in &rows {
+            seq.upsert(r.clone());
         }
-        bulk.bulk_upsert_embedded(entries.iter().map(embed_row).collect());
+        bulk.bulk_upsert(rows.clone());
         assert_eq!(seq.len(), bulk.len());
         assert_eq!(seq.counts(), bulk.counts());
-        for (_, _, desc, code) in &entries {
-            let dq = UniXcoderSim::new().embed(desc);
+        assert_eq!(seq.engine().len(), 4, "the engine holds the PEs only");
+        assert_eq!(bulk.engine().len(), 4);
+        for r in &rows {
             assert_eq!(
-                seq.rank_semantic(&dq, None, ALL),
-                bulk.rank_semantic(&dq, None, ALL)
+                seq.rank_semantic(&r.desc, None, ALL),
+                bulk.rank_semantic(&r.desc, None, ALL)
             );
-            let sq = Spt::parse_source(code).feature_vec();
-            assert_eq!(seq.rank_spt(&sq, None, ALL), bulk.rank_spt(&sq, None, ALL));
-            let rq = ReaccSim::new().embed_code(code);
             assert_eq!(
-                seq.rank_reacc(&rq, None, ALL),
-                bulk.rank_reacc(&rq, None, ALL)
+                seq.rank_spt(&r.spt, None, ALL),
+                bulk.rank_spt(&r.spt, None, ALL)
+            );
+            assert_eq!(
+                seq.rank_reacc(&r.reacc, None, ALL),
+                bulk.rank_reacc(&r.reacc, None, ALL)
             );
         }
-        // An empty bulk call is a no-op, not a snapshot churn.
-        bulk.bulk_upsert_embedded(Vec::new());
-        assert_eq!(bulk.len(), entries.len());
+        // An empty bulk call is a no-op, not a publication.
+        let g = bulk.generation();
+        bulk.bulk_upsert(Vec::new());
+        assert_eq!(bulk.generation(), g);
     }
 
     #[test]
@@ -1020,14 +769,6 @@ mod tests {
         assert_eq!(hits[0].kind, EntryKind::Workflow);
     }
 
-    fn quantized_ix(window: usize) -> SearchIndexes {
-        SearchIndexes::with_options(IndexOptions {
-            quantized: true,
-            rescore_window: window,
-            ..IndexOptions::default()
-        })
-    }
-
     #[test]
     fn zero_query_short_circuits() {
         let ix = SearchIndexes::new();
@@ -1040,123 +781,57 @@ mod tests {
     }
 
     #[test]
-    fn quantized_two_phase_matches_exact_when_window_covers_accepted() {
-        let exact = SearchIndexes::new();
-        let quant = quantized_ix(2);
-        for ix in [&exact, &quant] {
-            for i in 0..6u64 {
-                add(
-                    ix,
-                    i,
-                    EntryKind::Pe,
-                    &format!("pe number {i} parses logs"),
-                    &format!("def f{i}(a):\n    return a * {i} + {i}\n"),
-                );
-            }
-            for i in 6..13u64 {
-                add(
-                    ix,
-                    i,
-                    EntryKind::Workflow,
-                    &format!("workflow number {i} moves files"),
-                    &format!("def g{i}(b):\n    return b - {i}\n"),
-                );
-            }
-        }
-        assert!(quant.quantized());
-        let q = UniXcoderSim::new().embed("a pe that parses logs");
-        let (hits, stats) = quant.rank_semantic_with_stats(&q, Some(EntryKind::Pe), 3);
-        let stats = stats.expect("13 rows > window 6 ⇒ two-phase engaged");
-        assert_eq!(stats.window, 6);
-        // Window ≥ every accepted row ⇒ the rescore set is the full kind
-        // slice, so the result is bit-identical to the exact scan.
-        assert_eq!(hits, exact.rank_semantic(&q, Some(EntryKind::Pe), 3));
-        let rq = ReaccSim::new().embed_code("def f2(a):\n    return a * 2 + 2\n");
-        let (rhits, rstats) = quant.rank_reacc_with_stats(&rq, Some(EntryKind::Pe), 3);
-        assert!(rstats.is_some());
-        assert_eq!(rhits, exact.rank_reacc(&rq, Some(EntryKind::Pe), 3));
-    }
-
-    #[test]
-    fn quantized_self_retrieval_with_tight_window() {
-        // rescore_window = 1 forces the narrowest possible phase-2 set;
-        // the swap-remove in the middle additionally exercises quant-slab
-        // row moves staying aligned with the f32 slabs.
-        let ix = quantized_ix(1);
-        let codes: Vec<String> = (0..8)
-            .map(|i| format!("def f{i}(a):\n    return a * {i} + {i}\n"))
-            .collect();
-        for (i, code) in codes.iter().enumerate() {
-            add(
-                &ix,
-                i as u64,
-                EntryKind::Pe,
-                &format!("pe number {i}"),
-                code,
-            );
-        }
-        ix.remove(3, EntryKind::Pe);
-        for (i, code) in codes.iter().enumerate() {
-            if i == 3 {
-                continue;
-            }
-            let q = ReaccSim::new().embed_code(code);
-            let (hits, stats) = ix.rank_reacc_with_stats(&q, None, 1);
-            assert!(stats.is_some(), "7 rows > window 1 ⇒ two-phase engaged");
-            assert_eq!(hits[0].id, i as u64, "self-retrieval through int8 tier");
-            assert!(hits[0].score > 0.99, "final score is the exact f32 dot");
-        }
-    }
-
-    #[test]
     fn generation_bumps_once_per_published_write() {
         let ix = SearchIndexes::new();
         let g0 = ix.generation();
         add(&ix, 1, EntryKind::Pe, "a", "x = 1\n");
-        assert_eq!(ix.generation(), g0 + 1);
-        let row = |id: u64, desc: &str, code: &str| {
-            (
-                id,
-                EntryKind::Pe,
-                UniXcoderSim::new().embed(desc),
-                Spt::parse_source(code).feature_vec(),
-                ReaccSim::new().embed_code(code),
-            )
-        };
-        ix.bulk_upsert_embedded(vec![row(2, "b", "y = 2\n"), row(3, "c", "z = 3\n")]);
+        assert_eq!(ix.generation(), g0 + 1, "slabs and engine move as one");
+        ix.bulk_upsert(vec![
+            row(2, EntryKind::Pe, "b", "y = 2\n"),
+            row(3, EntryKind::Workflow, "c", "z = 3\n"),
+        ]);
         assert_eq!(ix.generation(), g0 + 2, "one bump per batch, not per row");
         ix.remove(1, EntryKind::Pe);
         assert_eq!(ix.generation(), g0 + 3);
-        ix.clear();
+        ix.upsert_embedded(
+            9,
+            EntryKind::Pe,
+            UniXcoderSim::new().embed("d"),
+            Spt::parse_source("w = 4\n").feature_vec(),
+            ReaccSim::new().embed_code("w = 4\n"),
+        );
         assert_eq!(ix.generation(), g0 + 4);
+        assert_eq!(ix.engine().len(), 1, "embeddings-only: engine untouched");
+        ix.clear();
+        assert_eq!(ix.generation(), g0 + 5);
+        assert!(ix.is_empty() && ix.engine().is_empty());
+    }
+
+    const ACC: &str = "total = 0\nfor item in data:\n    total += item\n";
+
+    #[test]
+    fn snapshots_are_isolated_from_later_writes() {
+        let ix = SearchIndexes::new();
+        add(&ix, 1, EntryKind::Pe, "sums a list", ACC);
+        let engine = ix.engine();
+        ix.remove(1, EntryKind::Pe);
+        // The old snapshot still answers from its own state.
+        assert_eq!(engine.len(), 1);
+        assert!(!engine.recommend(ACC).is_empty());
+        assert!(ix.engine().recommend(ACC).is_empty());
     }
 
     #[test]
-    fn tier_bytes_reports_quantized_savings() {
-        let ix = quantized_ix(DEFAULT_RESCORE_WINDOW);
-        for i in 0..4u64 {
-            add(
-                &ix,
-                i,
-                EntryKind::Pe,
-                "a description",
-                &format!("v{i} = {i}\n"),
-            );
-        }
-        let tb = ix.tier_bytes();
-        assert_eq!(tb.rows, 4);
-        assert_eq!(tb.desc_f32, 4 * DIM * 4);
-        assert_eq!(tb.desc_i8, 4 * (DIM + 4));
-        assert!(
-            tb.desc_f32 >= 3 * tb.desc_i8,
-            "acceptance: scan tier ≥ 3× smaller"
-        );
-        assert_eq!(tb.reacc_f32, tb.desc_f32);
-        assert_eq!(tb.reacc_i8, tb.desc_i8);
-        // Quantization is strictly opt-in: the default index carries no
-        // i8 tier at all.
-        let plain = SearchIndexes::new();
-        assert!(!plain.quantized());
-        assert_eq!(plain.tier_bytes().desc_i8, 0);
+    fn engine_upsert_replaces_by_id_and_skips_workflows() {
+        let ix = SearchIndexes::new();
+        add(&ix, 1, EntryKind::Pe, "", ACC);
+        add(&ix, 1, EntryKind::Pe, "", "x = open(path)\n");
+        add(&ix, 1, EntryKind::Workflow, "", ACC);
+        let engine = ix.engine();
+        assert_eq!(engine.len(), 1);
+        assert_eq!(engine.index().get(1).unwrap().code, "x = open(path)\n");
+        // Removing the workflow of the same id leaves the PE's snippet.
+        ix.remove(1, EntryKind::Workflow);
+        assert_eq!(ix.engine().len(), 1);
     }
 }

@@ -9,16 +9,9 @@
 //! * [`server`] — the controller: session auth, request dispatch;
 //! * [`indexes`] — the search service's in-memory embedding indexes
 //!   (description embeddings, SPT feature vectors, ReACC code vectors),
-//!   updated incrementally on every registration, with an opt-in int8
-//!   two-phase scan tier;
-//! * [`cache`] — the opt-in query-path caches: an LRU over query
-//!   embeddings, a result cache scoped to the index snapshot
-//!   generation, and a full-pipeline recommendation cache scoped to both
-//!   snapshot generations;
-//! * [`reco`] — the recommendation subsystem: a persistent
-//!   [`aroma::AromaEngine`] behind its own Arc-snapshot RCU, kept in
-//!   lockstep with registry mutations, plus the inverted workflow-scope
-//!   aggregation sweep;
+//!   and the served [`aroma::AromaEngine`], one copy-on-write cell with
+//!   one generation, updated on every registration;
+//! * [`reco`] — the inverted workflow-scope aggregation sweep;
 //! * [`resources`] — the §IV-F resource cache: content-hash dedup,
 //!   multipart upload, bytes-on-wire accounting;
 //! * [`transport`] — batch (HTTP/1.1-style) vs streaming (HTTP/2-style)
@@ -41,7 +34,6 @@
 //! The data-access layer is the `laminar-registry` crate; the models are
 //! its row types.
 
-pub mod cache;
 pub mod clock;
 pub mod connection;
 pub mod health;
@@ -54,21 +46,20 @@ pub mod resources;
 pub mod server;
 pub mod transport;
 
-pub use cache::{QueryCache, QueryModality, RecoKey, ResultKey, ResultOp};
 pub use clock::{Clock, SharedClock, SimClock, SystemClock};
 pub use connection::{classify, ConnOptions, Connection, ConnectionError};
 pub use health::StorageHealth;
-pub use indexes::{IndexOptions, SearchIndexes, TierBytes};
+pub use indexes::{IndexRow, SearchIndexes};
 pub use net::{NetClientTransport, NetServer, NetServerConfig, MAX_FRAME};
 pub use obs::{
     EnactmentSnapshot, EndpointSnapshot, Metrics, MetricsSnapshot, RecoSnapshot, RequestId,
-    SearchQuantSnapshot, SearchSnapshot, StorageHealthSnapshot,
+    SearchSnapshot, StorageHealthSnapshot,
 };
 pub use protocol::{
     EmbeddingType, FaultPolicyWire, Ident, PeSubmission, Reply, Request, RequestEnvelope, Response,
     RunMode, SearchScope, SemanticHit, StorageStateWire, WireFrame, PROTOCOL_VERSION,
 };
-pub use reco::{sweep_workflows, RecoIndexes, RecoState};
+pub use reco::sweep_workflows;
 pub use resources::{ResourceCache, ResourceRef};
 pub use server::{LaminarServer, ServerConfig, ServerError};
 pub use transport::{DeliveryMode, Transport};

@@ -200,8 +200,7 @@ pub struct EndpointMetrics {
 }
 
 /// Search-engine metrics: one latency histogram per modality (the three
-/// `SearchIndexes` ranking paths), index-size gauges, and the LSH
-/// prefilter's candidate-pool accounting.
+/// `SearchIndexes` ranking paths) and the index-size gauges.
 #[derive(Debug, Default)]
 pub struct SearchMetrics {
     pub semantic_latency: Histogram,
@@ -212,10 +211,6 @@ pub struct SearchMetrics {
     pub literal_latency: Histogram,
     pub index_pes: Gauge,
     pub index_workflows: Gauge,
-    /// SPT queries answered through the LSH prefilter.
-    pub lsh_queries: Counter,
-    /// Total candidates those queries rescored (pool size, summed).
-    pub lsh_candidates: Counter,
 }
 
 impl SearchMetrics {
@@ -227,8 +222,6 @@ impl SearchMetrics {
             literal: self.literal_latency.snapshot(),
             index_pes: self.index_pes.get(),
             index_workflows: self.index_workflows.get(),
-            lsh_queries: self.lsh_queries.get(),
-            lsh_candidates: self.lsh_candidates.get(),
         }
     }
 }
@@ -236,8 +229,7 @@ impl SearchMetrics {
 /// Recommendation-pipeline metrics (v9), fed by the served Aroma path:
 /// where each request's time goes (retrieve → prune → cluster →
 /// intersect), how often the LSH prefilter bounds the candidate pool,
-/// whether rayon engaged for the prune stage, and the full-pipeline
-/// result cache's hit rate.
+/// and whether rayon engaged for the prune stage.
 #[derive(Debug, Default)]
 pub struct RecoMetrics {
     /// `CodeRecommendation` requests served (any scope or embedding).
@@ -250,10 +242,6 @@ pub struct RecoMetrics {
     pub lsh_queries: Counter,
     /// Total candidates those runs retrieved over (pool size, summed).
     pub lsh_candidates: Counter,
-    /// Full-pipeline result-cache lookups answered without running.
-    pub cache_hits: Counter,
-    /// Full-pipeline result-cache lookups that ran the pipeline.
-    pub cache_misses: Counter,
     /// Stage 1–2: featurize + light-weight retrieval.
     pub retrieve_latency: Histogram,
     /// Stage 3: prune & rerank over the candidate set.
@@ -288,57 +276,10 @@ impl RecoMetrics {
             parallel_runs: self.parallel_runs.get(),
             lsh_queries: self.lsh_queries.get(),
             lsh_candidates: self.lsh_candidates.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
             retrieve: self.retrieve_latency.snapshot(),
             prune: self.prune_latency.snapshot(),
             cluster: self.cluster_latency.snapshot(),
             intersect: self.intersect_latency.snapshot(),
-        }
-    }
-}
-
-/// Quantized-search and query-cache metrics, fed by the two-phase dense
-/// ranking path and the opt-in query caches: cache hit/miss counters,
-/// rescore-window sizing, per-phase scan latency, and the per-modality
-/// scan-tier footprints (f32 vs i8 bytes) behind the ≥3× memory claim.
-#[derive(Debug, Default)]
-pub struct SearchQuantMetrics {
-    /// Embedding-cache lookups that reused a vector.
-    pub embed_cache_hits: Counter,
-    /// Embedding-cache lookups that had to embed.
-    pub embed_cache_misses: Counter,
-    /// Result-cache lookups answered without a scan.
-    pub result_cache_hits: Counter,
-    /// Result-cache lookups that ran the ranking.
-    pub result_cache_misses: Counter,
-    /// Rescore-window sizes per two-phase query (buckets count rows).
-    pub rescore_window: Histogram,
-    /// Phase-1 latency: the int8 candidate scan over all rows.
-    pub quant_scan_latency: Histogram,
-    /// Phase-2 latency: the exact `f32` rescore of the window.
-    pub rescore_latency: Histogram,
-    /// Scan-tier bytes per modality (re-read from the index, not counted).
-    pub desc_f32_bytes: Gauge,
-    pub desc_i8_bytes: Gauge,
-    pub reacc_f32_bytes: Gauge,
-    pub reacc_i8_bytes: Gauge,
-}
-
-impl SearchQuantMetrics {
-    fn snapshot(&self) -> SearchQuantSnapshot {
-        SearchQuantSnapshot {
-            embed_cache_hits: self.embed_cache_hits.get(),
-            embed_cache_misses: self.embed_cache_misses.get(),
-            result_cache_hits: self.result_cache_hits.get(),
-            result_cache_misses: self.result_cache_misses.get(),
-            rescore_window: self.rescore_window.snapshot(),
-            quant_scan: self.quant_scan_latency.snapshot(),
-            rescore: self.rescore_latency.snapshot(),
-            desc_f32_bytes: self.desc_f32_bytes.get(),
-            desc_i8_bytes: self.desc_i8_bytes.get(),
-            reacc_f32_bytes: self.reacc_f32_bytes.get(),
-            reacc_i8_bytes: self.reacc_i8_bytes.get(),
         }
     }
 }
@@ -444,7 +385,6 @@ pub struct Metrics {
     pub timeouts: Counter,
     pub disconnects: Counter,
     pub search: SearchMetrics,
-    pub search_quant: SearchQuantMetrics,
     pub enactment: EnactmentMetrics,
     pub ingest: IngestMetrics,
     pub reco: RecoMetrics,
@@ -461,7 +401,6 @@ impl Default for Metrics {
             timeouts: Counter::default(),
             disconnects: Counter::default(),
             search: SearchMetrics::default(),
-            search_quant: SearchQuantMetrics::default(),
             enactment: EnactmentMetrics::default(),
             ingest: IngestMetrics::default(),
             reco: RecoMetrics::default(),
@@ -518,10 +457,13 @@ impl Metrics {
             disconnects: self.disconnects.get(),
             endpoints,
             search: self.search.snapshot(),
-            search_quant: self.search_quant.snapshot(),
             enactment: self.enactment.snapshot(),
             ingest: self.ingest.snapshot(),
             reco: self.reco.snapshot(),
+            // Owned by the registry and the health state machine; the
+            // `Metrics` endpoint fills both in.
+            persistence: PersistenceSnapshot::default(),
+            storage_health: StorageHealthSnapshot::default(),
         }
     }
 }
@@ -538,27 +480,6 @@ pub struct SearchSnapshot {
     pub literal: HistogramSnapshot,
     pub index_pes: i64,
     pub index_workflows: i64,
-    pub lsh_queries: u64,
-    pub lsh_candidates: u64,
-}
-
-/// Snapshot of the quantized-search and query-cache metrics
-/// (serialisable). All-zero — and absent from the rendered table — until
-/// the quantized tier or a query cache is switched on.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SearchQuantSnapshot {
-    pub embed_cache_hits: u64,
-    pub embed_cache_misses: u64,
-    pub result_cache_hits: u64,
-    pub result_cache_misses: u64,
-    /// `rescore_window` buckets count rows, not µs.
-    pub rescore_window: HistogramSnapshot,
-    pub quant_scan: HistogramSnapshot,
-    pub rescore: HistogramSnapshot,
-    pub desc_f32_bytes: i64,
-    pub desc_i8_bytes: i64,
-    pub reacc_f32_bytes: i64,
-    pub reacc_i8_bytes: i64,
 }
 
 /// Snapshot of the registry persistence layer (serialisable). Filled by
@@ -640,8 +561,6 @@ pub struct RecoSnapshot {
     pub parallel_runs: u64,
     pub lsh_queries: u64,
     pub lsh_candidates: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
     pub retrieve: HistogramSnapshot,
     pub prune: HistogramSnapshot,
     pub cluster: HistogramSnapshot,
@@ -710,10 +629,6 @@ pub struct MetricsSnapshot {
     /// (no `ingest` field) still deserialises.
     #[serde(default)]
     pub ingest: IngestSnapshot,
-    /// Quantized-search and query-cache metrics; serde-defaulted so a
-    /// pre-v7 snapshot (no `search_quant` field) still deserialises.
-    #[serde(default)]
-    pub search_quant: SearchQuantSnapshot,
     /// Storage-health state machine; serde-defaulted so a pre-v8
     /// snapshot (no `storage_health` field) still deserialises.
     #[serde(default)]
@@ -781,64 +696,12 @@ impl MetricsSnapshot {
                 name, h.count, h.p50_us, h.p95_us, h.p99_us
             );
         }
-        if s.lsh_queries > 0 {
-            let _ = writeln!(
-                out,
-                "lsh prefilter: queries {}  candidates {} (avg pool {:.1})",
-                s.lsh_queries,
-                s.lsh_candidates,
-                s.lsh_candidates as f64 / s.lsh_queries as f64
-            );
-        }
-        let q = &self.search_quant;
-        let cache_lookups =
-            q.embed_cache_hits + q.embed_cache_misses + q.result_cache_hits + q.result_cache_misses;
-        if q.quant_scan.count > 0 || q.desc_i8_bytes > 0 || cache_lookups > 0 {
-            let _ = writeln!(
-                out,
-                "query cache: embed hits {}  misses {}  result hits {}  misses {}",
-                q.embed_cache_hits,
-                q.embed_cache_misses,
-                q.result_cache_hits,
-                q.result_cache_misses
-            );
-            if q.desc_i8_bytes > 0 {
-                let _ = writeln!(
-                    out,
-                    "quantized tier bytes: desc {} f32 / {} i8 ({:.1}x)  reacc {} f32 / {} i8",
-                    q.desc_f32_bytes,
-                    q.desc_i8_bytes,
-                    q.desc_f32_bytes as f64 / q.desc_i8_bytes as f64,
-                    q.reacc_f32_bytes,
-                    q.reacc_i8_bytes
-                );
-            }
-            if q.quant_scan.count > 0 {
-                let _ = writeln!(
-                    out,
-                    "rescore window rows: p50 {}  p95 {}  p99 {}",
-                    q.rescore_window.p50_us, q.rescore_window.p95_us, q.rescore_window.p99_us
-                );
-                let _ = writeln!(
-                    out,
-                    "{:<28} {:>8} {:>9} {:>9} {:>9}",
-                    "two-phase stage", "queries", "p50_us", "p95_us", "p99_us"
-                );
-                for (name, h) in [("quant_scan", &q.quant_scan), ("rescore", &q.rescore)] {
-                    let _ = writeln!(
-                        out,
-                        "{:<28} {:>8} {:>9} {:>9} {:>9}",
-                        name, h.count, h.p50_us, h.p95_us, h.p99_us
-                    );
-                }
-            }
-        }
         let r = &self.reco;
         if r.requests > 0 {
             let _ = writeln!(
                 out,
-                "reco: requests {}  pipeline {}  parallel {}  cache hits {}  misses {}",
-                r.requests, r.pipeline_runs, r.parallel_runs, r.cache_hits, r.cache_misses
+                "reco: requests {}  pipeline {}  parallel {}",
+                r.requests, r.pipeline_runs, r.parallel_runs
             );
             if r.lsh_queries > 0 {
                 let _ = writeln!(
@@ -1045,16 +908,12 @@ mod tests {
         m.search.spt_latency.record(Duration::from_micros(300));
         m.search.index_pes.set(42);
         m.search.index_workflows.set(7);
-        m.search.lsh_queries.inc();
-        m.search.lsh_candidates.add(12);
         let snap = m.snapshot();
         assert_eq!(snap.search.semantic.count, 1);
         assert_eq!(snap.search.index_pes, 42);
-        assert_eq!(snap.search.lsh_candidates, 12);
         let table = snap.render();
         assert!(table.contains("pes 42"), "{table}");
         assert!(table.contains("semantic"), "{table}");
-        assert!(table.contains("avg pool 12.0"), "{table}");
         // A v2 snapshot without the `search` field still parses.
         let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
         json.as_object_mut().unwrap().remove("search");
@@ -1157,48 +1016,15 @@ mod tests {
         json.as_object_mut().unwrap().remove("ingest");
         let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
         assert_eq!(back.ingest, IngestSnapshot::default());
-    }
-
-    #[test]
-    fn search_quant_metrics_snapshot_and_render() {
-        let m = Metrics::new();
-        // Absent until the tier or a cache is on: row group omitted.
-        assert!(!m.snapshot().render().contains("query cache:"));
-        m.search_quant.embed_cache_hits.add(3);
-        m.search_quant.embed_cache_misses.inc();
-        m.search_quant.result_cache_hits.add(2);
-        m.search_quant.result_cache_misses.add(2);
-        m.search_quant.rescore_window.record_value(20);
-        m.search_quant
-            .quant_scan_latency
-            .record(Duration::from_micros(70));
-        m.search_quant
-            .rescore_latency
-            .record(Duration::from_micros(30));
-        m.search_quant.desc_f32_bytes.set(4096);
-        m.search_quant.desc_i8_bytes.set(1040);
-        m.search_quant.reacc_f32_bytes.set(4096);
-        m.search_quant.reacc_i8_bytes.set(1040);
-        let snap = m.snapshot();
-        assert_eq!(snap.search_quant.embed_cache_hits, 3);
-        assert_eq!(snap.search_quant.result_cache_misses, 2);
-        assert_eq!(snap.search_quant.quant_scan.count, 1);
-        assert_eq!(snap.search_quant.desc_i8_bytes, 1040);
-        // Window of 20 rows lands in the ≤25 bucket: reported bound 25.
-        assert_eq!(snap.search_quant.rescore_window.p50_us, 25);
-        let table = snap.render();
-        assert!(table.contains("embed hits 3"), "{table}");
-        assert!(table.contains("quantized tier bytes"), "{table}");
-        assert!(table.contains("(3.9x)"), "{table}");
-        assert!(table.contains("quant_scan"), "{table}");
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.search_quant, snap.search_quant);
-        // A pre-v7 snapshot without the `search_quant` field still parses.
+        // A snapshot from a server that still sends a row group this
+        // build has dropped parses too: unknown fields are ignored.
+        let dropped: serde_json::Value = serde_json::from_str(r#"{"hits":3}"#).unwrap();
         let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("search_quant");
+        json.as_object_mut()
+            .unwrap()
+            .insert("dropped_row_group".into(), dropped);
         let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
-        assert_eq!(back.search_quant, SearchQuantSnapshot::default());
+        assert_eq!(back.uptime_ms, snap.uptime_ms);
     }
 
     #[test]
@@ -1207,7 +1033,6 @@ mod tests {
         // Absent until the first recommendation: row group omitted.
         assert!(!m.snapshot().render().contains("reco:"));
         m.reco.requests.inc();
-        m.reco.cache_misses.inc();
         m.reco.observe(&aroma::RecoStats {
             retrieved: 40,
             pruned: 10,
@@ -1225,7 +1050,6 @@ mod tests {
         assert_eq!(snap.reco.parallel_runs, 1);
         assert_eq!(snap.reco.lsh_queries, 1);
         assert_eq!(snap.reco.lsh_candidates, 64);
-        assert_eq!(snap.reco.cache_misses, 1);
         assert_eq!(snap.reco.prune.count, 1);
         let table = snap.render();
         assert!(table.contains("reco: requests 1"), "{table}");

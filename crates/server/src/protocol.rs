@@ -53,11 +53,10 @@
 //!   `BatchRegistered` response, and the metrics snapshot grows a
 //!   serde-defaulted `ingest` row group. Version-5 payloads parse
 //!   unchanged.
-//! * `7` — quantized two-phase search: the metrics snapshot grows a
-//!   serde-defaulted `search_quant` row group (query-cache hit/miss
-//!   counters, rescore-window sizing, per-phase scan latency, f32-vs-i8
-//!   tier bytes). No request or frame changes; version-6 payloads parse
-//!   unchanged.
+//! * `7` — no request or frame changes; version-6 payloads parse
+//!   unchanged. (It added a serde-defaulted metrics row group that has
+//!   since been dropped; readers ignore it when an older server sends
+//!   it.)
 //! * `8` — storage health: adds the tokenless `Health` request and its
 //!   `Health` response (liveness, readiness, storage state, last persist
 //!   error, uptime, degraded-transition count), the typed `Degraded`
@@ -70,8 +69,8 @@
 //!   serde-defaulted `cluster_size` and `common_core` fields (how many
 //!   pruned snippets agreed on the hit, and the intersected idiom they
 //!   share), and the metrics snapshot grows a serde-defaulted `reco` row
-//!   group (per-stage pipeline latency, LSH candidate counts, result-cache
-//!   hit/miss). No request changes; version-8 payloads parse unchanged and
+//!   group (per-stage pipeline latency, LSH candidate counts). No request
+//!   changes; version-8 payloads parse unchanged and
 //!   version-8 readers see the old fields untouched.
 
 use crate::obs::MetricsSnapshot;

@@ -1,110 +1,15 @@
-//! The served recommendation subsystem: a persistent [`AromaEngine`]
-//! kept in lockstep with registry mutations.
+//! Workflow-scope recommendation aggregation.
 //!
-//! The engine holds PE *source code* (the Aroma pipeline reparses
-//! candidates during prune & rerank), which the search indexes never
-//! stored — so it is its own RCU cell rather than a fourth modality of
-//! [`SearchIndexes`]. The concurrency scheme is identical: the whole
-//! engine lives in an `Arc<RecoState>` behind a lock held only long
-//! enough to clone the `Arc`. A recommendation runs entirely on its
-//! snapshot, lock-free; writers mutate through [`Arc::make_mut`]
-//! (in-place when no query holds the snapshot, copy-on-write otherwise)
-//! and bump a monotone generation once per published write, so the
-//! server's full-pipeline result cache scopes entries to one snapshot
-//! and staleness is impossible by construction.
-//!
-//! Only PEs are indexed: workflow-scope recommendations aggregate PE
-//! hits over workflow membership (Fig. 9 bottom), they never run the
-//! pipeline against workflow code. That aggregation lives here too, as
-//! [`sweep_workflows`] — the inverted-map sweep that replaced the old
-//! O(workflows × hits × pe_ids) `contains` scan.
+//! Only PEs are indexed for recommendation (the served
+//! [`aroma::AromaEngine`] lives in [`SearchIndexes`]): workflow-scope
+//! recommendations aggregate PE hits over workflow membership (Fig. 9
+//! bottom), they never run the pipeline against workflow code. That
+//! aggregation is [`sweep_workflows`] — the inverted-map sweep that
+//! replaced the old O(workflows × hits × pe_ids) `contains` scan.
 //!
 //! [`SearchIndexes`]: crate::indexes::SearchIndexes
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use aroma::{AromaConfig, AromaEngine, Snippet};
-use parking_lot::RwLock;
-
-/// One immutable snapshot of the recommendation engine. Cloned
-/// (copy-on-write) only when a writer mutates while a query still holds
-/// the previous snapshot.
-#[derive(Clone)]
-pub struct RecoState {
-    pub engine: AromaEngine,
-    /// Monotone snapshot generation, bumped once per published write.
-    pub generation: u64,
-}
-
-/// The RCU cell the server publishes the engine through.
-pub struct RecoIndexes {
-    state: RwLock<Arc<RecoState>>,
-}
-
-impl RecoIndexes {
-    pub fn new(config: AromaConfig) -> Self {
-        RecoIndexes {
-            state: RwLock::new(Arc::new(RecoState {
-                engine: AromaEngine::new(config),
-                generation: 0,
-            })),
-        }
-    }
-
-    /// The current snapshot. Queries run against it lock-free; later
-    /// writes publish new snapshots without disturbing it.
-    pub fn snapshot(&self) -> Arc<RecoState> {
-        self.state.read().clone()
-    }
-
-    /// Current snapshot generation (bumped once per published write).
-    /// Cache keys carry it so publication invalidates by key miss.
-    pub fn generation(&self) -> u64 {
-        self.state.read().generation
-    }
-
-    pub fn len(&self) -> usize {
-        self.state.read().engine.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.state.read().engine.is_empty()
-    }
-
-    /// Insert or replace one PE snippet.
-    pub fn upsert(&self, id: u64, name: &str, code: &str) {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut guard);
-        st.engine.upsert(Snippet::new(id, name, code));
-        st.generation = st.generation.wrapping_add(1);
-    }
-
-    /// Insert or replace many PE snippets in one published write (one
-    /// snapshot swap, one generation bump — the warm-load and
-    /// `RegisterBatch` path).
-    pub fn bulk_upsert(&self, snippets: Vec<Snippet>) {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut guard);
-        st.engine.add_batch(snippets);
-        st.generation = st.generation.wrapping_add(1);
-    }
-
-    pub fn remove(&self, id: u64) -> bool {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut guard);
-        let removed = st.engine.remove(id);
-        st.generation = st.generation.wrapping_add(1);
-        removed
-    }
-
-    pub fn clear(&self) {
-        let mut guard = self.state.write();
-        let st = Arc::make_mut(&mut guard);
-        st.engine.clear();
-        st.generation = st.generation.wrapping_add(1);
-    }
-}
 
 /// Workflow-scope aggregation (Fig. 9 bottom): rank workflows by the
 /// summed scores of their matching member PEs. Inverts `pe_hits` into a
@@ -158,50 +63,6 @@ pub fn sweep_workflows<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ACC: &str = "total = 0\nfor item in data:\n    total += item\n";
-
-    #[test]
-    fn generation_bumps_once_per_published_write() {
-        let reco = RecoIndexes::new(AromaConfig::default());
-        let g0 = reco.generation();
-        reco.upsert(1, "A", ACC);
-        assert_eq!(reco.generation(), g0 + 1);
-        reco.bulk_upsert(vec![
-            Snippet::new(2, "B", "x = f(y)\n"),
-            Snippet::new(3, "C", "with open(p) as fh:\n    fh.read()\n"),
-        ]);
-        assert_eq!(reco.generation(), g0 + 2, "one bump per batch, not per row");
-        assert_eq!(reco.len(), 3);
-        assert!(reco.remove(2));
-        assert_eq!(reco.generation(), g0 + 3);
-        reco.clear();
-        assert_eq!(reco.generation(), g0 + 4);
-        assert!(reco.is_empty());
-    }
-
-    #[test]
-    fn snapshots_are_isolated_from_later_writes() {
-        let reco = RecoIndexes::new(AromaConfig::default());
-        reco.upsert(1, "SumPE", ACC);
-        let snap = reco.snapshot();
-        reco.remove(1);
-        // The old snapshot still answers from its own state.
-        assert_eq!(snap.engine.len(), 1);
-        assert!(!snap.engine.recommend(ACC).is_empty());
-        assert!(reco.snapshot().engine.recommend(ACC).is_empty());
-        assert_ne!(snap.generation, reco.generation());
-    }
-
-    #[test]
-    fn upsert_replaces_by_id() {
-        let reco = RecoIndexes::new(AromaConfig::default());
-        reco.upsert(1, "A", ACC);
-        reco.upsert(1, "A2", "x = open(path)\n");
-        assert_eq!(reco.len(), 1);
-        let snap = reco.snapshot();
-        assert_eq!(snap.engine.index().get(1).unwrap().name, "A2");
-    }
 
     /// The pre-inversion aggregation, verbatim from the old server sweep.
     fn naive_sweep<'a>(

@@ -1,17 +1,14 @@
 //! The Laminar server: controller + services over the registry, search
 //! indexes, resource cache and execution engine (paper §III, Fig. 4).
 
-use crate::cache::{QueryCache, QueryModality, RecoKey, ResultKey, ResultOp};
 use crate::clock::{SharedClock, SystemClock};
 use crate::health::StorageHealth;
-use crate::indexes::{EntryKind, IndexHit, IndexOptions, SearchIndexes, DEFAULT_RESCORE_WINDOW};
+use crate::indexes::{EntryKind, IndexRow, SearchIndexes};
 use crate::obs::{Metrics, RequestId, StorageHealthSnapshot};
 use crate::protocol::*;
-use crate::reco::{sweep_workflows, RecoIndexes};
+use crate::reco::sweep_workflows;
 use crate::resources::ResourceCache;
-use aroma::lsh::LshConfig;
-use aroma::{AromaConfig, Snippet};
-use embed::quant::TwoPhaseStats;
+use aroma::AromaConfig;
 use embed::{CodeT5Sim, DenseVec, DescriptionContext, ReaccSim, UniXcoderSim};
 use laminar_execengine::{ExecRequest, ExecutionEngine, Frame, ResponseMode};
 use laminar_registry::{
@@ -56,23 +53,6 @@ pub struct ServerConfig {
     /// Engine size at which the recommendation pipeline's own MinHash-LSH
     /// prefilter engages (`--reco-lsh-min-entries`; 0 disables it).
     pub reco_lsh_min_entries: usize,
-    /// Enable the MinHash-LSH prefilter on the SPT recommendation path
-    /// (§IX's scaling direction). Opt-in: prefiltering trades a little
-    /// recall for a much smaller exact-rescore set.
-    pub spt_lsh: bool,
-    /// Corpus size at which the prefilter engages (exact scanning wins
-    /// below it).
-    pub spt_lsh_min_entries: usize,
-    /// Maintain the int8 scan tier and answer dense rankings two-phase
-    /// (quantized candidate pass → exact `f32` rescore). Opt-in
-    /// (`--quantized`); final scores stay full precision either way.
-    pub quantized: bool,
-    /// Two-phase exact-rescore window as a multiple of `k`
-    /// (`--rescore-window`, default 4).
-    pub rescore_window: usize,
-    /// Capacity of the query-path caches (embedding LRU + generation-
-    /// scoped result cache); 0 disables them (`--query-cache-entries`).
-    pub query_cache_entries: usize,
     /// Interval of the background storage-recovery probe in milliseconds
     /// (`--probe-interval-ms`); 0 disables the probe thread. The probe
     /// only does IO while the server is degraded.
@@ -97,11 +77,6 @@ impl Default for ServerConfig {
             reco_cluster_sim: 0.5,
             reco_parallel_threshold: 32,
             reco_lsh_min_entries: 512,
-            spt_lsh: false,
-            spt_lsh_min_entries: 512,
-            quantized: false,
-            rescore_window: DEFAULT_RESCORE_WINDOW,
-            query_cache_entries: 0,
             probe_interval_ms: 0,
             degraded_retry_after_ms: 500,
             dynamic: d4py::DynamicConfig::default(),
@@ -145,11 +120,6 @@ pub struct LaminarServer {
     codet5: CodeT5Sim,
     unixcoder: UniXcoderSim,
     metrics: Arc<Metrics>,
-    /// The recommendation subsystem: a persistent Aroma engine kept in
-    /// lockstep with registry mutations (its own RCU snapshot cell).
-    reco: RecoIndexes,
-    /// Opt-in query-path caches (`query_cache_entries > 0`).
-    query_cache: Option<QueryCache>,
     /// The storage-health state machine behind read-only degraded mode.
     health: Arc<StorageHealth>,
     /// The clock the server's timers run on (the recovery-probe
@@ -172,15 +142,7 @@ impl LaminarServer {
         config: ServerConfig,
         clock: SharedClock,
     ) -> Self {
-        let indexes = SearchIndexes::with_options(IndexOptions {
-            lsh: config.spt_lsh.then(LshConfig::default),
-            lsh_min_entries: config.spt_lsh_min_entries,
-            quantized: config.quantized,
-            rescore_window: config.rescore_window,
-        });
-        let query_cache =
-            (config.query_cache_entries > 0).then(|| QueryCache::new(config.query_cache_entries));
-        let reco = RecoIndexes::new(AromaConfig {
+        let indexes = SearchIndexes::with_aroma(AromaConfig {
             retrieve_n: config.reco_retrieve_n,
             rerank_keep: config.reco_rerank_keep,
             cluster_sim: config.reco_cluster_sim,
@@ -201,8 +163,6 @@ impl LaminarServer {
             codet5: CodeT5Sim::new(DescriptionContext::FullClass),
             unixcoder: UniXcoderSim::new(),
             metrics: Arc::new(Metrics::new()),
-            reco,
-            query_cache,
             health: Arc::new(StorageHealth::new()),
             clock,
         };
@@ -286,8 +246,9 @@ impl LaminarServer {
     /// Cold-start warm load: rebuild the search indexes from whatever the
     /// registry already holds (a registry restored via `load_from` arrives
     /// populated). Embedding CLOBs decode and the ReACC code embeddings
-    /// compute in parallel across registry rows; only the final inserts
-    /// are sequential.
+    /// compute in parallel across registry rows, then everything — slabs,
+    /// SPT rows and every PE's source for the engine — publishes as one
+    /// write.
     fn warm_load_indexes(&self) {
         let pes = self.registry.all_pes();
         let workflows = self.registry.all_workflows();
@@ -297,6 +258,7 @@ impl LaminarServer {
         struct RowRef<'a> {
             id: u64,
             kind: EntryKind,
+            name: &'a str,
             desc_json: &'a str,
             spt_json: &'a str,
             description: &'a str,
@@ -307,6 +269,7 @@ impl LaminarServer {
             .map(|p| RowRef {
                 id: p.id,
                 kind: EntryKind::Pe,
+                name: &p.name,
                 desc_json: &p.description_embedding,
                 spt_json: &p.spt_embedding,
                 description: &p.description,
@@ -315,13 +278,14 @@ impl LaminarServer {
             .chain(workflows.iter().map(|w| RowRef {
                 id: w.id,
                 kind: EntryKind::Workflow,
+                name: &w.name,
                 desc_json: &w.description_embedding,
                 spt_json: &w.spt_embedding,
                 description: &w.description,
                 code: &w.code,
             }))
             .collect();
-        let decoded: Vec<(u64, EntryKind, DenseVec, FeatureVec, DenseVec)> = rows
+        let decoded: Vec<IndexRow> = rows
             .par_iter()
             .map(|r| {
                 // Stored CLOBs are authoritative; rows predating the
@@ -330,22 +294,10 @@ impl LaminarServer {
                     .unwrap_or_else(|_| self.unixcoder.embed_text(r.description));
                 let spt = FeatureVec::from_json(r.spt_json)
                     .unwrap_or_else(|_| Spt::parse_source(r.code).feature_vec());
-                let reacc = ReaccSim::new().embed_code(r.code);
-                (r.id, r.kind, desc, spt, reacc)
+                IndexRow::embed(r.id, r.kind, r.name, r.code, desc, spt)
             })
             .collect();
-        for (id, kind, desc, spt, reacc) in decoded {
-            self.indexes.upsert_embedded(id, kind, desc, spt, reacc);
-        }
-        // The recommendation engine warm-loads alongside: every PE's
-        // source code, published as one snapshot swap.
-        let snippets: Vec<Snippet> = pes
-            .iter()
-            .map(|p| Snippet::new(p.id, &p.name, &p.code))
-            .collect();
-        if !snippets.is_empty() {
-            self.reco.bulk_upsert(snippets);
-        }
+        self.indexes.bulk_upsert(decoded);
         self.sync_index_gauges();
     }
 
@@ -354,12 +306,6 @@ impl LaminarServer {
         let (pes, workflows) = self.indexes.counts();
         self.metrics.search.index_pes.set(pes as i64);
         self.metrics.search.index_workflows.set(workflows as i64);
-        let tb = self.indexes.tier_bytes();
-        let q = &self.metrics.search_quant;
-        q.desc_f32_bytes.set(tb.desc_f32 as i64);
-        q.desc_i8_bytes.set(tb.desc_i8 as i64);
-        q.reacc_f32_bytes.set(tb.reacc_f32 as i64);
-        q.reacc_i8_bytes.set(tb.reacc_i8 as i64);
     }
 
     /// Server with stock workflows and default config.
@@ -385,11 +331,6 @@ impl LaminarServer {
 
     pub fn indexes(&self) -> &SearchIndexes {
         &self.indexes
-    }
-
-    /// The recommendation subsystem (shared with tests and the benches).
-    pub fn reco(&self) -> &RecoIndexes {
-        &self.reco
     }
 
     pub fn config(&self) -> &ServerConfig {
@@ -627,13 +568,14 @@ impl LaminarServer {
                 let emb = self.unixcoder.embed_text(&description);
                 self.registry
                     .update_pe_description(pe.id, &description, &emb.to_json())?;
-                self.indexes.upsert(
+                self.indexes.upsert(IndexRow::embed(
                     pe.id,
                     EntryKind::Pe,
+                    &pe.name,
+                    &pe.code,
                     emb,
                     Spt::parse_source(&pe.code).feature_vec(),
-                    &pe.code,
-                );
+                ));
                 Reply::Value(Response::Ok)
             }
             Request::UpdateWorkflowDescription {
@@ -646,13 +588,14 @@ impl LaminarServer {
                 let emb = self.unixcoder.embed_text(&description);
                 self.registry
                     .update_workflow_description(wf.id, &description, &emb.to_json())?;
-                self.indexes.upsert(
+                self.indexes.upsert(IndexRow::embed(
                     wf.id,
                     EntryKind::Workflow,
+                    &wf.name,
+                    &wf.code,
                     emb,
                     Spt::parse_source(&wf.code).feature_vec(),
-                    &wf.code,
-                );
+                ));
                 Reply::Value(Response::Ok)
             }
             Request::RemovePe { token, ident } => {
@@ -660,7 +603,6 @@ impl LaminarServer {
                 let pe = self.resolve_pe(&ident)?;
                 self.registry.remove_pe(pe.id)?;
                 self.indexes.remove(pe.id, EntryKind::Pe);
-                self.reco.remove(pe.id);
                 self.sync_index_gauges();
                 Reply::Value(Response::Ok)
             }
@@ -676,7 +618,6 @@ impl LaminarServer {
                 self.auth(token)?;
                 self.registry.remove_all()?;
                 self.indexes.clear();
-                self.reco.clear();
                 self.sync_index_gauges();
                 Reply::Value(Response::Ok)
             }
@@ -922,9 +863,14 @@ impl LaminarServer {
         });
         match result {
             Ok(id) => {
-                self.indexes
-                    .upsert(id, EntryKind::Pe, desc_emb, spt_vec, &pe.code);
-                self.reco.upsert(id, &pe.name, &pe.code);
+                self.indexes.upsert(IndexRow::embed(
+                    id,
+                    EntryKind::Pe,
+                    &pe.name,
+                    &pe.code,
+                    desc_emb,
+                    spt_vec,
+                ));
                 self.sync_index_gauges();
                 Ok((pe.name, id))
             }
@@ -967,8 +913,14 @@ impl LaminarServer {
             spt_embedding: spt_vec.to_json(),
             pe_ids: pe_ids.iter().map(|(_, id)| *id).collect(),
         })?;
-        self.indexes
-            .upsert(id, EntryKind::Workflow, desc_emb, spt_vec, code);
+        self.indexes.upsert(IndexRow::embed(
+            id,
+            EntryKind::Workflow,
+            name,
+            code,
+            desc_emb,
+            spt_vec,
+        ));
         self.sync_index_gauges();
         Ok(id)
     }
@@ -1160,30 +1112,35 @@ impl LaminarServer {
         // not re-indexed, matching the sequential path) in one snapshot
         // swap.
         let index_start = std::time::Instant::now();
-        let mut rows: Vec<(u64, EntryKind, DenseVec, FeatureVec, DenseVec)> = Vec::new();
-        let mut reco_rows: Vec<Snippet> = Vec::new();
+        let mut rows: Vec<IndexRow> = Vec::new();
         for (outcome, item) in outcomes.iter().zip(analyzed) {
             for (po, ap) in outcome.pes.iter().zip(item.pes) {
                 if po.created {
-                    reco_rows.push(Snippet::new(po.id, &ap.name, &ap.code));
-                    rows.push((po.id, EntryKind::Pe, ap.desc_emb, ap.spt_vec, ap.reacc));
+                    rows.push(IndexRow {
+                        id: po.id,
+                        kind: EntryKind::Pe,
+                        name: ap.name,
+                        code: ap.code,
+                        desc: ap.desc_emb,
+                        spt: ap.spt_vec,
+                        reacc: ap.reacc,
+                    });
                 }
             }
             if let (Some((_, wf_id)), Some(aw)) = (&outcome.workflow, item.workflow) {
-                rows.push((
-                    *wf_id,
-                    EntryKind::Workflow,
-                    aw.desc_emb,
-                    aw.spt_vec,
-                    aw.reacc,
-                ));
+                rows.push(IndexRow {
+                    id: *wf_id,
+                    kind: EntryKind::Workflow,
+                    name: aw.name,
+                    code: aw.code,
+                    desc: aw.desc_emb,
+                    spt: aw.spt_vec,
+                    reacc: aw.reacc,
+                });
             }
         }
         let created_rows = rows.len() as u64;
-        self.indexes.bulk_upsert_embedded(rows);
-        if !reco_rows.is_empty() {
-            self.reco.bulk_upsert(reco_rows);
-        }
+        self.indexes.bulk_upsert(rows);
         self.sync_index_gauges();
         let index_elapsed = index_start.elapsed();
 
@@ -1224,86 +1181,15 @@ impl LaminarServer {
 
     // ---- search service ------------------------------------------------------------
 
-    /// Look up or compute a query embedding through the optional cache.
-    /// Both embedders tokenize, so the trimmed normal form embeds
-    /// identically to the raw request string.
-    fn cached_embed(
-        &self,
-        modality: QueryModality,
-        query: &str,
-        embed: impl FnOnce(&str) -> DenseVec,
-    ) -> DenseVec {
-        let Some(cache) = &self.query_cache else {
-            return embed(query);
-        };
-        let norm = QueryCache::normalize(query);
-        if let Some(v) = cache.embedding(modality, &norm) {
-            self.metrics.search_quant.embed_cache_hits.inc();
-            return v;
-        }
-        self.metrics.search_quant.embed_cache_misses.inc();
-        let v = embed(&norm);
-        cache.store_embedding(modality, norm, v.clone());
-        v
-    }
-
-    /// Look up or compute a ranking through the optional result cache.
-    /// The key carries the current index snapshot generation, so entries
-    /// computed against an older snapshot stop matching the moment a
-    /// write publishes — no explicit invalidation.
-    fn cached_rank(
-        &self,
-        op: ResultOp,
-        kind: Option<EntryKind>,
-        k: usize,
-        min_score: f32,
-        query: &str,
-        rank: impl FnOnce() -> Vec<IndexHit>,
-    ) -> Vec<IndexHit> {
-        let Some(cache) = &self.query_cache else {
-            return rank();
-        };
-        let key = ResultKey {
-            generation: self.indexes.generation(),
-            op,
-            kind,
-            k,
-            score_bits: min_score.to_bits(),
-            query: QueryCache::normalize(query),
-        };
-        if let Some(hits) = cache.results(&key) {
-            self.metrics.search_quant.result_cache_hits.inc();
-            return hits;
-        }
-        self.metrics.search_quant.result_cache_misses.inc();
-        let hits = rank();
-        cache.store_results(key, hits.clone());
-        hits
-    }
-
-    /// Fold one two-phase scan's timings into the `search_quant` group.
-    fn observe_quant(&self, stats: Option<TwoPhaseStats>) {
-        if let Some(s) = stats {
-            let q = &self.metrics.search_quant;
-            q.rescore_window.record_value(s.window as u64);
-            q.quant_scan_latency.record(s.phase1);
-            q.rescore_latency.record(s.rescore);
-        }
-    }
-
     fn semantic_search(&self, scope: SearchScope, query: &str, k: usize) -> Vec<SemanticHit> {
-        let qvec = self.cached_embed(QueryModality::Text, query, |q| self.unixcoder.embed_text(q));
+        let qvec = self.unixcoder.embed_text(query);
         let kind = match scope {
             SearchScope::Pe => Some(EntryKind::Pe),
             SearchScope::Workflow => Some(EntryKind::Workflow),
             SearchScope::Both => None,
         };
         let start = std::time::Instant::now();
-        let hits = self.cached_rank(ResultOp::Semantic, kind, k, 0.0, query, || {
-            let (hits, stats) = self.indexes.rank_semantic_with_stats(&qvec, kind, k);
-            self.observe_quant(stats);
-            hits
-        });
+        let hits = self.indexes.rank_semantic(&qvec, kind, k);
         self.metrics.search.semantic_latency.record(start.elapsed());
         hits.into_iter()
             .filter_map(|h| {
@@ -1335,25 +1221,7 @@ impl LaminarServer {
         k: usize,
     ) -> Vec<RecommendationHit> {
         self.metrics.reco.requests.inc();
-        // Full-response cache: the key carries both snapshot generations
-        // (search indexes and recommendation engine), so a write to
-        // either publishes and the entry stops matching.
-        let key = self.query_cache.as_ref().map(|_| RecoKey {
-            generation: self.indexes.generation(),
-            reco_generation: self.reco.generation(),
-            scope,
-            embedding: embedding_type,
-            k,
-            snippet: QueryCache::normalize(snippet),
-        });
-        if let (Some(cache), Some(key)) = (&self.query_cache, &key) {
-            if let Some(hits) = cache.recommendations(key) {
-                self.metrics.reco.cache_hits.inc();
-                return hits;
-            }
-            self.metrics.reco.cache_misses.inc();
-        }
-        let hits = match scope {
+        match scope {
             SearchScope::Pe => self.recommend_pes(snippet, embedding_type, k),
             SearchScope::Workflow => self.recommend_workflows(snippet, embedding_type, k),
             SearchScope::Both => {
@@ -1371,11 +1239,7 @@ impl LaminarServer {
                 hits.truncate(k);
                 hits
             }
-        };
-        if let (Some(cache), Some(key)) = (&self.query_cache, key) {
-            cache.store_recommendations(key, hits.clone());
         }
-        hits
     }
 
     /// PE-scope recommendations. `spt` runs the full Aroma pipeline
@@ -1389,9 +1253,9 @@ impl LaminarServer {
     ) -> Vec<RecommendationHit> {
         match embedding_type {
             EmbeddingType::Spt => {
-                let snap = self.reco.snapshot();
+                let engine = self.indexes.engine();
                 let start = std::time::Instant::now();
-                let (recs, stats) = snap.engine.recommend_with_stats(snippet);
+                let (recs, stats) = engine.recommend_with_stats(snippet);
                 self.metrics.search.spt_latency.record(start.elapsed());
                 self.metrics.reco.observe(&stats);
                 recs.into_iter()
@@ -1414,24 +1278,9 @@ impl LaminarServer {
                     .collect()
             }
             EmbeddingType::Llm => {
-                let q = self.cached_embed(QueryModality::Code, snippet, |s| {
-                    ReaccSim::new().embed_code(s)
-                });
+                let q = ReaccSim::new().embed_code(snippet);
                 let start = std::time::Instant::now();
-                let hits = self.cached_rank(
-                    ResultOp::Reacc,
-                    Some(EntryKind::Pe),
-                    k,
-                    0.0,
-                    snippet,
-                    || {
-                        let (hits, stats) =
-                            self.indexes
-                                .rank_reacc_with_stats(&q, Some(EntryKind::Pe), k);
-                        self.observe_quant(stats);
-                        hits
-                    },
-                );
+                let hits = self.indexes.rank_reacc(&q, Some(EntryKind::Pe), k);
                 self.metrics.search.reacc_latency.record(start.elapsed());
                 hits.into_iter()
                     .filter(|h| h.score >= self.config.reco_min_cosine)
@@ -1466,42 +1315,22 @@ impl LaminarServer {
         let pe_hits: Vec<(u64, f32)> = match embedding_type {
             EmbeddingType::Spt => {
                 let start = std::time::Instant::now();
-                let hits = self.cached_rank(
-                    ResultOp::SptAbove,
+                let q = Spt::parse_source(snippet).feature_vec();
+                let hits = self.indexes.rank_spt_above(
+                    &q,
                     Some(EntryKind::Pe),
-                    usize::MAX,
                     self.config.reco_min_score,
-                    snippet,
-                    || {
-                        let q = Spt::parse_source(snippet).feature_vec();
-                        self.indexes.rank_spt_above(
-                            &q,
-                            Some(EntryKind::Pe),
-                            self.config.reco_min_score,
-                        )
-                    },
                 );
                 self.metrics.search.spt_latency.record(start.elapsed());
                 hits.into_iter().map(|h| (h.id, h.score)).collect()
             }
             EmbeddingType::Llm => {
-                let q = self.cached_embed(QueryModality::Code, snippet, |s| {
-                    ReaccSim::new().embed_code(s)
-                });
+                let q = ReaccSim::new().embed_code(snippet);
                 let start = std::time::Instant::now();
-                let hits = self.cached_rank(
-                    ResultOp::ReaccAbove,
+                let hits = self.indexes.rank_reacc_above(
+                    &q,
                     Some(EntryKind::Pe),
-                    usize::MAX,
                     self.config.reco_min_cosine,
-                    snippet,
-                    || {
-                        self.indexes.rank_reacc_above(
-                            &q,
-                            Some(EntryKind::Pe),
-                            self.config.reco_min_cosine,
-                        )
-                    },
                 );
                 self.metrics.search.reacc_latency.record(start.elapsed());
                 hits.into_iter().map(|h| (h.id, h.score)).collect()
@@ -2078,7 +1907,7 @@ mod tests {
         let (server, token) = server_with_session();
         register_isprime(&server, token);
         let snippet = "random.randint(1, 1000)";
-        let direct = server.reco().snapshot().engine.recommend(snippet);
+        let direct = server.indexes().engine().recommend(snippet);
         assert!(!direct.is_empty());
         let resp = server
             .handle(Request::CodeRecommendation {
@@ -2106,117 +1935,6 @@ mod tests {
         assert_eq!(snap.reco.pipeline_runs, 1);
         assert_eq!(snap.reco.retrieve.count, 1);
         assert_eq!(snap.reco.intersect.count, 1);
-    }
-
-    #[test]
-    fn spt_recommendations_hit_the_generation_keyed_cache() {
-        // Regression: the SPT path re-ran `Spt::parse_source` and a full
-        // scan on every identical request while the LLM path cached.
-        let server = LaminarServer::new(
-            Registry::new(),
-            ExecutionEngine::with_stock(),
-            ServerConfig {
-                query_cache_entries: 16,
-                ..ServerConfig::default()
-            },
-        );
-        let token = match server
-            .handle(Request::RegisterUser {
-                username: "rosa".into(),
-                password: "pw".into(),
-            })
-            .value()
-        {
-            Response::Token(t) => t,
-            other => panic!("{other:?}"),
-        };
-        register_isprime(&server, token);
-        let ask = |scope| match server
-            .handle(Request::CodeRecommendation {
-                token,
-                scope,
-                snippet: "random.randint(1, 1000)".into(),
-                embedding_type: EmbeddingType::Spt,
-                top_n: None,
-            })
-            .value()
-        {
-            Response::Recommendations(hits) => hits,
-            other => panic!("{other:?}"),
-        };
-        let first = ask(SearchScope::Pe);
-        assert!(!first.is_empty());
-        assert_eq!(server.metrics().reco.cache_misses.get(), 1);
-        let second = ask(SearchScope::Pe);
-        assert_eq!(first, second, "cached answer is the computed answer");
-        assert_eq!(
-            server.metrics().reco.cache_hits.get(),
-            1,
-            "second identical SPT query is a full-pipeline cache hit"
-        );
-        // Scope is part of the key: a workflow-scope query misses.
-        ask(SearchScope::Workflow);
-        assert_eq!(server.metrics().reco.cache_hits.get(), 1);
-        // A registration publishes new generations; the entry stops
-        // matching instead of serving stale hits.
-        server
-            .handle(Request::RegisterPe {
-                token,
-                pe: PeSubmission {
-                    name: "OtherProducer".into(),
-                    code: "class OtherProducer(ProducerPE):\n    def _process(self, inputs):\n        return random.randint(1, 1000)\n".into(),
-                    description: None,
-                },
-            })
-            .value();
-        let third = ask(SearchScope::Pe);
-        assert!(!third.is_empty());
-        assert_eq!(
-            server.metrics().reco.cache_hits.get(),
-            1,
-            "generation changed: the third query misses, not stale-hits"
-        );
-        assert_ne!(first, third, "the new PE joins the answer");
-    }
-
-    #[test]
-    fn reco_engine_stays_in_lockstep_with_mutations() {
-        let (server, token) = server_with_session();
-        let (pe_ids, wf_id) = register_isprime(&server, token);
-        assert_eq!(server.reco().len(), 3, "registrations upsert the engine");
-        server
-            .handle(Request::RemoveWorkflow {
-                token,
-                ident: Ident::Id(wf_id),
-            })
-            .value();
-        server
-            .handle(Request::RemovePe {
-                token,
-                ident: Ident::Id(pe_ids[0].1),
-            })
-            .value();
-        assert_eq!(server.reco().len(), 2, "PE removal removes the snippet");
-        let resp = server
-            .handle(Request::CodeRecommendation {
-                token,
-                scope: SearchScope::Pe,
-                snippet: "random.randint(1, 1000)".into(),
-                embedding_type: EmbeddingType::Spt,
-                top_n: None,
-            })
-            .value();
-        match resp {
-            Response::Recommendations(hits) => {
-                assert!(
-                    hits.iter().all(|h| h.name != "NumberProducer"),
-                    "removed PE must not be recommended: {hits:?}"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
-        server.handle(Request::RemoveAll { token }).value();
-        assert!(server.reco().is_empty());
     }
 
     #[test]
@@ -2258,88 +1976,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn quantized_server_with_query_cache() {
-        let server = LaminarServer::new(
-            Registry::new(),
-            ExecutionEngine::with_stock(),
-            ServerConfig {
-                quantized: true,
-                rescore_window: 2,
-                query_cache_entries: 16,
-                ..ServerConfig::default()
-            },
-        );
-        let token = match server
-            .handle(Request::RegisterUser {
-                username: "rosa".into(),
-                password: "pw".into(),
-            })
-            .value()
-        {
-            Response::Token(t) => t,
-            other => panic!("{other:?}"),
-        };
-        register_isprime(&server, token);
-        let search = || match server
-            .handle(Request::SearchSemantic {
-                token,
-                scope: SearchScope::Pe,
-                query: "a pe that checks whether numbers are prime".into(),
-                top_n: None,
-            })
-            .value()
-        {
-            Response::SemanticResults(hits) => hits,
-            other => panic!("{other:?}"),
-        };
-        let first = search();
-        assert!(!first.is_empty());
-        let misses = server.metrics().search_quant.result_cache_misses.get();
-        assert!(misses >= 1, "first query scans");
-        let second = search();
-        assert_eq!(first, second, "cached answer is the scanned answer");
-        assert_eq!(
-            server.metrics().search_quant.result_cache_hits.get(),
-            1,
-            "second identical query is a result-cache hit"
-        );
-        assert_eq!(
-            server.metrics().search_quant.embed_cache_hits.get(),
-            1,
-            "…and an embedding-cache hit"
-        );
-        // A new registration publishes a new snapshot generation, so the
-        // cached entry stops matching (no stale answers).
-        server
-            .handle(Request::RegisterPe {
-                token,
-                pe: PeSubmission {
-                    name: "PrimeSieve".into(),
-                    code: "class PrimeSieve(IterativePE):\n    \"\"\"Sieve PE: filters prime numbers from the stream.\"\"\"\n    def _process(self, num):\n        return num\n".to_string(),
-                    description: None,
-                },
-            })
-            .value();
-        let third = search();
-        assert!(!third.is_empty());
-        assert_eq!(
-            server.metrics().search_quant.result_cache_hits.get(),
-            1,
-            "generation changed: the third query misses, not stale-hits"
-        );
-        // The quantized tier's footprint is reported ≥ 3× smaller.
-        let snap = server.metrics().snapshot();
-        assert!(snap.search_quant.desc_i8_bytes > 0);
-        assert!(
-            snap.search_quant.desc_f32_bytes >= 3 * snap.search_quant.desc_i8_bytes,
-            "{} vs {}",
-            snap.search_quant.desc_f32_bytes,
-            snap.search_quant.desc_i8_bytes
-        );
-        assert!(snap.render().contains("query cache:"), "{}", snap.render());
     }
 
     #[test]
@@ -2419,6 +2055,12 @@ mod tests {
             ServerConfig::default(),
         );
         assert_eq!(server2.indexes().counts(), (3, 1));
+        assert_eq!(server2.indexes().engine().len(), 3);
+        assert_eq!(
+            server2.indexes().generation(),
+            1,
+            "a warm load is one publication, not one per row"
+        );
         let token2 = match server2
             .handle(Request::Login {
                 username: "rosa".into(),
@@ -2462,7 +2104,7 @@ mod tests {
             })
             .value();
         let snap = server.metrics().snapshot();
-        assert_eq!(snap.search.semantic_latency.count, 1);
+        assert_eq!(snap.search.semantic.count, 1);
         assert_eq!(snap.search.index_pes, 3);
         assert_eq!(snap.search.index_workflows, 1);
         server
@@ -2501,10 +2143,12 @@ mod tests {
             })
             .value();
         assert_eq!(resp, Response::Ok);
+        assert_eq!(server.indexes().engine().len(), 2, "the snippet went too");
         // remove_all clears the rest.
         server.handle(Request::RemoveAll { token }).value();
         assert_eq!(server.registry().counts(), (0, 0));
         assert!(server.indexes().is_empty());
+        assert!(server.indexes().engine().is_empty());
     }
 
     #[test]
@@ -3003,6 +2647,52 @@ mod tests {
             })
             .value();
         assert_eq!(resp, Response::Error("not logged in".into()));
+    }
+
+    /// A snippet nested 100,000 levels deep — a 200 KB body — reaches the
+    /// recursive-descent parser through three endpoints. Each must answer
+    /// (a degraded answer is fine, the paper's claim is tolerance of
+    /// incomplete code) and the server must still be there afterwards:
+    /// a stack overflow is not a panic, it aborts the process.
+    #[test]
+    fn deeply_nested_snippets_get_a_reply_and_the_server_lives() {
+        let (server, token) = server_with_session();
+        register_isprime(&server, token);
+        let ask = |req| server.handle_envelope(RequestEnvelope::new(req)).1.value();
+        for (i, (open, close)) in [("(", ")"), ("[", "]"), ("{", "}")].iter().enumerate() {
+            let snippet = format!(
+                "class Deep(IterativePE):\n    def _process(self, num):\n        return {}num{}\n",
+                open.repeat(100_000),
+                close.repeat(100_000)
+            );
+            let resp = ask(Request::CodeRecommendation {
+                token,
+                scope: SearchScope::Both,
+                snippet: snippet.clone(),
+                embedding_type: EmbeddingType::Spt,
+                top_n: None,
+            });
+            assert!(matches!(resp, Response::Recommendations(_)), "{resp:?}");
+            let resp = ask(Request::CodeCompletion {
+                token,
+                snippet: snippet.clone(),
+            });
+            assert!(matches!(resp, Response::Completion { .. }), "{resp:?}");
+            let resp = ask(Request::RegisterPe {
+                token,
+                pe: PeSubmission {
+                    name: format!("Deep{i}"),
+                    code: snippet,
+                    description: None,
+                },
+            });
+            assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
+        }
+        match ask(Request::Health {}) {
+            Response::Health { live, ready, .. } => assert!(live && ready),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(server.indexes().counts(), (6, 1));
     }
 
     #[test]

@@ -1,18 +1,21 @@
-//! Property tests for the top-k vector engine behind [`SearchIndexes`]:
+//! Property tests for the index cell behind [`SearchIndexes`]:
 //!
 //! * bounded top-k selection returns exactly the prefix of the full-sorted
 //!   ranking, ties included (the tie-break key is total, so the prefix is
 //!   unique and the comparison is exact, not approximate);
 //! * the rayon-partitioned scan is bit-identical to the serial scan once
 //!   the corpus crosses `PAR_SCAN_THRESHOLD`;
-//! * arbitrary upsert/remove/clear interleavings leave the index
-//!   equivalent to a naive map-of-vectors model across all three
-//!   modalities (slot map, slab swap-remove, and per-kind counts all have
-//!   to move together for this to hold).
+//! * arbitrary upsert/bulk/remove/clear interleavings leave the cell
+//!   equivalent to a naive map-of-rows model: all three modalities (slot
+//!   map, slab swap-remove, and per-kind counts all have to move together
+//!   for this to hold), the Aroma engine (exactly the model's PEs, and
+//!   recommending like an engine built from them from scratch), and the
+//!   one generation (exactly one step per mutation).
 
+use aroma::{AromaConfig, AromaEngine, Snippet};
 use embed::dense::PAR_SCAN_THRESHOLD;
 use embed::{dot, DenseVec, Embedder, ReaccSim, UniXcoderSim, DIM};
-use laminar_server::indexes::{EntryKind, IndexHit, SearchIndexes};
+use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, SearchIndexes};
 use proptest::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
@@ -32,23 +35,34 @@ fn key_of(id: u64, kind: EntryKind) -> u64 {
     (id << 1) | matches!(kind, EntryKind::Workflow) as u64
 }
 
-/// Naive reference: a map of full per-entry vectors, ranked by scoring
-/// everything and fully sorting — the behaviour the engine must match.
+/// The engine under test: the LSH prefilter engages from four snippets
+/// on, so op sequences land on both sides of that threshold.
+fn aroma_config() -> AromaConfig {
+    AromaConfig {
+        lsh_min_entries: 4,
+        ..AromaConfig::default()
+    }
+}
+
+/// Naive reference: a map of full rows, ranked by scoring everything and
+/// fully sorting — the behaviour the cell must match — plus a count of
+/// the mutations applied.
 #[derive(Default)]
 struct NaiveModel {
-    entries: HashMap<u64, (EntryKind, DenseVec, FeatureVec, DenseVec)>,
+    entries: HashMap<u64, IndexRow>,
+    mutations: u64,
 }
 
 impl NaiveModel {
     fn rank<F>(&self, score: F, kind: Option<EntryKind>, k: usize) -> Vec<IndexHit>
     where
-        F: Fn(&(EntryKind, DenseVec, FeatureVec, DenseVec)) -> f32,
+        F: Fn(&IndexRow) -> f32,
     {
         let mut scored: Vec<(u64, EntryKind, f32)> = self
             .entries
             .iter()
-            .filter(|(_, e)| kind.is_none_or(|kf| e.0 == kf))
-            .map(|(&key, e)| (key, e.0, score(e)))
+            .filter(|(_, e)| kind.is_none_or(|kf| e.kind == kf))
+            .map(|(&key, e)| (key, e.kind, score(e)))
             .collect();
         scored.sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
         scored.truncate(k);
@@ -62,111 +76,210 @@ impl NaiveModel {
             .collect()
     }
 
-    fn counts(&self) -> (usize, usize) {
-        let pes = self
+    /// The PE rows, ascending by id.
+    fn pes(&self) -> Vec<&IndexRow> {
+        let mut pes: Vec<&IndexRow> = self
             .entries
             .values()
-            .filter(|e| e.0 == EntryKind::Pe)
-            .count();
+            .filter(|e| e.kind == EntryKind::Pe)
+            .collect();
+        pes.sort_unstable_by_key(|e| e.id);
+        pes
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        let pes = self.pes().len();
         (pes, self.entries.len() - pes)
     }
 }
 
 #[derive(Debug, Clone)]
+struct RowSpec {
+    id: u64,
+    wf: bool,
+    variant: u8,
+}
+
+#[derive(Debug, Clone)]
 enum Op {
-    Upsert { id: u64, wf: bool, variant: u8 },
+    Upsert(RowSpec),
+    Bulk(Vec<RowSpec>),
     Remove { id: u64, wf: bool },
     Clear,
 }
 
+fn arb_row() -> impl Strategy<Value = RowSpec> {
+    (0u64..16, any::<bool>(), 0u8..4).prop_map(|(id, wf, variant)| RowSpec { id, wf, variant })
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (0u64..16, any::<bool>(), 0u8..4).prop_map(|(id, wf, variant)| Op::Upsert {
-            id,
-            wf,
-            variant
-        }),
+        4 => arb_row().prop_map(Op::Upsert),
+        2 => proptest::collection::vec(arb_row(), 0..5).prop_map(Op::Bulk),
         3 => (0u64..16, any::<bool>()).prop_map(|(id, wf)| Op::Remove { id, wf }),
         1 => Just(Op::Clear),
     ]
 }
 
-/// Apply one op sequence to both the engine and the naive model.
+fn kind_of(wf: bool) -> EntryKind {
+    if wf {
+        EntryKind::Workflow
+    } else {
+        EntryKind::Pe
+    }
+}
+
+/// Only 4 variants, so duplicate vectors — and therefore score ties — are
+/// common across ids.
+fn build_row(spec: &RowSpec) -> IndexRow {
+    let RowSpec { id, wf, variant } = spec;
+    let text = format!("entry variant {variant} does things");
+    let code = format!(
+        "def f{variant}(data):\n    total = {variant}\n    for item in data:\n        total += item * {variant}\n    return total\n"
+    );
+    IndexRow::embed(
+        *id,
+        kind_of(*wf),
+        &format!("E{id}v{variant}"),
+        &code,
+        UniXcoderSim::new().embed(&text),
+        Spt::parse_source(&code).feature_vec(),
+    )
+}
+
+/// Apply one op sequence to both the cell and the naive model.
 fn apply(ops: &[Op]) -> (SearchIndexes, NaiveModel) {
-    let emb = UniXcoderSim::new();
-    let reacc = ReaccSim::new();
-    let ix = SearchIndexes::new();
+    let ix = SearchIndexes::with_aroma(aroma_config());
     let mut model = NaiveModel::default();
     for op in ops {
         match op {
-            Op::Upsert { id, wf, variant } => {
-                let kind = if *wf {
-                    EntryKind::Workflow
-                } else {
-                    EntryKind::Pe
-                };
-                // Only 4 variants, so duplicate vectors — and therefore
-                // score ties — are common across ids.
-                let text = format!("entry variant {variant} does things");
-                let code = format!("def f{variant}(x):\n    return x * {variant} + 1\n");
-                let d = emb.embed(&text);
-                let s = Spt::parse_source(&code).feature_vec();
-                let r = reacc.embed_code(&code);
-                ix.upsert_embedded(*id, kind, d.clone(), s.clone(), r.clone());
-                model.entries.insert(key_of(*id, kind), (kind, d, s, r));
+            Op::Upsert(spec) => {
+                let row = build_row(spec);
+                ix.upsert(row.clone());
+                model.entries.insert(key_of(row.id, row.kind), row);
+                model.mutations += 1;
+            }
+            Op::Bulk(specs) => {
+                let rows: Vec<IndexRow> = specs.iter().map(build_row).collect();
+                ix.bulk_upsert(rows.clone());
+                // An empty batch publishes nothing.
+                model.mutations += !rows.is_empty() as u64;
+                for row in rows {
+                    model.entries.insert(key_of(row.id, row.kind), row);
+                }
             }
             Op::Remove { id, wf } => {
-                let kind = if *wf {
-                    EntryKind::Workflow
-                } else {
-                    EntryKind::Pe
-                };
+                let kind = kind_of(*wf);
                 ix.remove(*id, kind);
                 model.entries.remove(&key_of(*id, kind));
+                model.mutations += 1;
             }
             Op::Clear => {
                 ix.clear();
                 model.entries.clear();
+                model.mutations += 1;
             }
         }
     }
     (ix, model)
 }
 
+/// The cell's engine holds exactly the model's PEs and recommends like
+/// an engine built from those rows from scratch.
+fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
+    let engine = ix.engine();
+    let pes = model.pes();
+    let mut held: Vec<u64> = engine.index().ids().collect();
+    held.sort_unstable();
+    assert_eq!(held, pes.iter().map(|p| p.id).collect::<Vec<_>>());
+    for pe in &pes {
+        let snippet = engine.index().get(pe.id).expect("held id resolves");
+        assert_eq!(
+            (&snippet.name, &snippet.code),
+            (&pe.name, &pe.code),
+            "pe {}",
+            pe.id
+        );
+    }
+
+    let mut fresh = AromaEngine::new(aroma_config());
+    fresh.add_batch(
+        pes.iter()
+            .map(|p| Snippet::new(p.id, p.name.as_str(), p.code.as_str()))
+            .collect(),
+    );
+    for query in [
+        "total = 0\nfor item in data:\n    total += item\n",
+        "def f2(data):\n    total = 2\n    for item in data:",
+        "import xml\n",
+    ] {
+        let (got, got_stats) = engine.recommend_with_stats(query);
+        let (want, want_stats) = fresh.recommend_with_stats(query);
+        assert_eq!(got.len(), want.len(), "{query:?}");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.seed_id, w.seed_id, "{query:?}");
+            assert_eq!(g.seed_name, w.seed_name);
+            assert_eq!(g.code, w.code);
+            assert_eq!(g.score.to_bits(), w.score.to_bits());
+            assert_eq!(g.retrieval_score.to_bits(), w.retrieval_score.to_bits());
+            assert_eq!(g.cluster_size, w.cluster_size);
+        }
+        assert_eq!(
+            (
+                got_stats.retrieved,
+                got_stats.pruned,
+                got_stats.clusters,
+                got_stats.lsh_candidates
+            ),
+            (
+                want_stats.retrieved,
+                want_stats.pruned,
+                want_stats.clusters,
+                want_stats.lsh_candidates
+            ),
+            "{query:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
-    /// Upsert/remove/clear fuzz: after any op interleaving, every modality's
-    /// bounded ranking equals the naive full-sort prefix exactly (bit-equal
-    /// scores, same ids, same order — ties resolved identically).
+    /// Upsert/bulk/remove/clear fuzz: after any op interleaving, every
+    /// modality's bounded ranking equals the naive full-sort prefix exactly
+    /// (bit-equal scores, same ids, same order — ties resolved
+    /// identically), the engine matches the model, and the generation
+    /// counted the mutations.
     #[test]
-    fn engine_matches_naive_model_after_any_op_sequence(
+    fn cell_matches_naive_model_after_any_op_sequence(
         ops in proptest::collection::vec(arb_op(), 0..40),
     ) {
         let (ix, model) = apply(&ops);
         prop_assert_eq!(ix.len(), model.entries.len());
         prop_assert_eq!(ix.counts(), model.counts());
+        prop_assert_eq!(ix.generation(), model.mutations);
+        assert_engine_matches_model(&ix, &model);
 
         let emb = UniXcoderSim::new();
         let q_text = emb.embed("an entry that does things with variants");
-        let q_spt = Spt::parse_source("return x * 2 + 1\n").feature_vec();
-        let q_code = ReaccSim::new().embed_code("def g(x):\n    return x * 2 + 1\n");
+        let q_spt = Spt::parse_source("total += item * 2\n").feature_vec();
+        let q_code = ReaccSim::new().embed_code("for item in data:\n    total += item * 2\n");
 
         for kind in [None, Some(EntryKind::Pe), Some(EntryKind::Workflow)] {
             for k in [0usize, 1, 7, usize::MAX] {
                 prop_assert_eq!(
                     ix.rank_semantic(&q_text, kind, k),
-                    model.rank(|e| dot(&q_text.values, &e.1.values), kind, k),
+                    model.rank(|e| dot(&q_text.values, &e.desc.values), kind, k),
                     "semantic kind={:?} k={}", kind, k
                 );
                 prop_assert_eq!(
                     ix.rank_spt(&q_spt, kind, k),
-                    model.rank(|e| q_spt.overlap(&e.2), kind, k),
+                    model.rank(|e| q_spt.overlap(&e.spt), kind, k),
                     "spt kind={:?} k={}", kind, k
                 );
                 prop_assert_eq!(
                     ix.rank_reacc(&q_code, kind, k),
-                    model.rank(|e| dot(&q_code.values, &e.3.values), kind, k),
+                    model.rank(|e| dot(&q_code.values, &e.reacc.values), kind, k),
                     "reacc kind={:?} k={}", kind, k
                 );
             }
@@ -181,8 +294,8 @@ proptest! {
         min_cos in -0.5f32..1.0,
     ) {
         let (ix, _) = apply(&ops);
-        let q_spt = Spt::parse_source("return x * 2 + 1\n").feature_vec();
-        let q_code = ReaccSim::new().embed_code("def g(x):\n    return x * 2 + 1\n");
+        let q_spt = Spt::parse_source("total += item * 2\n").feature_vec();
+        let q_code = ReaccSim::new().embed_code("for item in data:\n    total += item * 2\n");
         let full_spt: Vec<IndexHit> = ix
             .rank_spt(&q_spt, Some(EntryKind::Pe), usize::MAX)
             .into_iter()

@@ -13,11 +13,10 @@
 //!   agreement).
 //! * **I2 — durability**: crash-restart (drop the stack, reopen the same
 //!   data directory) must preserve exactly the acknowledged state.
-//! * **I3 — RCU generations**: search/recommendation snapshot
-//!   generations never go backwards within a server lifetime.
+//! * **I3 — RCU generation**: the index cell's one snapshot generation
+//!   never goes backwards within a server lifetime.
 //! * **I4 — read determinism**: issuing the same search/describe twice
-//!   in a row returns bit-identical responses (the query cache must
-//!   never change an answer).
+//!   in a row returns bit-identical responses.
 //! * **I5 — typed failure**: every client-visible failure is a typed
 //!   error (`Server`/`Connection`), never `UnexpectedResponse`, and a
 //!   degraded server rejects mutations with the typed `Degraded` error
@@ -175,8 +174,8 @@ struct Episode<'a> {
     exposure: bool,
     armed: bool,
     disarm_in: u32,
-    /// Last observed (search, reco) index generations (I3).
-    gens: (u64, u64),
+    /// Last observed index generation (I3).
+    generation: u64,
     trace: Vec<String>,
     violations: Vec<String>,
     ops_run: u64,
@@ -261,7 +260,7 @@ fn run_episode(
         exposure: false,
         armed: false,
         disarm_in: 0,
-        gens: (0, 0),
+        generation: 0,
         trace: Vec::new(),
         violations: Vec::new(),
         ops_run: 0,
@@ -295,8 +294,6 @@ impl Episode<'_> {
             cold_start: Duration::ZERO,
             prewarmed: 1,
             server: ServerConfig {
-                query_cache_entries: 64,
-                quantized: true,
                 probe_interval_ms: 0,
                 degraded_retry_after_ms: 1,
                 ..ServerConfig::default()
@@ -362,10 +359,7 @@ impl Episode<'_> {
             .map_err(|e| format!("client login failed: {e}"))?;
         // Auth is not modelled; drop its journal records.
         let _ = stack.net.drain_journal();
-        self.gens = (
-            stack.server.indexes().generation(),
-            stack.server.reco().generation(),
-        );
+        self.generation = stack.server.indexes().generation();
         self.degraded = false;
         self.exposure = false;
         self.armed = false;
@@ -448,29 +442,19 @@ impl Episode<'_> {
         }
     }
 
-    /// I3: index generations are monotone within a server lifetime.
-    fn check_generations(&mut self) {
-        let g = (
-            self.stack().server.indexes().generation(),
-            self.stack().server.reco().generation(),
-        );
-        if g.0 < self.gens.0 {
+    /// I3: the index generation is monotone within a server lifetime.
+    fn check_generation(&mut self) {
+        let g = self.stack().server.indexes().generation();
+        if g < self.generation {
             self.violation(format!(
-                "search index generation went backwards: {} -> {}",
-                self.gens.0, g.0
+                "index generation went backwards: {} -> {g}",
+                self.generation
             ));
         }
-        if g.1 < self.gens.1 {
-            self.violation(format!(
-                "reco index generation went backwards: {} -> {}",
-                self.gens.1, g.1
-            ));
-        }
-        self.gens = g;
+        self.generation = g;
     }
 
-    /// I4: a repeated read answers bit-identically (cache hits must
-    /// match their uncached answers).
+    /// I4: a repeated read answers bit-identically.
     fn check_double_read(&mut self, req: Request, what: &str) {
         let a = self.stack().server.handle(req.clone()).value();
         let b = self.stack().server.handle(req).value();
@@ -731,7 +715,7 @@ impl Episode<'_> {
         }
 
         // I3 after every op; I1 after every op.
-        self.check_generations();
+        self.check_generation();
         self.check_full_state("after op");
         self.observe_health("after op");
     }

@@ -50,21 +50,6 @@ cargo test -q -p laminar-registry --test recovery
 echo "==> batch ingestion equivalence suite"
 cargo test -q -p laminar-registry --test batch_equivalence
 
-# Quantized tier invariants: int8 round-trip idempotence, widening-kernel
-# equivalence, and two-phase recall (== 1.0 at the 4·k window, ≥ 0.99 at
-# 2·k) against the exact f32 scan.
-echo "==> quantized search kernel suite"
-cargo test -q -p embed --test quant_props
-
-# Index-level quantized properties: quantized hits ≡ exact hits, slab
-# bit-identity across per-row / bulk / registry-replay construction, and
-# the ≥ 3× bytes/row acceptance bar.
-echo "==> quantized index + replay suite"
-cargo test -q -p laminar-server --test quant_props
-
-echo "==> bench_quant builds"
-cargo build --release -p laminar-bench --bin bench_quant
-
 # Storage chaos: one injected fault at every WAL/snapshot IO site x every
 # fault kind, persistent-ENOSPC rejection, and seeded determinism
 # (same seed => bit-identical fault schedule and recovered registry).
@@ -87,13 +72,9 @@ echo "==> aroma pipeline property suite"
 cargo test -q -p aroma --test pipeline_props
 
 # Served recommendations: full-pipeline responses ≡ direct engine output on
-# the same snapshot, Both scope merges PE + workflow hits, generation-keyed
-# cache hits, and the reco index stays in lockstep with registry mutations.
+# the same snapshot, and Both scope merges PE + workflow hits.
 echo "==> server recommendation suite"
 cargo test -q -p laminar-server --lib -- reco recommendation both_scope
-
-echo "==> bench_recommend builds"
-cargo build --release -p laminar-bench --bin bench_recommend
 
 # Network-fault wrapper in isolation: every fault kind on either side of
 # a frame exchange surfaces as a typed error or a successful retry —
@@ -131,6 +112,12 @@ for seed in 1 7 1337; do
         exit 1
     fi
 done
+
+# The repository benchmark end to end at smoke scale: builds the server
+# and the load generator offline from a staged copy, runs all five
+# workloads over TCP, and checks the results file against BENCHMARK.json.
+echo "==> repo benchmark smoke"
+bash crates/benchmark/run.sh --smoke
 
 if [[ "${1:-}" == "--heavy" ]]; then
     echo "==> heavy stress tests (#[ignore]d)"
