@@ -7,7 +7,7 @@ use crate::lsh::LshPrefilter;
 use crate::prune::{prune_and_rerank, PrunedSnippet};
 use crate::recommend::create_recommendation;
 use rayon::prelude::*;
-use spt::Spt;
+use spt::{FeatureVec, Spt};
 use std::time::{Duration, Instant};
 
 /// Tunables for the pipeline. Defaults follow the Aroma paper's spirit at
@@ -133,22 +133,37 @@ impl AromaEngine {
         self.index.is_empty()
     }
 
-    pub fn add(&mut self, snippet: Snippet) {
-        let id = snippet.id;
-        self.index.add(snippet);
-        self.lsh_insert(id);
+    /// Insert or replace by id a snippet whose SPT feature vector the
+    /// caller already holds (index and LSH prefilter in lockstep). The one
+    /// insertion primitive: the server feeds it the vector its registry
+    /// row carries; [`add`](Self::add), [`upsert`](Self::upsert) and
+    /// [`add_batch`](Self::add_batch) featurise and then come here.
+    pub fn insert(&mut self, snippet: Snippet, vec: FeatureVec) {
+        if let Some(lsh) = &mut self.lsh {
+            lsh.insert(snippet.id, &vec);
+        }
+        self.index.insert(snippet, vec);
     }
 
-    /// Insert or replace by id (index and LSH prefilter in lockstep).
+    pub fn add(&mut self, snippet: Snippet) {
+        let vec = Spt::parse_source(&snippet.code).feature_vec();
+        self.insert(snippet, vec);
+    }
+
+    /// Insert or replace by id (alias of [`add`](Self::add)).
     pub fn upsert(&mut self, snippet: Snippet) {
         self.add(snippet);
     }
 
+    /// Bulk-add with parallel featurisation. Order of ids is preserved
+    /// (later duplicates replace earlier ones, like serial `add`).
     pub fn add_batch(&mut self, snippets: Vec<Snippet>) {
-        let ids: Vec<u64> = snippets.iter().map(|s| s.id).collect();
-        self.index.add_batch(snippets);
-        for id in ids {
-            self.lsh_insert(id);
+        let vecs: Vec<FeatureVec> = snippets
+            .par_iter()
+            .map(|s| Spt::parse_source(&s.code).feature_vec())
+            .collect();
+        for (snippet, vec) in snippets.into_iter().zip(vecs) {
+            self.insert(snippet, vec);
         }
     }
 
@@ -164,14 +179,6 @@ impl AromaEngine {
             lsh.clear();
         }
         self.index.clear();
-    }
-
-    fn lsh_insert(&mut self, id: u64) {
-        if let Some(lsh) = &mut self.lsh {
-            if let Some(vec) = self.index.feature_vec_of(id) {
-                lsh.insert(id, vec);
-            }
-        }
     }
 
     /// Run the full pipeline for a (possibly partial) code query.
@@ -416,6 +423,29 @@ mod tests {
         assert!(!ss.parallel);
         assert!(sp.parallel);
         assert_recs_identical(&rs, &rp);
+    }
+
+    #[test]
+    fn batch_add_matches_serial_add() {
+        let snippets: Vec<Snippet> = (0..300)
+            .map(|i| {
+                Snippet::new(
+                    i,
+                    format!("S{i}"),
+                    format!("def f{i}(x):\n    return x + {i}\n"),
+                )
+            })
+            .collect();
+        let mut a = AromaEngine::with_default_config();
+        for s in snippets.clone() {
+            a.add(s);
+        }
+        let mut b = AromaEngine::with_default_config();
+        b.add_batch(snippets);
+        assert_eq!(a.len(), b.len());
+        let q = "def f(x):\n    return x + 5\n";
+        assert_eq!(a.index().search(q, 5), b.index().search(q, 5));
+        assert_recs_identical(&a.recommend(q), &b.recommend(q));
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl SnippetIndex {
     pub fn add(&mut self, snippet: Snippet) -> usize {
         let vec = Spt::parse_source(&snippet.code).feature_vec();
         let n = vec.len();
-        self.insert_entry(Entry { snippet, vec });
+        self.insert(snippet, vec);
         n
     }
 
@@ -92,28 +92,17 @@ impl SnippetIndex {
         self.by_id.clear();
     }
 
-    fn insert_entry(&mut self, e: Entry) {
+    /// Store a snippet under a feature vector the caller already holds,
+    /// replacing any entry with the same id. The one insertion primitive:
+    /// [`add`](Self::add) featurises and then comes here.
+    pub fn insert(&mut self, snippet: Snippet, vec: FeatureVec) {
+        let e = Entry { snippet, vec };
         match self.by_id.get(&e.snippet.id) {
             Some(&ix) => self.entries[ix] = e,
             None => {
                 self.by_id.insert(e.snippet.id, self.entries.len());
                 self.entries.push(e);
             }
-        }
-    }
-
-    /// Bulk-add with parallel featurisation. Order of ids is preserved
-    /// (later duplicates replace earlier ones, like serial `add`).
-    pub fn add_batch(&mut self, snippets: Vec<Snippet>) {
-        let entries: Vec<Entry> = snippets
-            .into_par_iter()
-            .map(|snippet| {
-                let vec = Spt::parse_source(&snippet.code).feature_vec();
-                Entry { snippet, vec }
-            })
-            .collect();
-        for e in entries {
-            self.insert_entry(e);
         }
     }
 
@@ -127,10 +116,6 @@ impl SnippetIndex {
 
     pub fn get(&self, id: SnippetId) -> Option<&Snippet> {
         self.by_id.get(&id).map(|&ix| &self.entries[ix].snippet)
-    }
-
-    pub fn feature_vec_of(&self, id: SnippetId) -> Option<&FeatureVec> {
-        self.by_id.get(&id).map(|&ix| &self.entries[ix].vec)
     }
 
     /// Retrieve the `top_n` snippets by feature overlap with `query_code`.
@@ -297,29 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_add_matches_serial_add() {
-        let snippets: Vec<Snippet> = (0..300)
-            .map(|i| {
-                Snippet::new(
-                    i,
-                    format!("S{i}"),
-                    format!("def f{i}(x):\n    return x + {i}\n"),
-                )
-            })
-            .collect();
-        let mut a = SnippetIndex::new();
-        for s in snippets.clone() {
-            a.add(s);
-        }
-        let mut b = SnippetIndex::new();
-        b.add_batch(snippets);
-        assert_eq!(a.len(), b.len());
-        let ha = a.search("def f(x):\n    return x + 5\n", 5);
-        let hb = b.search("def f(x):\n    return x + 5\n", 5);
-        assert_eq!(ha, hb);
-    }
-
-    #[test]
     fn unparseable_snippet_indexed_but_inert() {
         let mut ix = SnippetIndex::new();
         let n = ix.add(Snippet::new(1, "junk", ""));
@@ -333,7 +295,6 @@ mod tests {
         let ix = demo_index();
         assert_eq!(ix.get(1).unwrap().name, "SumPE");
         assert!(ix.get(99).is_none());
-        assert!(ix.feature_vec_of(1).is_some());
         assert_eq!(ix.ids().count(), 3);
     }
 

@@ -809,8 +809,16 @@ class PrintPrime(ConsumerPE):
     }
 
     fn cli_with_isprime() -> (Cli, String) {
+        // A directory per call: tests run on parallel threads, and a
+        // shared file is empty for a moment each time another test
+        // rewrites it — the registration then finds no PEs.
+        static CALL: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
         let mut c = cli();
-        let dir = std::env::temp_dir().join(format!("laminar-cli-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "laminar-cli-{}-{}",
+            std::process::id(),
+            CALL.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("isprime_wf.py");
         std::fs::write(&path, WORKFLOW_FILE).unwrap();

@@ -8,6 +8,7 @@
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 use crate::topk::{ScoredRow, TopK};
 
@@ -241,6 +242,34 @@ pub fn hash_to_dim(h: u64) -> (usize, f32) {
     let dim = (h % DIM as u64) as usize;
     let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
     (dim, sign)
+}
+
+/// The accumulator both embedders fill: feature hash → (occurrences,
+/// weight). A `BTreeMap`, so [`FeatureBag::embed`] sums in ascending-hash
+/// order: once three features collide on a dimension the rounded f32 sum
+/// depends on the order, and a `HashMap`'s order differs per instance.
+#[derive(Default)]
+pub(crate) struct FeatureBag(BTreeMap<u64, (f32, f32)>);
+
+impl FeatureBag {
+    /// Count one occurrence of `key`. The weight given first sticks.
+    pub(crate) fn add(&mut self, key: &str, weight: f32) {
+        self.0
+            .entry(fnv1a(key.as_bytes()))
+            .or_insert((0.0, weight))
+            .0 += 1.0;
+    }
+
+    /// Square-root damp the counts, signed-hash them into `DIM`
+    /// dimensions and L2-normalise.
+    pub(crate) fn embed(self) -> DenseVec {
+        let mut values = vec![0.0f32; DIM];
+        for (h, (count, weight)) in self.0 {
+            let (dim, sign) = hash_to_dim(h);
+            values[dim] += sign * weight * count.sqrt();
+        }
+        DenseVec::normalised(values)
+    }
 }
 
 /// FNV-1a, shared with the sparse SPT path for consistency.

@@ -15,10 +15,9 @@
 //! Contrast with Aroma's SPT features, which survive both truncation
 //! (features are local to kept statements) and renaming (`#VAR`).
 
-use crate::dense::{fnv1a, hash_to_dim, DenseVec, DIM};
+use crate::dense::{DenseVec, FeatureBag};
 use crate::Embedder;
 use pyparse::{lex, TokKind};
-use std::collections::HashMap;
 
 const W_UNIGRAM: f32 = 0.5;
 const W_BIGRAM: f32 = 1.0;
@@ -44,26 +43,17 @@ impl ReaccSim {
         if texts.is_empty() {
             return DenseVec::zero();
         }
-        let mut counts: HashMap<u64, (f32, f32)> = HashMap::new();
-        let mut add = |key: String, w: f32| {
-            let e = counts.entry(fnv1a(key.as_bytes())).or_insert((0.0, w));
-            e.0 += 1.0;
-        };
+        let mut bag = FeatureBag::default();
         for t in &texts {
-            add(format!("1:{t}"), W_UNIGRAM);
+            bag.add(&format!("1:{t}"), W_UNIGRAM);
         }
         for w in texts.windows(2) {
-            add(format!("2:{}|{}", w[0], w[1]), W_BIGRAM);
+            bag.add(&format!("2:{}|{}", w[0], w[1]), W_BIGRAM);
         }
         for w in texts.windows(3) {
-            add(format!("3:{}|{}|{}", w[0], w[1], w[2]), W_TRIGRAM);
+            bag.add(&format!("3:{}|{}|{}", w[0], w[1], w[2]), W_TRIGRAM);
         }
-        let mut values = vec![0.0f32; DIM];
-        for (h, (count, weight)) in counts {
-            let (dim, sign) = hash_to_dim(h);
-            values[dim] += sign * weight * count.sqrt();
-        }
-        DenseVec::normalised(values)
+        bag.embed()
     }
 }
 

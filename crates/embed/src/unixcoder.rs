@@ -15,10 +15,9 @@
 //! descriptions do not drown short ones, then signed-hashed into 256 dims
 //! and L2-normalised.
 
-use crate::dense::{fnv1a, hash_to_dim, DenseVec, DIM};
+use crate::dense::{DenseVec, FeatureBag};
 use crate::tokenize::text_tokens;
 use crate::Embedder;
-use std::collections::HashMap;
 
 /// Relative weights of the three feature families.
 const W_UNIGRAM: f32 = 1.0;
@@ -42,32 +41,20 @@ impl UniXcoderSim {
         }
 
         // Accumulate feature counts first so damping can apply per feature.
-        let mut counts: HashMap<u64, (f32, f32)> = HashMap::new(); // hash -> (count, weight)
-        let mut add = |key: String, weight: f32| {
-            let h = fnv1a(key.as_bytes());
-            let e = counts.entry(h).or_insert((0.0, weight));
-            e.0 += 1.0;
-        };
-
+        let mut bag = FeatureBag::default();
         for t in &tokens {
-            add(format!("u:{t}"), W_UNIGRAM);
+            bag.add(&format!("u:{t}"), W_UNIGRAM);
             let chars: Vec<char> = t.chars().collect();
             if chars.len() >= 3 {
                 for w in chars.windows(3) {
-                    add(format!("c:{}{}{}", w[0], w[1], w[2]), W_CHAR3);
+                    bag.add(&format!("c:{}{}{}", w[0], w[1], w[2]), W_CHAR3);
                 }
             }
         }
         for pair in tokens.windows(2) {
-            add(format!("b:{}|{}", pair[0], pair[1]), W_BIGRAM);
+            bag.add(&format!("b:{}|{}", pair[0], pair[1]), W_BIGRAM);
         }
-
-        let mut values = vec![0.0f32; DIM];
-        for (h, (count, weight)) in counts {
-            let (dim, sign) = hash_to_dim(h);
-            values[dim] += sign * weight * count.sqrt();
-        }
-        DenseVec::normalised(values)
+        bag.embed()
     }
 }
 

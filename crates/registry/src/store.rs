@@ -21,7 +21,7 @@ use crate::rows::*;
 use crate::wal::{self, SyncPolicy, Wal, WalOp, WalRecord};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -83,18 +83,17 @@ pub struct PersistSnapshot {
     pub last_error: Option<String>,
 }
 
-/// One unit of a batch registration: member PEs plus an optional
-/// workflow row referencing them. A bare PE registration is a unit with
-/// one PE and no workflow. The workflow's `pe_ids` field is ignored —
-/// it is filled with the unit's resolved member ids, exactly as the
-/// sequential register-workflow path does.
+/// One unit of a registration: member PEs plus an optional workflow row
+/// referencing them. A bare PE registration is a unit with one PE and no
+/// workflow. The workflow's `pe_ids` field is ignored — it is filled with
+/// the unit's resolved member ids.
 #[derive(Debug, Clone)]
 pub struct RegistrationUnit {
     pub pes: Vec<NewPe>,
     pub workflow: Option<NewWorkflow>,
 }
 
-/// One member PE's fate inside a batch unit.
+/// One member PE's fate inside a unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeOutcome {
     pub name: String,
@@ -104,10 +103,9 @@ pub struct PeOutcome {
     pub created: bool,
 }
 
-/// Per-unit outcome of [`Registry::add_units`]. Mirrors the sequential
-/// path's partial-progress semantics: member PEs registered before a
-/// failure stay committed, so `pes`/`workflow` report what actually
-/// landed even when `error` is set.
+/// Per-unit outcome of [`Registry::add_units`]. A unit that fails
+/// validation keeps the member PEs staged before the failure, so
+/// `pes`/`workflow` report what actually landed even when `error` is set.
 #[derive(Debug, Clone, Default)]
 pub struct UnitOutcome {
     pub pes: Vec<PeOutcome>,
@@ -207,6 +205,15 @@ impl Inner {
                 index.remove(&key);
             }
         }
+    }
+
+    /// First committed PE id under the lowercase name `key` that
+    /// `user_id` owns. Names are unique per user, not globally, so this is
+    /// the row a re-registration of the name by that user refers to.
+    fn pe_owned_by(&self, user_id: u64, key: &str) -> Option<u64> {
+        self.pe_name_index.get(key)?.iter().copied().find(|id| {
+            self.pes.get(id).is_some_and(|p| p.user_id == user_id)
+        })
     }
 
     fn bump_id(&mut self, id: u64) {
@@ -332,6 +339,103 @@ impl Inner {
     }
 }
 
+/// Rows staged for one commit: validated and numbered against local
+/// id/seq counters, visible to later rows of the same frame through the
+/// staged-name sets, and to nobody else until [`Registry::commit`] has
+/// made the frame durable and applied it. Every `NewPe` / `NewWorkflow`
+/// becomes a row here and nowhere else.
+#[derive(Default)]
+struct Stage {
+    next_id: u64,
+    seq: u64,
+    frame: Vec<WalRecord>,
+    /// `(lowercase name, owner)` → id of the PEs staged so far.
+    pe_names: HashMap<(String, u64), u64>,
+    /// `(lowercase name, owner)` of the workflows staged so far.
+    wf_names: HashSet<(String, u64)>,
+}
+
+impl Stage {
+    fn new(inner: &Inner) -> Stage {
+        Stage {
+            next_id: inner.next_id,
+            seq: inner.seq,
+            ..Stage::default()
+        }
+    }
+
+    /// Number the next row: `(id, seq)`.
+    fn number(&mut self) -> (u64, u64) {
+        self.next_id += 1;
+        self.seq += 1;
+        (self.next_id, self.seq)
+    }
+
+    /// Stage one PE. A name the submitting user already owns
+    /// (case-insensitive, through the lowercase index so it matches what
+    /// name lookup can reach) is not an error here: it resolves to that
+    /// user's id under the name — a committed row before a staged one —
+    /// with `created: false`, and stages nothing.
+    fn pe(&mut self, inner: &Inner, new: NewPe) -> Result<PeOutcome, RegistryError> {
+        Registry::check_user(inner, new.user_id)?;
+        let key = (new.name.to_lowercase(), new.user_id);
+        let existing = inner
+            .pe_owned_by(new.user_id, &key.0)
+            .or_else(|| self.pe_names.get(&key).copied());
+        if let Some(id) = existing {
+            return Ok(PeOutcome { name: new.name, id, created: false });
+        }
+        let (id, seq) = self.number();
+        self.pe_names.insert(key, id);
+        self.frame.push(WalRecord {
+            seq,
+            op: WalOp::AddPe(PeRow {
+                id,
+                user_id: new.user_id,
+                name: new.name.clone(),
+                description: new.description,
+                code: new.code,
+                description_embedding: new.description_embedding,
+                spt_embedding: new.spt_embedding,
+            }),
+        });
+        Ok(PeOutcome { name: new.name, id, created: true })
+    }
+
+    /// Stage one workflow over `new.pe_ids`, which the caller has resolved
+    /// to committed PEs or ones staged earlier in this frame.
+    fn workflow(&mut self, inner: &Inner, new: NewWorkflow) -> Result<u64, RegistryError> {
+        Registry::check_user(inner, new.user_id)?;
+        let key = (new.name.to_lowercase(), new.user_id);
+        let committed = inner.wf_name_index.get(&key.0).is_some_and(|ids| {
+            ids.iter()
+                .any(|id| inner.workflows.get(id).is_some_and(|w| w.user_id == new.user_id))
+        });
+        if committed || self.wf_names.contains(&key) {
+            return Err(RegistryError::DuplicateName {
+                table: "Workflow",
+                name: new.name,
+            });
+        }
+        let (id, seq) = self.number();
+        self.wf_names.insert(key);
+        self.frame.push(WalRecord {
+            seq,
+            op: WalOp::AddWorkflow(WorkflowRow {
+                id,
+                user_id: new.user_id,
+                name: new.name,
+                description: new.description,
+                code: new.code,
+                description_embedding: new.description_embedding,
+                spt_embedding: new.spt_embedding,
+                pe_ids: new.pe_ids,
+            }),
+        });
+        Ok(id)
+    }
+}
+
 /// Serializable snapshot of the whole registry. Fields are public so
 /// recovery tests can compare registries structurally.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -448,26 +552,35 @@ impl Registry {
         })
     }
 
-    /// Log `rec` to the WAL (when persistent), then apply it in memory.
-    /// On WAL failure nothing is applied and the mutation is rejected —
-    /// acknowledged implies durable. Runs auto-compaction when due;
-    /// compaction failure never fails the already-durable mutation.
-    fn commit(inner: &mut Inner, rec: WalRecord) -> Result<(), RegistryError> {
+    /// The one commit: log `frame` to the WAL (when persistent) — a lone
+    /// record as a single-record frame, several as one group-commit frame,
+    /// so one write and at most one fsync either way — then apply it in
+    /// memory. On WAL failure nothing is applied and the whole frame is
+    /// rejected: acknowledged implies durable, and a frame is all or
+    /// nothing. Runs auto-compaction when due; compaction failure never
+    /// fails the already-durable frame. An empty frame touches nothing.
+    fn commit(inner: &mut Inner, frame: &[WalRecord]) -> Result<(), RegistryError> {
         if let Some(p) = inner.persist.as_mut() {
-            let (bytes, synced) = match p.wal.append(&rec) {
+            let appended = match frame {
+                [rec] => p.wal.append(rec),
+                recs => p.wal.append_batch(recs),
+            };
+            let (bytes, synced) = match appended {
                 Ok(v) => v,
                 Err(e) => {
                     p.stats.io_failed("wal append", &e);
                     return Err(persist_err("wal append", e));
                 }
             };
-            p.stats.wal_appends += 1;
+            p.stats.wal_appends += frame.len() as u64;
             p.stats.wal_bytes += bytes;
             if synced {
                 p.stats.fsyncs += 1;
             }
         }
-        inner.apply(&rec);
+        for rec in frame {
+            inner.apply(rec);
+        }
         let due = inner
             .persist
             .as_ref()
@@ -620,7 +733,7 @@ impl Registry {
             password_hash: hash_password(username, password),
             created_seq: seq,
         };
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::AddUser(row) })?;
+        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::AddUser(row) }])?;
         Ok(id)
     }
 
@@ -655,198 +768,65 @@ impl Registry {
 
     // ---- PEs ---------------------------------------------------------------
 
+    /// Register one PE: a unit of one, except that a name the user
+    /// already owns is the caller's error rather than a reuse.
     pub fn add_pe(&self, new: NewPe) -> Result<u64, RegistryError> {
         let mut inner = self.inner.write();
-        Self::check_user(&inner, new.user_id)?;
-        // Duplicate detection goes through the lowercase name index so it
-        // matches what `get_pe_by_name` can actually reach: `IsPrime`
-        // then `isprime` under one user is a duplicate, not a shadowed row.
-        let key = new.name.to_lowercase();
-        let dup = inner.pe_name_index.get(&key).is_some_and(|ids| {
-            ids.iter()
-                .any(|id| inner.pes.get(id).is_some_and(|p| p.user_id == new.user_id))
-        });
-        if dup {
+        let mut stage = Stage::new(&inner);
+        let pe = stage.pe(&inner, new)?;
+        if !pe.created {
             return Err(RegistryError::DuplicateName {
                 table: "ProcessingElement",
-                name: new.name,
+                name: pe.name,
             });
         }
-        let id = inner.next_id + 1;
-        let seq = inner.seq + 1;
-        let row = PeRow {
-            id,
-            user_id: new.user_id,
-            name: new.name,
-            description: new.description,
-            code: new.code,
-            description_embedding: new.description_embedding,
-            spt_embedding: new.spt_embedding,
-        };
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::AddPe(row) })?;
-        Ok(id)
+        Self::commit(&mut inner, &stage.frame)?;
+        Ok(pe.id)
     }
 
-    /// Batch registration with group commit: validate every unit under
-    /// **one** write-lock hold, append all resulting records as **one**
-    /// multi-op WAL frame (one fsync under `EveryAppend`), then apply.
+    /// The registration write path: stage every unit under **one**
+    /// write-lock hold, commit all resulting rows as **one** WAL frame
+    /// (one fsync under `EveryAppend`), then apply.
     ///
-    /// Per-unit semantics mirror the sequential register path exactly:
-    /// a duplicate PE name (same user, case-insensitive) reuses the
-    /// existing id instead of failing; a member-PE error stops the unit
-    /// (earlier members stay committed, the workflow is skipped); a
-    /// duplicate workflow name fails the unit while its member PEs stay.
-    /// Units later in the batch see the effects of earlier units, as if
-    /// registered sequentially. The outer `Err` is reserved for WAL
-    /// failure, in which case nothing was applied.
+    /// Per unit: a PE name the user already owns (case-insensitive)
+    /// reuses that user's existing id instead of failing; a member-PE
+    /// error stops the unit (earlier members stay, the workflow is
+    /// skipped); a duplicate workflow name fails the unit while its member
+    /// PEs stay. Units later in the call see the rows of earlier units, so
+    /// how a list of units is chunked into calls never changes the
+    /// outcome. The outer `Err` is reserved for WAL failure, in which case
+    /// nothing was applied.
     pub fn add_units(
         &self,
         units: Vec<RegistrationUnit>,
     ) -> Result<Vec<UnitOutcome>, RegistryError> {
-        let mut guard = self.inner.write();
-        let inner = &mut *guard;
-        let mut frame: Vec<WalRecord> = Vec::new();
-        let mut outcomes = Vec::with_capacity(units.len());
-        // Ids/seqs are pre-assigned against local counters; rows become
-        // visible only when the whole frame is durable and applied.
-        // Pending name maps give later units intra-batch visibility.
-        let mut next_id = inner.next_id;
-        let mut seq = inner.seq;
-        let mut pending_pe_names: HashMap<String, Vec<(u64, u64)>> = HashMap::new();
-        let mut pending_wf_names: HashMap<String, Vec<u64>> = HashMap::new();
-        for unit in units {
-            let mut out = UnitOutcome::default();
-            let mut member_ids: Vec<u64> = Vec::new();
-            for new in unit.pes {
-                if let Err(e) = Self::check_user(inner, new.user_id) {
-                    out.error = Some(e);
-                    break;
-                }
-                let key = new.name.to_lowercase();
-                let dup_committed = inner.pe_name_index.get(&key).is_some_and(|ids| {
-                    ids.iter()
-                        .any(|id| inner.pes.get(id).is_some_and(|p| p.user_id == new.user_id))
-                });
-                let dup_pending = pending_pe_names
-                    .get(&key)
-                    .is_some_and(|v| v.iter().any(|&(_, u)| u == new.user_id));
-                if dup_committed || dup_pending {
-                    // Reuse the resolved id, like the sequential path's
-                    // duplicate handling: first id under the name —
-                    // committed rows sort before batch-pending ones,
-                    // matching the index order after a sequential run.
-                    let existing = inner
-                        .pe_name_index
-                        .get(&key)
-                        .and_then(|ids| ids.first().copied())
-                        .or_else(|| {
-                            pending_pe_names
-                                .get(&key)
-                                .and_then(|v| v.first().map(|&(id, _)| id))
-                        })
-                        .expect("duplicate implies a resolvable id");
-                    member_ids.push(existing);
-                    out.pes.push(PeOutcome {
-                        name: new.name,
-                        id: existing,
-                        created: false,
-                    });
-                    continue;
-                }
-                next_id += 1;
-                seq += 1;
-                let id = next_id;
-                pending_pe_names
-                    .entry(key)
-                    .or_default()
-                    .push((id, new.user_id));
-                member_ids.push(id);
-                out.pes.push(PeOutcome {
-                    name: new.name.clone(),
-                    id,
-                    created: true,
-                });
-                frame.push(WalRecord {
-                    seq,
-                    op: WalOp::AddPe(PeRow {
-                        id,
-                        user_id: new.user_id,
-                        name: new.name,
-                        description: new.description,
-                        code: new.code,
-                        description_embedding: new.description_embedding,
-                        spt_embedding: new.spt_embedding,
-                    }),
-                });
-            }
-            if out.error.is_none() {
-                if let Some(wf) = unit.workflow {
-                    let valid_user = Self::check_user(inner, wf.user_id);
-                    let key = wf.name.to_lowercase();
-                    let dup_committed = inner.wf_name_index.get(&key).is_some_and(|ids| {
-                        ids.iter().any(|id| {
-                            inner.workflows.get(id).is_some_and(|w| w.user_id == wf.user_id)
-                        })
-                    });
-                    let dup_pending = pending_wf_names
-                        .get(&key)
-                        .is_some_and(|v| v.contains(&wf.user_id));
-                    if let Err(e) = valid_user {
-                        out.error = Some(e);
-                    } else if dup_committed || dup_pending {
-                        out.error = Some(RegistryError::DuplicateName {
-                            table: "Workflow",
-                            name: wf.name,
-                        });
-                    } else {
-                        next_id += 1;
-                        seq += 1;
-                        let id = next_id;
-                        pending_wf_names.entry(key).or_default().push(wf.user_id);
-                        out.workflow = Some((wf.name.clone(), id));
-                        frame.push(WalRecord {
-                            seq,
-                            op: WalOp::AddWorkflow(WorkflowRow {
-                                id,
-                                user_id: wf.user_id,
-                                name: wf.name,
-                                description: wf.description,
-                                code: wf.code,
-                                description_embedding: wf.description_embedding,
-                                spt_embedding: wf.spt_embedding,
-                                pe_ids: member_ids.clone(),
-                            }),
-                        });
+        let mut inner = self.inner.write();
+        let mut stage = Stage::new(&inner);
+        let outcomes = units
+            .into_iter()
+            .map(|unit| {
+                let mut out = UnitOutcome::default();
+                for new in unit.pes {
+                    match stage.pe(&inner, new) {
+                        Ok(pe) => out.pes.push(pe),
+                        Err(e) => {
+                            out.error = Some(e);
+                            return out;
+                        }
                     }
                 }
-            }
-            outcomes.push(out);
-        }
-        // Group commit: one frame, durable before anything is applied.
-        if let Some(p) = inner.persist.as_mut() {
-            let (bytes, synced) = match p.wal.append_batch(&frame) {
-                Ok(v) => v,
-                Err(e) => {
-                    p.stats.io_failed("wal append batch", &e);
-                    return Err(persist_err("wal append batch", e));
+                if let Some(wf) = unit.workflow {
+                    let name = wf.name.clone();
+                    let pe_ids = out.pes.iter().map(|p| p.id).collect();
+                    match stage.workflow(&inner, NewWorkflow { pe_ids, ..wf }) {
+                        Ok(id) => out.workflow = Some((name, id)),
+                        Err(e) => out.error = Some(e),
+                    }
                 }
-            };
-            p.stats.wal_appends += frame.len() as u64;
-            p.stats.wal_bytes += bytes;
-            if synced {
-                p.stats.fsyncs += 1;
-            }
-        }
-        for rec in &frame {
-            inner.apply(rec);
-        }
-        let due = inner
-            .persist
-            .as_ref()
-            .is_some_and(|p| p.opts.snapshot_every > 0 && p.wal.records() >= p.opts.snapshot_every);
-        if due {
-            let _ = Self::compact_locked(inner); // best-effort
-        }
+                out
+            })
+            .collect();
+        Self::commit(&mut inner, &stage.frame)?;
         Ok(outcomes)
     }
 
@@ -869,6 +849,17 @@ impl Registry {
             .ok_or_else(|| RegistryError::NotFound("ProcessingElement", name.to_string()))
     }
 
+    /// The PE `user_id` owns under `name` (case-insensitive): the row a
+    /// re-registration of that name by that user resolves to.
+    pub fn get_pe_by_name_for_user(&self, user_id: u64, name: &str) -> Result<PeRow, RegistryError> {
+        let inner = self.inner.read();
+        inner
+            .pe_owned_by(user_id, &name.to_lowercase())
+            .and_then(|id| inner.pes.get(&id))
+            .cloned()
+            .ok_or_else(|| RegistryError::NotFound("ProcessingElement", name.to_string()))
+    }
+
     pub fn all_pes(&self) -> Vec<PeRow> {
         self.inner.read().pes.values().cloned().collect()
     }
@@ -886,14 +877,14 @@ impl Registry {
         let seq = inner.seq + 1;
         Self::commit(
             &mut inner,
-            WalRecord {
+            &[WalRecord {
                 seq,
                 op: WalOp::UpdatePeDescription {
                     id,
                     description: description.to_string(),
                     description_embedding: description_embedding.to_string(),
                 },
-            },
+            }],
         )
     }
 
@@ -911,48 +902,26 @@ impl Registry {
             });
         }
         let seq = inner.seq + 1;
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::RemovePe { id } })
+        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemovePe { id } }])
     }
 
     // ---- workflows ---------------------------------------------------------
 
+    /// Register one workflow over already-registered PEs — the one caller
+    /// that names member ids itself, so the reference check is here (an
+    /// unknown user is reported before an unknown PE).
     pub fn add_workflow(&self, new: NewWorkflow) -> Result<u64, RegistryError> {
         let mut inner = self.inner.write();
         Self::check_user(&inner, new.user_id)?;
-        for pe_id in &new.pe_ids {
-            if !inner.pes.contains_key(pe_id) {
-                return Err(RegistryError::MissingReference {
-                    table: "ProcessingElement",
-                    id: *pe_id,
-                });
-            }
-        }
-        // Case-insensitive duplicate detection through the index (see
-        // `add_pe`), still scoped per user.
-        let key = new.name.to_lowercase();
-        let dup = inner.wf_name_index.get(&key).is_some_and(|ids| {
-            ids.iter()
-                .any(|id| inner.workflows.get(id).is_some_and(|w| w.user_id == new.user_id))
-        });
-        if dup {
-            return Err(RegistryError::DuplicateName {
-                table: "Workflow",
-                name: new.name,
+        if let Some(&id) = new.pe_ids.iter().find(|id| !inner.pes.contains_key(id)) {
+            return Err(RegistryError::MissingReference {
+                table: "ProcessingElement",
+                id,
             });
         }
-        let id = inner.next_id + 1;
-        let seq = inner.seq + 1;
-        let row = WorkflowRow {
-            id,
-            user_id: new.user_id,
-            name: new.name,
-            description: new.description,
-            code: new.code,
-            description_embedding: new.description_embedding,
-            spt_embedding: new.spt_embedding,
-            pe_ids: new.pe_ids,
-        };
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::AddWorkflow(row) })?;
+        let mut stage = Stage::new(&inner);
+        let id = stage.workflow(&inner, new)?;
+        Self::commit(&mut inner, &stage.frame)?;
         Ok(id)
     }
 
@@ -1006,14 +975,14 @@ impl Registry {
         let seq = inner.seq + 1;
         Self::commit(
             &mut inner,
-            WalRecord {
+            &[WalRecord {
                 seq,
                 op: WalOp::UpdateWorkflowDescription {
                     id,
                     description: description.to_string(),
                     description_embedding: description_embedding.to_string(),
                 },
-            },
+            }],
         )
     }
 
@@ -1023,7 +992,7 @@ impl Registry {
             return Err(RegistryError::NotFound("Workflow", id.to_string()));
         }
         let seq = inner.seq + 1;
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::RemoveWorkflow { id } })
+        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveWorkflow { id } }])
     }
 
     /// `remove_All` (Table I): clears PEs and workflows, keeps users and
@@ -1032,7 +1001,7 @@ impl Registry {
     pub fn remove_all(&self) -> Result<(), RegistryError> {
         let mut inner = self.inner.write();
         let seq = inner.seq + 1;
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::RemoveAll })
+        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveAll }])
     }
 
     // ---- literal search (paper §V-A, Fig. 7) --------------------------------
@@ -1098,7 +1067,7 @@ impl Registry {
             status: ExecutionStatus::Submitted,
             submitted_seq: seq,
         };
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::AddExecution(row) })?;
+        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::AddExecution(row) }])?;
         Ok(id)
     }
 
@@ -1110,7 +1079,7 @@ impl Registry {
         let seq = inner.seq + 1;
         Self::commit(
             &mut inner,
-            WalRecord { seq, op: WalOp::SetExecutionStatus { id, status } },
+            &[WalRecord { seq, op: WalOp::SetExecutionStatus { id, status } }],
         )
     }
 
@@ -1135,7 +1104,7 @@ impl Registry {
             output: output.to_string(),
             status,
         };
-        Self::commit(&mut inner, WalRecord { seq, op: WalOp::AddResponse(row) })?;
+        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::AddResponse(row) }])?;
         Ok(id)
     }
 
@@ -1794,7 +1763,7 @@ mod tests {
         );
         assert!(outcomes[1].workflow.is_none());
         assert_eq!(r.counts(), (3, 1));
-        // Ids and seq advanced exactly as a sequential run would.
+        // Ids and seq advance by one per created row.
         assert_eq!(r.snapshot().seq, 1 + 4, "user + 3 PEs + 1 workflow");
     }
 
@@ -1814,6 +1783,48 @@ mod tests {
         assert_eq!(outcomes[1].pes[0], PeOutcome { name: "B".into(), id: b, created: false });
         assert!(outcomes[1].pes[1].created);
         assert_eq!(r.counts(), (3, 2), "A, B, C — no duplicate rows");
+    }
+
+    #[test]
+    fn duplicate_reuse_resolves_to_the_submitting_users_pe() {
+        // Regression: the duplicate was detected per user but resolved to
+        // the first id under the name across all users, so bob's workflow
+        // linked to alice's PE.
+        let r = Registry::new();
+        let alice = r.register_user("alice", "pw").unwrap();
+        let bob = r.register_user("bob", "pw").unwrap();
+        let hers = r.add_pe(pe(alice, "IsPrime")).unwrap();
+        let his = r.add_pe(pe(bob, "isprime")).unwrap();
+        assert_ne!(hers, his);
+        assert_eq!(r.get_pe_by_name_for_user(alice, "ISPRIME").unwrap().id, hers);
+        assert_eq!(r.get_pe_by_name_for_user(bob, "IsPrime").unwrap().id, his);
+        assert!(r.get_pe_by_name_for_user(bob, "Nope").is_err());
+
+        // Committed rows: bob re-registers inside a workflow unit.
+        let out = r.add_units(vec![unit(bob, "bob_wf", &["IsPrime", "Fresh"])]).unwrap();
+        assert_eq!(
+            out[0].pes[0],
+            PeOutcome { name: "IsPrime".into(), id: his, created: false }
+        );
+        let wf = r.get_workflow(out[0].workflow.clone().unwrap().1).unwrap();
+        assert_eq!(wf.pe_ids[0], his, "bob's workflow links to bob's PE");
+        assert!(r.pes_by_workflow(wf.id).unwrap().iter().all(|p| p.user_id == bob));
+
+        // Staged rows: both users stage the same name in one frame, then
+        // each reuses their own.
+        let out = r
+            .add_units(vec![
+                unit(alice, "a1", &["Shared"]),
+                unit(bob, "b1", &["Shared"]),
+                unit(bob, "b2", &["shared"]),
+                unit(alice, "a2", &["SHARED"]),
+            ])
+            .unwrap();
+        assert!(out.iter().all(|o| o.error.is_none()));
+        assert!(out[0].pes[0].created && out[1].pes[0].created);
+        assert_eq!(out[2].pes[0].id, out[1].pes[0].id, "bob reuses bob's");
+        assert_eq!(out[3].pes[0].id, out[0].pes[0].id, "alice reuses alice's");
+        assert!(!out[2].pes[0].created && !out[3].pes[0].created);
     }
 
     #[test]
@@ -1845,7 +1856,7 @@ mod tests {
             outcomes[1].error,
             Some(RegistryError::DuplicateName { table: "Workflow", .. })
         ));
-        // …but its member PEs stay committed, like the sequential path.
+        // …but its member PEs stay committed.
         assert_eq!(outcomes[1].pes.len(), 1);
         assert!(r.get_pe_by_name("B").is_ok());
         assert!(matches!(
@@ -1884,8 +1895,9 @@ mod tests {
 
     #[test]
     fn add_units_matches_sequential_registration_state() {
-        // The core equivalence: one batch == the same items registered
-        // one by one, bit-identical at the snapshot level.
+        // Chunking does not matter: one frame of all units == every row
+        // committed as a frame of its own, bit-identical at the snapshot
+        // level.
         let seq_reg = Registry::new();
         let u1 = seq_reg.register_user("rosa", "pw").unwrap();
         let batch_reg = Registry::new();
@@ -1893,15 +1905,18 @@ mod tests {
         assert_eq!(u1, u2);
 
         let items = vec![unit(u1, "wf1", &["A", "B"]), unit(u1, "wf2", &["B", "C"])];
-        // Sequential: register each unit through the single-row paths.
+        // Row by row: each unit through the single-row entry points.
         for it in &items {
             let mut ids = Vec::new();
             for p in &it.pes {
                 match seq_reg.add_pe(p.clone()) {
                     Ok(id) => ids.push(id),
-                    Err(RegistryError::DuplicateName { .. }) => {
-                        ids.push(seq_reg.get_pe_by_name(&p.name).unwrap().id)
-                    }
+                    Err(RegistryError::DuplicateName { .. }) => ids.push(
+                        seq_reg
+                            .get_pe_by_name_for_user(p.user_id, &p.name)
+                            .unwrap()
+                            .id,
+                    ),
                     Err(e) => panic!("{e}"),
                 }
             }

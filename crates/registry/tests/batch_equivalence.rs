@@ -1,17 +1,19 @@
-//! Batch-registration equivalence properties (DESIGN.md §9).
+//! Properties of the registration frame (DESIGN.md §9).
 //!
 //! Two contracts of [`Registry::add_units`] are under test:
 //!
-//! 1. **Sequential equivalence** — a batch must leave the registry in the
-//!    bit-identical state that the sequential register path produces for
-//!    the same submissions, including assigned ids, duplicate-name
-//!    id-reuse, per-unit errors and the incrementally maintained name
-//!    indexes. Batching changes the commit granularity, never the
+//! 1. **Chunking invariance** — a list of units committed as one frame
+//!    must leave the registry in the bit-identical state that committing
+//!    the same submissions row by row (`add_pe` / `add_workflow`, a frame
+//!    per row) produces, including assigned ids, duplicate-name id-reuse,
+//!    per-unit errors and the incrementally maintained name indexes. All
+//!    of them stage rows through the same routine; how the rows are
+//!    grouped into frames changes the commit granularity, never the
 //!    outcome.
-//! 2. **Frame atomicity** — the batch is one WAL frame, so a crash
-//!    mid-write recovers to *either* the pre-batch state *or* the full
-//!    post-batch state. No byte-level cut may expose a partially applied
-//!    batch.
+//! 2. **Frame atomicity** — the call is one WAL frame, so a crash
+//!    mid-write recovers to *either* the pre-call state *or* the full
+//!    post-call state. No byte-level cut may expose a partially applied
+//!    frame.
 
 use laminar_registry::{
     NewPe, NewWorkflow, PeOutcome, PersistOptions, Registry, RegistrationUnit, RegistryError,
@@ -126,22 +128,22 @@ fn unit_from_spec(user: u64, spec: &UnitSpec) -> RegistrationUnit {
         .collect();
     // `add_units` derives the workflow's member list from the unit's own
     // PEs, so the pe_ids passed here are intentionally empty; the
-    // sequential interpreter fills them in the same way.
+    // row-by-row driver fills them in the same way.
     let workflow = spec
         .workflow
         .map(|n| new_wf(user, format!("Wf{}", n % 3), vec![]));
     RegistrationUnit { pes, workflow }
 }
 
-/// The sequential register path, one unit at a time: `add_pe` per member
-/// (reusing the resolved id on a duplicate name, exactly as the server's
-/// `RegisterWorkflow` handler does), then `add_workflow` over the ids
-/// that landed. Returns the same outcome shape as `add_units`.
+/// The finest chunking, one unit at a time: `add_pe` per member (on a
+/// duplicate name, the id the submitting user already owns under it),
+/// then `add_workflow` over the ids that landed — every row its own
+/// frame. Returns the same outcome shape as `add_units`.
 fn drive_sequential(reg: &Registry, unit: RegistrationUnit) -> UnitOutcome {
     let mut out = UnitOutcome::default();
     let mut member_ids: Vec<u64> = Vec::new();
     for new in unit.pes {
-        let name = new.name.clone();
+        let (name, user_id) = (new.name.clone(), new.user_id);
         match reg.add_pe(new) {
             Ok(id) => {
                 member_ids.push(id);
@@ -153,7 +155,7 @@ fn drive_sequential(reg: &Registry, unit: RegistrationUnit) -> UnitOutcome {
             }
             Err(RegistryError::DuplicateName { .. }) => {
                 let id = reg
-                    .get_pe_by_name(&name)
+                    .get_pe_by_name_for_user(user_id, &name)
                     .expect("duplicate implies a resolvable id")
                     .id;
                 member_ids.push(id);
@@ -188,7 +190,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// `add_units(batch)` ≡ the same submissions registered one by one:
+    /// `add_units(units)` ≡ the same submissions committed row by row:
     /// identical outcomes (ids, reuse flags, errors), identical snapshot,
     /// identical name indexes — live, and again after a WAL replay.
     #[test]

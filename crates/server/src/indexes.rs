@@ -37,7 +37,8 @@
 //! [`AromaEngine`] (PE *source code* plus its own feature index and LSH
 //! tables — the full recommendation pipeline reparses candidates, which
 //! the slabs never stored) live in one cell behind one lock, each behind
-//! its own `Arc`. Every write API feeds both from the same registry row
+//! its own `Arc`. Every write API feeds both from the same analysed row
+//! — the engine is handed the row's SPT vector, it never re-derives it —
 //! and bumps the cell's single monotone `generation` exactly once, so
 //! the two can never be observed out of step. Readers clone only the
 //! `Arc` they scan: a search in flight never forces a copy of the PE
@@ -133,6 +134,15 @@ impl IndexState {
         }
     }
 
+    /// Overwrite the description embedding of an indexed row; a row that
+    /// is not indexed stays absent.
+    fn set_desc(&mut self, id: u64, kind: EntryKind, desc: &DenseVec) {
+        debug_assert_eq!(desc.values.len(), DIM);
+        if let Some(&row) = self.slots.get(&entry_key(id, kind)) {
+            self.desc[row * DIM..(row + 1) * DIM].copy_from_slice(&desc.values);
+        }
+    }
+
     fn remove(&mut self, id: u64, kind: EntryKind) {
         let key = entry_key(id, kind);
         let Some(row) = self.slots.remove(&key) else {
@@ -178,9 +188,11 @@ impl IndexState {
 
 /// One analysed registry row, ready to index: the three embeddings for
 /// the slabs and — for PEs — the name and source the Aroma engine
-/// reparses during prune & rerank. Workflow rows carry theirs too but
-/// the engine never indexes them (workflow-scope recommendations
-/// aggregate PE hits over membership).
+/// reparses during prune & rerank, stored there under the same `spt`
+/// vector. Workflow rows carry theirs too but the engine never indexes
+/// them (workflow-scope recommendations aggregate PE hits over
+/// membership). Registration analyses a submission into one of these
+/// before it has an id; the commit fills `id` in.
 #[derive(Debug, Clone)]
 pub struct IndexRow {
     pub id: u64,
@@ -302,9 +314,9 @@ impl SearchIndexes {
         self.bulk_upsert(vec![row]);
     }
 
-    /// Insert or replace many rows in one published write — the batched
-    /// ingestion and warm-load path. Row-for-row equivalent to calling
-    /// [`upsert`](Self::upsert) in order.
+    /// Insert or replace many rows in one published write — what every
+    /// registration and the warm load go through. Row-for-row equivalent
+    /// to calling [`upsert`](Self::upsert) in order.
     pub fn bulk_upsert(&self, rows: Vec<IndexRow>) {
         if rows.is_empty() {
             return;
@@ -313,21 +325,31 @@ impl SearchIndexes {
             let index = Arc::make_mut(&mut cell.index);
             let mut snippets = Vec::new();
             for row in rows {
-                index.upsert(row.id, row.kind, row.desc, row.spt, row.reacc);
                 if row.kind == EntryKind::Pe {
-                    snippets.push(Snippet::new(row.id, row.name, row.code));
+                    snippets.push((Snippet::new(row.id, row.name, row.code), row.spt.clone()));
                 }
+                index.upsert(row.id, row.kind, row.desc, row.spt, row.reacc);
             }
             if !snippets.is_empty() {
-                Arc::make_mut(&mut cell.engine).add_batch(snippets);
+                let engine = Arc::make_mut(&mut cell.engine);
+                for (snippet, spt) in snippets {
+                    engine.insert(snippet, spt);
+                }
             }
         });
     }
 
+    /// Replace the description embedding of `(kind, id)` — all a
+    /// description update changes. The SPT and ReACC rows and the engine
+    /// depend on the code alone and are left as they are.
+    pub fn set_description(&self, id: u64, kind: EntryKind, desc: &DenseVec) {
+        self.write(|cell| Arc::make_mut(&mut cell.index).set_desc(id, kind, desc));
+    }
+
     /// The embeddings-only primitive: insert or replace the slab and SPT
     /// rows for `(kind, id)` and leave the engine alone. The server goes
-    /// through [`upsert`](Self::upsert); this stays for callers that
-    /// measure the slab write by itself.
+    /// through [`bulk_upsert`](Self::bulk_upsert); this stays for callers
+    /// that measure the slab write by itself.
     pub fn upsert_embedded(
         &self,
         id: u64,

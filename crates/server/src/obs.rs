@@ -284,13 +284,14 @@ impl RecoMetrics {
     }
 }
 
-/// Batched-ingestion metrics, fed by the `RegisterBatch` path: how large
-/// the batches are, where each batch's time goes (parallel analysis vs
-/// group commit vs index publish), and how many fsyncs the group-commit
-/// WAL saved over the per-row path.
+/// Write-path metrics, fed by every registration (`RegisterPe` and
+/// `RegisterWorkflow` are batches of one): how large the batches are,
+/// where each one's time goes (parallel analysis vs commit vs index
+/// publish), and how many fsyncs sharing a WAL frame saved over a frame
+/// per row.
 #[derive(Debug, Default)]
 pub struct IngestMetrics {
-    /// `RegisterBatch` requests served.
+    /// Registration requests served.
     pub batches: Counter,
     /// Items (PE or workflow units) submitted across all batches.
     pub items: Counter,
@@ -298,8 +299,8 @@ pub struct IngestMetrics {
     pub items_failed: Counter,
     /// Registry rows created (PEs + workflows; duplicates reused count 0).
     pub rows: Counter,
-    /// fsyncs avoided vs sequential registration: rows that shared a
-    /// group-commit frame instead of each paying their own sync.
+    /// fsyncs avoided vs a frame per row: rows that shared their
+    /// request's frame instead of each paying their own sync.
     pub fsyncs_saved: Counter,
     /// Items-per-batch distribution (bucket bounds reused as counts).
     pub batch_size: Histogram,

@@ -144,9 +144,10 @@ pub struct PeSubmission {
     pub description: Option<String>,
 }
 
-/// One registration unit of a `RegisterBatch` (v6): either a standalone
-/// PE or a workflow with its member PEs — the same shapes `RegisterPe`
-/// and `RegisterWorkflow` carry, minus the per-request token.
+/// One registration unit: either a standalone PE or a workflow with its
+/// member PEs. A `RegisterBatch` (v6) carries a list of them;
+/// `RegisterPe` and `RegisterWorkflow` carry the fields of one and are
+/// served as a batch of one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum BatchItemWire {
     Pe(PeSubmission),
@@ -169,9 +170,8 @@ pub enum BatchOutcomeWire {
         pe_ids: Vec<(String, u64)>,
         workflow_id: Option<(String, u64)>,
     },
-    /// The item failed; member PEs registered before the failure stay
-    /// (matching the sequential path's partial-progress behaviour), and
-    /// any that did commit are listed.
+    /// The item failed validation; member PEs staged before the failure
+    /// stay, and are listed.
     Failed {
         pe_ids: Vec<(String, u64)>,
         error: String,
@@ -246,10 +246,18 @@ pub enum Request {
         username: String,
         password: String,
     },
+    /// A batch of one [`BatchItemWire::Pe`], answered with
+    /// `Response::Registered` (re-registering a name the user owns
+    /// returns that PE's id) or `Response::Error`.
     RegisterPe {
         token: Token,
         pe: PeSubmission,
     },
+    /// A batch of one [`BatchItemWire::Workflow`]: the workflow and every
+    /// member PE commit as one WAL frame and publish as one index
+    /// snapshot. Answered with `Response::Registered` or — the item
+    /// failed validation, e.g. the workflow name is taken; member PEs
+    /// staged before that stay — `Response::Error`.
     RegisterWorkflow {
         token: Token,
         name: String,
@@ -257,9 +265,9 @@ pub enum Request {
         description: Option<String>,
         pes: Vec<PeSubmission>,
     },
-    /// Bulk ingestion (v6): N PE/workflow registrations in one
-    /// round-trip, analysed in parallel and committed through one
-    /// group-commit WAL frame + one index snapshot swap. Answered with
+    /// N PE/workflow registrations in one round-trip (v6), analysed in
+    /// parallel and committed through one WAL frame + one index snapshot
+    /// swap — the write path every registration takes. Answered with
     /// `Response::BatchRegistered` carrying per-item outcomes.
     RegisterBatch {
         token: Token,

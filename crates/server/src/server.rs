@@ -247,57 +247,45 @@ impl LaminarServer {
     /// registry already holds (a registry restored via `load_from` arrives
     /// populated). Embedding CLOBs decode and the ReACC code embeddings
     /// compute in parallel across registry rows, then everything — slabs,
-    /// SPT rows and every PE's source for the engine — publishes as one
-    /// write.
+    /// SPT rows and, under the same decoded SPT vector, every PE's source
+    /// for the engine — publishes as one write.
     fn warm_load_indexes(&self) {
-        let pes = self.registry.all_pes();
-        let workflows = self.registry.all_workflows();
-        if pes.is_empty() && workflows.is_empty() {
-            return;
-        }
-        struct RowRef<'a> {
-            id: u64,
-            kind: EntryKind,
-            name: &'a str,
-            desc_json: &'a str,
-            spt_json: &'a str,
-            description: &'a str,
-            code: &'a str,
-        }
-        let rows: Vec<RowRef<'_>> = pes
-            .iter()
-            .map(|p| RowRef {
-                id: p.id,
-                kind: EntryKind::Pe,
-                name: &p.name,
-                desc_json: &p.description_embedding,
-                spt_json: &p.spt_embedding,
-                description: &p.description,
-                code: &p.code,
-            })
-            .chain(workflows.iter().map(|w| RowRef {
-                id: w.id,
-                kind: EntryKind::Workflow,
-                name: &w.name,
-                desc_json: &w.description_embedding,
-                spt_json: &w.spt_embedding,
-                description: &w.description,
-                code: &w.code,
-            }))
-            .collect();
-        let decoded: Vec<IndexRow> = rows
+        // Stored CLOBs are authoritative; rows predating the embedding
+        // columns fall back to re-embedding.
+        let decode = |desc_json: &str, description: &str, spt_json: &str, code: &str| {
+            let desc = DenseVec::from_json(desc_json)
+                .unwrap_or_else(|_| self.unixcoder.embed_text(description));
+            let spt = FeatureVec::from_json(spt_json)
+                .unwrap_or_else(|_| Spt::parse_source(code).feature_vec());
+            (desc, spt)
+        };
+        let (pes, workflows) = (self.registry.all_pes(), self.registry.all_workflows());
+        let mut rows: Vec<IndexRow> = pes
             .par_iter()
-            .map(|r| {
-                // Stored CLOBs are authoritative; rows predating the
-                // embedding columns fall back to re-embedding.
-                let desc = DenseVec::from_json(r.desc_json)
-                    .unwrap_or_else(|_| self.unixcoder.embed_text(r.description));
-                let spt = FeatureVec::from_json(r.spt_json)
-                    .unwrap_or_else(|_| Spt::parse_source(r.code).feature_vec());
-                IndexRow::embed(r.id, r.kind, r.name, r.code, desc, spt)
+            .map(|p| {
+                let (desc, spt) = decode(
+                    &p.description_embedding,
+                    &p.description,
+                    &p.spt_embedding,
+                    &p.code,
+                );
+                IndexRow::embed(p.id, EntryKind::Pe, &p.name, &p.code, desc, spt)
             })
             .collect();
-        self.indexes.bulk_upsert(decoded);
+        let workflow_rows: Vec<IndexRow> = workflows
+            .par_iter()
+            .map(|w| {
+                let (desc, spt) = decode(
+                    &w.description_embedding,
+                    &w.description,
+                    &w.spt_embedding,
+                    &w.code,
+                );
+                IndexRow::embed(w.id, EntryKind::Workflow, &w.name, &w.code, desc, spt)
+            })
+            .collect();
+        rows.extend(workflow_rows);
+        self.indexes.bulk_upsert(rows);
         self.sync_index_gauges();
     }
 
@@ -488,11 +476,7 @@ impl LaminarServer {
             }
             Request::RegisterPe { token, pe } => {
                 let user = self.auth(token)?;
-                let (name, id) = self.register_pe(user, pe)?;
-                Reply::Value(Response::Registered {
-                    pe_ids: vec![(name, id)],
-                    workflow_id: None,
-                })
+                self.register_one(user, BatchItemWire::Pe(pe))?
             }
             Request::RegisterWorkflow {
                 token,
@@ -502,15 +486,13 @@ impl LaminarServer {
                 pes,
             } => {
                 let user = self.auth(token)?;
-                let mut pe_ids = Vec::new();
-                for pe in &pes {
-                    pe_ids.push(self.register_pe(user, pe.clone())?);
-                }
-                let wf_id = self.register_workflow(user, &name, &code, description, &pe_ids)?;
-                Reply::Value(Response::Registered {
-                    pe_ids,
-                    workflow_id: Some((name, wf_id)),
-                })
+                let item = BatchItemWire::Workflow {
+                    name,
+                    code,
+                    description,
+                    pes,
+                };
+                self.register_one(user, item)?
             }
             Request::RegisterBatch { token, items } => {
                 let user = self.auth(token)?;
@@ -564,19 +546,7 @@ impl LaminarServer {
                 description,
             } => {
                 self.auth(token)?;
-                let pe = self.resolve_pe(&ident)?;
-                let emb = self.unixcoder.embed_text(&description);
-                self.registry
-                    .update_pe_description(pe.id, &description, &emb.to_json())?;
-                self.indexes.upsert(IndexRow::embed(
-                    pe.id,
-                    EntryKind::Pe,
-                    &pe.name,
-                    &pe.code,
-                    emb,
-                    Spt::parse_source(&pe.code).feature_vec(),
-                ));
-                Reply::Value(Response::Ok)
+                self.update_description(EntryKind::Pe, &ident, &description)?
             }
             Request::UpdateWorkflowDescription {
                 token,
@@ -584,19 +554,7 @@ impl LaminarServer {
                 description,
             } => {
                 self.auth(token)?;
-                let wf = self.resolve_workflow(&ident)?;
-                let emb = self.unixcoder.embed_text(&description);
-                self.registry
-                    .update_workflow_description(wf.id, &description, &emb.to_json())?;
-                self.indexes.upsert(IndexRow::embed(
-                    wf.id,
-                    EntryKind::Workflow,
-                    &wf.name,
-                    &wf.code,
-                    emb,
-                    Spt::parse_source(&wf.code).feature_vec(),
-                ));
-                Reply::Value(Response::Ok)
+                self.update_description(EntryKind::Workflow, &ident, &description)?
             }
             Request::RemovePe { token, ident } => {
                 self.auth(token)?;
@@ -843,104 +801,43 @@ impl LaminarServer {
 
     // ---- registration service ---------------------------------------------------
 
-    /// Register a PE: generate the description if absent (§IV-C), embed it,
-    /// extract SPT features (§VI), store, index. Re-registering an existing
-    /// name returns the existing id (idempotent workflow re-registration).
-    fn register_pe(&self, user: u64, pe: PeSubmission) -> Result<(String, u64), ServerError> {
-        let description = match &pe.description {
-            Some(d) if !d.is_empty() => d.clone(),
-            _ => self.codet5.describe_pe(&pe.code),
-        };
-        let desc_emb = self.unixcoder.embed_text(&description);
-        let spt_vec = Spt::parse_source(&pe.code).feature_vec();
-        let result = self.registry.add_pe(NewPe {
-            user_id: user,
-            name: pe.name.clone(),
-            description: description.clone(),
-            code: pe.code.clone(),
-            description_embedding: desc_emb.to_json(),
-            spt_embedding: spt_vec.to_json(),
-        });
-        match result {
-            Ok(id) => {
-                self.indexes.upsert(IndexRow::embed(
-                    id,
-                    EntryKind::Pe,
-                    &pe.name,
-                    &pe.code,
-                    desc_emb,
-                    spt_vec,
-                ));
-                self.sync_index_gauges();
-                Ok((pe.name, id))
-            }
-            Err(RegistryError::DuplicateName { .. }) => {
-                let existing = self.registry.get_pe_by_name(&pe.name)?;
-                Ok((pe.name, existing.id))
-            }
-            Err(e) => Err(e.into()),
-        }
+    /// `RegisterPe` / `RegisterWorkflow`: a batch of one, its outcome
+    /// mapped back to the single-registration reply shapes.
+    fn register_one(&self, user: u64, item: BatchItemWire) -> Result<Reply, ServerError> {
+        let outcome = self
+            .register_batch(user, vec![item])?
+            .pop()
+            .expect("one outcome per item");
+        Ok(Reply::Value(match outcome {
+            BatchOutcomeWire::Registered {
+                pe_ids,
+                workflow_id,
+            } => Response::Registered {
+                pe_ids,
+                workflow_id,
+            },
+            BatchOutcomeWire::Failed { error, .. } => Response::Error(error),
+        }))
     }
 
-    fn register_workflow(
-        &self,
-        user: u64,
-        name: &str,
-        code: &str,
-        description: Option<String>,
-        pe_ids: &[(String, u64)],
-    ) -> Result<u64, ServerError> {
-        let description = match description {
-            Some(d) if !d.is_empty() => d,
-            _ => {
-                let codes: Vec<String> = pe_ids
-                    .iter()
-                    .filter_map(|(_, id)| self.registry.get_pe(*id).ok())
-                    .map(|p| p.code)
-                    .collect();
-                let refs: Vec<&str> = codes.iter().map(String::as_str).collect();
-                self.codet5.describe_workflow(name, &refs)
-            }
-        };
-        let desc_emb = self.unixcoder.embed_text(&description);
-        let spt_vec = Spt::parse_source(code).feature_vec();
-        let id = self.registry.add_workflow(NewWorkflow {
-            user_id: user,
-            name: name.to_string(),
-            description,
-            code: code.to_string(),
-            description_embedding: desc_emb.to_json(),
-            spt_embedding: spt_vec.to_json(),
-            pe_ids: pe_ids.iter().map(|(_, id)| *id).collect(),
-        })?;
-        self.indexes.upsert(IndexRow::embed(
-            id,
-            EntryKind::Workflow,
-            name,
-            code,
-            desc_emb,
-            spt_vec,
-        ));
-        self.sync_index_gauges();
-        Ok(id)
-    }
-
-    /// Bulk ingestion (v6): the batched counterpart of N sequential
-    /// `RegisterPe`/`RegisterWorkflow` calls, in three amortized stages:
+    /// The write path. Every registration — `RegisterPe` and
+    /// `RegisterWorkflow` as a batch of one, `RegisterBatch` as sent — is
+    /// a list of units that is
     ///
-    /// 1. **Analyze** (rayon-parallel, no locks): per submission, pyparse →
-    ///    SPT features → codet5 description → unixcoder/reacc embeddings.
-    /// 2. **Commit** ([`Registry::add_units`]): every unit validated under
-    ///    one write-lock hold, all rows appended as one group-commit WAL
-    ///    frame (one fsync), then applied.
-    /// 3. **Index**: every created row published through one bulk upsert —
-    ///    a single RCU snapshot swap instead of one per row.
+    /// 1. **analysed** once (rayon-parallel, no locks): per submission,
+    ///    codet5 description (§IV-C) → unixcoder embedding, pyparse → SPT
+    ///    features (§VI), reacc embedding — straight into the [`IndexRow`]
+    ///    it will publish;
+    /// 2. **committed** once ([`Registry::add_units`]): every unit staged
+    ///    under one write-lock hold, all rows appended as one WAL frame
+    ///    (one fsync), then applied;
+    /// 3. **published** once: every created row through one bulk upsert —
+    ///    one generation bump, the engine handed the row's own SPT vector.
     ///
-    /// Outcomes are per-item (partial success); the final state is
-    /// identical to registering the same items sequentially, including
-    /// duplicate-name reuse and the partial-progress behaviour on item
-    /// failure. The outer `Err` is reserved for WAL failure, in which case
-    /// nothing was committed.
+    /// Outcomes are per item (partial success): re-registering a PE name
+    /// the user owns reuses that PE's id, a duplicate workflow name fails
+    /// the item while its member PEs stay. The outer `Err` is reserved for
+    /// WAL failure, in which case nothing was committed.
     ///
     /// [`Registry::add_units`]: laminar_registry::Registry::add_units
     fn register_batch(
@@ -948,54 +845,45 @@ impl LaminarServer {
         user: u64,
         items: Vec<BatchItemWire>,
     ) -> Result<Vec<BatchOutcomeWire>, ServerError> {
-        struct AnalyzedPe {
-            name: String,
-            code: String,
+        /// An analysed submission: the index row it will publish (id
+        /// filled in by the commit) and its registry row's description.
+        struct Analysed {
+            row: IndexRow,
             description: String,
-            desc_emb: DenseVec,
-            spt_vec: FeatureVec,
-            reacc: DenseVec,
         }
-        struct AnalyzedWf {
-            name: String,
-            code: String,
-            /// `None` until the auto-description resolves in stage 2.
-            description: Option<String>,
-            desc_emb: DenseVec,
-            spt_vec: FeatureVec,
-            reacc: DenseVec,
-        }
-        struct AnalyzedItem {
-            pes: Vec<AnalyzedPe>,
-            workflow: Option<AnalyzedWf>,
+        struct AnalysedItem {
+            pes: Vec<Analysed>,
+            workflow: Option<Analysed>,
         }
         let item_count = items.len();
 
-        // Stage 1: parallel per-submission analysis. Everything here is
-        // pure (registry untouched), so items fan out across rayon
-        // workers; the duplicate-heavy case wastes some embedding work,
-        // exactly like the sequential path does.
-        let analyze_start = std::time::Instant::now();
-        let reacc = ReaccSim::new();
-        let analyze_pe = |pe: &PeSubmission| {
-            let description = match &pe.description {
-                Some(d) if !d.is_empty() => d.clone(),
+        // Stage 1: parallel per-submission analysis — pure, so items fan
+        // out across rayon workers; duplicates waste some of it.
+        let analyse_start = std::time::Instant::now();
+        let analyse = |kind, name: String, code: String, description: String| Analysed {
+            row: IndexRow {
+                id: 0,
+                kind,
+                desc: self.unixcoder.embed_text(&description),
+                spt: Spt::parse_source(&code).feature_vec(),
+                reacc: ReaccSim::new().embed_code(&code),
+                name,
+                code,
+            },
+            description,
+        };
+        let analyse_pe = |pe: PeSubmission| {
+            let description = match pe.description {
+                Some(d) if !d.is_empty() => d,
                 _ => self.codet5.describe_pe(&pe.code),
             };
-            AnalyzedPe {
-                name: pe.name.clone(),
-                code: pe.code.clone(),
-                desc_emb: self.unixcoder.embed_text(&description),
-                spt_vec: Spt::parse_source(&pe.code).feature_vec(),
-                reacc: reacc.embed_code(&pe.code),
-                description,
-            }
+            analyse(EntryKind::Pe, pe.name, pe.code, description)
         };
-        let mut analyzed: Vec<AnalyzedItem> = items
-            .par_iter()
+        let mut analysed: Vec<AnalysedItem> = items
+            .into_par_iter()
             .map(|item| match item {
-                BatchItemWire::Pe(pe) => AnalyzedItem {
-                    pes: vec![analyze_pe(pe)],
+                BatchItemWire::Pe(pe) => AnalysedItem {
+                    pes: vec![analyse_pe(pe)],
                     workflow: None,
                 },
                 BatchItemWire::Workflow {
@@ -1003,104 +891,76 @@ impl LaminarServer {
                     code,
                     description,
                     pes,
-                } => {
-                    let description = match description {
-                        Some(d) if !d.is_empty() => Some(d.clone()),
-                        _ => None,
-                    };
-                    // Placeholder for auto-described workflows; replaced
-                    // in stage 2a once the member codes resolve.
-                    let desc_emb = description
-                        .as_deref()
-                        .map(|d| self.unixcoder.embed_text(d))
-                        .unwrap_or_else(DenseVec::zero);
-                    AnalyzedItem {
-                        pes: pes.iter().map(analyze_pe).collect(),
-                        workflow: Some(AnalyzedWf {
-                            name: name.clone(),
-                            code: code.clone(),
-                            description,
-                            desc_emb,
-                            spt_vec: Spt::parse_source(code).feature_vec(),
-                            reacc: reacc.embed_code(code),
-                        }),
-                    }
-                }
+                } => AnalysedItem {
+                    pes: pes.into_iter().map(&analyse_pe).collect(),
+                    // A workflow sent without a description keeps an empty
+                    // one (embedding zero) until its member codes resolve.
+                    workflow: Some(analyse(
+                        EntryKind::Workflow,
+                        name,
+                        code,
+                        description.unwrap_or_default(),
+                    )),
+                },
             })
             .collect();
 
-        // Stage 2a (sequential, pre-lock): resolve workflow
-        // auto-descriptions from the member codes the workflow rows will
-        // actually reference — the *existing* row's code when a member
-        // name duplicates (committed rows first, then earlier batch
-        // items), the submitted code when the member is new. This mirrors
-        // the sequential path, where members commit before the workflow
-        // description reads them back via `get_pe`.
-        let user_pe_names: std::collections::HashSet<String> = self
-            .registry
-            .all_pes()
-            .iter()
-            .filter(|p| p.user_id == user)
-            .map(|p| p.name.to_lowercase())
-            .collect();
-        let mut pending_codes: HashMap<String, String> = HashMap::new();
-        for item in &mut analyzed {
-            let mut member_codes: Vec<String> = Vec::with_capacity(item.pes.len());
-            for pe in &item.pes {
-                let key = pe.name.to_lowercase();
-                let dup = user_pe_names.contains(&key) || pending_codes.contains_key(&key);
-                let code = if dup {
+        // Stage 2a (sequential, pre-lock): describe the workflows sent
+        // without a description from the member codes their rows will
+        // reference — the registered row's code for a name the user owns
+        // (looked up per member, only for these workflows), else the
+        // first submission of the name here, which the commit creates.
+        let mut submitted: HashMap<String, &str> = HashMap::new();
+        for AnalysedItem { pes, workflow } in &mut analysed {
+            let pes: &[Analysed] = pes;
+            for pe in pes {
+                submitted
+                    .entry(pe.row.name.to_lowercase())
+                    .or_insert(&pe.row.code);
+            }
+            let Some(wf) = workflow.as_mut().filter(|w| w.description.is_empty()) else {
+                continue;
+            };
+            let codes: Vec<String> = pes
+                .iter()
+                .map(|pe| {
                     self.registry
-                        .get_pe_by_name(&pe.name)
+                        .get_pe_by_name_for_user(user, &pe.row.name)
                         .map(|row| row.code)
-                        .unwrap_or_else(|_| {
-                            pending_codes
-                                .get(&key)
-                                .cloned()
-                                .unwrap_or_else(|| pe.code.clone())
-                        })
-                } else {
-                    pending_codes.insert(key, pe.code.clone());
-                    pe.code.clone()
-                };
-                member_codes.push(code);
-            }
-            if let Some(wf) = &mut item.workflow {
-                if wf.description.is_none() {
-                    let refs: Vec<&str> = member_codes.iter().map(String::as_str).collect();
-                    let d = self.codet5.describe_workflow(&wf.name, &refs);
-                    wf.desc_emb = self.unixcoder.embed_text(&d);
-                    wf.description = Some(d);
-                }
-            }
+                        .unwrap_or_else(|_| submitted[&pe.row.name.to_lowercase()].to_string())
+                })
+                .collect();
+            let codes: Vec<&str> = codes.iter().map(String::as_str).collect();
+            wf.description = self.codet5.describe_workflow(&wf.row.name, &codes);
+            wf.row.desc = self.unixcoder.embed_text(&wf.description);
         }
-        let analyze_elapsed = analyze_start.elapsed();
+        let analyse_elapsed = analyse_start.elapsed();
 
-        // Stage 2b: group commit — one lock hold, one WAL frame.
+        // Stage 2b: one lock hold, one WAL frame.
         let commit_start = std::time::Instant::now();
-        let units: Vec<laminar_registry::RegistrationUnit> = analyzed
+        let units: Vec<laminar_registry::RegistrationUnit> = analysed
             .iter()
             .map(|item| laminar_registry::RegistrationUnit {
                 pes: item
                     .pes
                     .iter()
-                    .map(|p| NewPe {
+                    .map(|a| NewPe {
                         user_id: user,
-                        name: p.name.clone(),
-                        description: p.description.clone(),
-                        code: p.code.clone(),
-                        description_embedding: p.desc_emb.to_json(),
-                        spt_embedding: p.spt_vec.to_json(),
+                        name: a.row.name.clone(),
+                        description: a.description.clone(),
+                        code: a.row.code.clone(),
+                        description_embedding: a.row.desc.to_json(),
+                        spt_embedding: a.row.spt.to_json(),
                     })
                     .collect(),
-                workflow: item.workflow.as_ref().map(|w| NewWorkflow {
+                workflow: item.workflow.as_ref().map(|a| NewWorkflow {
                     user_id: user,
-                    name: w.name.clone(),
-                    description: w.description.clone().unwrap_or_default(),
-                    code: w.code.clone(),
-                    description_embedding: w.desc_emb.to_json(),
-                    spt_embedding: w.spt_vec.to_json(),
-                    // Resolved per-unit inside `add_units`.
+                    name: a.row.name.clone(),
+                    description: a.description.clone(),
+                    code: a.row.code.clone(),
+                    description_embedding: a.row.desc.to_json(),
+                    spt_embedding: a.row.spt.to_json(),
+                    // Resolved per unit inside `add_units`.
                     pe_ids: Vec::new(),
                 }),
             })
@@ -1108,35 +968,21 @@ impl LaminarServer {
         let outcomes = self.registry.add_units(units)?;
         let commit_elapsed = commit_start.elapsed();
 
-        // Stage 3: publish every *created* row (duplicate-reused PEs are
-        // not re-indexed, matching the sequential path) in one snapshot
-        // swap.
+        // Stage 3: publish every *created* row (a reused PE is already
+        // indexed) in one snapshot swap.
         let index_start = std::time::Instant::now();
         let mut rows: Vec<IndexRow> = Vec::new();
-        for (outcome, item) in outcomes.iter().zip(analyzed) {
-            for (po, ap) in outcome.pes.iter().zip(item.pes) {
+        for (outcome, item) in outcomes.iter().zip(analysed) {
+            for (po, pe) in outcome.pes.iter().zip(item.pes) {
                 if po.created {
                     rows.push(IndexRow {
                         id: po.id,
-                        kind: EntryKind::Pe,
-                        name: ap.name,
-                        code: ap.code,
-                        desc: ap.desc_emb,
-                        spt: ap.spt_vec,
-                        reacc: ap.reacc,
+                        ..pe.row
                     });
                 }
             }
-            if let (Some((_, wf_id)), Some(aw)) = (&outcome.workflow, item.workflow) {
-                rows.push(IndexRow {
-                    id: *wf_id,
-                    kind: EntryKind::Workflow,
-                    name: aw.name,
-                    code: aw.code,
-                    desc: aw.desc_emb,
-                    spt: aw.spt_vec,
-                    reacc: aw.reacc,
-                });
+            if let (Some((_, id)), Some(wf)) = (&outcome.workflow, item.workflow) {
+                rows.push(IndexRow { id: *id, ..wf.row });
             }
         }
         let created_rows = rows.len() as u64;
@@ -1152,11 +998,11 @@ impl LaminarServer {
         ingest.rows.add(created_rows);
         ingest.batch_size.record_value(item_count as u64);
         if self.registry.persist_stats().is_some() {
-            // Each created row shared the one group-commit frame instead
-            // of paying its own WAL append/fsync.
+            // Each created row shared the one frame instead of paying its
+            // own WAL append/fsync.
             ingest.fsyncs_saved.add(created_rows.saturating_sub(1));
         }
-        ingest.analyze_latency.record(analyze_elapsed);
+        ingest.analyze_latency.record(analyse_elapsed);
         ingest.commit_latency.record(commit_elapsed);
         ingest.index_latency.record(index_elapsed);
 
@@ -1177,6 +1023,34 @@ impl LaminarServer {
                 }
             })
             .collect())
+    }
+
+    /// `UpdatePeDescription` / `UpdateWorkflowDescription`: store the new
+    /// text with its embedding and publish that embedding — the only
+    /// indexed value a description feeds — in one write.
+    fn update_description(
+        &self,
+        kind: EntryKind,
+        ident: &Ident,
+        description: &str,
+    ) -> Result<Reply, ServerError> {
+        let emb = self.unixcoder.embed_text(description);
+        let id = match kind {
+            EntryKind::Pe => {
+                let id = self.resolve_pe(ident)?.id;
+                self.registry
+                    .update_pe_description(id, description, &emb.to_json())?;
+                id
+            }
+            EntryKind::Workflow => {
+                let id = self.resolve_workflow(ident)?.id;
+                self.registry
+                    .update_workflow_description(id, description, &emb.to_json())?;
+                id
+            }
+        };
+        self.indexes.set_description(id, kind, &emb);
+        Ok(Reply::Value(Response::Ok))
     }
 
     // ---- search service ------------------------------------------------------------
@@ -1981,14 +1855,37 @@ mod tests {
     #[test]
     fn update_description_reflected_in_search() {
         let (server, token) = server_with_session();
-        let (pe_ids, _) = register_isprime(&server, token);
-        server
+        let (pe_ids, wf_id) = register_isprime(&server, token);
+        let (generation, engine) = (server.indexes().generation(), server.indexes().engine());
+        let code_q = Spt::parse_source(PRODUCER).feature_vec();
+        let spt_before = server.indexes().rank_spt(&code_q, None, usize::MAX);
+        let resp = server
             .handle(Request::UpdatePeDescription {
                 token,
                 ident: Ident::Id(pe_ids[0].1),
                 description: "generates completely random zebra numbers".into(),
             })
             .value();
+        assert_eq!(resp, Response::Ok);
+        let resp = server
+            .handle(Request::UpdateWorkflowDescription {
+                token,
+                ident: Ident::Id(wf_id),
+                description: "a pipeline about okapi herds".into(),
+            })
+            .value();
+        assert_eq!(resp, Response::Ok);
+        // One publication per update; only the description embeddings
+        // moved — the engine is the very same snapshot.
+        assert_eq!(server.indexes().generation(), generation + 2);
+        assert!(Arc::ptr_eq(&engine, &server.indexes().engine()));
+        assert_eq!(
+            server.indexes().rank_spt(&code_q, None, usize::MAX),
+            spt_before
+        );
+        let q = UniXcoderSim::new().embed_text("okapi herds");
+        let hits = server.indexes().rank_semantic(&q, None, 1);
+        assert_eq!((hits[0].id, hits[0].kind), (wf_id, EntryKind::Workflow));
         let resp = server
             .handle(Request::SearchSemantic {
                 token,
@@ -2061,6 +1958,35 @@ mod tests {
             1,
             "a warm load is one publication, not one per row"
         );
+        // The engine was handed the stored SPT vectors; it must recommend
+        // exactly like one that parsed and featurised the same rows.
+        let engine = server2.indexes().engine();
+        let mut fresh = aroma::AromaEngine::new(engine.config().clone());
+        let held = engine.index();
+        fresh.add_batch(held.ids().map(|id| held.get(id).unwrap().clone()).collect());
+        for query in ["random.randint(1, 1000)", ISPRIME, "print('the num')"] {
+            let (got, got_stats) = engine.recommend_with_stats(query);
+            let (want, want_stats) = fresh.recommend_with_stats(query);
+            let key = |r: &aroma::Recommendation| {
+                (
+                    r.seed_id,
+                    r.code.clone(),
+                    r.score.to_bits(),
+                    r.retrieval_score.to_bits(),
+                    r.cluster_size,
+                )
+            };
+            assert_eq!(
+                got.iter().map(key).collect::<Vec<_>>(),
+                want.iter().map(key).collect::<Vec<_>>(),
+                "{query:?}"
+            );
+            assert_eq!(
+                (got_stats.retrieved, got_stats.pruned, got_stats.clusters),
+                (want_stats.retrieved, want_stats.pruned, want_stats.clusters),
+                "{query:?}"
+            );
+        }
         let token2 = match server2
             .handle(Request::Login {
                 username: "rosa".into(),
@@ -2486,95 +2412,267 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn register_batch_matches_sequential_registration() {
-        // The same items, one per request on server A and one batch on
-        // server B, must leave identical registry state and identical
-        // search rankings.
-        let (seq, seq_token) = server_with_session();
-        let (batch, batch_token) = server_with_session();
-        let items = batch_items();
-        for item in items.clone() {
-            let resp = match item {
-                BatchItemWire::Pe(pe) => seq.handle(Request::RegisterPe {
-                    token: seq_token,
-                    pe,
-                }),
-                BatchItemWire::Workflow {
-                    name,
-                    code,
-                    description,
-                    pes,
-                } => seq.handle(Request::RegisterWorkflow {
-                    token: seq_token,
-                    name,
-                    code,
-                    description,
-                    pes,
-                }),
-            };
-            assert!(matches!(resp.value(), Response::Registered { .. }));
-        }
-        let resp = batch
-            .handle(Request::RegisterBatch {
-                token: batch_token,
-                items,
-            })
-            .value();
-        let Response::BatchRegistered { outcomes } = resp else {
-            panic!("expected BatchRegistered, got {resp:?}");
+    /// Send one registration unit either as the single-registration
+    /// request of its shape or as a `RegisterBatch` of one, and report it
+    /// in the batch outcome shape (a single `Error` carries no ids).
+    fn register_unit(
+        server: &LaminarServer,
+        token: Token,
+        item: BatchItemWire,
+        as_batch: bool,
+    ) -> Result<BatchOutcomeWire, String> {
+        let req = match item {
+            item if as_batch => Request::RegisterBatch {
+                token,
+                items: vec![item],
+            },
+            BatchItemWire::Pe(pe) => Request::RegisterPe { token, pe },
+            BatchItemWire::Workflow {
+                name,
+                code,
+                description,
+                pes,
+            } => Request::RegisterWorkflow {
+                token,
+                name,
+                code,
+                description,
+                pes,
+            },
         };
-        assert_eq!(outcomes.len(), 3);
-        assert!(outcomes
-            .iter()
-            .all(|o| matches!(o, BatchOutcomeWire::Registered { .. })));
-        // Duplicate members of item 3 resolved to item 2's ids.
-        let (item2_ids, item3_ids) = match (&outcomes[1], &outcomes[2]) {
-            (
-                BatchOutcomeWire::Registered { pe_ids: a, .. },
-                BatchOutcomeWire::Registered { pe_ids: b, .. },
-            ) => (a.clone(), b.clone()),
+        match server.handle(req).value() {
+            Response::Registered {
+                pe_ids,
+                workflow_id,
+            } => Ok(BatchOutcomeWire::Registered {
+                pe_ids,
+                workflow_id,
+            }),
+            Response::BatchRegistered { mut outcomes } => {
+                assert_eq!(outcomes.len(), 1);
+                Ok(outcomes.remove(0))
+            }
+            Response::Error(e) => Err(e),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// The registration scenario table: every row goes through
+    /// `RegisterPe` / `RegisterWorkflow` on one server and as a
+    /// `RegisterBatch` item on another. There is one write path, so ids,
+    /// outcomes, registry rows, name indexes, index contents, generation
+    /// and ingest metrics must agree at every step.
+    #[test]
+    fn registration_scenarios_agree_across_request_shapes() {
+        let sub = |name: &str, code: &str| PeSubmission {
+            name: name.into(),
+            code: code.into(),
+            description: None,
         };
-        assert_eq!(item3_ids[0].1, item2_ids[0].1);
-        assert_eq!(item3_ids[1].1, item2_ids[1].1);
-        // Registry state is bit-identical.
-        assert_eq!(seq.registry().snapshot(), batch.registry().snapshot());
+        let wf = |name: &str, description: Option<&str>, pes: Vec<PeSubmission>| {
+            BatchItemWire::Workflow {
+                name: name.into(),
+                code: format!("{PRODUCER}\n{ISPRIME}"),
+                description: description.map(str::to_string),
+                pes,
+            }
+        };
+        struct World {
+            server: LaminarServer,
+            alice: Token,
+            bob: Token,
+        }
+        let world = || {
+            let server = LaminarServer::with_stock();
+            let login = |username: &str| match server
+                .handle(Request::RegisterUser {
+                    username: username.into(),
+                    password: "pw".into(),
+                })
+                .value()
+            {
+                Response::Token(t) => t,
+                other => panic!("{other:?}"),
+            };
+            let (alice, bob) = (login("alice"), login("bob"));
+            World { server, alice, bob }
+        };
+        let (single, batch) = (world(), world());
+
+        // One scenario on both servers; the two outcomes must be equal
+        // (a failed single registration reports only its message).
+        let run = |who: fn(&World) -> Token, item: BatchItemWire| {
+            let a = register_unit(&single.server, who(&single), item.clone(), false);
+            let b = register_unit(&batch.server, who(&batch), item, true);
+            match (a, b) {
+                (Ok(a), Ok(BatchOutcomeWire::Failed { pe_ids, error })) => {
+                    panic!("single registered {a:?}, batch failed {pe_ids:?}: {error}")
+                }
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b);
+                    Ok(a)
+                }
+                (Err(a), Ok(BatchOutcomeWire::Failed { error, .. })) | (Err(a), Err(error)) => {
+                    assert_eq!(a, error);
+                    Err(a)
+                }
+                (a, b) => panic!("single {a:?}, batch {b:?}"),
+            }
+        };
+        let ids = |outcome: Result<BatchOutcomeWire, String>| match outcome {
+            Ok(BatchOutcomeWire::Registered {
+                pe_ids,
+                workflow_id,
+            }) => (
+                pe_ids.into_iter().map(|(_, id)| id).collect::<Vec<_>>(),
+                workflow_id.map(|(_, id)| id),
+            ),
+            other => panic!("expected Registered, got {other:?}"),
+        };
+        let alice: fn(&World) -> Token = |w| w.alice;
+        let bob: fn(&World) -> Token = |w| w.bob;
+        let counts = || batch.server.registry().counts();
+        let generation = || batch.server.indexes().generation();
+
+        // Fresh PE.
+        let (hers, _) = ids(run(alice, BatchItemWire::Pe(sub("IsPrime", ISPRIME))));
+        assert_eq!(counts(), (1, 0));
+        // Duplicate PE, same user, same and different case: her id, no row.
+        for name in ["IsPrime", "isprime"] {
+            let g = generation();
+            let (again, _) = ids(run(alice, BatchItemWire::Pe(sub(name, PRINTER))));
+            assert_eq!(again, hers);
+            assert_eq!(generation(), g, "nothing created, nothing published");
+        }
+        assert_eq!(counts(), (1, 0));
+        // The same name under another user is a fresh PE of his own…
+        let (his, _) = ids(run(bob, BatchItemWire::Pe(sub("IsPrime", ISPRIME))));
+        assert_ne!(his, hers);
+        // …and re-registering it resolves to his row, never hers.
+        let (again, _) = ids(run(bob, BatchItemWire::Pe(sub("ISPRIME", ISPRIME))));
+        assert_eq!(again, his);
+        assert_eq!(counts(), (2, 0));
+
+        // Workflow with a duplicate and a fresh member, described from
+        // its members: one frame, one publication.
+        let g = generation();
+        let (members, wf_id) = ids(run(
+            bob,
+            wf(
+                "primes",
+                None,
+                vec![sub("IsPrime", PRINTER), sub("NumberProducer", PRODUCER)],
+            ),
+        ));
+        assert_eq!(members[0], his[0], "his workflow links to his PE");
+        assert_eq!(generation(), g + 1, "one publication per registration");
+        assert_eq!(counts(), (3, 1));
+        let row = batch
+            .server
+            .registry()
+            .get_workflow(wf_id.unwrap())
+            .unwrap();
+        assert_eq!(row.pe_ids, members);
+        assert!(!row.description.is_empty(), "auto-described");
+
+        // Duplicate workflow name: the item fails, its fresh member stays.
+        let err = run(
+            bob,
+            wf("Primes", Some("again"), vec![sub("PrintPrime", PRINTER)]),
+        )
+        .unwrap_err();
+        assert!(err.contains("Primes"), "{err}");
+        assert_eq!(counts(), (4, 1));
+        // The name is free for another user.
+        let (members, _) = ids(run(
+            alice,
+            wf("primes", Some("hers"), vec![sub("IsPrime", ISPRIME)]),
+        ));
+        assert_eq!(members, hers);
+
+        // Unknown user: rejected before the write path, in either shape.
+        let err = run(|_| 999, BatchItemWire::Pe(sub("Ghost", ISPRIME))).unwrap_err();
+        assert_eq!(err, "not logged in");
+        assert_eq!(counts(), (4, 2));
+
+        // The two servers are the same server.
+        let (a, b) = (&single.server, &batch.server);
+        assert_eq!(a.registry().snapshot(), b.registry().snapshot());
         assert_eq!(
-            seq.registry().debug_name_indexes(),
-            batch.registry().debug_name_indexes()
+            a.registry().debug_name_indexes(),
+            b.registry().debug_name_indexes()
         );
-        // Search indexes agree: same sizes, same rankings.
-        assert_eq!(seq.indexes().len(), batch.indexes().len());
-        assert_eq!(seq.indexes().counts(), batch.indexes().counts());
+        assert_eq!(a.indexes().counts(), b.indexes().counts());
+        assert_eq!(a.indexes().counts(), (4, 2));
+        assert_eq!(a.indexes().generation(), b.indexes().generation());
         for query in [
             "produces random numbers",
             "checks whether a number is prime",
         ] {
             let q = UniXcoderSim::new().embed_text(query);
             assert_eq!(
-                seq.indexes().rank_semantic(&q, None, usize::MAX),
-                batch.indexes().rank_semantic(&q, None, usize::MAX)
+                a.indexes().rank_semantic(&q, None, usize::MAX),
+                b.indexes().rank_semantic(&q, None, usize::MAX)
             );
         }
         let q = Spt::parse_source(ISPRIME).feature_vec();
         assert_eq!(
-            seq.indexes().rank_spt(&q, None, usize::MAX),
-            batch.indexes().rank_spt(&q, None, usize::MAX)
+            a.indexes().rank_spt(&q, None, usize::MAX),
+            b.indexes().rank_spt(&q, None, usize::MAX)
         );
-        // Ingest metrics recorded the batch.
-        let m = batch.metrics().snapshot();
-        assert_eq!(m.ingest.batches, 1);
-        assert_eq!(m.ingest.items, 3);
-        assert_eq!(m.ingest.items_failed, 0);
+        // The ingest row group describes every registration: eight
+        // reached the write path on each server, one failed, six rows.
+        let (ma, mb) = (a.metrics().snapshot().ingest, b.metrics().snapshot().ingest);
+        for m in [&ma, &mb] {
+            assert_eq!((m.batches, m.items, m.items_failed, m.rows), (8, 8, 1, 6));
+            assert_eq!(m.batch_size.count, 8);
+            assert_eq!((m.analyze.count, m.commit.count, m.index.count), (8, 8, 8));
+        }
+    }
+
+    #[test]
+    fn register_batch_chunking_does_not_matter() {
+        // Three items in one request on one server, one request each on
+        // another: same outcomes (later items reuse the members an
+        // earlier one created, staged or committed), same state.
+        let (whole, whole_token) = server_with_session();
+        let (chunked, chunked_token) = server_with_session();
+        let resp = whole
+            .handle(Request::RegisterBatch {
+                token: whole_token,
+                items: batch_items(),
+            })
+            .value();
+        let Response::BatchRegistered { outcomes } = resp else {
+            panic!("expected BatchRegistered, got {resp:?}");
+        };
+        let one_by_one: Vec<BatchOutcomeWire> = batch_items()
+            .into_iter()
+            .map(|item| register_unit(&chunked, chunked_token, item, true).unwrap())
+            .collect();
+        assert_eq!(outcomes, one_by_one);
+        // Duplicate members of item 3 resolved to item 2's ids.
+        match (&outcomes[1], &outcomes[2]) {
+            (
+                BatchOutcomeWire::Registered { pe_ids: a, .. },
+                BatchOutcomeWire::Registered { pe_ids: b, .. },
+            ) => assert_eq!(a[..2], b[..]),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(whole.registry().snapshot(), chunked.registry().snapshot());
+        assert_eq!(whole.indexes().counts(), chunked.indexes().counts());
+        let q = Spt::parse_source(ISPRIME).feature_vec();
+        assert_eq!(
+            whole.indexes().rank_spt(&q, None, usize::MAX),
+            chunked.indexes().rank_spt(&q, None, usize::MAX)
+        );
+        // One publication per request; the same rows either way:
         // 1 standalone + 3 workflow members (2 reused) + 2 workflows.
-        assert_eq!(m.ingest.rows, 6);
-        assert_eq!(m.ingest.batch_size.count, 1);
-        assert_eq!(m.ingest.analyze.count, 1);
-        assert_eq!(m.ingest.commit.count, 1);
-        assert_eq!(m.ingest.index.count, 1);
-        // The sequential server recorded nothing under `ingest`.
-        assert_eq!(seq.metrics().snapshot().ingest.batches, 0);
+        assert_eq!(whole.indexes().generation(), 1);
+        assert_eq!(chunked.indexes().generation(), 3);
+        let (m, c) = (whole.metrics().snapshot(), chunked.metrics().snapshot());
+        assert_eq!((m.ingest.batches, m.ingest.items, m.ingest.rows), (1, 3, 6));
+        assert_eq!((c.ingest.batches, c.ingest.items, c.ingest.rows), (3, 3, 6));
     }
 
     #[test]
@@ -2619,8 +2717,8 @@ mod tests {
         ));
         match &outcomes[1] {
             BatchOutcomeWire::Failed { pe_ids, error } => {
-                // The member PE committed before the workflow failed —
-                // the sequential path's partial-progress behaviour.
+                // The member PE was staged before the workflow failed, and
+                // stays.
                 assert_eq!(pe_ids.len(), 1);
                 assert_eq!(pe_ids[0].0, "NewMember");
                 assert!(error.contains("isprime_wf"), "{error}");
@@ -2631,10 +2729,12 @@ mod tests {
         assert!(server.registry().get_pe_by_name("NewMember").is_ok());
         // Indexed: the two new PEs, no workflow.
         assert_eq!(server.indexes().len(), before + 2);
+        // The ingest rows count every registration: the workflow that
+        // occupied the name (4 rows) and this batch's two items.
         let m = server.metrics().snapshot();
-        assert_eq!(m.ingest.items, 2);
+        assert_eq!(m.ingest.items, 3);
         assert_eq!(m.ingest.items_failed, 1);
-        assert_eq!(m.ingest.rows, 2);
+        assert_eq!(m.ingest.rows, 4 + 2);
     }
 
     #[test]

@@ -233,6 +233,71 @@ fn enospc_flips_degraded_reads_keep_serving_probe_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A registration is one WAL frame, so a `RegisterWorkflow` that hits a
+/// failing disk leaves nothing behind — not a prefix of its members — and
+/// the same request lands whole once the probe has cleared the state.
+#[test]
+fn failed_workflow_frame_leaves_nothing_and_the_retry_lands() {
+    let dir = fresh_dir("wf-frame");
+    // The first group-commit frame fails; single-record appends and
+    // every later frame go through.
+    let (_inj, server, _net, client) = serve_with_faults(
+        &dir,
+        FaultSpec::nth_at(
+            laminar_registry::IoSite::WalBatchAppend,
+            1,
+            FaultKind::Enospc,
+        ),
+        11,
+        ServerConfig::default(),
+    );
+    let token = token_of(&client);
+    let workflow = || Request::RegisterWorkflow {
+        token,
+        name: "five_wf".into(),
+        code: "graph = WorkflowGraph()".into(),
+        description: None,
+        pes: ["A", "B", "C", "D", "E"].map(pe).to_vec(),
+    };
+    let before = (
+        server.registry().counts(),
+        server.indexes().counts(),
+        server.indexes().generation(),
+    );
+
+    match client.call(workflow()).unwrap().value() {
+        Response::Error(msg) => assert!(msg.contains("injected ENOSPC"), "{msg}"),
+        other => panic!("{other:?}"),
+    }
+    assert!(server.health().is_degraded());
+    assert_eq!(
+        (
+            server.registry().counts(),
+            server.indexes().counts(),
+            server.indexes().generation(),
+        ),
+        before,
+        "no member of the failed frame is registered or indexed"
+    );
+    assert_eq!(registry_pe_count(&client, token), 0);
+
+    assert!(!server.probe_storage(), "the one-shot fault has passed");
+    match client.call(workflow()).unwrap().value() {
+        Response::Registered {
+            pe_ids,
+            workflow_id,
+        } => {
+            assert_eq!(pe_ids.len(), 5);
+            assert!(workflow_id.is_some());
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(server.registry().counts(), (5, 1));
+    assert_eq!(server.indexes().counts(), (5, 1));
+    assert_eq!(server.indexes().generation(), before.2 + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Same walk, but recovery is driven by the background probe thread
 /// (`probe_interval_ms`) instead of an explicit probe call.
 #[test]

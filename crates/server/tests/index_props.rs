@@ -5,12 +5,13 @@
 //!   unique and the comparison is exact, not approximate);
 //! * the rayon-partitioned scan is bit-identical to the serial scan once
 //!   the corpus crosses `PAR_SCAN_THRESHOLD`;
-//! * arbitrary upsert/bulk/remove/clear interleavings leave the cell
+//! * arbitrary upsert/bulk/describe/remove/clear interleavings leave the cell
 //!   equivalent to a naive map-of-rows model: all three modalities (slot
 //!   map, slab swap-remove, and per-kind counts all have to move together
-//!   for this to hold), the Aroma engine (exactly the model's PEs, and
-//!   recommending like an engine built from them from scratch), and the
-//!   one generation (exactly one step per mutation).
+//!   for this to hold), the Aroma engine (exactly the model's PEs, and —
+//!   fed each row's SPT vector, never parsing — recommending like an
+//!   engine that parsed and featurised them from scratch), and the one
+//!   generation (exactly one step per mutation).
 
 use aroma::{AromaConfig, AromaEngine, Snippet};
 use embed::dense::PAR_SCAN_THRESHOLD;
@@ -104,7 +105,12 @@ struct RowSpec {
 enum Op {
     Upsert(RowSpec),
     Bulk(Vec<RowSpec>),
-    Remove { id: u64, wf: bool },
+    /// A description update: only the row's description embedding moves.
+    Describe(RowSpec),
+    Remove {
+        id: u64,
+        wf: bool,
+    },
     Clear,
 }
 
@@ -116,6 +122,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => arb_row().prop_map(Op::Upsert),
         2 => proptest::collection::vec(arb_row(), 0..5).prop_map(Op::Bulk),
+        2 => arb_row().prop_map(Op::Describe),
         3 => (0u64..16, any::<bool>()).prop_map(|(id, wf)| Op::Remove { id, wf }),
         1 => Just(Op::Clear),
     ]
@@ -167,6 +174,15 @@ fn apply(ops: &[Op]) -> (SearchIndexes, NaiveModel) {
                 for row in rows {
                     model.entries.insert(key_of(row.id, row.kind), row);
                 }
+            }
+            Op::Describe(spec) => {
+                let row = build_row(spec);
+                ix.set_description(row.id, row.kind, &row.desc);
+                // A row that is not indexed stays absent.
+                if let Some(held) = model.entries.get_mut(&key_of(row.id, row.kind)) {
+                    held.desc = row.desc;
+                }
+                model.mutations += 1;
             }
             Op::Remove { id, wf } => {
                 let kind = kind_of(*wf);
@@ -245,7 +261,7 @@ fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
-    /// Upsert/bulk/remove/clear fuzz: after any op interleaving, every
+    /// Upsert/bulk/describe/remove/clear fuzz: after any op interleaving, every
     /// modality's bounded ranking equals the naive full-sort prefix exactly
     /// (bit-equal scores, same ids, same order — ties resolved
     /// identically), the engine matches the model, and the generation

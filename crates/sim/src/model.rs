@@ -11,9 +11,11 @@
 //!   **Present**: it must appear in every subsequent read and must
 //!   survive crash-restart;
 //! * a rejected mutation (`Error` in the journal) leaves **no trace** —
-//!   with one documented exception: a failed `RegisterWorkflow` may have
-//!   committed member PEs before the workflow row failed (the server's
-//!   partial-progress contract), so those members become **Maybe**;
+//!   with one documented exception: a `RegisterWorkflow` that failed
+//!   *validation* (its name is taken) keeps the member PEs staged before
+//!   the workflow row (the server's partial-progress contract), while
+//!   one that failed on the WAL leaves nothing — the reply does not say
+//!   which, so the members become **Maybe**, a superset of both;
 //! * a **Maybe** row is resolved by the next full read: if the server
 //!   shows it, it is promoted to Present (and its attributes learned);
 //!   if not, it is erased. Either way the ambiguity never outlives one

@@ -28,12 +28,6 @@ cargo test -q
 echo "==> cargo bench --no-run (benches stay compilable)"
 cargo bench --no-run -p laminar-bench
 
-# `cargo bench --no-run` covers the Criterion benches; the report bins
-# (bench_ingest and friends) are built by the release build above, but
-# keep an explicit gate so a broken ingest bench names itself.
-echo "==> bench_ingest builds"
-cargo build --release -p laminar-bench --bin bench_ingest
-
 # The chaos suite is seeded (pinned seed inside the test file), so this is
 # a deterministic gate, not a flaky soak: same-seed runs must produce
 # bit-identical dead-letter queues on every mapping.
@@ -45,10 +39,21 @@ cargo test -q -p d4py --test chaos
 echo "==> registry recovery suite (WAL torn-tail property tests)"
 cargo test -q -p laminar-registry --test recovery
 
-# Batch ≡ sequential equivalence, and all-or-nothing recovery of the
-# group-commit frame when the WAL is cut at every byte across it.
-echo "==> batch ingestion equivalence suite"
+# Chunking invariance (one frame of all units ≡ a frame per row), and
+# all-or-nothing recovery of a frame when the WAL is cut at every byte
+# across it.
+echo "==> registration frame suite (chunking invariance + all-or-nothing recovery)"
 cargo test -q -p laminar-registry --test batch_equivalence
+
+# The embedders sum in a fixed order: 200 inputs x 50 repeats, every
+# repeat bit-identical to the first.
+echo "==> embedder determinism suite"
+cargo test -q -p embed --test determinism
+
+# One write path: every scenario registered as RegisterPe/RegisterWorkflow
+# and as a RegisterBatch item must leave identical ids, rows and indexes.
+echo "==> registration scenario table (single requests == batch items)"
+cargo test -q -p laminar-server --lib -- registration_scenarios register_batch
 
 # Storage chaos: one injected fault at every WAL/snapshot IO site x every
 # fault kind, persistent-ENOSPC rejection, and seeded determinism
