@@ -7,7 +7,7 @@
 //! the candidate's statement granules whose features the snippet does not
 //! already cover, in source order.
 
-use crate::prune::{granulated_vec, statement_granules};
+use crate::prune::{granulated_vec, statement_granules, Granule};
 use spt::FeatureVec;
 
 /// A completion suggestion derived from one candidate PE.
@@ -27,8 +27,15 @@ const COVERED_THRESHOLD: f32 = 0.6;
 /// Complete `snippet` using `candidate_code`: return the candidate's
 /// statements that the snippet has not typed yet.
 pub fn complete_from(snippet: &str, candidate_code: &str) -> Completion {
-    let snippet_vec = granulated_vec(snippet);
-    let granules = statement_granules(candidate_code);
+    complete_with(
+        &granulated_vec(snippet),
+        &statement_granules(candidate_code),
+    )
+}
+
+/// [`complete_from`] for a snippet already featurised in granule form and
+/// a candidate already cut into its statement granules.
+pub fn complete_with(snippet_vec: &FeatureVec, granules: &[Granule]) -> Completion {
     if granules.is_empty() {
         return Completion {
             lines: Vec::new(),
@@ -37,8 +44,8 @@ pub fn complete_from(snippet: &str, candidate_code: &str) -> Completion {
     }
     let mut lines = Vec::new();
     let mut covered = 0usize;
-    for (text, vec) in &granules {
-        if is_covered(vec, &snippet_vec) {
+    for (text, vec) in granules {
+        if is_covered(vec, snippet_vec) {
             covered += 1;
         } else {
             lines.push(text.clone());

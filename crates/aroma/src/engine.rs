@@ -3,11 +3,12 @@
 
 use crate::cluster::cluster_results;
 use crate::index::{ScoredSnippet, Snippet, SnippetIndex};
-use crate::lsh::LshPrefilter;
-use crate::prune::{prune_and_rerank, PrunedSnippet};
+use crate::prune::{granulated_vec_of, prune_granules, PrunedSnippet};
 use crate::recommend::create_recommendation;
+use pyparse::ParseTree;
 use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tunables for the pipeline. Defaults follow the Aroma paper's spirit at
@@ -32,8 +33,8 @@ pub struct AromaConfig {
     /// pure and the indexed collect preserves candidate order before the
     /// deterministic sort), so this is purely a latency knob.
     pub parallel_threshold: usize,
-    /// Engage the MinHash-LSH prefilter for retrieval once the index
-    /// holds at least this many snippets (0 = always full-scan).
+    /// Unused, frozen-benchmark name: retrieval is exact at every size.
+    /// `crates/benchmark` still fills it; its next PR removes it.
     pub lsh_min_entries: usize,
     /// Drop retrieval candidates whose feature overlap with the query is
     /// below this (0.0 keeps every overlapping candidate).
@@ -83,7 +84,8 @@ pub struct RecoStats {
     pub pruned: usize,
     /// Clusters formed.
     pub clusters: usize,
-    /// LSH candidate-pool size, when the prefilter engaged.
+    /// Unused, frozen-benchmark name: always `None`. `crates/benchmark`
+    /// still reads it; its next PR removes it.
     pub lsh_candidates: Option<usize>,
     /// Whether prune/rerank ran on the rayon path.
     pub parallel: bool,
@@ -93,22 +95,19 @@ pub struct RecoStats {
     pub intersect: Duration,
 }
 
-/// Aroma engine over a [`SnippetIndex`], with an optional MinHash-LSH
-/// prefilter kept in lockstep with the index. `Clone` so a server can
-/// publish it behind an Arc-snapshot RCU.
+/// Aroma engine over a [`SnippetIndex`]. `Clone` so a server can publish
+/// it behind an Arc-snapshot RCU; a clone shares every entry, and with it
+/// whatever the entry has memoised.
 #[derive(Default, Clone)]
 pub struct AromaEngine {
     index: SnippetIndex,
-    lsh: Option<LshPrefilter>,
     config: AromaConfig,
 }
 
 impl AromaEngine {
     pub fn new(config: AromaConfig) -> Self {
-        let lsh = (config.lsh_min_entries > 0).then(LshPrefilter::with_default_config);
         AromaEngine {
             index: SnippetIndex::new(),
-            lsh,
             config,
         }
     }
@@ -134,25 +133,17 @@ impl AromaEngine {
     }
 
     /// Insert or replace by id a snippet whose SPT feature vector the
-    /// caller already holds (index and LSH prefilter in lockstep). The one
-    /// insertion primitive: the server feeds it the vector its registry
-    /// row carries; [`add`](Self::add), [`upsert`](Self::upsert) and
-    /// [`add_batch`](Self::add_batch) featurise and then come here.
-    pub fn insert(&mut self, snippet: Snippet, vec: FeatureVec) {
-        if let Some(lsh) = &mut self.lsh {
-            lsh.insert(snippet.id, &vec);
-        }
+    /// caller already holds. The one insertion primitive: the server
+    /// feeds it the vector its registry row carries (shared, not copied);
+    /// [`upsert`](Self::upsert) and [`add_batch`](Self::add_batch)
+    /// featurise and then come here.
+    pub fn insert(&mut self, snippet: Snippet, vec: Arc<FeatureVec>) {
         self.index.insert(snippet, vec);
     }
 
-    pub fn add(&mut self, snippet: Snippet) {
-        let vec = Spt::parse_source(&snippet.code).feature_vec();
-        self.insert(snippet, vec);
-    }
-
-    /// Insert or replace by id (alias of [`add`](Self::add)).
+    /// Featurise a snippet and insert or replace it by id.
     pub fn upsert(&mut self, snippet: Snippet) {
-        self.add(snippet);
+        self.index.upsert(snippet);
     }
 
     /// Bulk-add with parallel featurisation. Order of ids is preserved
@@ -163,21 +154,15 @@ impl AromaEngine {
             .map(|s| Spt::parse_source(&s.code).feature_vec())
             .collect();
         for (snippet, vec) in snippets.into_iter().zip(vecs) {
-            self.insert(snippet, vec);
+            self.insert(snippet, Arc::new(vec));
         }
     }
 
     pub fn remove(&mut self, id: u64) -> bool {
-        if let Some(lsh) = &mut self.lsh {
-            lsh.remove(id);
-        }
         self.index.remove(id)
     }
 
     pub fn clear(&mut self) {
-        if let Some(lsh) = &mut self.lsh {
-            lsh.clear();
-        }
         self.index.clear();
     }
 
@@ -188,28 +173,29 @@ impl AromaEngine {
 
     /// Full pipeline plus per-stage telemetry.
     pub fn recommend_with_stats(&self, query_code: &str) -> (Vec<Recommendation>, RecoStats) {
+        let tree = pyparse::parse(query_code);
+        self.recommend_parsed(&tree, &Spt::from_parse_tree(&tree).feature_vec())
+    }
+
+    /// [`recommend_with_stats`](Self::recommend_with_stats) for a query
+    /// the caller has analysed: `tree` is the parsed query and `qvec` its
+    /// whole-tree feature vector. The pipeline never parses the query
+    /// itself; its granule-space vector comes from `tree` too.
+    pub fn recommend_parsed(
+        &self,
+        tree: &ParseTree,
+        qvec: &FeatureVec,
+    ) -> (Vec<Recommendation>, RecoStats) {
         let mut stats = RecoStats::default();
-        let qvec = Spt::parse_source(query_code).feature_vec();
         if qvec.is_empty() {
             return (Vec::new(), stats);
         }
 
-        // Stage 2: light-weight retrieval, LSH-prefiltered past the
-        // row threshold.
+        // Stage 2: light-weight retrieval — exact, over the posting lists.
         let t = Instant::now();
-        let hits = match &self.lsh {
-            Some(lsh)
-                if self.config.lsh_min_entries > 0
-                    && self.index.len() >= self.config.lsh_min_entries =>
-            {
-                let candidates = lsh.candidates(&qvec);
-                stats.lsh_candidates = Some(candidates.len());
-                self.index
-                    .search_vec_among(&qvec, &candidates, self.config.retrieve_n)
-            }
-            _ => self.index.search_vec(&qvec, self.config.retrieve_n),
-        };
-        let hits: Vec<ScoredSnippet> = hits
+        let hits: Vec<ScoredSnippet> = self
+            .index
+            .search_vec(qvec, self.config.retrieve_n)
             .into_iter()
             .filter(|h| h.score >= self.config.min_overlap)
             .collect();
@@ -219,13 +205,14 @@ impl AromaEngine {
             return (Vec::new(), stats);
         }
 
-        // Stage 3: prune & rerank (each candidate reparses). Rerank
-        // compares in granule space, so re-featurise the query.
+        // Stage 3: prune & rerank, from each candidate's memoised
+        // granules. Rerank compares in granule space, so re-featurise the
+        // query.
         let t = Instant::now();
-        let gvec = crate::prune::granulated_vec(query_code);
+        let gvec = granulated_vec_of(tree);
         let prune_one = |h: &ScoredSnippet| {
-            let code = &self.index.get(h.id)?.code;
-            Some((h.score, prune_and_rerank(h.id, code, &gvec)))
+            let granules = self.index.granules(h.id)?;
+            Some((h.score, prune_granules(h.id, granules, &gvec)))
         };
         stats.parallel = hits.len() >= self.config.parallel_threshold;
         let mut pruned: Vec<(f32, PrunedSnippet)> = if stats.parallel {
@@ -362,7 +349,7 @@ mod tests {
             ..AromaConfig::default()
         });
         for i in 0..5 {
-            e.add(Snippet::new(
+            e.upsert(Snippet::new(
                 i,
                 format!("PE{i}"),
                 format!("def f{i}(x):\n    y = x + {i}\n    return g{i}(y)\n"),
@@ -438,7 +425,7 @@ mod tests {
             .collect();
         let mut a = AromaEngine::with_default_config();
         for s in snippets.clone() {
-            a.add(s);
+            a.upsert(s);
         }
         let mut b = AromaEngine::with_default_config();
         b.add_batch(snippets);
@@ -470,35 +457,43 @@ mod tests {
     }
 
     #[test]
-    fn lsh_prefilter_engages_past_row_threshold() {
-        // The query is the indexed code verbatim: identical feature vecs
-        // hash to identical MinHash signatures, so the candidate pool is
-        // guaranteed (deterministically) to contain the snippet.
-        let rand_pe =
-            "class RandPE(ProducerPE):\n    def _process(self, inputs):\n        return random.randint(1, 1000)\n";
-        let mut e = AromaEngine::new(AromaConfig {
-            lsh_min_entries: 4,
-            ..AromaConfig::default()
-        });
-        e.add(Snippet::new(1, "RandPE", rand_pe));
-        // Below the threshold: full-scan retrieval, no candidate stats.
-        let (_, stats) = e.recommend_with_stats(rand_pe);
-        assert_eq!(stats.lsh_candidates, None);
-        for i in 2..=6u64 {
-            e.add(Snippet::new(
-                i,
-                format!("PE{i}"),
-                format!("def f{i}(x):\n    return x + {i}\n"),
-            ));
+    fn retrieval_equals_the_naive_scan_at_600_entries() {
+        // At a size where an approximate prefilter would pay: what prune &
+        // rerank receives is still the true top `retrieve_n` by overlap,
+        // scored row by row and fully sorted.
+        let snippets: Vec<Snippet> = (0..600u64)
+            .map(|i| {
+                let (a, b) = (i % 7, i % 11);
+                let code = match i % 3 {
+                    0 => format!("def f{a}(x):\n    y = x + {b}\n    return g{a}(y)\n"),
+                    1 => format!("total = {a}\nfor item in data{b}:\n    total += item\n"),
+                    _ => format!("with open(p{a}) as fh:\n    body{b} = fh.read()\n"),
+                };
+                Snippet::new(i, format!("S{i}"), code)
+            })
+            .collect();
+        let mut e = AromaEngine::with_default_config();
+        e.add_batch(snippets.clone());
+        for query in [
+            "total = 3\nfor item in data4:\n",
+            "def f2(x):\n    y = x + 1\n",
+            "body = fh.read()\n",
+        ] {
+            let qvec = Spt::parse_source(query).feature_vec();
+            let mut naive: Vec<ScoredSnippet> = snippets
+                .iter()
+                .map(|s| ScoredSnippet {
+                    id: s.id,
+                    score: qvec.overlap(&Spt::parse_source(&s.code).feature_vec()),
+                })
+                .filter(|s| s.score > 0.0)
+                .collect();
+            naive.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+            naive.truncate(e.config().retrieve_n);
+            assert_eq!(e.index().search_vec(&qvec, e.config().retrieve_n), naive);
+            let (recs, stats) = e.recommend_with_stats(query);
+            assert_eq!(stats.retrieved, naive.len());
+            assert!(recs.iter().all(|r| naive.iter().any(|n| n.id == r.seed_id)));
         }
-        let (recs, stats) = e.recommend_with_stats(rand_pe);
-        assert!(stats.lsh_candidates.is_some(), "{stats:?}");
-        assert!(!recs.is_empty(), "{recs:?}");
-        assert_eq!(recs[0].seed_name, "RandPE");
-        // Mutations keep the prefilter in lockstep: removing the snippet
-        // removes it from the candidate pool too.
-        assert!(e.remove(1));
-        let (recs, _) = e.recommend_with_stats(rand_pe);
-        assert!(recs.iter().all(|r| r.seed_id != 1), "{recs:?}");
     }
 }

@@ -1,14 +1,24 @@
 //! Snippet index: featurisation + light-weight search (Aroma stages 1–2).
 //!
-//! Every added snippet is parsed to an SPT and reduced to a sparse feature
-//! vector; the search stage scores the query vector against every stored
-//! vector. With sorted sparse vectors this is the row-wise form of the
-//! "matrix multiplication" the paper's Fig. 3 describes, and it
-//! parallelises embarrassingly with rayon for large corpora.
+//! Every added snippet is reduced to a sparse feature vector and posted
+//! into an inverted index ([`spt::Postings`]); the search stage walks the
+//! posting lists of the query's own features and accumulates every
+//! snippet's overlap in one pass — the "matrix multiplication" of the
+//! paper's Fig. 3 in its sparse, column-wise form. Scores are exactly
+//! those of [`FeatureVec::overlap`] against each stored vector.
+//!
+//! Entries are immutable and shared (`Arc`): a copy-on-write clone of the
+//! index copies pointers, not sources, and every clone shares what an
+//! entry has memoised — its statement granules, which prune & rerank and
+//! completion need and which depend on the source alone, so each snippet
+//! is parsed for them at most once, by the first request that retrieves
+//! it.
 
-use rayon::prelude::*;
-use spt::{FeatureVec, Spt};
+use crate::prune::{statement_granules, Granule};
+use spt::{FeatureVec, Postings, Spt};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// Registry-wide identifier of an indexed snippet.
 pub type SnippetId = u64;
@@ -38,19 +48,23 @@ pub struct ScoredSnippet {
     pub score: f32,
 }
 
-#[derive(Clone)]
 struct Entry {
     snippet: Snippet,
-    vec: FeatureVec,
+    /// Kept to un-post the entry when it is replaced or removed.
+    vec: Arc<FeatureVec>,
+    /// `statement_granules(snippet.code)`, once something has asked.
+    granules: OnceLock<Vec<Granule>>,
 }
 
 /// The in-memory structural index. `Clone` so a server can publish it in
 /// an Arc-snapshot RCU state and mutate through `Arc::make_mut`.
 #[derive(Default, Clone)]
 pub struct SnippetIndex {
-    entries: Vec<Entry>,
+    entries: Vec<Arc<Entry>>,
     /// id → slot in `entries`, for O(1) lookup/upsert/remove.
     by_id: HashMap<SnippetId, usize>,
+    /// Every entry's vector, posted under its slot.
+    postings: Postings,
 }
 
 impl SnippetIndex {
@@ -62,17 +76,11 @@ impl SnippetIndex {
     /// same id. Returns the number of distinct features extracted (0 for
     /// unparseable/empty code — still indexed so ids stay dense, but it
     /// can never be retrieved).
-    pub fn add(&mut self, snippet: Snippet) -> usize {
+    pub fn upsert(&mut self, snippet: Snippet) -> usize {
         let vec = Spt::parse_source(&snippet.code).feature_vec();
         let n = vec.len();
-        self.insert(snippet, vec);
+        self.insert(snippet, Arc::new(vec));
         n
-    }
-
-    /// Insert or replace by id (alias of [`add`](Self::add), named for the
-    /// registry-lockstep call sites).
-    pub fn upsert(&mut self, snippet: Snippet) -> usize {
-        self.add(snippet)
     }
 
     /// Remove by id (swap-remove). Returns `true` when present.
@@ -80,9 +88,11 @@ impl SnippetIndex {
         let Some(ix) = self.by_id.remove(&id) else {
             return false;
         };
-        self.entries.swap_remove(ix);
-        if ix < self.entries.len() {
-            self.by_id.insert(self.entries[ix].snippet.id, ix);
+        let gone = self.entries.swap_remove(ix);
+        self.postings.remove(ix, &gone.vec);
+        if let Some(moved) = self.entries.get(ix) {
+            self.postings.relabel(self.entries.len(), ix, &moved.vec);
+            self.by_id.insert(moved.snippet.id, ix);
         }
         true
     }
@@ -90,18 +100,29 @@ impl SnippetIndex {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.by_id.clear();
+        self.postings.clear();
     }
 
     /// Store a snippet under a feature vector the caller already holds,
     /// replacing any entry with the same id. The one insertion primitive:
-    /// [`add`](Self::add) featurises and then comes here.
-    pub fn insert(&mut self, snippet: Snippet, vec: FeatureVec) {
-        let e = Entry { snippet, vec };
-        match self.by_id.get(&e.snippet.id) {
-            Some(&ix) => self.entries[ix] = e,
+    /// [`upsert`](Self::upsert) featurises and then comes here.
+    pub fn insert(&mut self, snippet: Snippet, vec: Arc<FeatureVec>) {
+        let entry = Arc::new(Entry {
+            snippet,
+            vec,
+            granules: OnceLock::new(),
+        });
+        match self.by_id.get(&entry.snippet.id) {
+            Some(&ix) => {
+                self.postings.remove(ix, &self.entries[ix].vec);
+                self.postings.insert(ix, &entry.vec);
+                self.entries[ix] = entry;
+            }
             None => {
-                self.by_id.insert(e.snippet.id, self.entries.len());
-                self.entries.push(e);
+                let ix = self.entries.len();
+                self.postings.insert(ix, &entry.vec);
+                self.by_id.insert(entry.snippet.id, ix);
+                self.entries.push(entry);
             }
         }
     }
@@ -118,6 +139,18 @@ impl SnippetIndex {
         self.by_id.get(&id).map(|&ix| &self.entries[ix].snippet)
     }
 
+    /// The statement granules of snippet `id`'s source. Parsed on first
+    /// use and kept for as long as the entry lives — in this index and in
+    /// every clone of it.
+    pub fn granules(&self, id: SnippetId) -> Option<&[Granule]> {
+        let entry = &self.entries[*self.by_id.get(&id)?];
+        Some(
+            entry
+                .granules
+                .get_or_init(|| statement_granules(&entry.snippet.code)),
+        )
+    }
+
     /// Retrieve the `top_n` snippets by feature overlap with `query_code`.
     /// Ties break towards lower ids so results are deterministic.
     pub fn search(&self, query_code: &str, top_n: usize) -> Vec<ScoredSnippet> {
@@ -130,66 +163,30 @@ impl SnippetIndex {
         if qvec.is_empty() || self.entries.is_empty() || top_n == 0 {
             return Vec::new();
         }
-        let mut scored: Vec<ScoredSnippet> = if self.entries.len() >= 256 {
-            self.entries
-                .par_iter()
-                .map(|e| ScoredSnippet {
-                    id: e.snippet.id,
-                    score: qvec.overlap(&e.vec),
-                })
-                .filter(|s| s.score > 0.0)
-                .collect()
-        } else {
-            self.entries
-                .iter()
-                .map(|e| ScoredSnippet {
-                    id: e.snippet.id,
-                    score: qvec.overlap(&e.vec),
-                })
-                .filter(|s| s.score > 0.0)
-                .collect()
-        };
-        scored.sort_unstable_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.id.cmp(&b.id))
-        });
-        scored.truncate(top_n);
-        scored
-    }
-
-    /// Retrieval restricted to `ids` (the LSH candidate set). Same
-    /// scoring, filtering and ordering as [`search_vec`](Self::search_vec);
-    /// unknown ids are skipped.
-    pub fn search_vec_among(
-        &self,
-        qvec: &FeatureVec,
-        ids: &[SnippetId],
-        top_n: usize,
-    ) -> Vec<ScoredSnippet> {
-        if qvec.is_empty() || ids.is_empty() || top_n == 0 {
-            return Vec::new();
-        }
-        let mut scored: Vec<ScoredSnippet> = ids
-            .iter()
-            .filter_map(|id| {
-                let ix = *self.by_id.get(id)?;
-                let score = qvec.overlap(&self.entries[ix].vec);
-                if score > 0.0 {
-                    Some(ScoredSnippet { id: *id, score })
-                } else {
-                    None
-                }
+        let mut scored: Vec<ScoredSnippet> = self
+            .postings
+            .overlaps(qvec, self.entries.len())
+            .into_iter()
+            .zip(&self.entries)
+            .filter(|(score, _)| *score > 0.0)
+            .map(|(score, e)| ScoredSnippet {
+                id: e.snippet.id,
+                score,
             })
             .collect();
-        scored.sort_unstable_by(|a, b| {
+        let best_first = |a: &ScoredSnippet, b: &ScoredSnippet| {
             b.score
                 .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
                 .then(a.id.cmp(&b.id))
-        });
-        scored.truncate(top_n);
+        };
+        // Most rows share some feature with any query; only `top_n` of
+        // them need ordering.
+        if scored.len() > top_n {
+            scored.select_nth_unstable_by(top_n, best_first);
+            scored.truncate(top_n);
+        }
+        scored.sort_unstable_by(best_first);
         scored
     }
 
@@ -206,17 +203,17 @@ mod tests {
 
     fn demo_index() -> SnippetIndex {
         let mut ix = SnippetIndex::new();
-        ix.add(Snippet::new(
+        ix.upsert(Snippet::new(
             1,
             "SumPE",
             "def process(self, data):\n    total = 0\n    for item in data:\n        total += item\n    return total\n",
         ));
-        ix.add(Snippet::new(
+        ix.upsert(Snippet::new(
             2,
             "ReadPE",
             "def process(self, path):\n    with open(path) as fh:\n        return fh.read()\n",
         ));
-        ix.add(Snippet::new(
+        ix.upsert(Snippet::new(
             3,
             "MaxPE",
             "def process(self, data):\n    best = None\n    for item in data:\n        if best is None or item > best:\n            best = item\n    return best\n",
@@ -267,7 +264,7 @@ mod tests {
     #[test]
     fn zero_overlap_excluded() {
         let mut ix = SnippetIndex::new();
-        ix.add(Snippet::new(7, "A", "import os\n"));
+        ix.upsert(Snippet::new(7, "A", "import os\n"));
         let hits = ix.search("class Completely:\n    pass\n", 5);
         assert!(hits.iter().all(|h| h.score > 0.0));
     }
@@ -275,8 +272,8 @@ mod tests {
     #[test]
     fn deterministic_tie_break() {
         let mut ix = SnippetIndex::new();
-        ix.add(Snippet::new(10, "B", "x = 1\n"));
-        ix.add(Snippet::new(4, "A", "x = 1\n"));
+        ix.upsert(Snippet::new(10, "B", "x = 1\n"));
+        ix.upsert(Snippet::new(4, "A", "x = 1\n"));
         let hits = ix.search("x = 1\n", 2);
         assert_eq!(hits[0].id, 4, "lower id wins ties");
     }
@@ -284,7 +281,7 @@ mod tests {
     #[test]
     fn unparseable_snippet_indexed_but_inert() {
         let mut ix = SnippetIndex::new();
-        let n = ix.add(Snippet::new(1, "junk", ""));
+        let n = ix.upsert(Snippet::new(1, "junk", ""));
         assert_eq!(n, 0);
         assert_eq!(ix.len(), 1);
         assert!(ix.search("x = 1\n", 5).is_empty());
@@ -322,15 +319,5 @@ mod tests {
         assert!(hits.iter().all(|h| h.id != 1), "{hits:?}");
         ix.clear();
         assert!(ix.is_empty());
-    }
-
-    #[test]
-    fn search_among_matches_full_search_on_same_candidates() {
-        let ix = demo_index();
-        let qvec = Spt::parse_source("for item in data:\n    total += item\n").feature_vec();
-        let full = ix.search_vec(&qvec, 3);
-        let among = ix.search_vec_among(&qvec, &[1, 2, 3, 99], 3);
-        assert_eq!(full, among);
-        assert!(ix.search_vec_among(&qvec, &[], 3).is_empty());
     }
 }

@@ -5,11 +5,12 @@
 //!
 //! 1. **Featurisation & light-weight search** ([`index`]): every indexed
 //!    snippet is parsed to an SPT and hashed to a sparse feature vector;
-//!    retrieval scores the query vector against the whole corpus with sparse
-//!    dot products ("matrix multiplication", Fig. 3).
+//!    retrieval scores the query vector against the whole corpus at once
+//!    through posting lists (the sparse "matrix multiplication", Fig. 3).
 //! 2. **Prune and rerank** ([`prune`]): each retrieved snippet is pruned to
 //!    the statements that actually overlap the query, and reranked by how
-//!    much of the query the pruned snippet contains.
+//!    much of the query the pruned snippet contains. A snippet's statement
+//!    granules are parsed once and kept with its index entry.
 //! 3. **Clustering** ([`cluster`]): similar pruned snippets are grouped by
 //!    iterative greedy clustering.
 //! 4. **Recommendation** ([`recommend`]): each cluster is intersected into
@@ -34,10 +35,13 @@ pub mod prune;
 pub mod recommend;
 
 pub use cluster::{cluster_results, Cluster};
-pub use completion::{complete_from, Completion};
+pub use completion::{complete_from, complete_with, Completion};
 pub use engine::{AromaConfig, AromaEngine, RecoStats, Recommendation};
 pub use index::{ScoredSnippet, Snippet, SnippetId, SnippetIndex};
 pub use laminar::{LaminarRecommender, SptHit, SptSearcher};
-pub use lsh::{LshConfig, LshIndex, LshPrefilter, LshSearchStats};
-pub use prune::{granulated_vec, prune_and_rerank, statement_granules, PrunedSnippet};
+pub use lsh::{LshConfig, LshIndex, LshSearchStats};
+pub use prune::{
+    granulated_vec, granulated_vec_of, prune_and_rerank, prune_granules, statement_granules,
+    Granule, PrunedSnippet,
+};
 pub use recommend::create_recommendation;

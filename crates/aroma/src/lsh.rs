@@ -124,21 +124,11 @@ impl LshIndex {
         self.entries.is_empty()
     }
 
-    /// MinHash signature of a feature-id set.
-    fn signature(&self, vec: &FeatureVec) -> Vec<u64> {
-        minhash_signature(&self.params, vec)
-    }
-
-    /// Band keys of a signature.
-    fn band_keys(&self, sig: &[u64]) -> Vec<u64> {
-        signature_band_keys(self.config, sig)
-    }
-
     /// Index a snippet's SPT feature vector.
     pub fn add(&mut self, id: u64, vec: FeatureVec) {
-        let sig = self.signature(&vec);
+        let sig = minhash_signature(&self.params, &vec);
         let idx = self.entries.len();
-        for (band, key) in self.band_keys(&sig).into_iter().enumerate() {
+        for (band, key) in signature_band_keys(self.config, &sig).into_iter().enumerate() {
             self.tables[band].entry(key).or_default().push(idx);
         }
         self.entries.push(Entry { id, vec });
@@ -161,10 +151,10 @@ impl LshIndex {
                 },
             );
         }
-        let sig = self.signature(query);
+        let sig = minhash_signature(&self.params, query);
         let mut seen = vec![false; self.entries.len()];
         let mut candidates = Vec::new();
-        for (band, key) in self.band_keys(&sig).into_iter().enumerate() {
+        for (band, key) in signature_band_keys(self.config, &sig).into_iter().enumerate() {
             if let Some(bucket) = self.tables[band].get(&key) {
                 for &idx in bucket {
                     if !seen[idx] {
@@ -194,108 +184,6 @@ impl LshIndex {
         });
         hits.truncate(top_n);
         (hits, stats)
-    }
-}
-
-/// A membership-only MinHash-LSH table used as a *candidate prefilter* in
-/// front of an exact scan, rather than a self-contained search index like
-/// [`LshIndex`].
-///
-/// Differences that matter for the serving path:
-/// - stores no feature vectors — the caller rescores candidates against
-///   its own (SoA) storage, so SPT features exist once, not twice;
-/// - supports `remove`, which [`LshIndex`] does not, so it can shadow a
-///   mutable registry (each entry remembers its band keys for O(bands)
-///   removal);
-/// - is `Clone`, so it can live inside a copy-on-write index snapshot.
-#[derive(Debug, Clone)]
-pub struct LshPrefilter {
-    config: LshConfig,
-    params: Vec<(u64, u64)>,
-    /// Per-band buckets: band → (band signature → entry keys).
-    tables: Vec<HashMap<u64, Vec<u64>>>,
-    /// Entry key → its band keys, for removal.
-    band_keys_of: HashMap<u64, Vec<u64>>,
-}
-
-impl LshPrefilter {
-    pub fn new(config: LshConfig) -> Self {
-        LshPrefilter {
-            params: make_params(config),
-            tables: vec![HashMap::new(); config.bands],
-            band_keys_of: HashMap::new(),
-            config,
-        }
-    }
-
-    pub fn with_default_config() -> Self {
-        LshPrefilter::new(LshConfig::default())
-    }
-
-    pub fn len(&self) -> usize {
-        self.band_keys_of.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.band_keys_of.is_empty()
-    }
-
-    /// Insert (or re-insert, replacing stale band placements) an entry.
-    pub fn insert(&mut self, key: u64, vec: &FeatureVec) {
-        if self.band_keys_of.contains_key(&key) {
-            self.remove(key);
-        }
-        let sig = minhash_signature(&self.params, vec);
-        let bkeys = signature_band_keys(self.config, &sig);
-        for (band, &bkey) in bkeys.iter().enumerate() {
-            self.tables[band].entry(bkey).or_default().push(key);
-        }
-        self.band_keys_of.insert(key, bkeys);
-    }
-
-    /// Remove an entry; no-op if absent.
-    pub fn remove(&mut self, key: u64) {
-        let Some(bkeys) = self.band_keys_of.remove(&key) else {
-            return;
-        };
-        for (band, bkey) in bkeys.into_iter().enumerate() {
-            if let Some(bucket) = self.tables[band].get_mut(&bkey) {
-                if let Some(pos) = bucket.iter().position(|&k| k == key) {
-                    bucket.swap_remove(pos);
-                }
-                if bucket.is_empty() {
-                    self.tables[band].remove(&bkey);
-                }
-            }
-        }
-    }
-
-    pub fn clear(&mut self) {
-        for t in &mut self.tables {
-            t.clear();
-        }
-        self.band_keys_of.clear();
-    }
-
-    /// Keys of all entries colliding with `query` in at least one band,
-    /// sorted and deduplicated. The caller rescores these exactly.
-    pub fn candidates(&self, query: &FeatureVec) -> Vec<u64> {
-        if query.is_empty() || self.band_keys_of.is_empty() {
-            return Vec::new();
-        }
-        let sig = minhash_signature(&self.params, query);
-        let mut out = Vec::new();
-        for (band, bkey) in signature_band_keys(self.config, &sig)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(bucket) = self.tables[band].get(&bkey) {
-                out.extend_from_slice(bucket);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -427,60 +315,6 @@ mod tests {
             ));
         }
         v
-    }
-
-    #[test]
-    fn prefilter_candidates_match_index_collisions() {
-        // The prefilter and the full index share signature + banding code,
-        // so the same corpus must produce the same collision sets.
-        let corpus = csn_like_corpus();
-        let vecs: Vec<FeatureVec> = corpus.iter().map(|c| vec_of(c)).collect();
-        let mut ix = LshIndex::with_default_config();
-        let mut pf = LshPrefilter::with_default_config();
-        for (i, v) in vecs.iter().enumerate() {
-            ix.add(i as u64, v.clone());
-            pf.insert(i as u64, v);
-        }
-        assert_eq!(pf.len(), vecs.len());
-        for q in vecs.iter().take(10) {
-            let (_, stats) = ix.search(q, 5, 0.0);
-            let cands = pf.candidates(q);
-            assert_eq!(cands.len(), stats.candidates);
-        }
-    }
-
-    #[test]
-    fn prefilter_remove_and_reinsert() {
-        let vecs: Vec<FeatureVec> = csn_like_corpus().iter().map(|c| vec_of(c)).collect();
-        let mut pf = LshPrefilter::with_default_config();
-        for (i, v) in vecs.iter().enumerate() {
-            pf.insert(i as u64, v);
-        }
-        let q = &vecs[0];
-        assert!(pf.candidates(q).contains(&0));
-        pf.remove(0);
-        assert!(
-            !pf.candidates(q).contains(&0),
-            "removed key must not surface"
-        );
-        assert_eq!(pf.len(), vecs.len() - 1);
-        pf.remove(0); // double-remove is a no-op
-                      // Re-insert under the same key with a different vector: old band
-                      // placements must be gone, only the new ones live.
-        pf.insert(1, &vecs[50]);
-        let cands = pf.candidates(&vecs[50]);
-        assert!(cands.contains(&1));
-        assert_eq!(pf.len(), vecs.len() - 1);
-        pf.clear();
-        assert!(pf.is_empty());
-        assert!(pf.candidates(q).is_empty());
-    }
-
-    #[test]
-    fn prefilter_empty_query_yields_nothing() {
-        let mut pf = LshPrefilter::with_default_config();
-        pf.insert(7, &vec_of("x = 1\n"));
-        assert!(pf.candidates(&FeatureVec::default()).is_empty());
     }
 
     #[test]

@@ -52,9 +52,14 @@ pub fn statement_nodes(tree: &ParseTree) -> Vec<NodeId> {
     out
 }
 
-/// All statement granules of `code`: `(header text, feature vector)` per
-/// statement node, in source order. Shared by pruning and code completion.
-pub fn statement_granules(code: &str) -> Vec<(String, FeatureVec)> {
+/// One pruning granule: a statement's header text and feature vector.
+pub type Granule = (String, FeatureVec);
+
+/// All statement granules of `code`, in source order; statements without
+/// features are left out. They depend on `code` alone, which is why the
+/// index memoises them per snippet
+/// ([`SnippetIndex::granules`](crate::SnippetIndex::granules)).
+pub fn statement_granules(code: &str) -> Vec<Granule> {
     let tree = pyparse::parse(code);
     statement_nodes(&tree)
         .into_iter()
@@ -74,47 +79,51 @@ pub fn statement_granules(code: &str) -> Vec<(String, FeatureVec)> {
 /// this way before [`prune_and_rerank`] so that both sides of the
 /// containment/cosine comparison live in the same feature space.
 pub fn granulated_vec(code: &str) -> FeatureVec {
-    let tree = pyparse::parse(code);
+    granulated_vec_of(&pyparse::parse(code))
+}
+
+/// [`granulated_vec`] of source the caller has already parsed.
+pub fn granulated_vec_of(tree: &ParseTree) -> FeatureVec {
     let mut acc = FeatureVec::default();
-    for s in statement_nodes(&tree) {
-        let (_, v) = granule(&tree, s);
+    for s in statement_nodes(tree) {
+        let (_, v) = granule(tree, s);
         acc = merge(&acc, &v);
     }
     // A bare expression (no statement granules) still featurises whole-tree.
     if acc.is_empty() {
-        acc = Spt::from_parse_tree(&tree).feature_vec();
+        acc = Spt::from_parse_tree(tree).feature_vec();
     }
     acc
 }
 
-/// Prune `code` against the query's *granulated* feature vector and rerank.
+/// Prune `code` against the query's *granulated* feature vector and
+/// rerank: [`prune_granules`] over [`statement_granules`] of `code`.
+pub fn prune_and_rerank(id: u64, code: &str, query_vec: &FeatureVec) -> PrunedSnippet {
+    prune_granules(id, &statement_granules(code), query_vec)
+}
+
+/// Prune a candidate, given as its statement granules, against the
+/// query's *granulated* feature vector and rerank.
 ///
 /// Greedy marginal-gain selection: statements are considered in source
 /// order and kept when they add at least one new overlapping feature with
 /// the query that previously-kept statements did not already cover.
-pub fn prune_and_rerank(id: u64, code: &str, query_vec: &FeatureVec) -> PrunedSnippet {
-    let tree = pyparse::parse(code);
-    let stmts = statement_nodes(&tree);
-
+pub fn prune_granules(id: u64, granules: &[Granule], query_vec: &FeatureVec) -> PrunedSnippet {
     let mut kept_statements = Vec::new();
     let mut kept_vecs: Vec<FeatureVec> = Vec::new();
     let mut covered = 0.0f32;
     let mut pruned_vec = FeatureVec::default();
 
-    for &s in &stmts {
-        let (text, svec) = granule(&tree, s);
-        if svec.is_empty() {
-            continue;
-        }
+    for (text, svec) in granules {
         // Marginal gain: overlap of (pruned ∪ stmt) with query minus what
         // is already covered. Compute via merged vector.
-        let merged = merge(&pruned_vec, &svec);
+        let merged = merge(&pruned_vec, svec);
         let new_cover = query_vec.overlap(&merged);
         if new_cover > covered + f32::EPSILON {
             covered = new_cover;
             pruned_vec = merged;
-            kept_statements.push(text);
-            kept_vecs.push(svec);
+            kept_statements.push(text.clone());
+            kept_vecs.push(svec.clone());
         }
     }
 

@@ -34,7 +34,6 @@ fn main() -> ExitCode {
         "--reco-rerank-keep",
         "--reco-cluster-sim",
         "--reco-parallel-threshold",
-        "--reco-lsh-min-entries",
     ];
     let mut oneshot: Vec<String> = Vec::new();
     let mut i = 1;
@@ -66,7 +65,6 @@ fn main() -> ExitCode {
     let reco_retrieve_n = flag_value("--reco-retrieve-n");
     let reco_rerank_keep = flag_value("--reco-rerank-keep");
     let reco_parallel_threshold = flag_value("--reco-parallel-threshold");
-    let reco_lsh_min_entries = flag_value("--reco-lsh-min-entries");
     let reco_cluster_sim = args
         .iter()
         .position(|a| a == "--reco-cluster-sim")
@@ -102,9 +100,6 @@ fn main() -> ExitCode {
             }
             if let Some(n) = reco_parallel_threshold {
                 config.server.reco_parallel_threshold = n;
-            }
-            if let Some(n) = reco_lsh_min_entries {
-                config.server.reco_lsh_min_entries = n;
             }
             let laminar = Laminar::try_deploy(config).unwrap_or_else(|e| {
                 eprintln!("cannot open registry data directory: {e}");

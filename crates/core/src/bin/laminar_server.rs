@@ -26,7 +26,6 @@ fn usage() -> ! {
          [--data-dir PATH] [--snapshot-every N] [--wal-fsync] \
          [--reco-retrieve-n N] [--reco-rerank-keep N] \
          [--reco-cluster-sim F] [--reco-parallel-threshold N] \
-         [--reco-lsh-min-entries N] \
          [--probe-interval-ms N] \
          [--io-fault-kind enospc|short-write|fsync-error] \
          [--io-fault-mode nth:N|from:N|random:PCT] \
@@ -115,9 +114,6 @@ fn parse_args() -> (String, NetServerConfig, LaminarConfig) {
             }
             "--reco-parallel-threshold" => {
                 deploy.server.reco_parallel_threshold = numeric() as usize;
-            }
-            "--reco-lsh-min-entries" => {
-                deploy.server.reco_lsh_min_entries = numeric() as usize;
             }
             "--probe-interval-ms" => {
                 deploy.server.probe_interval_ms = numeric();

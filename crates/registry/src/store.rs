@@ -947,6 +947,20 @@ impl Registry {
         self.inner.read().workflows.values().cloned().collect()
     }
 
+    /// Hand `f` the `(id, member PE ids)` of every workflow, in place
+    /// under the read lock — for callers that aggregate over membership
+    /// and would otherwise clone every row for two of its fields.
+    pub fn with_workflow_members<R>(
+        &self,
+        f: impl FnOnce(&mut dyn Iterator<Item = (u64, &[u64])>) -> R,
+    ) -> R {
+        let inner = self.inner.read();
+        f(&mut inner
+            .workflows
+            .values()
+            .map(|w| (w.id, w.pe_ids.as_slice())))
+    }
+
     /// `get_PEs_By_Workflow` (Table I).
     pub fn pes_by_workflow(&self, workflow_id: u64) -> Result<Vec<PeRow>, RegistryError> {
         let inner = self.inner.read();

@@ -17,7 +17,15 @@
 //! so a query scan is a single forward sweep over flat memory instead of a
 //! pointer chase through per-entry `Vec`s. An id→slot map gives O(1)
 //! upsert (in-place overwrite of the row) and O(DIM) deletion
-//! (swap-remove: the last row is copied into the vacated slot).
+//! (swap-remove: the last row is copied into the vacated slot). The
+//! sparse SPT modality is a posting index ([`spt::Postings`], `feature
+//! id → [(row, count)]`) beside the row-aligned forward vectors: a query
+//! walks the lists of its own features and accumulates every row's
+//! overlap into one `f32` per row — the same terms in the same order as
+//! [`FeatureVec::overlap`] row by row, so the scores are bit-identical to
+//! that scan's. The forward vectors stay because un-posting a row on
+//! replace or remove needs to know what was posted; a swap-remove
+//! relabels the moved row's postings.
 //!
 //! **Concurrency** is read-copy-update: the state lives in an
 //! `Arc<IndexState>` behind a lock held only long enough to clone the
@@ -28,34 +36,38 @@
 //!
 //! **Selection** is bounded: every ranking API takes `k` and runs a
 //! size-k heap over the scan ([`embed::topk::TopK`]), O(n log k) time and
-//! O(k) memory — no full-corpus sort, no per-query allocation
-//! proportional to the corpus. Large corpora partition the scan across
-//! rayon workers; the total `(score, key)` order makes the merged result
-//! identical to the serial scan.
+//! O(k) memory — no full-corpus sort. Large corpora partition the dense
+//! scans across rayon workers; the total `(score, key)` order makes the
+//! merged result identical to the serial scan. (The SPT walk is one
+//! serial pass — it is cheaper than the fan-out — and its one per-query
+//! allocation is the score slot per row.)
 //!
 //! **One cell.** The dense/SPT state above and the served
-//! [`AromaEngine`] (PE *source code* plus its own feature index and LSH
-//! tables — the full recommendation pipeline reparses candidates, which
-//! the slabs never stored) live in one cell behind one lock, each behind
-//! its own `Arc`. Every write API feeds both from the same analysed row
-//! — the engine is handed the row's SPT vector, it never re-derives it —
-//! and bumps the cell's single monotone `generation` exactly once, so
-//! the two can never be observed out of step. Readers clone only the
-//! `Arc` they scan: a search in flight never forces a copy of the PE
-//! sources, and a recommendation in flight never forces a copy of the
-//! slabs.
+//! [`AromaEngine`] (PE names and *source code* plus its own posting index
+//! over the PE rows and, per PE, the statement granules prune & rerank
+//! works from, parsed on first use — none of which the slabs store) live
+//! in one cell behind one lock, each behind its own `Arc`. Every write
+//! API feeds both from the same analysed row — the engine is handed the
+//! row's SPT vector (shared through an `Arc`, not copied), it never
+//! re-derives it — and bumps the cell's single monotone `generation`
+//! exactly once, so the two can never be observed out of step. Readers
+//! clone only the `Arc` they scan: a search in flight never forces a copy
+//! of the engine, and a recommendation in flight never forces a copy of
+//! the slabs. A copy-on-write clone of the dense/SPT state copies the
+//! slabs, the posting map and one pointer per forward vector; one of the
+//! engine copies its posting map and one pointer per PE (sources, vectors
+//! and memoised granules are shared between snapshots).
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use aroma::{AromaConfig, AromaEngine, Snippet};
-use embed::dense::{dot, slab_scan_above, slab_topk, PAR_SCAN_THRESHOLD};
+use embed::dense::{dot, slab_scan_above, slab_topk};
 use embed::topk::{ScoredRow, TopK};
 use embed::{DenseVec, ReaccSim, DIM};
 use parking_lot::RwLock;
-use rayon::prelude::*;
-use spt::FeatureVec;
+use spt::{FeatureVec, Postings};
 
 /// What kind of registry row an index entry points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,8 +103,11 @@ struct IndexState {
     desc: Vec<f32>,
     /// ReACC code-embedding slab, `keys.len() * DIM` values.
     reacc: Vec<f32>,
-    /// Sparse SPT feature vectors, row-aligned with the slabs.
-    spt: Vec<FeatureVec>,
+    /// Sparse SPT feature vectors, row-aligned with the slabs; a PE's is
+    /// shared with its engine entry.
+    spt: Vec<Arc<FeatureVec>>,
+    /// `spt`, inverted: every row's vector posted under its row number.
+    postings: Postings,
     /// entry key → row.
     slots: HashMap<u64, usize>,
     pes: usize,
@@ -105,7 +120,7 @@ impl IndexState {
         id: u64,
         kind: EntryKind,
         desc: DenseVec,
-        spt: FeatureVec,
+        spt: Arc<FeatureVec>,
         reacc: DenseVec,
     ) {
         debug_assert_eq!(desc.values.len(), DIM);
@@ -116,6 +131,8 @@ impl IndexState {
                 let row = *e.get();
                 self.desc[row * DIM..(row + 1) * DIM].copy_from_slice(&desc.values);
                 self.reacc[row * DIM..(row + 1) * DIM].copy_from_slice(&reacc.values);
+                self.postings.remove(row, &self.spt[row]);
+                self.postings.insert(row, &spt);
                 self.spt[row] = spt;
             }
             MapEntry::Vacant(e) => {
@@ -125,6 +142,7 @@ impl IndexState {
                 self.kinds.push(kind);
                 self.desc.extend_from_slice(&desc.values);
                 self.reacc.extend_from_slice(&reacc.values);
+                self.postings.insert(row, &spt);
                 self.spt.push(spt);
                 match kind {
                     EntryKind::Pe => self.pes += 1,
@@ -155,6 +173,10 @@ impl IndexState {
         let last = self.keys.len() - 1;
         self.keys.swap_remove(row);
         self.kinds.swap_remove(row);
+        self.postings.remove(row, &self.spt[row]);
+        if row != last {
+            self.postings.relabel(last, row, &self.spt[last]);
+        }
         self.spt.swap_remove(row);
         // Slab swap-remove: move the last row into the vacated stride,
         // then shrink. With `row == last` the copy is a no-op onto itself.
@@ -175,6 +197,7 @@ impl IndexState {
         self.desc.clear();
         self.reacc.clear();
         self.spt.clear();
+        self.postings.clear();
         self.slots.clear();
         self.pes = 0;
         self.workflows = 0;
@@ -187,8 +210,8 @@ impl IndexState {
 }
 
 /// One analysed registry row, ready to index: the three embeddings for
-/// the slabs and — for PEs — the name and source the Aroma engine
-/// reparses during prune & rerank, stored there under the same `spt`
+/// the slabs and — for PEs — the name and source the Aroma engine cuts
+/// into granules for prune & rerank, stored there under the same `spt`
 /// vector. Workflow rows carry theirs too but the engine never indexes
 /// them (workflow-scope recommendations aggregate PE hits over
 /// membership). Registration analyses a submission into one of these
@@ -200,7 +223,7 @@ pub struct IndexRow {
     pub name: String,
     pub code: String,
     pub desc: DenseVec,
-    pub spt: FeatureVec,
+    pub spt: Arc<FeatureVec>,
     pub reacc: DenseVec,
 }
 
@@ -220,7 +243,7 @@ impl IndexRow {
             name: name.to_string(),
             code: code.to_string(),
             desc,
-            spt,
+            spt: Arc::new(spt),
             reacc: ReaccSim::new().embed_code(code),
         }
     }
@@ -358,7 +381,9 @@ impl SearchIndexes {
         spt_vec: FeatureVec,
         reacc: DenseVec,
     ) {
-        self.write(|cell| Arc::make_mut(&mut cell.index).upsert(id, kind, desc, spt_vec, reacc));
+        self.write(|cell| {
+            Arc::make_mut(&mut cell.index).upsert(id, kind, desc, Arc::new(spt_vec), reacc)
+        });
     }
 
     pub fn remove(&self, id: u64, kind: EntryKind) {
@@ -438,8 +463,8 @@ impl SearchIndexes {
 
     /// *All* SPT hits with overlap ≥ `min_score`, best first. The
     /// workflow-scope recommendation aggregates member PEs and therefore
-    /// needs every match above threshold, not a fixed k; the allocation is
-    /// proportional to the number of matches, not the corpus.
+    /// needs every match above threshold, not a fixed k; beyond the
+    /// matches it allocates one `f32` score slot per row.
     pub fn rank_spt_above(
         &self,
         query: &FeatureVec,
@@ -447,9 +472,10 @@ impl SearchIndexes {
         min_score: f32,
     ) -> Vec<IndexHit> {
         let st = self.snapshot();
+        let scores = st.postings.overlaps(query, st.keys.len());
         let rows = slab_scan_above(
-            st.spt.len(),
-            |row| query.overlap(&st.spt[row]),
+            scores.len(),
+            |row| scores[row],
             |row| st.accepts(row, kind),
             &st.keys,
             min_score,
@@ -482,38 +508,22 @@ impl SearchIndexes {
     }
 }
 
-/// Exact bounded SPT scan, partitioned across rayon workers past the
-/// threshold (each worker folds an O(k) accumulator).
+/// Exact bounded SPT ranking: every accepted row is offered with its
+/// overlap (a row that shares nothing with the query still ranks, at 0).
 fn spt_topk(
     st: &IndexState,
     query: &FeatureVec,
     kind: Option<EntryKind>,
     k: usize,
 ) -> Vec<ScoredRow> {
-    if st.spt.len() >= PAR_SCAN_THRESHOLD {
-        st.spt
-            .par_iter()
-            .enumerate()
-            .fold(
-                || TopK::new(k),
-                |mut top, (row, v)| {
-                    if st.accepts(row, kind) {
-                        top.push(query.overlap(v), st.keys[row], row);
-                    }
-                    top
-                },
-            )
-            .reduce(|| TopK::new(k), TopK::merge)
-            .into_sorted()
-    } else {
-        let mut top = TopK::new(k);
-        for (row, v) in st.spt.iter().enumerate() {
-            if st.accepts(row, kind) {
-                top.push(query.overlap(v), st.keys[row], row);
-            }
+    let scores = st.postings.overlaps(query, st.keys.len());
+    let mut top = TopK::new(k);
+    for (row, &score) in scores.iter().enumerate() {
+        if st.accepts(row, kind) {
+            top.push(score, st.keys[row], row);
         }
-        top.into_sorted()
     }
+    top.into_sorted()
 }
 
 fn to_hits(st: &IndexState, rows: Vec<ScoredRow>) -> Vec<IndexHit> {

@@ -228,8 +228,7 @@ impl SearchMetrics {
 
 /// Recommendation-pipeline metrics (v9), fed by the served Aroma path:
 /// where each request's time goes (retrieve → prune → cluster →
-/// intersect), how often the LSH prefilter bounds the candidate pool,
-/// and whether rayon engaged for the prune stage.
+/// intersect) and whether rayon engaged for the prune stage.
 #[derive(Debug, Default)]
 pub struct RecoMetrics {
     /// `CodeRecommendation` requests served (any scope or embedding).
@@ -238,10 +237,6 @@ pub struct RecoMetrics {
     pub pipeline_runs: Counter,
     /// Pipeline runs whose prune stage ran under rayon.
     pub parallel_runs: Counter,
-    /// Pipeline runs answered through the LSH prefilter.
-    pub lsh_queries: Counter,
-    /// Total candidates those runs retrieved over (pool size, summed).
-    pub lsh_candidates: Counter,
     /// Stage 1–2: featurize + light-weight retrieval.
     pub retrieve_latency: Histogram,
     /// Stage 3: prune & rerank over the candidate set.
@@ -259,10 +254,6 @@ impl RecoMetrics {
         if stats.parallel {
             self.parallel_runs.inc();
         }
-        if let Some(candidates) = stats.lsh_candidates {
-            self.lsh_queries.inc();
-            self.lsh_candidates.add(candidates as u64);
-        }
         self.retrieve_latency.record(stats.retrieve);
         self.prune_latency.record(stats.prune);
         self.cluster_latency.record(stats.cluster);
@@ -274,8 +265,6 @@ impl RecoMetrics {
             requests: self.requests.get(),
             pipeline_runs: self.pipeline_runs.get(),
             parallel_runs: self.parallel_runs.get(),
-            lsh_queries: self.lsh_queries.get(),
-            lsh_candidates: self.lsh_candidates.get(),
             retrieve: self.retrieve_latency.snapshot(),
             prune: self.prune_latency.snapshot(),
             cluster: self.cluster_latency.snapshot(),
@@ -560,8 +549,6 @@ pub struct RecoSnapshot {
     pub requests: u64,
     pub pipeline_runs: u64,
     pub parallel_runs: u64,
-    pub lsh_queries: u64,
-    pub lsh_candidates: u64,
     pub retrieve: HistogramSnapshot,
     pub prune: HistogramSnapshot,
     pub cluster: HistogramSnapshot,
@@ -704,15 +691,6 @@ impl MetricsSnapshot {
                 "reco: requests {}  pipeline {}  parallel {}",
                 r.requests, r.pipeline_runs, r.parallel_runs
             );
-            if r.lsh_queries > 0 {
-                let _ = writeln!(
-                    out,
-                    "reco lsh: queries {}  candidates {} (avg pool {:.1})",
-                    r.lsh_queries,
-                    r.lsh_candidates,
-                    r.lsh_candidates as f64 / r.lsh_queries as f64
-                );
-            }
             let _ = writeln!(
                 out,
                 "{:<28} {:>8} {:>9} {:>9} {:>9}",
@@ -1038,23 +1016,20 @@ mod tests {
             retrieved: 40,
             pruned: 10,
             clusters: 3,
-            lsh_candidates: Some(64),
             parallel: true,
             retrieve: Duration::from_micros(400),
             prune: Duration::from_micros(900),
             cluster: Duration::from_micros(80),
             intersect: Duration::from_micros(60),
+            ..aroma::RecoStats::default()
         });
         let snap = m.snapshot();
         assert_eq!(snap.reco.requests, 1);
         assert_eq!(snap.reco.pipeline_runs, 1);
         assert_eq!(snap.reco.parallel_runs, 1);
-        assert_eq!(snap.reco.lsh_queries, 1);
-        assert_eq!(snap.reco.lsh_candidates, 64);
         assert_eq!(snap.reco.prune.count, 1);
         let table = snap.render();
         assert!(table.contains("reco: requests 1"), "{table}");
-        assert!(table.contains("avg pool 64.0"), "{table}");
         assert!(table.contains("intersect"), "{table}");
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();

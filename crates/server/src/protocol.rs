@@ -69,9 +69,10 @@
 //!   serde-defaulted `cluster_size` and `common_core` fields (how many
 //!   pruned snippets agreed on the hit, and the intersected idiom they
 //!   share), and the metrics snapshot grows a serde-defaulted `reco` row
-//!   group (per-stage pipeline latency, LSH candidate counts). No request
-//!   changes; version-8 payloads parse unchanged and
-//!   version-8 readers see the old fields untouched.
+//!   group (per-stage pipeline latency and run counts; the LSH candidate
+//!   counters it first carried went with the LSH gate — readers ignore
+//!   fields they do not know). No request changes; version-8 payloads
+//!   parse unchanged and version-8 readers see the old fields untouched.
 
 use crate::obs::MetricsSnapshot;
 use d4py::Data;

@@ -50,8 +50,9 @@ pub struct ServerConfig {
     /// workers (`--reco-parallel-threshold`); results are bit-identical
     /// to the serial pass either way.
     pub reco_parallel_threshold: usize,
-    /// Engine size at which the recommendation pipeline's own MinHash-LSH
-    /// prefilter engages (`--reco-lsh-min-entries`; 0 disables it).
+    /// Unused, frozen-benchmark name: the LSH gate it sized is gone and
+    /// nothing reads it. `crates/benchmark` still does; its next PR
+    /// removes it.
     pub reco_lsh_min_entries: usize,
     /// Interval of the background storage-recovery probe in milliseconds
     /// (`--probe-interval-ms`); 0 disables the probe thread. The probe
@@ -76,7 +77,7 @@ impl Default for ServerConfig {
             reco_rerank_keep: 10,
             reco_cluster_sim: 0.5,
             reco_parallel_threshold: 32,
-            reco_lsh_min_entries: 512,
+            reco_lsh_min_entries: 0,
             probe_interval_ms: 0,
             degraded_retry_after_ms: 500,
             dynamic: d4py::DynamicConfig::default(),
@@ -106,6 +107,14 @@ impl From<RegistryError> for ServerError {
     fn from(e: RegistryError) -> Self {
         ServerError::Registry(e)
     }
+}
+
+/// A recommendation query, analysed once for however many scopes it is
+/// put to: the parsed snippet and its whole-tree SPT vector, or its ReACC
+/// embedding.
+enum RecoQuery {
+    Spt(pyparse::ParseTree, FeatureVec),
+    Llm(DenseVec),
 }
 
 /// The server.
@@ -148,7 +157,6 @@ impl LaminarServer {
             cluster_sim: config.reco_cluster_sim,
             max_recommendations: config.reco_rerank_keep,
             parallel_threshold: config.reco_parallel_threshold,
-            lsh_min_entries: config.reco_lsh_min_entries,
             min_overlap: config.reco_min_score,
             ..AromaConfig::default()
         });
@@ -865,7 +873,7 @@ impl LaminarServer {
                 id: 0,
                 kind,
                 desc: self.unixcoder.embed_text(&description),
-                spt: Spt::parse_source(&code).feature_vec(),
+                spt: Arc::new(Spt::parse_source(&code).feature_vec()),
                 reacc: ReaccSim::new().embed_code(&code),
                 name,
                 code,
@@ -1095,15 +1103,23 @@ impl LaminarServer {
         k: usize,
     ) -> Vec<RecommendationHit> {
         self.metrics.reco.requests.inc();
+        let query = match embedding_type {
+            EmbeddingType::Spt => {
+                let tree = pyparse::parse(snippet);
+                let q = Spt::from_parse_tree(&tree).feature_vec();
+                RecoQuery::Spt(tree, q)
+            }
+            EmbeddingType::Llm => RecoQuery::Llm(ReaccSim::new().embed_code(snippet)),
+        };
         match scope {
-            SearchScope::Pe => self.recommend_pes(snippet, embedding_type, k),
-            SearchScope::Workflow => self.recommend_workflows(snippet, embedding_type, k),
+            SearchScope::Pe => self.recommend_pes(&query, k),
+            SearchScope::Workflow => self.recommend_workflows(&query, k),
             SearchScope::Both => {
                 // Both lists, merged on the shared score scale. (The old
                 // dispatch folded `Both` into the PE arm, so it never
                 // returned a workflow hit.)
-                let mut hits = self.recommend_pes(snippet, embedding_type, k);
-                hits.extend(self.recommend_workflows(snippet, embedding_type, k));
+                let mut hits = self.recommend_pes(&query, k);
+                hits.extend(self.recommend_workflows(&query, k));
                 hits.sort_by(|a, b| {
                     b.score
                         .partial_cmp(&a.score)
@@ -1119,17 +1135,12 @@ impl LaminarServer {
     /// PE-scope recommendations. `spt` runs the full Aroma pipeline
     /// (retrieve → prune & rerank → cluster → intersect) on the engine's
     /// current snapshot; `llm` stays the flat ReACC cosine ranking.
-    fn recommend_pes(
-        &self,
-        snippet: &str,
-        embedding_type: EmbeddingType,
-        k: usize,
-    ) -> Vec<RecommendationHit> {
-        match embedding_type {
-            EmbeddingType::Spt => {
+    fn recommend_pes(&self, query: &RecoQuery, k: usize) -> Vec<RecommendationHit> {
+        match query {
+            RecoQuery::Spt(tree, q) => {
                 let engine = self.indexes.engine();
                 let start = std::time::Instant::now();
-                let (recs, stats) = engine.recommend_with_stats(snippet);
+                let (recs, stats) = engine.recommend_parsed(tree, q);
                 self.metrics.search.spt_latency.record(start.elapsed());
                 self.metrics.reco.observe(&stats);
                 recs.into_iter()
@@ -1151,10 +1162,9 @@ impl LaminarServer {
                     .take(k)
                     .collect()
             }
-            EmbeddingType::Llm => {
-                let q = ReaccSim::new().embed_code(snippet);
+            RecoQuery::Llm(q) => {
                 let start = std::time::Instant::now();
-                let hits = self.indexes.rank_reacc(&q, Some(EntryKind::Pe), k);
+                let hits = self.indexes.rank_reacc(q, Some(EntryKind::Pe), k);
                 self.metrics.search.reacc_latency.record(start.elapsed());
                 hits.into_iter()
                     .filter(|h| h.score >= self.config.reco_min_cosine)
@@ -1180,29 +1190,20 @@ impl LaminarServer {
     /// containing matching PEs, ranked by total member score. Aggregation
     /// needs *every* PE above threshold (a workflow's rank sums member
     /// scores), so this path uses the threshold scan, not top-k.
-    fn recommend_workflows(
-        &self,
-        snippet: &str,
-        embedding_type: EmbeddingType,
-        k: usize,
-    ) -> Vec<RecommendationHit> {
-        let pe_hits: Vec<(u64, f32)> = match embedding_type {
-            EmbeddingType::Spt => {
+    fn recommend_workflows(&self, query: &RecoQuery, k: usize) -> Vec<RecommendationHit> {
+        let pe_hits: Vec<(u64, f32)> = match query {
+            RecoQuery::Spt(_, q) => {
                 let start = std::time::Instant::now();
-                let q = Spt::parse_source(snippet).feature_vec();
-                let hits = self.indexes.rank_spt_above(
-                    &q,
-                    Some(EntryKind::Pe),
-                    self.config.reco_min_score,
-                );
+                let hits =
+                    self.indexes
+                        .rank_spt_above(q, Some(EntryKind::Pe), self.config.reco_min_score);
                 self.metrics.search.spt_latency.record(start.elapsed());
                 hits.into_iter().map(|h| (h.id, h.score)).collect()
             }
-            EmbeddingType::Llm => {
-                let q = ReaccSim::new().embed_code(snippet);
+            RecoQuery::Llm(q) => {
                 let start = std::time::Instant::now();
                 let hits = self.indexes.rank_reacc_above(
-                    &q,
+                    q,
                     Some(EntryKind::Pe),
                     self.config.reco_min_cosine,
                 );
@@ -1210,58 +1211,62 @@ impl LaminarServer {
                 hits.into_iter().map(|h| (h.id, h.score)).collect()
             }
         };
-        let workflows = self.registry.all_workflows();
-        sweep_workflows(
-            &pe_hits,
-            workflows.iter().map(|wf| (wf.id, wf.pe_ids.as_slice())),
-        )
-        .into_iter()
-        .take(k)
-        .filter_map(|(wf_id, score, occurrences)| {
-            let wf = workflows.iter().find(|w| w.id == wf_id)?;
-            Some(RecommendationHit {
-                id: wf_id,
-                name: wf.name.clone(),
-                description: wf.description.clone(),
-                score,
-                occurrences,
-                similar_code: String::new(),
-                cluster_size: 0,
-                common_core: String::new(),
+        // The sweep reads ids and membership in place; only the k winners
+        // are hydrated.
+        self.registry
+            .with_workflow_members(|members| sweep_workflows(&pe_hits, members))
+            .into_iter()
+            .take(k)
+            .filter_map(|(wf_id, score, occurrences)| {
+                let wf = self.registry.get_workflow(wf_id).ok()?;
+                Some(RecommendationHit {
+                    id: wf_id,
+                    name: wf.name,
+                    description: wf.description,
+                    score,
+                    occurrences,
+                    similar_code: String::new(),
+                    cluster_size: 0,
+                    common_core: String::new(),
+                })
             })
-        })
-        .collect()
+            .collect()
     }
 
     /// Context-aware code completion (§III): the best SPT match above a
     /// relaxed threshold supplies the untyped remainder.
     fn code_completion(&self, snippet: &str) -> Response {
-        let q = Spt::parse_source(snippet).feature_vec();
+        let tree = pyparse::parse(snippet);
+        let q = Spt::from_parse_tree(&tree).feature_vec();
         let start = std::time::Instant::now();
         // Only the single best match matters (the ranking is best-first,
         // so a failed threshold on the top hit fails on every hit).
         let top = self.indexes.rank_spt(&q, Some(EntryKind::Pe), 1);
         self.metrics.search.spt_latency.record(start.elapsed());
+        let none = Response::Completion {
+            source: None,
+            lines: Vec::new(),
+            progress: 0.0,
+        };
         let best = top
             .into_iter()
             // Completion works from much smaller fragments than
             // recommendation, so use half the recommendation threshold.
             .find(|h| h.score >= self.config.reco_min_score / 2.0);
         let Some(hit) = best else {
-            return Response::Completion {
-                source: None,
-                lines: Vec::new(),
-                progress: 0.0,
-            };
+            return none;
         };
-        let Ok(pe) = self.registry.get_pe(hit.id) else {
-            return Response::Completion {
-                source: None,
-                lines: Vec::new(),
-                progress: 0.0,
-            };
+        // The winner's statement granules are the engine's, parsed at
+        // most once per PE. (A PE removed since the ranking's snapshot can
+        // be missing from either place.)
+        let engine = self.indexes.engine();
+        let (Ok(pe), Some(granules)) = (
+            self.registry.get_pe(hit.id),
+            engine.index().granules(hit.id),
+        ) else {
+            return none;
         };
-        let completion = aroma::complete_from(snippet, &pe.code);
+        let completion = aroma::complete_with(&aroma::granulated_vec_of(&tree), granules);
         Response::Completion {
             source: Some((pe.id, pe.name)),
             lines: completion.lines,
@@ -2793,6 +2798,72 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(server.indexes().counts(), (6, 1));
+    }
+
+    /// Hostile input, the flat kind: one node with ~66,000 children. Its
+    /// SPT label is as long as the literal and every leaf under it names
+    /// it in a feature — quadratic unless label bytes are bounded
+    /// (`spt::features`). A 200 KB literal used to be an OOM kill.
+    #[test]
+    fn flat_literals_get_a_reply_and_the_server_lives() {
+        let (server, token) = server_with_session();
+        register_isprime(&server, token);
+        let ask = |req| server.handle_envelope(RequestEnvelope::new(req)).1.value();
+        let flat = [
+            format!("[{}]", vec!["1"; 66_000].join(", ")),
+            format!("{}1", "1<".repeat(100_000)),
+        ];
+        for (i, literal) in flat.iter().enumerate() {
+            assert!(literal.len() >= 198_000);
+            let snippet = format!(
+                "class Flat(IterativePE):\n    def _process(self, num):\n        x = {literal}\n        return x\n"
+            );
+            let resp = ask(Request::CodeRecommendation {
+                token,
+                scope: SearchScope::Both,
+                snippet: snippet.clone(),
+                embedding_type: EmbeddingType::Spt,
+                top_n: None,
+            });
+            assert!(matches!(resp, Response::Recommendations(_)), "{resp:?}");
+            let resp = ask(Request::CodeCompletion {
+                token,
+                snippet: snippet.clone(),
+            });
+            assert!(matches!(resp, Response::Completion { .. }), "{resp:?}");
+            let resp = ask(Request::RegisterPe {
+                token,
+                pe: PeSubmission {
+                    name: format!("Flat{i}"),
+                    code: snippet.clone(),
+                    description: None,
+                },
+            });
+            assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
+            // Registered, it is now a candidate: retrieved, cut into
+            // granules and pruned against its own source.
+            let resp = ask(Request::CodeRecommendation {
+                token,
+                scope: SearchScope::Pe,
+                snippet,
+                embedding_type: EmbeddingType::Spt,
+                top_n: None,
+            });
+            match resp {
+                Response::Recommendations(hits) => {
+                    assert!(
+                        hits.iter().any(|h| h.name == format!("Flat{i}")),
+                        "{hits:?}"
+                    )
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        match ask(Request::Health {}) {
+            Response::Health { live, ready, .. } => assert!(live && ready),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(server.indexes().counts(), (5, 1));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! * bounded top-k selection returns exactly the prefix of the full-sorted
 //!   ranking, ties included (the tie-break key is total, so the prefix is
 //!   unique and the comparison is exact, not approximate);
-//! * the rayon-partitioned scan is bit-identical to the serial scan once
-//!   the corpus crosses `PAR_SCAN_THRESHOLD`;
+//! * the rayon-partitioned dense scans (and the SPT posting walk beside
+//!   them) are bit-identical to a serial full sort once the corpus
+//!   crosses `PAR_SCAN_THRESHOLD`;
 //! * arbitrary upsert/bulk/describe/remove/clear interleavings leave the cell
 //!   equivalent to a naive map-of-rows model: all three modalities (slot
 //!   map, slab swap-remove, and per-kind counts all have to move together
@@ -13,7 +14,7 @@
 //!   engine that parsed and featurised them from scratch), and the one
 //!   generation (exactly one step per mutation).
 
-use aroma::{AromaConfig, AromaEngine, Snippet};
+use aroma::{AromaEngine, Snippet};
 use embed::dense::PAR_SCAN_THRESHOLD;
 use embed::{dot, DenseVec, Embedder, ReaccSim, UniXcoderSim, DIM};
 use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, SearchIndexes};
@@ -34,15 +35,6 @@ fn cases(default: u32) -> u32 {
 /// The engine's encoded tie-break key (mirrors the private `entry_key`).
 fn key_of(id: u64, kind: EntryKind) -> u64 {
     (id << 1) | matches!(kind, EntryKind::Workflow) as u64
-}
-
-/// The engine under test: the LSH prefilter engages from four snippets
-/// on, so op sequences land on both sides of that threshold.
-fn aroma_config() -> AromaConfig {
-    AromaConfig {
-        lsh_min_entries: 4,
-        ..AromaConfig::default()
-    }
 }
 
 /// Naive reference: a map of full rows, ranked by scoring everything and
@@ -156,7 +148,7 @@ fn build_row(spec: &RowSpec) -> IndexRow {
 
 /// Apply one op sequence to both the cell and the naive model.
 fn apply(ops: &[Op]) -> (SearchIndexes, NaiveModel) {
-    let ix = SearchIndexes::with_aroma(aroma_config());
+    let ix = SearchIndexes::new();
     let mut model = NaiveModel::default();
     for op in ops {
         match op {
@@ -218,7 +210,7 @@ fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
         );
     }
 
-    let mut fresh = AromaEngine::new(aroma_config());
+    let mut fresh = AromaEngine::with_default_config();
     fresh.add_batch(
         pes.iter()
             .map(|p| Snippet::new(p.id, p.name.as_str(), p.code.as_str()))
@@ -241,18 +233,8 @@ fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
             assert_eq!(g.cluster_size, w.cluster_size);
         }
         assert_eq!(
-            (
-                got_stats.retrieved,
-                got_stats.pruned,
-                got_stats.clusters,
-                got_stats.lsh_candidates
-            ),
-            (
-                want_stats.retrieved,
-                want_stats.pruned,
-                want_stats.clusters,
-                want_stats.lsh_candidates
-            ),
+            (got_stats.retrieved, got_stats.pruned, got_stats.clusters),
+            (want_stats.retrieved, want_stats.pruned, want_stats.clusters),
             "{query:?}"
         );
     }
@@ -340,10 +322,12 @@ fn lcg_vec(seed: &mut u64) -> DenseVec {
     DenseVec::normalised(values)
 }
 
-/// Past `PAR_SCAN_THRESHOLD` the index ranks on the rayon-partitioned
-/// path; its output must be bit-identical to a serial full sort. Only 8
-/// distinct SPT vectors across ~4k rows makes ties the common case, so
-/// the merge order of the per-worker accumulators is thoroughly exercised.
+/// Past `PAR_SCAN_THRESHOLD` the dense modalities rank on the
+/// rayon-partitioned path; the output must be bit-identical to a serial
+/// full sort. Only 8 distinct SPT vectors across ~4k rows makes ties the
+/// common case, so the bounded selection's tie-break (and, for the dense
+/// scans, the merge order of the per-worker accumulators) is thoroughly
+/// exercised.
 #[test]
 fn parallel_scan_is_bit_identical_to_serial_past_threshold() {
     let n = PAR_SCAN_THRESHOLD + 64;

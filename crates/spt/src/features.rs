@@ -13,8 +13,16 @@
 //! 4. `VarUsage(c1, c2)` — for each local variable, the labels of the
 //!    parent contexts of consecutive usages (variable-agnostic, so `i`
 //!    in one snippet matches `idx` in another).
+//!
+//! Two extractors produce them. [`feature_ids`] is the one every index and
+//! query goes through: it streams each feature's encoding straight from
+//! the tree into an FNV-1a state and never builds a string.
+//! [`extract_features`] materialises the same multiset as [`Feature`]
+//! values — for the E13 ablation, which filters by family, and as the
+//! reference the streamed ids are tested against.
 
 use crate::tree::{Spt, SptNode, SptNodeId};
+use crate::vector::Fnv1a;
 use pyparse::TokKind;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -51,6 +59,140 @@ impl fmt::Display for Feature {
 const PARENT_LEVELS: usize = 3;
 /// String literals longer than this are normalised to `#STR`.
 const MAX_LITERAL_LEN: usize = 12;
+/// Label bytes a feature hashes. A label is as long as its node has
+/// children, and every leaf under the node hashes it again, so an
+/// unbounded label makes one flat 100k-element literal quadratic. Real
+/// labels are tens of bytes; past the bound a label counts as its first
+/// [`MAX_LABEL_BYTES`] and its length — so a vector stored before the bound
+/// existed differs from today's on the features under such a node (more
+/// than ~340 statements in a block, 204 elements in a list).
+const MAX_LABEL_BYTES: usize = 1024;
+
+/// The part of `label` that is hashed verbatim, and its full byte length
+/// when that is only a prefix.
+fn bounded_label(label: &str) -> (&str, Option<usize>) {
+    if label.len() <= MAX_LABEL_BYTES {
+        return (label, None);
+    }
+    let mut cut = MAX_LABEL_BYTES;
+    while !label.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    (&label[..cut], Some(label.len()))
+}
+
+/// A label as [`Feature`]s carry it: verbatim, or `prefix#length` past the
+/// bound.
+fn label_string(label: &str) -> String {
+    match bounded_label(label) {
+        (whole, None) => whole.to_string(),
+        (prefix, Some(len)) => format!("{prefix}#{len}"),
+    }
+}
+
+fn write_label(h: &mut Fnv1a, label: &str) {
+    let (prefix, len) = bounded_label(label);
+    h.write(prefix.as_bytes());
+    if let Some(len) = len {
+        h.write(b"#");
+        h.write_decimal(len);
+    }
+}
+
+/// The token a leaf contributes to features, or `None` for punctuation
+/// and layout tokens: keywords, numbers and API names verbatim, local
+/// variables as `#VAR`, long string literals as `#STR`.
+fn feature_token(text: &str, kind: TokKind, is_variable: bool) -> Option<&str> {
+    match kind {
+        TokKind::Keyword | TokKind::Number => Some(text),
+        TokKind::Name if is_variable => Some("#VAR"),
+        TokKind::Name => Some(text),
+        TokKind::Str if text.len() > MAX_LITERAL_LEN => Some("#STR"),
+        TokKind::Str => Some(text),
+        TokKind::Op | TokKind::Newline | TokKind::Indent | TokKind::Dedent | TokKind::Eof => None,
+    }
+}
+
+/// `(parent, child index)` per arena slot under `root`; `None` for `root`
+/// itself and for slots outside its subtree. The index wraps at 256, as
+/// the stored ids always have.
+fn parent_table(spt: &Spt, root: SptNodeId) -> Vec<Option<(SptNodeId, u8)>> {
+    let mut parent = vec![None; spt.nodes.len()];
+    let mut stack = vec![root];
+    while let Some(id) = stack.pop() {
+        for (i, &c) in spt.children(id).iter().enumerate() {
+            parent[c.index()] = Some((id, i as u8));
+            stack.push(c);
+        }
+    }
+    parent
+}
+
+/// A hash state fed `tag` and the feature's first field.
+fn tagged(tag: &[u8], first: &str) -> Fnv1a {
+    let mut h = Fnv1a::default();
+    h.write(tag);
+    h.write(first.as_bytes());
+    h
+}
+
+/// The hashed ids of every feature of `spt`, as a multiset in no
+/// particular order: exactly `fnv1a(f.encode())` for each `f` of
+/// [`extract_features`], computed without building `f` or its encoding.
+pub fn feature_ids(spt: &Spt) -> Vec<u64> {
+    let Some(root) = spt.root else {
+        return Vec::new();
+    };
+    let parent = parent_table(spt, root);
+    let mut ids = Vec::new();
+    let mut previous: Option<&str> = None;
+    // Variable name -> label of the context it was last used in.
+    let mut last_use: HashMap<&str, &str> = HashMap::new();
+    for leaf in spt.leaves_under(root) {
+        let SptNode::Leaf { text, kind, is_variable } = &spt.nodes[leaf.index()] else {
+            continue;
+        };
+        let Some(token) = feature_token(text, *kind, *is_variable) else {
+            continue;
+        };
+        ids.push(tagged(b"T:", token).finish());
+
+        let mut stem = tagged(b"P:", token);
+        stem.write(b"|");
+        let mut cur = leaf;
+        for _ in 0..PARENT_LEVELS {
+            let Some((p, idx)) = parent[cur.index()] else {
+                break;
+            };
+            let mut h = stem;
+            h.write_decimal(idx as usize);
+            h.write(b"|");
+            write_label(&mut h, spt.label(p));
+            ids.push(h.finish());
+            cur = p;
+        }
+
+        if let Some(before) = previous.replace(token) {
+            let mut h = tagged(b"S:", before);
+            h.write(b"|");
+            h.write(token.as_bytes());
+            ids.push(h.finish());
+        }
+
+        if *is_variable {
+            let context = parent[leaf.index()].map_or("", |(p, _)| spt.label(p));
+            if let Some(before) = last_use.insert(text.as_str(), context) {
+                let mut h = Fnv1a::default();
+                h.write(b"V:");
+                write_label(&mut h, before);
+                h.write(b"|");
+                write_label(&mut h, context);
+                ids.push(h.finish());
+            }
+        }
+    }
+    ids
+}
 
 /// Reusable extractor (kept for API symmetry with the paper's pipeline
 /// stages; extraction itself is stateless).
@@ -67,87 +209,60 @@ impl FeatureExtractor {
     }
 }
 
-/// Extract all features of `spt`.
+/// Extract all features of `spt` as values — the reference form of
+/// [`feature_ids`].
 pub fn extract_features(spt: &Spt) -> Vec<Feature> {
     let Some(root) = spt.root else {
         return Vec::new();
     };
     let mut out = Vec::new();
-
-    // Build parent & child-index maps with one walk.
-    let mut parent: HashMap<u32, (SptNodeId, u8)> = HashMap::new();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if let SptNode::Internal { children, .. } = &spt.nodes[id.index()] {
-            for (i, &c) in children.iter().enumerate() {
-                parent.insert(c.0, (id, (i as u8)));
-                stack.push(c);
-            }
-        }
-    }
-
-    let leaves = spt.leaves_under(root);
+    let parent = parent_table(spt, root);
 
     // Token + parent features; remember eligible tokens and variable uses.
-    let mut eligible: Vec<(SptNodeId, String)> = Vec::new();
-    let mut var_uses: HashMap<String, Vec<String>> = HashMap::new();
-    for &leaf in &leaves {
+    let mut eligible: Vec<&str> = Vec::new();
+    let mut var_uses: HashMap<&str, Vec<String>> = HashMap::new();
+    for leaf in spt.leaves_under(root) {
         let SptNode::Leaf { text, kind, is_variable } = &spt.nodes[leaf.index()] else {
             continue;
         };
-        let token = match kind {
-            TokKind::Keyword => text.clone(),
-            TokKind::Name => {
-                if *is_variable {
-                    "#VAR".to_string()
-                } else {
-                    text.clone()
-                }
-            }
-            TokKind::Number => text.clone(),
-            TokKind::Str => {
-                if text.len() > MAX_LITERAL_LEN {
-                    "#STR".to_string()
-                } else {
-                    text.clone()
-                }
-            }
-            TokKind::Op | TokKind::Newline | TokKind::Indent | TokKind::Dedent | TokKind::Eof => {
-                continue;
-            }
+        let Some(token) = feature_token(text, *kind, *is_variable) else {
+            continue;
         };
-        out.push(Feature::Token(token.clone()));
+        out.push(Feature::Token(token.to_string()));
 
         // Parent features: climb up to PARENT_LEVELS ancestors.
         let mut cur = leaf;
         for _ in 0..PARENT_LEVELS {
-            let Some(&(p, idx)) = parent.get(&cur.0) else {
+            let Some((p, idx)) = parent[cur.index()] else {
                 break;
             };
-            let label = spt.label(p).to_string();
-            out.push(Feature::Parent(token.clone(), idx, label));
+            out.push(Feature::Parent(
+                token.to_string(),
+                idx,
+                label_string(spt.label(p)),
+            ));
             cur = p;
         }
 
         if *is_variable {
-            let ctx = parent
-                .get(&leaf.0)
-                .map(|&(p, _)| spt.label(p).to_string())
-                .unwrap_or_default();
-            var_uses.entry(text.clone()).or_default().push(ctx);
+            let ctx = parent[leaf.index()].map_or("", |(p, _)| spt.label(p));
+            var_uses
+                .entry(text.as_str())
+                .or_default()
+                .push(label_string(ctx));
         }
-        eligible.push((leaf, token));
+        eligible.push(token);
     }
 
     // Sibling features: ordered bigrams of consecutive eligible tokens.
     for pair in eligible.windows(2) {
-        out.push(Feature::Sibling(pair[0].1.clone(), pair[1].1.clone()));
+        out.push(Feature::Sibling(pair[0].to_string(), pair[1].to_string()));
     }
 
     // Variable-usage features: consecutive usage contexts per variable.
     // Sort variables so output order is deterministic.
     let mut vars: Vec<_> = var_uses.into_iter().collect();
-    vars.sort_by(|a, b| a.0.cmp(&b.0));
+    vars.sort_by(|a, b| a.0.cmp(b.0));
     for (_name, contexts) in vars {
         for pair in contexts.windows(2) {
             out.push(Feature::VarUsage(pair[0].clone(), pair[1].clone()));

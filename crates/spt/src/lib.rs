@@ -15,7 +15,9 @@
 //! Features are hashed (FNV-1a, 64-bit) into a [`FeatureVec`] — a sorted
 //! sparse vector supporting the dot-product / cosine scoring the search
 //! layer needs, and JSON (de)serialisation matching the paper's
-//! `sptEmbedding` registry column (§VI, Fig. 6).
+//! `sptEmbedding` registry column (§VI, Fig. 6). [`Postings`] is the
+//! inverted form of a set of them, which scores a query against every
+//! indexed vector in one pass over the query's own features.
 //!
 //! ```
 //! let spt = spt::Spt::parse_source("def f(x):\n    return x + 1\n");
@@ -26,10 +28,12 @@
 
 pub mod features;
 pub mod locals;
+pub mod postings;
 pub mod tree;
 pub mod vector;
 
-pub use features::{extract_features, Feature, FeatureExtractor};
+pub use features::{extract_features, feature_ids, Feature, FeatureExtractor};
 pub use locals::local_variables;
+pub use postings::Postings;
 pub use tree::{Spt, SptNode, SptNodeId};
-pub use vector::FeatureVec;
+pub use vector::{FeatureVec, Fnv1a};

@@ -8,7 +8,7 @@
 //! statement level, which is what makes structurally-similar code align
 //! regardless of the identifiers and literals involved.
 
-use crate::features::{extract_features, Feature};
+use crate::features::{extract_features, feature_ids, Feature};
 use crate::locals::local_variables;
 use crate::vector::FeatureVec;
 use pyparse::{NodeId, NodeKind, ParseTree, SyntaxKind, TokKind, Token};
@@ -209,48 +209,7 @@ impl Spt {
     /// Hash the features into a sparse vector — the `sptEmbedding` the
     /// registry stores (paper §VI).
     pub fn feature_vec(&self) -> FeatureVec {
-        FeatureVec::from_features(&self.features())
-    }
-
-    /// Feature vector of the subtree rooted at `id` only (used by
-    /// prune-and-rerank, which scores statement subtrees independently).
-    pub fn subtree_feature_vec(&self, id: SptNodeId) -> FeatureVec {
-        let sub = self.subtree_view(id);
-        FeatureVec::from_features(&extract_features(&sub))
-    }
-
-    /// Materialise the subtree rooted at `id` as its own `Spt` (cheap:
-    /// clones only the relevant arena slots).
-    pub fn subtree_view(&self, id: SptNodeId) -> Spt {
-        let mut sub = Spt {
-            nodes: Vec::new(),
-            root: None,
-            variables: self.variables.clone(),
-            parse_errors: 0,
-        };
-        sub.root = Some(Self::copy_into(self, id, &mut sub));
-        sub
-    }
-
-    fn copy_into(src: &Spt, id: SptNodeId, dst: &mut Spt) -> SptNodeId {
-        match &src.nodes[id.index()] {
-            SptNode::Leaf { text, kind, is_variable } => dst.push(SptNode::Leaf {
-                text: text.clone(),
-                kind: *kind,
-                is_variable: *is_variable,
-            }),
-            SptNode::Internal { label, kind, children } => {
-                let new_children: Vec<SptNodeId> = children
-                    .iter()
-                    .map(|&c| Self::copy_into(src, c, dst))
-                    .collect();
-                dst.push(SptNode::Internal {
-                    label: label.clone(),
-                    kind: *kind,
-                    children: new_children,
-                })
-            }
-        }
+        FeatureVec::from_ids(feature_ids(self))
     }
 
     /// Pretty-print (indented labels + tokens), for debugging and tests.
@@ -359,17 +318,6 @@ mod tests {
         let h = Spt::parse_source(&half).feature_vec();
         let sim = f.cosine(&h);
         assert!(sim > 0.4, "prefix similarity {sim}");
-    }
-
-    #[test]
-    fn subtree_view_matches_direct_parse() {
-        let spt = Spt::parse_source("def f(x):\n    return x\n\ndef g(y):\n    return y\n");
-        let root = spt.root.unwrap();
-        let first_fn = spt.children(root)[0];
-        let sub = spt.subtree_view(first_fn);
-        assert!(sub.root.is_some());
-        assert!(sub.size() < spt.size());
-        assert!(sub.dump().contains("#VAR(x)"));
     }
 
     #[test]

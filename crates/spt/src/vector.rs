@@ -19,23 +19,69 @@ pub struct FeatureVec {
     pub items: Vec<(u64, f32)>,
 }
 
+/// 64-bit FNV-1a as a byte stream: feeding an encoding piece by piece
+/// hashes to the same id as feeding it whole, which is what lets the
+/// extractor hash a feature without ever building its string.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
+    }
+}
+
+impl Fnv1a {
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    /// `n` in decimal, as `format!("{n}")` would spell it.
+    #[inline]
+    pub fn write_decimal(&mut self, n: usize) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut n = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.write(&digits[at..]);
+    }
+
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// 64-bit FNV-1a over the feature's stable encoding.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
 }
 
 impl FeatureVec {
     /// Build from a feature multiset.
     pub fn from_features(features: &[Feature]) -> FeatureVec {
-        let mut ids: Vec<u64> = features
-            .iter()
-            .map(|f| fnv1a(f.encode().as_bytes()))
-            .collect();
+        FeatureVec::from_ids(
+            features
+                .iter()
+                .map(|f| fnv1a(f.encode().as_bytes()))
+                .collect(),
+        )
+    }
+
+    /// Build from a multiset of hashed feature ids, in any order.
+    pub fn from_ids(mut ids: Vec<u64>) -> FeatureVec {
         ids.sort_unstable();
         let mut items: Vec<(u64, f32)> = Vec::with_capacity(ids.len());
         for id in ids {

@@ -76,6 +76,27 @@ cargo build --release -p laminar-bench --bin bench_degraded
 echo "==> aroma pipeline property suite"
 cargo test -q -p aroma --test pipeline_props
 
+# Exactness of the posting-list rankings and the string-free extractor,
+# each against a naive reference (plain seeded #[test]s, no proptest):
+# streamed feature ids ≡ fnv1a(Feature::encode()); SnippetIndex::search_vec
+# ≡ overlap-per-entry + full sort under churn, pruning from the granule
+# memo ≡ pruning from source; rank_spt / rank_spt_above ≡ the same scan
+# over a model map, both kinds, under churn with swap-removes.
+echo "==> spt feature-id equality suite (streamed ids == encoded features)"
+cargo test -q -p spt --test feature_ids
+
+echo "==> aroma posting-list + granule-memo equality suite"
+cargo test -q -p aroma --test postings_equivalence
+
+echo "==> server SPT ranking equality suite (postings == naive scan under churn)"
+cargo test -q -p laminar-server --test spt_postings
+
+# Hostile input: a flat 200 KB literal (one node, ~66k children) through
+# CodeRecommendation / CodeCompletion / RegisterPe must answer and leave
+# the server healthy — label bytes fed to the feature hasher are bounded.
+echo "==> hostile input (flat 200 KB literal, deep nesting)"
+cargo test -q -p laminar-server --lib -- flat_literals deeply_nested
+
 # Served recommendations: full-pipeline responses ≡ direct engine output on
 # the same snapshot, and Both scope merges PE + workflow hits.
 echo "==> server recommendation suite"
