@@ -8,7 +8,6 @@ use crate::recommend::create_recommendation;
 use pyparse::ParseTree;
 use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tunables for the pipeline. Defaults follow the Aroma paper's spirit at
@@ -134,10 +133,10 @@ impl AromaEngine {
 
     /// Insert or replace by id a snippet whose SPT feature vector the
     /// caller already holds. The one insertion primitive: the server
-    /// feeds it the vector its registry row carries (shared, not copied);
+    /// feeds it the vector its registry row carries;
     /// [`upsert`](Self::upsert) and [`add_batch`](Self::add_batch)
     /// featurise and then come here.
-    pub fn insert(&mut self, snippet: Snippet, vec: Arc<FeatureVec>) {
+    pub fn insert(&mut self, snippet: Snippet, vec: FeatureVec) {
         self.index.insert(snippet, vec);
     }
 
@@ -154,7 +153,7 @@ impl AromaEngine {
             .map(|s| Spt::parse_source(&s.code).feature_vec())
             .collect();
         for (snippet, vec) in snippets.into_iter().zip(vecs) {
-            self.insert(snippet, Arc::new(vec));
+            self.insert(snippet, vec);
         }
     }
 

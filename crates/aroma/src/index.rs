@@ -5,14 +5,16 @@
 //! posting lists of the query's own features and accumulates every
 //! snippet's overlap in one pass — the "matrix multiplication" of the
 //! paper's Fig. 3 in its sparse, column-wise form. Scores are exactly
-//! those of [`FeatureVec::overlap`] against each stored vector.
+//! those of [`FeatureVec::overlap`] against each stored vector. This is
+//! the system's one structural index: the pipeline's retrieval and the
+//! server's flat SPT rankings all start from [`SnippetIndex::scored`].
 //!
 //! Entries are immutable and shared (`Arc`): a copy-on-write clone of the
-//! index copies pointers, not sources, and every clone shares what an
-//! entry has memoised — its statement granules, which prune & rerank and
-//! completion need and which depend on the source alone, so each snippet
-//! is parsed for them at most once, by the first request that retrieves
-//! it.
+//! index copies the posting map, the id column and one pointer per entry,
+//! not sources, and every clone shares what an entry has memoised — its
+//! statement granules, which prune & rerank and completion need and which
+//! depend on the source alone, so each snippet is parsed for them at most
+//! once, by the first request that retrieves it.
 
 use crate::prune::{statement_granules, Granule};
 use spt::{FeatureVec, Postings, Spt};
@@ -51,7 +53,7 @@ pub struct ScoredSnippet {
 struct Entry {
     snippet: Snippet,
     /// Kept to un-post the entry when it is replaced or removed.
-    vec: Arc<FeatureVec>,
+    vec: FeatureVec,
     /// `statement_granules(snippet.code)`, once something has asked.
     granules: OnceLock<Vec<Granule>>,
 }
@@ -61,6 +63,9 @@ struct Entry {
 #[derive(Default, Clone)]
 pub struct SnippetIndex {
     entries: Vec<Arc<Entry>>,
+    /// `entries[slot].snippet.id` per slot, contiguous: scoring every
+    /// entry reads this column instead of one heap `Entry` per row.
+    ids: Vec<SnippetId>,
     /// id → slot in `entries`, for O(1) lookup/upsert/remove.
     by_id: HashMap<SnippetId, usize>,
     /// Every entry's vector, posted under its slot.
@@ -79,7 +84,7 @@ impl SnippetIndex {
     pub fn upsert(&mut self, snippet: Snippet) -> usize {
         let vec = Spt::parse_source(&snippet.code).feature_vec();
         let n = vec.len();
-        self.insert(snippet, Arc::new(vec));
+        self.insert(snippet, vec);
         n
     }
 
@@ -89,6 +94,7 @@ impl SnippetIndex {
             return false;
         };
         let gone = self.entries.swap_remove(ix);
+        self.ids.swap_remove(ix);
         self.postings.remove(ix, &gone.vec);
         if let Some(moved) = self.entries.get(ix) {
             self.postings.relabel(self.entries.len(), ix, &moved.vec);
@@ -99,6 +105,7 @@ impl SnippetIndex {
 
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.ids.clear();
         self.by_id.clear();
         self.postings.clear();
     }
@@ -106,7 +113,7 @@ impl SnippetIndex {
     /// Store a snippet under a feature vector the caller already holds,
     /// replacing any entry with the same id. The one insertion primitive:
     /// [`upsert`](Self::upsert) featurises and then comes here.
-    pub fn insert(&mut self, snippet: Snippet, vec: Arc<FeatureVec>) {
+    pub fn insert(&mut self, snippet: Snippet, vec: FeatureVec) {
         let entry = Arc::new(Entry {
             snippet,
             vec,
@@ -122,6 +129,7 @@ impl SnippetIndex {
                 let ix = self.entries.len();
                 self.postings.insert(ix, &entry.vec);
                 self.by_id.insert(entry.snippet.id, ix);
+                self.ids.push(entry.snippet.id);
                 self.entries.push(entry);
             }
         }
@@ -151,6 +159,17 @@ impl SnippetIndex {
         )
     }
 
+    /// Every entry with its overlap with `qvec` — zeros included, in
+    /// slot order ([`ids`](Self::ids)). The one scoring pass every
+    /// ranking over this index starts from.
+    pub fn scored(&self, qvec: &FeatureVec) -> impl Iterator<Item = ScoredSnippet> + '_ {
+        self.postings
+            .overlaps(qvec, self.ids.len())
+            .into_iter()
+            .zip(&self.ids)
+            .map(|(score, &id)| ScoredSnippet { id, score })
+    }
+
     /// Retrieve the `top_n` snippets by feature overlap with `query_code`.
     /// Ties break towards lower ids so results are deterministic.
     pub fn search(&self, query_code: &str, top_n: usize) -> Vec<ScoredSnippet> {
@@ -163,17 +182,7 @@ impl SnippetIndex {
         if qvec.is_empty() || self.entries.is_empty() || top_n == 0 {
             return Vec::new();
         }
-        let mut scored: Vec<ScoredSnippet> = self
-            .postings
-            .overlaps(qvec, self.entries.len())
-            .into_iter()
-            .zip(&self.entries)
-            .filter(|(score, _)| *score > 0.0)
-            .map(|(score, e)| ScoredSnippet {
-                id: e.snippet.id,
-                score,
-            })
-            .collect();
+        let mut scored: Vec<ScoredSnippet> = self.scored(qvec).filter(|s| s.score > 0.0).collect();
         let best_first = |a: &ScoredSnippet, b: &ScoredSnippet| {
             b.score
                 .partial_cmp(&a.score)
@@ -193,7 +202,7 @@ impl SnippetIndex {
     /// Iterate over all snippet ids, in slab order (insertion order until
     /// the first remove).
     pub fn ids(&self) -> impl Iterator<Item = SnippetId> + '_ {
-        self.entries.iter().map(|e| e.snippet.id)
+        self.ids.iter().copied()
     }
 }
 

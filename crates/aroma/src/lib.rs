@@ -19,17 +19,16 @@
 //! The paper's Laminar 2.0 *described* a simplified variant — cosine/
 //! overlap scoring of stored `sptEmbedding`s with a configurable score
 //! threshold (default 6.0) and top-5 cut, "without the need for complex
-//! clustering or reranking steps" (§VI-A). That variant remains as
-//! [`laminar::SptSearcher`] (the flat-scan ablation baseline, DESIGN.md
-//! E12); the served `code_recommendation` path now runs the full
-//! [`AromaEngine`] pipeline end-to-end, kept in registry lockstep by the
-//! server's recommendation subsystem (DESIGN.md §12).
+//! clustering or reranking steps" (§VI-A). The server's workflow scope
+//! *is* that variant: a threshold scan over this crate's posting index
+//! ([`SnippetIndex::scored`]) and a membership sweep. Its PE scope runs
+//! the full [`AromaEngine`] pipeline end-to-end over the same index, kept
+//! in registry lockstep by the server's index cell (DESIGN.md §12).
 
 pub mod cluster;
 pub mod completion;
 pub mod engine;
 pub mod index;
-pub mod laminar;
 pub mod lsh;
 pub mod prune;
 pub mod recommend;
@@ -38,7 +37,6 @@ pub use cluster::{cluster_results, Cluster};
 pub use completion::{complete_from, complete_with, Completion};
 pub use engine::{AromaConfig, AromaEngine, RecoStats, Recommendation};
 pub use index::{ScoredSnippet, Snippet, SnippetId, SnippetIndex};
-pub use laminar::{LaminarRecommender, SptHit, SptSearcher};
 pub use lsh::{LshConfig, LshIndex, LshSearchStats};
 pub use prune::{
     granulated_vec, granulated_vec_of, prune_and_rerank, prune_granules, statement_granules,

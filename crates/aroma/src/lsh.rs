@@ -10,7 +10,7 @@
 //! the exact-rescoring set shrinks from the whole registry to a small
 //! candidate pool — the sublinear-scaling behaviour Senatus reports.
 
-use crate::laminar::SptHit;
+use crate::index::ScoredSnippet;
 use spt::FeatureVec;
 use std::collections::HashMap;
 
@@ -141,7 +141,7 @@ impl LshIndex {
         query: &FeatureVec,
         top_n: usize,
         min_score: f32,
-    ) -> (Vec<SptHit>, LshSearchStats) {
+    ) -> (Vec<ScoredSnippet>, LshSearchStats) {
         if query.is_empty() || self.entries.is_empty() {
             return (
                 Vec::new(),
@@ -168,9 +168,9 @@ impl LshIndex {
             candidates: candidates.len(),
             indexed: self.entries.len(),
         };
-        let mut hits: Vec<SptHit> = candidates
+        let mut hits: Vec<ScoredSnippet> = candidates
             .into_iter()
-            .map(|idx| SptHit {
+            .map(|idx| ScoredSnippet {
                 id: self.entries[idx].id,
                 score: query.overlap(&self.entries[idx].vec),
             })

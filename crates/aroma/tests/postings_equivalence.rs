@@ -1,10 +1,12 @@
 //! The posting-list index and the granule memo against naive references.
 //!
-//! * `SnippetIndex::search_vec` must return what scoring every entry with
-//!   `FeatureVec::overlap` and fully sorting returns — same ids, same
-//!   score bits, same order — at every point of a long insert /
+//! * `SnippetIndex::scored` must yield, in `ids()` order, every entry
+//!   with its `FeatureVec::overlap`, and `search_vec` what keeping the
+//!   positive scores and fully sorting returns — same ids, same score
+//!   bits, same order — at every point of a long insert /
 //!   replace-in-place / remove churn (swap-remove relabels a row, replace
-//!   re-posts one: the posting lists have to follow both).
+//!   re-posts one: the posting lists and the id column have to follow
+//!   both).
 //! * Pruning from an entry's memoised granules must equal pruning from its
 //!   source, and a warm engine must recommend exactly like a cold one.
 //!
@@ -115,6 +117,15 @@ fn search_equals_naive_scan_under_churn() {
         }
         assert_eq!(index.len(), model.len());
         for (q, qvec) in QUERIES.iter().zip(&queries) {
+            let row_wise: Vec<ScoredSnippet> = index
+                .ids()
+                .map(|id| ScoredSnippet {
+                    id,
+                    score: qvec.overlap(&model[&id]),
+                })
+                .collect();
+            let scored: Vec<ScoredSnippet> = index.scored(qvec).collect();
+            assert_same_hits(&scored, &row_wise, &format!("step {step} scored {q:?}"));
             for top_n in [1, 5, 50, usize::MAX] {
                 assert_same_hits(
                     &index.search_vec(qvec, top_n),

@@ -64,16 +64,6 @@ pub fn search_corpus(n: usize) -> Dataset {
     })
 }
 
-/// A smaller corpus for quick Criterion iterations.
-pub fn small_corpus() -> Dataset {
-    Dataset::generate(DatasetConfig {
-        families: 12,
-        variants_per_family: 6,
-        seed: 42,
-        ..DatasetConfig::default()
-    })
-}
-
 /// Ranking depth for the PR sweeps.
 pub const MAX_K: usize = 30;
 

@@ -221,11 +221,6 @@ impl LaminarClient {
         self
     }
 
-    /// The underlying connection's options.
-    pub fn connection_options(&self) -> laminar_server::ConnOptions {
-        self.connection.options()
-    }
-
     fn token(&self) -> Result<u64, ClientError> {
         self.token.ok_or(ClientError::NotLoggedIn)
     }

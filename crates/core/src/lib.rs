@@ -24,7 +24,7 @@ use embed::DescriptionContext;
 use laminar_client::{Cli, LaminarClient};
 use laminar_execengine::{ExecutionEngine, PoolConfig, WorkflowLibrary};
 use laminar_registry::{FaultHook, PersistOptions, Registry, SyncPolicy};
-use laminar_server::{DeliveryMode, LaminarServer, ServerConfig, Transport};
+use laminar_server::{LaminarServer, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -179,14 +179,6 @@ impl Laminar {
     /// A client connected over the streaming (HTTP/2-style) transport.
     pub fn client(&self) -> LaminarClient {
         LaminarClient::connect(self.server.clone())
-    }
-
-    /// A client over an explicit transport (E8 uses the batch transport as
-    /// the Laminar 1.0 baseline).
-    pub fn client_with_mode(&self, mode: DeliveryMode, latency: Duration) -> LaminarClient {
-        LaminarClient::with_transport(
-            Transport::new(self.server.clone(), mode).with_latency(latency),
-        )
     }
 
     /// An interactive CLI bound to a fresh client.

@@ -100,30 +100,6 @@ impl RunResult {
     pub fn lines(&self) -> &[String] {
         &self.lines
     }
-
-    /// Verbose report: partition, output lines, per-rank summaries —
-    /// the shape of the paper's Fig. 5b console transcript.
-    pub fn verbose_report(&self) -> String {
-        let mut out = String::new();
-        if let Some(p) = &self.partition {
-            out.push('{');
-            let bits: Vec<String> = p
-                .iter()
-                .enumerate()
-                .map(|(i, r)| format!("'{}': range({}, {})", format!("PE{i}"), r.start, r.end))
-                .collect();
-            out.push_str(&bits.join(", "));
-            out.push_str("}\n");
-        }
-        for l in &self.lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        for ((pe, rank), n) in &self.counts {
-            out.push_str(&format!("{pe} (rank {rank}): Processed {n} iterations.\n"));
-        }
-        out
-    }
 }
 
 pub(crate) fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {

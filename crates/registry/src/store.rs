@@ -1020,18 +1020,33 @@ impl Registry {
 
     // ---- literal search (paper §V-A, Fig. 7) --------------------------------
 
-    /// Case-insensitive term match over names and descriptions.
+    /// Case-insensitive term match over names and descriptions: every
+    /// matching row of each targeted table, in id order.
     pub fn literal_search(&self, target: SearchTarget, term: &str) -> (Vec<PeRow>, Vec<WorkflowRow>) {
+        self.literal_search_top(target, term, usize::MAX)
+    }
+
+    /// [`literal_search`](Self::literal_search) cut to the first `limit`
+    /// matches per table. The walk stops there, so a broad term (`""`
+    /// matches everything) clones `limit` rows under the read lock, not
+    /// the table.
+    pub fn literal_search_top(
+        &self,
+        target: SearchTarget,
+        term: &str,
+        limit: usize,
+    ) -> (Vec<PeRow>, Vec<WorkflowRow>) {
         let needle = term.to_lowercase();
+        let matches = |name: &str, description: &str| {
+            name.to_lowercase().contains(&needle) || description.to_lowercase().contains(&needle)
+        };
         let inner = self.inner.read();
         let pes = if target != SearchTarget::Workflow {
             inner
                 .pes
                 .values()
-                .filter(|p| {
-                    p.name.to_lowercase().contains(&needle)
-                        || p.description.to_lowercase().contains(&needle)
-                })
+                .filter(|p| matches(&p.name, &p.description))
+                .take(limit)
                 .cloned()
                 .collect()
         } else {
@@ -1041,10 +1056,8 @@ impl Registry {
             inner
                 .workflows
                 .values()
-                .filter(|w| {
-                    w.name.to_lowercase().contains(&needle)
-                        || w.description.to_lowercase().contains(&needle)
-                })
+                .filter(|w| matches(&w.name, &w.description))
+                .take(limit)
                 .cloned()
                 .collect()
         } else {
@@ -1488,6 +1501,40 @@ mod tests {
         // No match.
         let (pes, wfs) = r.literal_search(SearchTarget::Both, "zzz");
         assert!(pes.is_empty() && wfs.is_empty());
+    }
+
+    #[test]
+    fn literal_search_top_is_the_prefix_of_the_full_search() {
+        let (r, u) = with_user();
+        for i in 0..7 {
+            r.add_pe(pe(u, &format!("Counter{i}"))).unwrap();
+            r.add_workflow(NewWorkflow {
+                user_id: u,
+                name: format!("counter_wf{i}"),
+                description: String::new(),
+                code: String::new(),
+                description_embedding: String::new(),
+                spt_embedding: String::new(),
+                pe_ids: vec![],
+            })
+            .unwrap();
+        }
+        r.add_pe(pe(u, "IsPrime")).unwrap();
+        let ids = |(pes, wfs): (Vec<PeRow>, Vec<WorkflowRow>)| -> (Vec<u64>, Vec<u64>) {
+            (
+                pes.iter().map(|p| p.id).collect(),
+                wfs.iter().map(|w| w.id).collect(),
+            )
+        };
+        for (term, matching_pes) in [("counter", 7), ("", 8), ("e", 8), ("isprime", 1)] {
+            let (all_pes, all_wfs) = ids(r.literal_search(SearchTarget::Both, term));
+            assert_eq!(all_pes.len(), matching_pes, "{term:?}");
+            for limit in [0, 1, 3, 7, 100] {
+                let (pes, wfs) = ids(r.literal_search_top(SearchTarget::Both, term, limit));
+                assert_eq!(pes, all_pes[..limit.min(all_pes.len())], "{term:?} {limit}");
+                assert_eq!(wfs, all_wfs[..limit.min(all_wfs.len())], "{term:?} {limit}");
+            }
+        }
     }
 
     #[test]

@@ -74,8 +74,7 @@ impl SimClock {
 
     /// Advance virtual time by `d` without sleeping.
     pub fn advance(&self, d: Duration) {
-        self.nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
+        self.nanos.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
     }
 }
 

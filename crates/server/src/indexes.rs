@@ -12,20 +12,25 @@
 //!
 //! # Architecture
 //!
-//! **Storage** is structure-of-arrays: each dense modality is one
+//! **Storage.** Each dense modality is structure-of-arrays: one
 //! contiguous `DIM`-strided `f32` slab (row `i` at `[i*DIM, (i+1)*DIM)`),
 //! so a query scan is a single forward sweep over flat memory instead of a
 //! pointer chase through per-entry `Vec`s. An id→slot map gives O(1)
 //! upsert (in-place overwrite of the row) and O(DIM) deletion
 //! (swap-remove: the last row is copied into the vacated slot). The
-//! sparse SPT modality is a posting index ([`spt::Postings`], `feature
-//! id → [(row, count)]`) beside the row-aligned forward vectors: a query
-//! walks the lists of its own features and accumulates every row's
-//! overlap into one `f32` per row — the same terms in the same order as
-//! [`FeatureVec::overlap`] row by row, so the scores are bit-identical to
-//! that scan's. The forward vectors stay because un-posting a row on
-//! replace or remove needs to know what was posted; a swap-remove
-//! relabels the moved row's postings.
+//! sparse SPT modality is not stored here at all: the served
+//! [`AromaEngine`]'s [`aroma::SnippetIndex`] holds the one posting index
+//! (`feature id → [(slot, count)]`) over the PE rows, with a contiguous
+//! id column beside it, and [`rank_spt`] /
+//! [`rank_spt_above`] rank from its "score everything" pass — per row the
+//! same terms in the same order as [`FeatureVec::overlap`], so the scores
+//! are bit-identical to a row-by-row scan's. Workflows have dense rows
+//! only: the paper recommends a workflow by its member PEs' scores
+//! (§VI-A, [`sweep_workflows`](crate::sweep_workflows)), never by a
+//! vector of its own, so nothing would query one.
+//!
+//! [`rank_spt`]: SearchIndexes::rank_spt
+//! [`rank_spt_above`]: SearchIndexes::rank_spt_above
 //!
 //! **Concurrency** is read-copy-update: the state lives in an
 //! `Arc<IndexState>` behind a lock held only long enough to clone the
@@ -40,23 +45,21 @@
 //! scans across rayon workers; the total `(score, key)` order makes the
 //! merged result identical to the serial scan. (The SPT walk is one
 //! serial pass — it is cheaper than the fan-out — and its one per-query
-//! allocation is the score slot per row.)
+//! allocation is the score slot per PE.)
 //!
-//! **One cell.** The dense/SPT state above and the served
-//! [`AromaEngine`] (PE names and *source code* plus its own posting index
-//! over the PE rows and, per PE, the statement granules prune & rerank
-//! works from, parsed on first use — none of which the slabs store) live
-//! in one cell behind one lock, each behind its own `Arc`. Every write
-//! API feeds both from the same analysed row — the engine is handed the
-//! row's SPT vector (shared through an `Arc`, not copied), it never
-//! re-derives it — and bumps the cell's single monotone `generation`
-//! exactly once, so the two can never be observed out of step. Readers
-//! clone only the `Arc` they scan: a search in flight never forces a copy
-//! of the engine, and a recommendation in flight never forces a copy of
-//! the slabs. A copy-on-write clone of the dense/SPT state copies the
-//! slabs, the posting map and one pointer per forward vector; one of the
-//! engine copies its posting map and one pointer per PE (sources, vectors
-//! and memoised granules are shared between snapshots).
+//! **One cell.** The dense state above and the engine (PE names and
+//! *source code*, the posting index and id column and, per PE, the
+//! statement granules prune & rerank works from, parsed on first use)
+//! live in one cell behind one lock, each behind its own `Arc`. Every
+//! write API feeds both from the same analysed row — the engine is handed
+//! the row's SPT vector, it never re-derives it — and bumps the cell's
+//! single monotone `generation` exactly once, so the two can never be
+//! observed out of step. Readers clone only the `Arc` they scan: a dense
+//! search in flight never forces a copy of the engine, and an SPT read in
+//! flight never forces a copy of the slabs. A copy-on-write clone of the
+//! dense state copies the slabs and the slot map; one of the engine
+//! copies its posting map, its id column and one pointer per PE (sources,
+//! vectors and memoised granules are shared between snapshots).
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
@@ -67,7 +70,7 @@ use embed::dense::{dot, slab_scan_above, slab_topk};
 use embed::topk::{ScoredRow, TopK};
 use embed::{DenseVec, ReaccSim, DIM};
 use parking_lot::RwLock;
-use spt::{FeatureVec, Postings};
+use spt::FeatureVec;
 
 /// What kind of registry row an index entry points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,9 +94,9 @@ fn key_id(key: u64) -> u64 {
     key >> 1
 }
 
-/// One immutable snapshot of all three modalities. Cloned (copy-on-write)
-/// only when a writer mutates while a query still holds the previous
-/// snapshot.
+/// One immutable snapshot of the two dense modalities. Cloned
+/// (copy-on-write) only when a writer mutates while a query still holds
+/// the previous snapshot.
 #[derive(Clone, Default)]
 struct IndexState {
     /// `entry_key(id, kind)` per row — ranking tie-break + slot-map key.
@@ -103,11 +106,6 @@ struct IndexState {
     desc: Vec<f32>,
     /// ReACC code-embedding slab, `keys.len() * DIM` values.
     reacc: Vec<f32>,
-    /// Sparse SPT feature vectors, row-aligned with the slabs; a PE's is
-    /// shared with its engine entry.
-    spt: Vec<Arc<FeatureVec>>,
-    /// `spt`, inverted: every row's vector posted under its row number.
-    postings: Postings,
     /// entry key → row.
     slots: HashMap<u64, usize>,
     pes: usize,
@@ -115,14 +113,7 @@ struct IndexState {
 }
 
 impl IndexState {
-    fn upsert(
-        &mut self,
-        id: u64,
-        kind: EntryKind,
-        desc: DenseVec,
-        spt: Arc<FeatureVec>,
-        reacc: DenseVec,
-    ) {
+    fn upsert(&mut self, id: u64, kind: EntryKind, desc: &DenseVec, reacc: &DenseVec) {
         debug_assert_eq!(desc.values.len(), DIM);
         debug_assert_eq!(reacc.values.len(), DIM);
         let key = entry_key(id, kind);
@@ -131,19 +122,13 @@ impl IndexState {
                 let row = *e.get();
                 self.desc[row * DIM..(row + 1) * DIM].copy_from_slice(&desc.values);
                 self.reacc[row * DIM..(row + 1) * DIM].copy_from_slice(&reacc.values);
-                self.postings.remove(row, &self.spt[row]);
-                self.postings.insert(row, &spt);
-                self.spt[row] = spt;
             }
             MapEntry::Vacant(e) => {
-                let row = self.keys.len();
-                e.insert(row);
+                e.insert(self.keys.len());
                 self.keys.push(key);
                 self.kinds.push(kind);
                 self.desc.extend_from_slice(&desc.values);
                 self.reacc.extend_from_slice(&reacc.values);
-                self.postings.insert(row, &spt);
-                self.spt.push(spt);
                 match kind {
                     EntryKind::Pe => self.pes += 1,
                     EntryKind::Workflow => self.workflows += 1,
@@ -173,11 +158,6 @@ impl IndexState {
         let last = self.keys.len() - 1;
         self.keys.swap_remove(row);
         self.kinds.swap_remove(row);
-        self.postings.remove(row, &self.spt[row]);
-        if row != last {
-            self.postings.relabel(last, row, &self.spt[last]);
-        }
-        self.spt.swap_remove(row);
         // Slab swap-remove: move the last row into the vacated stride,
         // then shrink. With `row == last` the copy is a no-op onto itself.
         self.desc
@@ -196,8 +176,6 @@ impl IndexState {
         self.kinds.clear();
         self.desc.clear();
         self.reacc.clear();
-        self.spt.clear();
-        self.postings.clear();
         self.slots.clear();
         self.pes = 0;
         self.workflows = 0;
@@ -209,42 +187,57 @@ impl IndexState {
     }
 }
 
-/// One analysed registry row, ready to index: the three embeddings for
-/// the slabs and — for PEs — the name and source the Aroma engine cuts
-/// into granules for prune & rerank, stored there under the same `spt`
-/// vector. Workflow rows carry theirs too but the engine never indexes
-/// them (workflow-scope recommendations aggregate PE hits over
-/// membership). Registration analyses a submission into one of these
-/// before it has an id; the commit fills `id` in.
+/// One analysed registry row, ready to index: the two dense embeddings
+/// for the slabs and — on a PE row — what the Aroma engine indexes.
+/// Workflow rows have no such part (workflow-scope recommendations
+/// aggregate PE hits over membership).
 #[derive(Debug, Clone)]
 pub struct IndexRow {
     pub id: u64,
-    pub kind: EntryKind,
+    pub desc: DenseVec,
+    pub reacc: DenseVec,
+    /// `Some` makes this a PE row, `None` a workflow row.
+    pub pe: Option<PeSnippet>,
+}
+
+/// The engine's share of a PE row: the name and source it cuts into
+/// granules for prune & rerank, posted under the row's SPT vector.
+#[derive(Debug, Clone)]
+pub struct PeSnippet {
     pub name: String,
     pub code: String,
-    pub desc: DenseVec,
-    pub spt: Arc<FeatureVec>,
-    pub reacc: DenseVec,
+    pub spt: FeatureVec,
 }
 
 impl IndexRow {
-    /// A row whose ReACC embedding is computed from `code` here.
-    pub fn embed(
-        id: u64,
-        kind: EntryKind,
-        name: &str,
-        code: &str,
-        desc: DenseVec,
-        spt: FeatureVec,
-    ) -> Self {
+    /// A PE row whose ReACC embedding is computed from `code` here.
+    pub fn pe(id: u64, name: &str, code: &str, desc: DenseVec, spt: FeatureVec) -> Self {
         IndexRow {
             id,
-            kind,
-            name: name.to_string(),
-            code: code.to_string(),
             desc,
-            spt: Arc::new(spt),
             reacc: ReaccSim::new().embed_code(code),
+            pe: Some(PeSnippet {
+                name: name.to_string(),
+                code: code.to_string(),
+                spt,
+            }),
+        }
+    }
+
+    /// A workflow row whose ReACC embedding is computed from `code` here.
+    pub fn workflow(id: u64, code: &str, desc: DenseVec) -> Self {
+        IndexRow {
+            id,
+            desc,
+            reacc: ReaccSim::new().embed_code(code),
+            pe: None,
+        }
+    }
+
+    pub fn kind(&self) -> EntryKind {
+        match self.pe {
+            Some(_) => EntryKind::Pe,
+            None => EntryKind::Workflow,
         }
     }
 }
@@ -308,14 +301,15 @@ impl SearchIndexes {
         self.cell.read().generation
     }
 
-    /// Clone the current dense/SPT snapshot (an `Arc` bump — queries then
+    /// Clone the current dense snapshot (an `Arc` bump — queries then
     /// scan it without holding any lock).
     fn snapshot(&self) -> Arc<IndexState> {
         self.cell.read().index.clone()
     }
 
-    /// The current recommendation engine. A recommendation runs entirely
-    /// on this snapshot, lock-free; later writes publish new ones without
+    /// The current recommendation engine, and with it the structural
+    /// index. A recommendation or SPT ranking runs entirely on this
+    /// snapshot, lock-free; later writes publish new ones without
     /// disturbing it.
     pub fn engine(&self) -> Arc<AromaEngine> {
         self.cell.read().engine.clone()
@@ -331,8 +325,8 @@ impl SearchIndexes {
         cell.generation += 1;
     }
 
-    /// Insert or replace one registry row in every modality (and, for a
-    /// PE, in the engine).
+    /// Insert or replace one registry row: its dense rows and, for a PE,
+    /// its engine entry.
     pub fn upsert(&self, row: IndexRow) {
         self.bulk_upsert(vec![row]);
     }
@@ -348,10 +342,10 @@ impl SearchIndexes {
             let index = Arc::make_mut(&mut cell.index);
             let mut snippets = Vec::new();
             for row in rows {
-                if row.kind == EntryKind::Pe {
-                    snippets.push((Snippet::new(row.id, row.name, row.code), row.spt.clone()));
+                index.upsert(row.id, row.kind(), &row.desc, &row.reacc);
+                if let Some(pe) = row.pe {
+                    snippets.push((Snippet::new(row.id, pe.name, pe.code), pe.spt));
                 }
-                index.upsert(row.id, row.kind, row.desc, row.spt, row.reacc);
             }
             if !snippets.is_empty() {
                 let engine = Arc::make_mut(&mut cell.engine);
@@ -363,16 +357,18 @@ impl SearchIndexes {
     }
 
     /// Replace the description embedding of `(kind, id)` — all a
-    /// description update changes. The SPT and ReACC rows and the engine
-    /// depend on the code alone and are left as they are.
+    /// description update changes. The ReACC row and the engine depend on
+    /// the code alone and are left as they are.
     pub fn set_description(&self, id: u64, kind: EntryKind, desc: &DenseVec) {
         self.write(|cell| Arc::make_mut(&mut cell.index).set_desc(id, kind, desc));
     }
 
-    /// The embeddings-only primitive: insert or replace the slab and SPT
-    /// rows for `(kind, id)` and leave the engine alone. The server goes
-    /// through [`bulk_upsert`](Self::bulk_upsert); this stays for callers
-    /// that measure the slab write by itself.
+    /// A row from its embeddings alone, for callers that measure the index
+    /// write by itself. A PE's `spt_vec` is posted in the engine under a
+    /// source-less snippet, so [`rank_spt`](Self::rank_spt) and
+    /// [`rank_spt_above`](Self::rank_spt_above) see the row; having no
+    /// granules, it is never recommended by the pipeline. A workflow's
+    /// `spt_vec` is dropped.
     pub fn upsert_embedded(
         &self,
         id: u64,
@@ -381,8 +377,15 @@ impl SearchIndexes {
         spt_vec: FeatureVec,
         reacc: DenseVec,
     ) {
-        self.write(|cell| {
-            Arc::make_mut(&mut cell.index).upsert(id, kind, desc, Arc::new(spt_vec), reacc)
+        self.upsert(IndexRow {
+            id,
+            desc,
+            reacc,
+            pe: (kind == EntryKind::Pe).then(|| PeSnippet {
+                name: String::new(),
+                code: String::new(),
+                spt: spt_vec,
+            }),
         });
     }
 
@@ -455,32 +458,50 @@ impl SearchIndexes {
         self.rank_dense(DenseSlab::Reacc, query, kind, k)
     }
 
-    /// Top-`k` by SPT feature overlap (structural code search).
+    /// Top-`k` PEs by SPT feature overlap (structural code search), ranked
+    /// from the engine's posting index; a PE that shares nothing with the
+    /// query still ranks, at 0. Only PEs have SPT rows: `kind = None`
+    /// means `Some(Pe)` and `Some(Workflow)` answers empty.
     pub fn rank_spt(&self, query: &FeatureVec, kind: Option<EntryKind>, k: usize) -> Vec<IndexHit> {
-        let st = self.snapshot();
-        to_hits(&st, spt_topk(&st, query, kind, k))
+        if kind == Some(EntryKind::Workflow) {
+            return Vec::new();
+        }
+        let engine = self.engine();
+        let mut top = TopK::new(k);
+        for (row, pe) in engine.index().scored(query).enumerate() {
+            top.push(pe.score, pe.id, row);
+        }
+        top.into_sorted()
+            .into_iter()
+            .map(|r| pe_hit(r.key, r.score))
+            .collect()
     }
 
-    /// *All* SPT hits with overlap ≥ `min_score`, best first. The
+    /// *All* PEs with SPT overlap ≥ `min_score`, best first (ties by
+    /// ascending id); `kind` as in [`rank_spt`](Self::rank_spt). The
     /// workflow-scope recommendation aggregates member PEs and therefore
-    /// needs every match above threshold, not a fixed k; beyond the
-    /// matches it allocates one `f32` score slot per row.
+    /// needs every match above threshold, not a fixed k — on a corpus of
+    /// one base class that is thousands of rows, so they are collected and
+    /// sorted once rather than pushed through a heap; beyond the matches
+    /// it allocates one `f32` score slot per PE.
     pub fn rank_spt_above(
         &self,
         query: &FeatureVec,
         kind: Option<EntryKind>,
         min_score: f32,
     ) -> Vec<IndexHit> {
-        let st = self.snapshot();
-        let scores = st.postings.overlaps(query, st.keys.len());
-        let rows = slab_scan_above(
-            scores.len(),
-            |row| scores[row],
-            |row| st.accepts(row, kind),
-            &st.keys,
-            min_score,
-        );
-        to_hits(&st, rows)
+        if kind == Some(EntryKind::Workflow) {
+            return Vec::new();
+        }
+        let engine = self.engine();
+        let mut hits: Vec<IndexHit> = engine
+            .index()
+            .scored(query)
+            .filter(|pe| pe.score >= min_score)
+            .map(|pe| pe_hit(pe.id, pe.score))
+            .collect();
+        hits.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        hits
     }
 
     /// *All* ReACC hits with cosine ≥ `min_score`, best first — the dense
@@ -508,22 +529,12 @@ impl SearchIndexes {
     }
 }
 
-/// Exact bounded SPT ranking: every accepted row is offered with its
-/// overlap (a row that shares nothing with the query still ranks, at 0).
-fn spt_topk(
-    st: &IndexState,
-    query: &FeatureVec,
-    kind: Option<EntryKind>,
-    k: usize,
-) -> Vec<ScoredRow> {
-    let scores = st.postings.overlaps(query, st.keys.len());
-    let mut top = TopK::new(k);
-    for (row, &score) in scores.iter().enumerate() {
-        if st.accepts(row, kind) {
-            top.push(score, st.keys[row], row);
-        }
+fn pe_hit(id: u64, score: f32) -> IndexHit {
+    IndexHit {
+        id,
+        kind: EntryKind::Pe,
+        score,
     }
-    top.into_sorted()
 }
 
 fn to_hits(st: &IndexState, rows: Vec<ScoredRow>) -> Vec<IndexHit> {
@@ -545,14 +556,17 @@ mod tests {
     const ALL: usize = usize::MAX;
 
     fn row(id: u64, kind: EntryKind, desc: &str, code: &str) -> IndexRow {
-        IndexRow::embed(
-            id,
-            kind,
-            &format!("E{id}"),
-            code,
-            UniXcoderSim::new().embed(desc),
-            Spt::parse_source(code).feature_vec(),
-        )
+        let desc = UniXcoderSim::new().embed(desc);
+        match kind {
+            EntryKind::Pe => IndexRow::pe(
+                id,
+                &format!("E{id}"),
+                code,
+                desc,
+                Spt::parse_source(code).feature_vec(),
+            ),
+            EntryKind::Workflow => IndexRow::workflow(id, code, desc),
+        }
     }
 
     fn add(ix: &SearchIndexes, id: u64, kind: EntryKind, desc: &str, code: &str) {
@@ -605,9 +619,12 @@ mod tests {
         let pe_hits = ix.rank_spt(&q, Some(EntryKind::Pe), ALL);
         assert_eq!(pe_hits.len(), 1);
         assert_eq!(pe_hits[0].id, 1);
-        let all = ix.rank_spt(&q, None, ALL);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].id, 1);
+        // Only PEs have SPT rows.
+        assert_eq!(ix.rank_spt(&q, None, ALL), pe_hits);
+        assert!(ix.rank_spt(&q, Some(EntryKind::Workflow), ALL).is_empty());
+        assert!(ix
+            .rank_spt_above(&q, Some(EntryKind::Workflow), 0.0)
+            .is_empty());
     }
 
     #[test]
@@ -664,8 +681,8 @@ mod tests {
     #[test]
     fn swap_remove_keeps_rows_consistent() {
         // Remove from the middle, then verify every surviving entry still
-        // ranks itself first on its own code — i.e. slabs, spt rows, and
-        // slot map all moved together.
+        // ranks itself first on its own code — i.e. slabs and slot map
+        // moved together.
         let ix = SearchIndexes::new();
         let codes: Vec<String> = (0..8)
             .map(|i| format!("def f{i}(a):\n    return a * {i} + {i}\n"))
@@ -745,6 +762,7 @@ mod tests {
     fn bulk_upsert_matches_sequential_upserts() {
         let seq = SearchIndexes::new();
         let bulk = SearchIndexes::new();
+        let code = |i: u64| format!("def f{i}(a):\n    return a * {i} + {i}\n");
         let rows: Vec<IndexRow> = (0..6u64)
             .map(|i| {
                 let kind = if i % 3 == 0 {
@@ -756,7 +774,7 @@ mod tests {
                     i,
                     kind,
                     &format!("entry number {i} does thing {i}"),
-                    &format!("def f{i}(a):\n    return a * {i} + {i}\n"),
+                    &code(i),
                 )
             })
             .collect();
@@ -773,10 +791,8 @@ mod tests {
                 seq.rank_semantic(&r.desc, None, ALL),
                 bulk.rank_semantic(&r.desc, None, ALL)
             );
-            assert_eq!(
-                seq.rank_spt(&r.spt, None, ALL),
-                bulk.rank_spt(&r.spt, None, ALL)
-            );
+            let q = Spt::parse_source(&code(r.id)).feature_vec();
+            assert_eq!(seq.rank_spt(&q, None, ALL), bulk.rank_spt(&q, None, ALL));
             assert_eq!(
                 seq.rank_reacc(&r.reacc, None, ALL),
                 bulk.rank_reacc(&r.reacc, None, ALL)
@@ -833,7 +849,9 @@ mod tests {
             ReaccSim::new().embed_code("w = 4\n"),
         );
         assert_eq!(ix.generation(), g0 + 4);
-        assert_eq!(ix.engine().len(), 1, "embeddings-only: engine untouched");
+        let engine = ix.engine();
+        assert_eq!(engine.len(), 2, "posted under a source-less snippet");
+        assert!(engine.index().granules(9).is_some_and(|g| g.is_empty()));
         ix.clear();
         assert_eq!(ix.generation(), g0 + 5);
         assert!(ix.is_empty() && ix.engine().is_empty());
@@ -865,5 +883,20 @@ mod tests {
         // Removing the workflow of the same id leaves the PE's snippet.
         ix.remove(1, EntryKind::Workflow);
         assert_eq!(ix.engine().len(), 1);
+
+        // Written from embeddings alone: a workflow's vector goes nowhere,
+        // a PE's replaces the snippet and ranks.
+        let acc = Spt::parse_source(ACC).feature_vec();
+        let zero = DenseVec::zero;
+        ix.upsert_embedded(2, EntryKind::Workflow, zero(), acc.clone(), zero());
+        assert_eq!(ix.engine().len(), 1);
+        let open = Spt::parse_source("x = open(path)\n").feature_vec();
+        assert_eq!(ix.rank_spt(&acc, None, ALL)[0].score, acc.overlap(&open));
+        ix.upsert_embedded(1, EntryKind::Pe, zero(), acc.clone(), zero());
+        let engine = ix.engine();
+        assert_eq!(engine.len(), 1);
+        assert!(engine.index().get(1).unwrap().code.is_empty());
+        assert_eq!(ix.rank_spt(&acc, None, ALL)[0].score, acc.overlap(&acc));
+        assert!(engine.recommend(ACC).is_empty(), "no granules to recommend");
     }
 }

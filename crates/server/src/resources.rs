@@ -98,10 +98,6 @@ impl ResourceCache {
         st.by_hash.get(hash).cloned()
     }
 
-    pub fn contains_hash(&self, hash: u64) -> bool {
-        self.state.read().by_hash.contains_key(&hash)
-    }
-
     pub fn stats(&self) -> ResourceStats {
         let st = self.state.read();
         ResourceStats {

@@ -3,7 +3,7 @@
 
 use crate::clock::{SharedClock, SystemClock};
 use crate::health::StorageHealth;
-use crate::indexes::{EntryKind, IndexRow, SearchIndexes};
+use crate::indexes::{EntryKind, IndexRow, PeSnippet, SearchIndexes};
 use crate::obs::{Metrics, RequestId, StorageHealthSnapshot};
 use crate::protocol::*;
 use crate::reco::sweep_workflows;
@@ -254,42 +254,31 @@ impl LaminarServer {
     /// Cold-start warm load: rebuild the search indexes from whatever the
     /// registry already holds (a registry restored via `load_from` arrives
     /// populated). Embedding CLOBs decode and the ReACC code embeddings
-    /// compute in parallel across registry rows, then everything — slabs,
-    /// SPT rows and, under the same decoded SPT vector, every PE's source
-    /// for the engine — publishes as one write.
+    /// compute in parallel across registry rows, then everything — slabs
+    /// and, under its decoded SPT vector, every PE's source for the
+    /// engine — publishes as one write. A workflow's `spt_embedding` stays
+    /// in the registry: nothing ranks by it.
     fn warm_load_indexes(&self) {
         // Stored CLOBs are authoritative; rows predating the embedding
         // columns fall back to re-embedding.
-        let decode = |desc_json: &str, description: &str, spt_json: &str, code: &str| {
-            let desc = DenseVec::from_json(desc_json)
-                .unwrap_or_else(|_| self.unixcoder.embed_text(description));
-            let spt = FeatureVec::from_json(spt_json)
-                .unwrap_or_else(|_| Spt::parse_source(code).feature_vec());
-            (desc, spt)
+        let desc_of = |json: &str, description: &str| {
+            DenseVec::from_json(json).unwrap_or_else(|_| self.unixcoder.embed_text(description))
         };
         let (pes, workflows) = (self.registry.all_pes(), self.registry.all_workflows());
         let mut rows: Vec<IndexRow> = pes
             .par_iter()
             .map(|p| {
-                let (desc, spt) = decode(
-                    &p.description_embedding,
-                    &p.description,
-                    &p.spt_embedding,
-                    &p.code,
-                );
-                IndexRow::embed(p.id, EntryKind::Pe, &p.name, &p.code, desc, spt)
+                let spt = FeatureVec::from_json(&p.spt_embedding)
+                    .unwrap_or_else(|_| Spt::parse_source(&p.code).feature_vec());
+                let desc = desc_of(&p.description_embedding, &p.description);
+                IndexRow::pe(p.id, &p.name, &p.code, desc, spt)
             })
             .collect();
         let workflow_rows: Vec<IndexRow> = workflows
             .par_iter()
             .map(|w| {
-                let (desc, spt) = decode(
-                    &w.description_embedding,
-                    &w.description,
-                    &w.spt_embedding,
-                    &w.code,
-                );
-                IndexRow::embed(w.id, EntryKind::Workflow, &w.name, &w.code, desc, spt)
+                let desc = desc_of(&w.description_embedding, &w.description);
+                IndexRow::workflow(w.id, &w.code, desc)
             })
             .collect();
         rows.extend(workflow_rows);
@@ -601,11 +590,11 @@ impl LaminarServer {
                 };
                 let k = top_n.unwrap_or(self.config.literal_top_n);
                 let start = std::time::Instant::now();
-                let (pes, wfs) = self.registry.literal_search(target, &term);
+                let (pes, wfs) = self.registry.literal_search_top(target, &term, k);
                 self.metrics.search.literal_latency.record(start.elapsed());
                 Reply::Value(Response::Registry {
-                    pes: pes.iter().take(k).map(pe_info).collect(),
-                    workflows: wfs.iter().take(k).map(wf_info).collect(),
+                    pes: pes.iter().map(pe_info).collect(),
+                    workflows: wfs.iter().map(wf_info).collect(),
                 })
             }
             Request::SearchSemantic {
@@ -834,13 +823,13 @@ impl LaminarServer {
     ///
     /// 1. **analysed** once (rayon-parallel, no locks): per submission,
     ///    codet5 description (§IV-C) → unixcoder embedding, pyparse → SPT
-    ///    features (§VI), reacc embedding — straight into the [`IndexRow`]
-    ///    it will publish;
+    ///    features (§VI), reacc embedding;
     /// 2. **committed** once ([`Registry::add_units`]): every unit staged
     ///    under one write-lock hold, all rows appended as one WAL frame
     ///    (one fsync), then applied;
     /// 3. **published** once: every created row through one bulk upsert —
-    ///    one generation bump, the engine handed the row's own SPT vector.
+    ///    one generation bump, the engine handed each PE's own SPT vector
+    ///    (a workflow's goes to its registry row only).
     ///
     /// Outcomes are per item (partial success): re-registering a PE name
     /// the user owns reuses that PE's id, a duplicate workflow name fails
@@ -853,11 +842,15 @@ impl LaminarServer {
         user: u64,
         items: Vec<BatchItemWire>,
     ) -> Result<Vec<BatchOutcomeWire>, ServerError> {
-        /// An analysed submission: the index row it will publish (id
-        /// filled in by the commit) and its registry row's description.
+        /// An analysed submission: what its registry row and, once the
+        /// commit has given it an id, its index row are made of.
         struct Analysed {
-            row: IndexRow,
+            name: String,
+            code: String,
             description: String,
+            desc: DenseVec,
+            spt: FeatureVec,
+            reacc: DenseVec,
         }
         struct AnalysedItem {
             pes: Vec<Analysed>,
@@ -868,16 +861,12 @@ impl LaminarServer {
         // Stage 1: parallel per-submission analysis — pure, so items fan
         // out across rayon workers; duplicates waste some of it.
         let analyse_start = std::time::Instant::now();
-        let analyse = |kind, name: String, code: String, description: String| Analysed {
-            row: IndexRow {
-                id: 0,
-                kind,
-                desc: self.unixcoder.embed_text(&description),
-                spt: Arc::new(Spt::parse_source(&code).feature_vec()),
-                reacc: ReaccSim::new().embed_code(&code),
-                name,
-                code,
-            },
+        let analyse = |name: String, code: String, description: String| Analysed {
+            desc: self.unixcoder.embed_text(&description),
+            spt: Spt::parse_source(&code).feature_vec(),
+            reacc: ReaccSim::new().embed_code(&code),
+            name,
+            code,
             description,
         };
         let analyse_pe = |pe: PeSubmission| {
@@ -885,7 +874,7 @@ impl LaminarServer {
                 Some(d) if !d.is_empty() => d,
                 _ => self.codet5.describe_pe(&pe.code),
             };
-            analyse(EntryKind::Pe, pe.name, pe.code, description)
+            analyse(pe.name, pe.code, description)
         };
         let mut analysed: Vec<AnalysedItem> = items
             .into_par_iter()
@@ -903,12 +892,7 @@ impl LaminarServer {
                     pes: pes.into_iter().map(&analyse_pe).collect(),
                     // A workflow sent without a description keeps an empty
                     // one (embedding zero) until its member codes resolve.
-                    workflow: Some(analyse(
-                        EntryKind::Workflow,
-                        name,
-                        code,
-                        description.unwrap_or_default(),
-                    )),
+                    workflow: Some(analyse(name, code, description.unwrap_or_default())),
                 },
             })
             .collect();
@@ -922,9 +906,7 @@ impl LaminarServer {
         for AnalysedItem { pes, workflow } in &mut analysed {
             let pes: &[Analysed] = pes;
             for pe in pes {
-                submitted
-                    .entry(pe.row.name.to_lowercase())
-                    .or_insert(&pe.row.code);
+                submitted.entry(pe.name.to_lowercase()).or_insert(&pe.code);
             }
             let Some(wf) = workflow.as_mut().filter(|w| w.description.is_empty()) else {
                 continue;
@@ -933,14 +915,14 @@ impl LaminarServer {
                 .iter()
                 .map(|pe| {
                     self.registry
-                        .get_pe_by_name_for_user(user, &pe.row.name)
+                        .get_pe_by_name_for_user(user, &pe.name)
                         .map(|row| row.code)
-                        .unwrap_or_else(|_| submitted[&pe.row.name.to_lowercase()].to_string())
+                        .unwrap_or_else(|_| submitted[&pe.name.to_lowercase()].to_string())
                 })
                 .collect();
             let codes: Vec<&str> = codes.iter().map(String::as_str).collect();
-            wf.description = self.codet5.describe_workflow(&wf.row.name, &codes);
-            wf.row.desc = self.unixcoder.embed_text(&wf.description);
+            wf.description = self.codet5.describe_workflow(&wf.name, &codes);
+            wf.desc = self.unixcoder.embed_text(&wf.description);
         }
         let analyse_elapsed = analyse_start.elapsed();
 
@@ -954,20 +936,20 @@ impl LaminarServer {
                     .iter()
                     .map(|a| NewPe {
                         user_id: user,
-                        name: a.row.name.clone(),
+                        name: a.name.clone(),
                         description: a.description.clone(),
-                        code: a.row.code.clone(),
-                        description_embedding: a.row.desc.to_json(),
-                        spt_embedding: a.row.spt.to_json(),
+                        code: a.code.clone(),
+                        description_embedding: a.desc.to_json(),
+                        spt_embedding: a.spt.to_json(),
                     })
                     .collect(),
                 workflow: item.workflow.as_ref().map(|a| NewWorkflow {
                     user_id: user,
-                    name: a.row.name.clone(),
+                    name: a.name.clone(),
                     description: a.description.clone(),
-                    code: a.row.code.clone(),
-                    description_embedding: a.row.desc.to_json(),
-                    spt_embedding: a.row.spt.to_json(),
+                    code: a.code.clone(),
+                    description_embedding: a.desc.to_json(),
+                    spt_embedding: a.spt.to_json(),
                     // Resolved per unit inside `add_units`.
                     pe_ids: Vec::new(),
                 }),
@@ -985,12 +967,23 @@ impl LaminarServer {
                 if po.created {
                     rows.push(IndexRow {
                         id: po.id,
-                        ..pe.row
+                        desc: pe.desc,
+                        reacc: pe.reacc,
+                        pe: Some(PeSnippet {
+                            name: pe.name,
+                            code: pe.code,
+                            spt: pe.spt,
+                        }),
                     });
                 }
             }
             if let (Some((_, id)), Some(wf)) = (&outcome.workflow, item.workflow) {
-                rows.push(IndexRow { id: *id, ..wf.row });
+                rows.push(IndexRow {
+                    id: *id,
+                    desc: wf.desc,
+                    reacc: wf.reacc,
+                    pe: None,
+                });
             }
         }
         let created_rows = rows.len() as u64;
@@ -1238,10 +1231,13 @@ impl LaminarServer {
     fn code_completion(&self, snippet: &str) -> Response {
         let tree = pyparse::parse(snippet);
         let q = Spt::from_parse_tree(&tree).feature_vec();
+        // One engine snapshot both ranks and supplies the winner's
+        // statement granules (parsed at most once per PE).
+        let engine = self.indexes.engine();
         let start = std::time::Instant::now();
         // Only the single best match matters (the ranking is best-first,
         // so a failed threshold on the top hit fails on every hit).
-        let top = self.indexes.rank_spt(&q, Some(EntryKind::Pe), 1);
+        let top = engine.index().search_vec(&q, 1);
         self.metrics.search.spt_latency.record(start.elapsed());
         let none = Response::Completion {
             source: None,
@@ -1256,10 +1252,7 @@ impl LaminarServer {
         let Some(hit) = best else {
             return none;
         };
-        // The winner's statement granules are the engine's, parsed at
-        // most once per PE. (A PE removed since the ranking's snapshot can
-        // be missing from either place.)
-        let engine = self.indexes.engine();
+        // (A PE removed since the snapshot is gone from the registry.)
         let (Ok(pe), Some(granules)) = (
             self.registry.get_pe(hit.id),
             engine.index().granules(hit.id),
@@ -1858,6 +1851,138 @@ mod tests {
     }
 
     #[test]
+    fn workflow_recommendation_equals_the_sweep_over_a_naive_pe_ranking() {
+        let (server, token) = server_with_session();
+        let acc = |var: &str, k: u32| {
+            format!("class Sum{var}(IterativePE):\n    def _process(self, data):\n        total = {k}\n        for item in data:\n            total += item\n        return total\n")
+        };
+        let pes = [
+            ("SumA", acc("A", 0)),
+            ("SumB", acc("B", 1)),
+            ("Reader", "class Reader(ProducerPE):\n    def _process(self, path):\n        with open(path) as fh:\n            return fh.read()\n".to_string()),
+            ("PrintPrime", PRINTER.to_string()),
+        ];
+        // Workflows share members: a PE name the user owns is reused.
+        for (name, members) in [
+            ("wf_sums", &[0usize, 1][..]),
+            ("wf_sum_read", &[1, 2]),
+            ("wf_all", &[0, 1, 2, 3]),
+            ("wf_print", &[3]),
+        ] {
+            let resp = server
+                .handle(Request::RegisterWorkflow {
+                    token,
+                    name: name.into(),
+                    code: members.iter().map(|&m| pes[m].1.as_str()).collect(),
+                    description: Some(format!("workflow {name}")),
+                    pes: members
+                        .iter()
+                        .map(|&m| PeSubmission {
+                            name: pes[m].0.into(),
+                            code: pes[m].1.clone(),
+                            description: Some(format!("pe {m}")),
+                        })
+                        .collect(),
+                })
+                .value();
+            assert!(matches!(resp, Response::Registered { .. }), "{resp:?}");
+        }
+        assert_eq!(server.registry().all_pes().len(), pes.len());
+
+        let snippet = "total = 0\nfor item in data:\n    total += item\nreturn total\n";
+        let q = Spt::parse_source(snippet).feature_vec();
+        let min_score = server.config().reco_min_score;
+        let mut pe_hits: Vec<(u64, f32)> = server
+            .registry()
+            .all_pes()
+            .iter()
+            .map(|p| (p.id, q.overlap(&Spt::parse_source(&p.code).feature_vec())))
+            .filter(|&(_, score)| score >= min_score)
+            .collect();
+        pe_hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        assert!(
+            (2..pes.len()).contains(&pe_hits.len()),
+            "the accumulators match, not every PE does: {pe_hits:?}"
+        );
+        let want = server
+            .registry()
+            .with_workflow_members(|members| sweep_workflows(&pe_hits, members));
+        assert!(want.len() >= 3, "{want:?}");
+
+        let resp = server
+            .handle(Request::CodeRecommendation {
+                token,
+                scope: SearchScope::Workflow,
+                snippet: snippet.into(),
+                embedding_type: EmbeddingType::Spt,
+                top_n: Some(10),
+            })
+            .value();
+        let Response::Recommendations(hits) = resp else {
+            panic!("{resp:?}");
+        };
+        let got: Vec<(u64, u32, usize)> = hits
+            .iter()
+            .map(|h| (h.id, h.score.to_bits(), h.occurrences))
+            .collect();
+        let want: Vec<(u64, u32, usize)> = want
+            .into_iter()
+            .map(|(id, score, n)| (id, score.to_bits(), n))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn code_completion_never_names_a_removed_pe() {
+        let (server, token) = server_with_session();
+        let register = |name: &str| {
+            let resp = server
+                .handle(Request::RegisterPe {
+                    token,
+                    pe: PeSubmission {
+                        name: name.into(),
+                        code: ISPRIME.replace("IsPrime", name),
+                        description: None,
+                    },
+                })
+                .value();
+            match resp {
+                Response::Registered { pe_ids, .. } => pe_ids[0].1,
+                other => panic!("{other:?}"),
+            }
+        };
+        let (first, second) = (register("PrimeOne"), register("PrimeTwo"));
+        let complete = || {
+            let snippet = "class MyPrime(IterativePE):\n    def _process(self, num):\n        if all(num % i != 0 for i in range(2, num)):";
+            let resp = server
+                .handle(Request::CodeCompletion {
+                    token,
+                    snippet: snippet.into(),
+                })
+                .value();
+            match resp {
+                Response::Completion { source, lines, .. } => (source.map(|s| s.0), lines),
+                other => panic!("{other:?}"),
+            }
+        };
+        // Equal scores: the lower id wins.
+        let (winner, lines) = complete();
+        assert_eq!(winner, Some(first));
+        assert!(lines[0].contains("PrimeOne"), "{lines:?}");
+        let resp = server
+            .handle(Request::RemovePe {
+                token,
+                ident: Ident::Id(first),
+            })
+            .value();
+        assert_eq!(resp, Response::Ok);
+        // The next call ranks and reads granules on the snapshot without it.
+        let (winner, lines) = complete();
+        assert_eq!(winner, Some(second));
+        assert!(lines[0].contains("PrimeTwo"), "{lines:?}");
+    }
+
+    #[test]
     fn update_description_reflected_in_search() {
         let (server, token) = server_with_session();
         let (pe_ids, wf_id) = register_isprime(&server, token);
@@ -1933,8 +2058,27 @@ mod tests {
             .value();
         match resp {
             Response::Registry { pes, workflows } => {
+                // The first match in id order; PrintPrime matches too.
                 assert_eq!(pes.len(), 1);
+                assert_eq!(pes[0].name, "IsPrime");
                 assert_eq!(workflows.len(), 1);
+            }
+            other => panic!("{other:?}"),
+        }
+        // The empty term matches every row and is capped all the same.
+        let resp = server
+            .handle(Request::SearchLiteral {
+                token,
+                scope: SearchScope::Pe,
+                term: String::new(),
+                top_n: Some(2),
+            })
+            .value();
+        match resp {
+            Response::Registry { pes, workflows } => {
+                let names: Vec<&str> = pes.iter().map(|p| p.name.as_str()).collect();
+                assert_eq!(names, ["NumberProducer", "IsPrime"]);
+                assert!(workflows.is_empty());
             }
             other => panic!("{other:?}"),
         }

@@ -7,17 +7,18 @@
 //!   them) are bit-identical to a serial full sort once the corpus
 //!   crosses `PAR_SCAN_THRESHOLD`;
 //! * arbitrary upsert/bulk/describe/remove/clear interleavings leave the cell
-//!   equivalent to a naive map-of-rows model: all three modalities (slot
-//!   map, slab swap-remove, and per-kind counts all have to move together
-//!   for this to hold), the Aroma engine (exactly the model's PEs, and —
-//!   fed each row's SPT vector, never parsing — recommending like an
-//!   engine that parsed and featurised them from scratch), and the one
-//!   generation (exactly one step per mutation).
+//!   equivalent to a naive map-of-rows model: both dense modalities over
+//!   every row (slot map, slab swap-remove, and per-kind counts all have
+//!   to move together for this to hold), the SPT rankings over the PE rows
+//!   (workflows have none), the Aroma engine they are served from (exactly
+//!   the model's PEs, and — fed each row's SPT vector, never parsing —
+//!   recommending like an engine that parsed and featurised them from
+//!   scratch), and the one generation (exactly one step per mutation).
 
 use aroma::{AromaEngine, Snippet};
 use embed::dense::PAR_SCAN_THRESHOLD;
 use embed::{dot, DenseVec, Embedder, ReaccSim, UniXcoderSim, DIM};
-use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, SearchIndexes};
+use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, PeSnippet, SearchIndexes};
 use proptest::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
@@ -54,8 +55,8 @@ impl NaiveModel {
         let mut scored: Vec<(u64, EntryKind, f32)> = self
             .entries
             .iter()
-            .filter(|(_, e)| kind.is_none_or(|kf| e.kind == kf))
-            .map(|(&key, e)| (key, e.kind, score(e)))
+            .filter(|(_, e)| kind.is_none_or(|kf| e.kind() == kf))
+            .map(|(&key, e)| (key, e.kind(), score(e)))
             .collect();
         scored.sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
         scored.truncate(k);
@@ -69,14 +70,24 @@ impl NaiveModel {
             .collect()
     }
 
-    /// The PE rows, ascending by id.
-    fn pes(&self) -> Vec<&IndexRow> {
-        let mut pes: Vec<&IndexRow> = self
+    /// SPT ranking: the PE rows by overlap — `None` means `Some(Pe)`,
+    /// workflows have no SPT rows.
+    fn rank_spt(&self, query: &FeatureVec, kind: Option<EntryKind>, k: usize) -> Vec<IndexHit> {
+        if kind == Some(EntryKind::Workflow) {
+            return Vec::new();
+        }
+        let overlap = |e: &IndexRow| e.pe.as_ref().map_or(0.0, |pe| query.overlap(&pe.spt));
+        self.rank(overlap, Some(EntryKind::Pe), k)
+    }
+
+    /// The PE rows' engine parts, ascending by id.
+    fn pes(&self) -> Vec<(u64, &PeSnippet)> {
+        let mut pes: Vec<(u64, &PeSnippet)> = self
             .entries
             .values()
-            .filter(|e| e.kind == EntryKind::Pe)
+            .filter_map(|e| Some((e.id, e.pe.as_ref()?)))
             .collect();
-        pes.sort_unstable_by_key(|e| e.id);
+        pes.sort_unstable_by_key(|&(id, _)| id);
         pes
     }
 
@@ -136,12 +147,15 @@ fn build_row(spec: &RowSpec) -> IndexRow {
     let code = format!(
         "def f{variant}(data):\n    total = {variant}\n    for item in data:\n        total += item * {variant}\n    return total\n"
     );
-    IndexRow::embed(
+    let desc = UniXcoderSim::new().embed(&text);
+    if *wf {
+        return IndexRow::workflow(*id, &code, desc);
+    }
+    IndexRow::pe(
         *id,
-        kind_of(*wf),
         &format!("E{id}v{variant}"),
         &code,
-        UniXcoderSim::new().embed(&text),
+        desc,
         Spt::parse_source(&code).feature_vec(),
     )
 }
@@ -155,7 +169,7 @@ fn apply(ops: &[Op]) -> (SearchIndexes, NaiveModel) {
             Op::Upsert(spec) => {
                 let row = build_row(spec);
                 ix.upsert(row.clone());
-                model.entries.insert(key_of(row.id, row.kind), row);
+                model.entries.insert(key_of(row.id, row.kind()), row);
                 model.mutations += 1;
             }
             Op::Bulk(specs) => {
@@ -164,14 +178,14 @@ fn apply(ops: &[Op]) -> (SearchIndexes, NaiveModel) {
                 // An empty batch publishes nothing.
                 model.mutations += !rows.is_empty() as u64;
                 for row in rows {
-                    model.entries.insert(key_of(row.id, row.kind), row);
+                    model.entries.insert(key_of(row.id, row.kind()), row);
                 }
             }
             Op::Describe(spec) => {
                 let row = build_row(spec);
-                ix.set_description(row.id, row.kind, &row.desc);
+                ix.set_description(row.id, row.kind(), &row.desc);
                 // A row that is not indexed stays absent.
-                if let Some(held) = model.entries.get_mut(&key_of(row.id, row.kind)) {
+                if let Some(held) = model.entries.get_mut(&key_of(row.id, row.kind())) {
                     held.desc = row.desc;
                 }
                 model.mutations += 1;
@@ -199,21 +213,20 @@ fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
     let pes = model.pes();
     let mut held: Vec<u64> = engine.index().ids().collect();
     held.sort_unstable();
-    assert_eq!(held, pes.iter().map(|p| p.id).collect::<Vec<_>>());
-    for pe in &pes {
-        let snippet = engine.index().get(pe.id).expect("held id resolves");
+    assert_eq!(held, pes.iter().map(|&(id, _)| id).collect::<Vec<_>>());
+    for &(id, pe) in &pes {
+        let snippet = engine.index().get(id).expect("held id resolves");
         assert_eq!(
             (&snippet.name, &snippet.code),
             (&pe.name, &pe.code),
-            "pe {}",
-            pe.id
+            "pe {id}"
         );
     }
 
     let mut fresh = AromaEngine::with_default_config();
     fresh.add_batch(
         pes.iter()
-            .map(|p| Snippet::new(p.id, p.name.as_str(), p.code.as_str()))
+            .map(|&(id, pe)| Snippet::new(id, pe.name.as_str(), pe.code.as_str()))
             .collect(),
     );
     for query in [
@@ -272,7 +285,7 @@ proptest! {
                 );
                 prop_assert_eq!(
                     ix.rank_spt(&q_spt, kind, k),
-                    model.rank(|e| q_spt.overlap(&e.spt), kind, k),
+                    model.rank_spt(&q_spt, kind, k),
                     "spt kind={:?} k={}", kind, k
                 );
                 prop_assert_eq!(
@@ -324,7 +337,8 @@ fn lcg_vec(seed: &mut u64) -> DenseVec {
 
 /// Past `PAR_SCAN_THRESHOLD` the dense modalities rank on the
 /// rayon-partitioned path; the output must be bit-identical to a serial
-/// full sort. Only 8 distinct SPT vectors across ~4k rows makes ties the
+/// full sort. (`upsert_embedded` posts each PE's SPT vector in the engine,
+/// so the SPT ranking sees these rows too.) Only 8 distinct SPT vectors across ~4k rows makes ties the
 /// common case, so the bounded selection's tie-break (and, for the dense
 /// scans, the merge order of the per-worker accumulators) is thoroughly
 /// exercised.

@@ -1,21 +1,21 @@
-//! The cell's SPT rankings, served from posting lists, against a naive
-//! reference: score every row of a model map with `FeatureVec::overlap`,
-//! sort everything. `rank_spt` and `rank_spt_above` must return the same
-//! ids, kinds, score bits and order for `kind ∈ {None, Pe, Workflow}` at
-//! every point of an upsert / replace-in-place / remove churn over both
-//! kinds — including the swap-remove of the last row (nothing moves) and
-//! of a middle row (the last row's postings are relabelled) — and the
-//! engine, fed the same rows, must retrieve like a naive scan of the
-//! model's PEs.
+//! The cell's SPT rankings, served from the engine's posting index,
+//! against a naive reference: score every PE of a model map with
+//! `FeatureVec::overlap`, sort everything. `rank_spt` and `rank_spt_above`
+//! must return the same ids, score bits and order for `kind ∈ {None, Pe}`
+//! at every point of an upsert / replace-in-place / remove churn over PEs
+//! and workflows — including the swap-remove of the engine's last row
+//! (nothing moves) and of a middle row (the last row's postings are
+//! relabelled) — and nothing for `kind = Workflow`, whose rows the dense
+//! rankings still return. The engine's own retrieval must equal a naive
+//! scan of the same PEs.
 //!
 //! Plain `#[test]`s over a seeded xorshift, so the suite also runs where
 //! `proptest` is a stand-in (`index_props.rs` does not).
 
-use embed::DenseVec;
+use embed::{DenseVec, Embedder, UniXcoderSim};
 use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, SearchIndexes};
 use spt::{FeatureVec, Spt};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 
 struct Rng(u64);
 
@@ -58,49 +58,43 @@ const QUERIES: &[&str] = &[
     "",
 ];
 
-type Key = (u64, EntryKind);
-
-/// The rows the cell should hold, and the order its slots are in: a new
-/// row takes the last slot, a removed row's slot is taken by the last.
+/// The rows the cell should hold, and the order the engine's slots are
+/// in: a new PE takes the last slot, a removed PE's slot is taken by the
+/// last.
 #[derive(Default)]
 struct Model {
-    vecs: HashMap<Key, Arc<FeatureVec>>,
-    slots: Vec<Key>,
+    pes: HashMap<u64, FeatureVec>,
+    slots: Vec<u64>,
+    workflows: BTreeSet<u64>,
 }
 
 impl Model {
-    fn upsert(&mut self, key: Key, vec: Arc<FeatureVec>) {
-        if self.vecs.insert(key, vec).is_none() {
-            self.slots.push(key);
+    fn upsert_pe(&mut self, id: u64, vec: FeatureVec) {
+        if self.pes.insert(id, vec).is_none() {
+            self.slots.push(id);
         }
     }
 
-    fn remove(&mut self, key: Key) {
-        if self.vecs.remove(&key).is_some() {
-            let at = self.slots.iter().position(|k| *k == key).expect("slotted");
+    fn remove_pe(&mut self, id: u64) {
+        if self.pes.remove(&id).is_some() {
+            let at = self.slots.iter().position(|k| *k == id).expect("slotted");
             self.slots.swap_remove(at);
         }
     }
 
-    /// Every row of `kind` scored on its own, everything sorted: score
-    /// descending, then id, then PE before workflow.
-    fn rank(&self, query: &FeatureVec, kind: Option<EntryKind>) -> Vec<IndexHit> {
+    /// Every PE scored on its own, everything sorted: score descending,
+    /// then id.
+    fn rank(&self, query: &FeatureVec) -> Vec<IndexHit> {
         let mut hits: Vec<IndexHit> = self
-            .vecs
+            .pes
             .iter()
-            .filter(|((_, k), _)| kind.is_none_or(|want| *k == want))
-            .map(|(&(id, kind), v)| IndexHit {
+            .map(|(&id, v)| IndexHit {
                 id,
-                kind,
+                kind: EntryKind::Pe,
                 score: query.overlap(v),
             })
             .collect();
-        hits.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then(a.id.cmp(&b.id))
-                .then((a.kind == EntryKind::Workflow).cmp(&(b.kind == EntryKind::Workflow)))
-        });
+        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
         hits
     }
 }
@@ -112,36 +106,53 @@ fn bits(hits: &[IndexHit]) -> Vec<(u64, EntryKind, u32)> {
 }
 
 fn assert_cell_matches(ix: &SearchIndexes, model: &Model, queries: &[FeatureVec], step: usize) {
-    assert_eq!(ix.len(), model.vecs.len(), "step {step}");
+    assert_eq!(
+        ix.counts(),
+        (model.pes.len(), model.workflows.len()),
+        "step {step}"
+    );
+    // Workflows hold dense rows only.
+    let text = UniXcoderSim::new().embed("any text");
+    let workflows: BTreeSet<u64> = ix
+        .rank_semantic(&text, Some(EntryKind::Workflow), usize::MAX)
+        .iter()
+        .map(|h| h.id)
+        .collect();
+    assert_eq!(workflows, model.workflows, "step {step}");
     for (q, query) in queries.iter().enumerate() {
-        for kind in [None, Some(EntryKind::Pe), Some(EntryKind::Workflow)] {
-            let all = model.rank(query, kind);
-            for k in [0, 1, 5, 50, usize::MAX] {
+        let all = model.rank(query);
+        for k in [0, 1, 5, 50, usize::MAX] {
+            for kind in [None, Some(EntryKind::Pe)] {
                 assert_eq!(
                     bits(&ix.rank_spt(query, kind, k)),
                     bits(&all[..k.min(all.len())]),
                     "rank_spt step {step} query {q} kind {kind:?} k {k}"
                 );
             }
-            for min_score in [0.0f32, 1.0, 6.0, 9.5, 1e9] {
-                let above: Vec<IndexHit> = all
-                    .iter()
-                    .filter(|h| h.score >= min_score)
-                    .cloned()
-                    .collect();
+            assert!(ix.rank_spt(query, Some(EntryKind::Workflow), k).is_empty());
+        }
+        for min_score in [0.0f32, 1.0, 6.0, 9.5, 1e9] {
+            let above: Vec<IndexHit> = all
+                .iter()
+                .filter(|h| h.score >= min_score)
+                .cloned()
+                .collect();
+            for kind in [None, Some(EntryKind::Pe)] {
                 assert_eq!(
                     bits(&ix.rank_spt_above(query, kind, min_score)),
                     bits(&above),
                     "rank_spt_above step {step} query {q} kind {kind:?} min {min_score}"
                 );
             }
+            assert!(ix
+                .rank_spt_above(query, Some(EntryKind::Workflow), min_score)
+                .is_empty());
         }
-        // The engine holds the PEs under the same vectors; its retrieval
-        // drops zero scores, otherwise it is the PE ranking.
+        // The engine's retrieval drops zero scores, otherwise it is the
+        // same ranking.
         let engine = ix.engine();
-        let pes = model.rank(query, Some(EntryKind::Pe));
         for top_n in [1, 50, usize::MAX] {
-            let want: Vec<(u64, u32)> = pes
+            let want: Vec<(u64, u32)> = all
                 .iter()
                 .filter(|h| h.score > 0.0)
                 .take(top_n)
@@ -172,49 +183,57 @@ fn spt_rankings_equal_the_naive_scan_under_churn() {
             0..=5 => {
                 // Insert, or replace in place when the key is held.
                 let id = rng.below(150);
-                let kind = if rng.below(3) == 0 {
-                    EntryKind::Workflow
-                } else {
-                    EntryKind::Pe
-                };
                 let code = source(&mut rng);
-                let row = IndexRow::embed(
-                    id,
-                    kind,
-                    &format!("E{id}"),
-                    &code,
-                    DenseVec::zero(),
-                    Spt::parse_source(&code).feature_vec(),
-                );
-                model.upsert((id, kind), row.spt.clone());
-                ix.upsert(row);
+                if rng.below(3) == 0 {
+                    ix.upsert(IndexRow::workflow(id, &code, DenseVec::zero()));
+                    model.workflows.insert(id);
+                } else {
+                    let row = IndexRow::pe(
+                        id,
+                        &format!("E{id}"),
+                        &code,
+                        DenseVec::zero(),
+                        Spt::parse_source(&code).feature_vec(),
+                    );
+                    model.upsert_pe(id, row.pe.as_ref().expect("a PE row").spt.clone());
+                    ix.upsert(row);
+                }
             }
             6 => {
-                // The last slot: swap-remove moves nothing.
-                if let Some(&(id, kind)) = model.slots.last() {
-                    ix.remove(id, kind);
-                    model.remove((id, kind));
+                // The engine's last slot: swap-remove moves nothing.
+                if let Some(&id) = model.slots.last() {
+                    ix.remove(id, EntryKind::Pe);
+                    model.remove_pe(id);
                 }
             }
             7 => {
                 // A middle slot: the last row is relabelled into it.
-                if let Some(&(id, kind)) = model.slots.get(model.slots.len() / 2) {
-                    ix.remove(id, kind);
-                    model.remove((id, kind));
+                if let Some(&id) = model.slots.get(model.slots.len() / 2) {
+                    ix.remove(id, EntryKind::Pe);
+                    model.remove_pe(id);
                 }
             }
+            8 => {
+                // Any PE, held or not.
+                let id = rng.below(150);
+                ix.remove(id, EntryKind::Pe);
+                model.remove_pe(id);
+            }
             _ => {
-                // Any key, held or not.
-                let key = (rng.below(150), EntryKind::Pe);
-                ix.remove(key.0, key.1);
-                model.remove(key);
+                // Any workflow, held or not: the engine is not involved.
+                let id = rng.below(150);
+                ix.remove(id, EntryKind::Workflow);
+                model.workflows.remove(&id);
             }
         }
         if step % 25 == 0 {
             assert_cell_matches(&ix, &model, &queries, step);
         }
     }
-    assert!(model.vecs.len() > 50, "the churn keeps the cell populated");
+    assert!(
+        model.pes.len() > 50 && model.workflows.len() > 20,
+        "the churn keeps the cell populated"
+    );
     ix.clear();
     model = Model::default();
     assert_cell_matches(&ix, &model, &queries, 3001);

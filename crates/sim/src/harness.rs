@@ -879,6 +879,22 @@ impl Episode<'_> {
                     }
                 }
             }
+            // I1 for the read itself: a clean answer must be the row the
+            // model resolves the ident to (right name, id and code — or an
+            // error only where the model allows absence).
+            SimOp::GetPe { ident } => {
+                if !clean {
+                    return;
+                }
+                let got = match records.last().map(|r| &r.outcome) {
+                    Some(CallOutcome::Value(Response::Pe(info))) => Ok(info),
+                    Some(CallOutcome::Value(Response::Error(e))) => Err(e.as_str()),
+                    _ => return,
+                };
+                for msg in self.model.check_get_pe(ident, got) {
+                    self.violation(msg);
+                }
+            }
             _ => {}
         }
     }

@@ -590,22 +590,6 @@ impl SimModel {
             .collect()
     }
 
-    pub fn present_wf_names(&self) -> Vec<String> {
-        self.wfs
-            .iter()
-            .filter(|(_, r)| r.presence == Presence::Present)
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
-    /// Is this workflow name acknowledged-present?
-    pub fn wf_present(&self, name: &str) -> bool {
-        self.wfs
-            .get(name)
-            .map(|r| r.presence == Presence::Present)
-            .unwrap_or(false)
-    }
-
     /// Known id of a present PE, if any.
     pub fn pe_id(&self, name: &str) -> Option<u64> {
         self.pes.get(name).and_then(|r| r.id)
@@ -694,6 +678,31 @@ mod tests {
         let v = m.check_registry(&[], &[]);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("lost pe 'M1'"), "{v:?}");
+    }
+
+    #[test]
+    fn get_pe_answers_are_checked_against_the_resolved_row() {
+        let mut m = SimModel::new();
+        m.apply(&reg_pe_record("A", "code-a", 7));
+        let by_name = Ident::Name("A".into());
+        let check = |m: &mut SimModel, ident: &Ident, got: Result<PeInfo, &str>| {
+            m.check_get_pe(ident, got.as_ref().map_err(|e| *e))
+        };
+        assert!(check(&mut m, &by_name, Ok(info("A", "code-a", 7))).is_empty());
+        assert!(check(&mut m, &Ident::Id(7), Ok(info("A", "code-a", 7))).is_empty());
+        // Another row under the asked-for ident, a moved id, stale code,
+        // a missing acknowledged row, a row nobody registered.
+        for (ident, got, what) in [
+            (&by_name, Ok(info("B", "code-a", 7)), "returned 'B'"),
+            (&by_name, Ok(info("A", "code-a", 8)), "id mismatch"),
+            (&by_name, Ok(info("A", "other", 7)), "code mismatch"),
+            (&by_name, Err("not found"), "acknowledged present"),
+            (&Ident::Id(99), Ok(info("Z", "z", 99)), "ghost pe 'Z'"),
+        ] {
+            let v = check(&mut m, ident, got);
+            assert!(v.iter().any(|x| x.contains(what)), "{what}: {v:?}");
+        }
+        assert!(check(&mut m, &Ident::Id(99), Err("not found")).is_empty());
     }
 
     #[test]

@@ -79,21 +79,6 @@ impl Spt {
         spt
     }
 
-    /// Build the SPT of a single subtree (e.g. one `FuncDef`) of a larger
-    /// parse tree. Variable detection still uses the whole tree's scope
-    /// information.
-    pub fn from_subtree(tree: &ParseTree, node: NodeId) -> Spt {
-        let variables = local_variables(tree);
-        let mut spt = Spt {
-            nodes: Vec::new(),
-            root: None,
-            variables,
-            parse_errors: tree.errors.len(),
-        };
-        spt.root = spt.build(tree, node);
-        spt
-    }
-
     fn push(&mut self, node: SptNode) -> SptNodeId {
         let id = SptNodeId(self.nodes.len() as u32);
         self.nodes.push(node);

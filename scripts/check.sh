@@ -78,17 +78,20 @@ cargo test -q -p aroma --test pipeline_props
 
 # Exactness of the posting-list rankings and the string-free extractor,
 # each against a naive reference (plain seeded #[test]s, no proptest):
-# streamed feature ids ≡ fnv1a(Feature::encode()); SnippetIndex::search_vec
-# ≡ overlap-per-entry + full sort under churn, pruning from the granule
-# memo ≡ pruning from source; rank_spt / rank_spt_above ≡ the same scan
-# over a model map, both kinds, under churn with swap-removes.
+# streamed feature ids ≡ fnv1a(Feature::encode()); SnippetIndex::scored ≡
+# overlap per entry in ids() order and search_vec ≡ its positive scores
+# fully sorted, under churn; pruning from the granule memo ≡ pruning from
+# source; rank_spt / rank_spt_above (served from the engine's index) ≡ the
+# same scan over a model's PE rows for kind None and Pe, and empty for
+# Workflow — whose rows the dense ranking still returns — under churn with
+# swap-removes of the engine's last and middle rows.
 echo "==> spt feature-id equality suite (streamed ids == encoded features)"
 cargo test -q -p spt --test feature_ids
 
 echo "==> aroma posting-list + granule-memo equality suite"
 cargo test -q -p aroma --test postings_equivalence
 
-echo "==> server SPT ranking equality suite (postings == naive scan under churn)"
+echo "==> server SPT ranking equality suite (engine postings == naive PE scan under churn)"
 cargo test -q -p laminar-server --test spt_postings
 
 # Hostile input: a flat 200 KB literal (one node, ~66k children) through
