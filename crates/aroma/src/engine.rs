@@ -6,7 +6,6 @@ use crate::index::{ScoredSnippet, Snippet, SnippetIndex};
 use crate::prune::{granulated_vec_of, prune_granules, PrunedSnippet};
 use crate::recommend::create_recommendation;
 use pyparse::ParseTree;
-use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::time::{Duration, Instant};
 
@@ -26,14 +25,10 @@ pub struct AromaConfig {
     pub support_fraction: f32,
     /// Maximum number of recommendations returned.
     pub max_recommendations: usize,
-    /// Prune/rerank switches to rayon once the retrieved candidate set
-    /// has at least this many rows; below it runs serially. The parallel
-    /// path is bit-identical to the serial one (per-candidate work is
-    /// pure and the indexed collect preserves candidate order before the
-    /// deterministic sort), so this is purely a latency knob.
+    /// Unused, frozen-benchmark names: prune & rerank runs on the calling
+    /// thread and retrieval is exact at every size. `crates/benchmark`
+    /// still fills both; its next PR removes them.
     pub parallel_threshold: usize,
-    /// Unused, frozen-benchmark name: retrieval is exact at every size.
-    /// `crates/benchmark` still fills it; its next PR removes it.
     pub lsh_min_entries: usize,
     /// Drop retrieval candidates whose feature overlap with the query is
     /// below this (0.0 keeps every overlapping candidate).
@@ -48,7 +43,7 @@ impl Default for AromaConfig {
             cluster_sim: 0.5,
             support_fraction: 0.5,
             max_recommendations: 5,
-            parallel_threshold: 32,
+            parallel_threshold: 0,
             lsh_min_entries: 0,
             min_overlap: 0.0,
         }
@@ -86,8 +81,6 @@ pub struct RecoStats {
     /// Unused, frozen-benchmark name: always `None`. `crates/benchmark`
     /// still reads it; its next PR removes it.
     pub lsh_candidates: Option<usize>,
-    /// Whether prune/rerank ran on the rayon path.
-    pub parallel: bool,
     pub retrieve: Duration,
     pub prune: Duration,
     pub cluster: Duration,
@@ -145,15 +138,11 @@ impl AromaEngine {
         self.index.upsert(snippet);
     }
 
-    /// Bulk-add with parallel featurisation. Order of ids is preserved
-    /// (later duplicates replace earlier ones, like serial `add`).
+    /// [`upsert`](Self::upsert) each snippet in order (later duplicates
+    /// replace earlier ones).
     pub fn add_batch(&mut self, snippets: Vec<Snippet>) {
-        let vecs: Vec<FeatureVec> = snippets
-            .par_iter()
-            .map(|s| Spt::parse_source(&s.code).feature_vec())
-            .collect();
-        for (snippet, vec) in snippets.into_iter().zip(vecs) {
-            self.insert(snippet, vec);
+        for snippet in snippets {
+            self.upsert(snippet);
         }
     }
 
@@ -209,16 +198,13 @@ impl AromaEngine {
         // query.
         let t = Instant::now();
         let gvec = granulated_vec_of(tree);
-        let prune_one = |h: &ScoredSnippet| {
-            let granules = self.index.granules(h.id)?;
-            Some((h.score, prune_granules(h.id, granules, &gvec)))
-        };
-        stats.parallel = hits.len() >= self.config.parallel_threshold;
-        let mut pruned: Vec<(f32, PrunedSnippet)> = if stats.parallel {
-            hits.par_iter().filter_map(prune_one).collect()
-        } else {
-            hits.iter().filter_map(prune_one).collect()
-        };
+        let mut pruned: Vec<(f32, PrunedSnippet)> = hits
+            .iter()
+            .filter_map(|h| {
+                let granules = self.index.granules(h.id)?;
+                Some((h.score, prune_granules(h.id, granules, &gvec)))
+            })
+            .collect();
         pruned.sort_by(|a, b| {
             b.1.rerank_score
                 .partial_cmp(&a.1.rerank_score)
@@ -376,39 +362,6 @@ mod tests {
             assert_eq!(x.retrieval_score.to_bits(), y.retrieval_score.to_bits());
             assert_eq!(x.cluster_size, y.cluster_size);
         }
-    }
-
-    #[test]
-    fn parallel_prune_bit_identical_to_serial() {
-        let snippets: Vec<Snippet> = (0..64)
-            .map(|i| {
-                Snippet::new(
-                    i,
-                    format!("PE{i}"),
-                    format!(
-                        "def f{i}(x):\n    total = 0\n    for item in x:\n        total += item + {i}\n    return total\n"
-                    ),
-                )
-            })
-            .collect();
-        let mut serial = AromaEngine::new(AromaConfig {
-            parallel_threshold: usize::MAX,
-            retrieve_n: 64,
-            ..AromaConfig::default()
-        });
-        serial.add_batch(snippets.clone());
-        let mut parallel = AromaEngine::new(AromaConfig {
-            parallel_threshold: 0,
-            retrieve_n: 64,
-            ..AromaConfig::default()
-        });
-        parallel.add_batch(snippets);
-        let q = "total = 0\nfor item in x:\n    total += item\n";
-        let (rs, ss) = serial.recommend_with_stats(q);
-        let (rp, sp) = parallel.recommend_with_stats(q);
-        assert!(!ss.parallel);
-        assert!(sp.parallel);
-        assert_recs_identical(&rs, &rp);
     }
 
     #[test]

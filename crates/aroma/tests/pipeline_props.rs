@@ -3,13 +3,11 @@
 //! Over deterministic synthetic corpora:
 //! * clustering covers every pruned input exactly once,
 //! * every cluster's seed is its best-ranked member,
-//! * parallel prune/rerank is bit-identical to serial,
 //! * the engine's pruned set is exactly what the public stage functions
 //!   produce (the server serves the same code path).
 
 use aroma::{
-    cluster_results, granulated_vec, prune_and_rerank, AromaConfig, AromaEngine, PrunedSnippet,
-    Snippet,
+    cluster_results, granulated_vec, prune_and_rerank, AromaEngine, PrunedSnippet, Snippet,
 };
 
 /// Deterministic xorshift so the "random" corpora are reproducible.
@@ -135,40 +133,6 @@ fn every_seed_is_the_best_ranked_member() {
                         pruned[m].id,
                     );
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_prune_rerank_bit_identical_to_serial() {
-    for (seed, n) in [(11u64, 40u64), (23, 200), (61, 500)] {
-        let rows = corpus(seed, n);
-        let mut serial = AromaEngine::new(AromaConfig {
-            parallel_threshold: usize::MAX,
-            retrieve_n: 100,
-            ..AromaConfig::default()
-        });
-        serial.add_batch(rows.clone());
-        let mut parallel = AromaEngine::new(AromaConfig {
-            parallel_threshold: 0,
-            retrieve_n: 100,
-            ..AromaConfig::default()
-        });
-        parallel.add_batch(rows);
-        for q in QUERIES {
-            let (rs, ss) = serial.recommend_with_stats(q);
-            let (rp, sp) = parallel.recommend_with_stats(q);
-            assert!(!ss.parallel);
-            assert!(sp.parallel || ss.retrieved == 0);
-            assert_eq!(rs.len(), rp.len(), "seed {seed} query {q:?}");
-            for (a, b) in rs.iter().zip(&rp) {
-                assert_eq!(a.seed_id, b.seed_id);
-                assert_eq!(a.seed_name, b.seed_name);
-                assert_eq!(a.code, b.code);
-                assert_eq!(a.score.to_bits(), b.score.to_bits(), "seed {seed} {q:?}");
-                assert_eq!(a.retrieval_score.to_bits(), b.retrieval_score.to_bits());
-                assert_eq!(a.cluster_size, b.cluster_size);
             }
         }
     }

@@ -13,7 +13,6 @@
 use aroma::prune::{granulated_vec, prune_and_rerank};
 use csn::{best_f1, pr_curve};
 use laminar_bench::{code_to_code_eval, standard_corpus, CodeRetriever, MAX_K, OMISSION_LEVELS};
-use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -39,13 +38,13 @@ fn main() {
         // candidate against the granulated query, rank by rerank score.
         let stored: Vec<FeatureVec> = corpus
             .entries
-            .par_iter()
+            .iter()
             .map(|e| Spt::parse_source(&e.code).feature_vec())
             .collect();
         let t1 = Instant::now();
         let queries: Vec<(Vec<u64>, HashSet<u64>)> = corpus
             .entries
-            .par_iter()
+            .iter()
             .map(|e| {
                 let partial = pyparse::drop_suffix_fraction(&e.code, omission);
                 let qvec = Spt::parse_source(&partial).feature_vec();

@@ -13,7 +13,6 @@
 use aroma::{LshConfig, LshIndex};
 use csn::{best_f1, pr_curve, Dataset, DatasetConfig};
 use laminar_bench::MAX_K;
-use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -35,12 +34,12 @@ fn main() {
         });
         let vecs: Vec<FeatureVec> = corpus
             .entries
-            .par_iter()
+            .iter()
             .map(|e| Spt::parse_source(&e.code).feature_vec())
             .collect();
         let queries: Vec<FeatureVec> = corpus
             .entries
-            .par_iter()
+            .iter()
             .map(|e| {
                 Spt::parse_source(&pyparse::drop_suffix_fraction(&e.code, OMISSION)).feature_vec()
             })

@@ -9,7 +9,6 @@
 
 use csn::{best_f1, pr_curve};
 use laminar_bench::{standard_corpus, MAX_K};
-use rayon::prelude::*;
 use spt::{extract_features, Feature, FeatureVec, Spt};
 use std::collections::HashSet;
 
@@ -42,12 +41,12 @@ fn vec_with(code: &str, k: Kinds) -> FeatureVec {
 fn eval(k: Kinds, omission: f64, corpus: &csn::Dataset) -> f64 {
     let stored: Vec<FeatureVec> = corpus
         .entries
-        .par_iter()
+        .iter()
         .map(|e| vec_with(&e.code, k))
         .collect();
     let queries: Vec<(Vec<u64>, HashSet<u64>)> = corpus
         .entries
-        .par_iter()
+        .iter()
         .map(|e| {
             let partial = pyparse::drop_suffix_fraction(&e.code, omission);
             let q = vec_with(&partial, k);

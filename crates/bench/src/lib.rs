@@ -3,8 +3,8 @@
 //! Every table and figure of the paper's §VII (plus the performance claims
 //! embedded in §IV) has a binary in `src/bin/` that regenerates it; the
 //! heavy lifting — corpus construction, retrieval runs, precision-recall
-//! sweeps — lives here so the binaries, the Criterion benches and the
-//! integration tests all share one implementation.
+//! sweeps — lives here so the binaries and the integration tests share one
+//! implementation.
 //!
 //! | binary | paper artefact | DESIGN.md id |
 //! |---|---|---|
@@ -16,6 +16,7 @@
 //! | `eval_streaming` | §IV-E true-streaming | E8 |
 //! | `eval_resources` | §IV-F resource caching | E9 |
 //! | `eval_mappings` | §II-A mappings / Fig. 5b | E10 |
+//! | `eval_search_latency` | search latency vs registry size | E11 |
 //! | `ablation_aroma_variants` | simplified-vs-full Aroma | E12 |
 //! | `ablation_description_context` | Fig. 10 → Fig. 11 coupling | E13 |
 //! | `ablation_lsh` | §IX future work: LSH for structural code | E14 |
@@ -23,7 +24,6 @@
 
 use csn::{pr_curve, Dataset, DatasetConfig, PrPoint};
 use embed::{CodeT5Sim, DescriptionContext, ReaccSim, UniXcoderSim};
-use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashSet;
 
@@ -53,7 +53,7 @@ pub fn corpus_from_args() -> Dataset {
     corpus_with_variants(variants)
 }
 
-/// Corpus sized for the `search_latency` Criterion bench: `n` PEs spread
+/// Corpus sized for `eval_search_latency`: `n` PEs spread
 /// across the whole family catalogue.
 pub fn search_corpus(n: usize) -> Dataset {
     Dataset::generate(DatasetConfig {
@@ -82,14 +82,14 @@ pub fn text_to_code_eval(dataset: &Dataset, ctx: DescriptionContext) -> Vec<PrPo
     // Stored side: auto-generated description embeddings (§V-B).
     let stored: Vec<embed::DenseVec> = dataset
         .entries
-        .par_iter()
+        .iter()
         .map(|e| embedder.embed_text(&gen.describe_pe(&e.code)))
         .collect();
 
     // Query side: the CodeSearchNet-style natural-language descriptions.
     let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
         .entries
-        .par_iter()
+        .iter()
         .map(|e| {
             let qvec = embedder.embed_text(&e.description);
             let ranked = rank_dense(&qvec, &stored);
@@ -141,12 +141,12 @@ pub fn code_to_code_eval(
         CodeRetriever::Aroma => {
             let stored: Vec<FeatureVec> = dataset
                 .entries
-                .par_iter()
+                .iter()
                 .map(|e| Spt::parse_source(&e.code).feature_vec())
                 .collect();
             let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
                 .entries
-                .par_iter()
+                .iter()
                 .map(|e| {
                     let partial = pyparse::drop_suffix_fraction(&e.code, omission);
                     let qvec = Spt::parse_source(&partial).feature_vec();
@@ -172,12 +172,12 @@ pub fn code_to_code_eval(
             let model = ReaccSim::new();
             let stored: Vec<embed::DenseVec> = dataset
                 .entries
-                .par_iter()
+                .iter()
                 .map(|e| model.embed_code(&e.code))
                 .collect();
             let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
                 .entries
-                .par_iter()
+                .iter()
                 .map(|e| {
                     let partial = pyparse::drop_suffix_fraction(&e.code, omission);
                     let qvec = model.embed_code(&partial);
@@ -225,7 +225,7 @@ pub fn description_quality(dataset: &Dataset, ctx: DescriptionContext) -> f64 {
     let gen = CodeT5Sim::new(ctx);
     let total: f64 = dataset
         .entries
-        .par_iter()
+        .iter()
         .map(|e| description_keyword_recall(&gen.describe_pe(&e.code), &e.description))
         .sum();
     total / dataset.len() as f64

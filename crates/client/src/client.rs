@@ -201,7 +201,7 @@ impl LaminarClient {
         LaminarClient {
             connection: Box::new(connection),
             retry: RetryPolicy::default(),
-            sleeper: Arc::new(|d| std::thread::sleep(d)),
+            sleeper: Arc::new(std::thread::sleep),
             token: None,
             staged_resources: Vec::new(),
         }

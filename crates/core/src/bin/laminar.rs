@@ -33,7 +33,6 @@ fn main() -> ExitCode {
         "--reco-retrieve-n",
         "--reco-rerank-keep",
         "--reco-cluster-sim",
-        "--reco-parallel-threshold",
     ];
     let mut oneshot: Vec<String> = Vec::new();
     let mut i = 1;
@@ -64,7 +63,6 @@ fn main() -> ExitCode {
     };
     let reco_retrieve_n = flag_value("--reco-retrieve-n");
     let reco_rerank_keep = flag_value("--reco-rerank-keep");
-    let reco_parallel_threshold = flag_value("--reco-parallel-threshold");
     let reco_cluster_sim = args
         .iter()
         .position(|a| a == "--reco-cluster-sim")
@@ -97,9 +95,6 @@ fn main() -> ExitCode {
             }
             if let Some(s) = reco_cluster_sim {
                 config.server.reco_cluster_sim = s;
-            }
-            if let Some(n) = reco_parallel_threshold {
-                config.server.reco_parallel_threshold = n;
             }
             let laminar = Laminar::try_deploy(config).unwrap_or_else(|e| {
                 eprintln!("cannot open registry data directory: {e}");

@@ -25,8 +25,7 @@ fn usage() -> ! {
          [--request-timeout-secs N] [--drain-timeout-secs N] \
          [--data-dir PATH] [--snapshot-every N] [--wal-fsync] \
          [--reco-retrieve-n N] [--reco-rerank-keep N] \
-         [--reco-cluster-sim F] [--reco-parallel-threshold N] \
-         [--probe-interval-ms N] \
+         [--reco-cluster-sim F] [--probe-interval-ms N] \
          [--io-fault-kind enospc|short-write|fsync-error] \
          [--io-fault-mode nth:N|from:N|random:PCT] \
          [--io-fault-site SITE]... [--io-fault-seed N]\n\
@@ -111,9 +110,6 @@ fn parse_args() -> (String, NetServerConfig, LaminarConfig) {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
-            }
-            "--reco-parallel-threshold" => {
-                deploy.server.reco_parallel_threshold = numeric() as usize;
             }
             "--probe-interval-ms" => {
                 deploy.server.probe_interval_ms = numeric();

@@ -30,13 +30,13 @@
 use crate::data::Data;
 use crate::error::GraphError;
 use crate::graph::{NodeId, PEFactory, WorkflowGraph};
+use crate::lock;
 use crate::pe::{Context, PortSpec, PE};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// What to do when a PE invocation panics (or is injected to fail).
@@ -216,7 +216,7 @@ impl Supervisor {
         error: String,
         attempts: u32,
     ) {
-        self.dlq.lock().push(DeadLetterEntry {
+        lock(&self.dlq).push(DeadLetterEntry {
             pe: pe.to_string(),
             port: port.map(str::to_string),
             datum,
@@ -243,7 +243,7 @@ impl Supervisor {
 
     /// Drain the dead-letter queue in canonical (sorted) order.
     pub(crate) fn take_dead_letters(&self) -> Vec<DeadLetterEntry> {
-        let mut v = std::mem::take(&mut *self.dlq.lock());
+        let mut v = std::mem::take(&mut *lock(&self.dlq));
         v.sort_by_key(|e| e.sort_key());
         v
     }
@@ -252,7 +252,7 @@ impl Supervisor {
         FaultStats {
             faults: self.faults.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            dead_letters: self.dlq.lock().len() as u64,
+            dead_letters: lock(&self.dlq).len() as u64,
             task_timeouts: self.task_timeouts.load(Ordering::Relaxed),
             worker_replacements: self.worker_replacements.load(Ordering::Relaxed),
         }
@@ -404,7 +404,7 @@ impl ChaosPE {
     /// A fault fires only while the datum's failed-attempt count is below
     /// `fail_attempts` (0 = forever), making retries meaningful.
     fn should_fail(&self, key: u64) -> bool {
-        let mut seen = self.seen.lock();
+        let mut seen = lock(&self.seen);
         let count = seen.entry(key).or_insert(0);
         if self.cfg.fail_attempts == 0 || *count < self.cfg.fail_attempts {
             *count += 1;

@@ -68,6 +68,13 @@ pub use pe::{
     StatefulPE, PE,
 };
 
+/// Lock `m`, handing a poisoned mutex on: PE panics are caught and counted
+/// by the supervisor, and a thread that died some other way must not turn
+/// every later reader of the monitor or the dead-letter queue into a panic.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Everything a workflow author needs.
 pub mod prelude {
     pub use crate::data::Data;

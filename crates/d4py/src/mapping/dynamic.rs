@@ -27,12 +27,13 @@ use crate::data::Data;
 use crate::error::GraphError;
 use crate::fault::{FaultPolicy, Supervised, Supervisor};
 use crate::graph::{NodeId, WorkflowGraph};
+use crate::lock;
 use crate::mapping::{DynamicConfig, RunInput};
 use crate::monitor::{Monitor, OutputSink};
 use crate::pe::{Context, PE};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What a task does; cloneable so the timeout supervisor can requeue it.
@@ -93,17 +94,20 @@ impl Broker {
             kind,
         };
         self.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.queue.lock().push_back(task);
+        lock(&self.queue).push_back(task);
         self.available.notify_one();
     }
 
     /// Pop with a short wait; `None` means "check termination".
     fn pop(&self) -> Option<Task> {
-        let mut q = self.queue.lock();
+        let mut q = lock(&self.queue);
         if let Some(t) = q.pop_front() {
             return Some(t);
         }
-        self.available.wait_for(&mut q, Duration::from_millis(2));
+        let (mut q, _) = self
+            .available
+            .wait_timeout(q, Duration::from_millis(2))
+            .unwrap_or_else(PoisonError::into_inner);
         q.pop_front()
     }
 
@@ -117,7 +121,7 @@ impl Broker {
     }
 
     fn depth(&self) -> usize {
-        self.queue.lock().len()
+        lock(&self.queue).len()
     }
 
     fn is_done(&self) -> bool {
@@ -126,7 +130,7 @@ impl Broker {
 
     /// Abort the run: record the first failure and release all waiters.
     fn fail(&self, err: GraphError) {
-        let mut f = self.failure.lock();
+        let mut f = lock(&self.failure);
         if f.is_none() {
             *f = Some(err);
         }
@@ -258,7 +262,7 @@ pub(crate) fn execute(
                     let pe = instances
                         .entry(node_idx)
                         .or_insert_with(|| node.factory.create());
-                    *slots[w].lock() = Some(ActiveTask {
+                    *lock(&slots[w]) = Some(ActiveTask {
                         task: task.clone(),
                         started: Instant::now(),
                     });
@@ -269,7 +273,7 @@ pub(crate) fn execute(
                         call.as_ref().map(|(_, d)| d),
                         &mut || {
                             // Each attempt restarts the timeout clock.
-                            if let Some(a) = slots[w].lock().as_mut() {
+                            if let Some(a) = lock(&slots[w]).as_mut() {
                                 a.started = Instant::now();
                             }
                             emitted.clear();
@@ -279,8 +283,8 @@ pub(crate) fn execute(
                             pe.process(call.clone(), &mut ctx);
                         },
                     );
-                    *slots[w].lock() = None;
-                    if broker.abandoned.lock().remove(&task.id) {
+                    *lock(&slots[w]) = None;
+                    if lock(&broker.abandoned).remove(&task.id) {
                         // The timeout supervisor already accounted for this
                         // task (requeue / dead-letter / abort) — discard
                         // this late completion; the detach check at the top
@@ -324,7 +328,7 @@ pub(crate) fn execute(
                 // emissions are drained *locally* on this worker (the
                 // broker has already terminated), which mirrors the real
                 // Redis mapping's per-consumer state semantics.
-                if broker.failure.lock().is_none() {
+                if lock(&broker.failure).is_none() {
                     let mut torn: HashSet<usize> = HashSet::new();
                     let mut local: VecDeque<(usize, String, Data)> = VecDeque::new();
                     'teardown: loop {
@@ -439,15 +443,15 @@ pub(crate) fn execute(
             }
             if let Some(timeout) = task_timeout {
                 for w in 0..cfg.max_workers {
-                    let mut slot = slots[w].lock();
+                    let mut slot = lock(&slots[w]);
                     let overdue = slot
                         .as_ref()
-                        .map_or(false, |a| a.started.elapsed() >= timeout);
+                        .is_some_and(|a| a.started.elapsed() >= timeout);
                     if !overdue {
                         continue;
                     }
                     let Some(abandoned_task) = slot.take() else { continue };
-                    let newly = broker.abandoned.lock().insert(abandoned_task.task.id);
+                    let newly = lock(&broker.abandoned).insert(abandoned_task.task.id);
                     drop(slot);
                     if !newly {
                         continue;
@@ -504,7 +508,7 @@ pub(crate) fn execute(
             .collect()
     });
     result?;
-    if let Some(err) = broker.failure.lock().take() {
+    if let Some(err) = lock(&broker.failure).take() {
         return Err(err);
     }
     Ok(())
@@ -625,7 +629,7 @@ mod tests {
     #[test]
     fn dead_letter_policy_keeps_dynamic_stream_flowing() {
         let mut g = WorkflowGraph::new("w");
-        let src = g.add(workflows::number_producer(100));
+        let src = g.add(ProducerPE::new("Numbers", |i| Some(Data::from(i as i64))));
         let picky = g.add(IterativePE::new("Picky", |d: Data| {
             let v = d.as_int().unwrap_or(0);
             if v % 5 == 0 {
@@ -659,7 +663,7 @@ mod tests {
         // is abandoned, its worker detached and replaced, and the rest of
         // the stream completes.
         let mut g = WorkflowGraph::new("w");
-        let src = g.add(workflows::number_producer(100));
+        let src = g.add(ProducerPE::new("Numbers", |i| Some(Data::from(i as i64))));
         let slowpoke = g.add(IterativePE::new("Slowpoke", |d: Data| {
             if d.as_int().unwrap_or(0) == 3 {
                 std::thread::sleep(Duration::from_millis(400));

@@ -171,8 +171,9 @@ pub fn run_with_options(
         counts: monitor.counts(),
         partition,
         duration: start.elapsed(),
-        dead_letters: supervisor.take_dead_letters(),
+        // Stats first: they count the queue that `take` drains.
         fault_stats: supervisor.stats(),
+        dead_letters: supervisor.take_dead_letters(),
     })
 }
 

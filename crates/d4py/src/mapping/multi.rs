@@ -23,13 +23,14 @@ use crate::data::Data;
 use crate::error::GraphError;
 use crate::fault::{Supervised, Supervisor};
 use crate::graph::{NodeId, WorkflowGraph};
+use crate::lock;
 use crate::mapping::RunInput;
 use crate::monitor::{Monitor, OutputSink};
 use crate::pe::Context;
 use crossbeam_channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Channel capacity per rank — bounded for backpressure (HPC guide idiom).
 const CHANNEL_CAP: usize = 1024;
@@ -46,14 +47,14 @@ struct FailSlot(Mutex<Option<GraphError>>);
 
 impl FailSlot {
     fn record(&self, err: GraphError) {
-        let mut slot = self.0.lock();
+        let mut slot = lock(&self.0);
         if slot.is_none() {
             *slot = Some(err);
         }
     }
 
     fn take(&self) -> Option<GraphError> {
-        self.0.lock().take()
+        lock(&self.0).take()
     }
 }
 
@@ -169,110 +170,105 @@ pub(crate) fn execute(
                     }
                 };
 
-                // Setup.
-                let mut emitted: Vec<(String, Data)> = Vec::new();
-                let outcome = supervisor.invoke(&display, None, None, &mut || {
-                    emitted.clear();
-                    let mut emit = |p: &str, d: Data| emitted.push((p.to_string(), d));
-                    let log = |line: String| sink.push(line);
-                    let mut ctx = Context::new(&display, rank, 0, &mut emit, &log);
-                    pe.setup(&mut ctx);
-                }).map_err(|e| {
-                    fail_slot.record(e.clone());
-                    e
-                })?;
-                if matches!(outcome, Supervised::Done) {
-                    send_all(std::mem::take(&mut emitted), &mut counters);
-                }
+                // The rank's work as one fallible block: however it ends, the
+                // EOS fan-out below must run. Every rank holds a clone of every
+                // sender, so no channel ever disconnects, and a downstream rank
+                // that is never sent this rank's EOS waits in `recv` forever.
+                let worked = (|| -> Result<(), GraphError> {
+                    // Setup.
+                    let mut emitted: Vec<(String, Data)> = Vec::new();
+                    let outcome = supervisor.invoke(&display, None, None, &mut || {
+                        emitted.clear();
+                        let mut emit = |p: &str, d: Data| emitted.push((p.to_string(), d));
+                        let log = |line: String| sink.push(line);
+                        let mut ctx = Context::new(&display, rank, 0, &mut emit, &log);
+                        pe.setup(&mut ctx);
+                    }).inspect_err(|e| fail_slot.record(e.clone()))?;
+                    if matches!(outcome, Supervised::Done) {
+                        send_all(std::mem::take(&mut emitted), &mut counters);
+                    }
 
-                if is_root {
-                    // Root rank drives the input. (Each root PE has exactly
-                    // one rank by construction of `partition`.)
-                    let feed: Vec<Option<Data>> = match &input {
-                        RunInput::Iterations(n) => (0..*n).map(|_| None).collect(),
-                        RunInput::Data(items) => items.iter().map(|d| Some(d.clone())).collect(),
-                    };
-                    for (i, datum) in feed.into_iter().enumerate() {
-                        let call = match (&datum, &first_input_port) {
-                            (Some(d), Some(port)) => Some((port.clone(), d.clone())),
-                            _ => None,
+                    if is_root {
+                        // Root rank drives the input. (Each root PE has exactly
+                        // one rank by construction of `partition`.)
+                        let feed: Vec<Option<Data>> = match &input {
+                            RunInput::Iterations(n) => (0..*n).map(|_| None).collect(),
+                            RunInput::Data(items) => items.iter().map(|d| Some(d.clone())).collect(),
                         };
-                        let mut emitted: Vec<(String, Data)> = Vec::new();
-                        let outcome = supervisor.invoke(
-                            &display,
-                            call.as_ref().map(|(p, _)| p.as_str()),
-                            call.as_ref().map(|(_, d)| d),
-                            &mut || {
-                                emitted.clear();
-                                let mut emit =
-                                    |p: &str, d: Data| emitted.push((p.to_string(), d));
-                                let log = |line: String| sink.push(line);
-                                let mut ctx =
-                                    Context::new(&display, rank, i as u64, &mut emit, &log);
-                                pe.process(call.clone(), &mut ctx);
-                            },
-                        ).map_err(|e| {
-                            fail_slot.record(e.clone());
-                            e
-                        })?;
-                        if matches!(outcome, Supervised::DeadLettered) {
-                            continue;
+                        for (i, datum) in feed.into_iter().enumerate() {
+                            let call = match (&datum, &first_input_port) {
+                                (Some(d), Some(port)) => Some((port.clone(), d.clone())),
+                                _ => None,
+                            };
+                            let mut emitted: Vec<(String, Data)> = Vec::new();
+                            let outcome = supervisor.invoke(
+                                &display,
+                                call.as_ref().map(|(p, _)| p.as_str()),
+                                call.as_ref().map(|(_, d)| d),
+                                &mut || {
+                                    emitted.clear();
+                                    let mut emit =
+                                        |p: &str, d: Data| emitted.push((p.to_string(), d));
+                                    let log = |line: String| sink.push(line);
+                                    let mut ctx =
+                                        Context::new(&display, rank, i as u64, &mut emit, &log);
+                                    pe.process(call.clone(), &mut ctx);
+                                },
+                            ).inspect_err(|e| fail_slot.record(e.clone()))?;
+                            if matches!(outcome, Supervised::DeadLettered) {
+                                continue;
+                            }
+                            iterations += 1;
+                            send_all(emitted, &mut counters);
                         }
-                        iterations += 1;
+                    } else {
+                        // Worker rank: consume until all upstream EOS received.
+                        let mut eos = 0usize;
+                        while eos < expected {
+                            match rx.recv() {
+                                Ok(Msg::Item { port, data }) => {
+                                    let mut emitted: Vec<(String, Data)> = Vec::new();
+                                    let outcome = supervisor.invoke(
+                                        &display,
+                                        Some(&port),
+                                        Some(&data),
+                                        &mut || {
+                                            emitted.clear();
+                                            let mut emit =
+                                                |p: &str, d: Data| emitted.push((p.to_string(), d));
+                                            let log = |line: String| sink.push(line);
+                                            let mut ctx = Context::new(
+                                                &display, rank, iterations, &mut emit, &log,
+                                            );
+                                            pe.process(Some((port.clone(), data.clone())), &mut ctx);
+                                        },
+                                    ).inspect_err(|e| fail_slot.record(e.clone()))?;
+                                    if matches!(outcome, Supervised::DeadLettered) {
+                                        continue;
+                                    }
+                                    iterations += 1;
+                                    send_all(emitted, &mut counters);
+                                }
+                                Ok(Msg::Eos) => eos += 1,
+                                Err(_) => break, // all senders gone — treat as EOS
+                            }
+                        }
+                    }
+
+                    // Teardown.
+                    let mut emitted: Vec<(String, Data)> = Vec::new();
+                    let outcome = supervisor.invoke(&display, None, None, &mut || {
+                        emitted.clear();
+                        let mut emit = |p: &str, d: Data| emitted.push((p.to_string(), d));
+                        let log = |line: String| sink.push(line);
+                        let mut ctx = Context::new(&display, rank, iterations, &mut emit, &log);
+                        pe.teardown(&mut ctx);
+                    }).inspect_err(|e| fail_slot.record(e.clone()))?;
+                    if matches!(outcome, Supervised::Done) {
                         send_all(emitted, &mut counters);
                     }
-                } else {
-                    // Worker rank: consume until all upstream EOS received.
-                    let mut eos = 0usize;
-                    while eos < expected {
-                        match rx.recv() {
-                            Ok(Msg::Item { port, data }) => {
-                                let mut emitted: Vec<(String, Data)> = Vec::new();
-                                let outcome = supervisor.invoke(
-                                    &display,
-                                    Some(&port),
-                                    Some(&data),
-                                    &mut || {
-                                        emitted.clear();
-                                        let mut emit =
-                                            |p: &str, d: Data| emitted.push((p.to_string(), d));
-                                        let log = |line: String| sink.push(line);
-                                        let mut ctx = Context::new(
-                                            &display, rank, iterations, &mut emit, &log,
-                                        );
-                                        pe.process(Some((port.clone(), data.clone())), &mut ctx);
-                                    },
-                                ).map_err(|e| {
-                                    fail_slot.record(e.clone());
-                                    e
-                                })?;
-                                if matches!(outcome, Supervised::DeadLettered) {
-                                    continue;
-                                }
-                                iterations += 1;
-                                send_all(emitted, &mut counters);
-                            }
-                            Ok(Msg::Eos) => eos += 1,
-                            Err(_) => break, // all senders gone — treat as EOS
-                        }
-                    }
-                }
-
-                // Teardown, then propagate EOS to every downstream rank.
-                let mut emitted: Vec<(String, Data)> = Vec::new();
-                let outcome = supervisor.invoke(&display, None, None, &mut || {
-                    emitted.clear();
-                    let mut emit = |p: &str, d: Data| emitted.push((p.to_string(), d));
-                    let log = |line: String| sink.push(line);
-                    let mut ctx = Context::new(&display, rank, iterations, &mut emit, &log);
-                    pe.teardown(&mut ctx);
-                }).map_err(|e| {
-                    fail_slot.record(e.clone());
-                    e
-                })?;
-                if matches!(outcome, Supervised::Done) {
-                    send_all(emitted, &mut counters);
-                }
+                    Ok(())
+                })();
                 for edge in &out_edges {
                     for target in partition[edge.to.0].clone() {
                         let _ = senders[target].send(Msg::Eos);
@@ -280,7 +276,7 @@ pub(crate) fn execute(
                 }
                 drop(senders);
                 monitor.record(&display, rank, iterations);
-                Ok(())
+                worked
             }));
         }
         handles
@@ -453,6 +449,79 @@ mod tests {
         }
     }
 
+    /// Identity PE that panics in the named phase.
+    #[derive(Clone)]
+    struct PanicsIn(&'static str);
+
+    impl PanicsIn {
+        fn hit(&self, phase: &str) {
+            assert!(self.0 != phase, "intentional {phase} panic");
+        }
+    }
+
+    impl crate::pe::NamedPE for PanicsIn {
+        fn pe_name(&self) -> String {
+            "PanicsIn".into()
+        }
+    }
+
+    impl crate::pe::PE for PanicsIn {
+        fn ports(&self) -> PortSpec {
+            PortSpec::iterative()
+        }
+
+        fn setup(&mut self, _ctx: &mut Context<'_>) {
+            self.hit("setup");
+        }
+
+        fn process(&mut self, input: Option<(String, Data)>, ctx: &mut Context<'_>) {
+            self.hit("process");
+            if let Some((_, d)) = input {
+                ctx.write(d);
+            }
+        }
+
+        fn teardown(&mut self, _ctx: &mut Context<'_>) {
+            self.hit("teardown");
+        }
+    }
+
+    /// A rank that fails — in setup, feeding the root, processing, or in
+    /// teardown — still sends EOS downstream: the run reports the panic
+    /// instead of leaving the rank below it in `recv` forever. The
+    /// parent's watchdog is what fails here if that regresses.
+    #[test]
+    fn failed_rank_still_ends_the_stream_below_it() {
+        for site in ["setup", "root", "process", "teardown"] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut g = WorkflowGraph::new("w");
+                let src = g.add(ProducerPE::new("Src", move |i| {
+                    assert!(site != "root" || i < 2, "intentional root panic");
+                    Some(Data::from(i as i64))
+                }));
+                let mid = g.add(PanicsIn(site));
+                let out = g.add(workflows::print_consumer("Out"));
+                g.connect(src, OUTPUT, mid, INPUT).unwrap();
+                g.connect(mid, OUTPUT, out, INPUT).unwrap();
+                let _ = tx.send(run(
+                    &g,
+                    RunInput::Iterations(5),
+                    &Mapping::Multi { processes: 3 },
+                ));
+            });
+            let result = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{site}: the run wedged"));
+            match result {
+                Err(GraphError::WorkerPanicked(msg)) => {
+                    assert!(msg.contains("intentional"), "{site}: {msg}")
+                }
+                other => panic!("{site}: expected WorkerPanicked, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn data_input_supported() {
         let mut g = WorkflowGraph::new("w");
@@ -473,7 +542,7 @@ mod tests {
     #[test]
     fn dead_letter_policy_survives_panicking_rank() {
         let mut g = WorkflowGraph::new("w");
-        let src = g.add(workflows::number_producer(100));
+        let src = g.add(ProducerPE::new("Numbers", |i| Some(Data::from(i as i64))));
         let picky = g.add(IterativePE::new("Picky", |d: Data| {
             let v = d.as_int().unwrap_or(0);
             if v % 4 == 0 {
@@ -498,6 +567,7 @@ mod tests {
         // 0 and 4 dead-lettered; 1,2,3,5,6,7 delivered.
         assert_eq!(r.lines().len(), 6, "{:?}", r.lines());
         assert_eq!(r.dead_letters.len(), 2);
+        assert_eq!(r.fault_stats.dead_letters, 2);
         assert!(r.dead_letters.iter().all(|e| e.pe == "Picky1"));
     }
 

@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn dead_letter_policy_keeps_stream_flowing() {
         let mut g = WorkflowGraph::new("w");
-        let src = g.add(workflows::number_producer(100));
+        let src = g.add(ProducerPE::new("Numbers", |i| Some(Data::from(i as i64))));
         let picky = g.add(IterativePE::new("Picky", |d: Data| {
             let v = d.as_int().unwrap_or(0);
             if v % 3 == 0 {

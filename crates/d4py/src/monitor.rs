@@ -5,9 +5,9 @@
 //! with, in verbose mode, per-rank iteration summaries ("IsPrime1 (rank 1):
 //! Processed 3 iterations.").
 
-use parking_lot::Mutex;
+use crate::lock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Streaming tap invoked synchronously for every pushed line.
 pub type LineTap = Arc<dyn Fn(&str) + Send + Sync>;
@@ -39,20 +39,20 @@ impl OutputSink {
         if let Some(tap) = &self.tap {
             tap(&line);
         }
-        self.lines.lock().push(line);
+        lock(&self.lines).push(line);
     }
 
     /// Snapshot of all lines so far.
     pub fn lines(&self) -> Vec<String> {
-        self.lines.lock().clone()
+        lock(&self.lines).clone()
     }
 
     pub fn len(&self) -> usize {
-        self.lines.lock().len()
+        lock(&self.lines).len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.lines.lock().is_empty()
+        lock(&self.lines).is_empty()
     }
 }
 
@@ -69,18 +69,17 @@ impl Monitor {
 
     /// Record `n` processed iterations for `(pe display name, rank)`.
     pub fn record(&self, pe: &str, rank: usize, n: u64) {
-        *self.counts.lock().entry((pe.to_string(), rank)).or_insert(0) += n;
+        *lock(&self.counts).entry((pe.to_string(), rank)).or_insert(0) += n;
     }
 
     /// Snapshot of the counters.
     pub fn counts(&self) -> BTreeMap<(String, usize), u64> {
-        self.counts.lock().clone()
+        lock(&self.counts).clone()
     }
 
     /// Fig. 5b-style summary lines, sorted by (PE, rank).
     pub fn summary(&self) -> Vec<String> {
-        self.counts
-            .lock()
+        lock(&self.counts)
             .iter()
             .map(|((pe, rank), n)| format!("{pe} (rank {rank}): Processed {n} iterations."))
             .collect()
@@ -88,8 +87,7 @@ impl Monitor {
 
     /// Total iterations across all ranks of `pe`.
     pub fn total_for(&self, pe: &str) -> u64 {
-        self.counts
-            .lock()
+        lock(&self.counts)
             .iter()
             .filter(|((p, _), _)| p == pe)
             .map(|(_, n)| *n)

@@ -6,7 +6,6 @@
 //! the result is normalised. Cosine similarity between normalised vectors
 //! is a plain dot product.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -15,9 +14,6 @@ use crate::topk::{ScoredRow, TopK};
 /// Embedding dimensionality (fixed across the workspace so embeddings can
 /// be stored in the registry and compared later).
 pub const DIM: usize = 256;
-
-/// Row count above which slab scans partition across rayon workers.
-pub const PAR_SCAN_THRESHOLD: usize = 4096;
 
 /// Fused dot product, unrolled into eight independent accumulator lanes so
 /// the compiler can keep the reduction in vector registers (the serial
@@ -107,17 +103,16 @@ pub struct RankedHit {
 }
 
 /// Rank all `corpus` vectors against `query`, best first; deterministic
-/// tie-break by index. Parallelises for large corpora.
+/// tie-break by index.
 pub fn batch_rank(query: &DenseVec, corpus: &[DenseVec]) -> Vec<RankedHit> {
-    let score = |(i, v): (usize, &DenseVec)| RankedHit {
-        index: i,
-        score: query.cosine(v),
-    };
-    let mut hits: Vec<RankedHit> = if corpus.len() >= 1024 {
-        corpus.par_iter().enumerate().map(score).collect()
-    } else {
-        corpus.iter().enumerate().map(score).collect()
-    };
+    let mut hits: Vec<RankedHit> = corpus
+        .iter()
+        .enumerate()
+        .map(|(index, v)| RankedHit {
+            index,
+            score: query.cosine(v),
+        })
+        .collect();
     hits.sort_unstable_by(|a, b| {
         b.score
             .partial_cmp(&a.score)
@@ -127,9 +122,9 @@ pub fn batch_rank(query: &DenseVec, corpus: &[DenseVec]) -> Vec<RankedHit> {
     hits
 }
 
-/// Serial top-k scan over a `DIM`-strided slab. `keys[row]` supplies the
-/// stable tie-break key; rows where `accept(row)` is false are skipped.
-pub fn slab_topk_serial<F>(
+/// Top-k scan over a `DIM`-strided slab. `keys[row]` supplies the stable
+/// tie-break key; rows where `accept(row)` is false are skipped.
+pub fn slab_topk<F>(
     query: &[f32],
     slab: &[f32],
     keys: &[u64],
@@ -149,61 +144,11 @@ where
     top.into_sorted()
 }
 
-/// Rayon-partitioned top-k scan: each worker folds a bounded [`TopK`] over
-/// its partition (O(threads · k) transient memory, never O(n)) and the
-/// accumulators merge pairwise. The total `(score, key)` order makes the
-/// result identical to the serial scan regardless of partitioning.
-pub fn slab_topk_parallel<F>(
-    query: &[f32],
-    slab: &[f32],
-    keys: &[u64],
-    k: usize,
-    accept: F,
-) -> Vec<ScoredRow>
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    debug_assert_eq!(slab.len(), keys.len() * DIM);
-    slab.par_chunks_exact(DIM)
-        .enumerate()
-        .fold(
-            || TopK::new(k),
-            |mut top, (row, chunk)| {
-                if accept(row) {
-                    top.push(dot(query, chunk), keys[row], row);
-                }
-                top
-            },
-        )
-        .reduce(|| TopK::new(k), TopK::merge)
-        .into_sorted()
-}
-
-/// Top-k scan over a slab, picking the parallel path for large corpora.
-pub fn slab_topk<F>(
-    query: &[f32],
-    slab: &[f32],
-    keys: &[u64],
-    k: usize,
-    accept: F,
-) -> Vec<ScoredRow>
-where
-    F: Fn(usize) -> bool + Sync,
-{
-    if keys.len() >= PAR_SCAN_THRESHOLD {
-        slab_topk_parallel(query, slab, keys, k, accept)
-    } else {
-        slab_topk_serial(query, slab, keys, k, accept)
-    }
-}
-
 /// Threshold scan shared by every "all hits above `min_score`" ranking
 /// path: score rows `0..n` with the caller's closure (dense slab stride,
 /// sparse feature overlap — the helper doesn't care), keep rows where
 /// `accept(row)` holds and `score(row) ≥ min_score`, and return them
-/// best-first under the total `(score desc, key asc)` order. Partitions
-/// across rayon workers past [`PAR_SCAN_THRESHOLD`]; the sort key is
-/// unique per row, so the result is identical either way.
+/// best-first under the total `(score desc, key asc)` order.
 pub fn slab_scan_above<S, F>(
     n: usize,
     score: S,
@@ -212,26 +157,23 @@ pub fn slab_scan_above<S, F>(
     min_score: f32,
 ) -> Vec<ScoredRow>
 where
-    S: Fn(usize) -> f32 + Sync,
-    F: Fn(usize) -> bool + Sync,
+    S: Fn(usize) -> f32,
+    F: Fn(usize) -> bool,
 {
     debug_assert!(keys.len() >= n);
-    let score_row = |row: usize| {
-        if !accept(row) {
-            return None;
-        }
-        let s = score(row);
-        (s >= min_score).then_some(ScoredRow {
-            row,
-            key: keys[row],
-            score: s,
+    let mut rows: Vec<ScoredRow> = (0..n)
+        .filter_map(|row| {
+            if !accept(row) {
+                return None;
+            }
+            let s = score(row);
+            (s >= min_score).then_some(ScoredRow {
+                row,
+                key: keys[row],
+                score: s,
+            })
         })
-    };
-    let mut rows: Vec<ScoredRow> = if n >= PAR_SCAN_THRESHOLD {
-        (0..n).into_par_iter().filter_map(score_row).collect()
-    } else {
-        (0..n).filter_map(score_row).collect()
-    };
+        .collect();
     rows.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.key.cmp(&b.key)));
     rows
 }
@@ -391,17 +333,12 @@ mod tests {
         full.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
         for k in [1, 5, 17, n, n + 10] {
-            let got: Vec<(f32, u64)> = slab_topk_serial(&q.values, &slab, &keys, k, |_| true)
+            let got: Vec<(f32, u64)> = slab_topk(&q.values, &slab, &keys, k, |_| true)
                 .into_iter()
                 .map(|h| (h.score, h.key))
                 .collect();
             let want: Vec<(f32, u64)> = full.iter().take(k).copied().collect();
             assert_eq!(got, want, "k={k}");
-            let par: Vec<(f32, u64)> = slab_topk_parallel(&q.values, &slab, &keys, k, |_| true)
-                .into_iter()
-                .map(|h| (h.score, h.key))
-                .collect();
-            assert_eq!(par, want, "parallel k={k}");
         }
 
         // Filtering: only even rows.
@@ -422,32 +359,5 @@ mod tests {
         // row 2 rejected by accept, row 1 below threshold; tie 0/3 breaks
         // by ascending key.
         assert_eq!(picks, vec![(10, 0.9), (13, 0.9), (14, 0.3)]);
-    }
-
-    #[test]
-    fn parallel_path_matches_serial() {
-        let q = vec_of(&[(0, 1.0), (5, 0.5)]);
-        let corpus: Vec<DenseVec> = (0..1500)
-            .map(|i| vec_of(&[(i % DIM, 1.0), ((i * 7) % DIM, 0.3)]))
-            .collect();
-        let par = batch_rank(&q, &corpus);
-        let ser: Vec<RankedHit> = {
-            let mut hits: Vec<RankedHit> = corpus
-                .iter()
-                .enumerate()
-                .map(|(i, v)| RankedHit {
-                    index: i,
-                    score: q.cosine(v),
-                })
-                .collect();
-            hits.sort_unstable_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap()
-                    .then(a.index.cmp(&b.index))
-            });
-            hits
-        };
-        assert_eq!(par, ser);
     }
 }

@@ -6,8 +6,7 @@
 //! its `top_n`. [`TopK`] replaces that with a size-k min-heap: O(n log k)
 //! time, O(k) memory, and — because the comparator is a *total* order
 //! over `(score, key)` — a result that is bit-identical to the prefix of
-//! the full-sort ranking, ties included, no matter how the corpus was
-//! partitioned across threads.
+//! the full-sort ranking, ties included.
 //!
 //! The ordering is score-descending with ascending `key` as the
 //! deterministic tie-break (the same rule the old full-sort used). Scores
@@ -106,15 +105,6 @@ impl TopK {
         }
     }
 
-    /// Merge two accumulators (the rayon `reduce` step). Order-insensitive:
-    /// the total comparator makes the survivors independent of merge order.
-    pub fn merge(mut self, other: TopK) -> TopK {
-        for Worst(r) in other.heap {
-            self.push(r.score, r.key, r.row);
-        }
-        self
-    }
-
     /// Consume into a best-first vector (the full-sort ranking's prefix).
     pub fn into_sorted(self) -> Vec<ScoredRow> {
         let mut out: Vec<ScoredRow> = self.heap.into_iter().map(|w| w.0).collect();
@@ -153,27 +143,6 @@ mod tests {
         for k in [0, 1, 3, 13, 57, 200, 500] {
             assert_eq!(run_topk(&items, k), naive_topk(&items, k), "k={k}");
         }
-    }
-
-    #[test]
-    fn merge_is_order_insensitive() {
-        let items: Vec<(f32, u64)> = (0..100u64).map(|i| ((i % 10) as f32, i)).collect();
-        let (a, b) = items.split_at(37);
-        let mut ta = TopK::new(8);
-        for (row, &(s, id)) in a.iter().enumerate() {
-            ta.push(s, id, row);
-        }
-        let mut tb = TopK::new(8);
-        for (row, &(s, id)) in b.iter().enumerate() {
-            tb.push(s, id, 37 + row);
-        }
-        let merged: Vec<(f32, u64)> = ta
-            .merge(tb)
-            .into_sorted()
-            .into_iter()
-            .map(|r| (r.score, r.key))
-            .collect();
-        assert_eq!(merged, naive_topk(&items, 8));
     }
 
     #[test]

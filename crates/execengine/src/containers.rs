@@ -7,7 +7,7 @@
 //! is configurable and defaults to a laptop-scale 25 ms (real Docker cold
 //! starts are 100×; only the ratio matters for the evaluation shape).
 
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Pool configuration.
@@ -86,11 +86,17 @@ impl ContainerPool {
         }
     }
 
+    /// The pool state. A poisoned lock is handed on, not re-raised: a run
+    /// that panicked must not take the pool down with it.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Acquire a container: a warm one immediately, a cold-started new one
     /// if the pool has headroom, otherwise block until a release. Returns
     /// `(container, was_cold_start)`.
     pub fn acquire(&self) -> (Container, bool) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         loop {
             if let Some(c) = st.warm.pop() {
                 st.stats.warm_hits += 1;
@@ -108,25 +114,28 @@ impl ContainerPool {
                 return (Container { id, uses: 0 }, true);
             }
             st.stats.waited += 1;
-            self.released.wait(&mut st);
+            st = self
+                .released
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Return a container to the warm pool.
     pub fn release(&self, mut container: Container) {
         container.uses += 1;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.warm.push(container);
         drop(st);
         self.released.notify_one();
     }
 
     pub fn stats(&self) -> PoolStats {
-        self.state.lock().stats
+        self.state().stats
     }
 
     pub fn warm_count(&self) -> usize {
-        self.state.lock().warm.len()
+        self.state().warm.len()
     }
 
     pub fn config(&self) -> &PoolConfig {

@@ -8,9 +8,9 @@
 //! cache — so the second execution of the same workflow resolves instantly,
 //! exactly the behaviour the paper's engine exhibits.
 
-use parking_lot::RwLock;
 use pyparse::{SyntaxKind, TokKind};
 use std::collections::BTreeSet;
+use std::sync::{PoisonError, RwLock};
 
 /// Python standard-library roots the simulated index treats as built-in.
 const STDLIB: &[&str] = &[
@@ -62,11 +62,17 @@ impl PackageIndex {
     }
 
     pub fn is_installed(&self, module: &str) -> bool {
-        self.installed.read().contains(module)
+        self.installed
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(module)
     }
 
     pub fn installed_count(&self) -> usize {
-        self.installed.read().len()
+        self.installed
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Resolve one root module name.
@@ -78,7 +84,10 @@ impl PackageIndex {
             return ImportResolution::Cached(module.to_string());
         }
         if KNOWN_PYPI.binary_search(&module).is_ok() {
-            self.installed.write().insert(module.to_string());
+            self.installed
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(module.to_string());
             return ImportResolution::Installed(module.to_string());
         }
         ImportResolution::Unresolved(module.to_string())

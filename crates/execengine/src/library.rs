@@ -9,9 +9,8 @@
 
 use d4py::workflows;
 use d4py::WorkflowGraph;
-use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 type Builder = Arc<dyn Fn() -> WorkflowGraph + Send + Sync>;
 
@@ -39,6 +38,12 @@ impl WorkflowLibrary {
         lib
     }
 
+    /// The builders, for reading. A poisoned lock is handed on, not
+    /// re-raised: the map is only ever inserted into.
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<String, Builder>> {
+        self.builders.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register (or replace) a builder under `name`.
     pub fn register<F>(&self, name: &str, builder: F)
     where
@@ -46,21 +51,22 @@ impl WorkflowLibrary {
     {
         self.builders
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(name.to_string(), Arc::new(builder));
     }
 
     /// Build a fresh graph for `name`.
     pub fn build(&self, name: &str) -> Option<WorkflowGraph> {
-        let b = self.builders.read().get(name).cloned()?;
+        let b = self.read().get(name).cloned()?;
         Some(b())
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.builders.read().contains_key(name)
+        self.read().contains_key(name)
     }
 
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.builders.read().keys().cloned().collect();
+        let mut v: Vec<String> = self.read().keys().cloned().collect();
         v.sort();
         v
     }

@@ -19,10 +19,10 @@ use crate::error::RegistryError;
 use crate::iofault::{FaultHook, IoSite, SiteCounter};
 use crate::rows::*;
 use crate::wal::{self, SyncPolicy, Wal, WalOp, WalRecord};
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Snapshot file name inside a data directory.
@@ -476,6 +476,16 @@ impl Registry {
         Registry::default()
     }
 
+    /// A poisoned lock is handed on, not re-raised: a request that
+    /// panicked must not turn every later request into a panic.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Open a durable registry backed by `dir`, recovering prior state:
     /// load `snapshot.json` if present, replay `wal.log` on top
     /// (truncating a torn tail in place), rebuild the name indexes, and
@@ -597,7 +607,7 @@ impl Registry {
     /// truncate replays WAL records onto a snapshot that already contains
     /// them — harmless, because every op is idempotent at its recorded id.
     pub fn compact(&self) -> Result<Option<CompactStats>, RegistryError> {
-        Self::compact_locked(&mut self.inner.write())
+        Self::compact_locked(&mut self.write())
     }
 
     fn compact_locked(inner: &mut Inner) -> Result<Option<CompactStats>, RegistryError> {
@@ -628,7 +638,7 @@ impl Registry {
 
     /// Persistence counters, or `None` for an in-memory registry.
     pub fn persist_stats(&self) -> Option<PersistSnapshot> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner.persist.as_ref().map(|p| PersistSnapshot {
             wal_appends: p.stats.wal_appends,
             wal_bytes: p.stats.wal_bytes,
@@ -645,8 +655,7 @@ impl Registry {
     /// Per-site fault-injection counters from the installed hook, or
     /// empty when no hook is installed (the production configuration).
     pub fn fault_counters(&self) -> Vec<SiteCounter> {
-        self.inner
-            .read()
+        self.read()
             .persist
             .as_ref()
             .and_then(|p| p.fault.as_ref())
@@ -668,7 +677,7 @@ impl Registry {
     /// lock, so searches keep serving while the probe runs.
     pub fn verify_storage(&self) -> Result<(), RegistryError> {
         let (dir, wal_path, fault) = {
-            let inner = self.inner.read();
+            let inner = self.read();
             match inner.persist.as_ref() {
                 None => return Ok(()),
                 Some(p) => (p.dir.clone(), p.dir.join(WAL_FILE), p.fault.clone()),
@@ -685,13 +694,13 @@ impl Registry {
         let res = Self::probe_write(&probe, fault.as_ref());
         let _ = std::fs::remove_file(&probe);
         if let Err(e) = res {
-            let mut inner = self.inner.write();
+            let mut inner = self.write();
             if let Some(p) = inner.persist.as_mut() {
                 p.stats.io_failed("probe: test append", &e);
             }
             return Err(persist_err("probe: test append", e));
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if let Some(p) = inner.persist.as_mut() {
             p.wal.heal().map_err(|e| persist_err("probe: heal wal", e))?;
         }
@@ -714,14 +723,14 @@ impl Registry {
 
     /// The backing data directory, if this registry is durable.
     pub fn data_dir(&self) -> Option<PathBuf> {
-        self.inner.read().persist.as_ref().map(|p| p.dir.clone())
+        self.read().persist.as_ref().map(|p| p.dir.clone())
     }
 
     // ---- users -----------------------------------------------------------
 
     /// Register a user; returns the new user id.
     pub fn register_user(&self, username: &str, password: &str) -> Result<u64, RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if inner.users.iter().any(|u| u.username == username) {
             return Err(RegistryError::DuplicateUser(username.to_string()));
         }
@@ -739,7 +748,7 @@ impl Registry {
 
     /// Verify credentials; returns the user id.
     pub fn login(&self, username: &str, password: &str) -> Result<u64, RegistryError> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let user = inner
             .users
             .iter()
@@ -752,7 +761,7 @@ impl Registry {
     }
 
     pub fn user_count(&self) -> usize {
-        self.inner.read().users.len()
+        self.read().users.len()
     }
 
     fn check_user(inner: &Inner, user_id: u64) -> Result<(), RegistryError> {
@@ -771,7 +780,7 @@ impl Registry {
     /// Register one PE: a unit of one, except that a name the user
     /// already owns is the caller's error rather than a reuse.
     pub fn add_pe(&self, new: NewPe) -> Result<u64, RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let mut stage = Stage::new(&inner);
         let pe = stage.pe(&inner, new)?;
         if !pe.created {
@@ -800,7 +809,7 @@ impl Registry {
         &self,
         units: Vec<RegistrationUnit>,
     ) -> Result<Vec<UnitOutcome>, RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let mut stage = Stage::new(&inner);
         let outcomes = units
             .into_iter()
@@ -831,8 +840,7 @@ impl Registry {
     }
 
     pub fn get_pe(&self, id: u64) -> Result<PeRow, RegistryError> {
-        self.inner
-            .read()
+        self.read()
             .pes
             .get(&id)
             .cloned()
@@ -841,7 +849,7 @@ impl Registry {
 
     /// Name lookup through the secondary index (case-insensitive).
     pub fn get_pe_by_name(&self, name: &str) -> Result<PeRow, RegistryError> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let ids = inner.pe_name_index.get(&name.to_lowercase());
         ids.and_then(|ids| ids.first())
             .and_then(|id| inner.pes.get(id))
@@ -852,7 +860,7 @@ impl Registry {
     /// The PE `user_id` owns under `name` (case-insensitive): the row a
     /// re-registration of that name by that user resolves to.
     pub fn get_pe_by_name_for_user(&self, user_id: u64, name: &str) -> Result<PeRow, RegistryError> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .pe_owned_by(user_id, &name.to_lowercase())
             .and_then(|id| inner.pes.get(&id))
@@ -861,7 +869,7 @@ impl Registry {
     }
 
     pub fn all_pes(&self) -> Vec<PeRow> {
-        self.inner.read().pes.values().cloned().collect()
+        self.read().pes.values().cloned().collect()
     }
 
     pub fn update_pe_description(
@@ -870,7 +878,7 @@ impl Registry {
         description: &str,
         description_embedding: &str,
     ) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.pes.contains_key(&id) {
             return Err(RegistryError::NotFound("ProcessingElement", id.to_string()));
         }
@@ -890,7 +898,7 @@ impl Registry {
 
     /// Remove a PE. FK rule: fails while any workflow still references it.
     pub fn remove_pe(&self, id: u64) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.pes.contains_key(&id) {
             return Err(RegistryError::NotFound("ProcessingElement", id.to_string()));
         }
@@ -911,7 +919,7 @@ impl Registry {
     /// that names member ids itself, so the reference check is here (an
     /// unknown user is reported before an unknown PE).
     pub fn add_workflow(&self, new: NewWorkflow) -> Result<u64, RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         Self::check_user(&inner, new.user_id)?;
         if let Some(&id) = new.pe_ids.iter().find(|id| !inner.pes.contains_key(id)) {
             return Err(RegistryError::MissingReference {
@@ -926,8 +934,7 @@ impl Registry {
     }
 
     pub fn get_workflow(&self, id: u64) -> Result<WorkflowRow, RegistryError> {
-        self.inner
-            .read()
+        self.read()
             .workflows
             .get(&id)
             .cloned()
@@ -935,7 +942,7 @@ impl Registry {
     }
 
     pub fn get_workflow_by_name(&self, name: &str) -> Result<WorkflowRow, RegistryError> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let ids = inner.wf_name_index.get(&name.to_lowercase());
         ids.and_then(|ids| ids.first())
             .and_then(|id| inner.workflows.get(id))
@@ -944,7 +951,7 @@ impl Registry {
     }
 
     pub fn all_workflows(&self) -> Vec<WorkflowRow> {
-        self.inner.read().workflows.values().cloned().collect()
+        self.read().workflows.values().cloned().collect()
     }
 
     /// Hand `f` the `(id, member PE ids)` of every workflow, in place
@@ -954,7 +961,7 @@ impl Registry {
         &self,
         f: impl FnOnce(&mut dyn Iterator<Item = (u64, &[u64])>) -> R,
     ) -> R {
-        let inner = self.inner.read();
+        let inner = self.read();
         f(&mut inner
             .workflows
             .values()
@@ -963,7 +970,7 @@ impl Registry {
 
     /// `get_PEs_By_Workflow` (Table I).
     pub fn pes_by_workflow(&self, workflow_id: u64) -> Result<Vec<PeRow>, RegistryError> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let wf = inner
             .workflows
             .get(&workflow_id)
@@ -982,7 +989,7 @@ impl Registry {
         description: &str,
         description_embedding: &str,
     ) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.workflows.contains_key(&id) {
             return Err(RegistryError::NotFound("Workflow", id.to_string()));
         }
@@ -1001,7 +1008,7 @@ impl Registry {
     }
 
     pub fn remove_workflow(&self, id: u64) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.workflows.contains_key(&id) {
             return Err(RegistryError::NotFound("Workflow", id.to_string()));
         }
@@ -1013,7 +1020,7 @@ impl Registry {
     /// execution history. Fallible because the tombstone must reach the
     /// WAL before the wipe is acknowledged.
     pub fn remove_all(&self) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let seq = inner.seq + 1;
         Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveAll }])
     }
@@ -1040,7 +1047,7 @@ impl Registry {
         let matches = |name: &str, description: &str| {
             name.to_lowercase().contains(&needle) || description.to_lowercase().contains(&needle)
         };
-        let inner = self.inner.read();
+        let inner = self.read();
         let pes = if target != SearchTarget::Workflow {
             inner
                 .pes
@@ -1075,7 +1082,7 @@ impl Registry {
         mapping: &str,
         input: &str,
     ) -> Result<u64, RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.workflows.contains_key(&workflow_id) {
             return Err(RegistryError::MissingReference {
                 table: "Workflow",
@@ -1099,7 +1106,7 @@ impl Registry {
     }
 
     pub fn set_execution_status(&self, id: u64, status: ExecutionStatus) -> Result<(), RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.executions.iter().any(|e| e.id == id) {
             return Err(RegistryError::NotFound("Execution", id.to_string()));
         }
@@ -1116,7 +1123,7 @@ impl Registry {
         output: &str,
         status: ExecutionStatus,
     ) -> Result<u64, RegistryError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         if !inner.executions.iter().any(|e| e.id == execution_id) {
             return Err(RegistryError::MissingReference {
                 table: "Execution",
@@ -1136,8 +1143,7 @@ impl Registry {
     }
 
     pub fn executions_for(&self, workflow_id: u64) -> Vec<ExecutionRow> {
-        self.inner
-            .read()
+        self.read()
             .executions
             .iter()
             .filter(|e| e.workflow_id == workflow_id)
@@ -1146,8 +1152,7 @@ impl Registry {
     }
 
     pub fn responses_for(&self, execution_id: u64) -> Vec<ResponseRow> {
-        self.inner
-            .read()
+        self.read()
             .responses
             .iter()
             .filter(|r| r.execution_id == execution_id)
@@ -1158,7 +1163,7 @@ impl Registry {
     // ---- persistence ---------------------------------------------------------
 
     pub fn snapshot(&self) -> RegistrySnapshot {
-        self.inner.read().to_snapshot()
+        self.read().to_snapshot()
     }
 
     pub fn from_snapshot(snap: RegistrySnapshot) -> Registry {
@@ -1185,28 +1190,20 @@ impl Registry {
 
     /// Registry contents summary (the CLI's `list`): (PE count, WF count).
     pub fn counts(&self) -> (usize, usize) {
-        let inner = self.inner.read();
+        let inner = self.read();
         (inner.pes.len(), inner.workflows.len())
     }
 
     /// Sorted copies of the name indexes, for tests that assert the
     /// incrementally-maintained indexes match a from-scratch rebuild.
     #[doc(hidden)]
-    pub fn debug_name_indexes(&self) -> (Vec<(String, Vec<u64>)>, Vec<(String, Vec<u64>)>) {
-        let inner = self.inner.read();
-        let mut pe: Vec<_> = inner
-            .pe_name_index
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        pe.sort();
-        let mut wf: Vec<_> = inner
-            .wf_name_index
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        wf.sort();
-        (pe, wf)
+    pub fn debug_name_indexes(&self) -> [Vec<(String, Vec<u64>)>; 2] {
+        let inner = self.read();
+        [&inner.pe_name_index, &inner.wf_name_index].map(|index| {
+            let mut sorted: Vec<_> = index.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            sorted.sort();
+            sorted
+        })
     }
 }
 
@@ -1339,7 +1336,7 @@ mod tests {
         // the index Vec but left the empty key behind, so the index grew
         // without bound under register/remove churn.
         let (r, u) = with_user();
-        let (pe_baseline, wf_baseline) = r.debug_name_indexes();
+        let [pe_baseline, wf_baseline] = r.debug_name_indexes();
         for i in 0..100 {
             let id = r.add_pe(pe(u, &format!("Churn{i}"))).unwrap();
             r.remove_pe(id).unwrap();
@@ -1356,7 +1353,7 @@ mod tests {
                 .unwrap();
             r.remove_workflow(wid).unwrap();
         }
-        let (pe_after, wf_after) = r.debug_name_indexes();
+        let [pe_after, wf_after] = r.debug_name_indexes();
         assert_eq!(pe_after, pe_baseline, "PE index back to baseline");
         assert_eq!(wf_after, wf_baseline, "workflow index back to baseline");
     }

@@ -62,7 +62,7 @@ use crate::iofault::{FaultHook, Induced, IoSite};
 use crate::rows::{ExecutionRow, ExecutionStatus, PeRow, ResponseRow, UserRow, WorkflowRow};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Upper bound on one record's payload (a defence against interpreting a
@@ -262,7 +262,13 @@ impl Wal {
         records: u64,
         bytes: u64,
     ) -> std::io::Result<Wal> {
-        let mut file = OpenOptions::new().create(true).read(true).write(true).open(path)?;
+        // The log is the durable state: never truncate on open.
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .read(true)
+            .write(true)
+            .open(path)?;
         file.seek(SeekFrom::Start(bytes))?;
         Ok(Wal {
             file,

@@ -1,4 +1,5 @@
-//! Properties of the registration frame (DESIGN.md §9).
+//! Properties of the registration frame (DESIGN.md §9): plain seeded
+//! `#[test]`s over a local xorshift; a failing case prints its seed.
 //!
 //! Two contracts of [`Registry::add_units`] are under test:
 //!
@@ -19,20 +20,36 @@ use laminar_registry::{
     NewPe, NewWorkflow, PeOutcome, PersistOptions, Registry, RegistrationUnit, RegistryError,
     SyncPolicy, UnitOutcome, WAL_FILE,
 };
-use proptest::prelude::*;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
-/// Case count: the pinned default, or `LAMINAR_PROPTEST_CASES` when set.
-/// `PROPTEST_RNG_SEED=<n>` pins the RNG; the committed
-/// `.proptest-regressions` seeds are re-run before any novel case.
-fn cases(default: u32) -> u32 {
-    std::env::var("LAMINAR_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// `prop` on `cases` cases, each from its own seed, printed if it fails.
+fn check(cases: u64, prop: impl Fn(&mut Rng)) {
+    for case in 1..=cases {
+        let seed = case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| prop(&mut Rng(seed)))) {
+            eprintln!("failing case seed: {seed:#x}");
+            resume_unwind(panic);
+        }
+    }
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -95,19 +112,21 @@ struct UnitSpec {
     workflow: Option<u8>,
 }
 
-fn arb_unit() -> impl Strategy<Value = UnitSpec> {
-    let pe = (any::<u8>(), any::<bool>(), proptest::bool::weighted(0.1)).prop_map(
-        |(name, lowercase, bad_user)| PeSpec {
-            name,
-            lowercase,
-            bad_user,
-        },
-    );
-    (
-        proptest::collection::vec(pe, 0..4),
-        proptest::option::of(any::<u8>()),
-    )
-        .prop_map(|(pes, workflow)| UnitSpec { pes, workflow })
+/// 1 to `max - 1` units of up to three member PEs (one in ten with a
+/// dangling user) and, half the time, a workflow.
+fn units(rng: &mut Rng, max: u64) -> Vec<UnitSpec> {
+    (0..1 + rng.below(max - 1))
+        .map(|_| UnitSpec {
+            pes: (0..rng.below(4))
+                .map(|_| PeSpec {
+                    name: rng.next() as u8,
+                    lowercase: rng.below(2) == 1,
+                    bad_user: rng.below(10) == 0,
+                })
+                .collect(),
+            workflow: (rng.below(2) == 1).then(|| rng.next() as u8),
+        })
+        .collect()
 }
 
 /// Materialise a spec against a concrete user id. The name alphabet is
@@ -184,26 +203,20 @@ fn drive_sequential(reg: &Registry, unit: RegistrationUnit) -> UnitOutcome {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: cases(24),
-        ..ProptestConfig::default()
-    })]
-
-    /// `add_units(units)` ≡ the same submissions committed row by row:
-    /// identical outcomes (ids, reuse flags, errors), identical snapshot,
-    /// identical name indexes — live, and again after a WAL replay.
-    #[test]
-    fn batch_registration_equals_sequential_registration(
-        specs in proptest::collection::vec(arb_unit(), 1..6)
-    ) {
+/// `add_units(units)` ≡ the same submissions committed row by row:
+/// identical outcomes (ids, reuse flags, errors), identical snapshot,
+/// identical name indexes — live, and again after a WAL replay.
+#[test]
+fn batch_registration_equals_sequential_registration() {
+    check(24, |rng| {
+        let specs = units(rng, 6);
         let batch_dir = fresh_dir("batch");
         let seq_dir = fresh_dir("seq");
         let batch_reg = Registry::open(&batch_dir, opts()).unwrap();
         let seq_reg = Registry::open(&seq_dir, opts()).unwrap();
         let bu = batch_reg.register_user("rosa", "pw").unwrap();
         let su = seq_reg.register_user("rosa", "pw").unwrap();
-        prop_assert_eq!(bu, su);
+        assert_eq!(bu, su);
 
         let batch_units: Vec<RegistrationUnit> =
             specs.iter().map(|s| unit_from_spec(bu, s)).collect();
@@ -216,41 +229,36 @@ proptest! {
             .map(|u| drive_sequential(&seq_reg, u))
             .collect();
 
-        prop_assert_eq!(batch_out.len(), seq_out.len());
+        assert_eq!(batch_out.len(), seq_out.len());
         for (b, s) in batch_out.iter().zip(&seq_out) {
-            prop_assert_eq!(&b.pes, &s.pes);
-            prop_assert_eq!(&b.workflow, &s.workflow);
-            prop_assert_eq!(&b.error, &s.error);
+            assert_eq!(&b.pes, &s.pes);
+            assert_eq!(&b.workflow, &s.workflow);
+            assert_eq!(&b.error, &s.error);
         }
-        prop_assert_eq!(&batch_reg.snapshot(), &seq_reg.snapshot());
-        prop_assert_eq!(
-            batch_reg.debug_name_indexes(),
-            seq_reg.debug_name_indexes()
-        );
+        assert_eq!(&batch_reg.snapshot(), &seq_reg.snapshot());
+        assert_eq!(batch_reg.debug_name_indexes(), seq_reg.debug_name_indexes());
 
         // The group-commit frame replays to the same state the live
         // registry reached (and its indexes rebuild identically).
         let expected = batch_reg.snapshot();
         drop(batch_reg);
         let replayed = Registry::open(&batch_dir, opts()).unwrap();
-        prop_assert_eq!(&replayed.snapshot(), &expected);
-        prop_assert_eq!(
-            replayed.debug_name_indexes(),
-            seq_reg.debug_name_indexes()
-        );
+        assert_eq!(&replayed.snapshot(), &expected);
+        assert_eq!(replayed.debug_name_indexes(), seq_reg.debug_name_indexes());
 
         let _ = std::fs::remove_dir_all(&batch_dir);
         let _ = std::fs::remove_dir_all(&seq_dir);
-    }
+    });
+}
 
-    /// Cut the WAL at *every* byte across the batch frame: recovery must
-    /// land on the pre-batch state for every cut short of the full frame,
-    /// and on the post-batch state only at the frame boundary. A batch is
-    /// never partially applied.
-    #[test]
-    fn batch_frame_recovers_all_or_nothing(
-        specs in proptest::collection::vec(arb_unit(), 1..4)
-    ) {
+/// Cut the WAL at *every* byte across the batch frame: recovery must
+/// land on the pre-batch state for every cut short of the full frame,
+/// and on the post-batch state only at the frame boundary. A batch is
+/// never partially applied.
+#[test]
+fn batch_frame_recovers_all_or_nothing() {
+    check(24, |rng| {
+        let specs = units(rng, 4);
         let dir = fresh_dir("cut");
         let (pre, post) = {
             let reg = Registry::open(&dir, opts()).unwrap();
@@ -278,9 +286,9 @@ proptest! {
             std::fs::write(cut_dir.join(WAL_FILE), &wal_bytes[..cut as usize]).unwrap();
             let recovered = Registry::open(&cut_dir, opts()).unwrap();
             let expected = if cut == total { &post } else { &pre };
-            prop_assert_eq!(&recovered.snapshot(), expected);
+            assert_eq!(&recovered.snapshot(), expected);
             let _ = std::fs::remove_dir_all(&cut_dir);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
+    });
 }

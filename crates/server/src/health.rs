@@ -16,8 +16,8 @@
 //! [`Registry::verify_storage`]: laminar_registry::Registry::verify_storage
 
 use crate::obs::StorageHealthSnapshot;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Shared storage-health state. All counters are relaxed atomics — the
 /// only lock guards the last-error string, taken off the hot path.
@@ -46,7 +46,10 @@ impl StorageHealth {
     /// and enter degraded mode (idempotent — only the Healthy→Degraded
     /// edge counts as a transition).
     pub fn record_persist_error(&self, error: &str) {
-        *self.last_error.lock() = Some(error.to_string());
+        *self
+            .last_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(error.to_string());
         if !self.degraded.swap(true, Ordering::SeqCst) {
             self.degraded_entries.fetch_add(1, Ordering::Relaxed);
         }
@@ -83,7 +86,10 @@ impl StorageHealth {
 
     /// Most recent persistence error, if any has ever occurred.
     pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().clone()
+        self.last_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Snapshot of the state machine's own counters. The server merges

@@ -41,11 +41,9 @@
 //!
 //! **Selection** is bounded: every ranking API takes `k` and runs a
 //! size-k heap over the scan ([`embed::topk::TopK`]), O(n log k) time and
-//! O(k) memory — no full-corpus sort. Large corpora partition the dense
-//! scans across rayon workers; the total `(score, key)` order makes the
-//! merged result identical to the serial scan. (The SPT walk is one
-//! serial pass — it is cheaper than the fan-out — and its one per-query
-//! allocation is the score slot per PE.)
+//! O(k) memory — no full-corpus sort; the total `(score, key)` order makes
+//! the result the prefix of the full-sort ranking. (The SPT walk's one
+//! per-query allocation is the score slot per PE.)
 //!
 //! **One cell.** The dense state above and the engine (PE names and
 //! *source code*, the posting index and id column and, per PE, the
@@ -63,13 +61,12 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use aroma::{AromaConfig, AromaEngine, Snippet};
 use embed::dense::{dot, slab_scan_above, slab_topk};
 use embed::topk::{ScoredRow, TopK};
 use embed::{DenseVec, ReaccSim, DIM};
-use parking_lot::RwLock;
 use spt::FeatureVec;
 
 /// What kind of registry row an index entry points at.
@@ -295,16 +292,23 @@ impl SearchIndexes {
         }
     }
 
+    /// The cell, for as long as it takes to clone an `Arc` out of it. A
+    /// poisoned lock is handed on, not re-raised: a request that panicked
+    /// must not turn every later request into a panic.
+    fn read(&self) -> RwLockReadGuard<'_, Cell> {
+        self.cell.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of writes published so far. Strictly increasing: every
     /// write API bumps it by exactly one (a batch counts once).
     pub fn generation(&self) -> u64 {
-        self.cell.read().generation
+        self.read().generation
     }
 
     /// Clone the current dense snapshot (an `Arc` bump — queries then
     /// scan it without holding any lock).
     fn snapshot(&self) -> Arc<IndexState> {
-        self.cell.read().index.clone()
+        self.read().index.clone()
     }
 
     /// The current recommendation engine, and with it the structural
@@ -312,7 +316,7 @@ impl SearchIndexes {
     /// snapshot, lock-free; later writes publish new ones without
     /// disturbing it.
     pub fn engine(&self) -> Arc<AromaEngine> {
-        self.cell.read().engine.clone()
+        self.read().engine.clone()
     }
 
     /// One published write: `f` mutates the components it needs through
@@ -320,7 +324,7 @@ impl SearchIndexes {
     /// snapshot, a copy-on-write clone of that component alone when one
     /// does), then the generation moves.
     fn write(&self, f: impl FnOnce(&mut Cell)) {
-        let mut cell = self.cell.write();
+        let mut cell = self.cell.write().unwrap_or_else(PoisonError::into_inner);
         f(&mut cell);
         cell.generation += 1;
     }
@@ -406,7 +410,7 @@ impl SearchIndexes {
     }
 
     pub fn len(&self) -> usize {
-        self.cell.read().index.keys.len()
+        self.read().index.keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -415,7 +419,7 @@ impl SearchIndexes {
 
     /// `(PE entries, workflow entries)` — feeds the index-size gauges.
     pub fn counts(&self) -> (usize, usize) {
-        let cell = self.cell.read();
+        let cell = self.read();
         (cell.index.pes, cell.index.workflows)
     }
 

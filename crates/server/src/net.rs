@@ -36,10 +36,9 @@
 //! and disconnect counters.
 
 use crate::connection::{classify, ConnOptions, Connection, ConnectionError};
-use crate::protocol::{FaultPolicyWire, Reply, Request, RequestEnvelope, Response, WireFrame};
+use crate::protocol::{Reply, Request, RequestEnvelope, Response, WireFrame};
 use crate::server::LaminarServer;
 use crate::transport::DeliveryMode;
-use bytes::{Buf, BufMut, BytesMut};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, TrySendError};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -96,9 +95,9 @@ enum ReadError {
 /// Write one length-prefixed JSON message.
 fn write_msg<T: serde::Serialize>(stream: &mut TcpStream, msg: &T) -> std::io::Result<()> {
     let json = serde_json::to_vec(msg).map_err(std::io::Error::other)?;
-    let mut buf = BytesMut::with_capacity(4 + json.len());
-    buf.put_u32(json.len() as u32);
-    buf.put_slice(&json);
+    let mut buf = Vec::with_capacity(4 + json.len());
+    buf.extend_from_slice(&(json.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&json);
     stream.write_all(&buf)?;
     stream.flush()
 }
@@ -111,7 +110,7 @@ fn write_sentinel(stream: &mut TcpStream) -> std::io::Result<()> {
 
 /// Read one length-prefixed message; `Ok(None)` on the sentinel.
 fn read_frame<T: serde::de::DeserializeOwned>(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
 ) -> Result<Option<T>, ReadError> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf).map_err(ReadError::Io)?;
@@ -122,10 +121,9 @@ fn read_frame<T: serde::de::DeserializeOwned>(
     if len > MAX_FRAME {
         return Err(ReadError::TooLarge(len));
     }
-    let mut buf = BytesMut::zeroed(len);
+    let mut buf = vec![0u8; len];
     stream.read_exact(&mut buf).map_err(ReadError::Io)?;
-    let value =
-        serde_json::from_slice(buf.chunk()).map_err(|e| ReadError::Malformed(e.to_string()))?;
+    let value = serde_json::from_slice(&buf).map_err(|e| ReadError::Malformed(e.to_string()))?;
     Ok(Some(value))
 }
 
@@ -523,7 +521,7 @@ impl Connection for NetClientTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Ident, PeSubmission, RunInputWire, RunMode};
+    use crate::protocol::{FaultPolicyWire, Ident, PeSubmission, RunInputWire, RunMode};
 
     fn serve() -> (NetServer, NetClientTransport) {
         let server = Arc::new(LaminarServer::with_stock());
@@ -710,6 +708,52 @@ mod tests {
                 assert!(e.contains("frame too large"), "{e}");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Arbitrary bytes, a valid frame with bytes overwritten, and every
+    /// truncation of it, through the frame decoder: a typed `ReadError`
+    /// (or, where the bytes still decode, a frame or the sentinel) — never
+    /// a panic, and never a read past what the length prefix allowed.
+    #[test]
+    fn read_frame_is_total_over_arbitrary_and_truncated_bytes() {
+        let mut state = 0x5eed_f4a3_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let json = serde_json::to_vec(&RequestEnvelope::new(Request::Login {
+            username: "rosa".into(),
+            password: "pw".into(),
+        }))
+        .unwrap();
+        let mut valid = (json.len() as u32).to_be_bytes().to_vec();
+        valid.extend_from_slice(&json);
+        let decode = |bytes: &[u8]| read_frame::<RequestEnvelope>(&mut &bytes[..]);
+        assert!(matches!(decode(&valid), Ok(Some(_))));
+
+        for cut in 0..valid.len() {
+            assert!(
+                matches!(decode(&valid[..cut]), Err(ReadError::Io(_))),
+                "{cut}"
+            );
+        }
+        for _ in 0..512 {
+            let raw: Vec<u8> = (0..next() % 64).map(|_| next() as u8).collect();
+            let mut damaged = valid.clone();
+            let at = next() as usize % damaged.len();
+            damaged[at] = next() as u8;
+            for bytes in [raw, damaged] {
+                match decode(&bytes) {
+                    Ok(_) | Err(ReadError::Malformed(_)) => {}
+                    Err(ReadError::Io(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "{bytes:?}")
+                    }
+                    Err(ReadError::TooLarge(len)) => assert!(len > MAX_FRAME, "{bytes:?}"),
+                }
+            }
         }
     }
 

@@ -15,11 +15,10 @@
 //!
 //! [`LaminarServer::handle_envelope`]: crate::server::LaminarServer::handle_envelope
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Per-request identifier, minted once at ingress and threaded through
@@ -228,15 +227,13 @@ impl SearchMetrics {
 
 /// Recommendation-pipeline metrics (v9), fed by the served Aroma path:
 /// where each request's time goes (retrieve → prune → cluster →
-/// intersect) and whether rayon engaged for the prune stage.
+/// intersect).
 #[derive(Debug, Default)]
 pub struct RecoMetrics {
     /// `CodeRecommendation` requests served (any scope or embedding).
     pub requests: Counter,
     /// Requests that ran the full Aroma pipeline (SPT, PE or Both scope).
     pub pipeline_runs: Counter,
-    /// Pipeline runs whose prune stage ran under rayon.
-    pub parallel_runs: Counter,
     /// Stage 1–2: featurize + light-weight retrieval.
     pub retrieve_latency: Histogram,
     /// Stage 3: prune & rerank over the candidate set.
@@ -251,9 +248,6 @@ impl RecoMetrics {
     /// Fold one pipeline run's stage stats into the lifetime totals.
     pub fn observe(&self, stats: &aroma::RecoStats) {
         self.pipeline_runs.inc();
-        if stats.parallel {
-            self.parallel_runs.inc();
-        }
         self.retrieve_latency.record(stats.retrieve);
         self.prune_latency.record(stats.prune);
         self.cluster_latency.record(stats.cluster);
@@ -264,7 +258,6 @@ impl RecoMetrics {
         RecoSnapshot {
             requests: self.requests.get(),
             pipeline_runs: self.pipeline_runs.get(),
-            parallel_runs: self.parallel_runs.get(),
             retrieve: self.retrieve_latency.snapshot(),
             prune: self.prune_latency.snapshot(),
             cluster: self.cluster_latency.snapshot(),
@@ -275,7 +268,7 @@ impl RecoMetrics {
 
 /// Write-path metrics, fed by every registration (`RegisterPe` and
 /// `RegisterWorkflow` are batches of one): how large the batches are,
-/// where each one's time goes (parallel analysis vs commit vs index
+/// where each one's time goes (analysis vs commit vs index
 /// publish), and how many fsyncs sharing a WAL frame saved over a frame
 /// per row.
 #[derive(Debug, Default)]
@@ -412,11 +405,17 @@ impl Metrics {
 
     /// The metrics handle for one endpoint, created on first use.
     pub fn endpoint(&self, name: &'static str) -> Arc<EndpointMetrics> {
-        if let Some(m) = self.endpoints.read().get(name) {
+        if let Some(m) = self
+            .endpoints
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             return m.clone();
         }
         self.endpoints
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(name)
             .or_insert_with(|| Arc::new(EndpointMetrics::default()))
             .clone()
@@ -427,6 +426,7 @@ impl Metrics {
         let mut endpoints: Vec<EndpointSnapshot> = self
             .endpoints
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(name, m)| EndpointSnapshot {
                 endpoint: (*name).to_string(),
@@ -548,7 +548,6 @@ pub struct IngestSnapshot {
 pub struct RecoSnapshot {
     pub requests: u64,
     pub pipeline_runs: u64,
-    pub parallel_runs: u64,
     pub retrieve: HistogramSnapshot,
     pub prune: HistogramSnapshot,
     pub cluster: HistogramSnapshot,
@@ -688,8 +687,8 @@ impl MetricsSnapshot {
         if r.requests > 0 {
             let _ = writeln!(
                 out,
-                "reco: requests {}  pipeline {}  parallel {}",
-                r.requests, r.pipeline_runs, r.parallel_runs
+                "reco: requests {}  pipeline {}",
+                r.requests, r.pipeline_runs
             );
             let _ = writeln!(
                 out,
@@ -809,6 +808,28 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// `snap` as a build that predates the field at `path` would send it:
+    /// serialised, the field removed, parsed back. Goes through strings
+    /// and `Value::Object` only, which real `serde_json` and the offline
+    /// stand-in both have.
+    fn without(snap: &MetricsSnapshot, path: &[&str]) -> MetricsSnapshot {
+        use serde_json::Value;
+        let mut json: Value = serde_json::from_str(&serde_json::to_string(snap).unwrap()).unwrap();
+        let (field, parents) = path.split_last().unwrap();
+        let mut at = &mut json;
+        for key in parents {
+            let Value::Object(map) = at else {
+                panic!("{key}: parent is not an object");
+            };
+            at = map.get_mut(*key).unwrap();
+        }
+        let Value::Object(map) = at else {
+            panic!("{field}: parent is not an object");
+        };
+        assert!(map.remove(*field).is_some(), "{field}: no such field");
+        serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap()
+    }
+
     #[test]
     fn request_ids_are_unique_and_increasing() {
         let a = RequestId::mint();
@@ -894,9 +915,7 @@ mod tests {
         assert!(table.contains("pes 42"), "{table}");
         assert!(table.contains("semantic"), "{table}");
         // A v2 snapshot without the `search` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("search");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["search"]);
         assert_eq!(back.search, SearchSnapshot::default());
     }
 
@@ -925,9 +944,7 @@ mod tests {
         assert!(table.contains("enactment: runs 2  failed 1"), "{table}");
         assert!(table.contains("dead_letters"), "{table}");
         // A pre-v4 snapshot without the `enactment` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("enactment");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["enactment"]);
         assert_eq!(back.enactment, EnactmentSnapshot::default());
     }
 
@@ -955,9 +972,7 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.persistence, snap.persistence);
         // A pre-v5 snapshot without the `persistence` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("persistence");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["persistence"]);
         assert_eq!(back.persistence, PersistenceSnapshot::default());
     }
 
@@ -991,18 +1006,13 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.ingest, snap.ingest);
         // A pre-v6 snapshot without the `ingest` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("ingest");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["ingest"]);
         assert_eq!(back.ingest, IngestSnapshot::default());
         // A snapshot from a server that still sends a row group this
         // build has dropped parses too: unknown fields are ignored.
-        let dropped: serde_json::Value = serde_json::from_str(r#"{"hits":3}"#).unwrap();
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut()
-            .unwrap()
-            .insert("dropped_row_group".into(), dropped);
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let json = serde_json::to_string(&snap).unwrap();
+        let json = format!(r#"{{"dropped_row_group":{{"hits":3}},{}"#, &json[1..]);
+        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.uptime_ms, snap.uptime_ms);
     }
 
@@ -1016,7 +1026,6 @@ mod tests {
             retrieved: 40,
             pruned: 10,
             clusters: 3,
-            parallel: true,
             retrieve: Duration::from_micros(400),
             prune: Duration::from_micros(900),
             cluster: Duration::from_micros(80),
@@ -1026,7 +1035,6 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.reco.requests, 1);
         assert_eq!(snap.reco.pipeline_runs, 1);
-        assert_eq!(snap.reco.parallel_runs, 1);
         assert_eq!(snap.reco.prune.count, 1);
         let table = snap.render();
         assert!(table.contains("reco: requests 1"), "{table}");
@@ -1035,9 +1043,7 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.reco, snap.reco);
         // A pre-v9 snapshot without the `reco` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("reco");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["reco"]);
         assert_eq!(back.reco, RecoSnapshot::default());
     }
 
@@ -1049,15 +1055,7 @@ mod tests {
         assert_eq!(snap.search.literal.count, 1);
         assert!(snap.render().contains("literal"), "{}", snap.render());
         // A pre-v9 `search` group without the `literal` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut()
-            .unwrap()
-            .get_mut("search")
-            .unwrap()
-            .as_object_mut()
-            .unwrap()
-            .remove("literal");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["search", "literal"]);
         assert_eq!(back.search.literal, HistogramSnapshot::default());
     }
 
@@ -1096,9 +1094,7 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.storage_health, snap.storage_health);
         // A pre-v8 snapshot without the `storage_health` field still parses.
-        let mut json: serde_json::Value = serde_json::to_value(&snap).unwrap();
-        json.as_object_mut().unwrap().remove("storage_health");
-        let back: MetricsSnapshot = serde_json::from_value(json).unwrap();
+        let back = without(&snap, &["storage_health"]);
         assert_eq!(back.storage_health, StorageHealthSnapshot::default());
     }
 

@@ -8,8 +8,8 @@
 //! accounting so experiment E9 can quantify the saving.
 
 use crate::protocol::{content_hash, ResourceRefWire};
-use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
 /// Reference to a resource by name + content hash.
 pub type ResourceRef = ResourceRefWire;
@@ -51,7 +51,7 @@ impl ResourceCache {
     /// Check a run request's resource references; returns the names that
     /// must be uploaded before execution can proceed.
     pub fn missing(&self, refs: &[ResourceRef]) -> Vec<String> {
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         let mut missing = Vec::new();
         for r in refs {
             if st.by_hash.contains_key(&r.content_hash) {
@@ -68,7 +68,7 @@ impl ResourceCache {
     /// already cached under another name (dedup).
     pub fn store(&self, name: &str, bytes: Vec<u8>) -> bool {
         let hash = content_hash(&bytes);
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         st.bytes_received += bytes.len() as u64;
         st.uploads += 1;
         let dedup = st.by_hash.contains_key(&hash);
@@ -84,7 +84,7 @@ impl ResourceCache {
     /// Laminar 1.0 baseline: resources arrive inline with every request —
     /// counted in full, no cache consulted.
     pub fn receive_inline(&self, resources: &[(String, Vec<u8>)]) {
-        let mut st = self.state.write();
+        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
         for (_, bytes) in resources {
             st.bytes_received += bytes.len() as u64;
             st.uploads += 1;
@@ -93,13 +93,13 @@ impl ResourceCache {
 
     /// Fetch a resource's bytes by name (the execution engine's view).
     pub fn get(&self, name: &str) -> Option<Vec<u8>> {
-        let st = self.state.read();
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
         let hash = st.by_name.get(name)?;
         st.by_hash.get(hash).cloned()
     }
 
     pub fn stats(&self) -> ResourceStats {
-        let st = self.state.read();
+        let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
         ResourceStats {
             bytes_received: st.bytes_received,
             uploads: st.uploads,

@@ -14,13 +14,11 @@ use laminar_execengine::{ExecRequest, ExecutionEngine, Frame, ResponseMode};
 use laminar_registry::{
     ExecutionStatus, NewPe, NewWorkflow, PeRow, Registry, RegistryError, SearchTarget, WorkflowRow,
 };
-use parking_lot::RwLock;
-use rayon::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Server tunables (the paper's "configurable parameter"s).
 #[derive(Debug, Clone)]
@@ -46,13 +44,10 @@ pub struct ServerConfig {
     /// Aroma stage 4: cosine floor for joining a cluster
     /// (`--reco-cluster-sim`).
     pub reco_cluster_sim: f32,
-    /// Candidate count at which prune & rerank fans out across rayon
-    /// workers (`--reco-parallel-threshold`); results are bit-identical
-    /// to the serial pass either way.
+    /// Unused, frozen-benchmark names: the rayon tier and the LSH gate
+    /// they sized are gone and nothing reads them. `crates/benchmark`
+    /// still does; its next PR removes them.
     pub reco_parallel_threshold: usize,
-    /// Unused, frozen-benchmark name: the LSH gate it sized is gone and
-    /// nothing reads it. `crates/benchmark` still does; its next PR
-    /// removes it.
     pub reco_lsh_min_entries: usize,
     /// Interval of the background storage-recovery probe in milliseconds
     /// (`--probe-interval-ms`); 0 disables the probe thread. The probe
@@ -76,7 +71,7 @@ impl Default for ServerConfig {
             reco_retrieve_n: 50,
             reco_rerank_keep: 10,
             reco_cluster_sim: 0.5,
-            reco_parallel_threshold: 32,
+            reco_parallel_threshold: 0,
             reco_lsh_min_entries: 0,
             probe_interval_ms: 0,
             degraded_retry_after_ms: 500,
@@ -156,7 +151,6 @@ impl LaminarServer {
             rerank_keep: config.reco_rerank_keep,
             cluster_sim: config.reco_cluster_sim,
             max_recommendations: config.reco_rerank_keep,
-            parallel_threshold: config.reco_parallel_threshold,
             min_overlap: config.reco_min_score,
             ..AromaConfig::default()
         });
@@ -254,9 +248,9 @@ impl LaminarServer {
     /// Cold-start warm load: rebuild the search indexes from whatever the
     /// registry already holds (a registry restored via `load_from` arrives
     /// populated). Embedding CLOBs decode and the ReACC code embeddings
-    /// compute in parallel across registry rows, then everything — slabs
-    /// and, under its decoded SPT vector, every PE's source for the
-    /// engine — publishes as one write. A workflow's `spt_embedding` stays
+    /// compute row by row, then everything — slabs and, under its decoded
+    /// SPT vector, every PE's source for the engine — publishes as one
+    /// write. A workflow's `spt_embedding` stays
     /// in the registry: nothing ranks by it.
     fn warm_load_indexes(&self) {
         // Stored CLOBs are authoritative; rows predating the embedding
@@ -266,7 +260,7 @@ impl LaminarServer {
         };
         let (pes, workflows) = (self.registry.all_pes(), self.registry.all_workflows());
         let mut rows: Vec<IndexRow> = pes
-            .par_iter()
+            .iter()
             .map(|p| {
                 let spt = FeatureVec::from_json(&p.spt_embedding)
                     .unwrap_or_else(|_| Spt::parse_source(&p.code).feature_vec());
@@ -274,14 +268,10 @@ impl LaminarServer {
                 IndexRow::pe(p.id, &p.name, &p.code, desc, spt)
             })
             .collect();
-        let workflow_rows: Vec<IndexRow> = workflows
-            .par_iter()
-            .map(|w| {
-                let desc = desc_of(&w.description_embedding, &w.description);
-                IndexRow::workflow(w.id, &w.code, desc)
-            })
-            .collect();
-        rows.extend(workflow_rows);
+        rows.extend(workflows.iter().map(|w| {
+            let desc = desc_of(&w.description_embedding, &w.description);
+            IndexRow::workflow(w.id, &w.code, desc)
+        }));
         self.indexes.bulk_upsert(rows);
         self.sync_index_gauges();
     }
@@ -784,13 +774,17 @@ impl LaminarServer {
 
     fn new_session(&self, user: u64) -> Token {
         let token = self.next_token.fetch_add(1, Ordering::SeqCst);
-        self.sessions.write().insert(token, user);
+        self.sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(token, user);
         token
     }
 
     fn auth(&self, token: Token) -> Result<u64, ServerError> {
         self.sessions
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&token)
             .copied()
             .ok_or(ServerError::NotLoggedIn)
@@ -821,7 +815,7 @@ impl LaminarServer {
     /// `RegisterWorkflow` as a batch of one, `RegisterBatch` as sent — is
     /// a list of units that is
     ///
-    /// 1. **analysed** once (rayon-parallel, no locks): per submission,
+    /// 1. **analysed** once (no locks held): per submission,
     ///    codet5 description (§IV-C) → unixcoder embedding, pyparse → SPT
     ///    features (§VI), reacc embedding;
     /// 2. **committed** once ([`Registry::add_units`]): every unit staged
@@ -858,8 +852,8 @@ impl LaminarServer {
         }
         let item_count = items.len();
 
-        // Stage 1: parallel per-submission analysis — pure, so items fan
-        // out across rayon workers; duplicates waste some of it.
+        // Stage 1: per-submission analysis — pure, before any lock is
+        // taken; duplicates waste some of it.
         let analyse_start = std::time::Instant::now();
         let analyse = |name: String, code: String, description: String| Analysed {
             desc: self.unixcoder.embed_text(&description),
@@ -877,7 +871,7 @@ impl LaminarServer {
             analyse(pe.name, pe.code, description)
         };
         let mut analysed: Vec<AnalysedItem> = items
-            .into_par_iter()
+            .into_iter()
             .map(|item| match item {
                 BatchItemWire::Pe(pe) => AnalysedItem {
                     pes: vec![analyse_pe(pe)],

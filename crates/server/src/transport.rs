@@ -9,7 +9,7 @@
 
 use crate::clock::{SharedClock, SystemClock};
 use crate::connection::{classify, ConnOptions, Connection, ConnectionError};
-use crate::protocol::{FaultPolicyWire, Reply, Request, RequestEnvelope, WireFrame};
+use crate::protocol::{Reply, Request, RequestEnvelope, WireFrame};
 use crate::server::LaminarServer;
 use crossbeam_channel::{unbounded, Receiver};
 use std::sync::Arc;
@@ -143,7 +143,7 @@ impl Connection for Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Ident, Request};
+    use crate::protocol::{FaultPolicyWire, Ident, Request};
     use crate::protocol::{PeSubmission, Response, RunInputWire, RunMode};
     use std::time::Instant;
 

@@ -13,7 +13,7 @@ use laminar_server::{
     Connection, ConnectionError, LaminarServer, NetClientTransport, NetServer, PeSubmission,
     Request, Response, ServerConfig, StorageStateWire,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,7 +42,7 @@ fn pe(name: &str) -> PeSubmission {
 /// Durable server with a cleared (disk healthy) injector installed;
 /// `from_op` arms nothing yet — callers pick the schedule.
 fn serve_with_faults(
-    dir: &PathBuf,
+    dir: &Path,
     spec: FaultSpec,
     seed: u64,
     config: ServerConfig,

@@ -1,11 +1,10 @@
-//! Property tests for the index cell behind [`SearchIndexes`]:
+//! Seeded property tests for the index cell behind [`SearchIndexes`]
+//! (plain `#[test]`s over a local xorshift; a failing case prints its
+//! seed):
 //!
 //! * bounded top-k selection returns exactly the prefix of the full-sorted
 //!   ranking, ties included (the tie-break key is total, so the prefix is
 //!   unique and the comparison is exact, not approximate);
-//! * the rayon-partitioned dense scans (and the SPT posting walk beside
-//!   them) are bit-identical to a serial full sort once the corpus
-//!   crosses `PAR_SCAN_THRESHOLD`;
 //! * arbitrary upsert/bulk/describe/remove/clear interleavings leave the cell
 //!   equivalent to a naive map-of-rows model: both dense modalities over
 //!   every row (slot map, slab swap-remove, and per-kind counts all have
@@ -16,21 +15,36 @@
 //!   scratch), and the one generation (exactly one step per mutation).
 
 use aroma::{AromaEngine, Snippet};
-use embed::dense::PAR_SCAN_THRESHOLD;
-use embed::{dot, DenseVec, Embedder, ReaccSim, UniXcoderSim, DIM};
+use embed::{dot, Embedder, ReaccSim, UniXcoderSim};
 use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, PeSnippet, SearchIndexes};
-use proptest::prelude::*;
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Case count: the pinned default, or `LAMINAR_PROPTEST_CASES` when set.
-/// `PROPTEST_RNG_SEED=<n>` pins the RNG; the committed
-/// `.proptest-regressions` seeds are re-run before any novel case.
-fn cases(default: u32) -> u32 {
-    std::env::var("LAMINAR_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// `prop` on `cases` cases, each from its own seed, printed if it fails.
+fn check(cases: u64, prop: impl Fn(&mut Rng)) {
+    for case in 1..=cases {
+        let seed = case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| prop(&mut Rng(seed)))) {
+            eprintln!("failing case seed: {seed:#x}");
+            resume_unwind(panic);
+        }
+    }
 }
 
 /// The engine's encoded tie-break key (mirrors the private `entry_key`).
@@ -117,18 +131,29 @@ enum Op {
     Clear,
 }
 
-fn arb_row() -> impl Strategy<Value = RowSpec> {
-    (0u64..16, any::<bool>(), 0u8..4).prop_map(|(id, wf, variant)| RowSpec { id, wf, variant })
+fn row(rng: &mut Rng) -> RowSpec {
+    RowSpec {
+        id: rng.below(16),
+        wf: rng.below(2) == 1,
+        variant: rng.below(4) as u8,
+    }
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => arb_row().prop_map(Op::Upsert),
-        2 => proptest::collection::vec(arb_row(), 0..5).prop_map(Op::Bulk),
-        2 => arb_row().prop_map(Op::Describe),
-        3 => (0u64..16, any::<bool>()).prop_map(|(id, wf)| Op::Remove { id, wf }),
-        1 => Just(Op::Clear),
-    ]
+/// Up to `max - 1` ops, weighted 4 upsert : 2 bulk : 2 describe :
+/// 3 remove : 1 clear.
+fn ops(rng: &mut Rng, max: u64) -> Vec<Op> {
+    (0..rng.below(max))
+        .map(|_| match rng.below(12) {
+            0..=3 => Op::Upsert(row(rng)),
+            4..=5 => Op::Bulk((0..rng.below(5)).map(|_| row(rng)).collect()),
+            6..=7 => Op::Describe(row(rng)),
+            8..=10 => Op::Remove {
+                id: rng.below(16),
+                wf: rng.below(2) == 1,
+            },
+            _ => Op::Clear,
+        })
+        .collect()
 }
 
 fn kind_of(wf: bool) -> EntryKind {
@@ -253,22 +278,18 @@ fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
-
-    /// Upsert/bulk/describe/remove/clear fuzz: after any op interleaving, every
-    /// modality's bounded ranking equals the naive full-sort prefix exactly
-    /// (bit-equal scores, same ids, same order — ties resolved
-    /// identically), the engine matches the model, and the generation
-    /// counted the mutations.
-    #[test]
-    fn cell_matches_naive_model_after_any_op_sequence(
-        ops in proptest::collection::vec(arb_op(), 0..40),
-    ) {
-        let (ix, model) = apply(&ops);
-        prop_assert_eq!(ix.len(), model.entries.len());
-        prop_assert_eq!(ix.counts(), model.counts());
-        prop_assert_eq!(ix.generation(), model.mutations);
+/// Upsert/bulk/describe/remove/clear fuzz: after any op interleaving, every
+/// modality's bounded ranking equals the naive full-sort prefix exactly
+/// (bit-equal scores, same ids, same order — ties resolved
+/// identically), the engine matches the model, and the generation
+/// counted the mutations.
+#[test]
+fn cell_matches_naive_model_after_any_op_sequence() {
+    check(48, |rng| {
+        let (ix, model) = apply(&ops(rng, 40));
+        assert_eq!(ix.len(), model.entries.len());
+        assert_eq!(ix.counts(), model.counts());
+        assert_eq!(ix.generation(), model.mutations);
         assert_engine_matches_model(&ix, &model);
 
         let emb = UniXcoderSim::new();
@@ -278,33 +299,33 @@ proptest! {
 
         for kind in [None, Some(EntryKind::Pe), Some(EntryKind::Workflow)] {
             for k in [0usize, 1, 7, usize::MAX] {
-                prop_assert_eq!(
+                assert_eq!(
                     ix.rank_semantic(&q_text, kind, k),
                     model.rank(|e| dot(&q_text.values, &e.desc.values), kind, k),
-                    "semantic kind={:?} k={}", kind, k
+                    "semantic kind={kind:?} k={k}"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     ix.rank_spt(&q_spt, kind, k),
                     model.rank_spt(&q_spt, kind, k),
-                    "spt kind={:?} k={}", kind, k
+                    "spt kind={kind:?} k={k}"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     ix.rank_reacc(&q_code, kind, k),
                     model.rank(|e| dot(&q_code.values, &e.reacc.values), kind, k),
-                    "reacc kind={:?} k={}", kind, k
+                    "reacc kind={kind:?} k={k}"
                 );
             }
         }
-    }
+    });
+}
 
-    /// The threshold scans equal filtering the full ranking.
-    #[test]
-    fn threshold_scans_equal_filtered_full_ranking(
-        ops in proptest::collection::vec(arb_op(), 0..30),
-        min_spt in 0.0f32..8.0,
-        min_cos in -0.5f32..1.0,
-    ) {
-        let (ix, _) = apply(&ops);
+/// The threshold scans equal filtering the full ranking.
+#[test]
+fn threshold_scans_equal_filtered_full_ranking() {
+    check(48, |rng| {
+        let (ix, _) = apply(&ops(rng, 30));
+        let min_spt = rng.below(8000) as f32 / 1000.0;
+        let min_cos = rng.below(1500) as f32 / 1000.0 - 0.5;
         let q_spt = Spt::parse_source("total += item * 2\n").feature_vec();
         let q_code = ReaccSim::new().embed_code("for item in data:\n    total += item * 2\n");
         let full_spt: Vec<IndexHit> = ix
@@ -312,102 +333,15 @@ proptest! {
             .into_iter()
             .filter(|h| h.score >= min_spt)
             .collect();
-        prop_assert_eq!(ix.rank_spt_above(&q_spt, Some(EntryKind::Pe), min_spt), full_spt);
+        assert_eq!(
+            ix.rank_spt_above(&q_spt, Some(EntryKind::Pe), min_spt),
+            full_spt
+        );
         let full_reacc: Vec<IndexHit> = ix
             .rank_reacc(&q_code, None, usize::MAX)
             .into_iter()
             .filter(|h| h.score >= min_cos)
             .collect();
-        prop_assert_eq!(ix.rank_reacc_above(&q_code, None, min_cos), full_reacc);
-    }
-}
-
-/// Deterministic pseudo-random normalised vector (no rand dependency on
-/// the hot path of this test — an LCG is plenty).
-fn lcg_vec(seed: &mut u64) -> DenseVec {
-    let mut values = vec![0.0f32; DIM];
-    for v in &mut values {
-        *seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *v = ((*seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0;
-    }
-    DenseVec::normalised(values)
-}
-
-/// Past `PAR_SCAN_THRESHOLD` the dense modalities rank on the
-/// rayon-partitioned path; the output must be bit-identical to a serial
-/// full sort. (`upsert_embedded` posts each PE's SPT vector in the engine,
-/// so the SPT ranking sees these rows too.) Only 8 distinct SPT vectors across ~4k rows makes ties the
-/// common case, so the bounded selection's tie-break (and, for the dense
-/// scans, the merge order of the per-worker accumulators) is thoroughly
-/// exercised.
-#[test]
-fn parallel_scan_is_bit_identical_to_serial_past_threshold() {
-    let n = PAR_SCAN_THRESHOLD + 64;
-    let spt_pool: Vec<FeatureVec> = (0..8)
-        .map(|i| {
-            Spt::parse_source(&format!("def f{i}(x):\n    return x * {i} + {i}\n")).feature_vec()
-        })
-        .collect();
-    let ix = SearchIndexes::new();
-    let mut stored: Vec<(u64, DenseVec, FeatureVec, DenseVec)> = Vec::with_capacity(n);
-    let mut seed = 0x5eed;
-    for i in 0..n as u64 {
-        let d = lcg_vec(&mut seed);
-        let s = spt_pool[i as usize % spt_pool.len()].clone();
-        let r = lcg_vec(&mut seed);
-        ix.upsert_embedded(i, EntryKind::Pe, d.clone(), s.clone(), r.clone());
-        stored.push((i, d, s, r));
-    }
-    assert!(
-        ix.len() >= PAR_SCAN_THRESHOLD,
-        "corpus must force the parallel path"
-    );
-
-    let mut seed_q = 0xfeed_u64;
-    let q_dense = lcg_vec(&mut seed_q);
-    let q_spt = &spt_pool[3];
-
-    // Serial reference: full score + full sort, engine tie-break order.
-    let serial = |score_of: &dyn Fn(&(u64, DenseVec, FeatureVec, DenseVec)) -> f32| {
-        let mut scored: Vec<(u64, f32)> = stored.iter().map(|e| (e.0, score_of(e))).collect();
-        scored.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored
-    };
-
-    for k in [1usize, 7, 100] {
-        let want: Vec<(u64, f32)> = serial(&|e| dot(&q_dense.values, &e.1.values))
-            .into_iter()
-            .take(k)
-            .collect();
-        let got: Vec<(u64, f32)> = ix
-            .rank_semantic(&q_dense, Some(EntryKind::Pe), k)
-            .into_iter()
-            .map(|h| (h.id, h.score))
-            .collect();
-        assert_eq!(got, want, "semantic k={k}");
-
-        let want: Vec<(u64, f32)> = serial(&|e| q_spt.overlap(&e.2))
-            .into_iter()
-            .take(k)
-            .collect();
-        let got: Vec<(u64, f32)> = ix
-            .rank_spt(q_spt, Some(EntryKind::Pe), k)
-            .into_iter()
-            .map(|h| (h.id, h.score))
-            .collect();
-        assert_eq!(got, want, "spt k={k}");
-
-        let want: Vec<(u64, f32)> = serial(&|e| dot(&q_dense.values, &e.3.values))
-            .into_iter()
-            .take(k)
-            .collect();
-        let got: Vec<(u64, f32)> = ix
-            .rank_reacc(&q_dense, Some(EntryKind::Pe), k)
-            .into_iter()
-            .map(|h| (h.id, h.score))
-            .collect();
-        assert_eq!(got, want, "reacc k={k}");
-    }
+        assert_eq!(ix.rank_reacc_above(&q_code, None, min_cos), full_reacc);
+    });
 }

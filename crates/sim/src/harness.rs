@@ -863,19 +863,17 @@ impl Episode<'_> {
             }
             // Clean health answers must match the truth the shadow probe
             // sees (same single-threaded instant — no races possible).
-            SimOp::Health => {
-                if clean {
-                    if let Some(CallRecord {
-                        outcome: CallOutcome::Value(Response::Health { ready, .. }),
-                        ..
-                    }) = records.last()
-                    {
-                        let truth = !self.shadow_degraded();
-                        if *ready != truth {
-                            self.violation(format!(
-                                "health reported ready={ready} but a direct probe sees ready={truth}"
-                            ));
-                        }
+            SimOp::Health if clean => {
+                if let Some(CallRecord {
+                    outcome: CallOutcome::Value(Response::Health { ready, .. }),
+                    ..
+                }) = records.last()
+                {
+                    let truth = !self.shadow_degraded();
+                    if *ready != truth {
+                        self.violation(format!(
+                            "health reported ready={ready} but a direct probe sees ready={truth}"
+                        ));
                     }
                 }
             }

@@ -1,23 +1,46 @@
-//! Property-based tests (proptest) on the core data structures and
-//! invariants across the workspace.
+//! Seeded property tests on the core data structures and invariants
+//! across the workspace: plain `#[test]`s, each property run on a fixed
+//! number of cases drawn from a local xorshift; a failing case prints its
+//! seed.
 
 use laminar::csn::{precision_recall_at_k, Dataset, DatasetConfig};
 use laminar::d4py::Data;
 use laminar::pyparse;
-use laminar::spt::{FeatureVec, Spt};
-use proptest::prelude::*;
-use std::collections::HashSet;
+use laminar::spt::{feature_ids, FeatureVec, Spt};
+use std::collections::{BTreeMap, HashSet};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Case count for the property blocks below: the pinned default, or
-/// `LAMINAR_PROPTEST_CASES` when set (raise for a deeper soak, lower for
-/// a quick pass). Pin the RNG itself with proptest's own
-/// `PROPTEST_RNG_SEED=<n>`; the committed `.proptest-regressions` seeds
-/// are always re-run first either way.
-fn cases(default: u32) -> u32 {
-    std::env::var("LAMINAR_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Up to `max` characters drawn from the ASCII `alphabet`.
+    fn string(&mut self, alphabet: &str, max: usize) -> String {
+        (0..self.below(max + 1))
+            .map(|_| alphabet.as_bytes()[self.below(alphabet.len())] as char)
+            .collect()
+    }
+}
+
+/// `prop` on `cases` cases, each from its own seed, printed if it fails.
+fn check(cases: u64, prop: impl Fn(&mut Rng)) {
+    for case in 1..=cases {
+        let seed = case.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| prop(&mut Rng(seed)))) {
+            eprintln!("failing case seed: {seed:#x}");
+            resume_unwind(panic);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -25,244 +48,284 @@ fn cases(default: u32) -> u32 {
 // must always satisfy structural integrity.
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
+/// Lexer, parser and both feature extractors over `src`: none may panic,
+/// all must return, and what they return must be well formed.
+fn assert_total(src: &str) {
+    let (toks, _) = pyparse::lex(src);
+    assert_eq!(toks.last().map(|t| t.kind), Some(pyparse::TokKind::Eof));
+    let tree = pyparse::parse(src);
+    assert!(tree.check_integrity().is_ok(), "{src:?}");
+    let spt = Spt::from_parse_tree(&tree);
+    assert_eq!(spt.feature_vec(), FeatureVec::from_ids(feature_ids(&spt)));
+}
 
-    #[test]
-    fn parser_never_panics_on_arbitrary_input(src in ".{0,200}") {
-        let tree = pyparse::parse(&src);
-        prop_assert!(tree.check_integrity().is_ok());
-    }
+#[test]
+fn parser_never_panics_on_arbitrary_input() {
+    check(256, |rng| {
+        // Any scalar value, half of them ASCII so tokens form.
+        let src: String = (0..rng.below(201))
+            .map(|_| match rng.below(2) {
+                0 => (rng.below(0x80) as u8) as char,
+                _ => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            })
+            .collect();
+        assert_total(&src);
+    });
+}
 
-    #[test]
-    fn parser_never_panics_on_python_like_input(
-        lines in proptest::collection::vec(
-            prop_oneof![
-                Just("x = 1".to_string()),
-                Just("def f(a, b):".to_string()),
-                Just("    return a + b".to_string()),
-                Just("class C(Base):".to_string()),
-                Just("    pass".to_string()),
-                Just("for i in range(10):".to_string()),
-                Just("    total += i".to_string()),
-                Just("if x > 0:".to_string()),
-                Just("with open(p) as fh:".to_string()),
-                Just("import os".to_string()),
-                Just("".to_string()),
-                Just("  ".to_string()),
-                Just(")".to_string()),
-                Just("'unterminated".to_string()),
-            ],
-            0..30,
-        )
-    ) {
-        let src = lines.join("\n");
-        let tree = pyparse::parse(&src);
-        prop_assert!(tree.check_integrity().is_ok());
-        // SPT construction must also be total.
-        let spt = Spt::from_parse_tree(&tree);
-        let _ = spt.feature_vec();
-    }
+#[test]
+fn arbitrary_bytes_never_panic_lexer_parser_or_featuriser() {
+    // Source arrives as bytes off the wire: raw bytes (decoded lossily,
+    // as a client reading a file would), and valid source with bytes
+    // overwritten, so the damage lands inside strings, indents and names.
+    let valid = b"class A(IterativePE):\n    def _process(self, data):\n        s = 'text'\n        for item in data:\n            s += item[0]\n        return s\n";
+    check(256, |rng| {
+        let raw: Vec<u8> = (0..rng.below(401)).map(|_| rng.next() as u8).collect();
+        assert_total(&String::from_utf8_lossy(&raw));
+        let mut damaged = valid.to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(damaged.len());
+            damaged[at] = rng.next() as u8;
+        }
+        damaged.truncate(rng.below(damaged.len() + 1));
+        assert_total(&String::from_utf8_lossy(&damaged));
+    });
+}
 
-    #[test]
-    fn lexer_balances_indents(src in "[a-z =:\n\t()0-9]{0,200}") {
+#[test]
+fn parser_never_panics_on_python_like_input() {
+    const LINES: &[&str] = &[
+        "x = 1",
+        "def f(a, b):",
+        "    return a + b",
+        "class C(Base):",
+        "    pass",
+        "for i in range(10):",
+        "    total += i",
+        "if x > 0:",
+        "with open(p) as fh:",
+        "import os",
+        "",
+        "  ",
+        ")",
+        "'unterminated",
+    ];
+    check(256, |rng| {
+        let lines: Vec<&str> = (0..rng.below(30))
+            .map(|_| LINES[rng.below(LINES.len())])
+            .collect();
+        assert_total(&lines.join("\n"));
+    });
+}
+
+#[test]
+fn lexer_balances_indents() {
+    check(256, |rng| {
+        let src = rng.string("abcdefghijklmnopqrstuvwxyz =:\n\t()0123456789", 200);
         let (toks, _) = pyparse::lex(&src);
-        let indents = toks.iter().filter(|t| t.kind == pyparse::TokKind::Indent).count();
-        let dedents = toks.iter().filter(|t| t.kind == pyparse::TokKind::Dedent).count();
-        prop_assert_eq!(indents, dedents);
-        prop_assert_eq!(toks.last().map(|t| t.kind), Some(pyparse::TokKind::Eof));
-    }
+        let count = |kind| toks.iter().filter(|t| t.kind == kind).count();
+        assert_eq!(
+            count(pyparse::TokKind::Indent),
+            count(pyparse::TokKind::Dedent)
+        );
+        assert_eq!(toks.last().map(|t| t.kind), Some(pyparse::TokKind::Eof));
+    });
+}
 
-    #[test]
-    fn truncation_always_yields_parseable_prefix(frac in 0.0f64..1.0) {
-        let src = "class A(IterativePE):\n    def _process(self, data):\n        total = 0\n        for item in data:\n            total += item\n        return total\n";
+#[test]
+fn truncation_always_yields_parseable_prefix() {
+    let src = "class A(IterativePE):\n    def _process(self, data):\n        total = 0\n        for item in data:\n            total += item\n        return total\n";
+    check(256, |rng| {
+        let frac = rng.below(1 << 20) as f64 / (1 << 20) as f64;
         let cut = pyparse::drop_suffix_fraction(src, frac);
-        prop_assert!(!cut.is_empty());
+        assert!(!cut.is_empty());
         let tree = pyparse::parse(&cut);
-        prop_assert!(tree.check_integrity().is_ok());
-        prop_assert!(!tree.find_kind(pyparse::SyntaxKind::ClassDef).is_empty());
-    }
+        assert!(tree.check_integrity().is_ok());
+        assert!(!tree.find_kind(pyparse::SyntaxKind::ClassDef).is_empty());
+    });
 }
 
 // ---------------------------------------------------------------------------
 // FeatureVec algebra
 // ---------------------------------------------------------------------------
 
-fn arb_feature_vec() -> impl Strategy<Value = FeatureVec> {
-    proptest::collection::vec((0u64..5000, 1u32..6), 0..60).prop_map(|pairs| {
-        let mut items: Vec<(u64, f32)> = pairs.into_iter().map(|(id, c)| (id, c as f32)).collect();
-        items.sort_unstable_by_key(|&(id, _)| id);
-        items.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 += a.1;
-                true
-            } else {
-                false
-            }
-        });
-        FeatureVec { items }
-    })
+fn feature_vec(rng: &mut Rng) -> FeatureVec {
+    let mut counts: BTreeMap<u64, f32> = BTreeMap::new();
+    for _ in 0..rng.below(60) {
+        *counts.entry(rng.below(5000) as u64).or_default() += (1 + rng.below(5)) as f32;
+    }
+    FeatureVec {
+        items: counts.into_iter().collect(),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
-
-    #[test]
-    fn dot_symmetric_and_cosine_bounded(a in arb_feature_vec(), b in arb_feature_vec()) {
-        prop_assert_eq!(a.dot(&b), b.dot(&a));
+#[test]
+fn dot_symmetric_and_cosine_bounded() {
+    check(256, |rng| {
+        let (a, b) = (feature_vec(rng), feature_vec(rng));
+        assert_eq!(a.dot(&b), b.dot(&a));
         let c = a.cosine(&b);
-        prop_assert!((0.0..=1.0 + 1e-4).contains(&c), "cosine {}", c);
-        prop_assert!((a.overlap(&b) - b.overlap(&a)).abs() < 1e-6);
-    }
+        assert!((0.0..=1.0 + 1e-4).contains(&c), "cosine {c}");
+        assert!((a.overlap(&b) - b.overlap(&a)).abs() < 1e-6);
+    });
+}
 
-    #[test]
-    fn overlap_bounded_by_totals(a in arb_feature_vec(), b in arb_feature_vec()) {
+#[test]
+fn overlap_bounded_by_totals() {
+    check(256, |rng| {
+        let (a, b) = (feature_vec(rng), feature_vec(rng));
         let o = a.overlap(&b);
-        prop_assert!(o <= a.total() + 1e-6);
-        prop_assert!(o <= b.total() + 1e-6);
-        prop_assert!(o >= 0.0);
-    }
+        assert!(o <= a.total() + 1e-6);
+        assert!(o <= b.total() + 1e-6);
+        assert!(o >= 0.0);
+    });
+}
 
-    #[test]
-    fn self_cosine_is_one_unless_empty(a in arb_feature_vec()) {
+#[test]
+fn self_cosine_is_one_unless_empty() {
+    check(256, |rng| {
+        let a = feature_vec(rng);
         if a.is_empty() {
-            prop_assert_eq!(a.cosine(&a), 0.0);
+            assert_eq!(a.cosine(&a), 0.0);
         } else {
-            prop_assert!((a.cosine(&a) - 1.0).abs() < 1e-5);
+            assert!((a.cosine(&a) - 1.0).abs() < 1e-5);
         }
-    }
+    });
+}
 
-    #[test]
-    fn feature_vec_json_roundtrip(a in arb_feature_vec()) {
-        let back = FeatureVec::from_json(&a.to_json()).unwrap();
-        prop_assert_eq!(a, back);
-    }
+#[test]
+fn feature_vec_json_roundtrip() {
+    check(256, |rng| {
+        let a = feature_vec(rng);
+        assert_eq!(a, FeatureVec::from_json(&a.to_json()).unwrap());
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Data serde + display
 // ---------------------------------------------------------------------------
 
-fn arb_data() -> impl Strategy<Value = Data> {
-    let leaf = prop_oneof![
-        Just(Data::Null),
-        any::<bool>().prop_map(Data::from),
-        any::<i64>().prop_map(Data::from),
-        (-1e9f64..1e9).prop_map(Data::from),
-        "[a-z0-9 ]{0,12}".prop_map(|s| Data::from(s.as_str())),
-    ];
-    leaf.prop_recursive(3, 32, 6, |inner| {
-        prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(Data::List),
-            proptest::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(Data::Map),
-        ]
-    })
+fn data(rng: &mut Rng, depth: usize) -> Data {
+    match rng.below(if depth == 0 { 5 } else { 7 }) {
+        0 => Data::Null,
+        1 => Data::from(rng.below(2) == 1),
+        2 => Data::from(rng.next() as i64),
+        3 => Data::from((rng.next() as i64 % 1_000_000_000_000) as f64 / 1000.0),
+        4 => Data::from(
+            rng.string("abcdefghijklmnopqrstuvwxyz0123456789 ", 12)
+                .as_str(),
+        ),
+        5 => Data::List((0..rng.below(4)).map(|_| data(rng, depth - 1)).collect()),
+        _ => Data::Map(
+            (0..rng.below(4))
+                .map(|_| {
+                    let key = format!("k{}", rng.string("abcdefghijklmnopqrstuvwxyz", 5));
+                    (key, data(rng, depth - 1))
+                })
+                .collect(),
+        ),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(256)))]
-
-    #[test]
-    fn data_serde_roundtrip(d in arb_data()) {
+#[test]
+fn data_serde_roundtrip() {
+    check(256, |rng| {
+        let d = data(rng, 3);
         let json = serde_json::to_string(&d).unwrap();
         let back: Data = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(d, back);
-    }
+        assert_eq!(d, back);
+    });
+}
 
-    #[test]
-    fn group_hash_deterministic(d in arb_data()) {
-        prop_assert_eq!(d.group_hash(), d.clone().group_hash());
-    }
+#[test]
+fn group_hash_deterministic() {
+    check(256, |rng| {
+        let d = data(rng, 3);
+        assert_eq!(d.group_hash(), d.clone().group_hash());
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Metrics invariants
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(128)))]
-
-    #[test]
-    fn precision_recall_always_in_unit_interval(
-        ranked in proptest::collection::vec(0u64..50, 0..30),
-        relevant in proptest::collection::hash_set(0u64..50, 0..20),
-        k in 0usize..40,
-    ) {
+#[test]
+fn precision_recall_always_in_unit_interval() {
+    check(128, |rng| {
         // Rankings are id lists without duplicates (the metric's contract).
         let mut seen = HashSet::new();
-        let ranked: Vec<u64> = ranked.into_iter().filter(|id| seen.insert(*id)).collect();
-        let relevant: HashSet<u64> = relevant.into_iter().collect();
-        let (p, r) = precision_recall_at_k(&ranked, &relevant, k);
-        prop_assert!((0.0..=1.0).contains(&p));
-        prop_assert!((0.0..=1.0).contains(&r));
-    }
+        let ranked: Vec<u64> = (0..rng.below(30))
+            .map(|_| rng.below(50) as u64)
+            .filter(|id| seen.insert(*id))
+            .collect();
+        let relevant: HashSet<u64> = (0..rng.below(20)).map(|_| rng.below(50) as u64).collect();
+        let (p, r) = precision_recall_at_k(&ranked, &relevant, rng.below(40));
+        assert!((0.0..=1.0).contains(&p));
+        assert!((0.0..=1.0).contains(&r));
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Aroma pipeline invariants
 // ---------------------------------------------------------------------------
 
-fn arb_pe_code() -> impl Strategy<Value = String> {
-    (0u64..1000, 0usize..6).prop_map(|(seed, fam)| {
-        let d = Dataset::generate(DatasetConfig {
-            families: 6,
-            variants_per_family: 1,
-            seed,
-            ..DatasetConfig::default()
-        });
-        d.entries[fam].code.clone()
+fn corpus(families: usize, variants_per_family: usize, seed: u64) -> Dataset {
+    Dataset::generate(DatasetConfig {
+        families,
+        variants_per_family,
+        seed,
+        ..DatasetConfig::default()
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+fn pe_code(rng: &mut Rng) -> String {
+    let seed = rng.below(1000) as u64;
+    corpus(6, 1, seed).entries[rng.below(6)].code.clone()
+}
 
-    #[test]
-    fn pruned_statements_come_from_the_candidate(
-        cand in arb_pe_code(),
-        query in arb_pe_code(),
-    ) {
-        use laminar::aroma::{granulated_vec, prune_and_rerank, statement_granules};
-        let q = granulated_vec(&query);
-        let pruned = prune_and_rerank(1, &cand, &q);
-        let granules: HashSet<String> =
-            statement_granules(&cand).into_iter().map(|(t, _)| t).collect();
+#[test]
+fn pruned_statements_come_from_the_candidate() {
+    use laminar::aroma::{granulated_vec, prune_and_rerank, statement_granules};
+    check(32, |rng| {
+        let (cand, query) = (pe_code(rng), pe_code(rng));
+        let pruned = prune_and_rerank(1, &cand, &granulated_vec(&query));
+        let granules: HashSet<String> = statement_granules(&cand)
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect();
         for s in &pruned.kept_statements {
-            prop_assert!(granules.contains(s), "{s:?} not a candidate granule");
+            assert!(granules.contains(s), "{s:?} not a candidate granule");
         }
-        prop_assert!(pruned.rerank_score >= 0.0);
-        prop_assert!(pruned.rerank_score <= 1.0 + 1e-4);
-    }
+        assert!(pruned.rerank_score >= 0.0);
+        assert!(pruned.rerank_score <= 1.0 + 1e-4);
+    });
+}
 
-    #[test]
-    fn completion_lines_come_from_the_candidate(
-        cand in arb_pe_code(),
-        query in arb_pe_code(),
-    ) {
-        use laminar::aroma::{complete_from, statement_granules};
+#[test]
+fn completion_lines_come_from_the_candidate() {
+    use laminar::aroma::{complete_from, statement_granules};
+    check(32, |rng| {
+        let (cand, query) = (pe_code(rng), pe_code(rng));
         let c = complete_from(&query, &cand);
-        prop_assert!((0.0..=1.0).contains(&c.progress));
-        let granules: HashSet<String> =
-            statement_granules(&cand).into_iter().map(|(t, _)| t).collect();
+        assert!((0.0..=1.0).contains(&c.progress));
+        let granules: HashSet<String> = statement_granules(&cand)
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect();
         for l in &c.lines {
-            prop_assert!(granules.contains(l));
+            assert!(granules.contains(l));
         }
         // lines + covered partition the granules.
         let covered = (c.progress * granules.len() as f32).round() as usize;
-        prop_assert_eq!(covered + c.lines.len(), granules.len());
-    }
+        assert_eq!(covered + c.lines.len(), granules.len());
+    });
+}
 
-    #[test]
-    fn lsh_hits_are_true_overlap_scores(seed in 0u64..200) {
-        use laminar::aroma::{LshConfig, LshIndex};
-        use laminar::spt::Spt;
-        let d = Dataset::generate(DatasetConfig {
-            families: 5,
-            variants_per_family: 3,
-            seed,
-            ..DatasetConfig::default()
-        });
-        let vecs: Vec<FeatureVec> = d
+#[test]
+fn lsh_hits_are_true_overlap_scores() {
+    use laminar::aroma::{LshConfig, LshIndex};
+    check(32, |rng| {
+        let vecs: Vec<FeatureVec> = corpus(5, 3, rng.below(200) as u64)
             .entries
             .iter()
             .map(|e| Spt::parse_source(&e.code).feature_vec())
@@ -273,40 +336,33 @@ proptest! {
         }
         let q = &vecs[0];
         let (hits, stats) = ix.search(q, 10, 0.0);
-        prop_assert!(stats.candidates <= stats.indexed);
+        assert!(stats.candidates <= stats.indexed);
         for h in &hits {
             // Every reported score is the exact overlap, not an estimate.
-            prop_assert!((h.score - q.overlap(&vecs[h.id as usize])).abs() < 1e-5);
+            assert!((h.score - q.overlap(&vecs[h.id as usize])).abs() < 1e-5);
         }
         // Scores are non-increasing.
         for w in hits.windows(2) {
-            prop_assert!(w[0].score >= w[1].score);
+            assert!(w[0].score >= w[1].score);
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Dataset generation invariants
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
-
-    #[test]
-    fn generated_corpora_always_parse(seed in 0u64..1000) {
-        let d = Dataset::generate(DatasetConfig {
-            families: 6,
-            variants_per_family: 3,
-            seed,
-            ..DatasetConfig::default()
-        });
-        prop_assert_eq!(d.len(), 18);
+#[test]
+fn generated_corpora_always_parse() {
+    check(12, |rng| {
+        let d = corpus(6, 3, rng.below(1000) as u64);
+        assert_eq!(d.len(), 18);
         for e in &d.entries {
             let tree = pyparse::parse(&e.code);
-            prop_assert!(tree.errors.is_empty(), "{}: {:?}", e.name, tree.errors);
+            assert!(tree.errors.is_empty(), "{}: {:?}", e.name, tree.errors);
         }
         // Names unique.
         let names: HashSet<_> = d.entries.iter().map(|e| e.name.clone()).collect();
-        prop_assert_eq!(names.len(), d.len());
-    }
+        assert_eq!(names.len(), d.len());
+    });
 }
