@@ -17,7 +17,6 @@
 
 use crate::endpoint::{self, Endpoint};
 use crate::extract::extract_pes_from_source;
-use crossbeam_channel::Receiver;
 use d4py::Data;
 use laminar_server::protocol::SemanticHit;
 use laminar_server::protocol::{
@@ -29,6 +28,7 @@ use laminar_server::{
     MetricsSnapshot, PeSubmission, Reply, Request, Response, SearchScope, Transport, WireFrame,
 };
 use std::fmt;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -15,7 +15,7 @@
 //! * [`mapping::simple`] — sequential enactment (dispel4py's *simple*
 //!   mapping);
 //! * [`mapping::multi`] — static workload distribution over OS threads with
-//!   crossbeam channels (dispel4py's *multiprocessing* mapping; Fig. 5b's
+//!   bounded channels (dispel4py's *multiprocessing* mapping; Fig. 5b's
 //!   `{'NumberProducer': range(0, 1), 'IsPrime1': range(1, 5), …}` rank
 //!   partition);
 //! * [`mapping::dynamic`] — dynamic workload allocation through a shared

@@ -4,10 +4,10 @@
 //! The process count is partitioned statically over the PEs —
 //! `{'NumberProducer': range(0, 1), 'IsPrime1': range(1, 5), 'PrintPrime2':
 //! range(5, 9)}` for 9 processes — and each rank becomes an OS thread owning
-//! its own PE instance and a bounded crossbeam channel. Data is routed to
-//! target ranks according to the edge's [`Grouping`](crate::graph::Grouping); termination uses
-//! end-of-stream tokens counted per upstream rank, the standard dataflow
-//! discipline.
+//! its own PE instance and a bounded `std::sync::mpsc` channel. Data is
+//! routed to target ranks according to the edge's
+//! [`Grouping`](crate::graph::Grouping); termination uses end-of-stream
+//! tokens counted per upstream rank, the standard dataflow discipline.
 //!
 //! Fault model: every PE invocation runs under the run's [`Supervisor`]
 //! (`catch_unwind` isolation), so a panicking PE fails its rank with a
@@ -27,9 +27,9 @@ use crate::lock;
 use crate::mapping::RunInput;
 use crate::monitor::{Monitor, OutputSink};
 use crate::pe::Context;
-use crossbeam_channel::{bounded, Receiver, Sender};
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 
 /// Channel capacity per rank — bounded for backpressure (HPC guide idiom).
@@ -77,10 +77,10 @@ pub(crate) fn execute(
     }
 
     // Channels, one per rank; popped front-to-back as ranks spawn.
-    let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(processes);
+    let mut senders: Vec<SyncSender<Msg>> = Vec::with_capacity(processes);
     let mut receivers: VecDeque<Receiver<Msg>> = VecDeque::with_capacity(processes);
     for _ in 0..processes {
-        let (tx, rx) = bounded::<Msg>(CHANNEL_CAP);
+        let (tx, rx) = sync_channel::<Msg>(CHANNEL_CAP);
         senders.push(tx);
         receivers.push_back(rx);
     }

@@ -11,7 +11,7 @@
 use crate::containers::{ContainerPool, PoolConfig};
 use crate::imports::{resolve_imports, ImportResolution, PackageIndex};
 use crate::library::WorkflowLibrary;
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use d4py::mapping::run_with_options;
 use d4py::monitor::OutputSink;
 use d4py::{DeadLetterEntry, FaultStats, GraphError, Mapping, RunInput, RunOptions};
@@ -138,7 +138,7 @@ impl ExecutionEngine {
     /// Start an execution; frames arrive on the returned receiver. The
     /// terminal frame is always `End` or `Error`.
     pub fn execute(&self, req: ExecRequest) -> Receiver<Frame> {
-        let (tx, rx) = unbounded::<Frame>();
+        let (tx, rx) = channel::<Frame>();
         let pool = self.pool.clone();
         let packages = self.packages.clone();
         let library = self.library.clone();

@@ -15,7 +15,7 @@
 //! * [`ConnectionError::Unavailable`] — the request never reached the
 //!   server (connect refused, endpoint gone). Always safe to retry.
 //! * [`ConnectionError::Busy`] — typed saturation rejection from the
-//!   server's bounded worker pool, issued before the request was
+//!   server's connection cap, issued before the request was
 //!   dispatched. Always safe to retry, after the hinted delay.
 //! * [`ConnectionError::TimedOut`] — no reply within the deadline; the
 //!   request may have executed, so only idempotent requests retry.
@@ -28,9 +28,11 @@
 //! * [`ConnectionError::UnsupportedVersion`] / [`ConnectionError::Protocol`]
 //!   — never retried.
 
-use crate::protocol::{Reply, Request, Response, PROTOCOL_VERSION};
+use crate::clock::SharedClock;
+use crate::protocol::{Reply, Request, Response, WireFrame};
 use crate::transport::DeliveryMode;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
 /// Trait-level connection configuration, shared by every transport.
@@ -42,8 +44,6 @@ pub struct ConnOptions {
     /// Simulated one-way latency applied per delivered frame (Batch pays
     /// it once for the aggregate, Streaming once per frame).
     pub frame_latency: Duration,
-    /// Protocol version stamped on every outgoing request envelope.
-    pub protocol_version: u16,
     /// Client-side per-request deadline (TCP read timeout). The server's
     /// keepalive frames reset it, so only a truly stalled or dead server
     /// trips it.
@@ -55,7 +55,6 @@ impl Default for ConnOptions {
         ConnOptions {
             delivery: DeliveryMode::Streaming,
             frame_latency: Duration::ZERO,
-            protocol_version: PROTOCOL_VERSION,
             request_timeout: Duration::from_secs(30),
         }
     }
@@ -67,7 +66,7 @@ pub enum ConnectionError {
     /// The request never reached a server (connect refused, DNS, closed
     /// listener). Safe to retry.
     Unavailable(String),
-    /// The server's worker pool is saturated; retry after the hint.
+    /// The server is at its connection cap; retry after the hint.
     Busy { retry_after_ms: u64 },
     /// No reply within the deadline.
     TimedOut { request_id: u64 },
@@ -144,7 +143,7 @@ pub trait Connection: Send + Sync {
     fn options(&self) -> ConnOptions;
 
     /// Replace the connection's options (delivery mode, frame latency,
-    /// protocol version, deadline).
+    /// deadline).
     fn set_options(&mut self, opts: ConnOptions);
 
     /// Human-readable endpoint description (for error messages).
@@ -176,6 +175,48 @@ pub fn classify(reply: Reply) -> Result<Reply, ConnectionError> {
         }),
         other => Ok(other),
     }
+}
+
+/// Hand a streamed reply's frames to the caller the way `opts` shapes
+/// them (§IV-E), from a thread of its own: `Streaming` passes each frame on
+/// as it arrives, one `frame_latency` apiece; `Batch` holds every frame
+/// until the source ends and pays the latency once. `frames` is the
+/// server's channel (in-process) or the socket's frames up to the sentinel
+/// (TCP); it is dropped as soon as the receiver is gone, so the producer
+/// behind it observes the disconnect.
+pub fn deliver(
+    frames: impl Iterator<Item = WireFrame> + Send + 'static,
+    opts: ConnOptions,
+    clock: SharedClock,
+) -> Receiver<WireFrame> {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let pay_latency = || {
+            if !opts.frame_latency.is_zero() {
+                clock.sleep(opts.frame_latency);
+            }
+        };
+        match opts.delivery {
+            DeliveryMode::Streaming => {
+                for frame in frames {
+                    pay_latency();
+                    if tx.send(frame).is_err() {
+                        break;
+                    }
+                }
+            }
+            DeliveryMode::Batch => {
+                let held: Vec<WireFrame> = frames.collect();
+                pay_latency();
+                for frame in held {
+                    if tx.send(frame).is_err() {
+                        break;
+                    }
+                }
+            }
+        }
+    });
+    rx
 }
 
 #[cfg(test)]
@@ -238,7 +279,6 @@ mod tests {
     fn default_options() {
         let o = ConnOptions::default();
         assert_eq!(o.delivery, DeliveryMode::Streaming);
-        assert_eq!(o.protocol_version, PROTOCOL_VERSION);
         assert!(o.frame_latency.is_zero());
     }
 }

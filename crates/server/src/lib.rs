@@ -19,7 +19,8 @@
 //!   for the benches;
 //! * [`connection`] — the unified [`connection::Connection`] trait both
 //!   transports implement, with [`connection::ConnOptions`] carrying the
-//!   delivery mode, frame latency, protocol version and deadline;
+//!   delivery mode, frame latency and deadline, and the one
+//!   [`connection::deliver`] that shapes a streamed reply by them;
 //! * [`obs`] — the serving-path observability layer: per-request ids,
 //!   lock-free per-endpoint counters and latency histograms, and the
 //!   serialisable [`obs::MetricsSnapshot`] behind the `metrics` endpoint;

@@ -13,47 +13,55 @@
 //!
 //! Request lifecycle:
 //!
-//! * **Backpressure** — a bounded pool of [`NetServerConfig::max_connections`]
-//!   workers serves connections handed over a rendezvous channel. When
-//!   every worker is busy the accept loop bounces the connection to a
+//! * **Backpressure** — the accept thread blocks in `accept` and gives
+//!   every connection its own thread, up to
+//!   [`NetServerConfig::max_connections`] live at once; one count under a
+//!   mutex is that cap, the [`NetServer::in_flight`] reading and what
+//!   [`NetServer::drain`] waits on. At the cap the connection goes to a
 //!   dedicated rejection thread, which reads the request (so the reply is
 //!   not lost to a TCP reset) and answers with the typed
-//!   [`Response::Busy`] carrying a retry hint. Nothing queues invisibly.
+//!   [`Response::Busy`] carrying a retry hint. The cap is exact and
+//!   nothing queues invisibly.
 //! * **Deadlines** — the request frame must arrive within
-//!   [`NetServerConfig::handshake_timeout`]. Streamed replies send
+//!   [`HANDSHAKE_TIMEOUT`]. Streamed replies send
 //!   [`WireFrame::Keepalive`] during quiet stretches; a stream quiet for
 //!   [`NetServerConfig::request_timeout`] is cancelled with the typed
 //!   [`Response::TimedOut`] and its producer is torn down.
 //! * **Disconnect propagation** — any write failure drops the frame
-//!   receiver immediately, so the server-side relay and the engine
-//!   observe the disconnect and stop doing work.
-//! * **Graceful drain** — [`NetServer::shutdown`] stops the accept loop;
-//!   [`NetServer::drain`] then waits for in-flight connections to finish
-//!   up to a drain deadline.
+//!   receiver immediately, so the run's pump and the engine observe the
+//!   disconnect and stop doing work.
+//! * **Graceful drain** — [`NetServer::shutdown`] sets the stop flag and
+//!   connects to itself once, which wakes the accept thread to close the
+//!   listener; [`NetServer::drain`] then sleeps on the live-connection
+//!   count's condvar until it reads zero or the drain deadline passes.
 //!
 //! Everything is accounted in the server's [`Metrics`](crate::obs::Metrics)
 //! registry: connection counters, per-endpoint rejection counts, timeout
 //! and disconnect counters.
 
-use crate::connection::{classify, ConnOptions, Connection, ConnectionError};
+use crate::clock::SystemClock;
+use crate::connection::{classify, deliver, ConnOptions, Connection, ConnectionError};
 use crate::protocol::{Reply, Request, RequestEnvelope, Response, WireFrame};
 use crate::server::LaminarServer;
-use crate::transport::DeliveryMode;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, TrySendError};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Maximum accepted message size (16 MiB — resources travel inline).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
+/// How long a freshly accepted connection may take to deliver its
+/// request frame.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Serving-path tunables.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Size of the bounded worker pool — the hard cap on concurrently
-    /// served connections. Excess connections get a typed `Busy` reply.
+    /// The hard cap on concurrently served connections, one thread each.
+    /// Excess connections get a typed `Busy` reply.
     pub max_connections: usize,
     /// A streamed reply quiet for this long is cancelled with the typed
     /// `TimedOut` reply.
@@ -62,9 +70,6 @@ pub struct NetServerConfig {
     pub keepalive_interval: Duration,
     /// How long `graceful_shutdown` waits for in-flight connections.
     pub drain_timeout: Duration,
-    /// How long a freshly accepted connection may take to deliver its
-    /// request frame.
-    pub handshake_timeout: Duration,
     /// Retry hint carried in `Busy` rejections.
     pub retry_after_hint: Duration,
 }
@@ -76,7 +81,6 @@ impl Default for NetServerConfig {
             request_timeout: Duration::from_secs(30),
             keepalive_interval: Duration::from_secs(1),
             drain_timeout: Duration::from_secs(5),
-            handshake_timeout: Duration::from_secs(2),
             retry_after_hint: Duration::from_millis(50),
         }
     }
@@ -127,13 +131,39 @@ fn read_frame<T: serde::de::DeserializeOwned>(
     Ok(Some(value))
 }
 
-/// A running TCP server with a bounded worker pool. Dropping the handle
+/// The live connections of one [`NetServer`]: this count is the
+/// `max_connections` cap, the `in_flight` reading and what `drain` waits
+/// on.
+#[derive(Default)]
+struct Live {
+    count: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl Live {
+    fn count(&self) -> MutexGuard<'_, usize> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One admitted connection's place in the count, given back when its
+/// thread ends — by return or by unwinding.
+struct Slot(Arc<Live>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        *self.0.count() -= 1;
+        self.0.changed.notify_all();
+    }
+}
+
+/// A running TCP server, one thread per connection. Dropping the handle
 /// (or calling [`NetServer::shutdown`]) stops the accept loop; call
 /// [`NetServer::drain`] afterwards to wait for in-flight connections.
 pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    live: Arc<Live>,
     config: NetServerConfig,
     server: Arc<LaminarServer>,
 }
@@ -153,78 +183,64 @@ impl NetServer {
         config: NetServerConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        let bound = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let net = NetServer {
+            addr: listener.local_addr()?,
+            stop: Arc::new(AtomicBool::new(false)),
+            live: Arc::new(Live::default()),
+            config,
+            server,
+        };
 
-        // Rendezvous channel: a handoff succeeds only when a worker is
-        // actually free, so `try_send` failing *is* the saturation signal.
-        let (work_tx, work_rx) = bounded::<TcpStream>(0);
         // Rejections are served off the accept thread by one bouncer;
         // its small buffer bounds the bounce backlog too.
-        let (busy_tx, busy_rx) = bounded::<TcpStream>(64);
-
-        for _ in 0..config.max_connections.max(1) {
-            let work_rx: Receiver<TcpStream> = work_rx.clone();
-            let server = server.clone();
-            let config = config.clone();
-            let active = active.clone();
-            std::thread::spawn(move || {
-                while let Ok(stream) = work_rx.recv() {
-                    active.fetch_add(1, Ordering::SeqCst);
-                    server.metrics().connections_active.inc();
-                    let _ = handle_connection(stream, &server, &config);
-                    server.metrics().connections_active.dec();
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            });
-        }
-
+        let (busy_tx, busy_rx) = sync_channel::<TcpStream>(64);
         {
-            let server = server.clone();
-            let config = config.clone();
+            let (server, config) = (net.server.clone(), net.config.clone());
             std::thread::spawn(move || {
-                for stream in busy_rx.iter() {
+                for stream in busy_rx {
                     reject_busy(stream, &server, &config);
                 }
             });
         }
 
-        let stop2 = stop.clone();
-        let server_handle = server.clone();
-        listener.set_nonblocking(true)?;
+        let (stop, live) = (net.stop.clone(), net.live.clone());
+        let (server, config) = (net.server.clone(), net.config.clone());
         std::thread::spawn(move || {
-            while !stop2.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        server.metrics().connections_accepted.inc();
-                        match work_tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(stream)) => {
-                                server.metrics().connections_rejected.inc();
-                                // Bounce; if even the bouncer is backed
-                                // up, drop the connection outright.
-                                let _ = busy_tx.try_send(stream);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
+            for stream in listener.incoming() {
+                // `shutdown` wakes this thread with a connection of its own.
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { break };
+                server.metrics().connections_accepted.inc();
+                let admitted = {
+                    let mut count = live.count();
+                    let admitted = *count < config.max_connections.max(1);
+                    if admitted {
+                        *count += 1;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+                    admitted
+                };
+                if admitted {
+                    let slot = Slot(live.clone());
+                    let (server, config) = (server.clone(), config.clone());
+                    std::thread::spawn(move || {
+                        let _slot = slot;
+                        server.metrics().connections_active.inc();
+                        let _ = handle_connection(stream, &server, &config);
+                        server.metrics().connections_active.dec();
+                    });
+                } else {
+                    server.metrics().connections_rejected.inc();
+                    // Bounce; if even the bouncer is backed up, drop the
+                    // connection outright.
+                    let _ = busy_tx.try_send(stream);
                 }
             }
-            // Dropping work_tx/busy_tx here lets idle workers and the
-            // bouncer exit once their current connection finishes.
+            // The listener closes here, and dropping `busy_tx` lets the
+            // bouncer exit once it has answered its backlog.
         });
-        Ok(NetServer {
-            addr: bound,
-            stop,
-            active,
-            config,
-            server: server_handle,
-        })
+        Ok(net)
     }
 
     pub fn addr(&self) -> SocketAddr {
@@ -237,26 +253,27 @@ impl NetServer {
 
     /// Number of connections currently being served.
     pub fn in_flight(&self) -> usize {
-        self.active.load(Ordering::SeqCst)
+        *self.live.count()
     }
 
-    /// Stop accepting new connections (non-blocking; in-flight
-    /// connections keep running).
+    /// Stop accepting new connections (in-flight connections keep
+    /// running). The first call wakes the accept thread out of its
+    /// blocking `accept` by connecting to it; later calls do nothing.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        }
     }
 
     /// Wait for in-flight connections to finish, up to `timeout`.
     /// Returns `true` if the server fully drained.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.active.load(Ordering::SeqCst) > 0 {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+        let (count, _) = self
+            .live
+            .changed
+            .wait_timeout_while(self.live.count(), timeout, |count| *count > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *count == 0
     }
 
     /// Stop accepting, then drain up to the configured drain deadline,
@@ -308,7 +325,7 @@ fn handle_connection(
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
     // One request per connection (HTTP-like); it must arrive promptly.
-    stream.set_read_timeout(Some(config.handshake_timeout)).ok();
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
     let env: RequestEnvelope = match read_frame(&mut stream) {
         Ok(Some(env)) => env,
         Ok(None) => return Ok(()),
@@ -346,7 +363,7 @@ fn handle_connection(
                         );
                         if write_msg(&mut stream, &frame).is_err() {
                             // Client hung up: dropping `rx` propagates the
-                            // disconnect to the relay and the engine.
+                            // disconnect to the run's pump and the engine.
                             server.metrics().disconnects.inc();
                             return Ok(());
                         }
@@ -415,8 +432,7 @@ impl NetClientTransport {
         stream
             .set_read_timeout(Some(self.opts.request_timeout + Duration::from_secs(5)))
             .ok();
-        let env = RequestEnvelope::versioned(req, self.opts.protocol_version);
-        write_msg(&mut stream, &env)
+        write_msg(&mut stream, &RequestEnvelope::new(req))
             .map_err(|e| ConnectionError::Unavailable(format!("send failed: {e}")))?;
 
         // Read the first frame synchronously to classify the reply.
@@ -428,55 +444,16 @@ impl NetClientTransport {
                 let _: Result<Option<WireFrame>, _> = read_frame(&mut stream);
                 Ok(Reply::Value(v))
             }
-            Some(frame) => Ok(Reply::Stream(self.deliver(stream, frame))),
+            Some(first) => {
+                // The rest of the stream, up to the sentinel. Dropping the
+                // iterator closes the socket, which is how the server
+                // observes a receiver that went away.
+                let rest = std::iter::from_fn(move || read_frame(&mut stream).ok().flatten());
+                let frames = std::iter::once(first).chain(rest);
+                let clock = Arc::new(SystemClock::new());
+                Ok(Reply::Stream(deliver(frames, self.opts, clock)))
+            }
         }
-    }
-
-    /// Feed the remaining frames of a streamed reply through a channel,
-    /// honouring the configured delivery mode and frame latency.
-    fn deliver(
-        &self,
-        mut stream: TcpStream,
-        first: WireFrame,
-    ) -> crossbeam_channel::Receiver<WireFrame> {
-        let (tx, rx) = unbounded::<WireFrame>();
-        let mode = self.opts.delivery;
-        let latency = self.opts.frame_latency;
-        std::thread::spawn(move || match mode {
-            DeliveryMode::Streaming => {
-                if !latency.is_zero() {
-                    std::thread::sleep(latency);
-                }
-                if tx.send(first).is_err() {
-                    return;
-                }
-                while let Ok(Some(f)) = read_frame::<WireFrame>(&mut stream) {
-                    if !latency.is_zero() {
-                        std::thread::sleep(latency);
-                    }
-                    if tx.send(f).is_err() {
-                        // Receiver gone; dropping `stream` closes the
-                        // socket so the server observes the disconnect.
-                        break;
-                    }
-                }
-            }
-            DeliveryMode::Batch => {
-                let mut held = vec![first];
-                while let Ok(Some(f)) = read_frame::<WireFrame>(&mut stream) {
-                    held.push(f);
-                }
-                if !latency.is_zero() {
-                    std::thread::sleep(latency);
-                }
-                for f in held {
-                    if tx.send(f).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        rx
     }
 }
 
@@ -802,21 +779,18 @@ mod tests {
     #[test]
     fn future_version_gets_typed_unsupported_over_tcp() {
         let (_srv, client) = serve();
-        let mut opts = client.options();
-        opts.protocol_version = 99;
-        let client = client.clone().with_options(opts);
-        let err = client
-            .call(Request::Login {
-                username: "x".into(),
-                password: "y".into(),
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ConnectionError::UnsupportedVersion {
-                client_version: 99,
-                ..
-            }
-        ));
+        let mut stream = TcpStream::connect(client.addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
+        let raw = br#"{"protocol_version":99,"Login":{"username":"x","password":"y"}}"#;
+        stream.write_all(&(raw.len() as u32).to_be_bytes()).unwrap();
+        stream.write_all(raw).unwrap();
+        stream.flush().unwrap();
+        let frame: Option<WireFrame> = read_frame(&mut stream).unwrap();
+        match frame {
+            Some(WireFrame::Value(Response::Unsupported {
+                client_version: 99, ..
+            })) => {}
+            other => panic!("{other:?}"),
+        }
     }
 }

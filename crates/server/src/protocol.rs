@@ -457,14 +457,6 @@ impl RequestEnvelope {
             body,
         }
     }
-
-    /// Wrap a request at an explicit version (connection-level config).
-    pub fn versioned(body: Request, protocol_version: u16) -> Self {
-        RequestEnvelope {
-            protocol_version,
-            body,
-        }
-    }
 }
 
 impl From<Request> for RequestEnvelope {
@@ -574,8 +566,9 @@ pub enum Response {
     },
     Ok,
     Error(String),
-    /// Typed saturation rejection: the worker pool is full. The request
-    /// was **not** dispatched, so a retry after the hint is always safe.
+    /// Typed saturation rejection: the connection cap is reached. The
+    /// request was **not** dispatched, so a retry after the hint is always
+    /// safe.
     Busy {
         retry_after_ms: u64,
     },
@@ -667,7 +660,7 @@ pub enum WireFrame {
 #[derive(Debug)]
 pub enum Reply {
     Value(Response),
-    Stream(crossbeam_channel::Receiver<WireFrame>),
+    Stream(std::sync::mpsc::Receiver<WireFrame>),
 }
 
 impl Reply {

@@ -4,7 +4,7 @@
 use crate::clock::{SharedClock, SystemClock};
 use crate::health::StorageHealth;
 use crate::indexes::{EntryKind, IndexRow, PeSnippet, SearchIndexes};
-use crate::obs::{Metrics, RequestId, StorageHealthSnapshot};
+use crate::obs::{EndpointMetrics, Metrics, RequestId, StorageHealthSnapshot};
 use crate::protocol::*;
 use crate::reco::sweep_workflows;
 use crate::resources::ResourceCache;
@@ -17,7 +17,7 @@ use laminar_registry::{
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 /// Server tunables (the paper's "configurable parameter"s).
@@ -238,7 +238,7 @@ impl LaminarServer {
             return false;
         }
         let registry = self.registry.clone();
-        let (tx, rx) = crossbeam_channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let _ = tx.send(registry.compact().is_ok());
         });
@@ -332,18 +332,17 @@ impl LaminarServer {
     }
 
     /// The request-lifecycle ingress: mint a [`RequestId`], enforce the
-    /// version rules, account the request against its endpoint's metrics
-    /// (request count, in-flight gauge, latency histogram, error count),
-    /// and dispatch. Streamed replies are relayed through an accounting
-    /// thread that injects the [`WireFrame::Begin`] frame and — crucially —
-    /// stops forwarding the moment the downstream receiver disconnects,
-    /// dropping the upstream channel so the engine observes the disconnect
-    /// and stops doing work.
+    /// version rules, open the request's [`InFlight`] accounting against
+    /// its endpoint's metrics (request count, in-flight gauge, latency
+    /// histogram, error count), and dispatch. A value reply settles the
+    /// accounting on return; a streamed reply hands it to the run's pump
+    /// thread, which settles it when the stream ends — or the moment the
+    /// receiver disconnects.
     pub fn handle_envelope(&self, env: RequestEnvelope) -> (RequestId, Reply) {
         let id = RequestId::mint();
         let ep = self.metrics.endpoint(env.body.endpoint());
+        ep.requests.inc();
         if env.protocol_version > PROTOCOL_VERSION {
-            ep.requests.inc();
             ep.rejections.inc();
             return (
                 id,
@@ -353,10 +352,14 @@ impl LaminarServer {
                 }),
             );
         }
-        ep.requests.inc();
         ep.in_flight.inc();
-        let start = std::time::Instant::now();
-        let reply = match self.dispatch(env.body) {
+        let scope = Arc::new(InFlight {
+            id,
+            ep,
+            start: std::time::Instant::now(),
+            failed: AtomicBool::new(false),
+        });
+        let reply = match self.dispatch(env.body, &scope) {
             Ok(reply) => reply,
             Err(e) => {
                 // Central persist-error observation: any mutation that
@@ -368,51 +371,10 @@ impl LaminarServer {
                 Reply::Value(Response::Error(e.to_string()))
             }
         };
-        match reply {
-            Reply::Value(v) => {
-                if matches!(v, Response::Error(_)) {
-                    ep.errors.inc();
-                }
-                ep.latency.record(start.elapsed());
-                ep.in_flight.dec();
-                (id, Reply::Value(v))
-            }
-            Reply::Stream(upstream) => {
-                let (tx, rx) = crossbeam_channel::unbounded::<WireFrame>();
-                let request_id = id.0;
-                std::thread::spawn(move || {
-                    let mut failed = false;
-                    if tx.send(WireFrame::Begin { request_id }).is_ok() {
-                        for frame in upstream.iter() {
-                            let done = matches!(
-                                frame,
-                                WireFrame::End { .. } | WireFrame::Value(Response::Error(_))
-                            );
-                            if matches!(&frame, WireFrame::Value(Response::Error(_))) {
-                                failed = true;
-                            }
-                            if tx.send(frame).is_err() {
-                                // Downstream hung up: drop `upstream` so the
-                                // producer stops, and count the abort.
-                                failed = true;
-                                break;
-                            }
-                            if done {
-                                break;
-                            }
-                        }
-                    } else {
-                        failed = true;
-                    }
-                    if failed {
-                        ep.errors.inc();
-                    }
-                    ep.latency.record(start.elapsed());
-                    ep.in_flight.dec();
-                });
-                (id, Reply::Stream(rx))
-            }
+        if matches!(reply, Reply::Value(Response::Error(_))) {
+            scope.fail();
         }
+        (id, reply)
     }
 
     /// True for requests that mutate durable registry state. These are
@@ -435,7 +397,7 @@ impl LaminarServer {
         )
     }
 
-    fn dispatch(&self, req: Request) -> Result<Reply, ServerError> {
+    fn dispatch(&self, req: Request, scope: &Arc<InFlight>) -> Result<Reply, ServerError> {
         // Read-only degraded mode: reject mutations with the typed
         // rejection (the request was NOT applied; the hint tells
         // idempotent callers when to retry) while everything else keeps
@@ -678,6 +640,7 @@ impl LaminarServer {
                     verbose,
                     fault,
                     task_timeout_ms,
+                    scope.clone(),
                 )?
             }
             Request::RunWithInlineResources {
@@ -699,6 +662,7 @@ impl LaminarServer {
                     false,
                     FaultPolicyWire::default(),
                     None,
+                    scope.clone(),
                 )?
             }
             Request::Metrics {} => {
@@ -1288,6 +1252,7 @@ impl LaminarServer {
         verbose: bool,
         fault: FaultPolicyWire,
         task_timeout_ms: Option<u64>,
+        scope: Arc<InFlight>,
     ) -> Result<Reply, ServerError> {
         let wf = self.resolve_workflow(&ident)?;
         let mapping = match mode {
@@ -1347,7 +1312,7 @@ impl LaminarServer {
             },
         });
 
-        let (tx, rx) = crossbeam_channel::unbounded::<WireFrame>();
+        let (tx, rx) = std::sync::mpsc::channel::<WireFrame>();
         let registry = self.registry.clone();
         let metrics = self.metrics.clone();
         let health = self.health.clone();
@@ -1364,9 +1329,20 @@ impl LaminarServer {
                 }
             }
         };
+        // The stream's one server-side thread: it opens the reply with
+        // `Begin`, turns engine frames into wire frames, and owns the
+        // request's accounting until the stream is over.
         std::thread::spawn(move || {
             let mut collected = Vec::new();
-            for frame in engine_rx.iter() {
+            let mut listening = tx
+                .send(WireFrame::Begin {
+                    request_id: scope.id.0,
+                })
+                .is_ok();
+            while listening {
+                // (An engine that vanished without a terminal frame just
+                // ends the stream.)
+                let Ok(frame) = engine_rx.recv() else { return };
                 let done = matches!(frame, Frame::End { .. } | Frame::Error(_));
                 let wire = match frame {
                     Frame::Info(i) => WireFrame::Info(i),
@@ -1386,13 +1362,14 @@ impl LaminarServer {
                     },
                     Frame::Error(e) => WireFrame::Value(Response::Error(e.to_string())),
                 };
-                let failed = matches!(&wire, WireFrame::Value(Response::Error(_)));
                 if done {
-                    // Persist the outcome BEFORE emitting the terminal
-                    // frame: once the client observes End, the registry
-                    // must already reflect the acknowledged run, or a
-                    // crash straight after the stream drains loses rows
-                    // the client was told about.
+                    // Persist the outcome and settle the accounting BEFORE
+                    // emitting the terminal frame: once the client observes
+                    // End, the registry must already reflect the
+                    // acknowledged run — or a crash straight after the
+                    // stream drains loses rows the client was told about —
+                    // and the endpoint's gauge must already be back down.
+                    let failed = matches!(&wire, WireFrame::Value(Response::Error(_)));
                     let status = if failed {
                         ExecutionStatus::Failed
                     } else {
@@ -1401,21 +1378,50 @@ impl LaminarServer {
                     metrics.enactment.runs.inc();
                     if failed {
                         metrics.enactment.runs_failed.inc();
+                        scope.fail();
                     }
                     finish(status, &collected);
+                    drop(scope);
                     let _ = tx.send(wire);
-                    break;
+                    return;
                 }
-                if tx.send(wire).is_err() {
-                    // The consumer disconnected mid-stream. Stop pumping —
-                    // dropping `engine_rx` tells the engine nobody is
-                    // listening — and record the aborted execution.
-                    finish(ExecutionStatus::Failed, &collected);
-                    break;
-                }
+                listening = tx.send(wire).is_ok();
             }
+            // The consumer disconnected mid-stream. Returning drops
+            // `engine_rx`, which tells the engine nobody is listening;
+            // record the aborted execution.
+            scope.fail();
+            finish(ExecutionStatus::Failed, &collected);
         });
         Ok(Reply::Stream(rx))
+    }
+}
+
+/// One request's endpoint accounting — in-flight gauge, latency, error
+/// count — opened by [`LaminarServer::handle_envelope`] and settled when
+/// its last holder drops it: `handle_envelope` itself for a value reply,
+/// the run's pump thread for a stream.
+struct InFlight {
+    id: RequestId,
+    ep: Arc<EndpointMetrics>,
+    start: std::time::Instant,
+    failed: AtomicBool,
+}
+
+impl InFlight {
+    /// Count the request as an error when it settles.
+    fn fail(&self) {
+        self.failed.store(true, Ordering::Relaxed);
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if *self.failed.get_mut() {
+            self.ep.errors.inc();
+        }
+        self.ep.latency.record(self.start.elapsed());
+        self.ep.in_flight.dec();
     }
 }
 
@@ -2457,7 +2463,10 @@ mod tests {
     #[test]
     fn newer_protocol_version_gets_typed_unsupported() {
         let (server, token) = server_with_session();
-        let env = RequestEnvelope::versioned(Request::GetRegistry { token }, 99);
+        let env = RequestEnvelope {
+            protocol_version: 99,
+            body: Request::GetRegistry { token },
+        };
         let (_, reply) = server.handle_envelope(env);
         match reply.value() {
             Response::Unsupported {
@@ -2495,8 +2504,12 @@ mod tests {
         }));
         match reply {
             Reply::Stream(rx) => {
-                let first = rx.recv().unwrap();
-                assert_eq!(first, WireFrame::Begin { request_id: id.0 });
+                let frames: Vec<WireFrame> = rx.iter().collect();
+                assert_eq!(frames[0], WireFrame::Begin { request_id: id.0 });
+                let begins = frames
+                    .iter()
+                    .filter(|f| matches!(f, WireFrame::Begin { .. }));
+                assert_eq!(begins.count(), 1, "{frames:?}");
             }
             _ => panic!("expected stream"),
         }
@@ -3062,14 +3075,21 @@ mod tests {
             }
             _ => panic!("expected stream"),
         }
-        // The pump thread must observe the disconnect and fail the
-        // execution well before the 200 × 5 ms run would finish.
+        // The pump thread must observe the disconnect, fail the execution
+        // and settle the request's accounting well before the 200 × 5 ms
+        // run would finish.
+        let run_endpoint = || {
+            let snap = server.metrics().snapshot();
+            let ep = snap.endpoints.into_iter().find(|e| e.endpoint == "Run");
+            ep.expect("Run endpoint tracked")
+        };
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         loop {
             let execs = server.registry().executions_for(wf_id);
             if execs
                 .first()
                 .is_some_and(|e| e.status == ExecutionStatus::Failed)
+                && run_endpoint().in_flight == 0
             {
                 break;
             }
@@ -3079,5 +3099,6 @@ mod tests {
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
+        assert_eq!(run_endpoint().errors, 1);
     }
 }

@@ -8,10 +8,9 @@
 //! for the network (experiment E8 sweeps it).
 
 use crate::clock::{SharedClock, SystemClock};
-use crate::connection::{classify, ConnOptions, Connection, ConnectionError};
-use crate::protocol::{Reply, Request, RequestEnvelope, WireFrame};
+use crate::connection::{classify, deliver, ConnOptions, Connection, ConnectionError};
+use crate::protocol::{Reply, Request};
 use crate::server::LaminarServer;
-use crossbeam_channel::{unbounded, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -71,54 +70,12 @@ impl Transport {
     /// Send a request; the reply's frames obey this transport's delivery
     /// mode. Synchronous replies are unaffected by the mode.
     pub fn send(&self, req: Request) -> Reply {
-        let env = RequestEnvelope::versioned(req, self.opts.protocol_version);
-        match self.server.handle_envelope(env).1 {
-            Reply::Value(v) => Reply::Value(v),
-            Reply::Stream(upstream) => Reply::Stream(self.deliver(upstream)),
+        match self.server.handle(req) {
+            Reply::Stream(frames) => {
+                Reply::Stream(deliver(frames.into_iter(), self.opts, self.clock.clone()))
+            }
+            value => value,
         }
-    }
-
-    fn deliver(&self, upstream: Receiver<WireFrame>) -> Receiver<WireFrame> {
-        let (tx, rx) = unbounded::<WireFrame>();
-        let mode = self.opts.delivery;
-        let latency = self.opts.frame_latency;
-        let clock = self.clock.clone();
-        std::thread::spawn(move || match mode {
-            DeliveryMode::Streaming => {
-                for frame in upstream.iter() {
-                    if !latency.is_zero() {
-                        clock.sleep(latency);
-                    }
-                    let done = matches!(frame, WireFrame::End { .. });
-                    if tx.send(frame).is_err() {
-                        break;
-                    }
-                    if done {
-                        break;
-                    }
-                }
-            }
-            DeliveryMode::Batch => {
-                // Hold everything until the stream terminates.
-                let mut held = Vec::new();
-                for frame in upstream.iter() {
-                    let done = matches!(frame, WireFrame::End { .. });
-                    held.push(frame);
-                    if done {
-                        break;
-                    }
-                }
-                if !latency.is_zero() {
-                    clock.sleep(latency);
-                }
-                for frame in held {
-                    if tx.send(frame).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        rx
     }
 }
 
@@ -143,8 +100,9 @@ impl Connection for Transport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{FaultPolicyWire, Ident, Request};
-    use crate::protocol::{PeSubmission, Response, RunInputWire, RunMode};
+    use crate::protocol::{
+        FaultPolicyWire, Ident, PeSubmission, Response, RunInputWire, RunMode, WireFrame,
+    };
     use std::time::Instant;
 
     fn setup() -> (Arc<LaminarServer>, u64, u64) {
@@ -292,22 +250,5 @@ mod tests {
         let conn: Box<dyn Connection> = Box::new(Transport::new(server, DeliveryMode::Streaming));
         let reply = conn.call(Request::GetRegistry { token }).unwrap();
         assert!(matches!(reply.value(), Response::Registry { .. }));
-    }
-
-    #[test]
-    fn future_protocol_version_is_rejected_typed() {
-        let (server, _, _) = setup();
-        let mut tp = Transport::new(server, DeliveryMode::Streaming);
-        let mut opts = tp.options();
-        opts.protocol_version = 99;
-        tp.set_options(opts);
-        let err = tp.call(Request::Metrics {}).unwrap_err();
-        assert!(matches!(
-            err,
-            ConnectionError::UnsupportedVersion {
-                client_version: 99,
-                ..
-            }
-        ));
     }
 }

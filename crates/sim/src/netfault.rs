@@ -201,7 +201,7 @@ impl NetState {
 
 /// Drain a frame stream to its terminal frame; returns the `End` verdict
 /// (`false` if the stream errored out or the channel closed early).
-fn drain_stream(rx: &crossbeam_channel::Receiver<WireFrame>) -> bool {
+fn drain_stream(rx: &std::sync::mpsc::Receiver<WireFrame>) -> bool {
     for frame in rx.iter() {
         match frame {
             WireFrame::End { ok, .. } => return ok,

@@ -26,6 +26,18 @@ cargo fmt --check "${SCOPED[@]}"
 echo "==> cargo clippy -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The serving path and the mappings are std-only and the accept blocks:
+# neither the channel crate nor the poll may come back unnoticed.
+echo "==> std-only gate (no crossbeam outside crates/benchmark, no accept poll)"
+if grep -rn "crossbeam" crates/*/src crates/*/Cargo.toml src tests | grep -v "^crates/benchmark/"; then
+    echo "crossbeam is named outside crates/benchmark/"
+    exit 1
+fi
+if grep -n "from_millis(2)\|set_nonblocking" crates/server/src/net.rs; then
+    echo "crates/server/src/net.rs polls again"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -81,8 +81,9 @@ fn open_stream(addr: SocketAddr, req: Request) -> impl Iterator<Item = WireFrame
 }
 
 /// With max_connections = K and K held streams, the K+1th request gets a
-/// typed `Busy` rejection; a client with a retry policy absorbs it and
-/// eventually succeeds; the metrics snapshot accounts for all of it.
+/// typed `Busy` rejection — exactly one, the cap is exact; a client with a
+/// retry policy absorbs it and eventually succeeds; once a stream ends a
+/// bare call is served; the metrics snapshot accounts for all of it.
 #[test]
 fn saturation_gets_typed_busy_and_retry_recovers() {
     let laminar = Laminar::deploy(LaminarConfig::default());
@@ -102,11 +103,12 @@ fn saturation_gets_typed_busy_and_retry_recovers() {
     .unwrap();
     let addr = net.addr();
 
-    // Occupy both workers with slow streamed runs (~500 ms each).
-    let holders: Vec<_> = (0..2)
-        .map(|_| {
+    // Occupy both slots with slow streamed runs (~500 ms and ~1 s).
+    let holders: Vec<_> = [100, 200]
+        .into_iter()
+        .map(|items| {
             std::thread::spawn(move || {
-                let frames = open_stream(addr, run_request(token, "hold_wf", 100));
+                let frames = open_stream(addr, run_request(token, "hold_wf", items));
                 let mut ok = false;
                 for f in frames {
                     if let WireFrame::End { ok: o, .. } = f {
@@ -118,12 +120,12 @@ fn saturation_gets_typed_busy_and_retry_recovers() {
         })
         .collect();
 
-    // Wait (in-process gauge) until both workers are genuinely busy.
+    // Wait (in-process gauge) until both slots are genuinely taken.
     let t0 = Instant::now();
     while net.in_flight() < 2 {
         assert!(
             t0.elapsed() < Duration::from_secs(5),
-            "workers never saturated"
+            "server never saturated"
         );
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -136,6 +138,7 @@ fn saturation_gets_typed_busy_and_retry_recovers() {
         Ok(Reply::Value(v)) => panic!("expected Busy, got {v:?}"),
         Ok(Reply::Stream(_)) => panic!("expected Busy, got a stream"),
     }
+    assert_eq!(server.metrics().snapshot().connections_rejected, 1);
 
     // The same request through a retrying client eventually succeeds.
     let retry_client = LaminarClient::over(NetClientTransport::new(addr)).with_retry(RetryPolicy {
@@ -145,7 +148,18 @@ fn saturation_gets_typed_busy_and_retry_recovers() {
     });
     let snap = retry_client
         .metrics()
-        .expect("retry with backoff should outlast the held workers");
+        .expect("retry with backoff should outlast the shorter stream");
+
+    // Under the cap again — the retrying call's own slot given back, at
+    // most the longer stream still held — a bare call needs no retry.
+    while net.in_flight() > 1 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "slots never freed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    match conn.call(Request::Metrics {}) {
+        Ok(Reply::Value(Response::Metrics(_))) => {}
+        other => panic!("expected Metrics under the cap, got {other:?}"),
+    }
 
     for h in holders {
         assert!(h.join().unwrap(), "held stream should complete ok");
@@ -307,7 +321,10 @@ fn wire_reply_ends_with_zero_length_sentinel_then_eof() {
 }
 
 /// A client that connects and hangs up without sending anything must not
-/// wedge a worker: the next request is served normally.
+/// wedge its slot: the next request is served normally. The dead
+/// connection owns the only slot until its EOF is read, and typed `Busy`
+/// is the documented answer meanwhile, so the call goes through the
+/// client's default retry policy.
 #[test]
 fn early_disconnect_leaves_server_serving() {
     let laminar = Laminar::deploy(LaminarConfig::default());
@@ -323,13 +340,35 @@ fn early_disconnect_leaves_server_serving() {
 
     drop(std::net::TcpStream::connect(net.addr()).unwrap());
 
-    let conn = NetClientTransport::new(net.addr());
-    match conn.call(Request::Metrics {}) {
-        Ok(Reply::Value(Response::Metrics(_))) => {}
-        Ok(Reply::Value(v)) => panic!("{v:?}"),
-        Ok(Reply::Stream(_)) => panic!("unexpected stream"),
-        Err(e) => panic!("{e:?}"),
+    let client = LaminarClient::over(NetClientTransport::new(net.addr()));
+    client.metrics().expect("served after the early hang-up");
+    assert!(net.drain(Duration::from_secs(5)));
+    assert_eq!(net.in_flight(), 0);
+}
+
+/// `shutdown` on an idle server wakes the accept thread out of its
+/// blocking `accept`: the listener closes promptly, there is nothing to
+/// drain, and shutting down again (or dropping the handle) does nothing.
+#[test]
+fn shutdown_wakes_a_blocked_accept() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let net = NetServer::bind("127.0.0.1:0", laminar.server()).unwrap();
+
+    net.shutdown();
+    assert!(net.drain(Duration::ZERO), "an idle server is drained");
+    let t0 = Instant::now();
+    while std::net::TcpStream::connect(net.addr()).is_ok() {
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "listener still open after shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(2));
     }
+
+    net.shutdown();
+    drop(net);
+    let snap = laminar.server().metrics().snapshot();
+    assert_eq!(snap.connections_accepted, 0, "the wake-up is no client");
 }
 
 fn stress(clients: usize, requests_per_client: usize) {
