@@ -1,4 +1,4 @@
-//! Dense embedding vectors and batch ranking.
+//! Dense embedding vectors.
 //!
 //! Both model substitutes produce L2-normalised 256-dimensional vectors via
 //! signed feature hashing (the classic "hashing trick"): each textual
@@ -9,8 +9,6 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-use crate::topk::{ScoredRow, TopK};
-
 /// Embedding dimensionality (fixed across the workspace so embeddings can
 /// be stored in the registry and compared later).
 pub const DIM: usize = 256;
@@ -20,8 +18,10 @@ pub const DIM: usize = 256;
 /// `zip().map().sum()` form creates a loop-carried dependency on a single
 /// scalar accumulator, which blocks auto-vectorisation of the adds).
 ///
-/// Inputs of unequal length score only the common prefix; `DIM`-strided
-/// slab rows always hit the exact-chunk fast path.
+/// Inputs of unequal length score only the common prefix; `DIM`-long
+/// vectors always hit the exact-chunk fast path. The server's blocked scan
+/// is checked bit for bit against this function: per row it adds the same
+/// products to the same lanes in the same order.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
@@ -95,89 +95,6 @@ impl DenseVec {
     }
 }
 
-/// One ranked retrieval hit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedHit {
-    pub index: usize,
-    pub score: f32,
-}
-
-/// Rank all `corpus` vectors against `query`, best first; deterministic
-/// tie-break by index.
-pub fn batch_rank(query: &DenseVec, corpus: &[DenseVec]) -> Vec<RankedHit> {
-    let mut hits: Vec<RankedHit> = corpus
-        .iter()
-        .enumerate()
-        .map(|(index, v)| RankedHit {
-            index,
-            score: query.cosine(v),
-        })
-        .collect();
-    hits.sort_unstable_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.index.cmp(&b.index))
-    });
-    hits
-}
-
-/// Top-k scan over a `DIM`-strided slab. `keys[row]` supplies the stable
-/// tie-break key; rows where `accept(row)` is false are skipped.
-pub fn slab_topk<F>(
-    query: &[f32],
-    slab: &[f32],
-    keys: &[u64],
-    k: usize,
-    accept: F,
-) -> Vec<ScoredRow>
-where
-    F: Fn(usize) -> bool,
-{
-    debug_assert_eq!(slab.len(), keys.len() * DIM);
-    let mut top = TopK::new(k);
-    for (row, chunk) in slab.chunks_exact(DIM).enumerate() {
-        if accept(row) {
-            top.push(dot(query, chunk), keys[row], row);
-        }
-    }
-    top.into_sorted()
-}
-
-/// Threshold scan shared by every "all hits above `min_score`" ranking
-/// path: score rows `0..n` with the caller's closure (dense slab stride,
-/// sparse feature overlap — the helper doesn't care), keep rows where
-/// `accept(row)` holds and `score(row) ≥ min_score`, and return them
-/// best-first under the total `(score desc, key asc)` order.
-pub fn slab_scan_above<S, F>(
-    n: usize,
-    score: S,
-    accept: F,
-    keys: &[u64],
-    min_score: f32,
-) -> Vec<ScoredRow>
-where
-    S: Fn(usize) -> f32,
-    F: Fn(usize) -> bool,
-{
-    debug_assert!(keys.len() >= n);
-    let mut rows: Vec<ScoredRow> = (0..n)
-        .filter_map(|row| {
-            if !accept(row) {
-                return None;
-            }
-            let s = score(row);
-            (s >= min_score).then_some(ScoredRow {
-                row,
-                key: keys[row],
-                score: s,
-            })
-        })
-        .collect();
-    rows.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.key.cmp(&b.key)));
-    rows
-}
-
 /// Signed hashing: fold a feature hash into (dimension, sign).
 #[inline]
 pub fn hash_to_dim(h: u64) -> (usize, f32) {
@@ -194,12 +111,11 @@ pub fn hash_to_dim(h: u64) -> (usize, f32) {
 pub(crate) struct FeatureBag(BTreeMap<u64, (f32, f32)>);
 
 impl FeatureBag {
-    /// Count one occurrence of `key`. The weight given first sticks.
-    pub(crate) fn add(&mut self, key: &str, weight: f32) {
-        self.0
-            .entry(fnv1a(key.as_bytes()))
-            .or_insert((0.0, weight))
-            .0 += 1.0;
+    /// Count one occurrence of the feature whose key is `parts` joined end
+    /// to end — hashed piece by piece, so no caller builds the string.
+    /// The weight given first sticks.
+    pub(crate) fn add(&mut self, parts: &[&[u8]], weight: f32) {
+        self.0.entry(fnv1a_parts(parts)).or_insert((0.0, weight)).0 += 1.0;
     }
 
     /// Square-root damp the counts, signed-hash them into `DIM`
@@ -217,8 +133,15 @@ impl FeatureBag {
 /// FNV-1a, shared with the sparse SPT path for consistency.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_parts(&[bytes])
+}
+
+/// FNV-1a of `parts` joined end to end. The hash is a fold over bytes, so
+/// this is `fnv1a` of the concatenation without building it.
+#[inline]
+fn fnv1a_parts(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
+    for &b in parts.iter().copied().flatten() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -262,22 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_rank_orders_and_breaks_ties() {
-        let q = vec_of(&[(0, 1.0)]);
-        let corpus = vec![
-            vec_of(&[(1, 1.0)]),           // orthogonal
-            vec_of(&[(0, 1.0)]),           // identical
-            vec_of(&[(0, 1.0), (1, 1.0)]), // partial
-            vec_of(&[(1, 1.0)]),           // orthogonal (tie with 0)
-        ];
-        let hits = batch_rank(&q, &corpus);
-        assert_eq!(hits[0].index, 1);
-        assert_eq!(hits[1].index, 2);
-        assert_eq!(hits[2].index, 0, "tie broken by index");
-        assert_eq!(hits[3].index, 3);
-    }
-
-    #[test]
     fn json_roundtrip_and_validation() {
         let v = vec_of(&[(3, 1.0), (7, -2.0)]);
         let back = DenseVec::from_json(&v.to_json()).unwrap();
@@ -312,52 +219,27 @@ mod tests {
         assert_eq!(dot(&[], &b), 0.0);
     }
 
+    /// The six key shapes the embedders feed `FeatureBag::add`, streamed
+    /// and formatted, on tokens with multi-byte characters.
     #[test]
-    fn slab_topk_matches_full_sort_prefix() {
-        let n = 300;
-        let rows: Vec<DenseVec> = (0..n)
-            .map(|i| vec_of(&[(i % DIM, 1.0), ((i * 3) % DIM, 0.5)]))
-            .collect();
-        let mut slab = Vec::with_capacity(n * DIM);
-        for r in &rows {
-            slab.extend_from_slice(&r.values);
+    fn streamed_hash_equals_hash_of_the_formatted_key() {
+        let (a, b, c) = ("détecte", "日本語", "x_1");
+        let (ab, bb, cb) = (a.as_bytes(), b.as_bytes(), c.as_bytes());
+        let cases: [(&[&[u8]], String); 6] = [
+            (&[b"u:", ab], format!("u:{a}")),
+            (
+                &[b"c:", "té日".as_bytes()],
+                format!("c:{}{}{}", 't', 'é', '日'),
+            ),
+            (&[b"b:", ab, b"|", bb], format!("b:{a}|{b}")),
+            (&[b"1:", bb], format!("1:{b}")),
+            (&[b"2:", bb, b"|", cb], format!("2:{b}|{c}")),
+            (&[b"3:", ab, b"|", bb, b"|", cb], format!("3:{a}|{b}|{c}")),
+        ];
+        for (parts, key) in cases {
+            assert_eq!(fnv1a_parts(parts), fnv1a(key.as_bytes()), "{key}");
         }
-        let keys: Vec<u64> = (0..n as u64).map(|i| i * 2 + 1).collect();
-        let q = vec_of(&[(0, 1.0), (3, 0.7)]);
-
-        let mut full: Vec<(f32, u64)> = rows
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (q.cosine(r), keys[i]))
-            .collect();
-        full.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        for k in [1, 5, 17, n, n + 10] {
-            let got: Vec<(f32, u64)> = slab_topk(&q.values, &slab, &keys, k, |_| true)
-                .into_iter()
-                .map(|h| (h.score, h.key))
-                .collect();
-            let want: Vec<(f32, u64)> = full.iter().take(k).copied().collect();
-            assert_eq!(got, want, "k={k}");
-        }
-
-        // Filtering: only even rows.
-        let got: Vec<usize> = slab_topk(&q.values, &slab, &keys, n, |row| row % 2 == 0)
-            .into_iter()
-            .map(|h| h.row)
-            .collect();
-        assert_eq!(got.len(), n / 2);
-        assert!(got.iter().all(|r| r % 2 == 0));
-    }
-
-    #[test]
-    fn slab_scan_above_filters_and_sorts() {
-        let rows: Vec<f32> = vec![0.9, 0.1, 0.5, 0.9, 0.3];
-        let keys: Vec<u64> = vec![10, 11, 12, 13, 14];
-        let got = slab_scan_above(rows.len(), |r| rows[r], |r| r != 2, &keys, 0.25);
-        let picks: Vec<(u64, f32)> = got.iter().map(|h| (h.key, h.score)).collect();
-        // row 2 rejected by accept, row 1 below threshold; tie 0/3 breaks
-        // by ascending key.
-        assert_eq!(picks, vec![(10, 0.9), (13, 0.9), (14, 0.3)]);
+        assert_eq!(fnv1a_parts(&[]), fnv1a(b""));
+        assert_eq!(fnv1a_parts(&[b"", b"ab", b""]), fnv1a(b"ab"));
     }
 }

@@ -27,7 +27,7 @@ pub mod topk;
 pub mod unixcoder;
 
 pub use codet5::{CodeT5Sim, DescriptionContext};
-pub use dense::{batch_rank, dot, slab_scan_above, slab_topk, DenseVec, RankedHit, DIM};
+pub use dense::{dot, DenseVec, DIM};
 pub use reacc::ReaccSim;
 pub use tokenize::{split_identifier, subword_tokens, text_tokens};
 pub use topk::{ScoredRow, TopK};

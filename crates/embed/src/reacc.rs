@@ -35,23 +35,23 @@ impl ReaccSim {
     /// Embed a code snippet by its exact token sequence.
     pub fn embed_code(&self, code: &str) -> DenseVec {
         let (toks, _) = lex(code);
-        let texts: Vec<&str> = toks
+        let texts: Vec<&[u8]> = toks
             .iter()
             .filter(|t| !t.kind.is_synthetic() && t.kind != TokKind::Op)
-            .map(|t| t.text.as_str())
+            .map(|t| t.text.as_bytes())
             .collect();
         if texts.is_empty() {
             return DenseVec::zero();
         }
         let mut bag = FeatureBag::default();
         for t in &texts {
-            bag.add(&format!("1:{t}"), W_UNIGRAM);
+            bag.add(&[b"1:", t], W_UNIGRAM);
         }
         for w in texts.windows(2) {
-            bag.add(&format!("2:{}|{}", w[0], w[1]), W_BIGRAM);
+            bag.add(&[b"2:", w[0], b"|", w[1]], W_BIGRAM);
         }
         for w in texts.windows(3) {
-            bag.add(&format!("3:{}|{}|{}", w[0], w[1], w[2]), W_TRIGRAM);
+            bag.add(&[b"3:", w[0], b"|", w[1], b"|", w[2]], W_TRIGRAM);
         }
         bag.embed()
     }
@@ -72,6 +72,38 @@ mod tests {
     fn sim(a: &str, b: &str) -> f32 {
         let m = ReaccSim::new();
         m.embed_code(a).cosine(&m.embed_code(b))
+    }
+
+    /// The streamed feature keys embed exactly like the `format!`-ed
+    /// strings they replaced.
+    #[test]
+    fn embeds_like_the_formatted_keys() {
+        for code in [
+            SUM,
+            "x = 1\n",
+            "naïve = 'café 日本語'\nprint(naïve, naïve)\n",
+        ] {
+            let (toks, _) = lex(code);
+            let texts: Vec<&str> = toks
+                .iter()
+                .filter(|t| !t.kind.is_synthetic() && t.kind != TokKind::Op)
+                .map(|t| t.text.as_str())
+                .collect();
+            let mut bag = FeatureBag::default();
+            for t in &texts {
+                bag.add(&[format!("1:{t}").as_bytes()], W_UNIGRAM);
+            }
+            for w in texts.windows(2) {
+                bag.add(&[format!("2:{}|{}", w[0], w[1]).as_bytes()], W_BIGRAM);
+            }
+            for w in texts.windows(3) {
+                bag.add(
+                    &[format!("3:{}|{}|{}", w[0], w[1], w[2]).as_bytes()],
+                    W_TRIGRAM,
+                );
+            }
+            assert_eq!(ReaccSim::new().embed_code(code), bag.embed(), "{code}");
+        }
     }
 
     #[test]

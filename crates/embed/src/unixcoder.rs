@@ -43,19 +43,26 @@ impl UniXcoderSim {
         // Accumulate feature counts first so damping can apply per feature.
         let mut bag = FeatureBag::default();
         for t in &tokens {
-            bag.add(&format!("u:{t}"), W_UNIGRAM);
-            let chars: Vec<char> = t.chars().collect();
-            if chars.len() >= 3 {
-                for w in chars.windows(3) {
-                    bag.add(&format!("c:{}{}{}", w[0], w[1], w[2]), W_CHAR3);
-                }
+            bag.add(&[b"u:", t.as_bytes()], W_UNIGRAM);
+            for gram in char_trigrams(t) {
+                bag.add(&[b"c:", gram.as_bytes()], W_CHAR3);
             }
         }
         for pair in tokens.windows(2) {
-            bag.add(&format!("b:{}|{}", pair[0], pair[1]), W_BIGRAM);
+            bag.add(
+                &[b"b:", pair[0].as_bytes(), b"|", pair[1].as_bytes()],
+                W_BIGRAM,
+            );
         }
         bag.embed()
     }
+}
+
+/// Every run of three consecutive characters of `t`, as slices of it.
+fn char_trigrams(t: &str) -> impl Iterator<Item = &str> {
+    let starts = t.char_indices().map(|(at, _)| at);
+    let ends = starts.clone().chain([t.len()]).skip(3);
+    starts.zip(ends).map(|(start, end)| &t[start..end])
 }
 
 impl Embedder for UniXcoderSim {
@@ -71,6 +78,40 @@ mod tests {
     fn sim(a: &str, b: &str) -> f32 {
         let m = UniXcoderSim::new();
         m.embed_text(a).cosine(&m.embed_text(b))
+    }
+
+    #[test]
+    fn char_trigrams_are_the_three_char_windows() {
+        for t in ["", "ab", "abc", "detect", "détecte", "日本語の"] {
+            let chars: Vec<char> = t.chars().collect();
+            let want: Vec<String> = chars.windows(3).map(|w| w.iter().collect()).collect();
+            assert_eq!(char_trigrams(t).collect::<Vec<_>>(), want, "{t:?}");
+        }
+    }
+
+    /// The streamed feature keys embed exactly like the `format!`-ed
+    /// strings they replaced.
+    #[test]
+    fn embeds_like_the_formatted_keys() {
+        for text in [
+            "detect anomalies in sensor data",
+            "AnomalyDetectionPE normalizes normalizes temperature_records x1",
+            "ab abc",
+        ] {
+            let tokens = text_tokens(text);
+            let mut bag = FeatureBag::default();
+            for t in &tokens {
+                bag.add(&[format!("u:{t}").as_bytes()], W_UNIGRAM);
+                let chars: Vec<char> = t.chars().collect();
+                for w in chars.windows(3) {
+                    bag.add(&[format!("c:{}{}{}", w[0], w[1], w[2]).as_bytes()], W_CHAR3);
+                }
+            }
+            for pair in tokens.windows(2) {
+                bag.add(&[format!("b:{}|{}", pair[0], pair[1]).as_bytes()], W_BIGRAM);
+            }
+            assert_eq!(UniXcoderSim::new().embed_text(text), bag.embed(), "{text}");
+        }
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //!
 //! # Architecture
 //!
-//! **Storage.** Each dense modality is structure-of-arrays: one
-//! contiguous `DIM`-strided `f32` slab (row `i` at `[i*DIM, (i+1)*DIM)`),
-//! so a query scan is a single forward sweep over flat memory instead of a
-//! pointer chase through per-entry `Vec`s. An id→slot map gives O(1)
-//! upsert (in-place overwrite of the row) and O(DIM) deletion
-//! (swap-remove: the last row is copied into the vacated slot). The
+//! **Storage.** Each dense modality is a `Slab`: rows in fixed blocks,
+//! each block dimension-major (`block[d * BLOCK + r]`) behind its own
+//! `Arc`. Both embedders are hashed bags, so a query has few non-zero
+//! dimensions (about 21 of 256 for a search, 57 for a ReACC snippet); the
+//! one scan (`Slab::scores`) reads, per block, only those dimensions'
+//! columns — contiguous runs it multiplies into eight lane accumulators —
+//! and folds the lanes in [`embed::dense::dot`]'s order, so every score
+//! has the bits of `dot(query, row)` at a fraction of the reads. An
+//! id→slot map gives O(1) upsert (a strided overwrite of the row inside
+//! its block) and O(DIM) deletion (swap-remove: the last row is copied
+//! into the vacated slot, and a block that empties is dropped). The
 //! sparse SPT modality is not stored here at all: the served
 //! [`AromaEngine`]'s [`aroma::SnippetIndex`] holds the one posting index
 //! (`feature id → [(slot, count)]`) over the PE rows, with a contiguous
@@ -55,16 +60,17 @@
 //! observed out of step. Readers clone only the `Arc` they scan: a dense
 //! search in flight never forces a copy of the engine, and an SPT read in
 //! flight never forces a copy of the slabs. A copy-on-write clone of the
-//! dense state copies the slabs and the slot map; one of the engine
-//! copies its posting map, its id column and one pointer per PE (sources,
-//! vectors and memoised granules are shared between snapshots).
+//! dense state copies the key and kind columns, the slot map and one
+//! pointer per block; the write then copies the one block of each slab it
+//! touches, never a slab. One of the engine copies its posting map, its id
+//! column and one pointer per PE (sources, vectors and memoised granules
+//! are shared between snapshots).
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use aroma::{AromaConfig, AromaEngine, Snippet};
-use embed::dense::{dot, slab_scan_above, slab_topk};
 use embed::topk::{ScoredRow, TopK};
 use embed::{DenseVec, ReaccSim, DIM};
 use spt::FeatureVec;
@@ -91,18 +97,106 @@ fn key_id(key: u64) -> u64 {
     key >> 1
 }
 
+/// Rows per [`Slab`] block. Chosen by measurement (CHANGES.md, PR 24): the
+/// scan costs the same from 64 to 1,024 rows a block and twice that at 32,
+/// and 64 adds nothing to time-to-listening on an empty directory — so the
+/// smallest copy-on-write unit that scans at full speed.
+const BLOCK: usize = 64;
+
+/// One dense modality: `DIM`-wide `f32` rows in blocks of `BLOCK`, each
+/// block dimension-major (`block[d * BLOCK + r]` is dimension `d` of the
+/// block's row `r`) behind its own `Arc`. There are exactly as many blocks
+/// as the rows need; how many rows that is, the key column knows. Values
+/// past the last row in the last block are stale and never scored.
+#[derive(Clone, Default)]
+struct Slab {
+    blocks: Vec<Arc<[f32]>>,
+}
+
+impl Slab {
+    /// Write `values` as row `row`: an overwrite, or an append when `row`
+    /// is one past the last. Copies the one block it touches if a snapshot
+    /// still shares it.
+    fn set(&mut self, row: usize, values: &[f32]) {
+        debug_assert_eq!(values.len(), DIM);
+        if row / BLOCK == self.blocks.len() {
+            self.blocks.push(vec![0.0; DIM * BLOCK].into());
+        }
+        let block = Arc::make_mut(&mut self.blocks[row / BLOCK]);
+        for (column, &v) in block.chunks_exact_mut(BLOCK).zip(values) {
+            column[row % BLOCK] = v;
+        }
+    }
+
+    /// Move row `last` (the final one) into `row`'s place and drop it,
+    /// with its block if that empties.
+    fn swap_remove(&mut self, row: usize, last: usize) {
+        if row != last {
+            let block = &self.blocks[last / BLOCK];
+            let moved: [f32; DIM] = std::array::from_fn(|d| block[d * BLOCK + last % BLOCK]);
+            self.set(row, &moved);
+        }
+        self.blocks.truncate(last.div_ceil(BLOCK));
+    }
+
+    /// The one dense scan: `emit(row, score)` for rows `0..n` in order,
+    /// where `score` has the bits of `embed::dense::dot(query, row)` for
+    /// finite rows. Per block it walks only the query's non-zero
+    /// dimensions, ascending, adding `q[d] * column_d` into accumulator
+    /// array `d % 8`, then folds the eight arrays in order — per row the
+    /// products `dot` adds, to the same lanes, in the same order. A term
+    /// `dot` adds and this skips is `0 * x`, an exact zero, and no lane is
+    /// ever `-0.0` (each starts at `+0.0`), so adding it changes no bit.
+    ///
+    /// A query with no non-zero dimension scores nothing: it would score 0
+    /// against every row, and a ranking of that is `k` arbitrary rows.
+    fn scores(&self, query: &[f32], n: usize, mut emit: impl FnMut(usize, f32)) {
+        debug_assert_eq!(query.len(), DIM);
+        debug_assert_eq!(self.blocks.len(), n.div_ceil(BLOCK));
+        let nonzero: Vec<(usize, f32)> = query
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, q)| q != 0.0)
+            .collect();
+        if nonzero.is_empty() {
+            return;
+        }
+        for (b, block) in self.blocks.iter().enumerate() {
+            let mut lanes = [[0.0f32; BLOCK]; 8];
+            for &(d, q) in &nonzero {
+                let column = &block[d * BLOCK..(d + 1) * BLOCK];
+                for (acc, x) in lanes[d % 8].iter_mut().zip(column) {
+                    *acc += q * x;
+                }
+            }
+            let mut sums = [0.0f32; BLOCK];
+            for lane in &lanes {
+                for (sum, acc) in sums.iter_mut().zip(lane) {
+                    *sum += acc;
+                }
+            }
+            let base = b * BLOCK;
+            for (r, &score) in sums.iter().enumerate().take(n - base) {
+                emit(base + r, score);
+            }
+        }
+    }
+}
+
 /// One immutable snapshot of the two dense modalities. Cloned
 /// (copy-on-write) only when a writer mutates while a query still holds
-/// the previous snapshot.
+/// the previous snapshot; the clone shares every slab block, and the write
+/// then copies the one block it touches.
 #[derive(Clone, Default)]
 struct IndexState {
     /// `entry_key(id, kind)` per row — ranking tie-break + slot-map key.
     keys: Vec<u64>,
     kinds: Vec<EntryKind>,
-    /// Description-embedding slab, `keys.len() * DIM` values.
-    desc: Vec<f32>,
-    /// ReACC code-embedding slab, `keys.len() * DIM` values.
-    reacc: Vec<f32>,
+    /// Description embeddings, `keys.len()` rows.
+    desc: Slab,
+    /// ReACC code embeddings, `keys.len()` rows.
+    reacc: Slab,
     /// entry key → row.
     slots: HashMap<u64, usize>,
     pes: usize,
@@ -111,35 +205,29 @@ struct IndexState {
 
 impl IndexState {
     fn upsert(&mut self, id: u64, kind: EntryKind, desc: &DenseVec, reacc: &DenseVec) {
-        debug_assert_eq!(desc.values.len(), DIM);
-        debug_assert_eq!(reacc.values.len(), DIM);
         let key = entry_key(id, kind);
-        match self.slots.entry(key) {
-            MapEntry::Occupied(e) => {
-                let row = *e.get();
-                self.desc[row * DIM..(row + 1) * DIM].copy_from_slice(&desc.values);
-                self.reacc[row * DIM..(row + 1) * DIM].copy_from_slice(&reacc.values);
-            }
+        let row = match self.slots.entry(key) {
+            MapEntry::Occupied(e) => *e.get(),
             MapEntry::Vacant(e) => {
-                e.insert(self.keys.len());
+                let row = *e.insert(self.keys.len());
                 self.keys.push(key);
                 self.kinds.push(kind);
-                self.desc.extend_from_slice(&desc.values);
-                self.reacc.extend_from_slice(&reacc.values);
                 match kind {
                     EntryKind::Pe => self.pes += 1,
                     EntryKind::Workflow => self.workflows += 1,
                 }
+                row
             }
-        }
+        };
+        self.desc.set(row, &desc.values);
+        self.reacc.set(row, &reacc.values);
     }
 
     /// Overwrite the description embedding of an indexed row; a row that
     /// is not indexed stays absent.
     fn set_desc(&mut self, id: u64, kind: EntryKind, desc: &DenseVec) {
-        debug_assert_eq!(desc.values.len(), DIM);
         if let Some(&row) = self.slots.get(&entry_key(id, kind)) {
-            self.desc[row * DIM..(row + 1) * DIM].copy_from_slice(&desc.values);
+            self.desc.set(row, &desc.values);
         }
     }
 
@@ -155,14 +243,8 @@ impl IndexState {
         let last = self.keys.len() - 1;
         self.keys.swap_remove(row);
         self.kinds.swap_remove(row);
-        // Slab swap-remove: move the last row into the vacated stride,
-        // then shrink. With `row == last` the copy is a no-op onto itself.
-        self.desc
-            .copy_within(last * DIM..(last + 1) * DIM, row * DIM);
-        self.desc.truncate(last * DIM);
-        self.reacc
-            .copy_within(last * DIM..(last + 1) * DIM, row * DIM);
-        self.reacc.truncate(last * DIM);
+        self.desc.swap_remove(row, last);
+        self.reacc.swap_remove(row, last);
         if row != last {
             self.slots.insert(self.keys[row], row);
         }
@@ -171,8 +253,8 @@ impl IndexState {
     fn clear(&mut self) {
         self.keys.clear();
         self.kinds.clear();
-        self.desc.clear();
-        self.reacc.clear();
+        self.desc.blocks.clear();
+        self.reacc.blocks.clear();
         self.slots.clear();
         self.pes = 0;
         self.workflows = 0;
@@ -423,9 +505,8 @@ impl SearchIndexes {
         (cell.index.pes, cell.index.workflows)
     }
 
-    /// One dense ranking for both modalities. Zero queries short-circuit
-    /// (a zero vector scores 0 against everything — scanning would return
-    /// `k` arbitrary zero-scored rows).
+    /// One dense ranking for both modalities; a zero query ranks nothing
+    /// (see [`Slab::scores`]).
     fn rank_dense(
         &self,
         slab: DenseSlab,
@@ -433,18 +514,18 @@ impl SearchIndexes {
         kind: Option<EntryKind>,
         k: usize,
     ) -> Vec<IndexHit> {
-        if query.is_zero() {
-            return Vec::new();
-        }
         let st = self.snapshot();
-        let values = match slab {
+        let slab = match slab {
             DenseSlab::Desc => &st.desc,
             DenseSlab::Reacc => &st.reacc,
         };
-        let rows = slab_topk(&query.values, values, &st.keys, k, |row| {
-            st.accepts(row, kind)
+        let mut top = TopK::new(k);
+        slab.scores(&query.values, st.keys.len(), |row, score| {
+            if st.accepts(row, kind) {
+                top.push(score, st.keys[row], row);
+            }
         });
-        to_hits(&st, rows)
+        to_hits(&st, top.into_sorted())
     }
 
     /// Top-`k` by cosine of description embeddings (semantic text search).
@@ -510,25 +591,23 @@ impl SearchIndexes {
 
     /// *All* ReACC hits with cosine ≥ `min_score`, best first — the dense
     /// counterpart of [`rank_spt_above`](Self::rank_spt_above), used by the
-    /// workflow-scope `--embedding_type llm` recommendation. Zero queries
-    /// short-circuit like the top-k paths.
+    /// workflow-scope `--embedding_type llm` recommendation. A zero query
+    /// matches nothing, like the top-k paths.
     pub fn rank_reacc_above(
         &self,
         query: &DenseVec,
         kind: Option<EntryKind>,
         min_score: f32,
     ) -> Vec<IndexHit> {
-        if query.is_zero() {
-            return Vec::new();
-        }
         let st = self.snapshot();
-        let rows = slab_scan_above(
-            st.keys.len(),
-            |row| dot(&query.values, &st.reacc[row * DIM..(row + 1) * DIM]),
-            |row| st.accepts(row, kind),
-            &st.keys,
-            min_score,
-        );
+        let mut rows = Vec::new();
+        st.reacc.scores(&query.values, st.keys.len(), |row, score| {
+            if score >= min_score && st.accepts(row, kind) {
+                let key = st.keys[row];
+                rows.push(ScoredRow { row, key, score });
+            }
+        });
+        rows.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.key.cmp(&b.key)));
         to_hits(&st, rows)
     }
 }
@@ -873,6 +952,132 @@ mod tests {
         assert_eq!(engine.len(), 1);
         assert!(!engine.recommend(ACC).is_empty());
         assert!(ix.engine().recommend(ACC).is_empty());
+
+        // Dense: BLOCK + 1 rows, so the last row sits alone in block 1.
+        let ix = SearchIndexes::new();
+        ix.bulk_upsert((0..=BLOCK as u64).map(dense_row).collect());
+        let shared = |a: &IndexState, b: &IndexState, block: usize| {
+            (
+                Arc::ptr_eq(&a.desc.blocks[block], &b.desc.blocks[block]),
+                Arc::ptr_eq(&a.reacc.blocks[block], &b.reacc.blocks[block]),
+            )
+        };
+
+        // An overwrite in block 0 of a held snapshot copies that block of
+        // each slab and shares block 1.
+        let held = ix.snapshot();
+        let before = score_bits(&held);
+        let mut row = dense_row(3);
+        row.desc.values[40] = -2.0;
+        row.reacc.values[41] = 3.0;
+        ix.upsert(row);
+        let now = ix.snapshot();
+        assert_eq!(score_bits(&held), before);
+        assert_ne!(
+            score_bits(&now),
+            before,
+            "the write is visible to new readers"
+        );
+        assert_eq!(shared(&held, &now, 0), (false, false));
+        assert_eq!(shared(&held, &now, 1), (true, true));
+        // A description update touches the description slab alone.
+        let held = now;
+        ix.set_description(3, EntryKind::Workflow, &dense_row(7).desc);
+        assert_eq!(shared(&held, &ix.snapshot(), 0), (false, true));
+
+        // A swap-remove that moves the last row into block 0 drops block
+        // 1; the held snapshot keeps both and ranks as before.
+        let held = ix.snapshot();
+        let before = score_bits(&held);
+        ix.remove(5, EntryKind::Workflow);
+        assert_eq!(ix.snapshot().desc.blocks.len(), 1);
+        assert_eq!(held.desc.blocks.len(), 2);
+        assert_eq!(score_bits(&held), before);
+
+        // An append that opens a new block leaves block 0 shared.
+        let held = ix.snapshot();
+        let before = score_bits(&held);
+        ix.upsert(dense_row(500));
+        let now = ix.snapshot();
+        assert_eq!(now.desc.blocks.len(), 2);
+        assert_eq!(shared(&held, &now, 0), (true, true));
+        assert_eq!(score_bits(&held), before);
+        assert_eq!(score_bits(&now)[..BLOCK], before[..]);
+    }
+
+    /// A workflow row with a few non-zero dimensions picked by `id`.
+    fn dense_row(id: u64) -> IndexRow {
+        let at = id as usize;
+        let mut desc = DenseVec::zero();
+        let mut reacc = DenseVec::zero();
+        for (step, weight) in [(1, 1.0), (7, -0.5), (31, 0.25)] {
+            desc.values[(at * step) % DIM] += weight;
+            reacc.values[(at * step + 3) % DIM] -= weight;
+        }
+        IndexRow {
+            id,
+            desc,
+            reacc,
+            pe: None,
+        }
+    }
+
+    /// Every row's score in both slabs against one all-non-zero query.
+    fn score_bits(st: &IndexState) -> Vec<(u32, u32)> {
+        let query: Vec<f32> = (0..DIM).map(|d| 1.0 + d as f32 / 8.0).collect();
+        let mut desc = Vec::new();
+        st.desc
+            .scores(&query, st.keys.len(), |_, s| desc.push(s.to_bits()));
+        let mut reacc = Vec::new();
+        st.reacc
+            .scores(&query, st.keys.len(), |_, s| reacc.push(s.to_bits()));
+        desc.into_iter().zip(reacc).collect()
+    }
+
+    #[test]
+    fn removed_rows_are_never_scored_and_clear_releases_every_block() {
+        let ix = SearchIndexes::new();
+        ix.bulk_upsert((0..3).map(dense_row).collect());
+        // Rows 1 and 2 go; their values stay behind in the block, past
+        // the end.
+        ix.remove(2, EntryKind::Workflow);
+        ix.remove(1, EntryKind::Workflow);
+        let q = dense_row(2).desc;
+        let hits = ix.rank_semantic(&q, None, ALL);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].id, 0);
+
+        // Removed to empty, every block is given back, and re-added rows
+        // rank like a fresh index's.
+        ix.remove(0, EntryKind::Workflow);
+        let st = ix.snapshot();
+        assert!(st.desc.blocks.is_empty() && st.reacc.blocks.is_empty());
+        let fresh = SearchIndexes::new();
+        for id in [9, 4] {
+            ix.upsert(dense_row(id));
+            fresh.upsert(dense_row(id));
+        }
+        for id in [0, 1, 2, 4, 9] {
+            let row = dense_row(id);
+            assert_eq!(
+                ix.rank_semantic(&row.desc, None, ALL),
+                fresh.rank_semantic(&row.desc, None, ALL)
+            );
+            assert_eq!(
+                ix.rank_reacc_above(&row.reacc, None, -1.0),
+                fresh.rank_reacc_above(&row.reacc, None, -1.0)
+            );
+        }
+
+        ix.bulk_upsert((10..10 + 2 * BLOCK as u64).map(dense_row).collect());
+        let st = ix.snapshot();
+        let blocks: Vec<_> = st.desc.blocks.iter().chain(&st.reacc.blocks).collect();
+        let held: Vec<_> = blocks.iter().map(|b| Arc::downgrade(b)).collect();
+        assert_eq!(held.len(), 6);
+        drop(st);
+        ix.clear();
+        assert!(ix.snapshot().desc.blocks.is_empty());
+        assert!(held.iter().all(|block| block.upgrade().is_none()));
     }
 
     #[test]

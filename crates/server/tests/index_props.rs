@@ -12,10 +12,16 @@
 //!   (workflows have none), the Aroma engine they are served from (exactly
 //!   the model's PEs, and — fed each row's SPT vector, never parsing —
 //!   recommending like an engine that parsed and featurised them from
-//!   scratch), and the one generation (exactly one step per mutation).
+//!   scratch), and the one generation (exactly one step per mutation);
+//! * the blocked dense scan scores every row with the bits of `dot(query,
+//!   row)`: across block-boundary row counts, query shapes (1 to 256
+//!   non-zero dimensions, `-0.0`, subnormals, one accumulator lane) and
+//!   churn that overwrites, re-describes and swap-removes within and across
+//!   blocks, all three dense rankings equal a model that calls `dot` per row
+//!   and fully sorts.
 
 use aroma::{AromaEngine, Snippet};
-use embed::{dot, Embedder, ReaccSim, UniXcoderSim};
+use embed::{dot, DenseVec, Embedder, ReaccSim, UniXcoderSim, DIM};
 use laminar_server::indexes::{EntryKind, IndexHit, IndexRow, PeSnippet, SearchIndexes};
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
@@ -343,5 +349,212 @@ fn threshold_scans_equal_filtered_full_ranking() {
             .filter(|h| h.score >= min_cos)
             .collect();
         assert_eq!(ix.rank_reacc_above(&q_code, None, min_cos), full_reacc);
+    });
+}
+
+/// Rows per dense block — mirrors the private `BLOCK` in `indexes.rs`, so
+/// the row counts below sit on its boundaries. Keep the two in step.
+const BLOCK: usize = 64;
+
+/// A weight for a dense row or query: mostly in [-1, 1] (0 included), one
+/// in eight subnormal.
+fn weight(rng: &mut Rng) -> f32 {
+    match rng.below(16) {
+        0 => f32::from_bits(1 + rng.below(1000) as u32),
+        1 => -f32::MIN_POSITIVE / 2.0,
+        _ => (rng.below(2001) as f32 - 1000.0) / 1000.0,
+    }
+}
+
+/// A vector with about `nonzero` non-zero dimensions (fewer where draws
+/// collide or draw 0).
+fn sparse(rng: &mut Rng, nonzero: usize) -> DenseVec {
+    let mut v = DenseVec::zero();
+    for _ in 0..nonzero {
+        v.values[rng.below(DIM as u64) as usize] = weight(rng);
+    }
+    v
+}
+
+/// The query shapes the scan treats differently, none of them zero.
+fn dense_queries(rng: &mut Rng) -> Vec<(&'static str, DenseVec)> {
+    let mut one = DenseVec::zero();
+    one.values[rng.below(DIM as u64) as usize] = -0.75;
+    let mut all = DenseVec::zero();
+    for v in &mut all.values {
+        *v = weight(rng);
+        if *v == 0.0 {
+            *v = 0.5;
+        }
+    }
+    let mut negative_zeros = sparse(rng, 20);
+    for v in &mut negative_zeros.values {
+        if *v == 0.0 {
+            *v = -0.0;
+        }
+    }
+    let mut subnormal = DenseVec::zero();
+    subnormal.values[5] = f32::from_bits(1);
+    subnormal.values[77] = -f32::MIN_POSITIVE / 2.0;
+    subnormal.values[200] = 1.0;
+    let mut one_lane = DenseVec::zero();
+    for d in (3..DIM).step_by(8).take(12) {
+        one_lane.values[d] = weight(rng) + 1.5;
+    }
+    vec![
+        ("1 non-zero", one),
+        ("~20 non-zero", sparse(rng, 20)),
+        ("~60 non-zero", sparse(rng, 60)),
+        ("256 non-zero", all),
+        ("-0.0 for every zero", negative_zeros),
+        ("subnormal weights", subnormal),
+        ("one lane", one_lane),
+    ]
+}
+
+/// A row written from its embeddings alone; one in four repeats an earlier
+/// row's vectors, so exact score ties occur.
+fn dense_row(rng: &mut Rng, id: u64, held: &[IndexRow]) -> IndexRow {
+    let (desc, reacc) = match held.len() as u64 {
+        n if n > 0 && rng.below(4) == 0 => {
+            let twin = &held[rng.below(n) as usize];
+            (twin.desc.clone(), twin.reacc.clone())
+        }
+        _ => (sparse(rng, 70), sparse(rng, 90)),
+    };
+    IndexRow {
+        id,
+        desc,
+        reacc,
+        pe: (rng.below(2) == 0).then(|| PeSnippet {
+            name: String::new(),
+            code: String::new(),
+            spt: FeatureVec::default(),
+        }),
+    }
+}
+
+/// Same hits: ids, kinds, order and the scores' bit patterns.
+fn assert_same_bits(got: &[IndexHit], want: &[IndexHit], what: &str) {
+    let bits = |hits: &[IndexHit]| -> Vec<(u64, EntryKind, u32)> {
+        hits.iter()
+            .map(|h| (h.id, h.kind, h.score.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(got), bits(want), "{what}");
+}
+
+/// All three dense rankings of `ix` against the model's `dot`-per-row,
+/// fully sorted answer.
+fn assert_dense_matches_model(
+    ix: &SearchIndexes,
+    model: &NaiveModel,
+    queries: &[(&str, DenseVec)],
+    when: &str,
+) {
+    let n = model.entries.len();
+    assert_eq!(ix.len(), n, "{when}");
+    for (shape, q) in queries {
+        for kind in [None, Some(EntryKind::Pe), Some(EntryKind::Workflow)] {
+            let what = format!("{when}: n={n} query={shape} kind={kind:?}");
+            let by_desc = model.rank(|e| dot(&q.values, &e.desc.values), kind, usize::MAX);
+            let full = model.rank(|e| dot(&q.values, &e.reacc.values), kind, usize::MAX);
+            for k in [1, 5, n, n + 10] {
+                assert_same_bits(
+                    &ix.rank_semantic(q, kind, k),
+                    &by_desc[..k.min(by_desc.len())],
+                    &format!("semantic {what} k={k}"),
+                );
+                assert_same_bits(
+                    &ix.rank_reacc(q, kind, k),
+                    &full[..k.min(full.len())],
+                    &format!("reacc {what} k={k}"),
+                );
+            }
+            let mid = full.get(n / 3).map_or(0.25, |h| h.score);
+            for min in [f32::NEG_INFINITY, -0.5, 0.0, mid, 1.0e6] {
+                let want: Vec<IndexHit> = full.iter().filter(|h| h.score >= min).cloned().collect();
+                assert_same_bits(
+                    &ix.rank_reacc_above(q, kind, min),
+                    &want,
+                    &format!("reacc_above {what} min={min}"),
+                );
+            }
+        }
+    }
+}
+
+/// The blocked scan against `dot` per row, at row counts on the block
+/// boundaries and under churn. `order` mirrors the engine's row order
+/// (insertion order, swap-removed), so the churn can aim at the last row,
+/// a middle row and a row in another block than the last.
+#[test]
+fn blocked_dense_scan_equals_dot_per_row_under_churn() {
+    check(6, |rng| {
+        let queries = dense_queries(rng);
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            let ix = SearchIndexes::new();
+            let mut model = NaiveModel::default();
+            let mut order: Vec<(u64, EntryKind)> = Vec::new();
+            let mut rows: Vec<IndexRow> = Vec::new();
+            for id in 0..n as u64 {
+                rows.push(dense_row(rng, id, &rows));
+            }
+            ix.bulk_upsert(rows.clone());
+            for row in rows {
+                order.push((row.id, row.kind()));
+                model.entries.insert(key_of(row.id, row.kind()), row);
+            }
+            assert_dense_matches_model(&ix, &model, &queries, "built");
+
+            // A query of only zeros, of either sign, ranks nothing.
+            let mut zeros = DenseVec::zero();
+            zeros.values[9] = -0.0;
+            assert!(ix.rank_semantic(&zeros, None, 5).is_empty());
+            assert!(ix.rank_reacc(&zeros, None, 5).is_empty());
+            assert!(ix.rank_reacc_above(&zeros, None, -1.0).is_empty());
+
+            if n == 0 {
+                continue;
+            }
+
+            // Overwrite a row in place, then re-describe another.
+            let (id, kind) = order[rng.below(n as u64) as usize];
+            let mut row = dense_row(rng, id, &[]);
+            row.pe = model.entries[&key_of(id, kind)].pe.clone();
+            ix.upsert(row.clone());
+            model.entries.insert(key_of(id, kind), row);
+            let (id, kind) = order[rng.below(n as u64) as usize];
+            let desc = sparse(rng, 70);
+            ix.set_description(id, kind, &desc);
+            model.entries.get_mut(&key_of(id, kind)).unwrap().desc = desc;
+            assert_dense_matches_model(&ix, &model, &queries, "overwritten");
+
+            // Swap-remove the last row, a middle row, and the first row —
+            // at 3·BLOCK+7 rows, one in another block than the last.
+            for (at, which) in [
+                (order.len() - 1, "last removed"),
+                (order.len() / 2, "middle removed"),
+                (0, "first removed"),
+            ] {
+                if at >= order.len() {
+                    continue;
+                }
+                let (id, kind) = order.swap_remove(at);
+                ix.remove(id, kind);
+                model.entries.remove(&key_of(id, kind));
+                assert_dense_matches_model(&ix, &model, &queries, which);
+            }
+
+            // Append again: at BLOCK+1 rows the removals gave a block
+            // back, and this reopens it over whatever it held.
+            for id in 1000..1003 {
+                let row = dense_row(rng, id, &[]);
+                ix.upsert(row.clone());
+                order.push((id, row.kind()));
+                model.entries.insert(key_of(id, row.kind()), row);
+            }
+            assert_dense_matches_model(&ix, &model, &queries, "re-appended");
+        }
     });
 }

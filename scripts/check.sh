@@ -100,7 +100,12 @@ cargo test -q -p aroma --test pipeline_props
 # source; rank_spt / rank_spt_above (served from the engine's index) ≡ the
 # same scan over a model's PE rows for kind None and Pe, and empty for
 # Workflow — whose rows the dense ranking still returns — under churn with
-# swap-removes of the engine's last and middle rows.
+# swap-removes of the engine's last and middle rows; and the blocked dense
+# scan (rank_semantic / rank_reacc / rank_reacc_above) ≡ dot(query, row)
+# per row fully sorted, bit for bit, at row counts on the block boundaries,
+# for queries of 1 to 256 non-zero dimensions (-0.0, subnormals, one lane)
+# and under overwrites, re-descriptions and swap-removes within and across
+# blocks.
 echo "==> spt feature-id equality suite (streamed ids == encoded features)"
 cargo test -q -p spt --test feature_ids
 
@@ -109,6 +114,9 @@ cargo test -q -p aroma --test postings_equivalence
 
 echo "==> server SPT ranking equality suite (engine postings == naive PE scan under churn)"
 cargo test -q -p laminar-server --test spt_postings
+
+echo "==> dense ranking equality suite (blocked scan == dot per row, under churn)"
+cargo test -q -p laminar-server --test index_props
 
 # Hostile input: a flat 200 KB literal (one node, ~66k children) through
 # CodeRecommendation / CodeCompletion / RegisterPe must answer and leave
