@@ -87,7 +87,7 @@ static COMMANDS: &[(&str, &str, &str, Handler)] = &[
     ),
     (
         "ingest",
-        "Registers a JSON file of PEs and workflows as one batch: analysis runs in parallel, the registry commits under a single WAL fsync, and the search indexes publish once.",
+        "Registers a JSON file of PEs and workflows as one batch: each item is analysed in turn, the registry commits them as one WAL frame, and the search indexes publish once.",
         "\nUsage:\n  ingest --file <items.json>\n\nThe file holds a JSON array of items, each either\n  {\"Pe\": {\"name\": \"...\", \"code\": \"...\"}}\n  {\"Workflow\": {\"name\": \"...\", \"code\": \"...\", \"pes\": [{\"name\": \"...\", \"code\": \"...\"}]}}\n(`description` is optional everywhere and auto-generated when absent.)\nOutcomes print per item — a failed item does not abort the rest.",
         |c, args| c.ingest(args),
     ),

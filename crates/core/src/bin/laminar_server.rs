@@ -30,6 +30,10 @@ fn usage() -> ! {
          [--io-fault-mode nth:N|from:N|random:PCT] \
          [--io-fault-site SITE]... [--io-fault-seed N]\n\
          \n\
+         --snapshot-every N (default 1024; 0 disables) is auto-compaction's\n\
+         floor: the WAL folds into snapshot.json once it holds at least N\n\
+         records and at least as many bytes as the last snapshot.\n\
+         \n\
          Disk chaos (testing only): --io-fault-kind arms a deterministic\n\
          fault injector on the registry's WAL/snapshot IO. --io-fault-mode\n\
          picks when it fires (nth:N = the Nth matching op, from:N = every\n\

@@ -57,8 +57,10 @@ pub struct LaminarConfig {
     /// Registry data directory (`--data-dir`). `None` keeps the registry
     /// purely in memory, exactly as before persistence existed.
     pub data_dir: Option<PathBuf>,
-    /// Compact the WAL into a snapshot every this many records
-    /// (`--snapshot-every`; 0 disables auto-compaction).
+    /// Auto-compaction's floor (`--snapshot-every`): compact once the log
+    /// written since the last snapshot holds at least this many records
+    /// and at least as many bytes as that snapshot. 0 disables
+    /// auto-compaction.
     pub snapshot_every: u64,
     /// fsync the WAL on every append (`--wal-fsync`): maximum durability,
     /// at a per-mutation latency cost.

@@ -32,7 +32,8 @@ pub enum IoSite {
     WalBatchAppend,
     /// The `sync_data` following a WAL frame under `SyncPolicy::EveryAppend`.
     WalFsync,
-    /// The WAL truncation after a snapshot compaction (`Wal::reset`).
+    /// Sealing the live WAL at a compaction's cut (`Wal::seal`): the step
+    /// that replaced truncating it after the snapshot, under the same name.
     WalTruncate,
     /// Writing the bytes of `snapshot.json.tmp`.
     SnapshotWrite,

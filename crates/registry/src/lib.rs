@@ -46,6 +46,7 @@ pub use rows::{
 pub use schema::{schema_ddl, table_descriptions};
 pub use store::{
     CompactStats, PeOutcome, PersistOptions, PersistSnapshot, RegistrationUnit, Registry,
-    RegistrySnapshot, SearchTarget, UnitOutcome, SNAPSHOT_FILE, WAL_FILE,
+    RegistrySnapshot, SearchTarget, UnitOutcome, UnitsCommitted, DISCARDED_WAL_FILE,
+    SEALED_WAL_FILE, SNAPSHOT_FILE, WAL_FILE,
 };
 pub use wal::SyncPolicy;

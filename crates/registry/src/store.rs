@@ -8,12 +8,26 @@
 //! appends its typed mutation record to the WAL **before** mutating
 //! in-memory state, under the same write lock, so WAL order equals
 //! apply order and an acknowledged mutation is always recoverable.
-//! Recovery is snapshot load → WAL replay (truncating a torn tail) →
-//! index rebuild. Compaction rewrites the snapshot atomically and
-//! truncates the WAL; it runs automatically every
-//! [`PersistOptions::snapshot_every`] records and on demand via
-//! [`Registry::compact`]. A registry built with [`Registry::new`] has
-//! no persistence and behaves exactly as before.
+//! Recovery is snapshot load → sealed-log replay (if one is present) →
+//! WAL replay (truncating a torn tail) → index rebuild. A torn sealed log
+//! ends history at its last valid frame: `wal.log`, which follows it, is
+//! set aside unreplayed, so recovery always yields a prefix of history.
+//!
+//! # Compaction
+//!
+//! A compaction folds the log into a fresh snapshot in two steps. The
+//! *cut*, under the write lock, copies the row pointers (rows sit behind
+//! `Arc`, so this is O(rows) and copies no row) and seals the live WAL:
+//! `wal.log` is renamed to `wal.log.sealed` and a fresh `wal.log` takes
+//! the appends that follow. The *write*, with no registry lock held,
+//! serialises the cut, writes `snapshot.json` atomically and deletes the
+//! sealed log. It runs automatically, on a thread the registry spawns,
+//! once the log written since the last snapshot holds at least
+//! [`PersistOptions::snapshot_every`] records and at least as many bytes
+//! as that snapshot, and on demand, on the caller's thread, via
+//! [`Registry::compact`]. One compaction runs at a time. A registry built
+//! with [`Registry::new`] has no persistence and behaves exactly as
+//! before.
 
 use crate::error::RegistryError;
 use crate::iofault::{FaultHook, IoSite, SiteCounter};
@@ -22,13 +36,25 @@ use crate::wal::{self, SyncPolicy, Wal, WalOp, WalRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Snapshot file name inside a data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 /// WAL file name inside a data directory.
 pub const WAL_FILE: &str = "wal.log";
+/// The WAL a compaction's cut set aside, until a snapshot that covers it
+/// is durable. Recovery replays it between the snapshot and `wal.log`.
+pub const SEALED_WAL_FILE: &str = "wal.log.sealed";
+
+/// Where recovery sets `wal.log` aside when the sealed log before it is
+/// torn: history ends at the sealed log's last valid frame, so the later
+/// records are kept on disk for inspection but never replayed. An older
+/// file of that name is replaced.
+pub const DISCARDED_WAL_FILE: &str = "wal.log.discarded";
 
 /// What a search should cover (the CLI's `workflow | pe` argument).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +67,12 @@ pub enum SearchTarget {
 /// Durability knobs for [`Registry::open`].
 #[derive(Debug, Clone, Copy)]
 pub struct PersistOptions {
-    /// Auto-compact (snapshot + WAL truncate) once the WAL holds this
-    /// many records. `0` disables auto-compaction.
+    /// Auto-compact once the log written since the last snapshot holds at
+    /// least this many records **and** at least as many bytes as that
+    /// snapshot (its size at open, 0 without one). The record count is a
+    /// floor; the byte rule keeps the total bytes ever snapshotted within
+    /// about twice the registry's final size. `0` disables
+    /// auto-compaction.
     pub snapshot_every: u64,
     /// When WAL appends reach the disk.
     pub sync: SyncPolicy,
@@ -68,7 +98,8 @@ pub struct PersistSnapshot {
     pub fsyncs: u64,
     /// Compactions performed since open.
     pub compactions: u64,
-    /// Records currently in the WAL (resets on compaction).
+    /// WAL records written since the last snapshot (resets on
+    /// compaction).
     pub wal_records: u64,
     /// WAL records replayed during recovery at open.
     pub recovered_records: u64,
@@ -103,6 +134,16 @@ pub struct PeOutcome {
     pub created: bool,
 }
 
+/// What one [`Registry::add_units`] call committed.
+#[derive(Debug, Clone, Default)]
+pub struct UnitsCommitted {
+    /// One outcome per unit, in submission order.
+    pub outcomes: Vec<UnitOutcome>,
+    /// The frame was fsynced ([`SyncPolicy::EveryAppend`]): one fsync
+    /// for all its rows.
+    pub fsynced: bool,
+}
+
 /// Per-unit outcome of [`Registry::add_units`]. A unit that fails
 /// validation keeps the member PEs staged before the failure, so
 /// `pes`/`workflow` report what actually landed even when `error` is set.
@@ -116,7 +157,7 @@ pub struct UnitOutcome {
 /// What a compaction folded into the snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactStats {
-    /// WAL records absorbed (and truncated away).
+    /// WAL records absorbed: those written since the last snapshot.
     pub wal_records: u64,
     /// WAL bytes absorbed.
     pub wal_bytes: u64,
@@ -145,6 +186,36 @@ impl PersistCounters {
     }
 }
 
+/// Records and bytes of a stretch of WAL.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    records: u64,
+    bytes: u64,
+}
+
+impl Span {
+    fn of(wal: &Wal) -> Span {
+        Span {
+            records: wal.records(),
+            bytes: wal.bytes(),
+        }
+    }
+
+    fn plus(self, other: Span) -> Span {
+        Span {
+            records: self.records + other.records,
+            bytes: self.bytes + other.bytes,
+        }
+    }
+
+    fn minus(self, other: Span) -> Span {
+        Span {
+            records: self.records.saturating_sub(other.records),
+            bytes: self.bytes.saturating_sub(other.bytes),
+        }
+    }
+}
+
 /// Live persistence state: the open WAL plus counters. Lives inside
 /// `Inner` so WAL appends happen under the registry write lock.
 #[derive(Debug)]
@@ -153,27 +224,58 @@ struct Persist {
     wal: Wal,
     opts: PersistOptions,
     stats: PersistCounters,
-    /// Fault hook shared with the WAL, kept here so snapshot writes in
-    /// `compact_locked` and the storage probe consult the same injector.
+    /// Fault hook shared with the WAL, kept here so snapshot writes and
+    /// the storage probe consult the same injector.
     fault: Option<FaultHook>,
+    /// The sealed log on disk, while no durable snapshot covers it (its
+    /// compaction's write failed, or is still running).
+    sealed: Option<Span>,
+    /// The head of the live log that the last snapshot already covers:
+    /// non-empty only after a cut that found a sealed log, and so could
+    /// not seal the live one.
+    covered: Span,
+    /// Size of the last snapshot written, or found at open.
+    snapshot_bytes: u64,
 }
 
-#[derive(Debug, Default, Serialize, Deserialize)]
+impl Persist {
+    /// The log written since the last durable snapshot.
+    fn pending(&self) -> Span {
+        let live = Span::of(&self.wal).minus(self.covered);
+        self.sealed.unwrap_or_default().plus(live)
+    }
+
+    /// The auto-compaction trigger: the log has outgrown the snapshot.
+    fn due(&self) -> bool {
+        let pending = self.pending();
+        self.opts.snapshot_every > 0
+            && pending.records >= self.opts.snapshot_every
+            && pending.bytes >= self.snapshot_bytes
+    }
+
+    /// Count a failed persistence step and turn it into the caller's error.
+    fn failed(&mut self, context: &str, e: std::io::Error) -> RegistryError {
+        self.stats.io_failed(context, &e);
+        persist_err(context, e)
+    }
+}
+
+#[derive(Debug, Default)]
 struct Inner {
     users: Vec<UserRow>,
-    pes: BTreeMap<u64, PeRow>,
-    workflows: BTreeMap<u64, WorkflowRow>,
-    executions: Vec<ExecutionRow>,
-    responses: Vec<ResponseRow>,
+    /// The row tables hold their rows behind `Arc`, so a compaction's cut
+    /// shares them instead of copying them, and an update after a cut
+    /// copies only its own row (`Arc::make_mut`).
+    pes: BTreeMap<u64, Arc<PeRow>>,
+    workflows: BTreeMap<u64, Arc<WorkflowRow>>,
+    executions: Vec<Arc<ExecutionRow>>,
+    responses: Vec<Arc<ResponseRow>>,
     next_id: u64,
     seq: u64,
     /// Secondary index: lowercase PE name → ids (idx_pe_name).
-    #[serde(skip)]
     pe_name_index: HashMap<String, Vec<u64>>,
     /// Secondary index: lowercase workflow name → ids (idx_wf_name).
-    #[serde(skip)]
     wf_name_index: HashMap<String, Vec<u64>>,
-    #[serde(skip)]
     persist: Option<Persist>,
 }
 
@@ -243,7 +345,7 @@ impl Inner {
                 if !ids.contains(&row.id) {
                     ids.push(row.id);
                 }
-                self.pes.insert(row.id, row.clone());
+                self.pes.insert(row.id, Arc::new(row.clone()));
             }
             WalOp::UpdatePeDescription {
                 id,
@@ -251,6 +353,7 @@ impl Inner {
                 description_embedding,
             } => {
                 if let Some(pe) = self.pes.get_mut(id) {
+                    let pe = Arc::make_mut(pe);
                     pe.description = description.clone();
                     pe.description_embedding = description_embedding.clone();
                 }
@@ -266,7 +369,7 @@ impl Inner {
                 if !ids.contains(&row.id) {
                     ids.push(row.id);
                 }
-                self.workflows.insert(row.id, row.clone());
+                self.workflows.insert(row.id, Arc::new(row.clone()));
             }
             WalOp::UpdateWorkflowDescription {
                 id,
@@ -274,6 +377,7 @@ impl Inner {
                 description_embedding,
             } => {
                 if let Some(wf) = self.workflows.get_mut(id) {
+                    let wf = Arc::make_mut(wf);
                     wf.description = description.clone();
                     wf.description_embedding = description_embedding.clone();
                 }
@@ -292,18 +396,18 @@ impl Inner {
             WalOp::AddExecution(row) => {
                 self.bump_id(row.id);
                 if let Err(at) = self.execution_at(row.id) {
-                    self.executions.insert(at, row.clone());
+                    self.executions.insert(at, Arc::new(row.clone()));
                 }
             }
             WalOp::SetExecutionStatus { id, status } => {
                 if let Ok(at) = self.execution_at(*id) {
-                    self.executions[at].status = *status;
+                    Arc::make_mut(&mut self.executions[at]).status = *status;
                 }
             }
             WalOp::AddResponse(row) => {
                 self.bump_id(row.id);
                 if let Err(at) = self.responses.binary_search_by_key(&row.id, |r| r.id) {
-                    self.responses.insert(at, row.clone());
+                    self.responses.insert(at, Arc::new(row.clone()));
                 }
             }
         }
@@ -319,6 +423,21 @@ impl Inner {
     fn to_snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
             users: self.users.clone(),
+            pes: self.pes.values().map(owned).collect(),
+            workflows: self.workflows.values().map(owned).collect(),
+            executions: self.executions.iter().map(owned).collect(),
+            responses: self.responses.iter().map(owned).collect(),
+            next_id: self.next_id,
+            seq: self.seq,
+        }
+    }
+
+    /// The rows as they stand, shared rather than copied: O(rows) pointer
+    /// copies (and the small users table). Serialises to the same bytes
+    /// as [`Inner::to_snapshot`].
+    fn view(&self) -> SnapshotView {
+        SnapshotView {
+            users: self.users.clone(),
             pes: self.pes.values().cloned().collect(),
             workflows: self.workflows.values().cloned().collect(),
             executions: self.executions.clone(),
@@ -331,10 +450,10 @@ impl Inner {
     fn from_snapshot(snap: RegistrySnapshot) -> Inner {
         let mut inner = Inner {
             users: snap.users,
-            pes: snap.pes.into_iter().map(|p| (p.id, p)).collect(),
-            workflows: snap.workflows.into_iter().map(|w| (w.id, w)).collect(),
-            executions: snap.executions,
-            responses: snap.responses,
+            pes: snap.pes.into_iter().map(|p| (p.id, Arc::new(p))).collect(),
+            workflows: snap.workflows.into_iter().map(|w| (w.id, Arc::new(w))).collect(),
+            executions: snap.executions.into_iter().map(Arc::new).collect(),
+            responses: snap.responses.into_iter().map(Arc::new).collect(),
             next_id: snap.next_id,
             seq: snap.seq,
             pe_name_index: HashMap::new(),
@@ -456,11 +575,103 @@ pub struct RegistrySnapshot {
     pub seq: u64,
 }
 
+/// A compaction's cut: the registry's rows shared with the live tables.
+/// Its fields are [`RegistrySnapshot`]'s in the same order, so it
+/// serialises to the same JSON.
+#[derive(Debug, Serialize)]
+struct SnapshotView {
+    users: Vec<UserRow>,
+    pes: Vec<Arc<PeRow>>,
+    workflows: Vec<Arc<WorkflowRow>>,
+    executions: Vec<Arc<ExecutionRow>>,
+    responses: Vec<Arc<ResponseRow>>,
+    next_id: u64,
+    seq: u64,
+}
+
+/// A compaction between its cut and its write.
+struct CompactJob {
+    view: SnapshotView,
+    dir: PathBuf,
+    fault: Option<FaultHook>,
+    /// The log the snapshot folds: everything since the last snapshot.
+    folded: Span,
+    /// The live log at the cut, when the cut found a sealed log and so
+    /// left the live one unsealed: the snapshot covers its head.
+    unsealed: Option<Span>,
+}
+
+impl CompactJob {
+    /// Serialise, write `snapshot.json` atomically, then delete the sealed
+    /// log it covers. Runs with no registry lock held. Returns the
+    /// snapshot's size, or the failed step and its error.
+    fn write(&self) -> Result<u64, (&'static str, std::io::Error)> {
+        let json = serde_json::to_vec(&self.view).map_err(|e| {
+            let e = std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+            ("serialise snapshot", e)
+        })?;
+        wal::write_atomic_hooked(&self.dir.join(SNAPSHOT_FILE), &json, self.fault.as_ref())
+            .map_err(|e| ("write snapshot", e))?;
+        match std::fs::remove_file(self.dir.join(SEALED_WAL_FILE)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(("delete sealed wal", e)),
+            _ => Ok(json.len() as u64),
+        }
+    }
+
+    /// Record the write's outcome, under the write lock: on success the
+    /// sealed log is gone and the new snapshot's size is the trigger's
+    /// next bar; on failure the sealed log stays for the next snapshot
+    /// to cover.
+    fn settle(
+        &self,
+        inner: &mut Inner,
+        written: Result<u64, (&'static str, std::io::Error)>,
+    ) -> Result<CompactStats, RegistryError> {
+        let p = inner.persist.as_mut().expect("only a persistent registry is cut");
+        let snapshot_bytes = written.map_err(|(context, e)| p.failed(context, e))?;
+        p.sealed = None;
+        if let Some(live) = self.unsealed {
+            p.covered = live;
+        }
+        p.snapshot_bytes = snapshot_bytes;
+        p.stats.compactions += 1;
+        p.stats.fsyncs += 1; // the snapshot's
+        Ok(CompactStats {
+            wal_records: self.folded.records,
+            wal_bytes: self.folded.bytes,
+            snapshot_bytes,
+        })
+    }
+}
+
+/// What the registry shares with its compaction thread.
+#[derive(Default)]
+struct Shared {
+    inner: RwLock<Inner>,
+    /// True from a compaction's cut until its write is settled.
+    compacting: Mutex<bool>,
+    /// Signalled when `compacting` falls.
+    idle: Condvar,
+}
+
 /// The registry. Cheap to share: interior `RwLock`, many concurrent
 /// readers (searches) against occasional writers (registrations).
 #[derive(Default)]
 pub struct Registry {
-    inner: RwLock<Inner>,
+    shared: Arc<Shared>,
+    /// The auto-compaction thread last spawned, joined on drop.
+    worker: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl Drop for Registry {
+    /// An auto-compaction in flight finishes before the registry goes:
+    /// a reopen in the same process sees its snapshot.
+    fn drop(&mut self) {
+        let worker = self.worker.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(handle) = worker.take() {
+            let _ = handle.join();
+        }
+    }
 }
 
 /// Salted FNV password hash. A stand-in for the paper's server-side auth —
@@ -474,15 +685,16 @@ pub fn hash_password(username: &str, password: &str) -> u64 {
     h
 }
 
+/// A shared row, copied out for a caller.
+fn owned<T: Clone>(row: &Arc<T>) -> T {
+    T::clone(row)
+}
+
 fn persist_err(context: &str, e: impl std::fmt::Display) -> RegistryError {
     RegistryError::Persistence(format!("{context}: {e}"))
 }
 
-impl Registry {
-    pub fn new() -> Self {
-        Registry::default()
-    }
-
+impl Shared {
     /// A poisoned lock is handed on, not re-raised: a request that
     /// panicked must not turn every later request into a panic.
     fn read(&self) -> RwLockReadGuard<'_, Inner> {
@@ -491,6 +703,126 @@ impl Registry {
 
     fn write(&self) -> RwLockWriteGuard<'_, Inner> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn compacting(&self) -> MutexGuard<'_, bool> {
+        self.compacting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait until no compaction runs; returns with the slot's lock held.
+    fn wait_idle(&self) -> MutexGuard<'_, bool> {
+        let mut compacting = self.compacting();
+        while *compacting {
+            compacting = self.idle.wait(compacting).unwrap_or_else(PoisonError::into_inner);
+        }
+        compacting
+    }
+
+    /// Take the one compaction slot if it is free. The thread the
+    /// compaction runs on holds it as a [`Slot`].
+    fn try_begin(&self) -> bool {
+        !std::mem::replace(&mut *self.compacting(), true)
+    }
+
+    /// Take the one compaction slot, waiting for a running compaction.
+    fn begin(&self) -> Slot<'_> {
+        *self.wait_idle() = true;
+        Slot(self)
+    }
+
+    fn end(&self) {
+        *self.compacting() = false;
+        self.idle.notify_all();
+    }
+
+    /// The cut, under the write lock: seal the live log — unless an older
+    /// sealed log survives, which the snapshot must cover first — and
+    /// share the rows. On a failed seal nothing has changed.
+    fn cut(inner: &mut Inner) -> Result<CompactJob, RegistryError> {
+        let p = inner.persist.as_mut().expect("only a persistent registry is cut");
+        let folded = p.pending();
+        let live = Span::of(&p.wal);
+        let unsealed = if p.sealed.is_some() {
+            Some(live)
+        } else {
+            if let Err(e) = p.wal.seal(&p.dir.join(SEALED_WAL_FILE)) {
+                return Err(p.failed("seal wal", e));
+            }
+            p.stats.fsyncs += 1; // the directory's, after the rename
+            p.sealed = Some(live.minus(p.covered));
+            p.covered = Span::default();
+            None
+        };
+        let (dir, fault) = (p.dir.clone(), p.fault.clone());
+        Ok(CompactJob {
+            view: inner.view(),
+            dir,
+            fault,
+            folded,
+            unsealed,
+        })
+    }
+
+    /// The auto-compaction thread: write the cut, settle it, and cut
+    /// again while the log has outgrown the new snapshot (a trigger that
+    /// came during the write skipped). Gives the slot back in the same
+    /// lock hold as its last check, so no trigger is lost between them.
+    fn compact_in_background(&self, mut job: CompactJob) {
+        let slot = Slot(self);
+        loop {
+            let written = job.write();
+            let mut inner = self.write();
+            let settled = job.settle(&mut inner, written);
+            let next = match settled {
+                Ok(_) if inner.persist.as_ref().is_some_and(Persist::due) => {
+                    Shared::cut(&mut inner).ok()
+                }
+                _ => None,
+            };
+            match next {
+                Some(next) => job = next,
+                None => {
+                    // Given back under the lock of the last check.
+                    drop(slot);
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The compaction slot, held from a cut until its write is settled.
+/// Dropping it gives the slot back, so a compaction that panics cannot
+/// keep it.
+struct Slot<'a>(&'a Shared);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.end();
+    }
+}
+
+impl Registry {
+    pub fn new() -> Self {
+        Registry::default()
+    }
+
+    fn with_inner(inner: Inner) -> Registry {
+        Registry {
+            shared: Arc::new(Shared {
+                inner: RwLock::new(inner),
+                ..Shared::default()
+            }),
+            worker: Mutex::default(),
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.shared.read()
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
+        self.shared.write()
     }
 
     /// Open a durable registry backed by `dir`, recovering prior state:
@@ -527,28 +859,76 @@ impl Registry {
         // its rename — the live snapshot + WAL are still authoritative.
         let _ = std::fs::remove_file(wal::tmp_path(&snap_path));
 
-        let mut inner = if snap_path.exists() {
+        let (mut inner, snapshot_bytes) = if snap_path.exists() {
             let json = std::fs::read_to_string(&snap_path)
                 .map_err(|e| persist_err("read snapshot", e))?;
             let snap: RegistrySnapshot =
                 serde_json::from_str(&json).map_err(|e| persist_err("parse snapshot", e))?;
-            Inner::from_snapshot(snap)
+            (Inner::from_snapshot(snap), json.len() as u64)
         } else {
-            Inner::default()
+            (Inner::default(), 0)
         };
 
+        // A sealed log is one whose compaction did not finish deleting it:
+        // it holds the records between the snapshot before that cut and
+        // `wal.log`. Replaying it onto a snapshot that already covers it
+        // is a no-op (apply is idempotent at recorded ids). It stays on
+        // disk until the next snapshot covers it.
+        let sealed_path = dir.join(SEALED_WAL_FILE);
         let wal_path = dir.join(WAL_FILE);
+        let mut stats = PersistCounters::default();
+        let sealed = if sealed_path.exists() {
+            let replayed =
+                wal::replay(&sealed_path).map_err(|e| persist_err("replay sealed wal", e))?;
+            for rec in &replayed.records {
+                inner.apply(rec);
+            }
+            if replayed.torn {
+                // History ends at the sealed log's last valid frame: every
+                // record in `wal.log` came after the lost ones, so applying
+                // them would build a state with a gap in it. Set `wal.log`
+                // aside, durably, before the sealed log's tail goes — a
+                // crash in between must not leave a clean sealed log beside
+                // the later records.
+                let set_aside = std::fs::metadata(&wal_path).is_ok_and(|m| m.len() > 0);
+                if set_aside {
+                    let aside = dir.join(DISCARDED_WAL_FILE);
+                    std::fs::rename(&wal_path, &aside)
+                        .map_err(|e| persist_err("set wal aside", e))?;
+                    wal::sync_parent(&aside);
+                }
+                wal::truncate_to(&sealed_path, replayed.valid_bytes)
+                    .map_err(|e| persist_err("truncate torn sealed wal", e))?;
+                let aside = if set_aside {
+                    format!("; {WAL_FILE} set aside as {DISCARDED_WAL_FILE}")
+                } else {
+                    String::new()
+                };
+                stats.io_failed(
+                    "replay sealed wal",
+                    &format_args!("torn frame at byte {}{aside}", replayed.valid_bytes),
+                );
+            }
+            Some(Span {
+                records: replayed.records.len() as u64,
+                bytes: replayed.valid_bytes,
+            })
+        } else {
+            None
+        };
+
         let replayed = wal::replay(&wal_path).map_err(|e| persist_err("replay wal", e))?;
         if replayed.torn {
             wal::truncate_to(&wal_path, replayed.valid_bytes)
                 .map_err(|e| persist_err("truncate torn wal tail", e))?;
         }
-        let recovered = replayed.records.len() as u64;
         for rec in &replayed.records {
             inner.apply(rec);
         }
+        let live = replayed.records.len() as u64;
+        let recovered = live + sealed.map_or(0, |s| s.records);
 
-        let mut wal = Wal::open(&wal_path, opts.sync, recovered, replayed.valid_bytes)
+        let mut wal = Wal::open(&wal_path, opts.sync, live, replayed.valid_bytes)
             .map_err(|e| persist_err("open wal", e))?;
         if let Some(hook) = fault.clone() {
             wal.set_fault_hook(hook);
@@ -560,13 +940,14 @@ impl Registry {
             stats: PersistCounters {
                 recovered_records: recovered,
                 recovery_ms: start.elapsed().as_millis() as u64,
-                ..PersistCounters::default()
+                ..stats
             },
             fault,
+            sealed,
+            covered: Span::default(),
+            snapshot_bytes,
         });
-        Ok(Registry {
-            inner: RwLock::new(inner),
-        })
+        Ok(Registry::with_inner(inner))
     }
 
     /// The one commit: log `frame` to the WAL (when persistent) — a lone
@@ -574,9 +955,11 @@ impl Registry {
     /// so one write and at most one fsync either way — then apply it in
     /// memory. On WAL failure nothing is applied and the whole frame is
     /// rejected: acknowledged implies durable, and a frame is all or
-    /// nothing. Runs auto-compaction when due; compaction failure never
-    /// fails the already-durable frame. An empty frame touches nothing.
-    fn commit(inner: &mut Inner, frame: &[WalRecord]) -> Result<(), RegistryError> {
+    /// nothing. Returns whether the frame was fsynced. Starts an
+    /// auto-compaction when one is due; compaction failure never fails
+    /// the already-durable frame. An empty frame touches nothing.
+    fn commit(&self, inner: &mut Inner, frame: &[WalRecord]) -> Result<bool, RegistryError> {
+        let mut fsynced = false;
         if let Some(p) = inner.persist.as_mut() {
             let appended = match frame {
                 [rec] => p.wal.append(rec),
@@ -593,65 +976,86 @@ impl Registry {
             p.stats.wal_bytes += bytes;
             if synced {
                 p.stats.fsyncs += 1;
+                fsynced = true;
             }
         }
         for rec in frame {
             inner.apply(rec);
         }
-        let due = inner
-            .persist
-            .as_ref()
-            .is_some_and(|p| p.opts.snapshot_every > 0 && p.wal.records() >= p.opts.snapshot_every);
-        if due {
-            let _ = Self::compact_locked(inner); // best-effort
-        }
-        Ok(())
+        self.compact_in_background_if_due(inner);
+        Ok(fsynced)
     }
 
-    /// Fold the WAL into a fresh snapshot: serialize state, write it via
-    /// temp-file + fsync + rename, then truncate the WAL. Returns `None`
-    /// for a non-persistent registry. A crash between the rename and the
-    /// truncate replays WAL records onto a snapshot that already contains
-    /// them — harmless, because every op is idempotent at its recorded id.
-    pub fn compact(&self) -> Result<Option<CompactStats>, RegistryError> {
-        Self::compact_locked(&mut self.write())
-    }
-
-    fn compact_locked(inner: &mut Inner) -> Result<Option<CompactStats>, RegistryError> {
-        if inner.persist.is_none() {
-            return Ok(None);
+    /// The auto-compaction trigger, checked after every commit: when the
+    /// log has outgrown the last snapshot and no compaction is running,
+    /// take the cut here and hand the write to a thread. A trigger that
+    /// finds a compaction running skips; that compaction checks again
+    /// when it settles.
+    fn compact_in_background_if_due(&self, inner: &mut Inner) {
+        if !inner.persist.as_ref().is_some_and(Persist::due) || !self.shared.try_begin() {
+            return;
         }
-        let json = serde_json::to_vec(&inner.to_snapshot())
-            .map_err(|e| persist_err("serialise snapshot", e))?;
-        let p = inner.persist.as_mut().expect("checked above");
-        let stats = CompactStats {
-            wal_records: p.wal.records(),
-            wal_bytes: p.wal.bytes(),
-            snapshot_bytes: json.len() as u64,
+        let Ok(job) = Shared::cut(inner) else {
+            self.shared.end();
+            return;
         };
-        if let Err(e) = wal::write_atomic_hooked(&p.dir.join(SNAPSHOT_FILE), &json, p.fault.as_ref())
-        {
-            p.stats.io_failed("write snapshot", &e);
-            return Err(persist_err("write snapshot", e));
+        let shared = Arc::clone(&self.shared);
+        let spawned = std::thread::Builder::new()
+            .name("registry-compact".into())
+            .spawn(move || shared.compact_in_background(job));
+        let p = inner.persist.as_mut().expect("only a persistent registry is due");
+        match spawned {
+            Ok(handle) => {
+                // The last worker gave the slot back, so it has returned or
+                // is returning: joining it waits on nothing.
+                let last = self.worker.lock().unwrap_or_else(PoisonError::into_inner).replace(handle);
+                if last.is_some_and(|last| last.join().is_err()) {
+                    p.stats.io_failed("compaction", &"the compaction thread panicked");
+                }
+            }
+            Err(e) => {
+                // The sealed log stays; the next snapshot covers it.
+                p.failed("spawn compaction", e);
+                self.shared.end();
+            }
         }
-        if let Err(e) = p.wal.reset() {
-            p.stats.io_failed("truncate wal", &e);
-            return Err(persist_err("truncate wal", e));
-        }
-        p.stats.compactions += 1;
-        p.stats.fsyncs += 2; // snapshot fsync + wal-truncate fsync
-        Ok(Some(stats))
     }
 
-    /// Persistence counters, or `None` for an in-memory registry.
+    /// Fold the log into a fresh snapshot now, on the caller's thread:
+    /// wait for a running compaction, cut under the write lock (sealing
+    /// the WAL), then serialise and write with no lock held. Returns
+    /// `None` for a non-persistent registry. A crash at any step leaves
+    /// a directory that reopens to the acknowledged state: every op is
+    /// idempotent at its recorded id, so replaying log records that a
+    /// snapshot already covers is harmless.
+    pub fn compact(&self) -> Result<Option<CompactStats>, RegistryError> {
+        let slot = self.shared.begin();
+        let job = {
+            let mut inner = self.write();
+            match inner.persist {
+                None => return Ok(None),
+                Some(_) => Shared::cut(&mut inner)?,
+            }
+        };
+        let written = job.write();
+        let mut inner = self.write();
+        let settled = job.settle(&mut inner, written);
+        drop(slot);
+        self.compact_in_background_if_due(&mut inner);
+        settled.map(Some)
+    }
+
+    /// Persistence counters, or `None` for an in-memory registry. Waits
+    /// for a running compaction, so the counters describe settled work.
     pub fn persist_stats(&self) -> Option<PersistSnapshot> {
+        drop(self.shared.wait_idle());
         let inner = self.read();
         inner.persist.as_ref().map(|p| PersistSnapshot {
             wal_appends: p.stats.wal_appends,
             wal_bytes: p.stats.wal_bytes,
             fsyncs: p.stats.fsyncs,
             compactions: p.stats.compactions,
-            wal_records: p.wal.records(),
+            wal_records: p.pending().records,
             recovered_records: p.stats.recovered_records,
             recovery_ms: p.stats.recovery_ms,
             io_errors: p.stats.io_errors,
@@ -673,8 +1077,9 @@ impl Registry {
     /// Recovery probe for health checks: re-verify that the storage
     /// under a durable registry is writable and the WAL tail is clean.
     ///
-    /// Three steps, cheapest first: (1) replay the WAL from disk as a
-    /// CRC audit — a torn or unreadable tail fails the probe; (2) write,
+    /// Three steps, cheapest first: (1) replay the sealed log (if one is
+    /// on disk) and the WAL from disk as a CRC audit — a torn or
+    /// unreadable frame in either fails the probe; (2) write,
     /// fsync, and remove a scratch `health.probe` file in the data
     /// directory, consulting the same fault hook the WAL uses (an armed
     /// persistent injector keeps the probe failing until it is cleared);
@@ -690,6 +1095,13 @@ impl Registry {
                 Some(p) => (p.dir.clone(), p.dir.join(WAL_FILE), p.fault.clone()),
             }
         };
+        // The sealed log never changes once sealed (it may be deleted
+        // under us, which replays as empty); a tear in it is corruption.
+        let sealed = wal::replay(&dir.join(SEALED_WAL_FILE))
+            .map_err(|e| persist_err("probe: replay sealed wal", e))?;
+        if sealed.torn {
+            return Err(persist_err("probe: sealed wal", "torn frame"));
+        }
         let replayed = wal::replay(&wal_path).map_err(|e| persist_err("probe: replay wal", e))?;
         if replayed.torn {
             return Err(persist_err(
@@ -749,7 +1161,7 @@ impl Registry {
             password_hash: hash_password(username, password),
             created_seq: seq,
         };
-        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::AddUser(row) }])?;
+        self.commit(&mut inner, &[WalRecord { seq, op: WalOp::AddUser(row) }])?;
         Ok(id)
     }
 
@@ -796,7 +1208,7 @@ impl Registry {
                 name: pe.name,
             });
         }
-        Self::commit(&mut inner, &stage.frame)?;
+        self.commit(&mut inner, &stage.frame)?;
         Ok(pe.id)
     }
 
@@ -812,10 +1224,7 @@ impl Registry {
     /// how a list of units is chunked into calls never changes the
     /// outcome. The outer `Err` is reserved for WAL failure, in which case
     /// nothing was applied.
-    pub fn add_units(
-        &self,
-        units: Vec<RegistrationUnit>,
-    ) -> Result<Vec<UnitOutcome>, RegistryError> {
+    pub fn add_units(&self, units: Vec<RegistrationUnit>) -> Result<UnitsCommitted, RegistryError> {
         let mut inner = self.write();
         let mut stage = Stage::new(&inner);
         let outcomes = units
@@ -842,15 +1251,15 @@ impl Registry {
                 out
             })
             .collect();
-        Self::commit(&mut inner, &stage.frame)?;
-        Ok(outcomes)
+        let fsynced = self.commit(&mut inner, &stage.frame)?;
+        Ok(UnitsCommitted { outcomes, fsynced })
     }
 
     pub fn get_pe(&self, id: u64) -> Result<PeRow, RegistryError> {
         self.read()
             .pes
             .get(&id)
-            .cloned()
+            .map(owned)
             .ok_or_else(|| RegistryError::NotFound("ProcessingElement", id.to_string()))
     }
 
@@ -860,7 +1269,7 @@ impl Registry {
         let ids = inner.pe_name_index.get(&name.to_lowercase());
         ids.and_then(|ids| ids.first())
             .and_then(|id| inner.pes.get(id))
-            .cloned()
+            .map(owned)
             .ok_or_else(|| RegistryError::NotFound("ProcessingElement", name.to_string()))
     }
 
@@ -871,12 +1280,12 @@ impl Registry {
         inner
             .pe_owned_by(user_id, &name.to_lowercase())
             .and_then(|id| inner.pes.get(&id))
-            .cloned()
+            .map(owned)
             .ok_or_else(|| RegistryError::NotFound("ProcessingElement", name.to_string()))
     }
 
     pub fn all_pes(&self) -> Vec<PeRow> {
-        self.read().pes.values().cloned().collect()
+        self.read().pes.values().map(owned).collect()
     }
 
     pub fn update_pe_description(
@@ -890,7 +1299,7 @@ impl Registry {
             return Err(RegistryError::NotFound("ProcessingElement", id.to_string()));
         }
         let seq = inner.seq + 1;
-        Self::commit(
+        self.commit(
             &mut inner,
             &[WalRecord {
                 seq,
@@ -900,7 +1309,8 @@ impl Registry {
                     description_embedding: description_embedding.to_string(),
                 },
             }],
-        )
+        )?;
+        Ok(())
     }
 
     /// Remove a PE. FK rule: fails while any workflow still references it.
@@ -917,7 +1327,8 @@ impl Registry {
             });
         }
         let seq = inner.seq + 1;
-        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemovePe { id } }])
+        self.commit(&mut inner, &[WalRecord { seq, op: WalOp::RemovePe { id } }])?;
+        Ok(())
     }
 
     // ---- workflows ---------------------------------------------------------
@@ -936,7 +1347,7 @@ impl Registry {
         }
         let mut stage = Stage::new(&inner);
         let id = stage.workflow(&inner, new)?;
-        Self::commit(&mut inner, &stage.frame)?;
+        self.commit(&mut inner, &stage.frame)?;
         Ok(id)
     }
 
@@ -944,7 +1355,7 @@ impl Registry {
         self.read()
             .workflows
             .get(&id)
-            .cloned()
+            .map(owned)
             .ok_or_else(|| RegistryError::NotFound("Workflow", id.to_string()))
     }
 
@@ -953,12 +1364,12 @@ impl Registry {
         let ids = inner.wf_name_index.get(&name.to_lowercase());
         ids.and_then(|ids| ids.first())
             .and_then(|id| inner.workflows.get(id))
-            .cloned()
+            .map(owned)
             .ok_or_else(|| RegistryError::NotFound("Workflow", name.to_string()))
     }
 
     pub fn all_workflows(&self) -> Vec<WorkflowRow> {
-        self.read().workflows.values().cloned().collect()
+        self.read().workflows.values().map(owned).collect()
     }
 
     /// Hand `f` the `(id, member PE ids)` of every workflow, in place
@@ -986,7 +1397,7 @@ impl Registry {
             .pe_ids
             .iter()
             .filter_map(|id| inner.pes.get(id))
-            .cloned()
+            .map(owned)
             .collect())
     }
 
@@ -1001,7 +1412,7 @@ impl Registry {
             return Err(RegistryError::NotFound("Workflow", id.to_string()));
         }
         let seq = inner.seq + 1;
-        Self::commit(
+        self.commit(
             &mut inner,
             &[WalRecord {
                 seq,
@@ -1011,7 +1422,8 @@ impl Registry {
                     description_embedding: description_embedding.to_string(),
                 },
             }],
-        )
+        )?;
+        Ok(())
     }
 
     pub fn remove_workflow(&self, id: u64) -> Result<(), RegistryError> {
@@ -1020,7 +1432,8 @@ impl Registry {
             return Err(RegistryError::NotFound("Workflow", id.to_string()));
         }
         let seq = inner.seq + 1;
-        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveWorkflow { id } }])
+        self.commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveWorkflow { id } }])?;
+        Ok(())
     }
 
     /// `remove_All` (Table I): clears PEs and workflows, keeps users and
@@ -1029,7 +1442,8 @@ impl Registry {
     pub fn remove_all(&self) -> Result<(), RegistryError> {
         let mut inner = self.write();
         let seq = inner.seq + 1;
-        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveAll }])
+        self.commit(&mut inner, &[WalRecord { seq, op: WalOp::RemoveAll }])?;
+        Ok(())
     }
 
     // ---- literal search (paper §V-A, Fig. 7) --------------------------------
@@ -1061,7 +1475,7 @@ impl Registry {
                 .values()
                 .filter(|p| matches(&p.name, &p.description))
                 .take(limit)
-                .cloned()
+                .map(owned)
                 .collect()
         } else {
             Vec::new()
@@ -1072,7 +1486,7 @@ impl Registry {
                 .values()
                 .filter(|w| matches(&w.name, &w.description))
                 .take(limit)
-                .cloned()
+                .map(owned)
                 .collect()
         } else {
             Vec::new()
@@ -1110,7 +1524,7 @@ impl Registry {
             status: ExecutionStatus::Running,
             submitted_seq: seq,
         };
-        Self::commit(&mut inner, &[WalRecord { seq, op: WalOp::AddExecution(row) }])?;
+        self.commit(&mut inner, &[WalRecord { seq, op: WalOp::AddExecution(row) }])?;
         Ok(id)
     }
 
@@ -1138,7 +1552,7 @@ impl Registry {
             output: output.to_string(),
             status,
         };
-        Self::commit(
+        self.commit(
             &mut inner,
             &[
                 WalRecord { seq, op: WalOp::AddResponse(row) },
@@ -1156,7 +1570,7 @@ impl Registry {
             .executions
             .iter()
             .filter(|e| e.workflow_id == workflow_id)
-            .cloned()
+            .map(owned)
             .collect()
     }
 
@@ -1168,7 +1582,7 @@ impl Registry {
             .executions
             .iter()
             .filter(|e| e.workflow_id == workflow_id)
-            .map(|e| (e.clone(), None))
+            .map(|e| (owned(e), None))
             .collect();
         for r in &inner.responses {
             if let Ok(at) = history.binary_search_by_key(&r.execution_id, |(e, _)| e.id) {
@@ -1186,7 +1600,7 @@ impl Registry {
             .responses
             .iter()
             .filter(|r| r.execution_id == execution_id)
-            .cloned()
+            .map(owned)
             .collect()
     }
 
@@ -1197,16 +1611,14 @@ impl Registry {
     }
 
     pub fn from_snapshot(snap: RegistrySnapshot) -> Registry {
-        Registry {
-            inner: RwLock::new(Inner::from_snapshot(snap)),
-        }
+        Registry::with_inner(Inner::from_snapshot(snap))
     }
 
     /// Write a snapshot atomically: temp file + fsync + rename, so a
     /// crash mid-write can never corrupt an existing snapshot.
     pub fn save_to(&self, path: &Path) -> Result<(), RegistryError> {
-        let json = serde_json::to_vec(&self.snapshot())
-            .map_err(|e| persist_err("serialise snapshot", e))?;
+        let view = self.read().view();
+        let json = serde_json::to_vec(&view).map_err(|e| persist_err("serialise snapshot", e))?;
         wal::write_atomic(path, &json).map_err(|e| persist_err("write snapshot", e))
     }
 
@@ -1649,6 +2061,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A registry with a row of every kind, two of them updated.
+    fn with_every_row_kind() -> (Registry, Vec<u64>) {
+        let (r, u) = with_user();
+        let a = r.add_pe(pe(u, "A")).unwrap();
+        let b = r.add_pe(pe(u, "Quote\"B\\")).unwrap();
+        let wf = r
+            .add_workflow(NewWorkflow {
+                user_id: u,
+                name: "wf".into(),
+                description: "über".into(),
+                code: "line\nbreak".into(),
+                description_embedding: "[1.0, -0.0]".into(),
+                spt_embedding: "[[1, 2.0]]".into(),
+                pe_ids: vec![b, a],
+            })
+            .unwrap();
+        let ex = r.add_execution(wf, u, "simple", "5").unwrap();
+        r.finish_execution(ex, "out\n", ExecutionStatus::Completed).unwrap();
+        let running = r.add_execution(wf, u, "multi", "[1]").unwrap();
+        r.update_pe_description(a, "changed", "[0.5]").unwrap();
+        (r, vec![a, b, wf, ex, running])
+    }
+
+    #[test]
+    fn the_cut_serialises_to_the_bytes_of_the_snapshot() {
+        let (r, _) = with_every_row_kind();
+        let view = r.read().view();
+        assert_eq!(
+            serde_json::to_vec(&view).unwrap(),
+            serde_json::to_vec(&r.snapshot()).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_vec(&Registry::new().read().view()).unwrap(),
+            serde_json::to_vec(&RegistrySnapshot::default()).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_cut_shares_rows_and_a_later_update_copies_only_its_own() {
+        let (r, ids) = with_every_row_kind();
+        let (a, running) = (ids[0], ids[4]);
+        let cut = r.read().view();
+        let shared = |cut: &SnapshotView, r: &Registry| {
+            let inner = r.read();
+            let pes: Vec<bool> = cut
+                .pes
+                .iter()
+                .zip(inner.pes.values())
+                .map(|(c, l)| Arc::ptr_eq(c, l))
+                .collect();
+            let executions: Vec<bool> = cut
+                .executions
+                .iter()
+                .zip(&inner.executions)
+                .map(|(c, l)| Arc::ptr_eq(c, l))
+                .collect();
+            let rest = cut.workflows.iter().zip(inner.workflows.values()).all(|(c, l)| Arc::ptr_eq(c, l))
+                && cut.responses.iter().zip(&inner.responses).all(|(c, l)| Arc::ptr_eq(c, l));
+            (pes, executions, rest)
+        };
+        assert_eq!(shared(&cut, &r), (vec![true, true], vec![true, true], true));
+
+        r.update_pe_description(a, "after the cut", "[0.9]").unwrap();
+        r.finish_execution(running, "late", ExecutionStatus::Failed).unwrap();
+        assert_eq!(
+            shared(&cut, &r),
+            (vec![false, true], vec![true, false], true),
+            "only the updated PE and the finished execution were copied"
+        );
+        assert_eq!(cut.pes[0].description, "changed", "the cut keeps what it saw");
+        assert_eq!(cut.executions[1].status, ExecutionStatus::Running);
+        assert_eq!(r.get_pe(a).unwrap().description, "after the cut");
+    }
+
     #[test]
     fn remove_all_clears_registry_but_keeps_users() {
         let (r, u) = with_user();
@@ -1891,7 +2377,8 @@ mod tests {
                     workflow: None,
                 },
             ])
-            .unwrap();
+            .unwrap()
+            .outcomes;
         assert_eq!(outcomes.len(), 2);
         assert!(outcomes[0].error.is_none());
         assert_eq!(outcomes[0].pes.len(), 2);
@@ -1916,7 +2403,8 @@ mod tests {
         let a = r.add_pe(pe(u, "A")).unwrap();
         let outcomes = r
             .add_units(vec![unit(u, "wf1", &["A", "B"]), unit(u, "wf2", &["B", "C"])])
-            .unwrap();
+            .unwrap()
+            .outcomes;
         assert!(outcomes.iter().all(|o| o.error.is_none()));
         // "A" reused the committed id; the second unit's "B" reused the
         // first unit's pending "B".
@@ -1944,7 +2432,7 @@ mod tests {
         assert!(r.get_pe_by_name_for_user(bob, "Nope").is_err());
 
         // Committed rows: bob re-registers inside a workflow unit.
-        let out = r.add_units(vec![unit(bob, "bob_wf", &["IsPrime", "Fresh"])]).unwrap();
+        let out = r.add_units(vec![unit(bob, "bob_wf", &["IsPrime", "Fresh"])]).unwrap().outcomes;
         assert_eq!(
             out[0].pes[0],
             PeOutcome { name: "IsPrime".into(), id: his, created: false }
@@ -1962,7 +2450,8 @@ mod tests {
                 unit(bob, "b2", &["shared"]),
                 unit(alice, "a2", &["SHARED"]),
             ])
-            .unwrap();
+            .unwrap()
+            .outcomes;
         assert!(out.iter().all(|o| o.error.is_none()));
         assert!(out[0].pes[0].created && out[1].pes[0].created);
         assert_eq!(out[2].pes[0].id, out[1].pes[0].id, "bob reuses bob's");
@@ -1993,7 +2482,8 @@ mod tests {
                 },
                 unit(u, "ok2", &["C"]),
             ])
-            .unwrap();
+            .unwrap()
+            .outcomes;
         assert!(outcomes[0].error.is_none());
         assert!(matches!(
             outcomes[1].error,
@@ -2071,7 +2561,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        let outcomes = batch_reg.add_units(items).unwrap();
+        let outcomes = batch_reg.add_units(items).unwrap().outcomes;
         assert!(outcomes.iter().all(|o| o.error.is_none()));
         assert_eq!(batch_reg.snapshot(), seq_reg.snapshot());
         assert_eq!(

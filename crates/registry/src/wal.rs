@@ -224,14 +224,17 @@ pub fn write_atomic_hooked(
             return Err(i.into_error());
         }
     }
-    if let Some(parent) = path.parent() {
-        // Directory fsync is best-effort: not every platform/filesystem
-        // supports opening a directory for sync.
-        if let Ok(d) = File::open(parent) {
-            let _ = d.sync_all();
-        }
-    }
+    sync_parent(path);
     Ok(())
+}
+
+/// fsync the directory holding `path`, so a rename or create in it is
+/// durable. Best-effort: not every platform/filesystem supports opening a
+/// directory for sync.
+pub(crate) fn sync_parent(path: &Path) {
+    if let Some(d) = path.parent().and_then(|p| File::open(p).ok()) {
+        let _ = d.sync_all();
+    }
 }
 
 // ---- the log -------------------------------------------------------------
@@ -399,18 +402,36 @@ impl Wal {
         self.bytes
     }
 
-    /// Truncate the log to empty (after a successful snapshot has made
-    /// its contents redundant). Durable before returning.
-    pub fn reset(&mut self) -> std::io::Result<()> {
+    /// Seal the log: rename it to `sealed`, start a fresh empty file at
+    /// the log's path, and fsync the directory, so every append after this
+    /// lands in the new file and the sealed one never changes again. A
+    /// compaction seals under the registry write lock and deletes the
+    /// sealed log once a snapshot that covers it is durable. On error the
+    /// log stays open at its own path: a fresh file that cannot be created
+    /// renames the log back.
+    pub fn seal(&mut self, sealed: &Path) -> std::io::Result<()> {
         if let Some(i) = self.induce(IoSite::WalTruncate, 0) {
             return Err(i.into_error());
         }
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_all()?;
+        self.heal()?;
+        std::fs::rename(&self.path, sealed)?;
+        let fresh = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(&self.path);
+        let file = match fresh {
+            Ok(f) => f,
+            Err(e) => {
+                let _ = std::fs::rename(sealed, &self.path);
+                return Err(e);
+            }
+        };
+        sync_parent(&self.path);
+        self.file = file;
         self.records = 0;
         self.bytes = 0;
-        self.poisoned = false;
         Ok(())
     }
 
@@ -601,20 +622,21 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log() {
-        let dir = tmp_dir("reset");
+    fn seal_sets_the_log_aside_and_continues_on_an_empty_one() {
+        let dir = tmp_dir("seal");
         let path = dir.join("wal.log");
+        let sealed = dir.join("wal.log.sealed");
         let mut wal = Wal::open(&path, SyncPolicy::EveryAppend, 0, 0).unwrap();
         let (_, synced) = wal.append(&rec(1)).unwrap();
         assert!(synced, "EveryAppend fsyncs");
-        wal.reset().unwrap();
+        wal.seal(&sealed).unwrap();
         assert_eq!(wal.records(), 0);
         assert_eq!(wal.bytes(), 0);
         wal.append(&rec(2)).unwrap();
         drop(wal);
-        let rep = replay(&path).unwrap();
-        assert_eq!(rep.records.len(), 1);
-        assert_eq!(rep.records[0].seq, 2);
+        let seqs = |p: &Path| replay(p).unwrap().records.iter().map(|r| r.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(&sealed), vec![1], "the sealed log keeps what it held");
+        assert_eq!(seqs(&path), vec![2], "later appends land in the fresh log");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -865,20 +887,24 @@ mod tests {
     }
 
     #[test]
-    fn reset_fault_leaves_log_intact() {
+    fn seal_fault_leaves_log_intact() {
         use crate::iofault::{FaultKind, FaultSpec, IoFaultInjector};
-        let dir = tmp_dir("reset-fault");
+        let dir = tmp_dir("seal-fault");
         let path = dir.join("wal.log");
+        let sealed = dir.join("wal.log.sealed");
         let mut wal = Wal::open(&path, SyncPolicy::OsBuffered, 0, 0).unwrap();
         wal.append(&rec(1)).unwrap();
         wal.set_fault_hook(IoFaultInjector::new(
             2,
             FaultSpec::nth_at(IoSite::WalTruncate, 1, FaultKind::Enospc),
         ));
-        assert!(wal.reset().is_err());
-        assert_eq!(wal.records(), 1, "failed reset keeps the log");
-        wal.reset().unwrap();
+        assert!(wal.seal(&sealed).is_err());
+        assert_eq!(wal.records(), 1, "a failed seal keeps the log");
+        assert!(!sealed.exists());
+        wal.append(&rec(2)).unwrap();
+        wal.seal(&sealed).unwrap();
         assert_eq!(wal.records(), 0);
+        assert_eq!(replay(&sealed).unwrap().records.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

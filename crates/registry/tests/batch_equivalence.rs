@@ -226,7 +226,7 @@ fn batch_registration_equals_sequential_registration() {
         let seq_units: Vec<RegistrationUnit> =
             specs.iter().map(|s| unit_from_spec(su, s)).collect();
 
-        let batch_out = batch_reg.add_units(batch_units).unwrap();
+        let batch_out = batch_reg.add_units(batch_units).unwrap().outcomes;
         let seq_out: Vec<UnitOutcome> = seq_units
             .into_iter()
             .map(|u| drive_sequential(&seq_reg, u))

@@ -21,7 +21,7 @@ use laminar_registry::wal::{Wal, WalOp, WalRecord};
 use laminar_registry::{
     wal, ExecutionRow, ExecutionStatus, FaultHook, FaultKind, FaultSpec, IoFaultInjector, IoSite,
     NewPe, NewWorkflow, PersistOptions, Registry, RegistrySnapshot, ResponseRow, SyncPolicy,
-    SNAPSHOT_FILE, WAL_FILE,
+    SEALED_WAL_FILE, SNAPSHOT_FILE, WAL_FILE,
 };
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -346,9 +346,10 @@ fn bit_flipped_snapshots_open_or_fail_typed() {
     });
 }
 
-/// Deterministic companion: a crash *between* snapshot rename and WAL
-/// truncate leaves records in the log that the snapshot already contains;
-/// replaying them must be a no-op (idempotence at recorded ids).
+/// Deterministic companion: records in `wal.log` that the snapshot
+/// already contains — the head a cut left unsealed because an older
+/// sealed log survived, or a log older than its snapshot — must replay as
+/// a no-op (idempotence at recorded ids).
 #[test]
 fn snapshot_plus_overlapping_wal_recovers_once() {
     let dir = fresh_dir("overlap");
@@ -359,7 +360,7 @@ fn snapshot_plus_overlapping_wal_recovers_once() {
         .unwrap();
     let before = reg.snapshot();
     let wal_bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
-    // Compact writes the snapshot and truncates the WAL…
+    // Compact seals the WAL and writes the snapshot…
     reg.compact().unwrap().unwrap();
     drop(reg);
     // …but "the crash" resurrects the pre-compaction WAL on top of it.
@@ -376,13 +377,15 @@ fn snapshot_plus_overlapping_wal_recovers_once() {
 }
 
 /// Crash-during-compaction, at every IO site the compaction touches: the
-/// snapshot tmp write, its fsync, the atomic rename over `snapshot.json`,
-/// and the WAL truncation that follows. Whichever step dies, the failed
-/// `compact()` must surface an error and a reopen must recover exactly
-/// the acknowledged pre-compaction state — the WAL-truncate case lands in
-/// the overlap window (new snapshot + untruncated WAL), where replay must
-/// be idempotent; the earlier sites must leave the old snapshot + WAL
-/// authoritative (a dead `snapshot.json.tmp` is ignored).
+/// seal of the live WAL at the cut (the `WalTruncate` site), then the
+/// snapshot tmp write, its fsync and the atomic rename over
+/// `snapshot.json`. Whichever step dies, the failed `compact()` must
+/// surface an error, the registry must keep taking writes — records
+/// committed after the cut land in the fresh `wal.log` — and a reopen must
+/// recover exactly the acknowledged state: a failed seal leaves the old
+/// snapshot and the whole log; a failed write leaves the old snapshot,
+/// the sealed log and the new `wal.log` (a dead `snapshot.json.tmp` is
+/// ignored).
 #[test]
 fn compaction_crash_at_every_site_recovers_the_acknowledged_state() {
     for (i, site) in [
@@ -407,14 +410,23 @@ fn compaction_crash_at_every_site_recovers_the_acknowledged_state() {
             reg.add_workflow(new_wf(user, "isprime_wf".into(), vec![a, b]))
                 .unwrap();
             let wf = reg.all_workflows()[0].id;
-            reg.add_execution(wf, user, "simple", "5").unwrap();
-            let acknowledged = reg.snapshot();
+            let exec = reg.add_execution(wf, user, "simple", "5").unwrap();
             // The compaction dies at `site`; the error must be loud.
             assert!(
                 reg.compact().is_err(),
                 "{site:?}: a compaction that lost an IO op must error"
             );
-            acknowledged
+            // Writes after the cut, including updates of rows it shared.
+            reg.add_pe(new_pe(user, "AfterCut".into())).unwrap();
+            reg.update_pe_description(a, "updated after the cut", "0.8").unwrap();
+            reg.finish_execution(exec, "the num 5 is prime", ExecutionStatus::Completed)
+                .unwrap();
+            assert_eq!(
+                dir.join(SEALED_WAL_FILE).exists(),
+                site != IoSite::WalTruncate,
+                "{site:?}: a failed write keeps its sealed log; a failed seal makes none"
+            );
+            reg.snapshot()
             // `reg` dropped here: the crash.
         };
 

@@ -233,8 +233,8 @@ pub enum Request {
         description: Option<String>,
         pes: Vec<PeSubmission>,
     },
-    /// N PE/workflow registrations in one round-trip, analysed in
-    /// parallel and committed through one WAL frame + one index snapshot
+    /// N PE/workflow registrations in one round-trip, analysed one after
+    /// another and committed through one WAL frame + one index snapshot
     /// swap — the write path every registration takes. Answered with
     /// `Response::BatchRegistered` carrying per-item outcomes.
     RegisterBatch {

@@ -1999,6 +1999,50 @@ mod tests {
         );
     }
 
+    /// `fsyncs_saved` counts the fsyncs a batch's frame really spared:
+    /// one frame of three PE rows saves two under `EveryAppend`, and
+    /// nothing under `OsBuffered`, where no append is fsynced at all.
+    #[test]
+    fn register_batch_counts_only_fsyncs_that_happen() {
+        use laminar_registry::{PersistOptions, SyncPolicy};
+        for (sync, saved) in [(SyncPolicy::OsBuffered, 0), (SyncPolicy::EveryAppend, 2)] {
+            let dir = std::env::temp_dir().join(format!(
+                "laminar-server-fsyncs-saved-{sync:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let opts = PersistOptions {
+                sync,
+                ..PersistOptions::default()
+            };
+            let server = LaminarServer::new(
+                Registry::open(&dir, opts).unwrap(),
+                ExecutionEngine::with_stock(),
+                ServerConfig::default(),
+            );
+            let token = session(&server);
+            let items = ["First", "Second", "Third"]
+                .map(|name| {
+                    BatchItemWire::Pe(PeSubmission {
+                        name: name.into(),
+                        code: format!(
+                            "class {name}(IterativePE):\n    def _process(self, d):\n        return d\n"
+                        ),
+                        description: None,
+                    })
+                })
+                .to_vec();
+            let resp = server
+                .handle(Request::RegisterBatch { token, items })
+                .value();
+            assert!(matches!(resp, Response::BatchRegistered { .. }), "{resp:?}");
+            let ingest = server.metrics().snapshot().groups.ingest;
+            assert_eq!((ingest.rows, ingest.fsyncs_saved), (3, saved), "{sync:?}");
+            drop(server);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn register_batch_reports_partial_failure() {
         let (server, token) = server_with_session();

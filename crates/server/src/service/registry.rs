@@ -8,7 +8,7 @@ use crate::protocol::{
 };
 use crate::server::{LaminarServer, ServerError};
 use embed::{DenseVec, ReaccSim};
-use laminar_registry::{NewPe, NewWorkflow, PeRow, RegistrationUnit, WorkflowRow};
+use laminar_registry::{NewPe, NewWorkflow, PeRow, RegistrationUnit, UnitsCommitted, WorkflowRow};
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
 
@@ -180,7 +180,7 @@ impl LaminarServer {
                 }),
             })
             .collect();
-        let outcomes = self.registry.add_units(units)?;
+        let UnitsCommitted { outcomes, fsynced } = self.registry.add_units(units)?;
         let commit_elapsed = commit_start.elapsed();
 
         // Stage 3: publish every *created* row (a reused PE is already
@@ -223,9 +223,9 @@ impl LaminarServer {
         ingest.items_failed.add(failed);
         ingest.rows.add(created_rows);
         ingest.batch_size.record_value(item_count as u64);
-        if self.registry.persist_stats().is_some() {
-            // Each created row shared the one frame instead of paying its
-            // own WAL append/fsync.
+        if fsynced {
+            // Each created row shared the frame's one fsync instead of
+            // paying its own.
             ingest.fsyncs_saved.add(created_rows.saturating_sub(1));
         }
         ingest.analyze_us.record(analyse_elapsed);

@@ -154,6 +154,19 @@ cargo test -q
 echo "==> registry recovery suite (seeded: WAL torn tails, arbitrary tails, bit-flipped snapshots)"
 cargo test -q -p laminar-registry --test recovery
 
+# Compaction off the write path: the amortised trigger (3,000 writes with
+# snapshot_every 4 take at most 16 compactions and snapshot at most 3x
+# the final snapshot's bytes), every combination of old/new snapshot,
+# sealed log present/absent and writes after the cut reopening to the
+# acknowledged state (a sealed log torn mid-frame to the history before
+# the tear, wal.log set aside), the storage probe auditing the sealed
+# log, a failed write folded by the next snapshot, the
+# written snapshot byte-identical to to_vec(snapshot()), a cut sharing
+# rows with the live tables, and the WAL seal.
+echo "==> compaction suite (amortised trigger, sealed-log recovery matrix, cut sharing, snapshot bytes)"
+cargo test -q -p laminar-registry --test compaction -- amortised every_snapshot audits_the_sealed_log a_failed_write writes_the_bytes without_a_sealed_log
+cargo test -q -p laminar-registry --lib -- the_cut a_cut_shares seal_
+
 # Chunking invariance (one frame of all units ≡ a frame per row), and
 # all-or-nothing recovery of a frame when the WAL is cut at every byte
 # across it.
@@ -186,6 +199,13 @@ cargo test -q -p laminar-server --lib -- registration_scenarios register_batch
 # (same seed => bit-identical fault schedule and recovered registry).
 echo "==> storage chaos suite (disk-fault injection at every IO site)"
 cargo test -q -p laminar-registry --test iofault_recovery
+
+# A fault hook stalls an auto-compaction inside its snapshot write: other
+# threads' add_pe / get_pe / finish_execution must finish, a second
+# trigger must start no second compaction, compact() must wait, and a
+# reopen must equal the acknowledged state.
+echo "==> off-lock compaction (a stalled snapshot write blocks no reader or writer)"
+cargo test -q -p laminar-registry --test compaction -- off_the_registry_lock
 
 # Degraded-mode end-to-end over TCP: ENOSPC -> typed Degraded rejections
 # while reads/metrics/health keep serving -> probe recovery -> writes land.
