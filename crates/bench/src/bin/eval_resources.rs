@@ -74,8 +74,7 @@ fn main() {
                 mode: RunMode::Sequential,
                 resources: resources(),
             });
-            let (_, _, _, ok) = reply.drain();
-            assert!(ok);
+            assert!(reply.drain().unwrap().ok);
         }
         let v1_bytes = server_v1.resources().stats().bytes_received;
 
@@ -118,13 +117,9 @@ fn main() {
                             })
                             .value();
                     }
-                    let (_, _, _, ok) = run(&server_v2).drain();
-                    assert!(ok);
+                    assert!(run(&server_v2).drain().unwrap().ok);
                 }
-                reply => {
-                    let (_, _, _, ok) = reply.drain();
-                    assert!(ok);
-                }
+                reply => assert!(reply.drain().unwrap().ok),
             }
         }
         let v2_bytes = server_v2.resources().stats().bytes_received;

@@ -3,6 +3,9 @@
 //! HTTP/2-style streaming path (Laminar 2.0), as a function of stream
 //! length.
 //!
+//! Batch is the engine's batch mode and streaming its streaming mode; the
+//! `Run` request's `streaming` flag is the only switch.
+//!
 //! Expected shape: streaming TTFO stays ≈ one item's processing cost
 //! regardless of stream length; batch TTFO grows with the whole run.
 //!
@@ -10,57 +13,10 @@
 //! cargo run -p laminar-bench --release --bin eval_streaming
 //! ```
 
-use laminar_core::{Laminar, LaminarConfig};
-use laminar_server::protocol::{FaultPolicyWire, Ident, RunInputWire, RunMode, WireFrame};
-use laminar_server::{DeliveryMode, Request, Transport};
-use std::time::{Duration, Instant};
-
-const ITEM_COST: Duration = Duration::from_millis(3);
+use laminar_bench::SlowRuns;
 
 fn main() {
-    let laminar = Laminar::deploy(LaminarConfig {
-        prewarmed: 2,
-        ..LaminarConfig::default()
-    });
-    // Slow emitting workflow: each item costs ITEM_COST.
-    laminar.server().engine().library().register("slow_wf", || {
-        use d4py::prelude::*;
-        let mut g = WorkflowGraph::new("slow_wf");
-        let src = g.add(ProducerPE::new("Src", |i| Some(Data::from(i as i64))));
-        let slow = g.add(IterativePE::new("Slow", |d: Data| {
-            std::thread::sleep(ITEM_COST);
-            Some(d)
-        }));
-        let sink = g.add(ConsumerPE::new("Out", |d: Data, ctx: &mut Context<'_>| {
-            ctx.log(format!("item {d}"));
-        }));
-        g.connect(src, OUTPUT, slow, INPUT).unwrap();
-        g.connect(slow, OUTPUT, sink, INPUT).unwrap();
-        g
-    });
-    let mut boot = laminar.client();
-    boot.register("bench", "pw").unwrap();
-    let server = laminar.server();
-    let token = match server
-        .handle(Request::Login {
-            username: "bench".into(),
-            password: "pw".into(),
-        })
-        .value()
-    {
-        laminar_server::Response::Token(t) => t,
-        other => panic!("{other:?}"),
-    };
-    server
-        .handle(Request::RegisterWorkflow {
-            token,
-            name: "slow_wf".into(),
-            code: String::new(),
-            description: Some("slow emitting workflow".into()),
-            pes: vec![],
-        })
-        .value();
-
+    let runs = SlowRuns::deploy();
     println!("# §IV-E — batch (HTTP/1.1, Laminar 1.0) vs streaming (HTTP/2, Laminar 2.0)\n");
     println!(
         "{:>6}  {:>14}  {:>14}  {:>13}  {:>13}  {:>8}",
@@ -68,40 +24,8 @@ fn main() {
     );
 
     for items in [5u64, 10, 20, 40] {
-        let measure = |mode: DeliveryMode, streaming: bool| -> (Duration, Duration) {
-            let tp = Transport::new(server.clone(), mode);
-            let reply = tp.send(Request::Run {
-                token,
-                ident: Ident::Name("slow_wf".into()),
-                input: RunInputWire::Iterations(items),
-                mode: RunMode::Sequential,
-                streaming,
-                verbose: false,
-                resources: vec![],
-                fault: FaultPolicyWire::default(),
-                task_timeout_ms: None,
-            });
-            let t0 = Instant::now();
-            let mut ttfo = None;
-            let mut total = Duration::ZERO;
-            if let laminar_server::Reply::Stream(rx) = reply {
-                for f in rx.iter() {
-                    match f {
-                        WireFrame::Line(_) => {
-                            ttfo.get_or_insert_with(|| t0.elapsed());
-                        }
-                        WireFrame::End { .. } => {
-                            total = t0.elapsed();
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            (ttfo.unwrap_or(total), total)
-        };
-        let (b_ttfo, b_total) = measure(DeliveryMode::Batch, false);
-        let (s_ttfo, s_total) = measure(DeliveryMode::Streaming, true);
+        let (b_ttfo, b_total) = runs.time_run(items, false);
+        let (s_ttfo, s_total) = runs.time_run(items, true);
         println!(
             "{:>6}  {:>14.1}  {:>14.1}  {:>13.1}  {:>13.1}  {:>7.1}x",
             items,
@@ -112,5 +36,7 @@ fn main() {
             b_ttfo.as_secs_f64() / s_ttfo.as_secs_f64().max(1e-9),
         );
     }
-    println!("\nshape check: streaming TTFO must stay flat while batch TTFO grows with the stream.");
+    println!(
+        "\nshape check: streaming TTFO must stay flat while batch TTFO grows with the stream."
+    );
 }

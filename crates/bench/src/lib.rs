@@ -24,8 +24,12 @@
 
 use csn::{pr_curve, Dataset, DatasetConfig, PrPoint};
 use embed::{CodeT5Sim, DescriptionContext, ReaccSim, UniXcoderSim};
+use laminar_core::{Laminar, LaminarConfig};
+use laminar_server::protocol::{FaultPolicyWire, Ident, RunInputWire, RunMode};
+use laminar_server::{Reply, Request, Response, WireFrame};
 use spt::{FeatureVec, Spt};
 use std::collections::HashSet;
+use std::time::{Duration, Instant};
 
 /// The standard evaluation corpus (laptop-scale stand-in for the paper's
 /// 450k-function CodeSearchNet conversion; see DESIGN.md §1).
@@ -258,6 +262,99 @@ pub fn render_curve(title: &str, curve: &[PrPoint]) -> String {
     let (f1, k) = csn::best_f1(curve);
     let _ = writeln!(s, "best F1 = {f1:.4} at k = {k}");
     s
+}
+
+/// What one item of E8's `slow_wf` costs before its line is logged.
+pub const STREAM_ITEM_COST: Duration = Duration::from_millis(3);
+
+/// E8 (§IV-E): an in-process deployment serving `slow_wf`, whose every
+/// item costs [`STREAM_ITEM_COST`], to one logged-in user.
+pub struct SlowRuns {
+    laminar: Laminar,
+    token: u64,
+}
+
+impl SlowRuns {
+    pub fn deploy() -> SlowRuns {
+        let laminar = Laminar::deploy(LaminarConfig {
+            prewarmed: 2,
+            ..LaminarConfig::default()
+        });
+        laminar.server().engine().library().register("slow_wf", || {
+            use d4py::prelude::*;
+            let mut g = WorkflowGraph::new("slow_wf");
+            let src = g.add(ProducerPE::new("Src", |i| Some(Data::from(i as i64))));
+            let slow = g.add(IterativePE::new("Slow", |d: Data| {
+                std::thread::sleep(STREAM_ITEM_COST);
+                Some(d)
+            }));
+            let sink = g.add(ConsumerPE::new("Out", |d: Data, ctx: &mut Context<'_>| {
+                ctx.log(format!("item {d}"));
+            }));
+            g.connect(src, OUTPUT, slow, INPUT).unwrap();
+            g.connect(slow, OUTPUT, sink, INPUT).unwrap();
+            g
+        });
+        let server = laminar.server();
+        let token = match server
+            .handle(Request::RegisterUser {
+                username: "bench".into(),
+                password: "pw".into(),
+            })
+            .value()
+        {
+            Response::Token(t) => t,
+            other => panic!("{other:?}"),
+        };
+        server
+            .handle(Request::RegisterWorkflow {
+                token,
+                name: "slow_wf".into(),
+                code: String::new(),
+                description: Some("slow emitting workflow".into()),
+                pes: vec![],
+            })
+            .value();
+        SlowRuns { laminar, token }
+    }
+
+    /// Run `items` items and time, from the request, its first output
+    /// line (TTFO) and its terminal frame. `streaming` is the `Run`
+    /// request's flag and the only switch: `false` is the engine's batch
+    /// mode, Laminar 1.0's one HTTP/1.1 response after the whole run, and
+    /// `true` sends each line as it is produced, as 2.0 does over HTTP/2.
+    pub fn time_run(&self, items: u64, streaming: bool) -> (Duration, Duration) {
+        let t0 = Instant::now();
+        let reply = self.laminar.server().handle(Request::Run {
+            token: self.token,
+            ident: Ident::Name("slow_wf".into()),
+            input: RunInputWire::Iterations(items),
+            mode: RunMode::Sequential,
+            streaming,
+            verbose: false,
+            resources: vec![],
+            fault: FaultPolicyWire::default(),
+            task_timeout_ms: None,
+        });
+        let Reply::Stream(frames) = reply else {
+            panic!("slow_wf answered {reply:?}");
+        };
+        let mut ttfo = None;
+        for frame in frames {
+            match frame {
+                WireFrame::Line(_) => {
+                    ttfo.get_or_insert_with(|| t0.elapsed());
+                }
+                WireFrame::End { ok: true, .. } => {
+                    let total = t0.elapsed();
+                    return (ttfo.unwrap_or(total), total);
+                }
+                WireFrame::End { .. } | WireFrame::Value(_) => panic!("slow_wf failed: {frame:?}"),
+                _ => {}
+            }
+        }
+        panic!("slow_wf's stream ended before its terminal frame")
+    }
 }
 
 #[cfg(test)]

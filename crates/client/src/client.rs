@@ -20,11 +20,11 @@ use d4py::Data;
 use laminar_server::protocol::SemanticHit;
 use laminar_server::protocol::{
     content_hash, BatchItemWire, BatchOutcomeWire, FaultPolicyWire, PeInfo, RecommendationHit,
-    ResourceRefWire, RunInputWire, RunMode, WorkflowInfo,
+    ResourceRefWire, RunFailure, RunInputWire, RunMode, RunOutput, WorkflowInfo,
 };
 use laminar_server::{
-    Connection, ConnectionError, DeliveryMode, EmbeddingType, Ident, LaminarServer,
-    MetricsSnapshot, PeSubmission, Reply, Request, Response, SearchScope, Transport, WireFrame,
+    Connection, ConnectionError, EmbeddingType, Ident, LaminarServer, MetricsSnapshot,
+    PeSubmission, Reply, Request, Response, SearchScope, Transport, WireFrame,
 };
 use std::fmt;
 use std::sync::mpsc::Receiver;
@@ -57,6 +57,15 @@ impl fmt::Display for ClientError {
 }
 
 impl std::error::Error for ClientError {}
+
+impl From<RunFailure> for ClientError {
+    fn from(f: RunFailure) -> Self {
+        match f {
+            RunFailure::Server(m) => ClientError::Server(m),
+            RunFailure::Connection(e) => ClientError::Connection(e),
+        }
+    }
+}
 
 /// Exponential-backoff retry policy for transient connection failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,20 +158,6 @@ pub struct RegisteredWorkflow {
 /// lines, progress fraction)`.
 pub type CompletionResult = (Option<(u64, String)>, Vec<String>, f32);
 
-/// Collected output of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutput {
-    pub lines: Vec<String>,
-    pub infos: Vec<String>,
-    pub summaries: Vec<String>,
-    pub ok: bool,
-    /// Datums the enactment supervisor gave up on (`DeadLetter` policy).
-    pub dead_letters: Vec<laminar_server::protocol::DeadLetterEntry>,
-    /// Fault counters for the run; `None` when the run was fault-free
-    /// (the server only sends the frame on a non-clean run).
-    pub fault_stats: Option<laminar_server::protocol::FaultStats>,
-}
-
 /// The Laminar client.
 pub struct LaminarClient {
     connection: Box<dyn Connection>,
@@ -178,16 +173,11 @@ pub struct LaminarClient {
 }
 
 impl LaminarClient {
-    /// Connect in-process with HTTP/2-style streaming delivery (the 2.0
-    /// default).
+    /// Connect in-process: each reply, a run's frame stream included, is
+    /// the server's own. Runs stream (the 2.0 default), since the client
+    /// sets the `Run` request's `streaming` flag.
     pub fn connect(server: Arc<LaminarServer>) -> Self {
-        Self::over(Transport::new(server, DeliveryMode::Streaming))
-    }
-
-    /// Connect over an explicit in-process transport (benches use a Batch
-    /// transport with a latency model for the Laminar 1.0 baseline).
-    pub fn with_transport(transport: Transport) -> Self {
-        Self::over(transport)
+        Self::over(Transport::new(server))
     }
 
     /// Connect to a TCP server (see [`laminar_server::NetServer`]).
@@ -771,7 +761,7 @@ impl LaminarClient {
     ) -> Result<RunOutput, ClientError> {
         let rx =
             self.run_stream_faults(ident.into(), input, mode, verbose, fault, task_timeout_ms)?;
-        Self::drain_run(rx)
+        Ok(Reply::Stream(rx).drain()?)
     }
 
     /// Execution history of a workflow (the Execution/Response tables).
@@ -797,40 +787,7 @@ impl LaminarClient {
         verbose: bool,
     ) -> Result<RunOutput, ClientError> {
         let rx = self.run_stream(ident, input, mode, verbose)?;
-        Self::drain_run(rx)
-    }
-
-    fn drain_run(rx: Receiver<WireFrame>) -> Result<RunOutput, ClientError> {
-        let mut out = RunOutput {
-            lines: Vec::new(),
-            infos: Vec::new(),
-            summaries: Vec::new(),
-            ok: false,
-            dead_letters: Vec::new(),
-            fault_stats: None,
-        };
-        for frame in rx.iter() {
-            match frame {
-                WireFrame::Begin { .. } | WireFrame::Keepalive { .. } => {}
-                WireFrame::Line(l) => out.lines.push(l),
-                WireFrame::Info(i) => out.infos.push(i),
-                WireFrame::Summary(s) => out.summaries.push(s),
-                WireFrame::DeadLetter(d) => out.dead_letters.push(d),
-                WireFrame::Faults(s) => out.fault_stats = Some(s),
-                WireFrame::Value(Response::Error(e)) => return Err(ClientError::Server(e)),
-                WireFrame::Value(Response::TimedOut { request_id }) => {
-                    return Err(ClientError::Connection(ConnectionError::TimedOut {
-                        request_id,
-                    }));
-                }
-                WireFrame::Value(_) => {}
-                WireFrame::End { ok, .. } => {
-                    out.ok = ok;
-                    break;
-                }
-            }
-        }
-        Ok(out)
+        Ok(Reply::Stream(rx).drain()?)
     }
 
     /// Streaming run: frames as they arrive (§IV-E). Automatically
@@ -1185,6 +1142,49 @@ class PrintPrime(ConsumerPE):
         );
     }
 
+    /// A peer that reads one request and answers `Begin` and one `Line`,
+    /// then closes the socket: no `End`, no error value, no sentinel.
+    fn cut_stream_peer() -> std::net::SocketAddr {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut len = [0u8; 4];
+            sock.read_exact(&mut len).unwrap();
+            let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
+            sock.read_exact(&mut request).unwrap();
+            for frame in [
+                WireFrame::Begin { request_id: 1 },
+                WireFrame::Line("partial".into()),
+            ] {
+                let json = serde_json::to_vec(&frame).unwrap();
+                sock.write_all(&(json.len() as u32).to_be_bytes()).unwrap();
+                sock.write_all(&json).unwrap();
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn a_run_stream_cut_before_end_is_a_protocol_error() {
+        let mut c = LaminarClient::connect_tcp(cut_stream_peer());
+        c.token = Some(1);
+        let err = c.run("wf", 1).unwrap_err();
+        assert!(
+            matches!(err, ClientError::Connection(ConnectionError::Protocol(_))),
+            "{err:?}"
+        );
+
+        // A scripted CLI session that meets the cut exits nonzero.
+        let mut c = LaminarClient::connect_tcp(cut_stream_peer());
+        c.token = Some(1);
+        let mut cli = crate::Cli::new(c);
+        let out = cli.execute("run wf");
+        assert!(cli.last_command_failed(), "{out}");
+        assert_eq!(cli.exit_code(), 1);
+    }
+
     /// A faulty or hostile peer: every request gets the same reply.
     struct Canned(Response);
 
@@ -1192,12 +1192,6 @@ class PrintPrime(ConsumerPE):
         fn call(&self, _req: Request) -> Result<Reply, ConnectionError> {
             Ok(Reply::Value(self.0.clone()))
         }
-
-        fn options(&self) -> laminar_server::ConnOptions {
-            laminar_server::ConnOptions::default()
-        }
-
-        fn set_options(&mut self, _opts: laminar_server::ConnOptions) {}
     }
 
     #[test]

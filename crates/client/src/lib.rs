@@ -42,7 +42,6 @@ pub mod client;
 pub mod extract;
 
 pub use cli::Cli;
-pub use client::{
-    ClientError, HealthReport, LaminarClient, RegisteredWorkflow, RetryPolicy, RunOutput,
-};
+pub use client::{ClientError, HealthReport, LaminarClient, RegisteredWorkflow, RetryPolicy};
 pub use extract::extract_pes_from_source;
+pub use laminar_server::protocol::RunOutput;

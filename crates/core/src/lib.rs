@@ -34,9 +34,8 @@ pub use laminar_registry::{
     FaultKind, FaultMode, FaultSpec, IoFaultInjector, IoSite, RegistryError,
 };
 pub use laminar_server::{
-    Clock, ConnOptions, Connection, ConnectionError, EmbeddingType, Ident, MetricsSnapshot,
-    NetClientTransport, NetServer, NetServerConfig, SearchScope, SharedClock, SimClock,
-    StorageStateWire, SystemClock,
+    Clock, Connection, ConnectionError, EmbeddingType, Ident, MetricsSnapshot, NetClientTransport,
+    NetServer, NetServerConfig, SearchScope, SharedClock, SimClock, StorageStateWire, SystemClock,
 };
 
 /// Deployment configuration.
@@ -73,10 +72,10 @@ pub struct LaminarConfig {
     /// (`--io-fault-seed`): the same seed and spec produce bit-identical
     /// fault schedules.
     pub io_fault_seed: u64,
-    /// The clock the server's timers run on. `None` deploys on the OS
-    /// clock; the deterministic simulation harness injects a
-    /// [`laminar_server::SimClock`] so probe timers and frame latency
-    /// run under virtual time.
+    /// The clock the server's storage recovery probe runs on. `None`
+    /// deploys on the OS clock; the deterministic simulation harness
+    /// injects a [`laminar_server::SimClock`] so the probe timer runs
+    /// under virtual time.
     pub clock: Option<laminar_server::SharedClock>,
 }
 

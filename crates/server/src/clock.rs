@@ -1,12 +1,12 @@
-//! The test-only clock seam behind the serving path's timers.
+//! The test-only clock seam behind the serving path's timer.
 //!
 //! Production code paths sleep and measure with the OS clock; the
-//! deterministic simulation harness (`crates/sim`) needs those same
-//! paths to run under *virtual* time so a seeded episode replays
+//! deterministic simulation harness (`crates/sim`) needs the same path
+//! to run under *virtual* time so a seeded episode replays
 //! bit-identically regardless of host load. [`Clock`] is the seam: the
-//! recovery-probe timer and the transport's frame-latency model go
-//! through it, [`SystemClock`] is the production implementation, and
-//! [`SimClock`] advances a virtual counter instead of blocking.
+//! storage recovery-probe timer goes through it, [`SystemClock`] is the
+//! production implementation, and [`SimClock`] advances a virtual
+//! counter instead of blocking.
 //!
 //! The seam deliberately does NOT cover observability timings (request
 //! latency histograms, uptime): those are diagnostics, not behaviour,
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A monotonic clock the serving path's timers run on.
+/// A monotonic clock the storage recovery probe runs on.
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Monotonic nanoseconds since an arbitrary per-clock epoch.
     fn monotonic_nanos(&self) -> u64;

@@ -1,14 +1,12 @@
 //! The unified client↔server connection abstraction.
 //!
-//! Historically the in-process [`Transport`](crate::transport::Transport)
-//! and the TCP [`NetClientTransport`](crate::net::NetClientTransport)
-//! exposed two different call surfaces and the client branched between
-//! them. [`Connection`] is the single trait both implement now:
+//! [`Connection`] is the one trait the in-process [`Transport`] and the
+//! TCP [`NetClientTransport`](crate::net::NetClientTransport) implement:
 //! `call` takes a [`Request`] and returns either a [`Reply`] (value or
-//! frame stream) or a typed [`ConnectionError`]. Delivery shaping — the
-//! §IV-E batch-vs-streaming discipline and the simulated per-frame
-//! latency — is trait-level configuration via [`ConnOptions`], not a
-//! property of one concrete transport.
+//! frame stream) or a typed [`ConnectionError`]. Neither shapes a reply:
+//! whether a run streams its frames (HTTP/2-style, Laminar 2.0) or holds
+//! them to the end (HTTP/1.1-style, Laminar 1.0, §IV-E) is the engine's
+//! response mode, set by the `Run` request's `streaming` flag.
 //!
 //! Error taxonomy (drives the client's retry policy):
 //!
@@ -28,37 +26,10 @@
 //! * [`ConnectionError::UnsupportedVersion`] / [`ConnectionError::Protocol`]
 //!   — never retried.
 
-use crate::clock::SharedClock;
-use crate::protocol::{Reply, Request, Response, WireFrame};
-use crate::transport::DeliveryMode;
+use crate::protocol::{Reply, Request, Response};
+use crate::server::LaminarServer;
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver};
-use std::time::Duration;
-
-/// Trait-level connection configuration, shared by every transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnOptions {
-    /// Frame-delivery discipline (§IV-E): HTTP/1.1-style batch or
-    /// HTTP/2-style streaming.
-    pub delivery: DeliveryMode,
-    /// Simulated one-way latency applied per delivered frame (Batch pays
-    /// it once for the aggregate, Streaming once per frame).
-    pub frame_latency: Duration,
-    /// Client-side per-request deadline (TCP read timeout). The server's
-    /// keepalive frames reset it, so only a truly stalled or dead server
-    /// trips it.
-    pub request_timeout: Duration,
-}
-
-impl Default for ConnOptions {
-    fn default() -> Self {
-        ConnOptions {
-            delivery: DeliveryMode::Streaming,
-            frame_latency: Duration::ZERO,
-            request_timeout: Duration::from_secs(30),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// Typed connection-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,7 +99,7 @@ impl fmt::Display for ConnectionError {
 impl std::error::Error for ConnectionError {}
 
 /// One client↔server connection. Implemented by the in-process
-/// [`Transport`](crate::transport::Transport) and the TCP
+/// [`Transport`] and the TCP
 /// [`NetClientTransport`](crate::net::NetClientTransport); everything
 /// above (client library, CLI, examples, tests) is written once against
 /// this trait.
@@ -138,13 +109,6 @@ pub trait Connection: Send + Sync {
     /// rejections ([`Response::Busy`], [`Response::Unsupported`]) are
     /// surfaced as `Err`, never as values.
     fn call(&self, req: Request) -> Result<Reply, ConnectionError>;
-
-    /// The connection's current options.
-    fn options(&self) -> ConnOptions;
-
-    /// Replace the connection's options (delivery mode, frame latency,
-    /// deadline).
-    fn set_options(&mut self, opts: ConnOptions);
 
     /// Human-readable endpoint description (for error messages).
     fn endpoint(&self) -> String {
@@ -177,51 +141,31 @@ pub fn classify(reply: Reply) -> Result<Reply, ConnectionError> {
     }
 }
 
-/// Hand a streamed reply's frames to the caller the way `opts` shapes
-/// them (§IV-E), from a thread of its own: `Streaming` passes each frame on
-/// as it arrives, one `frame_latency` apiece; `Batch` holds every frame
-/// until the source ends and pays the latency once. `frames` is the
-/// server's channel (in-process) or the socket's frames up to the sentinel
-/// (TCP); it is dropped as soon as the receiver is gone, so the producer
-/// behind it observes the disconnect.
-pub fn deliver(
-    frames: impl Iterator<Item = WireFrame> + Send + 'static,
-    opts: ConnOptions,
-    clock: SharedClock,
-) -> Receiver<WireFrame> {
-    let (tx, rx) = channel();
-    std::thread::spawn(move || {
-        let pay_latency = || {
-            if !opts.frame_latency.is_zero() {
-                clock.sleep(opts.frame_latency);
-            }
-        };
-        match opts.delivery {
-            DeliveryMode::Streaming => {
-                for frame in frames {
-                    pay_latency();
-                    if tx.send(frame).is_err() {
-                        break;
-                    }
-                }
-            }
-            DeliveryMode::Batch => {
-                let held: Vec<WireFrame> = frames.collect();
-                pay_latency();
-                for frame in held {
-                    if tx.send(frame).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-    });
-    rx
+/// The in-process [`Connection`]: requests go straight into a shared
+/// [`LaminarServer`], and a streamed reply is the run service's own
+/// channel, handed to the caller unchanged.
+#[derive(Clone)]
+pub struct Transport {
+    server: Arc<LaminarServer>,
+}
+
+impl Transport {
+    pub fn new(server: Arc<LaminarServer>) -> Self {
+        Transport { server }
+    }
+}
+
+impl Connection for Transport {
+    fn call(&self, req: Request) -> Result<Reply, ConnectionError> {
+        classify(self.server.handle(req))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{FaultPolicyWire, Ident, PeSubmission, RunInputWire, RunMode, WireFrame};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn classify_maps_typed_rejections() {
@@ -275,10 +219,134 @@ mod tests {
         }
     }
 
+    fn setup() -> (Arc<LaminarServer>, u64, u64) {
+        let server = Arc::new(LaminarServer::with_stock());
+        let token = match server
+            .handle(Request::RegisterUser {
+                username: "u".into(),
+                password: "p".into(),
+            })
+            .value()
+        {
+            Response::Token(t) => t,
+            _ => unreachable!(),
+        };
+        let resp = server
+            .handle(Request::RegisterWorkflow {
+                token,
+                name: "doubler_wf".into(),
+                code: String::new(),
+                description: Some("doubles numbers".into()),
+                pes: vec![PeSubmission {
+                    name: "Double".into(),
+                    code: "class Double(IterativePE):\n    def _process(self, x):\n        return x * 2\n".into(),
+                    description: None,
+                }],
+            })
+            .value();
+        let wf_id = match resp {
+            Response::Registered { workflow_id, .. } => workflow_id.unwrap().1,
+            other => panic!("{other:?}"),
+        };
+        (server, token, wf_id)
+    }
+
+    fn run_req(token: u64, wf: u64, streaming: bool) -> Request {
+        Request::Run {
+            token,
+            ident: Ident::Id(wf),
+            input: RunInputWire::Iterations(8),
+            mode: RunMode::Sequential,
+            streaming,
+            verbose: false,
+            resources: vec![],
+            fault: FaultPolicyWire::default(),
+            task_timeout_ms: None,
+        }
+    }
+
     #[test]
-    fn default_options() {
-        let o = ConnOptions::default();
-        assert_eq!(o.delivery, DeliveryMode::Streaming);
-        assert!(o.frame_latency.is_zero());
+    fn both_modes_deliver_identical_content() {
+        let (server, token, wf) = setup();
+        let tp = Transport::new(server);
+        let streamed = tp.call(run_req(token, wf, true)).unwrap().drain().unwrap();
+        let batched = tp.call(run_req(token, wf, false)).unwrap().drain().unwrap();
+        assert!(streamed.ok && batched.ok);
+        assert_eq!(streamed.lines, batched.lines);
+    }
+
+    #[test]
+    fn streaming_has_lower_time_to_first_frame_on_slow_runs() {
+        let (server, token, _) = setup();
+        // Register a deliberately slow workflow in the engine library.
+        server.engine().library().register("slow_wf", || {
+            use d4py::prelude::*;
+            let mut g = WorkflowGraph::new("slow_wf");
+            let src = g.add(ProducerPE::new("Src", |i| Some(Data::from(i as i64))));
+            let slow = g.add(IterativePE::new("Slow", |d: Data| {
+                std::thread::sleep(Duration::from_millis(8));
+                Some(d)
+            }));
+            let sink = g.add(ConsumerPE::new("Out", |d: Data, ctx: &mut Context<'_>| {
+                ctx.log(format!("{d}"));
+            }));
+            g.connect(src, OUTPUT, slow, INPUT).unwrap();
+            g.connect(slow, OUTPUT, sink, INPUT).unwrap();
+            g
+        });
+        let t2 = server
+            .handle(Request::RegisterWorkflow {
+                token,
+                name: "slow_wf".into(),
+                code: String::new(),
+                description: Some("slow".into()),
+                pes: vec![],
+            })
+            .value();
+        assert!(matches!(t2, Response::Registered { .. }));
+
+        let ttfo = |streaming: bool| -> Duration {
+            let tp = Transport::new(server.clone());
+            let reply = tp.call(Request::Run {
+                token,
+                ident: Ident::Name("slow_wf".into()),
+                input: RunInputWire::Iterations(10),
+                mode: RunMode::Sequential,
+                streaming,
+                verbose: false,
+                resources: vec![],
+                fault: FaultPolicyWire::default(),
+                task_timeout_ms: None,
+            });
+            let t0 = Instant::now();
+            let reply = reply.unwrap();
+            match reply {
+                Reply::Stream(rx) => {
+                    for f in rx.iter() {
+                        match f {
+                            WireFrame::Line(_) => return t0.elapsed(),
+                            WireFrame::End { .. } => break,
+                            _ => {}
+                        }
+                    }
+                    t0.elapsed()
+                }
+                _ => panic!("expected stream"),
+            }
+        };
+        let t_stream = ttfo(true);
+        let t_batch = ttfo(false);
+        assert!(
+            t_stream < t_batch,
+            "streaming TTFO {t_stream:?} must beat batch {t_batch:?}"
+        );
+    }
+
+    #[test]
+    fn transport_implements_connection() {
+        let (server, token, _) = setup();
+        let conn: Box<dyn Connection> = Box::new(Transport::new(server));
+        let reply = conn.call(Request::GetRegistry { token }).unwrap();
+        assert!(matches!(reply.value(), Response::Registry { .. }));
     }
 }

@@ -20,19 +20,16 @@
 //!   one generation, updated on every registration;
 //! * [`resources`] — the §IV-F resource cache: content-hash dedup,
 //!   multipart upload, bytes-on-wire accounting;
-//! * [`transport`] — batch (HTTP/1.1-style) vs streaming (HTTP/2-style)
-//!   response delivery (§IV-E), with an optional per-frame latency model
-//!   for the benches;
-//! * [`connection`] — the unified [`connection::Connection`] trait both
-//!   transports implement, with [`connection::ConnOptions`] carrying the
-//!   delivery mode, frame latency and deadline, and the one
-//!   [`connection::deliver`] that shapes a streamed reply by them;
+//! * [`connection`] — the unified [`connection::Connection`] trait, its
+//!   typed errors, and the in-process [`connection::Transport`], which
+//!   hands a reply over as the server produced it (batch or streaming,
+//!   §IV-E, is the engine's response mode, not the connection's);
 //! * [`obs`] — the serving-path observability layer: per-request ids,
 //!   lock-free per-endpoint counters and latency histograms, and the
 //!   serialisable [`obs::MetricsSnapshot`] behind the `metrics` endpoint;
 //! * [`clock`] — the test-only clock seam behind the serving path's
-//!   timers (recovery probe, frame-latency model), so the deterministic
-//!   simulation harness can run them under virtual time;
+//!   timer (the storage recovery probe), so the deterministic
+//!   simulation harness can run it under virtual time;
 //! * [`health`] — the storage-health state machine behind read-only
 //!   degraded mode: the first persistence error rejects further
 //!   mutations while reads keep serving, and a background probe
@@ -51,10 +48,9 @@ pub mod protocol;
 pub mod resources;
 pub mod server;
 mod service;
-pub mod transport;
 
 pub use clock::{Clock, SharedClock, SimClock, SystemClock};
-pub use connection::{classify, ConnOptions, Connection, ConnectionError};
+pub use connection::{classify, Connection, ConnectionError, Transport};
 pub use health::StorageHealth;
 pub use indexes::{IndexRow, SearchIndexes};
 pub use net::{NetClientTransport, NetServer, NetServerConfig, MAX_FRAME};
@@ -69,4 +65,3 @@ pub use protocol::{
 pub use resources::{ResourceCache, ResourceRef};
 pub use server::{LaminarServer, ServerConfig, ServerError};
 pub use service::reco::sweep_workflows;
-pub use transport::{DeliveryMode, Transport};

@@ -1,10 +1,10 @@
 //! TCP loopback transport: the client-server split over a real socket,
 //! with a production-shaped request lifecycle.
 //!
-//! The in-process [`Transport`](crate::transport::Transport) models the
-//! §IV-E framing disciplines; this module carries the same protocol over
-//! TCP so the client and server genuinely run as separate endpoints (the
-//! paper's Dockerised client/server deployment, minus Docker).
+//! The in-process [`Transport`](crate::connection::Transport) hands the
+//! server's reply over unchanged; this module carries the same protocol
+//! over TCP so the client and server genuinely run as separate endpoints
+//! (the paper's Dockerised client/server deployment, minus Docker).
 //!
 //! Wire format: length-prefixed JSON (see [`crate::protocol`] for the
 //! full frame and version rules). The client sends one
@@ -44,14 +44,13 @@
 //! registry: connection counters, per-endpoint rejection counts, timeout
 //! and disconnect counters.
 
-use crate::clock::SystemClock;
-use crate::connection::{classify, deliver, ConnOptions, Connection, ConnectionError};
+use crate::connection::{classify, Connection, ConnectionError};
 use crate::protocol::{Reply, Request, RequestEnvelope, Response, WireFrame};
 use crate::server::LaminarServer;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError};
+use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -70,6 +69,12 @@ const COALESCE_BYTES: usize = 64 * 1024;
 /// How long a freshly accepted connection may take to deliver its
 /// request frame.
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How long the client waits for the next reply frame: the server's
+/// default stream deadline ([`NetServerConfig::request_timeout`], 30 s)
+/// plus 5 s. Keepalives arrive far more often, so only a stalled or dead
+/// server trips it.
+pub const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(35);
 
 /// Serving-path tunables.
 #[derive(Debug, Clone)]
@@ -437,25 +442,15 @@ fn handle_connection(
     }
 }
 
-/// Client-side TCP [`Connection`]: one socket per request, frames
-/// delivered per the connection's [`ConnOptions`].
+/// Client-side TCP [`Connection`]: one socket per request.
 #[derive(Clone)]
 pub struct NetClientTransport {
     addr: SocketAddr,
-    opts: ConnOptions,
 }
 
 impl NetClientTransport {
     pub fn new(addr: SocketAddr) -> Self {
-        NetClientTransport {
-            addr,
-            opts: ConnOptions::default(),
-        }
-    }
-
-    pub fn with_options(mut self, opts: ConnOptions) -> Self {
-        self.opts = opts;
-        self
+        NetClientTransport { addr }
     }
 
     /// Send a request and classify the reply. A reply opening with
@@ -466,12 +461,7 @@ impl NetClientTransport {
         let mut stream = TcpStream::connect(self.addr)
             .map_err(|e| ConnectionError::Unavailable(e.to_string()))?;
         stream.set_nodelay(true).ok();
-        // The server's keepalives arrive at least every
-        // keepalive_interval, so a read timeout a bit beyond the request
-        // deadline means the server is stalled or gone.
-        stream
-            .set_read_timeout(Some(self.opts.request_timeout + Duration::from_secs(5)))
-            .ok();
+        stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT)).ok();
         write_msg(&mut stream, &RequestEnvelope::new(req))
             .map_err(|e| ConnectionError::Unavailable(format!("send failed: {e}")))?;
 
@@ -489,15 +479,24 @@ impl NetClientTransport {
                 Ok(Reply::Value(v))
             }
             Some(first) => {
-                // The rest of the stream, up to the sentinel. Dropping the
-                // iterator closes the socket, which is how the server
-                // observes a receiver that went away.
-                let rest = std::iter::from_fn(move || {
-                    read_frame(&mut stream, MAX_REPLY_FRAME).ok().flatten()
+                // One reader thread moves the stream's frames, up to the
+                // sentinel, from the socket into the reply's channel, so a
+                // stream is a `Receiver` whichever side produced it. A read
+                // error ends the channel; a stream cut before its terminal
+                // frame is the run fold's to report. When the receiver is
+                // gone the thread drops the socket, which is how the server
+                // observes the disconnect.
+                let (tx, rx) = channel();
+                std::thread::spawn(move || {
+                    let mut frame = Some(first);
+                    while let Some(f) = frame {
+                        if tx.send(f).is_err() {
+                            break;
+                        }
+                        frame = read_frame(&mut stream, MAX_REPLY_FRAME).ok().flatten();
+                    }
                 });
-                let frames = std::iter::once(first).chain(rest);
-                let clock = Arc::new(SystemClock::new());
-                Ok(Reply::Stream(deliver(frames, self.opts, clock)))
+                Ok(Reply::Stream(rx))
             }
         }
     }
@@ -526,14 +525,6 @@ fn first_read_error(e: ReadError) -> ConnectionError {
 impl Connection for NetClientTransport {
     fn call(&self, req: Request) -> Result<Reply, ConnectionError> {
         classify(self.send(req)?)
-    }
-
-    fn options(&self) -> ConnOptions {
-        self.opts
-    }
-
-    fn set_options(&mut self, opts: ConnOptions) {
-        self.opts = opts;
     }
 
     fn endpoint(&self) -> String {
@@ -629,13 +620,13 @@ mod tests {
                 task_timeout_ms: None,
             })
             .unwrap();
-        let (lines, _infos, summaries, ok) = reply.drain();
-        assert!(ok);
-        assert!(!lines.is_empty());
-        for l in &lines {
+        let out = reply.drain().unwrap();
+        assert!(out.ok);
+        assert!(!out.lines.is_empty());
+        for l in &out.lines {
             assert!(l.contains("is prime"), "{l}");
         }
-        assert!(!summaries.is_empty());
+        assert!(!out.summaries.is_empty());
     }
 
     /// Register `name` (a workflow the engine library knows) for a fresh

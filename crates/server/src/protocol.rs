@@ -41,6 +41,7 @@
 //! check and per-endpoint metrics and the client's retry class all read
 //! these, and nothing else restates them.
 
+use crate::connection::ConnectionError;
 use crate::obs::MetricsSnapshot;
 use d4py::Data;
 /// Re-exported so wire consumers can name the frame payload types without
@@ -718,55 +719,67 @@ impl Reply {
         }
     }
 
-    /// Drain a stream reply into (lines, infos, summaries, ok).
-    pub fn drain(self) -> (Vec<String>, Vec<String>, Vec<String>, bool) {
-        match self {
-            Reply::Value(v) => panic!("expected a stream reply, got {v:?}"),
-            Reply::Stream(rx) => {
-                let mut lines = Vec::new();
-                let mut infos = Vec::new();
-                let mut summaries = Vec::new();
-                let mut ok = false;
-                for f in rx.iter() {
-                    match f {
-                        WireFrame::Begin { .. } | WireFrame::Keepalive { .. } => {}
-                        WireFrame::Line(l) => lines.push(l),
-                        WireFrame::Info(i) => infos.push(i),
-                        WireFrame::Summary(s) => summaries.push(s),
-                        WireFrame::Value(Response::Error(e)) => {
-                            infos.push(format!("error: {e}"));
-                            break;
-                        }
-                        WireFrame::Value(Response::TimedOut { request_id }) => {
-                            infos.push(format!("error: request req-{request_id} timed out"));
-                            break;
-                        }
-                        WireFrame::Value(_) => {}
-                        WireFrame::DeadLetter(d) => {
-                            infos.push(format!(
-                                "dead-letter: pe={} port={} attempts={} error={}",
-                                d.pe,
-                                d.port.as_deref().unwrap_or("-"),
-                                d.attempts,
-                                d.error
-                            ));
-                        }
-                        WireFrame::Faults(s) => {
-                            infos.push(format!(
-                                "faults: {} faults, {} retries, {} dead-lettered, {} timeouts, {} workers replaced",
-                                s.faults, s.retries, s.dead_letters, s.task_timeouts, s.worker_replacements
-                            ));
-                        }
-                        WireFrame::End { ok: o, .. } => {
-                            ok = o;
-                            break;
-                        }
-                    }
+    /// Fold a run's reply into its output, up to the terminal `End`. An
+    /// error value fails the fold as [`RunFailure::Server`] and a
+    /// `TimedOut` value as `TimedOut`. Frames that end before `End` and
+    /// without either (a producer that vanished, a socket cut mid-stream)
+    /// are a `Protocol` failure, never a run that merely did not succeed.
+    /// A value reply folds as a one-frame stream.
+    pub fn drain(self) -> Result<RunOutput, RunFailure> {
+        let frames: Box<dyn Iterator<Item = WireFrame>> = match self {
+            Reply::Value(v) => Box::new(std::iter::once(WireFrame::Value(v))),
+            Reply::Stream(rx) => Box::new(rx.into_iter()),
+        };
+        let mut out = RunOutput::default();
+        for frame in frames {
+            match frame {
+                WireFrame::Begin { .. } | WireFrame::Keepalive { .. } => {}
+                WireFrame::Line(l) => out.lines.push(l),
+                WireFrame::Info(i) => out.infos.push(i),
+                WireFrame::Summary(s) => out.summaries.push(s),
+                WireFrame::DeadLetter(d) => out.dead_letters.push(d),
+                WireFrame::Faults(s) => out.fault_stats = Some(s),
+                WireFrame::Value(Response::Error(e)) => return Err(RunFailure::Server(e)),
+                WireFrame::Value(Response::TimedOut { request_id }) => {
+                    return Err(RunFailure::Connection(ConnectionError::TimedOut {
+                        request_id,
+                    }));
                 }
-                (lines, infos, summaries, ok)
+                WireFrame::Value(_) => {}
+                WireFrame::End { ok, .. } => {
+                    out.ok = ok;
+                    return Ok(out);
+                }
             }
         }
+        Err(RunFailure::Connection(ConnectionError::Protocol(
+            "run stream ended before its terminal frame".into(),
+        )))
     }
+}
+
+/// The collected output of a run: its frames, folded by [`Reply::drain`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunOutput {
+    pub lines: Vec<String>,
+    pub infos: Vec<String>,
+    pub summaries: Vec<String>,
+    /// The terminal frame's verdict.
+    pub ok: bool,
+    /// Datums the enactment supervisor gave up on (`DeadLetter` policy).
+    pub dead_letters: Vec<DeadLetterEntry>,
+    /// Fault counters for the run; `None` when the run was fault-free
+    /// (the server only sends the frame on a non-clean run).
+    pub fault_stats: Option<FaultStats>,
+}
+
+/// Why a run's reply did not fold into a [`RunOutput`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunFailure {
+    /// The reply ended on an error value.
+    Server(String),
+    /// The reply timed out, or ended before its terminal frame.
+    Connection(ConnectionError),
 }
 
 /// FNV-64 content hash shared by both resource paths.

@@ -1451,13 +1451,16 @@ mod tests {
             fault: FaultPolicyWire::default(),
             task_timeout_ms: None,
         });
-        let (lines, _infos, summaries, ok) = reply.drain();
-        assert!(ok);
-        assert!(!lines.is_empty());
-        for l in &lines {
+        let out = reply.drain().unwrap();
+        assert!(out.ok);
+        assert!(!out.lines.is_empty());
+        for l in &out.lines {
             assert!(l.contains("is prime"), "{l}");
         }
-        assert!(!summaries.is_empty(), "verbose run includes rank summaries");
+        assert!(
+            !out.summaries.is_empty(),
+            "verbose run includes rank summaries"
+        );
         // Execution + response recorded in the registry.
         let execs = server.registry().executions_for(wf_id);
         assert_eq!(execs.len(), 1);
@@ -1514,8 +1517,7 @@ mod tests {
             fault: FaultPolicyWire::default(),
             task_timeout_ms: None,
         });
-        let (_, _, _, ok) = reply.drain();
-        assert!(ok);
+        assert!(reply.drain().unwrap().ok);
         assert_eq!(server.resources().stats().bytes_received, data.len() as u64);
     }
 
@@ -1536,8 +1538,7 @@ mod tests {
             fault: FaultPolicyWire::default(),
             task_timeout_ms: None,
         });
-        let (_lines, _infos, _summaries, ok) = reply.drain();
-        assert!(ok);
+        assert!(reply.drain().unwrap().ok);
     }
 
     #[test]
@@ -2443,8 +2444,8 @@ mod tests {
                 .map_or(0, |c| c.ops)
         };
         let before = (ops(IoSite::WalAppend), ops(IoSite::WalBatchAppend));
-        let (_, _, _, ok) = server.handle(run_request(token, "isprime_wf")).drain();
-        assert!(ok);
+        let out = server.handle(run_request(token, "isprime_wf")).drain();
+        assert!(out.unwrap().ok);
         let after = (ops(IoSite::WalAppend), ops(IoSite::WalBatchAppend));
         assert_eq!((after.0 - before.0, after.1 - before.1), (1, 1));
         let wf = server

@@ -40,8 +40,7 @@ use laminar_server::protocol::{
     EmbeddingType, PeInfo, Reply, Request, Response, RunInputWire, WireFrame, WorkflowInfo,
 };
 use laminar_server::{
-    Clock, ConnectionError, DeliveryMode, LaminarServer, ServerConfig, SharedClock, SimClock,
-    Transport,
+    Clock, ConnectionError, LaminarServer, ServerConfig, SharedClock, SimClock, Transport,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -303,7 +302,7 @@ impl Episode<'_> {
             wal_fsync: false,
             io_fault: Some(self.spec.clone()),
             io_fault_seed: inj_seed,
-            clock: Some(shared_clock.clone()),
+            clock: Some(shared_clock),
             ..LaminarConfig::default()
         };
         let laminar = Laminar::try_deploy(config).map_err(|e| format!("deploy failed: {e}"))?;
@@ -318,8 +317,7 @@ impl Episode<'_> {
             .library()
             .register("chaos_wf", move || chaos_graph(chaos_seed));
         let net = NetState::new(net_seed);
-        let transport = Transport::new(server.clone(), DeliveryMode::Streaming)
-            .with_clock(shared_clock);
+        let transport = Transport::new(server.clone());
         let sleeper_clock = clock.clone();
         let client = LaminarClient::over(FaultyConn::new(transport, net.clone()))
             .with_retry(RetryPolicy {

@@ -35,7 +35,7 @@
 
 use crate::rng::SimRng;
 use laminar_server::protocol::{Reply, Request, Response, WireFrame};
-use laminar_server::{ConnOptions, Connection, ConnectionError};
+use laminar_server::{Connection, ConnectionError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -317,14 +317,6 @@ impl<C: Connection> Connection for FaultyConn<C> {
                 ))
             }
         }
-    }
-
-    fn options(&self) -> ConnOptions {
-        self.inner.options()
-    }
-
-    fn set_options(&mut self, opts: ConnOptions) {
-        self.inner.set_options(opts);
     }
 
     fn endpoint(&self) -> String {

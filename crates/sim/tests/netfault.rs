@@ -7,7 +7,7 @@
 use laminar_client::{ClientError, LaminarClient, RetryPolicy};
 use laminar_core::{Laminar, LaminarConfig};
 use laminar_server::protocol::{FaultPolicyWire, Ident, RunInputWire, RunMode};
-use laminar_server::{ConnectionError, DeliveryMode, Transport};
+use laminar_server::{ConnectionError, Transport};
 use laminar_sim::{CallOutcome, FaultyConn, NetFault, NetState};
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +22,7 @@ fn stack(max_attempts: u32) -> (Laminar, Arc<NetState>, LaminarClient) {
     .expect("deploy");
     laminar.seed_stock_registry().expect("stock");
     let net = NetState::new(7);
-    let transport = Transport::new(laminar.server(), DeliveryMode::Streaming);
+    let transport = Transport::new(laminar.server());
     let mut client = LaminarClient::over(FaultyConn::new(transport, net.clone()))
         .with_retry(RetryPolicy {
             max_attempts,

@@ -65,6 +65,20 @@ for f in crates/server/src/service/*.rs; do
     fi
 done
 
+# Batch vs streaming (§IV-E) is decided once, by the engine's response
+# mode: no connection-level delivery layer, and the connection module
+# hands the in-process reply over on the caller's thread.
+echo "==> one framing decision (no connection-level delivery layer, no spawn in connection.rs)"
+if grep -rn "DeliveryMode\|ConnOptions\|frame_latency\|fn deliver" crates/*/src src tests examples \
+        | grep -v "^crates/benchmark/"; then
+    echo "a connection-level delivery layer is back"
+    exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/server/src/connection.rs | grep -n "thread::spawn"; then
+    echo "crates/server/src/connection.rs spawns a thread again"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -110,6 +124,11 @@ cargo test -q -p d4py --test chaos
 echo "==> TCP stream suite (coalesced frames: complete, terminated, not held back)"
 cargo test -q -p laminar-server --lib -- net::tests
 
+# A run stream cut before its terminal frame (Begin and one Line, then a
+# closed socket) is a typed Protocol error, and the CLI exits nonzero.
+echo "==> cut run stream (no End, no error value: a typed Protocol error)"
+cargo test -q -p laminar-client --lib -- cut_before_end
+
 # Exactness of the posting-list rankings and the string-free extractor,
 # each against a naive reference (plain seeded #[test]s):
 # streamed feature ids ≡ fnv1a(Feature::encode()); both posting layouts
@@ -144,6 +163,12 @@ cargo test -q -p laminar-server --test spt_postings
 
 echo "==> dense ranking equality suite (blocked scan == dot per row, under churn)"
 cargo test -q -p laminar-server --test index_props
+
+# The paper's shapes, with relative bounds: E8's streaming TTFO
+# at 20 items under a quarter of batch TTFO, and batch TTFO at 20 items
+# over 2.5x batch TTFO at 5 items, switching only the `streaming` flag.
+echo "==> paper shapes (E8: streaming TTFO flat, batch TTFO grows)"
+cargo test -q -p laminar-bench --test paper_shapes
 
 echo "==> cargo test"
 cargo test -q
