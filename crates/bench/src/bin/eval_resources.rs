@@ -10,52 +10,7 @@
 //! cargo run -p laminar-bench --release --bin eval_resources
 //! ```
 
-use laminar_core::{Laminar, LaminarConfig};
-use laminar_server::protocol::content_hash;
-use laminar_server::{Request, Response};
-use laminar_server::protocol::{FaultPolicyWire, Ident, ResourceRefWire, RunInputWire, RunMode};
-
-const RESOURCE_SIZE: usize = 256 * 1024; // 256 KiB per resource
-const N_RESOURCES: usize = 3;
-
-fn setup() -> (std::sync::Arc<laminar_server::LaminarServer>, u64) {
-    let laminar = Laminar::deploy(LaminarConfig {
-        prewarmed: 2,
-        ..LaminarConfig::default()
-    });
-    let server = laminar.server();
-    let token = match server
-        .handle(Request::RegisterUser {
-            username: "bench".into(),
-            password: "pw".into(),
-        })
-        .value()
-    {
-        Response::Token(t) => t,
-        other => panic!("{other:?}"),
-    };
-    server
-        .handle(Request::RegisterWorkflow {
-            token,
-            name: "doubler_wf".into(),
-            code: String::new(),
-            description: Some("doubles".into()),
-            pes: vec![],
-        })
-        .value();
-    (server, token)
-}
-
-fn resources() -> Vec<(String, Vec<u8>)> {
-    (0..N_RESOURCES)
-        .map(|i| {
-            (
-                format!("input_{i}.bin"),
-                vec![i as u8 + 1; RESOURCE_SIZE],
-            )
-        })
-        .collect()
-}
+use laminar_bench::{resource_bytes, N_RESOURCES, RESOURCE_SIZE};
 
 fn main() {
     println!("# §IV-F — resource transmission: Laminar 1.0 (inline) vs 2.0 (cached)\n");
@@ -64,65 +19,7 @@ fn main() {
         "runs", "1.0 bytes sent", "2.0 bytes sent", "ratio"
     );
     for executions in [1usize, 2, 5, 10, 20] {
-        // ---- Laminar 1.0 baseline: everything inline, every run.
-        let (server_v1, token1) = setup();
-        for _ in 0..executions {
-            let reply = server_v1.handle(Request::RunWithInlineResources {
-                token: token1,
-                ident: Ident::Name("doubler_wf".into()),
-                input: RunInputWire::Iterations(2),
-                mode: RunMode::Sequential,
-                resources: resources(),
-            });
-            assert!(reply.drain().unwrap().ok);
-        }
-        let v1_bytes = server_v1.resources().stats().bytes_received;
-
-        // ---- Laminar 2.0: references + upload-on-miss.
-        let (server_v2, token2) = setup();
-        for _ in 0..executions {
-            let refs: Vec<ResourceRefWire> = resources()
-                .iter()
-                .map(|(n, b)| ResourceRefWire {
-                    name: n.clone(),
-                    content_hash: content_hash(b),
-                })
-                .collect();
-            let run = |srv: &laminar_server::LaminarServer| {
-                srv.handle(Request::Run {
-                    token: token2,
-                    ident: Ident::Name("doubler_wf".into()),
-                    input: RunInputWire::Iterations(2),
-                    mode: RunMode::Sequential,
-                    streaming: true,
-                    verbose: false,
-                    resources: refs.clone(),
-                    fault: FaultPolicyWire::default(),
-                    task_timeout_ms: None,
-                })
-            };
-            match run(&server_v2) {
-                laminar_server::Reply::Value(Response::NeedResources(missing)) => {
-                    for name in missing {
-                        let bytes = resources()
-                            .into_iter()
-                            .find(|(n, _)| *n == name)
-                            .unwrap()
-                            .1;
-                        server_v2
-                            .handle(Request::UploadResource {
-                                token: token2,
-                                name,
-                                bytes,
-                            })
-                            .value();
-                    }
-                    assert!(run(&server_v2).drain().unwrap().ok);
-                }
-                reply => assert!(reply.drain().unwrap().ok),
-            }
-        }
-        let v2_bytes = server_v2.resources().stats().bytes_received;
+        let (v1_bytes, v2_bytes) = resource_bytes(executions);
         println!(
             "{:>6}  {:>16}  {:>16}  {:>7.1}x",
             executions,

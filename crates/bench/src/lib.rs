@@ -24,9 +24,11 @@
 
 use csn::{pr_curve, Dataset, DatasetConfig, PrPoint};
 use embed::{CodeT5Sim, DescriptionContext, ReaccSim, UniXcoderSim};
-use laminar_core::{Laminar, LaminarConfig};
-use laminar_server::protocol::{FaultPolicyWire, Ident, RunInputWire, RunMode};
-use laminar_server::{Reply, Request, Response, WireFrame};
+use laminar_core::{Laminar, LaminarConfig, PoolConfig};
+use laminar_server::protocol::{
+    content_hash, FaultPolicyWire, Ident, ResourceRefWire, RunInputWire, RunMode,
+};
+use laminar_server::{LaminarServer, Reply, Request, Response, WireFrame};
 use spt::{FeatureVec, Spt};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -264,6 +266,45 @@ pub fn render_curve(title: &str, curve: &[PrPoint]) -> String {
     s
 }
 
+/// An in-process deployment with two pre-warmed containers, and the
+/// token of a `bench` user who owns a registered `workflow` row. The
+/// row's code is empty: what runs is the engine library's builder of the
+/// same name.
+fn deploy_for(workflow: &str, description: &str) -> (Laminar, u64) {
+    let laminar = Laminar::deploy(LaminarConfig {
+        pool: PoolConfig {
+            prewarmed: 2,
+            ..PoolConfig::default()
+        },
+        ..LaminarConfig::default()
+    });
+    let server = laminar.server();
+    let token = match server
+        .handle(Request::RegisterUser {
+            username: "bench".into(),
+            password: "pw".into(),
+        })
+        .value()
+    {
+        Response::Token(t) => t,
+        other => panic!("{other:?}"),
+    };
+    server
+        .handle(Request::RegisterWorkflow {
+            token,
+            name: workflow.into(),
+            code: String::new(),
+            description: Some(description.into()),
+            pes: vec![],
+        })
+        .value();
+    (laminar, token)
+}
+
+// ---------------------------------------------------------------------------
+// E8 — §IV-E: true streaming
+// ---------------------------------------------------------------------------
+
 /// What one item of E8's `slow_wf` costs before its line is logged.
 pub const STREAM_ITEM_COST: Duration = Duration::from_millis(3);
 
@@ -276,10 +317,7 @@ pub struct SlowRuns {
 
 impl SlowRuns {
     pub fn deploy() -> SlowRuns {
-        let laminar = Laminar::deploy(LaminarConfig {
-            prewarmed: 2,
-            ..LaminarConfig::default()
-        });
+        let (laminar, token) = deploy_for("slow_wf", "slow emitting workflow");
         laminar.server().engine().library().register("slow_wf", || {
             use d4py::prelude::*;
             let mut g = WorkflowGraph::new("slow_wf");
@@ -295,26 +333,6 @@ impl SlowRuns {
             g.connect(slow, OUTPUT, sink, INPUT).unwrap();
             g
         });
-        let server = laminar.server();
-        let token = match server
-            .handle(Request::RegisterUser {
-                username: "bench".into(),
-                password: "pw".into(),
-            })
-            .value()
-        {
-            Response::Token(t) => t,
-            other => panic!("{other:?}"),
-        };
-        server
-            .handle(Request::RegisterWorkflow {
-                token,
-                name: "slow_wf".into(),
-                code: String::new(),
-                description: Some("slow emitting workflow".into()),
-                pes: vec![],
-            })
-            .value();
         SlowRuns { laminar, token }
     }
 
@@ -355,6 +373,88 @@ impl SlowRuns {
         }
         panic!("slow_wf's stream ended before its terminal frame")
     }
+}
+
+// ---------------------------------------------------------------------------
+// E9 — §IV-F: resource caching
+// ---------------------------------------------------------------------------
+
+/// Size of each resource an E9 run needs.
+pub const RESOURCE_SIZE: usize = 256 * 1024;
+
+/// How many resources an E9 run needs.
+pub const N_RESOURCES: usize = 3;
+
+/// E9's resources: `input_{i}.bin`, [`RESOURCE_SIZE`] bytes of `i + 1`.
+fn resources() -> Vec<(String, Vec<u8>)> {
+    (0..N_RESOURCES)
+        .map(|i| (format!("input_{i}.bin"), vec![i as u8 + 1; RESOURCE_SIZE]))
+        .collect()
+}
+
+/// E9 (§IV-F): the bytes a fresh server receives over `runs` runs of
+/// `doubler_wf` that each need [`N_RESOURCES`] resources, as
+/// `(inline, cached)`. Laminar 1.0 resends every resource inline on every
+/// run; Laminar 2.0 sends content hashes and uploads only the files the
+/// server's cache misses.
+pub fn resource_bytes(runs: usize) -> (u64, u64) {
+    (inline_resource_bytes(runs), cached_resource_bytes(runs))
+}
+
+fn inline_resource_bytes(runs: usize) -> u64 {
+    let (laminar, token) = deploy_for("doubler_wf", "doubles");
+    let server = laminar.server();
+    for _ in 0..runs {
+        let reply = server.handle(Request::RunWithInlineResources {
+            token,
+            ident: Ident::Name("doubler_wf".into()),
+            input: RunInputWire::Iterations(2),
+            mode: RunMode::Sequential,
+            resources: resources(),
+        });
+        assert!(reply.drain().unwrap().ok);
+    }
+    server.resources().stats().bytes_received
+}
+
+fn cached_resource_bytes(runs: usize) -> u64 {
+    let (laminar, token) = deploy_for("doubler_wf", "doubles");
+    let server = laminar.server();
+    let refs: Vec<ResourceRefWire> = resources()
+        .iter()
+        .map(|(n, b)| ResourceRefWire {
+            name: n.clone(),
+            content_hash: content_hash(b),
+        })
+        .collect();
+    let run = |srv: &LaminarServer| {
+        srv.handle(Request::Run {
+            token,
+            ident: Ident::Name("doubler_wf".into()),
+            input: RunInputWire::Iterations(2),
+            mode: RunMode::Sequential,
+            streaming: true,
+            verbose: false,
+            resources: refs.clone(),
+            fault: FaultPolicyWire::default(),
+            task_timeout_ms: None,
+        })
+    };
+    for _ in 0..runs {
+        match run(&server) {
+            Reply::Value(Response::NeedResources(missing)) => {
+                for name in missing {
+                    let bytes = resources().into_iter().find(|(n, _)| *n == name).unwrap().1;
+                    server
+                        .handle(Request::UploadResource { token, name, bytes })
+                        .value();
+                }
+                assert!(run(&server).drain().unwrap().ok);
+            }
+            reply => assert!(reply.drain().unwrap().ok),
+        }
+    }
+    server.resources().stats().bytes_received
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
-//! The paper's shapes as executable gates. Every bound is relative, so a
-//! busy host slows both sides of a comparison and does not flip it; each
-//! timing is the best of three runs, so one stall does not either.
+//! The paper's shapes as executable gates. Every timing bound is
+//! relative, so a busy host slows both sides of a comparison and does not
+//! flip it; each timing is the best of three runs, so one stall does not
+//! either. Byte counts are compared exactly.
 
-use laminar_bench::SlowRuns;
+use laminar_bench::{resource_bytes, SlowRuns, N_RESOURCES, RESOURCE_SIZE};
 use std::time::Duration;
 
 /// The best of three timings of `run`.
@@ -27,4 +28,21 @@ fn e8_streaming_ttfo_stays_flat_while_batch_ttfo_grows_with_the_stream() {
         batch_20.as_secs_f64() > 2.5 * batch_5.as_secs_f64(),
         "batch TTFO {batch_20:?} at 20 items is not 2.5x its {batch_5:?} at 5 items"
     );
+}
+
+/// E9 (§IV-F): the cached path receives each resource once, however many
+/// runs need it, while the inline path receives every resource on every
+/// run. Both are byte counts, so the gate is exact.
+#[test]
+fn e9_cached_bytes_stay_flat_while_inline_bytes_grow_with_runs() {
+    let once = (N_RESOURCES * RESOURCE_SIZE) as u64;
+    for runs in [1, 5] {
+        let (v1_bytes, v2_bytes) = resource_bytes(runs);
+        assert_eq!(v2_bytes, once, "cached bytes after {runs} runs");
+        assert_eq!(
+            v1_bytes,
+            runs as u64 * v2_bytes,
+            "inline bytes after {runs} runs"
+        );
+    }
 }

@@ -778,10 +778,12 @@ fn scope_name(scope: SearchScope) -> &'static str {
     }
 }
 
+/// The first line of `s`, cut past 48 characters to 45 and an ellipsis.
+/// It counts characters, not bytes, so a cut never splits one.
 fn short(s: &str) -> String {
     let line = s.lines().next().unwrap_or("");
-    if line.len() > 48 {
-        format!("{}...", &line[..45])
+    if line.chars().count() > 48 {
+        format!("{}...", line.chars().take(45).collect::<String>())
     } else {
         line.to_string()
     }
@@ -1087,6 +1089,16 @@ class PrintPrime(ConsumerPE):
         assert!(out.contains("Completed"), "{out}");
         assert!(c.execute("history").contains("Error"));
         assert!(c.execute("history ghost").contains("Error"));
+    }
+
+    #[test]
+    fn history_cuts_non_ascii_runs_at_a_char_boundary() {
+        let (mut c, _) = cli_with_isprime();
+        // Byte 45 of the recorded input falls inside an 'é'.
+        c.execute(&format!("run isprime_wf --rawinput -i a{}", "é".repeat(40)));
+        let out = c.execute("history isprime_wf");
+        assert!(out.contains("aéé"), "{out}");
+        assert!(out.contains("é..."), "{out}");
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! table ([`Request::endpoint`]).
 
 use crate::extract::extract_pes_from_source;
-use d4py::Data;
 use laminar_server::protocol::SemanticHit;
 use laminar_server::protocol::{
     content_hash, BatchItemWire, BatchOutcomeWire, FaultPolicyWire, PeInfo, RecommendationHit,
@@ -204,7 +203,8 @@ impl LaminarClient {
     }
 
     /// Replace how retry backoff waits (default: `thread::sleep`). The
-    /// simulation harness injects a virtual-clock sleeper here.
+    /// simulation harness injects a no-op sleeper here, so no retry of
+    /// an episode waits on the host's clock.
     pub fn with_sleeper(mut self, sleeper: Arc<dyn Fn(Duration) + Send + Sync>) -> Self {
         self.sleeper = sleeper;
         self
@@ -693,20 +693,6 @@ impl LaminarClient {
         )
     }
 
-    /// `run` with explicit data items.
-    pub fn run_data(
-        &self,
-        ident: impl Into<Ident>,
-        data: Vec<Data>,
-    ) -> Result<RunOutput, ClientError> {
-        self.run_mode(
-            ident.into(),
-            RunInputWire::Data(data),
-            RunMode::Sequential,
-            false,
-        )
-    }
-
     /// `run_multiprocess`: static parallel execution.
     pub fn run_multiprocess(
         &self,
@@ -736,20 +722,9 @@ impl LaminarClient {
         )
     }
 
-    /// Fully general run: any input shape × any mapping × verbosity.
-    pub fn run_custom(
-        &self,
-        ident: impl Into<Ident>,
-        input: RunInputWire,
-        mode: RunMode,
-        verbose: bool,
-    ) -> Result<RunOutput, ClientError> {
-        self.run_mode(ident.into(), input, mode, verbose)
-    }
-
-    /// `run_custom` under an explicit fault policy and (dynamic mapping)
-    /// per-task timeout — the `--fault-policy` / `--task-timeout-ms`
-    /// surface of the CLI.
+    /// Fully general run: any input shape × any mapping × verbosity, under
+    /// an explicit fault policy and (dynamic mapping) per-task timeout —
+    /// the `--fault-policy` / `--task-timeout-ms` surface of the CLI.
     pub fn run_custom_faults(
         &self,
         ident: impl Into<Ident>,
@@ -811,7 +786,7 @@ impl LaminarClient {
     }
 
     /// [`LaminarClient::run_stream`] under an explicit fault policy.
-    pub fn run_stream_faults(
+    fn run_stream_faults(
         &self,
         ident: Ident,
         input: RunInputWire,
@@ -865,6 +840,7 @@ fn unexpected<T>(other: Response) -> Result<T, ClientError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d4py::Data;
 
     const WORKFLOW_FILE: &str = "\
 import random
@@ -1099,9 +1075,13 @@ class PrintPrime(ConsumerPE):
     fn run_data_feeds_values() {
         let (c, _) = client_with_isprime();
         let out = c
-            .run_data(
+            .run_custom_faults(
                 "isprime_wf",
-                vec![Data::from(7i64), Data::from(8i64), Data::from(11i64)],
+                RunInputWire::Data(vec![Data::from(7i64), Data::from(8i64), Data::from(11i64)]),
+                RunMode::Sequential,
+                false,
+                FaultPolicyWire::default(),
+                None,
             )
             .unwrap();
         assert!(out.ok);

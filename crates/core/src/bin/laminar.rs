@@ -18,22 +18,14 @@ fn main() -> ExitCode {
     // `--connect host:port` talks to a remote laminar-server over TCP;
     // otherwise an in-process stack is deployed. `--data-dir PATH` makes
     // the in-process registry durable: quit, relaunch with the same path,
-    // and every registered PE and workflow is still there. The `--reco-*`
-    // flags tune the Aroma recommendation pipeline, the same way the
-    // server flags do.
+    // and every registered PE and workflow is still there.
     //
     // Any remaining positional words are executed as ONE command and the
     // process exits with the command's status — so
     // `laminar --connect server:7878 health` works directly as a
     // container healthcheck (nonzero exit when the server is degraded).
     let args: Vec<String> = std::env::args().collect();
-    let value_flags = [
-        "--connect",
-        "--data-dir",
-        "--reco-retrieve-n",
-        "--reco-rerank-keep",
-        "--reco-cluster-sim",
-    ];
+    let value_flags = ["--connect", "--data-dir"];
     let mut oneshot: Vec<String> = Vec::new();
     let mut i = 1;
     while i < args.len() {
@@ -55,19 +47,6 @@ fn main() -> ExitCode {
         .iter()
         .position(|a| a == "--data-dir")
         .and_then(|i| args.get(i + 1).cloned());
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-    };
-    let reco_retrieve_n = flag_value("--reco-retrieve-n");
-    let reco_rerank_keep = flag_value("--reco-rerank-keep");
-    let reco_cluster_sim = args
-        .iter()
-        .position(|a| a == "--reco-cluster-sim")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f32>().ok());
 
     let (_local, mut cli) = match connect {
         Some(addr) => {
@@ -83,19 +62,10 @@ fn main() -> ExitCode {
             (None, Cli::new(LaminarClient::connect_tcp(sockaddr)))
         }
         None => {
-            let mut config = LaminarConfig {
+            let config = LaminarConfig {
                 data_dir: data_dir.map(Into::into),
                 ..LaminarConfig::default()
             };
-            if let Some(n) = reco_retrieve_n {
-                config.server.reco_retrieve_n = n;
-            }
-            if let Some(n) = reco_rerank_keep {
-                config.server.reco_rerank_keep = n;
-            }
-            if let Some(s) = reco_cluster_sim {
-                config.server.reco_cluster_sim = s;
-            }
             let laminar = Laminar::try_deploy(config).unwrap_or_else(|e| {
                 eprintln!("cannot open registry data directory: {e}");
                 std::process::exit(1);

@@ -24,8 +24,7 @@ fn usage() -> ! {
         "usage: laminar-server [ADDR] [--max-connections N] \
          [--request-timeout-secs N] [--drain-timeout-secs N] \
          [--data-dir PATH] [--snapshot-every N] [--wal-fsync] \
-         [--reco-retrieve-n N] [--reco-rerank-keep N] \
-         [--reco-cluster-sim F] [--probe-interval-ms N] \
+         [--probe-interval-ms N] \
          [--io-fault-kind enospc|short-write|fsync-error] \
          [--io-fault-mode nth:N|from:N|random:PCT] \
          [--io-fault-site SITE]... [--io-fault-seed N]\n\
@@ -103,18 +102,6 @@ fn parse_args() -> (String, NetServerConfig, LaminarConfig) {
                 deploy.snapshot_every = numeric();
             }
             "--wal-fsync" => deploy.wal_fsync = true,
-            "--reco-retrieve-n" => {
-                deploy.server.reco_retrieve_n = numeric() as usize;
-            }
-            "--reco-rerank-keep" => {
-                deploy.server.reco_rerank_keep = numeric() as usize;
-            }
-            "--reco-cluster-sim" => {
-                deploy.server.reco_cluster_sim = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
             "--probe-interval-ms" => {
                 deploy.server.probe_interval_ms = numeric();
             }

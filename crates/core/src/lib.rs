@@ -20,38 +20,35 @@
 //! The facade is what the examples, the CLI binary, the integration tests
 //! and the evaluation harnesses all build on.
 
-use embed::DescriptionContext;
 use laminar_client::{Cli, LaminarClient};
-use laminar_execengine::{ExecutionEngine, PoolConfig, WorkflowLibrary};
+use laminar_execengine::{ExecutionEngine, WorkflowLibrary};
 use laminar_registry::{FaultHook, PersistOptions, Registry, SyncPolicy};
 use laminar_server::{LaminarServer, ServerConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use laminar_client::{ClientError, HealthReport, RegisteredWorkflow, RetryPolicy, RunOutput};
+pub use laminar_execengine::PoolConfig;
 pub use laminar_registry::{
     FaultKind, FaultMode, FaultSpec, IoFaultInjector, IoSite, RegistryError,
 };
 pub use laminar_server::{
-    Clock, Connection, ConnectionError, EmbeddingType, Ident, MetricsSnapshot, NetClientTransport,
-    NetServer, NetServerConfig, SearchScope, SharedClock, SimClock, StorageStateWire, SystemClock,
+    Connection, ConnectionError, EmbeddingType, Ident, MetricsSnapshot, NetClientTransport,
+    NetServer, NetServerConfig, SearchScope, StorageStateWire,
 };
 
-/// Deployment configuration.
+/// Deployment configuration. Every field defaults to what both binaries
+/// deploy. What no deployment varies is fixed: the engine library always
+/// holds the stock paper workflows, descriptions are always generated
+/// from the full class (Laminar 2.0's context, Fig. 10b), and dynamic
+/// runs use `DynamicConfig::default()` (Listing 3 takes no parameters).
 #[derive(Debug, Clone)]
 pub struct LaminarConfig {
-    /// Container pool size.
-    pub max_containers: usize,
-    /// Simulated container cold-start latency.
-    pub cold_start: Duration,
-    /// Pre-warmed containers.
-    pub prewarmed: usize,
-    /// Load the stock paper workflows into the engine library.
-    pub stock_workflows: bool,
-    /// Description-generation context (Laminar 2.0 default: full class).
-    pub description_context: DescriptionContext,
-    /// Server search tunables.
+    /// The execution engine's container pool (default: 8 containers, one
+    /// pre-warmed, a 5 ms simulated cold start for the rest).
+    pub pool: PoolConfig,
+    /// Server tunables: Aroma's thresholds, the recovery-probe interval
+    /// and the degraded-mode retry hint.
     pub server: ServerConfig,
     /// Registry data directory (`--data-dir`). `None` keeps the registry
     /// purely in memory, exactly as before persistence existed.
@@ -72,28 +69,18 @@ pub struct LaminarConfig {
     /// (`--io-fault-seed`): the same seed and spec produce bit-identical
     /// fault schedules.
     pub io_fault_seed: u64,
-    /// The clock the server's storage recovery probe runs on. `None`
-    /// deploys on the OS clock; the deterministic simulation harness
-    /// injects a [`laminar_server::SimClock`] so the probe timer runs
-    /// under virtual time.
-    pub clock: Option<laminar_server::SharedClock>,
 }
 
 impl Default for LaminarConfig {
     fn default() -> Self {
         LaminarConfig {
-            max_containers: 8,
-            cold_start: Duration::from_millis(5),
-            prewarmed: 1,
-            stock_workflows: true,
-            description_context: DescriptionContext::FullClass,
+            pool: PoolConfig::default(),
             server: ServerConfig::default(),
             data_dir: None,
             snapshot_every: PersistOptions::default().snapshot_every,
             wal_fsync: false,
             io_fault: None,
             io_fault_seed: 1,
-            clock: None,
         }
     }
 }
@@ -140,26 +127,8 @@ impl Laminar {
             }
             None => Registry::new(),
         };
-        let library = if config.stock_workflows {
-            WorkflowLibrary::with_stock_workflows()
-        } else {
-            WorkflowLibrary::new()
-        };
-        let engine = ExecutionEngine::new(
-            PoolConfig {
-                max_containers: config.max_containers,
-                cold_start: config.cold_start,
-                prewarmed: config.prewarmed,
-            },
-            library,
-        );
-        let mut server = match &config.clock {
-            Some(clock) => {
-                LaminarServer::with_clock(registry, engine, config.server.clone(), clock.clone())
-            }
-            None => LaminarServer::new(registry, engine, config.server.clone()),
-        };
-        server.set_description_context(config.description_context);
+        let engine = ExecutionEngine::new(config.pool, WorkflowLibrary::with_stock_workflows());
+        let server = LaminarServer::new(registry, engine, config.server);
         Ok(Laminar {
             server: Arc::new(server),
             injector,
@@ -370,14 +339,12 @@ mod tests {
 
     #[test]
     fn non_stock_deployment_cannot_run_but_can_search() {
-        let laminar = Laminar::deploy(LaminarConfig {
-            stock_workflows: false,
-            ..LaminarConfig::default()
-        });
+        let laminar = Laminar::deploy(LaminarConfig::default());
         let mut client = laminar.client();
         client.register("u", "p").unwrap();
+        // A workflow name the engine library has no builder for.
         let reg = client
-            .register_workflow("isprime_wf", ISPRIME_WORKFLOW_SOURCE)
+            .register_workflow("isprime_elsewhere_wf", ISPRIME_WORKFLOW_SOURCE)
             .unwrap();
         // Search works (registry-backed)…
         let hits = client
@@ -445,7 +412,10 @@ mod tests {
     #[test]
     fn prewarmed_pool_avoids_first_cold_start() {
         let laminar = Laminar::deploy(LaminarConfig {
-            prewarmed: 2,
+            pool: PoolConfig {
+                prewarmed: 2,
+                ..PoolConfig::default()
+            },
             ..LaminarConfig::default()
         });
         let mut client = laminar.client();

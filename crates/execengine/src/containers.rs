@@ -3,9 +3,11 @@
 //!
 //! The measurable serverless behaviours — cold-start latency on first use,
 //! warm reuse afterwards, a bounded pool that provisions on demand — are
-//! modelled explicitly so the benches can show them. The cold-start delay
-//! is configurable and defaults to a laptop-scale 25 ms (real Docker cold
-//! starts are 100×; only the ratio matters for the evaluation shape).
+//! modelled explicitly so the benches can show them. The default pool is
+//! the one every deployment runs: 8 containers, one of them pre-warmed,
+//! and a laptop-scale 5 ms cold start for the rest (real Docker cold
+//! starts are 100× longer; only the ratio matters for the evaluation
+//! shape).
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -25,8 +27,8 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             max_containers: 8,
-            cold_start: Duration::from_millis(25),
-            prewarmed: 0,
+            cold_start: Duration::from_millis(5),
+            prewarmed: 1,
         }
     }
 }

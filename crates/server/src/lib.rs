@@ -27,9 +27,6 @@
 //! * [`obs`] — the serving-path observability layer: per-request ids,
 //!   lock-free per-endpoint counters and latency histograms, and the
 //!   serialisable [`obs::MetricsSnapshot`] behind the `metrics` endpoint;
-//! * [`clock`] — the test-only clock seam behind the serving path's
-//!   timer (the storage recovery probe), so the deterministic
-//!   simulation harness can run it under virtual time;
 //! * [`health`] — the storage-health state machine behind read-only
 //!   degraded mode: the first persistence error rejects further
 //!   mutations while reads keep serving, and a background probe
@@ -38,7 +35,6 @@
 //! The data-access layer is the `laminar-registry` crate; the models are
 //! its row types.
 
-pub mod clock;
 pub mod connection;
 pub mod health;
 pub mod indexes;
@@ -49,7 +45,6 @@ pub mod resources;
 pub mod server;
 mod service;
 
-pub use clock::{Clock, SharedClock, SimClock, SystemClock};
 pub use connection::{classify, Connection, ConnectionError, Transport};
 pub use health::StorageHealth;
 pub use indexes::{IndexRow, SearchIndexes};

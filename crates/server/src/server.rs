@@ -3,7 +3,6 @@
 //! This module is the controller — request lifecycle, accounting and
 //! one forwarding dispatch; the handlers live in `crate::service`.
 
-use crate::clock::{SharedClock, SystemClock};
 use crate::health::StorageHealth;
 use crate::indexes::{EntryKind, IndexRow, SearchIndexes};
 use crate::obs::{EndpointMetrics, Metrics, RequestId};
@@ -20,29 +19,22 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Server tunables (the paper's "configurable parameter"s).
+/// Server tunables (the paper's "configurable parameter"s). No deployment
+/// sets the Aroma values (`reco_*`) to anything but their defaults; they
+/// stay fields because the benchmark's standalone engine reads them to be
+/// configured as the served one is.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Semantic search returns this many hits (paper default: 5).
-    pub semantic_top_n: usize,
-    /// Code recommendations return up to this many hits (paper default: 5).
-    pub reco_top_n: usize,
-    /// Literal search returns at most this many rows per table (a sane
-    /// over-the-wire cap; clients can request fewer via `top_n`).
-    pub literal_top_n: usize,
     /// Minimum SPT overlap score for a recommendation (paper default: 6.0).
     /// Doubles as the Aroma engine's retrieval floor (`min_overlap`).
     pub reco_min_score: f32,
     /// Minimum cosine for `llm` recommendations.
     pub reco_min_cosine: f32,
-    /// Aroma stage 2: candidates kept by light-weight retrieval
-    /// (`--reco-retrieve-n`).
+    /// Aroma stage 2: candidates kept by light-weight retrieval.
     pub reco_retrieve_n: usize,
-    /// Aroma stage 3: snippets surviving prune & rerank
-    /// (`--reco-rerank-keep`).
+    /// Aroma stage 3: snippets surviving prune & rerank.
     pub reco_rerank_keep: usize,
-    /// Aroma stage 4: cosine floor for joining a cluster
-    /// (`--reco-cluster-sim`).
+    /// Aroma stage 4: cosine floor for joining a cluster.
     pub reco_cluster_sim: f32,
     /// Unused, frozen-benchmark names: the rayon tier and the LSH gate
     /// they sized are gone and nothing reads them. `crates/benchmark`
@@ -55,17 +47,11 @@ pub struct ServerConfig {
     pub probe_interval_ms: u64,
     /// `retry_after_ms` hint carried by `Response::Degraded` rejections.
     pub degraded_retry_after_ms: u64,
-    /// Dynamic-run worker bounds (the config that replaced Listing 2's
-    /// explicit parameters in Laminar 2.0).
-    pub dynamic: d4py::DynamicConfig,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            semantic_top_n: 5,
-            reco_top_n: 5,
-            literal_top_n: 100,
             reco_min_score: 6.0,
             reco_min_cosine: 0.3,
             reco_retrieve_n: 50,
@@ -75,7 +61,6 @@ impl Default for ServerConfig {
             reco_lsh_min_entries: 0,
             probe_interval_ms: 0,
             degraded_retry_after_ms: 500,
-            dynamic: d4py::DynamicConfig::default(),
         }
     }
 }
@@ -118,26 +103,10 @@ pub struct LaminarServer {
     pub(crate) metrics: Arc<Metrics>,
     /// The storage-health state machine behind read-only degraded mode.
     pub(crate) health: Arc<StorageHealth>,
-    /// The clock the server's timers run on (the recovery-probe
-    /// interval). Production uses [`SystemClock`]; the deterministic
-    /// simulation harness injects a virtual clock.
-    clock: SharedClock,
 }
 
 impl LaminarServer {
     pub fn new(registry: Registry, engine: ExecutionEngine, config: ServerConfig) -> Self {
-        Self::with_clock(registry, engine, config, Arc::new(SystemClock::new()))
-    }
-
-    /// [`LaminarServer::new`] with an explicit [`Clock`](crate::clock::Clock)
-    /// — the seam the simulation harness uses to run the server's timers
-    /// under virtual time.
-    pub fn with_clock(
-        registry: Registry,
-        engine: ExecutionEngine,
-        config: ServerConfig,
-        clock: SharedClock,
-    ) -> Self {
         let indexes = SearchIndexes::with_aroma(AromaConfig {
             retrieve_n: config.reco_retrieve_n,
             rerank_keep: config.reco_rerank_keep,
@@ -158,16 +127,10 @@ impl LaminarServer {
             unixcoder: UniXcoderSim::new(),
             metrics: Arc::new(Metrics::new()),
             health: Arc::new(StorageHealth::new()),
-            clock,
         };
         server.warm_load_indexes();
         server.spawn_recovery_probe();
         server
-    }
-
-    /// The clock the server's timers run on.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
     }
 
     /// Start the background storage-recovery probe thread (disabled when
@@ -182,13 +145,8 @@ impl LaminarServer {
         let interval = std::time::Duration::from_millis(self.config.probe_interval_ms);
         let registry = Arc::downgrade(&self.registry);
         let health = Arc::downgrade(&self.health);
-        // The probe ticks on the injectable clock so the simulation
-        // harness can drive it under virtual time. Holding the clock
-        // strongly is fine: it owns no server state, so it never keeps
-        // the registry alive past the server's drop.
-        let clock = self.clock.clone();
         std::thread::spawn(move || loop {
-            clock.sleep(interval);
+            std::thread::sleep(interval);
             let (Some(registry), Some(health)) = (registry.upgrade(), health.upgrade()) else {
                 return;
             };
@@ -308,12 +266,6 @@ impl LaminarServer {
     /// The serving-path metric registry (shared with the TCP layer).
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
-    }
-
-    /// Switch the description-generation context (experiment E13 compares
-    /// `ProcessMethodOnly` vs `FullClass`).
-    pub fn set_description_context(&mut self, ctx: DescriptionContext) {
-        self.codet5 = CodeT5Sim::new(ctx);
     }
 
     // ---- controller ---------------------------------------------------------

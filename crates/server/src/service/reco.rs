@@ -25,6 +25,10 @@ enum RecoQuery {
     Llm(DenseVec),
 }
 
+/// Recommendations returned when a request names no `top_n` (the paper's
+/// default).
+const RECO_TOP_N: usize = 5;
+
 impl LaminarServer {
     /// `CodeRecommendation`: up to `top_n` PEs, workflows, or both merged on
     /// the shared score scale.
@@ -35,7 +39,7 @@ impl LaminarServer {
         embedding_type: EmbeddingType,
         top_n: Option<usize>,
     ) -> Response {
-        let k = top_n.unwrap_or(self.config.reco_top_n);
+        let k = top_n.unwrap_or(RECO_TOP_N);
         self.metrics.groups.reco.requests.inc();
         let query = match embedding_type {
             EmbeddingType::Spt => {

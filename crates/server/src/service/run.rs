@@ -83,7 +83,7 @@ impl LaminarServer {
         let mapping = match mode {
             RunMode::Sequential => d4py::Mapping::Simple,
             RunMode::Multiprocess { processes } => d4py::Mapping::Multi { processes },
-            RunMode::Dynamic => d4py::Mapping::Dynamic(self.config.dynamic.clone()),
+            RunMode::Dynamic => d4py::Mapping::Dynamic(d4py::DynamicConfig::default()),
         };
         let mapping_name = match &mapping {
             d4py::Mapping::Simple => "simple",

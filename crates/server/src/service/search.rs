@@ -7,6 +7,13 @@ use crate::server::LaminarServer;
 use crate::service::registry::{pe_info, wf_info};
 use laminar_registry::SearchTarget;
 
+/// Semantic search's hit count when a request names no `top_n` (the
+/// paper's default).
+const SEMANTIC_TOP_N: usize = 5;
+
+/// Literal search's row cap per table when a request names no `top_n`.
+const LITERAL_TOP_N: usize = 100;
+
 impl LaminarServer {
     /// `SearchLiteral`: the first `top_n` matching rows of each table.
     pub(crate) fn literal_search(
@@ -20,7 +27,7 @@ impl LaminarServer {
             SearchScope::Workflow => SearchTarget::Workflow,
             SearchScope::Both => SearchTarget::Both,
         };
-        let k = top_n.unwrap_or(self.config.literal_top_n);
+        let k = top_n.unwrap_or(LITERAL_TOP_N);
         let start = std::time::Instant::now();
         let (pes, wfs) = self.registry.literal_search_top(target, term, k);
         let elapsed = start.elapsed();
@@ -39,7 +46,7 @@ impl LaminarServer {
         query: &str,
         top_n: Option<usize>,
     ) -> Response {
-        let k = top_n.unwrap_or(self.config.semantic_top_n);
+        let k = top_n.unwrap_or(SEMANTIC_TOP_N);
         let qvec = self.unixcoder.embed_text(query);
         let kind = match scope {
             SearchScope::Pe => Some(EntryKind::Pe),

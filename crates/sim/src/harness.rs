@@ -4,8 +4,9 @@
 //! plane ([`crate::netfault`]), the registry's disk-fault injector, the
 //! d4py enactment chaos, and the crash-restart schedule. Each episode
 //! stands up the full server in-process (registry + engine + indexes +
-//! recommendation + health, on a virtual [`SimClock`]), hammers it, and
-//! checks the oracle invariants after every operation:
+//! recommendation + health, with its recovery-probe timer off and no
+//! retry backoff), hammers it, and checks the oracle invariants after
+//! every operation:
 //!
 //! * **I1 — read agreement**: after every op, a direct `GetRegistry`
 //!   must agree exactly with the reference model built from the
@@ -34,14 +35,12 @@ use crate::netfault::{CallOutcome, CallRecord, FaultyConn, NetState};
 use crate::rng::SimRng;
 use crate::workload::{SimOp, Workload};
 use laminar_client::{ClientError, LaminarClient, RetryPolicy};
-use laminar_core::{Laminar, LaminarConfig};
+use laminar_core::{Laminar, LaminarConfig, PoolConfig};
 use laminar_registry::{FaultKind, FaultMode, FaultSpec, IoSite, SNAPSHOT_FILE, WAL_FILE};
 use laminar_server::protocol::{
     EmbeddingType, PeInfo, Reply, Request, Response, RunInputWire, WireFrame, WorkflowInfo,
 };
-use laminar_server::{
-    Clock, ConnectionError, LaminarServer, ServerConfig, SharedClock, SimClock, Transport,
-};
+use laminar_server::{ConnectionError, LaminarServer, ServerConfig, Transport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -284,14 +283,14 @@ impl Episode<'_> {
     // ---- deployment -----------------------------------------------------
 
     fn deploy_stack(&mut self, first: bool) -> Result<(), String> {
-        let clock: Arc<SimClock> = Arc::new(SimClock::new());
-        let shared_clock: SharedClock = clock.clone();
         let net_seed = self.ctl.next_u64();
         let inj_seed = self.ctl.next_u64();
         let config = LaminarConfig {
-            max_containers: 4,
-            cold_start: Duration::ZERO,
-            prewarmed: 1,
+            pool: PoolConfig {
+                max_containers: 4,
+                cold_start: Duration::ZERO,
+                prewarmed: 1,
+            },
             server: ServerConfig {
                 probe_interval_ms: 0,
                 degraded_retry_after_ms: 1,
@@ -302,8 +301,6 @@ impl Episode<'_> {
             wal_fsync: false,
             io_fault: Some(self.spec.clone()),
             io_fault_seed: inj_seed,
-            clock: Some(shared_clock),
-            ..LaminarConfig::default()
         };
         let laminar = Laminar::try_deploy(config).map_err(|e| format!("deploy failed: {e}"))?;
         // The injector deploys cleared; fault windows arm it explicitly.
@@ -318,14 +315,13 @@ impl Episode<'_> {
             .register("chaos_wf", move || chaos_graph(chaos_seed));
         let net = NetState::new(net_seed);
         let transport = Transport::new(server.clone());
-        let sleeper_clock = clock.clone();
         let client = LaminarClient::over(FaultyConn::new(transport, net.clone()))
             .with_retry(RetryPolicy {
                 max_attempts: 3,
                 base_delay: Duration::ZERO,
                 max_delay: Duration::ZERO,
             })
-            .with_sleeper(Arc::new(move |d| sleeper_clock.sleep(d)));
+            .with_sleeper(Arc::new(|_| {}));
         let mut stack = Stack {
             laminar,
             server,

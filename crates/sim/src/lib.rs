@@ -2,7 +2,7 @@
 //!
 //! FoundationDB-style testing: the entire server — registry, WAL,
 //! snapshots, execution engine, search and recommendation indexes,
-//! health state machine — runs in-process on a virtual clock, driven by
+//! health state machine — runs in-process with no timer, driven by
 //! a seeded workload generator, with three composed fault planes
 //! (registry disk faults, d4py enactment chaos, transport faults) plus
 //! crash-restart cycles. Everything derives from one `u64` seed, so any

@@ -20,8 +20,8 @@
 //! * [`NetFault::DisconnectAfterReply`] — mid-reply connection reset:
 //!   executed server-side, surfaced as [`ConnectionError::Protocol`]
 //!   (never retried by the client).
-//! * [`NetFault::Delay`] — frame delay only; with the virtual clock this
-//!   perturbs nothing but the schedule, and the call succeeds.
+//! * [`NetFault::Delay`] — frame delay only; the wrapper does not wait, so
+//!   this perturbs nothing but the schedule, and the call succeeds.
 //!
 //! The wrapper is **omniscient**: every attempt it makes against the
 //! inner connection is journalled as a [`CallRecord`] with the request

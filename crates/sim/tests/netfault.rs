@@ -5,7 +5,7 @@
 //! server-side outcome, including effects the client never saw.
 
 use laminar_client::{ClientError, LaminarClient, RetryPolicy};
-use laminar_core::{Laminar, LaminarConfig};
+use laminar_core::{Laminar, LaminarConfig, PoolConfig};
 use laminar_server::protocol::{FaultPolicyWire, Ident, RunInputWire, RunMode};
 use laminar_server::{ConnectionError, Transport};
 use laminar_sim::{CallOutcome, FaultyConn, NetFault, NetState};
@@ -16,7 +16,10 @@ use std::time::Duration;
 /// quiescent `FaultyConn` with the given attempt budget.
 fn stack(max_attempts: u32) -> (Laminar, Arc<NetState>, LaminarClient) {
     let laminar = Laminar::try_deploy(LaminarConfig {
-        cold_start: Duration::ZERO,
+        pool: PoolConfig {
+            cold_start: Duration::ZERO,
+            ..PoolConfig::default()
+        },
         ..LaminarConfig::default()
     })
     .expect("deploy");

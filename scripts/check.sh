@@ -79,6 +79,17 @@ if sed '/^#\[cfg(test)\]/,$d' crates/server/src/connection.rs | grep -n "thread:
     exit 1
 fi
 
+# An option with one value in use is a constant (the simplicity rule the
+# paper's Listing 3 makes for run_dynamic): the clock seam nothing read,
+# the config fields and binary flags no caller set, and the setter nothing
+# called stay deleted. Whole words, so `with_stock_workflows` passes.
+echo "==> one value per option (no deleted seam, field or flag comes back)"
+if grep -rnw "SimClock\|SystemClock\|SharedClock\|with_clock\|set_description_context\|stock_workflows\|description_context:\|semantic_top_n\|reco_top_n\|literal_top_n\|config\.dynamic\|--reco-retrieve-n\|--reco-rerank-keep\|--reco-cluster-sim" \
+        crates/*/src src tests examples | grep -v "^crates/benchmark/"; then
+    echo "an option with one value in use is back"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -129,6 +140,11 @@ cargo test -q -p laminar-server --lib -- net::tests
 echo "==> cut run stream (no End, no error value: a typed Protocol error)"
 cargo test -q -p laminar-client --lib -- cut_before_end
 
+# `history` cuts each input and output preview by characters: a run
+# whose input is 'a' and 40 'é' (byte 45 inside an 'é') lists cleanly.
+echo "==> history preview (a non-ASCII run input is cut at a char boundary)"
+cargo test -q -p laminar-client --lib -- history_cuts_non_ascii
+
 # Exactness of the posting-list rankings and the string-free extractor,
 # each against a naive reference (plain seeded #[test]s):
 # streamed feature ids ≡ fnv1a(Feature::encode()); both posting layouts
@@ -164,10 +180,12 @@ cargo test -q -p laminar-server --test spt_postings
 echo "==> dense ranking equality suite (blocked scan == dot per row, under churn)"
 cargo test -q -p laminar-server --test index_props
 
-# The paper's shapes, with relative bounds: E8's streaming TTFO
-# at 20 items under a quarter of batch TTFO, and batch TTFO at 20 items
-# over 2.5x batch TTFO at 5 items, switching only the `streaming` flag.
-echo "==> paper shapes (E8: streaming TTFO flat, batch TTFO grows)"
+# The paper's shapes: E8 with relative bounds (streaming TTFO at 20
+# items under a quarter of batch TTFO, and batch TTFO at 20 items over
+# 2.5x batch TTFO at 5 items, switching only the `streaming` flag), and
+# E9 exactly (cached bytes one copy of each resource, inline bytes that
+# times the run count, at 1 and 5 runs).
+echo "==> paper shapes (E8: streaming TTFO flat, batch TTFO grows; E9: bytes = runs x cached)"
 cargo test -q -p laminar-bench --test paper_shapes
 
 echo "==> cargo test"

@@ -1,7 +1,7 @@
 //! Stress and concurrency tests: sustained throughput through the
 //! dataflow engine and concurrent executions through the serverless stack.
 
-use laminar::core::{Laminar, LaminarConfig, ISPRIME_WORKFLOW_SOURCE};
+use laminar::core::{Laminar, LaminarConfig, PoolConfig, ISPRIME_WORKFLOW_SOURCE};
 use laminar::d4py::mapping::{run, DynamicConfig, Mapping, RunInput};
 use laminar::d4py::prelude::*;
 use std::sync::Arc;
@@ -62,9 +62,11 @@ fn ten_thousand_items_every_mapping() {
 #[test]
 fn concurrent_executions_through_the_stack() {
     let laminar = Laminar::deploy(LaminarConfig {
-        max_containers: 3,
-        cold_start: std::time::Duration::from_millis(1),
-        prewarmed: 1,
+        pool: PoolConfig {
+            max_containers: 3,
+            cold_start: std::time::Duration::from_millis(1),
+            prewarmed: 1,
+        },
         ..LaminarConfig::default()
     });
     let mut boot = laminar.client();
