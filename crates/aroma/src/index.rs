@@ -148,6 +148,11 @@ impl SnippetIndex {
         self.by_id.get(&id).map(|&ix| &self.entries[ix].snippet)
     }
 
+    /// The feature vector snippet `id` is posted under.
+    pub fn vector(&self, id: SnippetId) -> Option<&FeatureVec> {
+        self.by_id.get(&id).map(|&ix| &self.entries[ix].vec)
+    }
+
     /// The statement granules of snippet `id`'s source. Parsed on first
     /// use and kept for as long as the entry lives — in this index and in
     /// every clone of it.

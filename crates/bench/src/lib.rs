@@ -17,6 +17,7 @@
 //! | `eval_resources` | §IV-F resource caching | E9 |
 //! | `eval_mappings` | §II-A mappings / Fig. 5b | E10 |
 //! | `eval_search_latency` | search latency vs registry size | E11 |
+//! | `eval_warm_load` | server start (warm load, index cache) vs registry size | E11 |
 //! | `ablation_aroma_variants` | simplified-vs-full Aroma | E12 |
 //! | `ablation_description_context` | Fig. 10 → Fig. 11 coupling | E13 |
 //! | `ablation_lsh` | §IX future work: LSH for structural code | E14 |

@@ -120,6 +120,12 @@ struct Slab {
 }
 
 impl Slab {
+    /// Row `row`'s values, gathered from its block's columns.
+    fn row(&self, row: usize) -> [f32; DIM] {
+        let block = &self.blocks[row / BLOCK];
+        std::array::from_fn(|d| block[d * BLOCK + row % BLOCK])
+    }
+
     /// Write `values` as row `row`: an overwrite, or an append when `row`
     /// is one past the last. Copies the one block it touches if a snapshot
     /// still shares it.
@@ -138,8 +144,7 @@ impl Slab {
     /// with its block if that empties.
     fn swap_remove(&mut self, row: usize, last: usize) {
         if row != last {
-            let block = &self.blocks[last / BLOCK];
-            let moved: [f32; DIM] = std::array::from_fn(|d| block[d * BLOCK + last % BLOCK]);
+            let moved = self.row(last);
             self.set(row, &moved);
         }
         self.blocks.truncate(last.div_ceil(BLOCK));
@@ -199,6 +204,9 @@ struct IndexState {
     /// `entry_key(id, kind)` per row — ranking tie-break + slot-map key.
     keys: Vec<u64>,
     kinds: Vec<EntryKind>,
+    /// The registry content hash each row was analysed from
+    /// ([`IndexRow::content`]); 0 where none is known.
+    contents: Vec<u64>,
     /// Description embeddings, `keys.len()` rows.
     desc: Slab,
     /// ReACC code embeddings, `keys.len()` rows.
@@ -210,14 +218,16 @@ struct IndexState {
 }
 
 impl IndexState {
-    fn upsert(&mut self, id: u64, kind: EntryKind, desc: &DenseVec, reacc: &DenseVec) {
-        let key = entry_key(id, kind);
+    fn upsert(&mut self, new: &IndexRow) {
+        let kind = new.kind();
+        let key = entry_key(new.id, kind);
         let row = match self.slots.entry(key) {
             MapEntry::Occupied(e) => *e.get(),
             MapEntry::Vacant(e) => {
                 let row = *e.insert(self.keys.len());
                 self.keys.push(key);
                 self.kinds.push(kind);
+                self.contents.push(0);
                 match kind {
                     EntryKind::Pe => self.pes += 1,
                     EntryKind::Workflow => self.workflows += 1,
@@ -225,15 +235,17 @@ impl IndexState {
                 row
             }
         };
-        self.desc.set(row, &desc.values);
-        self.reacc.set(row, &reacc.values);
+        self.contents[row] = new.content;
+        self.desc.set(row, &new.desc.values);
+        self.reacc.set(row, &new.reacc.values);
     }
 
     /// Overwrite the description embedding of an indexed row; a row that
-    /// is not indexed stays absent.
+    /// is not indexed stays absent. The row's content hash becomes unknown.
     fn set_desc(&mut self, id: u64, kind: EntryKind, desc: &DenseVec) {
         if let Some(&row) = self.slots.get(&entry_key(id, kind)) {
             self.desc.set(row, &desc.values);
+            self.contents[row] = 0;
         }
     }
 
@@ -249,6 +261,7 @@ impl IndexState {
         let last = self.keys.len() - 1;
         self.keys.swap_remove(row);
         self.kinds.swap_remove(row);
+        self.contents.swap_remove(row);
         self.desc.swap_remove(row, last);
         self.reacc.swap_remove(row, last);
         if row != last {
@@ -259,6 +272,7 @@ impl IndexState {
     fn clear(&mut self) {
         self.keys.clear();
         self.kinds.clear();
+        self.contents.clear();
         self.desc.blocks.clear();
         self.reacc.blocks.clear();
         self.slots.clear();
@@ -283,6 +297,11 @@ pub struct IndexRow {
     pub reacc: DenseVec,
     /// `Some` makes this a PE row, `None` a workflow row.
     pub pe: Option<PeSnippet>,
+    /// The content hash ([`crate::index_cache::content_hash`]) of the
+    /// registry row these vectors were analysed from, kept beside them
+    /// so the index cache can tell later whether they still apply; 0
+    /// when the caller has no committed row at hand.
+    pub content: u64,
 }
 
 /// The engine's share of a PE row: the name and source it cuts into
@@ -306,6 +325,7 @@ impl IndexRow {
                 code: code.to_string(),
                 spt,
             }),
+            content: 0,
         }
     }
 
@@ -316,6 +336,7 @@ impl IndexRow {
             desc,
             reacc: ReaccSim::new().embed_code(code),
             pe: None,
+            content: 0,
         }
     }
 
@@ -434,7 +455,7 @@ impl SearchIndexes {
             let index = Arc::make_mut(&mut cell.index);
             let mut snippets = Vec::new();
             for row in rows {
-                index.upsert(row.id, row.kind(), &row.desc, &row.reacc);
+                index.upsert(&row);
                 if let Some(pe) = row.pe {
                     snippets.push((Snippet::new(row.id, pe.name, pe.code), pe.spt));
                 }
@@ -478,6 +499,7 @@ impl SearchIndexes {
                 code: String::new(),
                 spt: spt_vec,
             }),
+            content: 0,
         });
     }
 
@@ -503,6 +525,16 @@ impl SearchIndexes {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Every indexed row as one publication left it: the dense state and
+    /// the engine from one read of the cell.
+    pub fn rows(&self) -> IndexedRows {
+        let cell = self.read();
+        IndexedRows {
+            index: cell.index.clone(),
+            engine: cell.engine.clone(),
+        }
     }
 
     /// `(PE entries, workflow entries)` — feeds the index-size gauges.
@@ -616,6 +648,46 @@ impl SearchIndexes {
         });
         rows.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.key.cmp(&b.key)));
         to_hits(&st, rows)
+    }
+}
+
+/// One consistent view of every indexed row ([`SearchIndexes::rows`]).
+pub struct IndexedRows {
+    index: Arc<IndexState>,
+    engine: Arc<AromaEngine>,
+}
+
+/// One indexed row's values, as [`IndexedRows::iter`] reads them.
+#[derive(Debug)]
+pub struct IndexedRow<'a> {
+    pub id: u64,
+    pub kind: EntryKind,
+    /// The row's content hash, 0 where none is known.
+    pub content: u64,
+    pub desc: [f32; DIM],
+    pub reacc: [f32; DIM],
+    /// The SPT vector the engine posts a PE under; `None` for a workflow.
+    pub spt: Option<&'a FeatureVec>,
+}
+
+impl IndexedRows {
+    /// Every row, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = IndexedRow<'_>> + '_ {
+        let st = &self.index;
+        (0..st.keys.len()).map(move |row| {
+            let (id, kind) = (key_id(st.keys[row]), st.kinds[row]);
+            IndexedRow {
+                id,
+                kind,
+                content: st.contents[row],
+                desc: st.desc.row(row),
+                reacc: st.reacc.row(row),
+                spt: match kind {
+                    EntryKind::Pe => self.engine.index().vector(id),
+                    EntryKind::Workflow => None,
+                },
+            }
+        })
     }
 }
 
@@ -1018,6 +1090,7 @@ mod tests {
             desc,
             reacc,
             pe: None,
+            content: 0,
         }
     }
 

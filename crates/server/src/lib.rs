@@ -18,6 +18,9 @@
 //!   (description embeddings, SPT feature vectors, ReACC code vectors),
 //!   and the served [`aroma::AromaEngine`], one copy-on-write cell with
 //!   one generation, updated on every registration;
+//! * [`index_cache`] — `index.cache`, the binary copy of the analysed rows
+//!   a start reads instead of re-deriving them, valid per row while the
+//!   row's registry content is unchanged;
 //! * [`resources`] — the §IV-F resource cache: content-hash dedup,
 //!   multipart upload, bytes-on-wire accounting;
 //! * [`connection`] — the unified [`connection::Connection`] trait, its
@@ -37,6 +40,7 @@
 
 pub mod connection;
 pub mod health;
+pub mod index_cache;
 pub mod indexes;
 pub mod net;
 pub mod obs;
@@ -51,7 +55,7 @@ pub use indexes::{IndexRow, SearchIndexes};
 pub use net::{NetClientTransport, NetServer, NetServerConfig, MAX_FRAME};
 pub use obs::{
     EnactmentSnapshot, EndpointSnapshot, Metrics, MetricsSnapshot, RecoSnapshot, RequestId,
-    SearchSnapshot, StorageHealthSnapshot,
+    SearchSnapshot, StorageHealthSnapshot, WarmSnapshot,
 };
 pub use protocol::{
     EmbeddingType, FaultPolicyWire, Ident, PeSubmission, Reply, Request, RequestEnvelope, Response,

@@ -9,7 +9,7 @@
 //! [`protocol::ENDPOINTS`] made when the [`Metrics`] is — so
 //! instrumentation never contends with the requests it measures.
 //!
-//! The subsystems' row groups (search, reco, enactment, ingest) are
+//! The subsystems' row groups (search, reco, enactment, ingest, warm) are
 //! declared once, in `with_row_groups!`: a field's name and kind there
 //! make its live metric, its snapshot field, the copy between the two and
 //! its place in the rendered table.
@@ -333,6 +333,27 @@ macro_rules! with_row_groups {
                 commit_us: Histogram,
                 /// Publish stage: one index snapshot swap.
                 index_us: Histogram,
+            }
+            /// Warm-load metrics: how a start built its indexes, and what
+            /// writing the index cache (`index.cache`) cost.
+            warm: WarmMetrics, WarmSnapshot {
+                /// The warm load, from reading the registry's rows to the
+                /// one publication.
+                load_us: Histogram,
+                /// Registry rows served from the index cache.
+                cache_rows_hit: Counter,
+                /// Registry rows derived from their columns (no cache, or
+                /// no valid cache row for their content).
+                cache_rows_missed: Counter,
+                /// Cache files ignored whole (header or analyser
+                /// fingerprint mismatch) or cut short by a bad frame.
+                cache_rejected: Counter,
+                /// Cache writes, after an explicit or a drain compaction.
+                cache_write_us: Histogram,
+                /// Bytes of the last cache written.
+                cache_bytes: Gauge,
+                /// Cache writes that failed (never a request's error).
+                cache_write_failures: Counter,
             }
         }
     };
@@ -805,7 +826,7 @@ mod tests {
         let parse = |json: &str| serde_json::from_str::<MetricsSnapshot>(json).unwrap();
         let empty = Metrics::new().snapshot();
         let groups: Vec<&str> = empty.groups.fields().iter().map(|g| g.0).collect();
-        assert_eq!(groups, ["search", "reco", "enactment", "ingest"]);
+        assert_eq!(groups, ["search", "reco", "enactment", "ingest", "warm"]);
         let table = empty.render();
         for group in &groups {
             assert!(!table.contains(&format!("{group}:")), "{table}");
@@ -814,7 +835,7 @@ mod tests {
         assert!(!table.contains("storage health:"), "{table}");
 
         let bumps = with_row_groups!(bumps);
-        assert_eq!(bumps.len(), 28);
+        assert_eq!(bumps.len(), 35);
         for (group, field, bump) in bumps {
             let m = Metrics::new();
             bump(&m);

@@ -4,13 +4,14 @@
 //! one forwarding dispatch; the handlers live in `crate::service`.
 
 use crate::health::StorageHealth;
-use crate::indexes::{EntryKind, IndexRow, SearchIndexes};
+use crate::index_cache::{self, CachedRow, IndexCache, ReadEnd};
+use crate::indexes::{EntryKind, IndexRow, PeSnippet, SearchIndexes};
 use crate::obs::{EndpointMetrics, Metrics, RequestId};
 use crate::protocol::*;
 use crate::resources::ResourceCache;
 use crate::service::run::RunSpec;
 use aroma::AromaConfig;
-use embed::{CodeT5Sim, DenseVec, DescriptionContext, UniXcoderSim};
+use embed::{CodeT5Sim, DenseVec, DescriptionContext, ReaccSim, UniXcoderSim};
 use laminar_execengine::ExecutionEngine;
 use laminar_registry::{Registry, RegistryError};
 use spt::{FeatureVec, Spt};
@@ -103,6 +104,8 @@ pub struct LaminarServer {
     pub(crate) metrics: Arc<Metrics>,
     /// The storage-health state machine behind read-only degraded mode.
     pub(crate) health: Arc<StorageHealth>,
+    /// The data directory's index cache; `None` without a data directory.
+    pub(crate) index_cache: Option<Arc<IndexCache>>,
 }
 
 impl LaminarServer {
@@ -115,6 +118,9 @@ impl LaminarServer {
             min_overlap: config.reco_min_score,
             ..AromaConfig::default()
         });
+        let index_cache = registry
+            .data_dir()
+            .map(|dir| Arc::new(IndexCache::open(&dir)));
         let server = LaminarServer {
             registry: Arc::new(registry),
             engine: Arc::new(engine),
@@ -127,6 +133,7 @@ impl LaminarServer {
             unixcoder: UniXcoderSim::new(),
             metrics: Arc::new(Metrics::new()),
             health: Arc::new(StorageHealth::new()),
+            index_cache,
         };
         server.warm_load_indexes();
         server.spawn_recovery_probe();
@@ -178,52 +185,154 @@ impl LaminarServer {
 
     /// Best-effort final compaction for graceful shutdown: fold the WAL
     /// into a snapshot so the next start recovers from the snapshot
-    /// instead of a long replay. Runs on a helper thread and gives up
-    /// after `timeout` (the compaction itself keeps running to
-    /// completion, but drain is not blocked on it). Skipped while
-    /// degraded — a failing disk would only eat the drain budget.
-    /// Returns true when the compaction finished (successfully) in time.
+    /// instead of a long replay, then write the index cache so it starts
+    /// without re-deriving a row. Runs on a helper thread and gives up
+    /// after `timeout` (the work itself keeps running to completion, but
+    /// drain is not blocked on it). Skipped while degraded — a failing
+    /// disk would only eat the drain budget. Returns true when the
+    /// compaction (and the cache write after it) finished in time and the
+    /// compaction succeeded.
     pub fn shutdown_compact(&self, timeout: std::time::Duration) -> bool {
         if self.health.is_degraded() {
             return false;
         }
         let registry = self.registry.clone();
+        let (indexes, metrics) = (self.indexes.clone(), self.metrics.clone());
+        let cache = self.index_cache.clone();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = tx.send(registry.compact().is_ok());
+            let compacted = registry.compact().is_ok();
+            if let (true, Some(cache)) = (compacted, cache) {
+                cache.save(&indexes, &metrics.groups.warm);
+            }
+            let _ = tx.send(compacted);
         });
         matches!(rx.recv_timeout(timeout), Ok(true))
     }
 
+    /// Write the index cache after a compaction (see
+    /// [`crate::index_cache`]); a no-op without a data directory.
+    pub(crate) fn save_index_cache(&self) {
+        if let Some(cache) = &self.index_cache {
+            cache.save(&self.indexes, &self.metrics.groups.warm);
+        }
+    }
+
     /// Cold-start warm load: rebuild the search indexes from whatever the
     /// registry already holds (a registry restored via `load_from` arrives
-    /// populated). Embedding CLOBs decode and the ReACC code embeddings
-    /// compute row by row, then everything — slabs and, under its decoded
-    /// SPT vector, every PE's source for the engine — publishes as one
-    /// write. A workflow's `spt_embedding` stays
-    /// in the registry: nothing ranks by it.
+    /// populated). A row whose content hash matches its index-cache row
+    /// takes that row's vectors; every other row is derived as if there
+    /// were no cache: its embedding CLOBs decode and its ReACC code
+    /// embedding is computed. Then everything — slabs and, under its SPT
+    /// vector, every PE's source for the engine — publishes as one write,
+    /// PEs first, each kind in registry order, whatever came from the
+    /// cache. A workflow's `spt_embedding` stays in the registry: nothing
+    /// ranks by it.
     fn warm_load_indexes(&self) {
-        // Stored CLOBs are authoritative; rows predating the embedding
-        // columns fall back to re-embedding.
+        let start = std::time::Instant::now();
+        let warm = &self.metrics.groups.warm;
+        let (pes, workflows) = (self.registry.all_pes(), self.registry.all_workflows());
+        let contents: Vec<u64> = pes
+            .iter()
+            .map(|p| {
+                index_cache::content_hash(
+                    &p.code,
+                    &p.description,
+                    &p.description_embedding,
+                    &p.spt_embedding,
+                )
+            })
+            .chain(workflows.iter().map(|w| {
+                index_cache::content_hash(
+                    &w.code,
+                    &w.description,
+                    &w.description_embedding,
+                    &w.spt_embedding,
+                )
+            }))
+            .collect();
+        // Slot per registry row, in publication order.
+        let mut cached: Vec<Option<CachedRow>> = std::iter::repeat_with(|| None)
+            .take(contents.len())
+            .collect();
+        if let Some(cache) = &self.index_cache {
+            let slot: HashMap<(u64, EntryKind), usize> = pes
+                .iter()
+                .map(|p| (p.id, EntryKind::Pe))
+                .chain(workflows.iter().map(|w| (w.id, EntryKind::Workflow)))
+                .enumerate()
+                .map(|(i, key)| (key, i))
+                .collect();
+            let end = cache.read(|row| {
+                if let Some(&i) = slot.get(&(row.id, row.kind)) {
+                    if contents[i] == row.content {
+                        cached[i] = Some(row);
+                    }
+                }
+            });
+            if end == ReadEnd::Rejected {
+                warm.cache_rejected.inc();
+            }
+        }
+
+        // A miss is derived from its row. Stored CLOBs are authoritative;
+        // rows predating the embedding columns fall back to re-embedding.
         let desc_of = |json: &str, description: &str| {
             DenseVec::from_json(json).unwrap_or_else(|_| self.unixcoder.embed_text(description))
         };
-        let (pes, workflows) = (self.registry.all_pes(), self.registry.all_workflows());
-        let mut rows: Vec<IndexRow> = pes
-            .iter()
-            .map(|p| {
-                let spt = FeatureVec::from_json(&p.spt_embedding)
-                    .unwrap_or_else(|_| Spt::parse_source(&p.code).feature_vec());
-                let desc = desc_of(&p.description_embedding, &p.description);
-                IndexRow::pe(p.id, &p.name, &p.code, desc, spt)
-            })
-            .collect();
-        rows.extend(workflows.iter().map(|w| {
-            let desc = desc_of(&w.description_embedding, &w.description);
-            IndexRow::workflow(w.id, &w.code, desc)
-        }));
+        let reacc_of = |code: &str| ReaccSim::new().embed_code(code);
+        let hits = cached.iter().filter(|row| row.is_some()).count() as u64;
+        let mut cached = cached.into_iter();
+        let mut contents = contents.into_iter();
+        let mut rows: Vec<IndexRow> = Vec::with_capacity(contents.len());
+        for p in pes {
+            let (desc, reacc, spt) = match cached.next().flatten() {
+                Some(hit) => (
+                    hit.desc,
+                    hit.reacc,
+                    hit.spt.expect("a PE row has an SPT vector"),
+                ),
+                None => (
+                    desc_of(&p.description_embedding, &p.description),
+                    reacc_of(&p.code),
+                    FeatureVec::from_json(&p.spt_embedding)
+                        .unwrap_or_else(|_| Spt::parse_source(&p.code).feature_vec()),
+                ),
+            };
+            rows.push(IndexRow {
+                id: p.id,
+                desc,
+                reacc,
+                pe: Some(PeSnippet {
+                    name: p.name,
+                    code: p.code,
+                    spt,
+                }),
+                content: contents.next().expect("a hash per row"),
+            });
+        }
+        for w in workflows {
+            let (desc, reacc) = match cached.next().flatten() {
+                Some(hit) => (hit.desc, hit.reacc),
+                None => (
+                    desc_of(&w.description_embedding, &w.description),
+                    reacc_of(&w.code),
+                ),
+            };
+            rows.push(IndexRow {
+                id: w.id,
+                desc,
+                reacc,
+                pe: None,
+                content: contents.next().expect("a hash per row"),
+            });
+        }
+        let missed = rows.len() as u64 - hits;
         self.indexes.bulk_upsert(rows);
         self.sync_index_gauges();
+        warm.cache_rows_hit.add(hits);
+        warm.cache_rows_missed.add(missed);
+        warm.load_us.record(start.elapsed());
     }
 
     /// Refresh the index-size gauges after an index mutation.

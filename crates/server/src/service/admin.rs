@@ -73,9 +73,14 @@ impl LaminarServer {
         snap
     }
 
-    /// `Compact`: fold the WAL into a fresh snapshot.
+    /// `Compact`: fold the WAL into a fresh snapshot, then write the
+    /// index cache beside it (whose failure is counted, never answered).
     pub(crate) fn compact(&self) -> Result<Response, ServerError> {
-        Ok(match self.registry.compact()? {
+        let compacted = self.registry.compact()?;
+        if compacted.is_some() {
+            self.save_index_cache();
+        }
+        Ok(match compacted {
             Some(stats) => Response::Compacted {
                 wal_records: stats.wal_records,
                 wal_bytes: stats.wal_bytes,

@@ -1,6 +1,7 @@
 //! The registry service: registration — the one write path — reads,
 //! description updates and removals.
 
+use crate::index_cache::content_hash;
 use crate::indexes::{EntryKind, IndexRow, PeSnippet};
 use crate::protocol::{
     BatchItemWire, BatchOutcomeWire, Ident, PeInfo, PeSubmission, Response, SearchScope,
@@ -76,6 +77,8 @@ impl LaminarServer {
             desc: DenseVec,
             spt: FeatureVec,
             reacc: DenseVec,
+            /// The committed row's content hash, set with its columns.
+            content: u64,
         }
         struct AnalysedItem {
             pes: Vec<Analysed>,
@@ -90,6 +93,7 @@ impl LaminarServer {
             desc: self.unixcoder.embed_text(&description),
             spt: Spt::parse_source(&code).feature_vec(),
             reacc: ReaccSim::new().embed_code(&code),
+            content: 0,
             name,
             code,
             description,
@@ -151,32 +155,49 @@ impl LaminarServer {
         }
         let analyse_elapsed = analyse_start.elapsed();
 
-        // Stage 2b: one lock hold, one WAL frame.
+        // Stage 2b: one lock hold, one WAL frame. Each row's content hash
+        // is taken over the very strings its registry row stores.
         let commit_start = std::time::Instant::now();
+        let columns = |a: &mut Analysed| {
+            let (description_embedding, spt_embedding) = (a.desc.to_json(), a.spt.to_json());
+            a.content = content_hash(
+                &a.code,
+                &a.description,
+                &description_embedding,
+                &spt_embedding,
+            );
+            (description_embedding, spt_embedding)
+        };
         let units: Vec<RegistrationUnit> = analysed
-            .iter()
+            .iter_mut()
             .map(|item| RegistrationUnit {
                 pes: item
                     .pes
-                    .iter()
-                    .map(|a| NewPe {
+                    .iter_mut()
+                    .map(|a| {
+                        let (description_embedding, spt_embedding) = columns(a);
+                        NewPe {
+                            user_id: user,
+                            name: a.name.clone(),
+                            description: a.description.clone(),
+                            code: a.code.clone(),
+                            description_embedding,
+                            spt_embedding,
+                        }
+                    })
+                    .collect(),
+                workflow: item.workflow.as_mut().map(|a| {
+                    let (description_embedding, spt_embedding) = columns(a);
+                    NewWorkflow {
                         user_id: user,
                         name: a.name.clone(),
                         description: a.description.clone(),
                         code: a.code.clone(),
-                        description_embedding: a.desc.to_json(),
-                        spt_embedding: a.spt.to_json(),
-                    })
-                    .collect(),
-                workflow: item.workflow.as_ref().map(|a| NewWorkflow {
-                    user_id: user,
-                    name: a.name.clone(),
-                    description: a.description.clone(),
-                    code: a.code.clone(),
-                    description_embedding: a.desc.to_json(),
-                    spt_embedding: a.spt.to_json(),
-                    // Resolved per unit inside `add_units`.
-                    pe_ids: Vec::new(),
+                        description_embedding,
+                        spt_embedding,
+                        // Resolved per unit inside `add_units`.
+                        pe_ids: Vec::new(),
+                    }
                 }),
             })
             .collect();
@@ -199,6 +220,7 @@ impl LaminarServer {
                             code: pe.code,
                             spt: pe.spt,
                         }),
+                        content: pe.content,
                     });
                 }
             }
@@ -208,6 +230,7 @@ impl LaminarServer {
                     desc: wf.desc,
                     reacc: wf.reacc,
                     pe: None,
+                    content: wf.content,
                 });
             }
         }

@@ -431,6 +431,7 @@ fn dense_row(rng: &mut Rng, id: u64, held: &[IndexRow]) -> IndexRow {
             code: String::new(),
             spt: FeatureVec::default(),
         }),
+        content: 0,
     }
 }
 

@@ -210,6 +210,19 @@ echo "==> compaction suite (amortised trigger, sealed-log recovery matrix, cut s
 cargo test -q -p laminar-registry --test compaction -- amortised every_snapshot audits_the_sealed_log a_failed_write writes_the_bytes without_a_sealed_log
 cargo test -q -p laminar-registry --lib -- the_cut a_cut_shares seal_
 
+# The index cache is derived, never the truth: a start that reads it
+# builds the indexes a start without it builds, bit for bit (rows,
+# rankings, recommendations), whether the cache is whole, stale after
+# updates and removals, cut at or inside any frame, flipped, from another
+# format, DIM or analyser build, empty, absent, or a leftover .tmp; the
+# drain compaction writes it, auto-compaction does not, and a failed write
+# is counted without failing Compact. The sliced CRC-32 equals the
+# byte-wise one at every length to 64 and over 1 MiB.
+echo "==> index cache suite (cache-loaded == cache-less, per-row staleness, torn/foreign files)"
+cargo test -q -p laminar-server --test index_cache
+cargo test -q -p laminar-server --lib -- index_cache::
+cargo test -q -p laminar-registry --lib -- crc32
+
 # Chunking invariance (one frame of all units ≡ a frame per row), and
 # all-or-nothing recovery of a frame when the WAL is cut at every byte
 # across it.

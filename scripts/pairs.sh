@@ -7,7 +7,13 @@
 #
 # Both sides build once, in release, each into its own target directory
 # under --work (default: ${TMPDIR:-/tmp}/laminar-pairs, kept between
-# calls so a second call rebuilds only what changed). The parent is
+# calls so a second call rebuilds only what changed). After its build,
+# each side's corpus fixtures (`laminar-bench/fixture-*` in its target
+# directory) are deleted: the benchmark reuses any fixture it finds, so
+# one written by an older revision's server would otherwise be measured,
+# and what a server writes at load time never would. Each run set's
+# first corpus run rebuilds its fixture with that side's own server (its
+# `setup_s` is timed after the load, as every run's is). The parent is
 # exported with `git archive` into --work, so the repository gains no
 # worktree or branch. Pair i runs the parent first when i is odd and the
 # working tree first when i is even; both sides get the same arguments,
@@ -51,12 +57,12 @@ while (($#)); do
         --seed) seed=$2; shift ;;
         --note) note=$2; shift ;;
         --work) work=$2; shift ;;
-        *) sed -n '2,34p' "$0" >&2; exit 2 ;;
+        *) sed -n '2,40p' "$0" >&2; exit 2 ;;
     esac
     shift
 done
 if [[ -z $parent ]]; then
-    sed -n '2,34p' "$0" >&2
+    sed -n '2,40p' "$0" >&2
     exit 2
 fi
 
@@ -95,6 +101,7 @@ if [[ ! -d $parent_src ]]; then
 fi
 build "$parent_src" "$work/target-parent"
 build "$root" "$work/target-change"
+rm -rf "$work"/target-{parent,change}/laminar-bench/fixture-*
 
 runs="$work/runs/$(date -u +%Y%m%dT%H%M%SZ)-$workload-$seed"
 mkdir -p "$runs"
