@@ -10,11 +10,10 @@
 //! cargo run -p laminar-bench --release --bin ablation_aroma_variants
 //! ```
 
-use aroma::prune::{granulated_vec, prune_and_rerank};
-use csn::{best_f1, pr_curve};
-use laminar_bench::{code_to_code_eval, standard_corpus, CodeRetriever, MAX_K, OMISSION_LEVELS};
-use spt::{FeatureVec, Spt};
-use std::collections::HashSet;
+use csn::best_f1;
+use laminar_bench::{
+    code_to_code_eval, full_aroma_eval, standard_corpus, CodeRetriever, OMISSION_LEVELS,
+};
 use std::time::Instant;
 
 fn main() {
@@ -30,55 +29,14 @@ fn main() {
     for &omission in OMISSION_LEVELS {
         // Simplified: straight overlap ranking (what the server ships).
         let t0 = Instant::now();
-        let simple_curve = code_to_code_eval(&corpus, CodeRetriever::Aroma, omission);
+        let simple_f1 = best_f1(&code_to_code_eval(&corpus, CodeRetriever::Aroma, omission)).0;
         let t_simple = t0.elapsed();
-        let simple_f1 = best_f1(&simple_curve).0;
 
         // Full pipeline: retrieve top-50 by overlap, prune & rerank each
         // candidate against the granulated query, rank by rerank score.
-        let stored: Vec<FeatureVec> = corpus
-            .entries
-            .iter()
-            .map(|e| Spt::parse_source(&e.code).feature_vec())
-            .collect();
         let t1 = Instant::now();
-        let queries: Vec<(Vec<u64>, HashSet<u64>)> = corpus
-            .entries
-            .iter()
-            .map(|e| {
-                let partial = pyparse::drop_suffix_fraction(&e.code, omission);
-                let qvec = Spt::parse_source(&partial).feature_vec();
-                // Stage 1: light-weight retrieval.
-                let mut scored: Vec<(u64, f32)> = stored
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (i as u64, qvec.overlap(v)))
-                    .collect();
-                scored.sort_unstable_by(|a, b| {
-                    b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
-                });
-                let top: Vec<u64> = scored.iter().take(50).map(|(id, _)| *id).collect();
-                // Stage 2: prune & rerank in granule space.
-                let gq = granulated_vec(&partial);
-                let mut reranked: Vec<(u64, f32)> = top
-                    .iter()
-                    .map(|&id| {
-                        let pruned =
-                            prune_and_rerank(id, &corpus.entries[id as usize].code, &gq);
-                        (id, pruned.rerank_score)
-                    })
-                    .collect();
-                reranked.sort_unstable_by(|a, b| {
-                    b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0))
-                });
-                let ranked: Vec<u64> = reranked.into_iter().map(|(id, _)| id).collect();
-                let mut relevant: HashSet<u64> = corpus.relevant_to(e).into_iter().collect();
-                relevant.insert(e.id);
-                (ranked, relevant)
-            })
-            .collect();
+        let full_f1 = best_f1(&full_aroma_eval(&corpus, omission)).0;
         let t_full = t1.elapsed();
-        let full_f1 = best_f1(&pr_curve(&queries, MAX_K)).0;
 
         println!(
             "{:>9.0}%  {:>16.4}  {:>16.4}  {:>14.1}  {:>14.1}",

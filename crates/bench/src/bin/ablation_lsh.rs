@@ -12,7 +12,7 @@
 
 use aroma::{LshConfig, LshIndex};
 use csn::{best_f1, pr_curve, Dataset, DatasetConfig};
-use laminar_bench::MAX_K;
+use laminar_bench::{rank_by_overlap, relevant_set, MAX_K};
 use spt::{FeatureVec, Spt};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -51,18 +51,7 @@ fn main() {
             .entries
             .iter()
             .zip(&queries)
-            .map(|(e, q)| {
-                let mut scored: Vec<(u64, f32)> = vecs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| (i as u64, q.overlap(v)))
-                    .collect();
-                scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                let ranked = scored.into_iter().map(|(id, _)| id).collect();
-                let mut rel: HashSet<u64> = corpus.relevant_to(e).into_iter().collect();
-                rel.insert(e.id);
-                (ranked, rel)
-            })
+            .map(|(e, q)| (rank_by_overlap(q, &vecs), relevant_set(&corpus, e)))
             .collect();
         let exh_us = t0.elapsed().as_micros() as f64 / corpus.len() as f64;
         let exh_f1 = best_f1(&pr_curve(&exhaustive, MAX_K)).0;
@@ -82,9 +71,7 @@ fn main() {
                 let (hits, stats) = lsh.search(q, MAX_K, 0.0);
                 candidate_frac += stats.candidates as f64 / stats.indexed.max(1) as f64;
                 let ranked = hits.into_iter().map(|h| h.id).collect();
-                let mut rel: HashSet<u64> = corpus.relevant_to(e).into_iter().collect();
-                rel.insert(e.id);
-                (ranked, rel)
+                (ranked, relevant_set(&corpus, e))
             })
             .collect();
         let lsh_us = t1.elapsed().as_micros() as f64 / corpus.len() as f64;

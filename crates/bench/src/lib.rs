@@ -23,14 +23,15 @@
 //! | `ablation_lsh` | §IX future work: LSH for structural code | E14 |
 //! | `ablation_spt_features` | Aroma feature-family ablation | E15 |
 
-use csn::{pr_curve, Dataset, DatasetConfig, PrPoint};
+use aroma::prune::{granulated_vec, prune_and_rerank};
+use csn::{pr_curve, Dataset, DatasetConfig, PeEntry, PrPoint};
 use embed::{CodeT5Sim, DescriptionContext, ReaccSim, UniXcoderSim};
 use laminar_core::{Laminar, LaminarConfig, PoolConfig};
 use laminar_server::protocol::{
     content_hash, FaultPolicyWire, Ident, ResourceRefWire, RunInputWire, RunMode,
 };
 use laminar_server::{LaminarServer, Reply, Request, Response, WireFrame};
-use spt::{FeatureVec, Spt};
+use spt::{extract_features, Feature, FeatureVec, Spt};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -71,6 +72,28 @@ pub fn search_corpus(n: usize) -> Dataset {
     })
 }
 
+/// The csn seeds every seeded paper shape (`tests/paper_shapes.rs`) runs
+/// over, fixed in advance: the standard corpus's seed and 1 to 7.
+pub const SHAPE_SEEDS: [u64; 8] = [42, 1, 2, 3, 4, 5, 6, 7];
+
+/// The corpus of the seeded shapes: 8 families × 5 variants (40 PEs),
+/// small enough that a shape runs in seconds in a debug build.
+pub fn shape_corpus(seed: u64) -> Dataset {
+    Dataset::generate(DatasetConfig {
+        families: 8,
+        variants_per_family: 5,
+        seed,
+        ..DatasetConfig::default()
+    })
+}
+
+/// The ground truth of `entry`'s query: its family, itself included.
+pub fn relevant_set(dataset: &Dataset, entry: &PeEntry) -> HashSet<u64> {
+    let mut relevant: HashSet<u64> = dataset.relevant_to(entry).into_iter().collect();
+    relevant.insert(entry.id);
+    relevant
+}
+
 /// Ranking depth for the PR sweeps.
 pub const MAX_K: usize = 30;
 
@@ -99,10 +122,7 @@ pub fn text_to_code_eval(dataset: &Dataset, ctx: DescriptionContext) -> Vec<PrPo
         .iter()
         .map(|e| {
             let qvec = embedder.embed_text(&e.description);
-            let ranked = rank_dense(&qvec, &stored);
-            let mut relevant: HashSet<u64> = dataset.relevant_to(e).into_iter().collect();
-            relevant.insert(e.id);
-            (ranked, relevant)
+            (rank_dense(&qvec, &stored), relevant_set(dataset, e))
         })
         .collect();
 
@@ -115,12 +135,28 @@ fn rank_dense(query: &embed::DenseVec, stored: &[embed::DenseVec]) -> Vec<u64> {
         .enumerate()
         .map(|(i, v)| (i as u64, query.cosine(v)))
         .collect();
+    sort_best_first(&mut scored);
+    scored.into_iter().map(|(id, _)| id).collect()
+}
+
+/// Ids of `stored` ranked by SPT overlap with `query`, best first, equal
+/// scores by id.
+pub fn rank_by_overlap(query: &FeatureVec, stored: &[FeatureVec]) -> Vec<u64> {
+    let mut scored: Vec<(u64, f32)> = stored
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (i as u64, query.overlap(v)))
+        .collect();
+    sort_best_first(&mut scored);
+    scored.into_iter().map(|(id, _)| id).collect()
+}
+
+fn sort_best_first(scored: &mut [(u64, f32)]) {
     scored.sort_unstable_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.0.cmp(&b.0))
     });
-    scored.into_iter().map(|(id, _)| id).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -157,20 +193,7 @@ pub fn code_to_code_eval(
                 .map(|e| {
                     let partial = pyparse::drop_suffix_fraction(&e.code, omission);
                     let qvec = Spt::parse_source(&partial).feature_vec();
-                    let mut scored: Vec<(u64, f32)> = stored
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| (i as u64, qvec.overlap(v)))
-                        .collect();
-                    scored.sort_unstable_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.0.cmp(&b.0))
-                    });
-                    let ranked = scored.into_iter().map(|(id, _)| id).collect();
-                    let mut relevant: HashSet<u64> = dataset.relevant_to(e).into_iter().collect();
-                    relevant.insert(e.id);
-                    (ranked, relevant)
+                    (rank_by_overlap(&qvec, &stored), relevant_set(dataset, e))
                 })
                 .collect();
             pr_curve(&queries, MAX_K)
@@ -188,10 +211,7 @@ pub fn code_to_code_eval(
                 .map(|e| {
                     let partial = pyparse::drop_suffix_fraction(&e.code, omission);
                     let qvec = model.embed_code(&partial);
-                    let ranked = rank_dense(&qvec, &stored);
-                    let mut relevant: HashSet<u64> = dataset.relevant_to(e).into_iter().collect();
-                    relevant.insert(e.id);
-                    (ranked, relevant)
+                    (rank_dense(&qvec, &stored), relevant_set(dataset, e))
                 })
                 .collect();
             pr_curve(&queries, MAX_K)
@@ -201,6 +221,140 @@ pub fn code_to_code_eval(
 
 /// The omission levels of §VII-D.
 pub const OMISSION_LEVELS: &[f64] = &[0.0, 0.5, 0.75, 0.9];
+
+// ---------------------------------------------------------------------------
+// E12 — simplified vs full Aroma
+// ---------------------------------------------------------------------------
+
+/// How many overlap-ranked candidates E12's full pipeline prunes and
+/// reranks per query.
+const FULL_AROMA_RETRIEVE: usize = 50;
+
+/// E12: the full Aroma pipeline on the Fig. 12 protocol. Retrieve the top
+/// 50 PEs by overlap, prune and rerank each against the granulated query,
+/// and rank them by rerank score.
+pub fn full_aroma_eval(dataset: &Dataset, omission: f64) -> Vec<PrPoint> {
+    let stored: Vec<FeatureVec> = dataset
+        .entries
+        .iter()
+        .map(|e| Spt::parse_source(&e.code).feature_vec())
+        .collect();
+    let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
+        .entries
+        .iter()
+        .map(|e| {
+            let partial = pyparse::drop_suffix_fraction(&e.code, omission);
+            let qvec = Spt::parse_source(&partial).feature_vec();
+            let top = rank_by_overlap(&qvec, &stored);
+            let gq = granulated_vec(&partial);
+            let mut reranked: Vec<(u64, f32)> = top
+                .into_iter()
+                .take(FULL_AROMA_RETRIEVE)
+                .map(|id| {
+                    let pruned = prune_and_rerank(id, &dataset.entries[id as usize].code, &gq);
+                    (id, pruned.rerank_score)
+                })
+                .collect();
+            sort_best_first(&mut reranked);
+            let ranked = reranked.into_iter().map(|(id, _)| id).collect();
+            (ranked, relevant_set(dataset, e))
+        })
+        .collect();
+    pr_curve(&queries, MAX_K)
+}
+
+// ---------------------------------------------------------------------------
+// E15 — Aroma's feature families
+// ---------------------------------------------------------------------------
+
+/// Which of Aroma's four feature families (§II-E) a feature vector keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FeatureFamilies {
+    pub token: bool,
+    pub parent: bool,
+    pub sibling: bool,
+    pub var_usage: bool,
+}
+
+impl FeatureFamilies {
+    /// All four families: the vector the server indexes.
+    pub const ALL: FeatureFamilies = FeatureFamilies {
+        token: true,
+        parent: true,
+        sibling: true,
+        var_usage: true,
+    };
+    const NONE: FeatureFamilies = FeatureFamilies {
+        token: false,
+        parent: false,
+        sibling: false,
+        var_usage: false,
+    };
+    pub const TOKEN: FeatureFamilies = FeatureFamilies {
+        token: true,
+        ..Self::NONE
+    };
+    pub const PARENT: FeatureFamilies = FeatureFamilies {
+        parent: true,
+        ..Self::NONE
+    };
+    pub const SIBLING: FeatureFamilies = FeatureFamilies {
+        sibling: true,
+        ..Self::NONE
+    };
+    pub const VAR_USAGE: FeatureFamilies = FeatureFamilies {
+        var_usage: true,
+        ..Self::NONE
+    };
+
+    /// These families less those of `other`.
+    pub const fn without(self, other: FeatureFamilies) -> FeatureFamilies {
+        FeatureFamilies {
+            token: self.token && !other.token,
+            parent: self.parent && !other.parent,
+            sibling: self.sibling && !other.sibling,
+            var_usage: self.var_usage && !other.var_usage,
+        }
+    }
+
+    fn keeps(&self, f: &Feature) -> bool {
+        match f {
+            Feature::Token(_) => self.token,
+            Feature::Parent(..) => self.parent,
+            Feature::Sibling(..) => self.sibling,
+            Feature::VarUsage(..) => self.var_usage,
+        }
+    }
+
+    /// The feature vector of `code` over the kept families.
+    pub fn feature_vec(&self, code: &str) -> FeatureVec {
+        let feats: Vec<Feature> = extract_features(&Spt::parse_source(code))
+            .into_iter()
+            .filter(|f| self.keeps(f))
+            .collect();
+        FeatureVec::from_features(&feats)
+    }
+}
+
+/// E15: best F1 of the Fig. 12 protocol at `omission`, ranking by overlap
+/// over the feature families in `families` only.
+pub fn feature_families_eval(dataset: &Dataset, families: FeatureFamilies, omission: f64) -> f64 {
+    let stored: Vec<FeatureVec> = dataset
+        .entries
+        .iter()
+        .map(|e| families.feature_vec(&e.code))
+        .collect();
+    let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
+        .entries
+        .iter()
+        .map(|e| {
+            let partial = pyparse::drop_suffix_fraction(&e.code, omission);
+            let q = families.feature_vec(&partial);
+            (rank_by_overlap(&q, &stored), relevant_set(dataset, e))
+        })
+        .collect();
+    csn::best_f1(&pr_curve(&queries, MAX_K)).0
+}
 
 // ---------------------------------------------------------------------------
 // E1 — Fig. 10: description quality
@@ -464,12 +618,7 @@ mod tests {
     use csn::best_f1;
 
     fn tiny() -> Dataset {
-        Dataset::generate(DatasetConfig {
-            families: 8,
-            variants_per_family: 5,
-            seed: 42,
-            ..DatasetConfig::default()
-        })
+        shape_corpus(42)
     }
 
     #[test]
@@ -483,19 +632,6 @@ mod tests {
         // Recall must be monotone in k.
         for w in curve.windows(2) {
             assert!(w[1].recall >= w[0].recall - 1e-9);
-        }
-    }
-
-    #[test]
-    fn fig12_13_aroma_beats_reacc_under_omission() {
-        let d = tiny();
-        for &omission in &[0.5, 0.75] {
-            let aroma = best_f1(&code_to_code_eval(&d, CodeRetriever::Aroma, omission)).0;
-            let reacc = best_f1(&code_to_code_eval(&d, CodeRetriever::Reacc, omission)).0;
-            assert!(
-                aroma > reacc,
-                "omission {omission}: aroma {aroma} must beat reacc {reacc}"
-            );
         }
     }
 

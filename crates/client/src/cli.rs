@@ -1091,6 +1091,8 @@ class PrintPrime(ConsumerPE):
         assert!(c.execute("history ghost").contains("Error"));
     }
 
+    /// `history` cuts each input and output preview by characters, not
+    /// bytes, so a non-ASCII run input lists instead of panicking.
     #[test]
     fn history_cuts_non_ascii_runs_at_a_char_boundary() {
         let (mut c, _) = cli_with_isprime();

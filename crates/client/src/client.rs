@@ -1146,6 +1146,9 @@ class PrintPrime(ConsumerPE):
         addr
     }
 
+    /// A run stream cut before its terminal frame (`Begin` and one `Line`,
+    /// then a closed socket) carries no error value, yet it is no success:
+    /// the run is a typed `Protocol` error and the CLI exits nonzero.
     #[test]
     fn a_run_stream_cut_before_end_is_a_protocol_error() {
         let mut c = LaminarClient::connect_tcp(cut_stream_peer());

@@ -482,6 +482,9 @@ mod tests {
         }
     }
 
+    /// A workflow builder or PE factory that panics runs outside any
+    /// supervisor: the run must still end on an error frame and give its
+    /// container back to the pool.
     #[test]
     fn panicking_enactment_ends_on_error_and_returns_its_container() {
         let lib = WorkflowLibrary::with_stock_workflows();

@@ -683,6 +683,9 @@ mod tests {
         (frames, trailing)
     }
 
+    /// A streamed reply over TCP coalesces queued frames into one write:
+    /// every line still arrives, `End` is the last frame and one sentinel
+    /// follows it.
     #[test]
     fn coalesced_stream_delivers_every_line_then_one_sentinel() {
         let (srv, client) = serve();
@@ -723,6 +726,8 @@ mod tests {
         }
     }
 
+    /// Coalescing writes what is queued and never waits for more: a slow
+    /// run's first line is not held back until `End`.
     #[test]
     fn coalescing_never_holds_back_the_first_line() {
         let (srv, client) = serve();

@@ -1130,6 +1130,11 @@ mod tests {
         ]
     }
 
+    // The endpoint table contract: one row per request, so each row's
+    // name is its request's serde tag, the tokenless, degraded and
+    // idempotent sets are fixed, and every token-carrying row refuses a
+    // request without a session.
+
     #[test]
     fn endpoint_table_names_are_the_serde_tags() {
         let requests = sample_requests();

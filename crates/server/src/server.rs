@@ -2291,6 +2291,9 @@ mod tests {
         assert_eq!(server.indexes().counts(), (5, 1));
     }
 
+    /// A run settles its request exactly once: on the terminal frame, on a
+    /// disconnect (here: the stream's receiver dropped mid-run), or on a
+    /// panicking workflow builder or PE factory (the next two tests).
     #[test]
     fn dropped_stream_receiver_fails_the_execution_and_settles_the_request() {
         let (server, token) = server_with_session();
@@ -2478,6 +2481,8 @@ mod tests {
         assert_eq!(run_endpoint.in_flight, 0);
     }
 
+    /// A run writes its history as two WAL frames: the `Running` row, then
+    /// its response and final status as one frame.
     #[test]
     fn a_run_writes_one_single_record_frame_and_one_finish_frame() {
         use laminar_registry::{

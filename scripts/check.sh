@@ -5,10 +5,8 @@
 #   ./scripts/check.sh --heavy  # additionally runs the #[ignore]d stress tests
 #
 # fmt stays scoped to the serving-path crates (server, client, core,
-# facade); the remaining crates predate the formatting gate. clippy runs
-# workspace-wide. The plain `cargo test` gate runs the root package's
-# tests only; `cargo test --workspace` still ends on one known red (in
-# laminar-bench), so every crate suite that must gate is named below.
+# facade); the remaining crates predate the formatting gate. clippy and the
+# tests run workspace-wide.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -93,209 +91,11 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-# One endpoint table: each row's name is its request's serde tag, the
-# tokenless, degraded and idempotent sets are fixed, and every
-# token-carrying row refuses a request without a session.
-echo "==> endpoint table contract (protocol rows == server gate, session check, metrics, retry class)"
-cargo test -q -p laminar-server --lib -- endpoint_table
-
-# The metric row groups are declared once (obs.rs): every field of every
-# group must reach the snapshot, survive the JSON round trip and render
-# under its group, and an all-zero group must stay out of the table.
-echo "==> metric row groups (one declaration == snapshot, JSON, rendered table)"
-cargo test -q -p laminar-server --lib -- row_groups
-
-# Prune & rerank scores every candidate from candidate-local feature ids;
-# it must equal the merge-based oracle bit for bit (keep sets, kept texts
-# and vectors, pruned_vec, rerank_score) over seeded csn corpora and edge
-# cases, and the pipeline must recommend what the oracle's stages compose.
-# The granulated query vector and completion are checked the same way.
-echo "==> prune & rerank equivalence suite (local-id scoring == merge oracle)"
-cargo test -q -p aroma --test prune_equivalence
-
-# The three mappings (the dynamic one event-driven: blocking workers,
-# lazily spawned, an autoscaler woken by queue depth) and the
-# mapping-equivalence suite: every mapping's output multiset equals the
-# simple mapping's, two producer roots each see every iteration, and the
-# simple mapping's ordered lines (per stock workflow) and the multi
-# mapping's GroupBy placement for wordcount_wf match pinned digests.
-echo "==> d4py mapping tests (simple / multi / dynamic, mapping equivalence)"
-cargo test -q -p d4py --lib -- mapping
-cargo test -q --test mapping_equivalence
-
-# The chaos suite is seeded (pinned seed inside the test file), so this is
-# a deterministic gate, not a flaky soak: same-seed runs must produce
-# bit-identical dead-letter queues on every mapping.
-echo "==> chaos suite (seeded fault injection, all mappings x all policies)"
-cargo test -q -p d4py --test chaos
-
-# Streamed replies over TCP coalesce queued frames into one write: every
-# line arrives, End is the last frame with one sentinel behind it, and a
-# slow run's first line is never held back until End.
-echo "==> TCP stream suite (coalesced frames: complete, terminated, not held back)"
-cargo test -q -p laminar-server --lib -- net::tests
-
-# A run stream cut before its terminal frame (Begin and one Line, then a
-# closed socket) is a typed Protocol error, and the CLI exits nonzero.
-echo "==> cut run stream (no End, no error value: a typed Protocol error)"
-cargo test -q -p laminar-client --lib -- cut_before_end
-
-# `history` cuts each input and output preview by characters: a run
-# whose input is 'a' and 40 'é' (byte 45 inside an 'é') lists cleanly.
-echo "==> history preview (a non-ASCII run input is cut at a char boundary)"
-cargo test -q -p laminar-client --lib -- history_cuts_non_ascii
-
-# Exactness of the posting-list rankings and the string-free extractor,
-# each against a naive reference (plain seeded #[test]s):
-# streamed feature ids ≡ fnv1a(Feature::encode()); both posting layouts
-# (pairs, one-byte count columns) and both score paths (u16, f32) ≡
-# overlap per row, bit for bit, for overlaps / scored / search_vec /
-# rank_spt / rank_spt_above, under a churn whose row count crosses both
-# layout thresholds both ways, with posted counts of 255, 256, 70,000,
-# 1.5, 0 and -1 and a query totalling past 65,535; SnippetIndex::scored ≡
-# overlap per entry in ids() order and search_vec ≡ its positive scores
-# fully sorted, under churn; pruning from the granule memo ≡ pruning from
-# source; rank_spt / rank_spt_above (served from the engine's index) ≡ the
-# same scan over a model's PE rows for kind None and Pe, and empty for
-# Workflow — whose rows the dense ranking still returns — under churn with
-# swap-removes of the engine's last and middle rows; and the blocked dense
-# scan (rank_semantic / rank_reacc / rank_reacc_above) ≡ dot(query, row)
-# per row fully sorted, bit for bit, at row counts on the block boundaries,
-# for queries of 1 to 256 non-zero dimensions (-0.0, subnormals, one lane)
-# and under overwrites, re-descriptions and swap-removes within and across
-# blocks.
-echo "==> spt feature-id equality suite (streamed ids == encoded features)"
-cargo test -q -p spt --test feature_ids
-
-echo "==> posting layout suite (count columns and u16 scores == overlap per row)"
-cargo test -q -p spt --lib -- postings
-cargo test -q -p spt --test postings_layout
-
-echo "==> aroma posting-list + granule-memo equality suite"
-cargo test -q -p aroma --test postings_equivalence
-
-echo "==> server SPT ranking equality suite (engine postings == naive PE scan under churn)"
-cargo test -q -p laminar-server --test spt_postings
-
-echo "==> dense ranking equality suite (blocked scan == dot per row, under churn)"
-cargo test -q -p laminar-server --test index_props
-
-# The paper's shapes: E8 with relative bounds (streaming TTFO at 20
-# items under a quarter of batch TTFO, and batch TTFO at 20 items over
-# 2.5x batch TTFO at 5 items, switching only the `streaming` flag), and
-# E9 exactly (cached bytes one copy of each resource, inline bytes that
-# times the run count, at 1 and 5 runs).
-echo "==> paper shapes (E8: streaming TTFO flat, batch TTFO grows; E9: bytes = runs x cached)"
-cargo test -q -p laminar-bench --test paper_shapes
-
-echo "==> cargo test"
-cargo test -q
-
-# Crash-recovery gate: seeded mutation scripts, the WAL cut at every byte
-# of the tail record (and arbitrary bytes appended to it, and the snapshot
-# with a bit flipped), recovery compared against the acknowledged prefix.
-echo "==> registry recovery suite (seeded: WAL torn tails, arbitrary tails, bit-flipped snapshots)"
-cargo test -q -p laminar-registry --test recovery
-
-# Compaction off the write path: the amortised trigger (3,000 writes with
-# snapshot_every 4 take at most 16 compactions and snapshot at most 3x
-# the final snapshot's bytes), every combination of old/new snapshot,
-# sealed log present/absent and writes after the cut reopening to the
-# acknowledged state (a sealed log torn mid-frame to the history before
-# the tear, wal.log set aside), the storage probe auditing the sealed
-# log, a failed write folded by the next snapshot, the
-# written snapshot byte-identical to to_vec(snapshot()), a cut sharing
-# rows with the live tables, and the WAL seal.
-echo "==> compaction suite (amortised trigger, sealed-log recovery matrix, cut sharing, snapshot bytes)"
-cargo test -q -p laminar-registry --test compaction -- amortised every_snapshot audits_the_sealed_log a_failed_write writes_the_bytes without_a_sealed_log
-cargo test -q -p laminar-registry --lib -- the_cut a_cut_shares seal_
-
-# The index cache is derived, never the truth: a start that reads it
-# builds the indexes a start without it builds, bit for bit (rows,
-# rankings, recommendations), whether the cache is whole, stale after
-# updates and removals, cut at or inside any frame, flipped, from another
-# format, DIM or analyser build, empty, absent, or a leftover .tmp; the
-# drain compaction writes it, auto-compaction does not, and a failed write
-# is counted without failing Compact. The sliced CRC-32 equals the
-# byte-wise one at every length to 64 and over 1 MiB.
-echo "==> index cache suite (cache-loaded == cache-less, per-row staleness, torn/foreign files)"
-cargo test -q -p laminar-server --test index_cache
-cargo test -q -p laminar-server --lib -- index_cache::
-cargo test -q -p laminar-registry --lib -- crc32
-
-# Chunking invariance (one frame of all units ≡ a frame per row), and
-# all-or-nothing recovery of a frame when the WAL is cut at every byte
-# across it.
-echo "==> registration frame suite (chunking invariance + all-or-nothing recovery)"
-cargo test -q -p laminar-registry --test batch_equivalence
-
-# A run writes its history as two WAL frames — the `Running` row, then
-# response + final status as one frame — and settles its request once:
-# on the terminal frame, on a disconnect, or on a panicking workflow
-# builder or PE factory (which must also give its container back).
-echo "==> run history & settlement (disconnect, panicking run, two WAL frames a run)"
-cargo test -q -p laminar-server --lib -- dropped_stream_receiver panicking_run a_run_writes
-cargo test -q -p laminar-execengine --lib -- panicking_enactment
-cargo test -q -p laminar-registry --lib -- executions_and_responses history_of_interleaved every_mutation_advances_seq
-cargo test -q -p laminar-registry --test batch_equivalence -- finish_frame
-cargo test -q -p laminar-registry --test recovery -- four_frame_run_history
-
-# The embedders sum in a fixed order: 200 inputs x 50 repeats, every
-# repeat bit-identical to the first.
-echo "==> embedder determinism suite"
-cargo test -q -p embed --test determinism
-
-# One write path: every scenario registered as RegisterPe/RegisterWorkflow
-# and as a RegisterBatch item must leave identical ids, rows and indexes.
-echo "==> registration scenario table (single requests == batch items)"
-cargo test -q -p laminar-server --lib -- registration_scenarios register_batch
-
-# Storage chaos: one injected fault at every WAL/snapshot IO site x every
-# fault kind, persistent-ENOSPC rejection, and seeded determinism
-# (same seed => bit-identical fault schedule and recovered registry).
-echo "==> storage chaos suite (disk-fault injection at every IO site)"
-cargo test -q -p laminar-registry --test iofault_recovery
-
-# A fault hook stalls an auto-compaction inside its snapshot write: other
-# threads' add_pe / get_pe / finish_execution must finish, a second
-# trigger must start no second compaction, compact() must wait, and a
-# reopen must equal the acknowledged state.
-echo "==> off-lock compaction (a stalled snapshot write blocks no reader or writer)"
-cargo test -q -p laminar-registry --test compaction -- off_the_registry_lock
-
-# Degraded-mode end-to-end over TCP: ENOSPC -> typed Degraded rejections
-# while reads/metrics/health keep serving -> probe recovery -> writes land.
-echo "==> degraded-mode server suite (read-only degradation + recovery)"
-cargo test -q -p laminar-server --test degraded
-
-# Aroma pipeline invariants: clustering covers every pruned input exactly
-# once, seeds are best-ranked, and the engine's recommendations survive
-# the full retrieve → prune → cluster → intersect path.
-echo "==> aroma pipeline seeded suite"
-cargo test -q -p aroma --test pipeline_props
-
-# Hostile input: a flat 200 KB literal (one node, ~66k children) through
-# CodeRecommendation / CodeCompletion / RegisterPe must answer and leave
-# the server healthy — label bytes fed to the feature hasher are bounded.
-echo "==> hostile input (flat 200 KB literal, deep nesting)"
-cargo test -q -p laminar-server --lib -- flat_literals deeply_nested
-
-# Served recommendations: full-pipeline responses ≡ direct engine output on
-# the same snapshot, and Both scope merges PE + workflow hits.
-echo "==> server recommendation suite"
-cargo test -q -p laminar-server --lib -- reco recommendation both_scope
-
-# Network-fault wrapper in isolation: every fault kind on either side of
-# a frame exchange surfaces as a typed error or a successful retry —
-# never a wedged call — and the journal records true server-side effects.
-echo "==> network-fault wrapper suite"
-cargo test -q -p laminar-sim --test netfault
-
-# The simulation oracle's own contract: a clean seeded run is
-# violation-free and bit-identical on replay, and a deliberately broken
-# invariant (losing the WAL) is caught.
-echo "==> simulation oracle suite"
-cargo test -q -p laminar-sim --test oracle
+# Every test of every crate in one call: unit, integration and doc tests,
+# the seeded suites and the paper-shape gates among them. Each suite states
+# its contract in its own doc comment, so a new test needs no line here.
+echo "==> cargo test --workspace"
+cargo test --workspace --no-fail-fast -q
 
 # Whole-system simulation smoke: pinned seeds, every fault plane armed
 # (disk faults, execution chaos, network faults, crash-restart). Each
