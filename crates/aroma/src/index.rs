@@ -59,11 +59,56 @@ struct Entry {
     granules: OnceLock<Granules>,
 }
 
+/// Entries per block of the entry column: the unit a write copies when a
+/// clone shares it.
+const ENTRIES: usize = 256;
+
+/// One `Arc<Entry>` per slot, in blocks of [`ENTRIES`], each block behind
+/// its own `Arc`. Every block but the last is full.
+#[derive(Default, Clone)]
+struct Entries {
+    blocks: Vec<Arc<Vec<Arc<Entry>>>>,
+}
+
+impl Entries {
+    fn get(&self, slot: usize) -> &Arc<Entry> {
+        &self.blocks[slot / ENTRIES][slot % ENTRIES]
+    }
+
+    /// The entry in `slot`, its block copied first if a clone shares it.
+    fn get_mut(&mut self, slot: usize) -> &mut Arc<Entry> {
+        &mut Arc::make_mut(&mut self.blocks[slot / ENTRIES])[slot % ENTRIES]
+    }
+
+    fn push(&mut self, entry: Arc<Entry>) {
+        if self.blocks.last().is_none_or(|b| b.len() == ENTRIES) {
+            self.blocks.push(Arc::new(Vec::with_capacity(ENTRIES)));
+        }
+        let last = self.blocks.last_mut().expect("a block with room");
+        Arc::make_mut(last).push(entry);
+    }
+
+    /// Take the entry in `slot`, `len` entries being held, and move the
+    /// last one into its place.
+    fn swap_remove(&mut self, slot: usize, len: usize) -> Arc<Entry> {
+        let tail = self.blocks.last_mut().expect("an entry to remove");
+        let last = Arc::make_mut(tail).pop().expect("no block is empty");
+        if tail.is_empty() {
+            self.blocks.pop();
+        }
+        if slot + 1 == len {
+            last
+        } else {
+            std::mem::replace(self.get_mut(slot), last)
+        }
+    }
+}
+
 /// The in-memory structural index. `Clone` so a server can publish it in
 /// an Arc-snapshot RCU state and mutate through `Arc::make_mut`.
 #[derive(Default, Clone)]
 pub struct SnippetIndex {
-    entries: Vec<Arc<Entry>>,
+    entries: Entries,
     /// `entries[slot].snippet.id` per slot, contiguous: scoring every
     /// entry reads this column instead of one heap `Entry` per row.
     ids: Vec<SnippetId>,
@@ -94,18 +139,19 @@ impl SnippetIndex {
         let Some(ix) = self.by_id.remove(&id) else {
             return false;
         };
-        let gone = self.entries.swap_remove(ix);
+        let gone = self.entries.swap_remove(ix, self.ids.len());
         self.ids.swap_remove(ix);
         self.postings.remove(ix, &gone.vec);
-        if let Some(moved) = self.entries.get(ix) {
-            self.postings.relabel(self.entries.len(), ix, &moved.vec);
-            self.by_id.insert(moved.snippet.id, ix);
+        if let Some(&moved) = self.ids.get(ix) {
+            self.postings
+                .relabel(self.ids.len(), ix, &self.entries.get(ix).vec);
+            self.by_id.insert(moved, ix);
         }
         true
     }
 
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.entries = Entries::default();
         self.ids.clear();
         self.by_id.clear();
         self.postings.clear();
@@ -122,12 +168,12 @@ impl SnippetIndex {
         });
         match self.by_id.get(&entry.snippet.id) {
             Some(&ix) => {
-                self.postings.remove(ix, &self.entries[ix].vec);
+                self.postings.remove(ix, &self.entries.get(ix).vec);
                 self.postings.insert(ix, &entry.vec);
-                self.entries[ix] = entry;
+                *self.entries.get_mut(ix) = entry;
             }
             None => {
-                let ix = self.entries.len();
+                let ix = self.ids.len();
                 self.postings.insert(ix, &entry.vec);
                 self.by_id.insert(entry.snippet.id, ix);
                 self.ids.push(entry.snippet.id);
@@ -137,27 +183,27 @@ impl SnippetIndex {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     pub fn get(&self, id: SnippetId) -> Option<&Snippet> {
-        self.by_id.get(&id).map(|&ix| &self.entries[ix].snippet)
+        self.by_id.get(&id).map(|&ix| &self.entries.get(ix).snippet)
     }
 
     /// The feature vector snippet `id` is posted under.
     pub fn vector(&self, id: SnippetId) -> Option<&FeatureVec> {
-        self.by_id.get(&id).map(|&ix| &self.entries[ix].vec)
+        self.by_id.get(&id).map(|&ix| &self.entries.get(ix).vec)
     }
 
     /// The statement granules of snippet `id`'s source. Parsed on first
     /// use and kept for as long as the entry lives — in this index and in
     /// every clone of it.
     pub fn granules(&self, id: SnippetId) -> Option<&Granules> {
-        let entry = &self.entries[*self.by_id.get(&id)?];
+        let entry = self.entries.get(*self.by_id.get(&id)?);
         Some(
             entry
                 .granules
@@ -405,6 +451,52 @@ mod tests {
         // The accumulate loop no longer top-ranks the replaced snippet.
         let hits = ix.search("for item in data:\n    total += item\n", 3);
         assert_ne!(hits[0].id, 1, "{hits:?}");
+    }
+
+    /// A clone shares every entry block; a write then copies the blocks
+    /// it touches and no other, and the clone keeps what it held.
+    #[test]
+    fn a_write_copies_only_the_entry_blocks_it_touches() {
+        let vec = |id: u64| FeatureVec {
+            items: vec![(id % 7, 1.0)],
+        };
+        let mut ix = SnippetIndex::new();
+        let n = 3 * ENTRIES as u64 + 10;
+        for id in 0..n {
+            ix.insert(Snippet::new(id, "old", ""), vec(id));
+        }
+        let held = ix.clone();
+        let shared = |ix: &SnippetIndex| -> Vec<bool> {
+            held.entries
+                .blocks
+                .iter()
+                .zip(&ix.entries.blocks)
+                .map(|(a, b)| Arc::ptr_eq(a, b))
+                .collect()
+        };
+        assert_eq!(shared(&ix), [true; 4]);
+        // A replace in block 1 copies block 1.
+        let replaced = ENTRIES as u64 + 3;
+        ix.insert(Snippet::new(replaced, "new", ""), vec(replaced));
+        assert_eq!(shared(&ix), [true, false, true, true]);
+        // A swap-remove in block 0 copies block 0 and the last block.
+        assert!(ix.remove(5));
+        assert_eq!(shared(&ix), [false, false, true, false]);
+        assert_eq!(ix.get(n - 1).map(|s| s.id), Some(n - 1));
+        assert_eq!(ix.vector(n - 1), Some(&vec(n - 1)));
+        assert_eq!(held.get(replaced).unwrap().name, "old");
+        assert_eq!(held.get(5).unwrap().name, "old");
+        assert_eq!(held.len() as u64, n);
+        // Removing the last block's entries (ids from 3 × ENTRIES to
+        // n - 2; n - 1 moved to slot 5) drops the block.
+        for id in 3 * ENTRIES as u64..n - 2 {
+            assert!(ix.remove(id));
+        }
+        assert_eq!(ix.entries.blocks.len(), 4);
+        assert!(ix.remove(n - 2));
+        assert_eq!(ix.entries.blocks.len(), 3);
+        assert_eq!(ix.len(), 3 * ENTRIES);
+        assert_eq!(ix.vector(n - 1), Some(&vec(n - 1)));
     }
 
     #[test]

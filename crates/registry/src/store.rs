@@ -276,24 +276,80 @@ struct Inner {
     pe_name_index: HashMap<String, Vec<u64>>,
     /// Secondary index: lowercase workflow name → ids (idx_wf_name).
     wf_name_index: HashMap<String, Vec<u64>>,
+    /// Every PE's name and description, lowercased, for literal search.
+    pe_literal: LiteralColumn,
+    /// The same for every workflow.
+    wf_literal: LiteralColumn,
     persist: Option<Persist>,
+}
+
+/// A table's name and description per row, lowercased once when the row
+/// is applied, in id order: literal search walks this instead of
+/// lowercasing every row on every query.
+#[derive(Debug, Default)]
+struct LiteralColumn(Vec<Lowered>);
+
+#[derive(Debug)]
+struct Lowered {
+    id: u64,
+    name: Box<str>,
+    description: Box<str>,
+}
+
+impl LiteralColumn {
+    fn upsert(&mut self, id: u64, name: &str, description: &str) {
+        let row = Lowered {
+            id,
+            name: name.to_lowercase().into(),
+            description: description.to_lowercase().into(),
+        };
+        match self.0.binary_search_by_key(&id, |r| r.id) {
+            Ok(at) => self.0[at] = row,
+            Err(at) => self.0.insert(at, row),
+        }
+    }
+
+    fn set_description(&mut self, id: u64, description: &str) {
+        if let Ok(at) = self.0.binary_search_by_key(&id, |r| r.id) {
+            self.0[at].description = description.to_lowercase().into();
+        }
+    }
+
+    fn remove(&mut self, id: u64) {
+        if let Ok(at) = self.0.binary_search_by_key(&id, |r| r.id) {
+            self.0.remove(at);
+        }
+    }
+
+    /// Ids, ascending, of the rows whose lowercase name or description
+    /// contains `needle`, itself lowercase.
+    fn matching<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = u64> + 'a {
+        self.0
+            .iter()
+            .filter(move |r| r.name.contains(needle) || r.description.contains(needle))
+            .map(|r| r.id)
+    }
 }
 
 impl Inner {
     fn rebuild_indexes(&mut self) {
         self.pe_name_index.clear();
+        self.pe_literal = LiteralColumn::default();
         for (id, pe) in &self.pes {
             self.pe_name_index
                 .entry(pe.name.to_lowercase())
                 .or_default()
                 .push(*id);
+            self.pe_literal.upsert(*id, &pe.name, &pe.description);
         }
         self.wf_name_index.clear();
+        self.wf_literal = LiteralColumn::default();
         for (id, wf) in &self.workflows {
             self.wf_name_index
                 .entry(wf.name.to_lowercase())
                 .or_default()
                 .push(*id);
+            self.wf_literal.upsert(*id, &wf.name, &wf.description);
         }
     }
 
@@ -345,6 +401,7 @@ impl Inner {
                 if !ids.contains(&row.id) {
                     ids.push(row.id);
                 }
+                self.pe_literal.upsert(row.id, &row.name, &row.description);
                 self.pes.insert(row.id, Arc::new(row.clone()));
             }
             WalOp::UpdatePeDescription {
@@ -356,11 +413,13 @@ impl Inner {
                     let pe = Arc::make_mut(pe);
                     pe.description = description.clone();
                     pe.description_embedding = description_embedding.clone();
+                    self.pe_literal.set_description(*id, description);
                 }
             }
             WalOp::RemovePe { id } => {
                 if let Some(row) = self.pes.remove(id) {
                     Self::unindex(&mut self.pe_name_index, &row.name, *id);
+                    self.pe_literal.remove(*id);
                 }
             }
             WalOp::AddWorkflow(row) => {
@@ -369,6 +428,7 @@ impl Inner {
                 if !ids.contains(&row.id) {
                     ids.push(row.id);
                 }
+                self.wf_literal.upsert(row.id, &row.name, &row.description);
                 self.workflows.insert(row.id, Arc::new(row.clone()));
             }
             WalOp::UpdateWorkflowDescription {
@@ -380,11 +440,13 @@ impl Inner {
                     let wf = Arc::make_mut(wf);
                     wf.description = description.clone();
                     wf.description_embedding = description_embedding.clone();
+                    self.wf_literal.set_description(*id, description);
                 }
             }
             WalOp::RemoveWorkflow { id } => {
                 if let Some(row) = self.workflows.remove(id) {
                     Self::unindex(&mut self.wf_name_index, &row.name, *id);
+                    self.wf_literal.remove(*id);
                 }
             }
             WalOp::RemoveAll => {
@@ -392,6 +454,8 @@ impl Inner {
                 self.workflows.clear();
                 self.pe_name_index.clear();
                 self.wf_name_index.clear();
+                self.pe_literal = LiteralColumn::default();
+                self.wf_literal = LiteralColumn::default();
             }
             WalOp::AddExecution(row) => {
                 self.bump_id(row.id);
@@ -458,6 +522,8 @@ impl Inner {
             seq: snap.seq,
             pe_name_index: HashMap::new(),
             wf_name_index: HashMap::new(),
+            pe_literal: LiteralColumn::default(),
+            wf_literal: LiteralColumn::default(),
             persist: None,
         };
         inner.rebuild_indexes();
@@ -1256,10 +1322,16 @@ impl Registry {
     }
 
     pub fn get_pe(&self, id: u64) -> Result<PeRow, RegistryError> {
+        self.pe_row(id).map(|row| owned(&row))
+    }
+
+    /// PE `id`'s row as the registry holds it, shared: for readers that
+    /// need a few of its fields, not a copy of its embedding columns.
+    pub fn pe_row(&self, id: u64) -> Result<Arc<PeRow>, RegistryError> {
         self.read()
             .pes
             .get(&id)
-            .map(owned)
+            .cloned()
             .ok_or_else(|| RegistryError::NotFound("ProcessingElement", id.to_string()))
     }
 
@@ -1352,10 +1424,16 @@ impl Registry {
     }
 
     pub fn get_workflow(&self, id: u64) -> Result<WorkflowRow, RegistryError> {
+        self.workflow_row(id).map(|row| owned(&row))
+    }
+
+    /// Workflow `id`'s row as the registry holds it, shared
+    /// ([`pe_row`](Self::pe_row)).
+    pub fn workflow_row(&self, id: u64) -> Result<Arc<WorkflowRow>, RegistryError> {
         self.read()
             .workflows
             .get(&id)
-            .map(owned)
+            .cloned()
             .ok_or_else(|| RegistryError::NotFound("Workflow", id.to_string()))
     }
 
@@ -1449,44 +1527,43 @@ impl Registry {
     // ---- literal search (paper §V-A, Fig. 7) --------------------------------
 
     /// Case-insensitive term match over names and descriptions: every
-    /// matching row of each targeted table, in id order.
+    /// matching row of each targeted table, in id order. A row matches
+    /// when `name.to_lowercase()` or `description.to_lowercase()` contains
+    /// `term.to_lowercase()`.
     pub fn literal_search(&self, target: SearchTarget, term: &str) -> (Vec<PeRow>, Vec<WorkflowRow>) {
-        self.literal_search_top(target, term, usize::MAX)
+        let (pes, wfs) = self.literal_search_top(target, term, usize::MAX);
+        (pes.iter().map(owned).collect(), wfs.iter().map(owned).collect())
     }
 
     /// [`literal_search`](Self::literal_search) cut to the first `limit`
-    /// matches per table. The walk stops there, so a broad term (`""`
-    /// matches everything) clones `limit` rows under the read lock, not
-    /// the table.
+    /// matches per table, as shared rows. The walk reads the lowercase
+    /// columns and stops at `limit`, so a broad term (`""` matches
+    /// everything) touches `limit` rows under the read lock, not the
+    /// table, and copies none.
     pub fn literal_search_top(
         &self,
         target: SearchTarget,
         term: &str,
         limit: usize,
-    ) -> (Vec<PeRow>, Vec<WorkflowRow>) {
+    ) -> (Vec<Arc<PeRow>>, Vec<Arc<WorkflowRow>>) {
         let needle = term.to_lowercase();
-        let matches = |name: &str, description: &str| {
-            name.to_lowercase().contains(&needle) || description.to_lowercase().contains(&needle)
-        };
         let inner = self.read();
         let pes = if target != SearchTarget::Workflow {
             inner
-                .pes
-                .values()
-                .filter(|p| matches(&p.name, &p.description))
+                .pe_literal
+                .matching(&needle)
                 .take(limit)
-                .map(owned)
+                .map(|id| inner.pes[&id].clone())
                 .collect()
         } else {
             Vec::new()
         };
         let wfs = if target != SearchTarget::Pe {
             inner
-                .workflows
-                .values()
-                .filter(|w| matches(&w.name, &w.description))
+                .wf_literal
+                .matching(&needle)
                 .take(limit)
-                .map(owned)
+                .map(|id| inner.workflows[&id].clone())
                 .collect()
         } else {
             Vec::new()
@@ -1966,12 +2043,20 @@ mod tests {
             )
         };
         for (term, matching_pes) in [("counter", 7), ("", 8), ("e", 8), ("isprime", 1)] {
-            let (all_pes, all_wfs) = ids(r.literal_search(SearchTarget::Both, term));
-            assert_eq!(all_pes.len(), matching_pes, "{term:?}");
+            let (all_pes, all_wfs) = r.literal_search(SearchTarget::Both, term);
+            let (all_pe_ids, all_wf_ids) = ids((all_pes.clone(), all_wfs.clone()));
+            assert_eq!(all_pe_ids.len(), matching_pes, "{term:?}");
             for limit in [0, 1, 3, 7, 100] {
-                let (pes, wfs) = ids(r.literal_search_top(SearchTarget::Both, term, limit));
-                assert_eq!(pes, all_pes[..limit.min(all_pes.len())], "{term:?} {limit}");
-                assert_eq!(wfs, all_wfs[..limit.min(all_wfs.len())], "{term:?} {limit}");
+                let (pes, wfs) = r.literal_search_top(SearchTarget::Both, term, limit);
+                let pes: Vec<PeRow> = pes.iter().map(|p| PeRow::clone(p)).collect();
+                let wfs: Vec<WorkflowRow> = wfs.iter().map(|w| WorkflowRow::clone(w)).collect();
+                let (pe_ids, wf_ids) = ids((pes.clone(), wfs.clone()));
+                let (np, nw) = (limit.min(all_pes.len()), limit.min(all_wfs.len()));
+                assert_eq!(pe_ids, all_pe_ids[..np], "{term:?} {limit}");
+                assert_eq!(wf_ids, all_wf_ids[..nw], "{term:?} {limit}");
+                // The shared rows are the rows the full search copies.
+                assert_eq!(pes, all_pes[..np], "{term:?} {limit}");
+                assert_eq!(wfs, all_wfs[..nw], "{term:?} {limit}");
             }
         }
     }

@@ -85,11 +85,11 @@ impl LaminarServer {
                 groups.reco.intersect_us.record(stats.intersect);
                 recs.into_iter()
                     .filter_map(|r| {
-                        let pe = self.registry.get_pe(r.seed_id).ok()?;
+                        let pe = self.registry.pe_row(r.seed_id).ok()?;
                         Some(RecommendationHit {
                             id: r.seed_id,
-                            name: pe.name,
-                            description: pe.description,
+                            name: pe.name.clone(),
+                            description: pe.description.clone(),
                             // The seed's raw feature overlap — the scale the
                             // flat scan always reported (≥ 6.0).
                             score: r.retrieval_score,
@@ -109,11 +109,11 @@ impl LaminarServer {
                 hits.into_iter()
                     .filter(|h| h.score >= self.config.reco_min_cosine)
                     .filter_map(|h| {
-                        let pe = self.registry.get_pe(h.id).ok()?;
+                        let pe = self.registry.pe_row(h.id).ok()?;
                         Some(RecommendationHit {
                             id: h.id,
-                            name: pe.name,
-                            description: pe.description,
+                            name: pe.name.clone(),
+                            description: pe.description.clone(),
                             score: h.score,
                             occurrences: 1,
                             similar_code: first_function(&pe.code),
@@ -159,11 +159,11 @@ impl LaminarServer {
             .into_iter()
             .take(k)
             .filter_map(|(wf_id, score, occurrences)| {
-                let wf = self.registry.get_workflow(wf_id).ok()?;
+                let wf = self.registry.workflow_row(wf_id).ok()?;
                 Some(RecommendationHit {
                     id: wf_id,
-                    name: wf.name,
-                    description: wf.description,
+                    name: wf.name.clone(),
+                    description: wf.description.clone(),
                     score,
                     occurrences,
                     similar_code: String::new(),
@@ -202,14 +202,14 @@ impl LaminarServer {
         };
         // (A PE removed since the snapshot is gone from the registry.)
         let (Ok(pe), Some(granules)) = (
-            self.registry.get_pe(hit.id),
+            self.registry.pe_row(hit.id),
             engine.index().granules(hit.id),
         ) else {
             return none;
         };
         let completion = aroma::complete_with(&aroma::granulated_vec_of(&tree), granules);
         Response::Completion {
-            source: Some((pe.id, pe.name)),
+            source: Some((pe.id, pe.name.clone())),
             lines: completion.lines,
             progress: completion.progress,
         }

@@ -33,8 +33,8 @@ impl LaminarServer {
         let elapsed = start.elapsed();
         self.metrics.groups.search.literal_us.record(elapsed);
         Response::Registry {
-            pes: pes.iter().map(pe_info).collect(),
-            workflows: wfs.iter().map(wf_info).collect(),
+            pes: pes.iter().map(|p| pe_info(p)).collect(),
+            workflows: wfs.iter().map(|w| wf_info(w)).collect(),
         }
     }
 
@@ -62,12 +62,12 @@ impl LaminarServer {
                 .filter_map(|h| {
                     let (name, description) = match h.kind {
                         EntryKind::Pe => {
-                            let p = self.registry.get_pe(h.id).ok()?;
-                            (p.name, p.description)
+                            let p = self.registry.pe_row(h.id).ok()?;
+                            (p.name.clone(), p.description.clone())
                         }
                         EntryKind::Workflow => {
-                            let w = self.registry.get_workflow(h.id).ok()?;
-                            (w.name, w.description)
+                            let w = self.registry.workflow_row(h.id).ok()?;
+                            (w.name.clone(), w.description.clone())
                         }
                     };
                     Some(SemanticHit {

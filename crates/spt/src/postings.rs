@@ -41,13 +41,24 @@ use crate::vector::FeatureVec;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::AddAssign;
+use std::sync::Arc;
+
+/// Lists per block: the unit a write copies when a clone shares it.
+const LISTS: usize = 8;
 
 /// The inverted form of a set of `(row, FeatureVec)` pairs. Feature ids
 /// derive from submitted code, so the map keeps the default, keyed
 /// hasher.
 #[derive(Debug, Clone, Default)]
 pub struct Postings {
-    lists: HashMap<u64, List>,
+    /// Feature id → slot; slot `s` is list `s % LISTS` of block
+    /// `s / LISTS`.
+    slots: HashMap<u64, u32>,
+    /// The lists, each block behind its own `Arc`: a clone shares every
+    /// block, and a write copies only the blocks it touches.
+    blocks: Vec<Arc<[List; LISTS]>>,
+    /// Slots whose list emptied, taken before a new block is opened.
+    free: Vec<u32>,
     /// Rows posted: the holder's row count.
     rows: usize,
     /// Posted counts that are not integers ≥ 1. While there is one, every
@@ -68,6 +79,15 @@ enum List {
     Dense { cells: Vec<u8>, len: usize },
 }
 
+impl Default for List {
+    fn default() -> Self {
+        List::Sparse {
+            postings: Vec::new(),
+            wide: 0,
+        }
+    }
+}
+
 /// Every row's overlap with one query: exact integers when the query and
 /// the posted counts allow it, `f32` otherwise.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,14 +101,13 @@ impl Postings {
     pub fn insert(&mut self, row: usize, vec: &FeatureVec) {
         let row = label(row);
         self.rows += 1;
+        let rows = self.rows;
         for &(id, count) in &vec.items {
             self.inexact += usize::from(!exact(count));
-            let list = self.lists.entry(id).or_insert(List::Sparse {
-                postings: Vec::new(),
-                wide: 0,
-            });
+            let slot = self.open(id);
+            let list = self.list_mut(slot);
             list.insert(row, count);
-            list.fit(self.rows);
+            list.fit(rows);
         }
     }
 
@@ -98,14 +117,20 @@ impl Postings {
         self.rows -= 1;
         for &(id, count) in &vec.items {
             self.inexact -= usize::from(!exact(count));
-            let Entry::Occupied(mut list) = self.lists.entry(id) else {
+            let Entry::Occupied(slot) = self.slots.entry(id) else {
                 continue;
             };
-            list.get_mut().remove(row);
-            if list.get().is_empty() {
-                list.remove();
+            let at = *slot.get();
+            let list =
+                &mut Arc::make_mut(&mut self.blocks[at as usize / LISTS])[at as usize % LISTS];
+            list.remove(row);
+            if list.is_empty() {
+                // Drop the list's buffer and hand its slot on.
+                *list = List::default();
+                slot.remove();
+                self.free.push(at);
             } else {
-                list.get_mut().fit(self.rows);
+                list.fit(self.rows);
             }
         }
     }
@@ -115,9 +140,11 @@ impl Postings {
     pub fn relabel(&mut self, from: usize, to: usize, vec: &FeatureVec) {
         let (from, to) = (label(from), label(to));
         for &(id, _) in &vec.items {
-            if let Some(list) = self.lists.get_mut(&id) {
+            if let Some(&slot) = self.slots.get(&id) {
+                let rows = self.rows;
+                let list = self.list_mut(slot);
                 list.relabel(from, to);
-                list.fit(self.rows);
+                list.fit(rows);
             }
         }
     }
@@ -151,7 +178,7 @@ impl Postings {
         let mut acc = vec![S::default(); rows];
         for &(id, count) in &query.items {
             let q = S::of_query(count);
-            match self.lists.get(&id) {
+            match self.slots.get(&id).map(|&slot| self.list(slot)) {
                 Some(List::Sparse { postings, .. }) => {
                     for &(row, c) in postings {
                         acc[row as usize] += S::posting(q, c);
@@ -166,6 +193,52 @@ impl Postings {
             }
         }
         acc
+    }
+
+    /// Feature `id`'s slot, opening one (a freed slot first) if it has
+    /// none.
+    fn open(&mut self, id: u64) -> u32 {
+        match self.slots.entry(id) {
+            Entry::Occupied(slot) => *slot.get(),
+            Entry::Vacant(slot) => {
+                if self.free.is_empty() {
+                    let base = label(self.blocks.len() * LISTS);
+                    self.blocks
+                        .push(Arc::new(std::array::from_fn(|_| List::default())));
+                    self.free.extend((base..base + LISTS as u32).rev());
+                }
+                *slot.insert(self.free.pop().expect("a free slot"))
+            }
+        }
+    }
+
+    fn list(&self, slot: u32) -> &List {
+        &self.blocks[slot as usize / LISTS][slot as usize % LISTS]
+    }
+
+    /// The list in `slot`, its block copied first if a clone shares it.
+    fn list_mut(&mut self, slot: u32) -> &mut List {
+        &mut Arc::make_mut(&mut self.blocks[slot as usize / LISTS])[slot as usize % LISTS]
+    }
+
+    /// The block feature `id`'s list is in, while it has a list.
+    pub fn block_of(&self, id: u64) -> Option<usize> {
+        self.slots.get(&id).map(|&slot| slot as usize / LISTS)
+    }
+
+    /// Blocks held, emptied ones included; [`clear`](Self::clear) drops
+    /// them all.
+    pub fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Whether block `b` is the very block `other` holds at `b`, not a
+    /// copy: what a clone shares until a write touches the block.
+    pub fn shares_block(&self, other: &Postings, b: usize) -> bool {
+        match (self.blocks.get(b), other.blocks.get(b)) {
+            (Some(mine), Some(theirs)) => Arc::ptr_eq(mine, theirs),
+            _ => false,
+        }
     }
 }
 
@@ -348,7 +421,9 @@ mod tests {
 
     /// `Some(true)` for a dense list, `Some(false)` for a sparse one.
     fn dense(p: &Postings, id: u64) -> Option<bool> {
-        p.lists.get(&id).map(|l| matches!(l, List::Dense { .. }))
+        p.slots
+            .get(&id)
+            .map(|&slot| matches!(p.list(slot), List::Dense { .. }))
     }
 
     fn assert_exact(p: &Postings, q: &FeatureVec, rows: &[FeatureVec]) {
@@ -394,10 +469,11 @@ mod tests {
         p.relabel(2, 0, &c);
         let q = fv(&[(1, 5.0), (2, 5.0), (3, 5.0)]);
         assert_eq!(p.overlaps(&q, 2), vec![q.overlap(&c), q.overlap(&b)]);
-        // Emptied lists are dropped, so the map is bounded by live features.
+        // Emptied lists give up their slots, so the map is bounded by live
+        // features.
         p.remove(0, &c);
         p.remove(1, &b);
-        assert!(p.lists.is_empty());
+        assert!(p.slots.is_empty());
     }
 
     #[test]

@@ -436,3 +436,240 @@ fn relabelling_a_row_posted_in_dense_and_sparse_lists() {
     }
     assert_eq!(paths, [4, 4]);
 }
+
+/// Features of the held-snapshot churn: enough lists (about fifty blocks)
+/// that a write leaves most blocks alone.
+const WIDE_FEATURES: u64 = 400;
+
+/// Six-odd random features of `0..WIDE_FEATURES`, counts 1–4, one in
+/// eight rows with an odd count.
+fn wide_vector(rng: &mut Rng) -> FeatureVec {
+    let mut ids: Vec<u64> = (0..3 + rng.below(6))
+        .map(|_| rng.below(WIDE_FEATURES))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let odd = rng.below(8) == 0;
+    let items = ids
+        .into_iter()
+        .map(|f| {
+            let count = if odd && rng.below(3) == 0 {
+                ODD_COUNTS[rng.below(ODD_COUNTS.len() as u64) as usize]
+            } else {
+                (1 + rng.below(4)) as f32
+            };
+            (f, count)
+        })
+        .collect();
+    FeatureVec { items }
+}
+
+fn score_bits(p: &Postings, query: &FeatureVec, rows: usize) -> Vec<u32> {
+    match p.scores(query, rows) {
+        Overlaps::Counts(scores) => scores.iter().map(|&s| f32::from(s).to_bits()).collect(),
+        Overlaps::Floats(scores) => scores.iter().map(|s| s.to_bits()).collect(),
+    }
+}
+
+/// The blocks `p` holds the lists of `vecs`' features in.
+fn blocks_of<'a>(p: &Postings, vecs: impl IntoIterator<Item = &'a FeatureVec>) -> Vec<usize> {
+    vecs.into_iter()
+        .flat_map(|v| v.items.iter().filter_map(|&(f, _)| p.block_of(f)))
+        .collect()
+}
+
+/// A held clone of the postings is a snapshot. Seeded upserts, removes
+/// and the relabels a swap-remove makes, applied to the original after
+/// the clone, must leave the clone scoring bit for bit like a deep copy
+/// taken at hold time (its rows posted afresh) and like the row-wise
+/// overlap. A block that holds no list those writes touched must still be
+/// the very block the clone holds (`Arc::ptr_eq`), and a touched one a
+/// copy. A list the writes empty hands its slot on, so blocks grow only
+/// when no slot is free: never past one per eight lists at the peak. And
+/// `clear` drops every block. The same churn through `SearchIndexes`
+/// leaves a held engine ranking like a fresh index of the held rows.
+#[test]
+fn a_held_clone_ranks_as_at_hold_time_and_shares_every_untouched_block() {
+    let mut rng = Rng(0xb10c_5eed);
+    let mut mirror = Mirror::default();
+    let mut model = Model::default();
+    let ix = SearchIndexes::new();
+    let queries: Vec<FeatureVec> = (0..6)
+        .map(|_| wide_vector(&mut rng))
+        .chain([FeatureVec {
+            items: (0..WIDE_FEATURES).step_by(7).map(|f| (f, 2.0)).collect(),
+        }])
+        .collect();
+    let (mut shared_checked, mut copied_checked, mut peak_lists) = (0, 0, 0);
+    for round in 0..120 {
+        let held = mirror.postings.clone();
+        let held_rows = mirror.rows.clone();
+        let held_model: Vec<(u64, FeatureVec)> = model.rows.clone();
+        let held_engine = ix.engine();
+        let mut touched = Vec::new();
+        // Grow for two thirds of the rounds, then shrink.
+        let grow = if round < 80 { 8 } else { 3 };
+        for _ in 0..1 + rng.below(3) {
+            let roll = rng.below(10);
+            let before: Vec<FeatureVec>;
+            if roll < grow || model.rows.is_empty() {
+                let id = loop {
+                    let id = rng.below(10_000);
+                    if !model.slot.contains_key(&id) {
+                        break id;
+                    }
+                };
+                let vec = wide_vector(&mut rng);
+                before = vec![vec.clone()];
+                touched.extend(blocks_of(&mirror.postings, &before));
+                model.upsert(id, vec.clone());
+                mirror.upsert(id, vec.clone());
+                ix.upsert_embedded(id, EntryKind::Pe, DenseVec::zero(), vec, DenseVec::zero());
+            } else if roll == 9 {
+                let id = model.rows[rng.below(model.rows.len() as u64) as usize].0;
+                let vec = wide_vector(&mut rng);
+                before = vec![model.rows[model.slot[&id]].1.clone(), vec.clone()];
+                touched.extend(blocks_of(&mirror.postings, &before));
+                model.upsert(id, vec.clone());
+                mirror.upsert(id, vec.clone());
+                ix.upsert_embedded(id, EntryKind::Pe, DenseVec::zero(), vec, DenseVec::zero());
+            } else {
+                let id = model.rows[rng.below(model.rows.len() as u64) as usize].0;
+                // The removed row and the last row, which a swap-remove
+                // relabels into its slot.
+                let last = model.rows.last().expect("a row").1.clone();
+                before = vec![model.rows[model.slot[&id]].1.clone(), last];
+                touched.extend(blocks_of(&mirror.postings, &before));
+                model.remove(id);
+                mirror.remove(id, &model);
+                ix.remove(id, EntryKind::Pe);
+            }
+            // Lists opened by the write: their blocks are written too.
+            touched.extend(blocks_of(&mirror.postings, &before));
+            let live: std::collections::HashSet<u64> = model
+                .rows
+                .iter()
+                .flat_map(|(_, v)| v.items.iter().map(|&(f, _)| f))
+                .collect();
+            peak_lists = peak_lists.max(live.len());
+            assert!(
+                mirror.postings.blocks() <= peak_lists.div_ceil(8),
+                "round {round}: {} blocks for a peak of {peak_lists} lists",
+                mirror.postings.blocks()
+            );
+        }
+        for b in 0..held.blocks() {
+            if touched.contains(&b) {
+                assert!(
+                    !held.shares_block(&mirror.postings, b),
+                    "round {round} block {b}"
+                );
+                copied_checked += 1;
+            } else {
+                assert!(
+                    held.shares_block(&mirror.postings, b),
+                    "round {round} block {b}"
+                );
+                shared_checked += 1;
+            }
+        }
+        let mut deep = Postings::default();
+        for (row, v) in held_rows.iter().enumerate() {
+            deep.insert(row, v);
+        }
+        let fresh = SearchIndexes::new();
+        for (id, v) in &held_model {
+            fresh.upsert_embedded(
+                *id,
+                EntryKind::Pe,
+                DenseVec::zero(),
+                v.clone(),
+                DenseVec::zero(),
+            );
+        }
+        let fresh_engine = fresh.engine();
+        for (q, query) in queries.iter().enumerate() {
+            let what = format!("round {round} query {q}");
+            let per_row: Vec<u32> = held_rows
+                .iter()
+                .map(|v| query.overlap(v).to_bits())
+                .collect();
+            assert_eq!(
+                score_bits(&held, query, held_rows.len()),
+                per_row,
+                "held {what}"
+            );
+            assert_eq!(
+                score_bits(&deep, query, held_rows.len()),
+                per_row,
+                "deep {what}"
+            );
+            let now: Vec<u32> = mirror
+                .rows
+                .iter()
+                .map(|v| query.overlap(v).to_bits())
+                .collect();
+            assert_eq!(
+                score_bits(&mirror.postings, query, mirror.rows.len()),
+                now,
+                "{what}"
+            );
+            let ranked = |e: &aroma::AromaEngine| -> Vec<(u64, u32)> {
+                e.index()
+                    .ranked(query, usize::MAX, |_| true)
+                    .iter()
+                    .map(|h| (h.id, h.score.to_bits()))
+                    .collect()
+            };
+            assert_eq!(ranked(&held_engine), ranked(&fresh_engine), "engine {what}");
+        }
+        for (id, v) in &held_model {
+            assert_eq!(
+                held_engine.index().vector(*id),
+                Some(v),
+                "round {round} id {id}"
+            );
+        }
+    }
+    assert!(
+        shared_checked > 1_000 && copied_checked > 300,
+        "both sides are checked: shared {shared_checked}, copied {copied_checked}"
+    );
+    let held = mirror.postings.clone();
+    mirror.clear();
+    assert_eq!(mirror.postings.blocks(), 0);
+    assert!((0..held.blocks()).all(|b| !held.shares_block(&mirror.postings, b)));
+}
+
+/// A list that empties frees its slot, and the next new feature takes it
+/// before any block is opened.
+#[test]
+fn an_emptied_slot_is_reused_before_a_block_is_opened() {
+    let mut p = Postings::default();
+    let common = FeatureVec {
+        items: (0..20).map(|f| (f, 1.0)).collect(),
+    };
+    let own = FeatureVec {
+        items: (100..105).map(|f| (f, 2.0)).collect(),
+    };
+    p.insert(0, &common);
+    p.insert(1, &own);
+    let blocks = p.blocks();
+    let freed: Vec<usize> = (100..105).filter_map(|f| p.block_of(f)).collect();
+    p.remove(1, &own);
+    assert!((100..105).all(|f| p.block_of(f).is_none()));
+    let newcomer = FeatureVec {
+        items: (200..205).map(|f| (f, 3.0)).collect(),
+    };
+    p.insert(1, &newcomer);
+    assert_eq!(p.blocks(), blocks, "no block opened");
+    let mut taken: Vec<usize> = (200..205).filter_map(|f| p.block_of(f)).collect();
+    let mut freed = freed;
+    taken.sort_unstable();
+    freed.sort_unstable();
+    assert_eq!(taken, freed, "the freed slots, and only those");
+    assert_eq!(
+        p.overlaps(&newcomer, 2),
+        vec![0.0, newcomer.overlap(&newcomer)]
+    );
+}
