@@ -225,6 +225,22 @@ fn base_phrase(base: &str) -> Option<&'static str> {
     }
 }
 
+/// The sentences as one text, each closed by a period unless it already
+/// ends in one (a docstring usually does).
+fn join_sentences(sentences: &[String]) -> String {
+    let mut s = String::new();
+    for sentence in sentences {
+        if !s.is_empty() {
+            s.push(' ');
+        }
+        s.push_str(sentence);
+        if !sentence.ends_with('.') {
+            s.push('.');
+        }
+    }
+    s
+}
+
 fn render(facts: &Facts, context: DescriptionContext) -> String {
     let mut sentences: Vec<String> = Vec::new();
 
@@ -258,8 +274,7 @@ fn render(facts: &Facts, context: DescriptionContext) -> String {
             }
             sentences.push(format!("uses {}", words.join(", ")));
         }
-        let mut s = sentences.join(". ");
-        s.push('.');
+        let s = join_sentences(&sentences);
         let mut chars = s.chars();
         return match chars.next() {
             Some(c) => c.to_uppercase().collect::<String>() + chars.as_str(),
@@ -322,8 +337,7 @@ fn render(facts: &Facts, context: DescriptionContext) -> String {
     if sentences.is_empty() {
         return "Python code snippet.".to_string();
     }
-    let mut s = sentences.join(". ");
-    s.push('.');
+    let s = join_sentences(&sentences);
     // Capitalise the first letter for presentation parity with CodeT5.
     let mut chars = s.chars();
     match chars.next() {
@@ -354,6 +368,22 @@ class IsPrime(IterativePE):
         assert!(d.contains("Is prime") || d.contains("is prime"), "{d}");
         assert!(d.contains("Checks whether a given number is prime"), "{d}");
         assert!(d.contains("uses"), "{d}");
+    }
+
+    /// A docstring that ends its sentence keeps one period, and the
+    /// paper's IsPrime reads as Fig. 10 prints it.
+    #[test]
+    fn a_docstring_sentence_is_not_closed_twice() {
+        let d = CodeT5Sim::new(DescriptionContext::FullClass).describe_pe(ISPRIME);
+        assert_eq!(
+            d,
+            "Is prime: implements is prime. Checks whether a given number is prime \
+             and returns the number if it is. uses all, range."
+        );
+        let structural = CodeT5Sim::new(DescriptionContext::FullClass).describe_pe(
+            "class Gen(IterativePE):\n    \"\"\"Yields each item.\"\"\"\n    def _process(self, xs):\n        for x in xs:\n            yield x\n",
+        );
+        assert!(!structural.contains(".."), "{structural}");
     }
 
     #[test]
