@@ -41,7 +41,7 @@ pub use engine::{AromaConfig, AromaEngine, RecoStats, Recommendation};
 pub use index::{ScoredSnippet, Snippet, SnippetId, SnippetIndex};
 pub use lsh::{LshConfig, LshIndex, LshSearchStats};
 pub use prune::{
-    granulated_vec, granulated_vec_of, prune, prune_and_rerank, statement_granules, Granules,
-    PrunedSnippet,
+    first_function_text, granulated_vec, granulated_vec_of, prune, prune_and_rerank,
+    statement_granules, Granules, PrunedSnippet,
 };
 pub use recommend::create_recommendation;

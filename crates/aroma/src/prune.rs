@@ -82,6 +82,8 @@ pub struct Granules {
     /// Statement `i`'s run is `runs[offsets[i]..offsets[i + 1]]`.
     offsets: Vec<u32>,
     runs: Vec<(u32, f32)>,
+    /// The text of the source's first function definition, or empty.
+    first_function: String,
 }
 
 impl Granules {
@@ -110,7 +112,15 @@ impl Granules {
             features,
             offsets,
             runs,
+            first_function: String::new(),
         }
+    }
+
+    /// The text of the first function definition in the source these
+    /// granules were cut from ([`first_function_text`]); empty for
+    /// granules built from statements alone.
+    pub fn first_function(&self) -> &str {
+        &self.first_function
     }
 
     /// Number of statements.
@@ -191,15 +201,29 @@ impl Granules {
 /// features are left out. They depend on `code` alone, which is why the
 /// index memoises them per snippet
 /// ([`SnippetIndex::granules`](crate::SnippetIndex::granules)).
+///
+/// The same parse supplies [`Granules::first_function`], which a
+/// recommendation shows beside its match.
 pub fn statement_granules(code: &str) -> Granules {
     let tree = pyparse::parse(code);
-    Granules::new(
+    let mut granules = Granules::new(
         statement_nodes(&tree)
             .into_iter()
             .map(|s| granule(&tree, s))
             .filter(|(_, vec)| !vec.is_empty())
             .collect(),
-    )
+    );
+    granules.first_function = first_function_text(&tree);
+    granules
+}
+
+/// The text of `tree`'s first function definition, in preorder (Fig. 9's
+/// `similarFunc`), or empty when it defines none.
+pub fn first_function_text(tree: &ParseTree) -> String {
+    tree.find_kind(SyntaxKind::FuncDef)
+        .first()
+        .map(|&f| tree.text_of(f))
+        .unwrap_or_default()
 }
 
 /// Featurise `code` in granule form: the multiset union of its statement

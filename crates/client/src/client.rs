@@ -1168,6 +1168,47 @@ class PrintPrime(ConsumerPE):
         assert_eq!(cli.exit_code(), 1);
     }
 
+    /// A peer that answers each connection's first request with a token
+    /// and closes it, as a server without keep-alive does. Returns its
+    /// address and the count of requests it has read.
+    fn one_request_peer() -> (std::net::SocketAddr, Arc<std::sync::atomic::AtomicUsize>) {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let served = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = served.clone();
+        std::thread::spawn(move || {
+            for sock in listener.incoming() {
+                let mut sock = sock.unwrap();
+                let mut len = [0u8; 4];
+                sock.read_exact(&mut len).unwrap();
+                let mut request = vec![0u8; u32::from_be_bytes(len) as usize];
+                sock.read_exact(&mut request).unwrap();
+                count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                let json = serde_json::to_vec(&WireFrame::Value(Response::Token(7))).unwrap();
+                let mut reply = (json.len() as u32).to_be_bytes().to_vec();
+                reply.extend_from_slice(&json);
+                reply.extend_from_slice(&0u32.to_be_bytes());
+                sock.write_all(&reply).unwrap();
+            }
+        });
+        (addr, served)
+    }
+
+    /// A peer that closes after every reply still serves every call of a
+    /// client that never retries: the kept socket fails before its reply
+    /// begins, and the transport resends on a fresh one.
+    #[test]
+    fn a_peer_that_closes_after_each_reply_serves_every_call() {
+        let (addr, served) = one_request_peer();
+        let mut c = LaminarClient::connect_tcp(addr).with_retry(RetryPolicy::none());
+        for i in 0..5 {
+            c.login("x", "y")
+                .unwrap_or_else(|e| panic!("call {i}: {e}"));
+        }
+        assert_eq!(served.load(std::sync::atomic::Ordering::SeqCst), 5);
+    }
+
     /// A faulty or hostile peer: every request gets the same reply.
     struct Canned(Response);
 

@@ -1337,11 +1337,17 @@ impl Registry {
 
     /// Name lookup through the secondary index (case-insensitive).
     pub fn get_pe_by_name(&self, name: &str) -> Result<PeRow, RegistryError> {
+        self.pe_row_by_name(name).map(|row| owned(&row))
+    }
+
+    /// [`get_pe_by_name`](Self::get_pe_by_name)'s row, shared
+    /// ([`pe_row`](Self::pe_row)).
+    pub fn pe_row_by_name(&self, name: &str) -> Result<Arc<PeRow>, RegistryError> {
         let inner = self.read();
         let ids = inner.pe_name_index.get(&name.to_lowercase());
         ids.and_then(|ids| ids.first())
             .and_then(|id| inner.pes.get(id))
-            .map(owned)
+            .cloned()
             .ok_or_else(|| RegistryError::NotFound("ProcessingElement", name.to_string()))
     }
 
@@ -1438,11 +1444,17 @@ impl Registry {
     }
 
     pub fn get_workflow_by_name(&self, name: &str) -> Result<WorkflowRow, RegistryError> {
+        self.workflow_row_by_name(name).map(|row| owned(&row))
+    }
+
+    /// [`get_workflow_by_name`](Self::get_workflow_by_name)'s row, shared
+    /// ([`pe_row`](Self::pe_row)).
+    pub fn workflow_row_by_name(&self, name: &str) -> Result<Arc<WorkflowRow>, RegistryError> {
         let inner = self.read();
         let ids = inner.wf_name_index.get(&name.to_lowercase());
         ids.and_then(|ids| ids.first())
             .and_then(|id| inner.workflows.get(id))
-            .map(owned)
+            .cloned()
             .ok_or_else(|| RegistryError::NotFound("Workflow", name.to_string()))
     }
 

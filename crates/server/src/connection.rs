@@ -11,7 +11,8 @@
 //! Error taxonomy (drives the client's retry policy):
 //!
 //! * [`ConnectionError::Unavailable`] — the request never reached the
-//!   server (connect refused, endpoint gone). Always safe to retry.
+//!   server (connect refused, endpoint gone, a reused connection closed
+//!   before the reply began). Always safe to retry.
 //! * [`ConnectionError::Busy`] — typed saturation rejection from the
 //!   server's connection cap, issued before the request was
 //!   dispatched. Always safe to retry, after the hinted delay.
@@ -35,7 +36,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnectionError {
     /// The request never reached a server (connect refused, DNS, closed
-    /// listener). Safe to retry.
+    /// listener, a reused connection closed before the reply began). Safe
+    /// to retry.
     Unavailable(String),
     /// The server is at its connection cap; retry after the hint.
     Busy { retry_after_ms: u64 },

@@ -7,22 +7,29 @@
 //! (the paper's Dockerised client/server deployment, minus Docker).
 //!
 //! Wire format: length-prefixed JSON (see [`crate::protocol`] for the
-//! full frame and version rules). The client sends one
-//! [`RequestEnvelope`] per connection; the server answers with a
-//! sequence of [`WireFrame`]s terminated by a zero-length sentinel.
+//! full frame and version rules). A connection carries one
+//! [`RequestEnvelope`] at a time; the server answers each with a
+//! sequence of [`WireFrame`]s terminated by a zero-length sentinel, then
+//! reads the connection's next request.
 //!
 //! Request lifecycle:
 //!
 //! * **Backpressure** — the accept thread blocks in `accept` and gives
 //!   every connection its own thread, up to
-//!   [`NetServerConfig::max_connections`] live at once; one count under a
-//!   mutex is that cap, the [`NetServer::in_flight`] reading and what
-//!   [`NetServer::drain`] waits on. At the cap the connection goes to a
-//!   dedicated rejection thread, which reads the request (so the reply is
-//!   not lost to a TCP reset) and answers with the typed
-//!   [`Response::Busy`] carrying a retry hint. The cap is exact and
-//!   nothing queues invisibly.
-//! * **Deadlines** — the request frame must arrive within
+//!   [`NetServerConfig::max_connections`] live at once, idle kept-alive
+//!   ones included; one count under a mutex is that cap, the
+//!   [`NetServer::in_flight`] reading and what [`NetServer::drain`] waits
+//!   on. At the cap the connection goes to a dedicated rejection thread,
+//!   which reads the request (so the reply is not lost to a TCP reset)
+//!   and answers with the typed [`Response::Busy`] carrying a retry hint,
+//!   then closes. The cap is exact and nothing queues invisibly.
+//! * **Keep-alive** — after a value reply, or a stream that ended with
+//!   `End` or an error value, the connection waits for its next request.
+//!   It closes when the client closes it, when no request arrives within
+//!   [`HANDSHAKE_TIMEOUT`], and after a frame too large or malformed, a
+//!   version mismatch, a failed write, a cancelled stream or a producer
+//!   that vanished.
+//! * **Deadlines** — each request frame must arrive within
 //!   [`HANDSHAKE_TIMEOUT`]. Streamed replies send
 //!   [`WireFrame::Keepalive`] during quiet stretches; a stream quiet for
 //!   [`NetServerConfig::request_timeout`] is cancelled with the typed
@@ -35,10 +42,17 @@
 //!   immediately. The run's next frame finds no one to send to and
 //!   records the execution `Failed`; the enactment itself is not
 //!   cancelled and runs to completion, its lines going nowhere.
-//! * **Graceful drain** — [`NetServer::shutdown`] sets the stop flag and
-//!   connects to itself once, which wakes the accept thread to close the
-//!   listener; [`NetServer::drain`] then sleeps on the live-connection
-//!   count's condvar until it reads zero or the drain deadline passes.
+//! * **Graceful drain** — [`NetServer::shutdown`] sets the stop flag,
+//!   shuts the read side of every live connection (an idle one reads EOF
+//!   at once and closes; a busy one closes after its reply) and connects
+//!   to itself once, which wakes the accept thread to close the listener;
+//!   [`NetServer::drain`] then sleeps on the live-connection count's
+//!   condvar until it reads zero or the drain deadline passes.
+//!
+//! Client side, [`NetClientTransport`] keeps the socket its last reply
+//! left open and sends the next request on it; a kept socket that the
+//! server has closed in the meantime fails before the first reply byte,
+//! and only then is the request sent once more, on a fresh socket.
 //!
 //! Everything is accounted in the server's [`Metrics`](crate::obs::Metrics)
 //! registry: connection counters, per-endpoint rejection counts, timeout
@@ -47,10 +61,11 @@
 use crate::connection::{classify, Connection, ConnectionError};
 use crate::protocol::{Reply, Request, RequestEnvelope, Response, WireFrame};
 use crate::server::LaminarServer;
-use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -66,8 +81,8 @@ const MAX_REPLY_FRAME: usize = 1024 * 1024 * 1024;
 /// this many bytes, so a long backlog still starts leaving promptly.
 const COALESCE_BYTES: usize = 64 * 1024;
 
-/// How long a freshly accepted connection may take to deliver its
-/// request frame.
+/// How long a connection may wait for its next request frame, the first
+/// included, before the server closes it.
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How long the client waits for the next reply frame: the server's
@@ -162,28 +177,70 @@ fn read_frame<T: serde::de::DeserializeOwned>(
     Ok(Some(value))
 }
 
-/// The live connections of one [`NetServer`]: this count is the
+/// Whether a reply ending in the value `v` closes its connection: a
+/// `Busy` bounce, a version mismatch and a cancelled stream do. Both ends
+/// read the lifecycle from here.
+fn closes(v: &Response) -> bool {
+    matches!(
+        v,
+        Response::Busy { .. } | Response::Unsupported { .. } | Response::TimedOut { .. }
+    )
+}
+
+/// The live connections of one [`NetServer`]: their count is the
 /// `max_connections` cap, the `in_flight` reading and what `drain` waits
-/// on.
+/// on; a handle on each is what `shutdown` closes.
 #[derive(Default)]
 struct Live {
-    count: Mutex<usize>,
+    state: Mutex<LiveState>,
     changed: Condvar,
+    stop: AtomicBool,
+}
+
+#[derive(Default)]
+struct LiveState {
+    count: usize,
+    /// A second handle on each admitted socket, by slot number.
+    sockets: HashMap<u64, TcpStream>,
+    next_slot: u64,
 }
 
 impl Live {
-    fn count(&self) -> MutexGuard<'_, usize> {
-        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    fn state(&self) -> MutexGuard<'_, LiveState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take a place for `stream` unless `cap` connections are live (or
+    /// the socket cannot be duplicated: it is then bounced as at the
+    /// cap). Once the server is stopping, a new socket is shut for reading
+    /// at once, like those [`NetServer::shutdown`] found.
+    fn admit(self: &Arc<Self>, stream: &TcpStream, cap: usize) -> Option<Slot> {
+        let mut state = self.state();
+        if state.count >= cap {
+            return None;
+        }
+        let handle = stream.try_clone().ok()?;
+        if self.stop.load(Ordering::SeqCst) {
+            let _ = handle.shutdown(Shutdown::Read);
+        }
+        state.count += 1;
+        state.next_slot += 1;
+        let slot = state.next_slot;
+        state.sockets.insert(slot, handle);
+        Some(Slot(self.clone(), slot))
     }
 }
 
 /// One admitted connection's place in the count, given back when its
 /// thread ends — by return or by unwinding.
-struct Slot(Arc<Live>);
+struct Slot(Arc<Live>, u64);
 
 impl Drop for Slot {
     fn drop(&mut self) {
-        *self.0.count() -= 1;
+        let mut state = self.0.state();
+        state.count -= 1;
+        state.sockets.remove(&self.1);
+        drop(state);
         self.0.changed.notify_all();
     }
 }
@@ -193,7 +250,6 @@ impl Drop for Slot {
 /// [`NetServer::drain`] afterwards to wait for in-flight connections.
 pub struct NetServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     live: Arc<Live>,
     config: NetServerConfig,
     server: Arc<LaminarServer>,
@@ -216,7 +272,6 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let net = NetServer {
             addr: listener.local_addr()?,
-            stop: Arc::new(AtomicBool::new(false)),
             live: Arc::new(Live::default()),
             config,
             server,
@@ -234,31 +289,21 @@ impl NetServer {
             });
         }
 
-        let (stop, live) = (net.stop.clone(), net.live.clone());
+        let live = net.live.clone();
         let (server, config) = (net.server.clone(), net.config.clone());
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 // `shutdown` wakes this thread with a connection of its own.
-                if stop.load(Ordering::SeqCst) {
+                if live.stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { break };
                 server.metrics().connections_accepted.inc();
-                let admitted = {
-                    let mut count = live.count();
-                    let admitted = *count < config.max_connections.max(1);
-                    if admitted {
-                        *count += 1;
-                    }
-                    admitted
-                };
-                if admitted {
-                    let slot = Slot(live.clone());
+                if let Some(slot) = live.admit(&stream, config.max_connections.max(1)) {
                     let (server, config) = (server.clone(), config.clone());
                     std::thread::spawn(move || {
-                        let _slot = slot;
                         server.metrics().connections_active.inc();
-                        let _ = handle_connection(stream, &server, &config);
+                        let _ = handle_connection(stream, &slot, &server, &config);
                         server.metrics().connections_active.dec();
                     });
                 } else {
@@ -282,16 +327,23 @@ impl NetServer {
         &self.config
     }
 
-    /// Number of connections currently being served.
+    /// Number of connections currently open, idle kept-alive ones
+    /// included.
     pub fn in_flight(&self) -> usize {
-        *self.live.count()
+        self.live.state().count
     }
 
-    /// Stop accepting new connections (in-flight connections keep
-    /// running). The first call wakes the accept thread out of its
-    /// blocking `accept` by connecting to it; later calls do nothing.
+    /// Stop accepting new connections and close the idle ones; a
+    /// connection in the middle of a reply finishes it, then closes. The
+    /// first call shuts the read side of every live socket — a thread
+    /// waiting for a request reads EOF — and wakes the accept thread out
+    /// of its blocking `accept` by connecting to it; later calls do
+    /// nothing.
     pub fn shutdown(&self) {
-        if !self.stop.swap(true, Ordering::SeqCst) {
+        if !self.live.stop.swap(true, Ordering::SeqCst) {
+            for socket in self.live.state().sockets.values() {
+                let _ = socket.shutdown(Shutdown::Read);
+            }
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         }
     }
@@ -299,12 +351,12 @@ impl NetServer {
     /// Wait for in-flight connections to finish, up to `timeout`.
     /// Returns `true` if the server fully drained.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let (count, _) = self
+        let (state, _) = self
             .live
             .changed
-            .wait_timeout_while(self.live.count(), timeout, |count| *count > 0)
+            .wait_timeout_while(self.live.state(), timeout, |state| state.count > 0)
             .unwrap_or_else(PoisonError::into_inner);
-        *count == 0
+        state.count == 0
     }
 
     /// Stop accepting, then drain up to the configured drain deadline,
@@ -348,109 +400,153 @@ fn reject_busy(mut stream: TcpStream, server: &LaminarServer, config: &NetServer
     let _ = write_last(&mut stream, &busy);
 }
 
+/// Serve one connection's requests, one after another, until it closes
+/// (the module doc's keep-alive rule).
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
+    slot: &Slot,
     server: &LaminarServer,
     config: &NetServerConfig,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true).ok();
-    // One request per connection (HTTP-like); it must arrive promptly.
+    // The server reads only while it waits for a request, so one read
+    // timeout is the deadline for every request frame.
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
-    let env: RequestEnvelope = match read_frame(&mut stream, MAX_FRAME) {
-        Ok(Some(env)) => env,
-        Ok(None) => return Ok(()),
-        Err(ReadError::TooLarge(len)) => {
-            let err = WireFrame::Value(Response::Error(format!(
-                "frame too large: {len} bytes (max {MAX_FRAME})"
-            )));
-            return write_last(&mut stream, &err);
+    let mut conn = BufReader::new(stream);
+    loop {
+        let env: RequestEnvelope = match read_frame(&mut conn, MAX_FRAME) {
+            Ok(Some(env)) => env,
+            Ok(None) => return Ok(()),
+            Err(ReadError::TooLarge(len)) => {
+                let err = WireFrame::Value(Response::Error(format!(
+                    "frame too large: {len} bytes (max {MAX_FRAME})"
+                )));
+                return write_last(conn.get_mut(), &err);
+            }
+            Err(ReadError::Malformed(m)) => {
+                let err = WireFrame::Value(Response::Error(format!("malformed request: {m}")));
+                return write_last(conn.get_mut(), &err);
+            }
+            // EOF, the idle deadline, or `shutdown`.
+            Err(ReadError::Io(_)) => return Ok(()),
+        };
+        let (id, reply) = server.handle_envelope(env);
+        let keep = match reply {
+            Reply::Value(v) => {
+                let keep = !closes(&v);
+                write_last(conn.get_mut(), &WireFrame::Value(v))?;
+                keep
+            }
+            Reply::Stream(rx) => stream_reply(conn.get_mut(), rx, id.0, server, config)?,
+        };
+        if !keep || slot.0.stop.load(Ordering::SeqCst) {
+            return Ok(());
         }
-        Err(ReadError::Malformed(m)) => {
-            let err = WireFrame::Value(Response::Error(format!("malformed request: {m}")));
-            return write_last(&mut stream, &err);
-        }
-        Err(ReadError::Io(_)) => return Ok(()),
-    };
-    stream.set_read_timeout(None).ok();
+    }
+}
 
-    let (id, reply) = server.handle_envelope(env);
-    match reply {
-        Reply::Value(v) => write_last(&mut stream, &WireFrame::Value(v)),
-        Reply::Stream(rx) => {
-            let mut quiet = Duration::ZERO;
-            let mut batch = Vec::new();
-            loop {
-                match rx.recv_timeout(config.keepalive_interval) {
-                    Ok(frame) => {
-                        quiet = Duration::ZERO;
-                        // Coalesce: the frames already queued behind this
-                        // one go out in the same write, up to
-                        // `COALESCE_BYTES`. Nothing waits for more, so no
-                        // frame is held back.
-                        batch.clear();
-                        let mut frame = frame;
-                        let done = loop {
-                            let done = matches!(
-                                frame,
-                                WireFrame::End { .. } | WireFrame::Value(Response::Error(_))
-                            );
-                            encode_msg(&mut batch, &frame)?;
-                            if done {
-                                batch.extend_from_slice(&SENTINEL);
-                                break true;
-                            }
-                            if batch.len() >= COALESCE_BYTES {
-                                break false;
-                            }
-                            match rx.try_recv() {
-                                Ok(queued) => frame = queued,
-                                Err(_) => break false,
-                            }
-                        };
-                        if stream.write_all(&batch).is_err() {
-                            // Client hung up: dropping `rx` makes the run's
-                            // next send fail, which records the execution
-                            // `Failed`.
-                            server.metrics().disconnects.inc();
-                            return Ok(());
-                        }
-                        if done {
-                            return Ok(());
-                        }
+/// Write a streamed reply as its frames come; `Ok(true)` when it ended
+/// normally, with `End` or an error value and the sentinel.
+fn stream_reply(
+    stream: &mut TcpStream,
+    rx: Receiver<WireFrame>,
+    request_id: u64,
+    server: &LaminarServer,
+    config: &NetServerConfig,
+) -> std::io::Result<bool> {
+    let mut quiet = Duration::ZERO;
+    let mut batch = Vec::new();
+    loop {
+        match rx.recv_timeout(config.keepalive_interval) {
+            Ok(frame) => {
+                quiet = Duration::ZERO;
+                // Coalesce: the frames already queued behind this one go
+                // out in the same write, up to `COALESCE_BYTES`. Nothing
+                // waits for more, so no frame is held back.
+                batch.clear();
+                let mut frame = frame;
+                let done = loop {
+                    let done = matches!(
+                        frame,
+                        WireFrame::End { .. } | WireFrame::Value(Response::Error(_))
+                    );
+                    encode_msg(&mut batch, &frame)?;
+                    if done {
+                        batch.extend_from_slice(&SENTINEL);
+                        break true;
                     }
-                    Err(RecvTimeoutError::Timeout) => {
-                        quiet += config.keepalive_interval;
-                        if quiet >= config.request_timeout {
-                            // Stalled stream: cancel it. Returning drops
-                            // `rx`, which settles the run as `Failed`.
-                            server.metrics().timeouts.inc();
-                            let cancel = WireFrame::Value(Response::TimedOut { request_id: id.0 });
-                            return write_last(&mut stream, &cancel);
-                        }
-                        let beat = WireFrame::Keepalive { request_id: id.0 };
-                        if write_msg(&mut stream, &beat).is_err() {
-                            server.metrics().disconnects.inc();
-                            return Ok(());
-                        }
+                    if batch.len() >= COALESCE_BYTES {
+                        break false;
                     }
-                    // Producer vanished without a terminal frame; end the
-                    // response so the client is not left hanging.
-                    Err(RecvTimeoutError::Disconnected) => return stream.write_all(&SENTINEL),
+                    match rx.try_recv() {
+                        Ok(queued) => frame = queued,
+                        Err(_) => break false,
+                    }
+                };
+                if stream.write_all(&batch).is_err() {
+                    // Client hung up: dropping `rx` makes the run's next
+                    // send fail, which records the execution `Failed`.
+                    server.metrics().disconnects.inc();
+                    return Ok(false);
                 }
+                if done {
+                    return Ok(true);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                quiet += config.keepalive_interval;
+                if quiet >= config.request_timeout {
+                    // Stalled stream: cancel it. Returning drops `rx`,
+                    // which settles the run as `Failed`.
+                    server.metrics().timeouts.inc();
+                    let cancel = WireFrame::Value(Response::TimedOut { request_id });
+                    return write_last(stream, &cancel).map(|()| false);
+                }
+                let beat = WireFrame::Keepalive { request_id };
+                if write_msg(stream, &beat).is_err() {
+                    server.metrics().disconnects.inc();
+                    return Ok(false);
+                }
+            }
+            // Producer vanished without a terminal frame; end the
+            // response so the client is not left hanging.
+            Err(RecvTimeoutError::Disconnected) => {
+                return stream.write_all(&SENTINEL).map(|()| false)
             }
         }
     }
 }
 
-/// Client-side TCP [`Connection`]: one socket per request.
+/// The socket a [`NetClientTransport`] keeps between requests, with the
+/// moment it went idle; clones of the transport share it.
+type IdleSocket = Arc<Mutex<Option<(BufReader<TcpStream>, Instant)>>>;
+
+/// Client-side TCP [`Connection`]: requests go one after another over
+/// one kept-alive socket. A request takes the idle socket, or connects
+/// when there is none (or clones of the transport are using it), and
+/// the socket goes back only once its reply's sentinel has been read.
 #[derive(Clone)]
 pub struct NetClientTransport {
     addr: SocketAddr,
+    idle: IdleSocket,
+}
+
+/// Why an exchange on one socket failed.
+enum Failed {
+    /// Before the first reply byte: the write failed, or the socket read
+    /// EOF or a reset. On a kept socket this is the server's idle close,
+    /// and the request was never read.
+    Unread(ConnectionError),
+    /// After it (or on a timeout): the request may have executed.
+    Read(ConnectionError),
 }
 
 impl NetClientTransport {
     pub fn new(addr: SocketAddr) -> Self {
-        NetClientTransport { addr }
+        NetClientTransport {
+            addr,
+            idle: IdleSocket::default(),
+        }
     }
 
     /// Send a request and classify the reply. A reply opening with
@@ -458,24 +554,76 @@ impl NetClientTransport {
     /// servers) becomes a frame stream; a single `Value` frame becomes
     /// `Reply::Value`.
     pub fn send(&self, req: Request) -> Result<Reply, ConnectionError> {
-        let mut stream = TcpStream::connect(self.addr)
+        let mut request = Vec::new();
+        encode_msg(&mut request, &RequestEnvelope::new(req))
+            .map_err(|e| ConnectionError::Unavailable(format!("send failed: {e}")))?;
+        // A kept socket that fails before the reply began was closed by
+        // the server unread: send once more, on a fresh socket.
+        if let Some(conn) = self.take_idle() {
+            match self.exchange(conn, &request) {
+                Err(Failed::Unread(_)) => {}
+                Err(Failed::Read(e)) => return Err(e),
+                Ok(reply) => return Ok(reply),
+            }
+        }
+        let stream = TcpStream::connect(self.addr)
             .map_err(|e| ConnectionError::Unavailable(e.to_string()))?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT)).ok();
-        write_msg(&mut stream, &RequestEnvelope::new(req))
-            .map_err(|e| ConnectionError::Unavailable(format!("send failed: {e}")))?;
+        self.exchange(BufReader::new(stream), &request)
+            .map_err(|(Failed::Unread(e) | Failed::Read(e))| e)
+    }
 
+    /// The kept socket, unless it has been idle for half the server's
+    /// [`HANDSHAKE_TIMEOUT`] or more: a request must not race the
+    /// server's idle close.
+    fn take_idle(&self) -> Option<BufReader<TcpStream>> {
+        let (conn, since) = self
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()?;
+        (since.elapsed() < HANDSHAKE_TIMEOUT / 2).then_some(conn)
+    }
+
+    /// Write `request` on `conn` and read the reply's first frame; the
+    /// first frame classifies the reply.
+    fn exchange(&self, mut conn: BufReader<TcpStream>, request: &[u8]) -> Result<Reply, Failed> {
+        if let Err(e) = conn.get_mut().write_all(request) {
+            return Err(Failed::Unread(ConnectionError::Unavailable(format!(
+                "send failed: {e}"
+            ))));
+        }
         // The server writes every frame it has queued at once: read them
-        // through one buffer, not two syscalls a frame. The first frame
-        // classifies the reply.
-        let mut stream = BufReader::new(stream);
-        let first: Option<WireFrame> =
-            read_frame(&mut stream, MAX_REPLY_FRAME).map_err(first_read_error)?;
+        // through one buffer, not two syscalls a frame.
+        match conn.fill_buf() {
+            Ok([]) => {
+                let closed = ConnectionError::Unavailable("connection closed before reply".into());
+                return Err(Failed::Unread(closed));
+            }
+            Ok(_) => {}
+            Err(e) => {
+                let unread = matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset
+                        | ErrorKind::ConnectionAborted
+                        | ErrorKind::BrokenPipe
+                );
+                let e = first_read_error(ReadError::Io(e));
+                return Err(if unread {
+                    Failed::Unread(e)
+                } else {
+                    Failed::Read(e)
+                });
+            }
+        }
+        let first: Option<WireFrame> = read_frame(&mut conn, MAX_REPLY_FRAME)
+            .map_err(|e| Failed::Read(first_read_error(e)))?;
         match first {
             None => Ok(Reply::Value(Response::Error("empty reply".into()))),
             Some(WireFrame::Value(v)) => {
                 // Synchronous response; consume the sentinel.
-                let _: Result<Option<WireFrame>, _> = read_frame(&mut stream, MAX_REPLY_FRAME);
+                finish(conn, !closes(&v), &self.idle);
                 Ok(Reply::Value(v))
             }
             Some(first) => {
@@ -487,18 +635,47 @@ impl NetClientTransport {
                 // gone the thread drops the socket, which is how the server
                 // observes the disconnect.
                 let (tx, rx) = channel();
+                let idle = self.idle.clone();
                 std::thread::spawn(move || {
-                    let mut frame = Some(first);
-                    while let Some(f) = frame {
-                        if tx.send(f).is_err() {
-                            break;
+                    let mut frame = first;
+                    loop {
+                        let keep = match &frame {
+                            WireFrame::End { .. } => Some(true),
+                            WireFrame::Value(v) => Some(!closes(v)),
+                            _ => None,
+                        };
+                        if let Some(keep) = keep {
+                            // The sentinel follows in the same write: give
+                            // the socket back before the terminal frame, so
+                            // the caller's next request finds it.
+                            finish(conn, keep, &idle);
+                            let _ = tx.send(frame);
+                            return;
                         }
-                        frame = read_frame(&mut stream, MAX_REPLY_FRAME).ok().flatten();
+                        if tx.send(frame).is_err() {
+                            return;
+                        }
+                        frame = match read_frame(&mut conn, MAX_REPLY_FRAME) {
+                            Ok(Some(next)) => next,
+                            _ => return,
+                        };
                     }
                 });
                 Ok(Reply::Stream(rx))
             }
         }
+    }
+}
+
+/// Read the sentinel behind a reply's last frame, then keep the socket
+/// for the next request if the server keeps its end open (`keep`).
+fn finish(mut conn: BufReader<TcpStream>, keep: bool, idle: &IdleSocket) {
+    let sentinel = matches!(
+        read_frame::<WireFrame>(&mut conn, MAX_REPLY_FRAME),
+        Ok(None)
+    );
+    if sentinel && keep {
+        *idle.lock().unwrap_or_else(PoisonError::into_inner) = Some((conn, Instant::now()));
     }
 }
 
@@ -667,13 +844,15 @@ mod tests {
         }
     }
 
-    /// Send `req` on a raw socket and read the reply frame by frame up to
-    /// the sentinel, each frame stamped with its arrival; then everything
-    /// the server still sends before it closes.
+    /// Send `req` on a raw socket, the only request on it (the socket's
+    /// sending side closes behind it), and read the reply frame by frame
+    /// up to the sentinel, each frame stamped with its arrival; then
+    /// everything the server still sends before it closes.
     fn raw_stream(addr: SocketAddr, req: Request) -> (Vec<(Instant, WireFrame)>, Vec<u8>) {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
         write_msg(&mut stream, &RequestEnvelope::new(req)).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
         let mut frames = Vec::new();
         while let Some(frame) = read_frame::<WireFrame>(&mut stream, MAX_REPLY_FRAME).unwrap() {
             frames.push((Instant::now(), frame));

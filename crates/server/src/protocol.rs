@@ -15,8 +15,15 @@
 //! reads replies of up to 1 GiB, since a registry listing outgrows 16 MiB
 //! at ~30k PEs.
 //!
-//! The client sends one [`RequestEnvelope`] per connection; the server
-//! answers with a sequence of [`WireFrame`]s terminated by the sentinel.
+//! A connection carries requests one after another: the client sends a
+//! [`RequestEnvelope`], the server answers with a sequence of
+//! [`WireFrame`]s terminated by the sentinel, and the client may then
+//! send the next envelope on the same connection. The server closes a
+//! connection that brings no request within its idle deadline, and
+//! after a reply it ends with `Busy`, [`Response::Unsupported`] or
+//! [`Response::TimedOut`], after an oversized or malformed request, and
+//! after a stream whose producer vanished; a client that wants one
+//! request per connection closes after the sentinel.
 //! Synchronous replies are a single [`WireFrame::Value`]; streamed
 //! replies open with [`WireFrame::Begin`] (carrying the request id minted
 //! at ingress), interleave payload frames with [`WireFrame::Keepalive`]s

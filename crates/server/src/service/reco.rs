@@ -13,9 +13,11 @@
 use crate::indexes::EntryKind;
 use crate::protocol::{EmbeddingType, RecommendationHit, Response, SearchScope};
 use crate::server::LaminarServer;
+use aroma::AromaEngine;
 use embed::{DenseVec, ReaccSim};
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A recommendation query, analysed once for however many scopes it is
 /// put to: the parsed snippet and its whole-tree SPT vector, or its ReACC
@@ -94,7 +96,7 @@ impl LaminarServer {
                             // flat scan always reported (≥ 6.0).
                             score: r.retrieval_score,
                             occurrences: 1,
-                            similar_code: first_function(&pe.code),
+                            similar_code: similar_code(&engine, r.seed_id, &pe.code),
                             cluster_size: r.cluster_size,
                             common_core: r.code,
                         })
@@ -106,6 +108,7 @@ impl LaminarServer {
                 let start = std::time::Instant::now();
                 let hits = self.indexes.rank_reacc(q, Some(EntryKind::Pe), k);
                 self.metrics.groups.search.reacc_us.record(start.elapsed());
+                let engine = self.indexes.engine();
                 hits.into_iter()
                     .filter(|h| h.score >= self.config.reco_min_cosine)
                     .filter_map(|h| {
@@ -116,7 +119,7 @@ impl LaminarServer {
                             description: pe.description.clone(),
                             score: h.score,
                             occurrences: 1,
-                            similar_code: first_function(&pe.code),
+                            similar_code: similar_code(&engine, h.id, &pe.code),
                             cluster_size: 1,
                             common_core: String::new(),
                         })
@@ -217,11 +220,14 @@ impl LaminarServer {
 }
 
 /// Workflow-scope aggregation (Fig. 9 bottom): rank workflows by the
-/// summed scores of their matching member PEs. Inverts `pe_hits` into a
-/// hash map once, then sweeps each workflow's member list with O(1)
-/// lookups — O(hits + Σ|pe_ids|) instead of the old
-/// O(workflows × hits × pe_ids) nested `contains` scan. A member id
-/// listed twice still counts once, exactly like the scan it replaced.
+/// summed scores of their matching member PEs. Maps each member id once,
+/// marks the members among `pe_hits` with their rank position, then
+/// sweeps each workflow's member list with O(1) lookups —
+/// O(Σ|pe_ids| + hits) instead of the old O(workflows × hits × pe_ids)
+/// nested `contains` scan, and a map over the members, not over every
+/// hit: a query near a corpus of one base class clears the threshold on
+/// thousands of PEs, of which a few workflows hold a fraction. A member
+/// id listed twice still counts once, exactly like the scan it replaced.
 ///
 /// Returns `(workflow_id, summed_score, occurrences)` for every workflow
 /// with at least one matching member, sorted score-descending with ties
@@ -230,20 +236,29 @@ pub fn sweep_workflows<'a>(
     pe_hits: &[(u64, f32)],
     workflows: impl IntoIterator<Item = (u64, &'a [u64])>,
 ) -> Vec<(u64, f32, usize)> {
-    // The map carries each hit's rank position so the per-workflow sum
-    // runs in hit order — float addition isn't associative, and bit
-    // identity with the scan this replaced is part of the contract.
-    let by_id: HashMap<u64, (usize, f32)> = pe_hits
-        .iter()
-        .enumerate()
-        .map(|(pos, &(id, score))| (id, (pos, score)))
-        .collect();
+    let workflows: Vec<(u64, &[u64])> = workflows.into_iter().collect();
+    // Each member's rank position and score, `None` while no hit names
+    // it. The position lets the per-workflow sum run in hit order —
+    // float addition isn't associative, and bit identity with the scan
+    // this replaced is part of the contract.
+    let listed = workflows.iter().map(|(_, pe_ids)| pe_ids.len()).sum();
+    let mut rank: HashMap<u64, Option<(usize, f32)>, BuildHasherDefault<IdHasher>> =
+        HashMap::with_capacity_and_hasher(listed, BuildHasherDefault::default());
+    for &(_, pe_ids) in &workflows {
+        rank.extend(pe_ids.iter().map(|&id| (id, None)));
+    }
+    for (pos, &(id, score)) in pe_hits.iter().enumerate() {
+        if let Some(slot) = rank.get_mut(&id) {
+            *slot = Some((pos, score));
+        }
+    }
+    let mut matched: Vec<(usize, f32)> = Vec::new();
     let mut out: Vec<(u64, f32, usize)> = workflows
         .into_iter()
         .filter_map(|(wf_id, pe_ids)| {
-            let mut matched: Vec<(usize, f32)> = Vec::new();
+            matched.clear();
             for id in pe_ids {
-                if let Some(&(pos, s)) = by_id.get(id) {
+                if let Some(&Some((pos, s))) = rank.get(id) {
                     if !matched.iter().any(|&(p, _)| p == pos) {
                         matched.push((pos, s));
                     }
@@ -265,13 +280,41 @@ pub fn sweep_workflows<'a>(
     out
 }
 
-/// First function definition's text in `code` (Fig. 9's `similarFunc`).
+/// Hashes a registry id with one multiply (Fibonacci hashing). The
+/// server assigns ids, no client picks them, so SipHash's resistance to
+/// chosen keys buys nothing where a recommendation looks up thousands.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// First function definition's text in PE `id`'s `code` (Fig. 9's
+/// `similarFunc`), from the parse `engine` memoises with the PE's
+/// granules; `code` is parsed here only for a PE the snapshot lacks.
+fn similar_code(engine: &AromaEngine, id: u64, code: &str) -> String {
+    match engine.index().granules(id) {
+        Some(granules) => granules.first_function().to_string(),
+        None => first_function(code),
+    }
+}
+
+/// First function definition's text in `code`, from a parse of its own.
 fn first_function(code: &str) -> String {
-    let tree = pyparse::parse(code);
-    tree.find_kind(pyparse::SyntaxKind::FuncDef)
-        .first()
-        .map(|&f| tree.text_of(f))
-        .unwrap_or_default()
+    aroma::first_function_text(&pyparse::parse(code))
 }
 
 #[cfg(test)]
@@ -327,12 +370,64 @@ mod tests {
         assert!(!fast.is_empty());
     }
 
+    /// Seeded random memberships (duplicates, members no hit names, hits
+    /// no workflow holds) against hits in an arbitrary rank order: the
+    /// sweep equals the naive scan bit for bit.
+    #[test]
+    fn sweep_matches_naive_scan_on_random_memberships() {
+        let mut state = 0x5eed_0044_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..50 {
+            let ids = 1 + next() % 300;
+            let pe_hits: Vec<(u64, f32)> = (0..next() % 200)
+                .map(|_| (next() % ids, 6.0 + (next() % 1000) as f32 / 7.0))
+                .fold(Vec::new(), |mut hits, hit| {
+                    if !hits.iter().any(|&(id, _)| id == hit.0) {
+                        hits.push(hit);
+                    }
+                    hits
+                });
+            let memberships: Vec<(u64, Vec<u64>)> = (0..next() % 40)
+                .map(|w| (w, (0..next() % 8).map(|_| next() % ids).collect()))
+                .collect();
+            let wfs = || memberships.iter().map(|(id, pes)| (*id, pes.as_slice()));
+            let fast = sweep_workflows(&pe_hits, wfs());
+            let naive = naive_sweep(&pe_hits, wfs());
+            let bits = |v: &[(u64, f32, usize)]| -> Vec<(u64, u32, usize)> {
+                v.iter().map(|&(id, s, n)| (id, s.to_bits(), n)).collect()
+            };
+            assert_eq!(bits(&fast), bits(&naive), "case {case}");
+        }
+    }
+
     #[test]
     fn sweep_counts_duplicate_members_once() {
         let pe_hits = [(7u64, 6.5f32)];
         let members: &[u64] = &[7, 7, 9];
         let out = sweep_workflows(&pe_hits, [(1u64, members)]);
         assert_eq!(out, vec![(1, 6.5, 1)]);
+    }
+
+    /// The memoised first function is the one a fresh parse finds, on
+    /// every class of the csn corpus and on every cut of one.
+    #[test]
+    fn memoised_first_function_matches_a_fresh_parse() {
+        let corpus = csn::Dataset::generate(csn::DatasetConfig::default());
+        let mut sources: Vec<String> = corpus.entries.iter().map(|e| e.code.clone()).collect();
+        let lines: Vec<&str> = corpus.entries[0].code.lines().collect();
+        sources.extend((0..=lines.len()).map(|n| lines[..n].join("\n")));
+        let mut with_function = 0;
+        for code in &sources {
+            let memo = aroma::statement_granules(code);
+            assert_eq!(memo.first_function(), first_function(code), "{code}");
+            with_function += usize::from(!memo.first_function().is_empty());
+        }
+        assert!(with_function > corpus.len() / 2, "{with_function}");
     }
 
     #[test]

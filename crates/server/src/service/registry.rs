@@ -12,6 +12,7 @@ use embed::{DenseVec, ReaccSim};
 use laminar_registry::{NewPe, NewWorkflow, PeRow, RegistrationUnit, UnitsCommitted, WorkflowRow};
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 impl LaminarServer {
     /// `RegisterPe` / `RegisterWorkflow`: a batch of one, its outcome
@@ -276,12 +277,12 @@ impl LaminarServer {
 
     /// `GetPe`.
     pub(crate) fn get_pe(&self, ident: &Ident) -> Result<Response, ServerError> {
-        Ok(Response::Pe(pe_info(&self.resolve_pe(ident)?)))
+        Ok(Response::Pe(pe_info(&*self.resolve_pe(ident)?)))
     }
 
     /// `GetWorkflow`.
     pub(crate) fn get_workflow(&self, ident: &Ident) -> Result<Response, ServerError> {
-        Ok(Response::Workflow(wf_info(&self.resolve_workflow(ident)?)))
+        Ok(Response::Workflow(wf_info(&*self.resolve_workflow(ident)?)))
     }
 
     /// `GetPesByWorkflow`: a workflow's members, in order.
@@ -306,17 +307,19 @@ impl LaminarServer {
         scope: SearchScope,
         ident: &Ident,
     ) -> Result<Response, ServerError> {
-        let pe = || self.resolve_pe(ident).map(|pe| (pe.description, pe.code));
+        let pe = || {
+            self.resolve_pe(ident)
+                .map(|pe| format!("{}\n\n{}", pe.description, pe.code))
+        };
         let workflow = || {
             self.resolve_workflow(ident)
-                .map(|wf| (wf.description, wf.code))
+                .map(|wf| format!("{}\n\n{}", wf.description, wf.code))
         };
-        let (description, code) = match scope {
+        Ok(Response::Description(match scope {
             SearchScope::Pe => pe()?,
             SearchScope::Workflow => workflow()?,
             SearchScope::Both => pe().or_else(|_| workflow())?,
-        };
-        Ok(Response::Description(format!("{description}\n\n{code}")))
+        }))
     }
 
     /// `UpdatePeDescription` / `UpdateWorkflowDescription`: store the new
@@ -373,17 +376,20 @@ impl LaminarServer {
         Ok(Response::Ok)
     }
 
-    pub(crate) fn resolve_pe(&self, ident: &Ident) -> Result<PeRow, ServerError> {
+    /// The PE `ident` names, as the registry holds it: shared, not a copy
+    /// of its embedding columns.
+    pub(crate) fn resolve_pe(&self, ident: &Ident) -> Result<Arc<PeRow>, ServerError> {
         Ok(match ident {
-            Ident::Id(id) => self.registry.get_pe(*id)?,
-            Ident::Name(name) => self.registry.get_pe_by_name(name)?,
+            Ident::Id(id) => self.registry.pe_row(*id)?,
+            Ident::Name(name) => self.registry.pe_row_by_name(name)?,
         })
     }
 
-    pub(crate) fn resolve_workflow(&self, ident: &Ident) -> Result<WorkflowRow, ServerError> {
+    /// The workflow `ident` names, shared ([`resolve_pe`](Self::resolve_pe)).
+    pub(crate) fn resolve_workflow(&self, ident: &Ident) -> Result<Arc<WorkflowRow>, ServerError> {
         Ok(match ident {
-            Ident::Id(id) => self.registry.get_workflow(*id)?,
-            Ident::Name(name) => self.registry.get_workflow_by_name(name)?,
+            Ident::Id(id) => self.registry.workflow_row(*id)?,
+            Ident::Name(name) => self.registry.workflow_row_by_name(name)?,
         })
     }
 }

@@ -1,10 +1,12 @@
 //! Serving-path lifecycle tests over real TCP: saturation and typed
 //! `Busy` rejection, retry with backoff, graceful drain of in-flight
 //! streams, stalled-stream cancellation with keepalives, wire-level
-//! sentinel/EOF edges, and concurrent-client stress.
+//! sentinel/EOF edges, kept-alive connections, and concurrent-client
+//! stress.
 
 use laminar::client::{LaminarClient, RetryPolicy};
 use laminar::core::{Laminar, LaminarConfig};
+use laminar::server::net::HANDSHAKE_TIMEOUT;
 use laminar::server::protocol::{FaultPolicyWire, RunInputWire};
 use laminar::server::{
     Connection, ConnectionError, Ident, LaminarServer, NetClientTransport, NetServer,
@@ -369,6 +371,262 @@ fn shutdown_wakes_a_blocked_accept() {
     drop(net);
     let snap = laminar.server().metrics().snapshot();
     assert_eq!(snap.connections_accepted, 0, "the wake-up is no client");
+}
+
+/// Connections the server has accepted so far.
+fn accepted(server: &LaminarServer) -> u64 {
+    server.metrics().snapshot().connections_accepted
+}
+
+/// Wait until `net` holds exactly `n` live connections.
+fn await_in_flight(net: &NetServer, n: usize, within: Duration) {
+    let t0 = Instant::now();
+    while net.in_flight() != n {
+        assert!(
+            t0.elapsed() < within,
+            "in_flight stayed {} (want {n})",
+            net.in_flight()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A client that never retries: what it gets through, its transport got
+/// through.
+fn tcp_client(addr: SocketAddr) -> LaminarClient {
+    LaminarClient::connect_tcp(addr).with_retry(RetryPolicy::none())
+}
+
+/// Sequential value requests from one client travel on one socket: the
+/// server accepts one connection for all of them.
+#[test]
+fn sequential_requests_share_one_connection() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let net = NetServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let mut client = tcp_client(net.addr());
+    client.register("u", "p").unwrap();
+    for _ in 0..10 {
+        client.get_registry().unwrap();
+        client.metrics().unwrap();
+    }
+    assert_eq!(accepted(&server), 1);
+    assert_eq!(net.in_flight(), 1, "the kept socket holds its slot");
+}
+
+/// A streamed run gives its socket back at the sentinel: a value request
+/// after it rides the same connection, and the stream lost no line.
+#[test]
+fn stream_then_value_request_on_one_socket() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let token = register_user(&server, "u");
+    register_slow_workflow(&server, token, "short_wf", 1);
+    let net = NetServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let mut client = tcp_client(net.addr());
+    client.login("u", "p").unwrap();
+
+    let out = client.run("short_wf", 25).unwrap();
+    assert!(out.ok);
+    let mut lines = out.lines;
+    lines.sort_by_key(|l| l.parse::<i64>().unwrap());
+    let want: Vec<String> = (0..25).map(|i| i.to_string()).collect();
+    assert_eq!(lines, want, "every line delivered");
+
+    client.get_registry().unwrap();
+    assert_eq!(accepted(&server), 1, "login, run and listing on one socket");
+}
+
+/// The server closes a connection idle past `HANDSHAKE_TIMEOUT`; the
+/// client's next request connects afresh without surfacing an error.
+#[test]
+fn idle_connection_closed_by_server_and_next_request_reconnects() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let net = NetServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let mut client = tcp_client(net.addr());
+    client.register("u", "p").unwrap();
+    assert_eq!(net.in_flight(), 1);
+
+    let idle_since = Instant::now();
+    await_in_flight(&net, 0, HANDSHAKE_TIMEOUT * 3);
+    assert!(
+        idle_since.elapsed() >= HANDSHAKE_TIMEOUT / 2,
+        "closed after {:?}",
+        idle_since.elapsed()
+    );
+
+    client.get_registry().expect("the next request reconnects");
+    assert_eq!(accepted(&server), 2);
+}
+
+/// A receiver dropped in the middle of a stream still ends the run as
+/// `Failed`: the transport drops the socket rather than keeping it.
+#[test]
+fn receiver_dropped_mid_stream_records_the_run_failed() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let token = register_user(&server, "u");
+    register_slow_workflow(&server, token, "drop_wf", 10);
+    let net = NetServer::bind("127.0.0.1:0", server.clone()).unwrap();
+
+    let mut frames = open_stream(net.addr(), run_request(token, "drop_wf", 100));
+    assert!(frames.any(|f| matches!(f, WireFrame::Line(_))));
+    drop(frames);
+
+    let t0 = Instant::now();
+    loop {
+        let executions = match server
+            .handle(Request::GetExecutions {
+                token,
+                ident: Ident::Name("drop_wf".into()),
+            })
+            .value()
+        {
+            Response::Executions(rows) => rows,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(executions.len(), 1);
+        if executions[0].status == "Failed" {
+            break;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "run never settled Failed: {}",
+            executions[0].status
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    await_in_flight(&net, 0, Duration::from_secs(5));
+}
+
+/// `graceful_shutdown` closes idle kept-alive connections at once: with
+/// nothing but idle sockets open it returns long before the drain
+/// deadline.
+#[test]
+fn graceful_shutdown_closes_idle_connections_at_once() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let net = NetServer::bind_with(
+        "127.0.0.1:0",
+        server.clone(),
+        NetServerConfig {
+            drain_timeout: Duration::from_secs(10),
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let clients: Vec<LaminarClient> = (0..3)
+        .map(|i| {
+            let mut c = tcp_client(net.addr());
+            c.register(&format!("u{i}"), "p").unwrap();
+            c
+        })
+        .collect();
+    assert_eq!(net.in_flight(), 3);
+
+    let t0 = Instant::now();
+    assert!(net.graceful_shutdown(), "idle connections drain");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "drain waited {:?} on idle connections",
+        t0.elapsed()
+    );
+    assert_eq!(net.in_flight(), 0);
+    for c in &clients {
+        assert!(c.get_registry().is_err(), "served after shutdown");
+    }
+}
+
+/// Idle kept-alive connections hold their slots: at the cap the next
+/// connection is bounced with `Busy`, and closing one client frees a
+/// slot for it.
+#[test]
+fn idle_connections_hold_slots_under_the_cap() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let net = NetServer::bind_with(
+        "127.0.0.1:0",
+        server.clone(),
+        NetServerConfig {
+            max_connections: 2,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut holders: Vec<LaminarClient> = (0..2)
+        .map(|i| {
+            let mut c = tcp_client(net.addr());
+            c.register(&format!("u{i}"), "p").unwrap();
+            c
+        })
+        .collect();
+    assert_eq!(net.in_flight(), 2);
+
+    let extra = NetClientTransport::new(net.addr());
+    match extra.call(Request::Metrics {}) {
+        Err(ConnectionError::Busy { .. }) => {}
+        other => panic!("expected Busy at the cap, got {other:?}"),
+    }
+    assert_eq!(server.metrics().snapshot().connections_rejected, 1);
+
+    holders.pop();
+    await_in_flight(&net, 1, Duration::from_secs(5));
+    match extra.call(Request::Metrics {}) {
+        Ok(Reply::Value(Response::Metrics(_))) => {}
+        other => panic!("expected Metrics under the cap, got {other:?}"),
+    }
+    assert_eq!(net.in_flight(), 2);
+    holders[0]
+        .get_registry()
+        .expect("the other holder keeps its slot");
+}
+
+/// A kept socket the server closed unread is resent once on a fresh
+/// socket, and a non-idempotent `RegisterPe` is applied exactly once: the
+/// first server shuts down with the client's socket idle, a second one
+/// takes over the port, and the client (which never retries) registers.
+#[test]
+fn register_is_applied_once_across_a_stale_socket_reconnect() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let first = NetServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let addr = first.addr();
+    let mut client = tcp_client(addr);
+    client.register("u", "p").unwrap();
+
+    first.shutdown();
+    assert!(
+        first.drain(Duration::from_secs(1)),
+        "the idle socket closes"
+    );
+    let t0 = Instant::now();
+    let second = loop {
+        match NetServer::bind(&addr.to_string(), server.clone()) {
+            Ok(net) => break net,
+            Err(e) => assert!(t0.elapsed() < Duration::from_millis(500), "rebind: {e}"),
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+
+    client
+        .register_pe("Once", "class Once(IterativePE):\n    pass\n", None)
+        .expect("resent on a fresh socket");
+    let registered = server
+        .registry()
+        .all_pes()
+        .iter()
+        .filter(|pe| pe.name == "Once")
+        .count();
+    assert_eq!(registered, 1);
+    let snap = server.metrics().snapshot();
+    let ep = snap
+        .endpoints
+        .iter()
+        .find(|e| e.endpoint == "RegisterPe")
+        .expect("RegisterPe endpoint row");
+    assert_eq!(ep.requests, 1, "the stale socket carried no request");
+    assert_eq!(second.in_flight(), 1);
 }
 
 fn stress(clients: usize, requests_per_client: usize) {
