@@ -161,18 +161,27 @@ impl Supervisor {
     /// dead-lettered (discard them and keep going). `attempt` must be
     /// re-runnable: it clears the caller's emission buffer before calling
     /// into the PE, so a partially-emitting failed attempt never leaks
-    /// duplicates downstream.
+    /// duplicates downstream. Each attempt is handed the datum: the last
+    /// one takes it, unless a dead letter may still need it; an attempt
+    /// with another after it gets a clone. Under `FailFast` the one
+    /// attempt takes it.
     pub(crate) fn invoke(
         &self,
         pe: &str,
         port: Option<&str>,
-        datum: Option<&Data>,
-        attempt: &mut dyn FnMut(),
+        mut datum: Option<Data>,
+        attempt: &mut dyn FnMut(Option<Data>),
     ) -> Result<bool, GraphError> {
         let max_attempts = self.policy.max_attempts();
+        let keeps = matches!(self.policy, FaultPolicy::DeadLetter { .. });
         let mut last_err = String::new();
         for attempt_no in 1..=max_attempts {
-            match catch_unwind(AssertUnwindSafe(&mut *attempt)) {
+            let given = if attempt_no == max_attempts && !keeps {
+                datum.take()
+            } else {
+                datum.clone()
+            };
+            match catch_unwind(AssertUnwindSafe(|| attempt(given))) {
                 Ok(()) => return Ok(true),
                 Err(p) => {
                     last_err = crate::mapping::panic_message(p);
@@ -194,7 +203,7 @@ impl Supervisor {
                 message: last_err,
             }),
             FaultPolicy::DeadLetter { .. } => {
-                self.dead_letter(pe, port, datum.cloned(), last_err, max_attempts);
+                self.dead_letter(pe, port, datum, last_err, max_attempts);
                 Ok(false)
             }
         }
@@ -514,7 +523,7 @@ mod tests {
     fn supervisor_fail_fast_preserves_worker_panicked() {
         let sup = Supervisor::new(FaultPolicy::FailFast);
         let err = sup
-            .invoke("PE0", None, None, &mut || panic!("boom"))
+            .invoke("PE0", None, None, &mut |_| panic!("boom"))
             .unwrap_err();
         assert_eq!(err, GraphError::WorkerPanicked("boom".into()));
         assert_eq!(sup.stats().faults, 1);
@@ -527,7 +536,7 @@ mod tests {
             backoff: Duration::ZERO,
         });
         let mut calls = 0;
-        let out = sup.invoke("PE0", None, None, &mut || {
+        let out = sup.invoke("PE0", None, None, &mut |_| {
             calls += 1;
             if calls < 3 {
                 panic!("transient");
@@ -547,7 +556,7 @@ mod tests {
             backoff: Duration::ZERO,
         });
         let err = sup
-            .invoke("PE7", None, None, &mut || panic!("always"))
+            .invoke("PE7", None, None, &mut |_| panic!("always"))
             .unwrap_err();
         match err {
             GraphError::PeFailed { pe, attempts, message } => {
@@ -563,7 +572,7 @@ mod tests {
     fn supervisor_dead_letter_records_and_continues() {
         let sup = Supervisor::new(FaultPolicy::DeadLetter { max_attempts: 2 });
         let datum = Data::from(9i64);
-        let out = sup.invoke("PE3", Some("input"), Some(&datum), &mut || panic!("bad"));
+        let out = sup.invoke("PE3", Some("input"), Some(datum), &mut |_| panic!("bad"));
         assert!(matches!(out, Ok(false)));
         let dlq = sup.take_dead_letters();
         assert_eq!(dlq.len(), 1);
@@ -583,7 +592,7 @@ mod tests {
         });
         let mut emitted: Vec<i64> = Vec::new();
         let mut calls = 0;
-        let out = sup.invoke("PE0", None, None, &mut || {
+        let out = sup.invoke("PE0", None, None, &mut |_| {
             emitted.clear();
             emitted.push(1);
             calls += 1;

@@ -102,23 +102,25 @@ impl<'r> Plan<'r> {
     /// One supervised invocation of `pe`, an instance of `node` — the only
     /// caller of `Supervisor::invoke`. Emissions land in `emitted` as
     /// (output-port index, datum); one on an undeclared port is dropped.
-    /// `Ok(false)`: the datum was dead-lettered, `emitted` left empty.
+    /// `Ok(false)`: the datum was dead-lettered, `emitted` left empty. The
+    /// datum moves into `process`; only an attempt that a retry or a dead
+    /// letter may follow gets a clone.
     pub(crate) fn step(
         &self,
         node: usize,
         pe: &mut dyn PE,
-        call: Call,
+        mut call: Call,
         rank: usize,
         iteration: u64,
         emitted: &mut Vec<(usize, Data)>,
     ) -> Result<bool, GraphError> {
         let n = &self.nodes[node];
-        let input = match &call {
-            Call::Process(Some((port, d))) => Some((n.inputs[*port].as_str(), d)),
+        let (port, datum) = match &mut call {
+            Call::Process(input) => input.take().map(|(p, d)| (n.inputs[p].as_str(), d)),
             _ => None,
-        };
-        let (port, datum) = (input.map(|i| i.0), input.map(|i| i.1));
-        let done = self.supervisor.invoke(&n.display, port, datum, &mut || {
+        }
+        .unzip();
+        let done = self.supervisor.invoke(&n.display, port, datum, &mut |datum| {
             emitted.clear();
             let mut emit = |port: &str, d: Data| {
                 if let Some(i) = n.outputs.iter().position(|p| p == port) {
@@ -129,7 +131,7 @@ impl<'r> Plan<'r> {
             let mut ctx = Context::new(&n.display, rank, iteration, &mut emit, &log);
             match &call {
                 Call::Setup => pe.setup(&mut ctx),
-                Call::Process(_) => pe.process(input.map(|(p, d)| (p, d.clone())), &mut ctx),
+                Call::Process(_) => pe.process(port.zip(datum), &mut ctx),
                 Call::Teardown => pe.teardown(&mut ctx),
             }
         })?;

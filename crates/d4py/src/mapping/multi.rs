@@ -110,8 +110,8 @@ pub(crate) fn execute(
                     plan.fan_out(node, &mut emitted, |t, data| {
                         let targets = partition[t.to].clone();
                         let (edge, counter) = (&graph.edges[t.edge], &mut counters[t.edge]);
-                        for o in WorkflowGraph::route(edge, &data, targets.len(), counter) {
-                            let msg = Msg::Item { port: t.port, data: data.clone() };
+                        let send = |o: usize, data: Data| {
+                            let msg = Msg::Item { port: t.port, data };
                             if senders[targets.start + o].send(msg).is_err() {
                                 // Receiver gone = downstream rank died
                                 // abnormally. Record typed (the primary
@@ -123,6 +123,16 @@ pub(crate) fn execute(
                                     to: format!("rank {}", targets.start + o),
                                 });
                             }
+                        };
+                        // Every rank but the last gets a clone; the last
+                        // takes the datum.
+                        let mut ranks = WorkflowGraph::route(edge, &data, targets.len(), counter);
+                        let last = ranks.next_back();
+                        for o in ranks {
+                            send(o, data.clone());
+                        }
+                        if let Some(o) = last {
+                            send(o, data);
                         }
                     });
                     Ok(done)

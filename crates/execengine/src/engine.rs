@@ -8,17 +8,17 @@
 //! code; the only difference is *when* frames are released to the consumer
 //! — which is exactly the property experiment E8 measures.
 
-use crate::containers::{ContainerPool, PoolConfig};
+use crate::containers::{ContainerPool, Lease, PoolConfig};
 use crate::imports::{resolve_imports, ImportResolution, PackageIndex};
 use crate::library::WorkflowLibrary;
 use d4py::mapping::{panic_message, run_with_options};
 use d4py::monitor::OutputSink;
-use d4py::{DeadLetterEntry, FaultStats, GraphError, Mapping, RunInput, RunOptions};
+use d4py::{DeadLetterEntry, FaultStats, GraphError, Mapping, RunInput, RunOptions, WorkflowGraph};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How the engine releases output to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,18 +104,21 @@ pub struct ExecutionReport {
 }
 
 /// The serverless execution engine.
+///
+/// Dropping the engine drops its pool, which ends the container threads
+/// once the runs they hold have finished.
 pub struct ExecutionEngine {
-    pool: Arc<ContainerPool>,
-    packages: Arc<PackageIndex>,
-    library: Arc<WorkflowLibrary>,
+    pool: ContainerPool,
+    packages: PackageIndex,
+    library: WorkflowLibrary,
 }
 
 impl ExecutionEngine {
     pub fn new(pool_config: PoolConfig, library: WorkflowLibrary) -> Self {
         ExecutionEngine {
-            pool: Arc::new(ContainerPool::new(pool_config)),
-            packages: Arc::new(PackageIndex::new()),
-            library: Arc::new(library),
+            pool: ContainerPool::new(pool_config),
+            packages: PackageIndex::new(),
+            library,
         }
     }
 
@@ -136,15 +139,37 @@ impl ExecutionEngine {
         &self.library
     }
 
-    /// Start an execution on a thread of its own; every frame goes to
-    /// `emit` — from that thread, and while a streaming run enacts, from
-    /// the mapping's workers. The last frame is always `End` or `Error`,
-    /// a panicking workflow builder or PE factory included.
+    /// Start an execution; every frame goes to `emit`. The workflow is
+    /// resolved and its imports checked on the caller's thread, and a
+    /// failure there is its only frame. The enactment then runs on a
+    /// container of the pool, and its frames come from that container's
+    /// thread and, while a streaming run enacts, from the mapping's
+    /// workers. The last frame is always `End` or `Error`, a panicking
+    /// workflow builder or PE factory included. Never blocks: with every
+    /// container busy the run queues.
     pub fn execute_into(&self, req: ExecRequest, emit: impl Fn(Frame) + Send + Sync + 'static) {
-        let pool = self.pool.clone();
-        let packages = self.packages.clone();
-        let library = self.library.clone();
-        std::thread::spawn(move || run_request(req, &pool, &packages, &library, Arc::new(emit)));
+        let started = Instant::now();
+
+        // 1. Resolve the workflow to a runnable graph.
+        let graph = match unwound(|| Ok(self.library.build(&req.workflow))) {
+            Ok(Some(graph)) => graph,
+            Ok(None) => return emit(Frame::Error(EngineError::UnknownWorkflow(req.workflow))),
+            Err(e) => return emit(Frame::Error(e)),
+        };
+
+        // 2. Auto-import dependency resolution over the registered source.
+        for res in resolve_imports(&req.code, &self.packages) {
+            match &res {
+                ImportResolution::Unresolved(m) => {
+                    return emit(Frame::Error(EngineError::UnresolvedImport(m.clone())));
+                }
+                other => emit(Frame::Info(format!("import {}", other.module()))),
+            }
+        }
+
+        // 3. A container (its cold start visible to the caller) enacts.
+        let emit: Arc<dyn Fn(Frame) + Send + Sync> = Arc::new(emit);
+        self.pool.submit(move |lease| enact(req, &graph, lease, started, emit));
     }
 
     /// [`ExecutionEngine::execute_into`] onto a channel: frames arrive on
@@ -210,49 +235,30 @@ fn unwound<T>(f: impl FnOnce() -> Result<T, GraphError>) -> Result<T, EngineErro
         .map_err(EngineError::from)
 }
 
-fn run_request(
+/// Enact `graph` on the leased container and emit the outcome.
+fn enact(
     req: ExecRequest,
-    pool: &ContainerPool,
-    packages: &PackageIndex,
-    library: &WorkflowLibrary,
+    graph: &WorkflowGraph,
+    lease: Lease,
+    started: Instant,
     emit: Arc<dyn Fn(Frame) + Send + Sync>,
 ) {
-    let started = std::time::Instant::now();
+    let warmth = if lease.cold() { "cold start" } else { "warm" };
+    emit(Frame::Info(format!("container {} {warmth}", lease.id())));
 
-    // 1. Resolve the workflow to a runnable graph.
-    let graph = match unwound(|| Ok(library.build(&req.workflow))) {
-        Ok(Some(graph)) => graph,
-        Ok(None) => return emit(Frame::Error(EngineError::UnknownWorkflow(req.workflow))),
-        Err(e) => return emit(Frame::Error(e)),
-    };
-
-    // 2. Auto-import dependency resolution over the registered source.
-    for res in resolve_imports(&req.code, packages) {
-        match &res {
-            ImportResolution::Unresolved(m) => {
-                return emit(Frame::Error(EngineError::UnresolvedImport(m.clone())));
-            }
-            other => emit(Frame::Info(format!("import {}", other.module()))),
-        }
-    }
-
-    // 3. Acquire a container (cold start visible to the caller).
-    let (container, cold) = pool.acquire();
-    let warmth = if cold { "cold start" } else { "warm" };
-    emit(Frame::Info(format!("container {} {warmth}", container.id)));
-
-    // 4. Enact. Streaming taps the sink, each line moving into its frame;
-    // batch collects the lines and moves them into frames at the end. The
-    // container goes back to the pool however the enactment ends.
+    // Streaming taps the sink, each line moving into its frame; batch
+    // collects the lines and moves them into frames at the end. The
+    // container goes back to the pool however the enactment ends, before
+    // the terminal frame.
     let result = unwound(|| match req.mode {
         ResponseMode::Streaming => {
             let tap = emit.clone();
             let sink = OutputSink::with_tap(Arc::new(move |line| tap(Frame::Line(line))));
-            run_with_options(&graph, req.input, &req.mapping, sink, &req.options)
+            run_with_options(graph, req.input, &req.mapping, sink, &req.options)
         }
         ResponseMode::Batch => {
             let sink = OutputSink::new();
-            let mut r = run_with_options(&graph, req.input, &req.mapping, sink, &req.options);
+            let mut r = run_with_options(graph, req.input, &req.mapping, sink, &req.options);
             if let Ok(res) = &mut r {
                 for line in res.take_lines() {
                     emit(Frame::Line(line));
@@ -261,7 +267,7 @@ fn run_request(
             r
         }
     });
-    pool.release(container);
+    lease.release();
 
     match result {
         Ok(res) => {

@@ -7,10 +7,20 @@
 //! known-on-PyPI), and "installs" anything missing by adding it to the
 //! cache — so the second execution of the same workflow resolves instantly,
 //! exactly the behaviour the paper's engine exhibits.
+//!
+//! A source is parsed once: the index keeps each source's root modules,
+//! keyed by the source text, so a run of an unchanged workflow pays a map
+//! lookup instead of a parse. Each root is still resolved per run, which
+//! keeps the Installed → Cached step visible. An edited source is a new
+//! key and is parsed again; the map is cleared when it reaches
+//! `MAX_SOURCES` entries, which bounds what edits can leave behind.
 
 use pyparse::{SyntaxKind, TokKind};
-use std::collections::BTreeSet;
-use std::sync::{PoisonError, RwLock};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, PoisonError, RwLock};
+
+/// Sources whose roots the index keeps before it starts over.
+const MAX_SOURCES: usize = 4096;
 
 /// Python standard-library roots the simulated index treats as built-in.
 const STDLIB: &[&str] = &[
@@ -50,10 +60,12 @@ impl ImportResolution {
     }
 }
 
-/// The simulated package index + install cache.
+/// The simulated package index + install cache, and the root modules
+/// of every source it has resolved.
 #[derive(Default)]
 pub struct PackageIndex {
     installed: RwLock<BTreeSet<String>>,
+    roots: RwLock<HashMap<String, Arc<[String]>>>,
 }
 
 impl PackageIndex {
@@ -91,6 +103,22 @@ impl PackageIndex {
             return ImportResolution::Installed(module.to_string());
         }
         ImportResolution::Unresolved(module.to_string())
+    }
+
+    /// The root modules `code` imports, parsed on its first sight only.
+    fn roots_of(&self, code: &str) -> Arc<[String]> {
+        let known = self.roots.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(roots) = known.get(code) {
+            return roots.clone();
+        }
+        drop(known);
+        let roots: Arc<[String]> = imported_modules(code).into();
+        let mut known = self.roots.write().unwrap_or_else(PoisonError::into_inner);
+        if known.len() >= MAX_SOURCES {
+            known.clear();
+        }
+        known.insert(code.to_string(), roots.clone());
+        roots
     }
 }
 
@@ -149,7 +177,8 @@ pub fn imported_modules(code: &str) -> Vec<String> {
 
 /// Resolve every import in `code` against `index`.
 pub fn resolve_imports(code: &str, index: &PackageIndex) -> Vec<ImportResolution> {
-    imported_modules(code)
+    index
+        .roots_of(code)
         .iter()
         .map(|m| index.resolve(m))
         .collect()
@@ -214,6 +243,30 @@ from ..pkg import thing
         let ix = PackageIndex::new();
         assert!(resolve_imports("x = 1\n", &ix).is_empty());
         assert!(resolve_imports("", &ix).is_empty());
+    }
+
+    /// The same source twice: parsed once, its PyPI root installed on the
+    /// first run and cached on the second. An edited source is parsed
+    /// again.
+    #[test]
+    fn a_source_is_parsed_once_and_resolved_every_time() {
+        let ix = PackageIndex::new();
+        let code = "import os\nimport numpy\n";
+        let first = resolve_imports(code, &ix);
+        let second = resolve_imports(code, &ix);
+        assert_eq!(first[0], ImportResolution::Installed("numpy".into()));
+        assert_eq!(second[0], ImportResolution::Cached("numpy".into()));
+        assert_eq!(ix.roots.read().unwrap().len(), 1);
+        let edited = "import os\nimport numpy\nimport redis\n";
+        assert_eq!(
+            resolve_imports(edited, &ix),
+            vec![
+                ImportResolution::Cached("numpy".into()),
+                ImportResolution::Stdlib("os".into()),
+                ImportResolution::Installed("redis".into()),
+            ]
+        );
+        assert_eq!(ix.roots.read().unwrap().len(), 2);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! streaming). This crate reproduces each piece:
 //!
 //! * [`containers`] — a simulated container pool with a cold-start latency
-//!   model, warm-pool reuse and auto-provisioning;
+//!   model, warm-pool reuse and auto-provisioning; a container is a thread,
+//!   parked while warm, so a run spawns none;
 //! * [`imports`] — auto-import dependency resolution: scan the workflow's
-//!   Python source for `import`s, resolve them against a simulated package
-//!   index, "install" (cache) what is missing;
+//!   Python source for `import`s (once per source), resolve them against a
+//!   simulated package index, "install" (cache) what is missing;
 //! * [`library`] — the runnable-workflow library: the paper ships Python
 //!   code to a Python interpreter; the Rust reproduction instead maps a
 //!   registered workflow name to a native graph builder (substitution

@@ -1366,6 +1366,11 @@ impl Registry {
         self.read().pes.values().map(owned).collect()
     }
 
+    /// [`all_pes`](Self::all_pes)' rows, shared ([`pe_row`](Self::pe_row)).
+    pub fn pe_rows(&self) -> Vec<Arc<PeRow>> {
+        self.read().pes.values().cloned().collect()
+    }
+
     pub fn update_pe_description(
         &self,
         id: u64,
@@ -1462,6 +1467,12 @@ impl Registry {
         self.read().workflows.values().map(owned).collect()
     }
 
+    /// [`all_workflows`](Self::all_workflows)' rows, shared
+    /// ([`pe_row`](Self::pe_row)).
+    pub fn workflow_rows(&self) -> Vec<Arc<WorkflowRow>> {
+        self.read().workflows.values().cloned().collect()
+    }
+
     /// Hand `f` the `(id, member PE ids)` of every workflow, in place
     /// under the read lock — for callers that aggregate over membership
     /// and would otherwise clone every row for two of its fields.
@@ -1478,6 +1489,13 @@ impl Registry {
 
     /// `get_PEs_By_Workflow` (Table I).
     pub fn pes_by_workflow(&self, workflow_id: u64) -> Result<Vec<PeRow>, RegistryError> {
+        let rows = self.pe_rows_by_workflow(workflow_id)?;
+        Ok(rows.iter().map(owned).collect())
+    }
+
+    /// [`pes_by_workflow`](Self::pes_by_workflow)' rows, shared
+    /// ([`pe_row`](Self::pe_row)).
+    pub fn pe_rows_by_workflow(&self, workflow_id: u64) -> Result<Vec<Arc<PeRow>>, RegistryError> {
         let inner = self.read();
         let wf = inner
             .workflows
@@ -1486,8 +1504,7 @@ impl Registry {
         Ok(wf
             .pe_ids
             .iter()
-            .filter_map(|id| inner.pes.get(id))
-            .map(owned)
+            .filter_map(|id| inner.pes.get(id).cloned())
             .collect())
     }
 

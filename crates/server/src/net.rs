@@ -52,7 +52,10 @@
 //! Client side, [`NetClientTransport`] keeps the socket its last reply
 //! left open and sends the next request on it; a kept socket that the
 //! server has closed in the meantime fails before the first reply byte,
-//! and only then is the request sent once more, on a fresh socket.
+//! and only then is the request sent once more, on a fresh socket. A
+//! socket's first stream starts its reader thread, which reads every
+//! stream the socket carries into the reply's channel and ends when the
+//! socket is dropped: one thread per connection, as on the server.
 //!
 //! Everything is accounted in the server's [`Metrics`](crate::obs::Metrics)
 //! registry: connection counters, per-endpoint rejection counts, timeout
@@ -65,7 +68,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -517,9 +520,74 @@ fn stream_reply(
     }
 }
 
+/// One client socket, and the sender its reader thread waits on once the
+/// socket has carried a stream. The socket's value exchanges run on the
+/// caller's thread; its streams are read by that one thread, which ends
+/// when the socket is dropped (it holds the only sender).
+struct Socket {
+    conn: BufReader<TcpStream>,
+    reader: Option<Sender<Stream>>,
+}
+
 /// The socket a [`NetClientTransport`] keeps between requests, with the
 /// moment it went idle; clones of the transport share it.
-type IdleSocket = Arc<Mutex<Option<(BufReader<TcpStream>, Instant)>>>;
+type IdleSocket = Arc<Mutex<Option<(Socket, Instant)>>>;
+
+/// A streamed reply for a socket's reader thread: the socket itself, the
+/// reply's first frame, the reply's channel, and where the socket goes
+/// back once the reply is read.
+struct Stream {
+    socket: Socket,
+    first: WireFrame,
+    tx: Sender<WireFrame>,
+    idle: IdleSocket,
+}
+
+impl Stream {
+    /// Move the stream's frames, up to the sentinel, from the socket into
+    /// the reply's channel, so a stream is a `Receiver` whichever side
+    /// produced it. A read error ends the channel; a stream cut before
+    /// its terminal frame is the run fold's to report. When the receiver
+    /// is gone the socket is dropped, which is how the server observes
+    /// the disconnect.
+    fn read(self) {
+        let Stream {
+            mut socket,
+            first: mut frame,
+            tx,
+            idle,
+        } = self;
+        loop {
+            let keep = match &frame {
+                WireFrame::End { .. } => Some(true),
+                WireFrame::Value(v) => Some(!closes(v)),
+                _ => None,
+            };
+            if let Some(keep) = keep {
+                // The sentinel follows in the same write: give the socket
+                // back before the terminal frame, so the caller's next
+                // request finds it.
+                finish(socket, keep, &idle);
+                let _ = tx.send(frame);
+                return;
+            }
+            if tx.send(frame).is_err() {
+                return;
+            }
+            frame = match read_frame(&mut socket.conn, MAX_REPLY_FRAME) {
+                Ok(Some(next)) => next,
+                _ => return,
+            };
+        }
+    }
+}
+
+/// Start a socket's reader thread; it reads the streams sent to it.
+fn spawn_reader() -> Sender<Stream> {
+    let (tx, rx) = channel::<Stream>();
+    std::thread::spawn(move || rx.into_iter().for_each(Stream::read));
+    tx
+}
 
 /// Client-side TCP [`Connection`]: requests go one after another over
 /// one kept-alive socket. A request takes the idle socket, or connects
@@ -559,8 +627,8 @@ impl NetClientTransport {
             .map_err(|e| ConnectionError::Unavailable(format!("send failed: {e}")))?;
         // A kept socket that fails before the reply began was closed by
         // the server unread: send once more, on a fresh socket.
-        if let Some(conn) = self.take_idle() {
-            match self.exchange(conn, &request) {
+        if let Some(socket) = self.take_idle() {
+            match self.exchange(socket, &request) {
                 Err(Failed::Unread(_)) => {}
                 Err(Failed::Read(e)) => return Err(e),
                 Ok(reply) => return Ok(reply),
@@ -570,25 +638,30 @@ impl NetClientTransport {
             .map_err(|e| ConnectionError::Unavailable(e.to_string()))?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT)).ok();
-        self.exchange(BufReader::new(stream), &request)
+        let socket = Socket {
+            conn: BufReader::new(stream),
+            reader: None,
+        };
+        self.exchange(socket, &request)
             .map_err(|(Failed::Unread(e) | Failed::Read(e))| e)
     }
 
     /// The kept socket, unless it has been idle for half the server's
     /// [`HANDSHAKE_TIMEOUT`] or more: a request must not race the
     /// server's idle close.
-    fn take_idle(&self) -> Option<BufReader<TcpStream>> {
-        let (conn, since) = self
+    fn take_idle(&self) -> Option<Socket> {
+        let (socket, since) = self
             .idle
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take()?;
-        (since.elapsed() < HANDSHAKE_TIMEOUT / 2).then_some(conn)
+        (since.elapsed() < HANDSHAKE_TIMEOUT / 2).then_some(socket)
     }
 
-    /// Write `request` on `conn` and read the reply's first frame; the
+    /// Write `request` on `socket` and read the reply's first frame; the
     /// first frame classifies the reply.
-    fn exchange(&self, mut conn: BufReader<TcpStream>, request: &[u8]) -> Result<Reply, Failed> {
+    fn exchange(&self, mut socket: Socket, request: &[u8]) -> Result<Reply, Failed> {
+        let conn = &mut socket.conn;
         if let Err(e) = conn.get_mut().write_all(request) {
             return Err(Failed::Unread(ConnectionError::Unavailable(format!(
                 "send failed: {e}"
@@ -617,49 +690,26 @@ impl NetClientTransport {
                 });
             }
         }
-        let first: Option<WireFrame> = read_frame(&mut conn, MAX_REPLY_FRAME)
-            .map_err(|e| Failed::Read(first_read_error(e)))?;
+        let first: Option<WireFrame> =
+            read_frame(conn, MAX_REPLY_FRAME).map_err(|e| Failed::Read(first_read_error(e)))?;
         match first {
             None => Ok(Reply::Value(Response::Error("empty reply".into()))),
             Some(WireFrame::Value(v)) => {
                 // Synchronous response; consume the sentinel.
-                finish(conn, !closes(&v), &self.idle);
+                finish(socket, !closes(&v), &self.idle);
                 Ok(Reply::Value(v))
             }
             Some(first) => {
-                // One reader thread moves the stream's frames, up to the
-                // sentinel, from the socket into the reply's channel, so a
-                // stream is a `Receiver` whichever side produced it. A read
-                // error ends the channel; a stream cut before its terminal
-                // frame is the run fold's to report. When the receiver is
-                // gone the thread drops the socket, which is how the server
-                // observes the disconnect.
+                // The socket's reader thread reads the rest; a socket's
+                // first stream starts it.
+                let reader = socket.reader.take().unwrap_or_else(spawn_reader);
+                socket.reader = Some(reader.clone());
                 let (tx, rx) = channel();
-                let idle = self.idle.clone();
-                std::thread::spawn(move || {
-                    let mut frame = first;
-                    loop {
-                        let keep = match &frame {
-                            WireFrame::End { .. } => Some(true),
-                            WireFrame::Value(v) => Some(!closes(v)),
-                            _ => None,
-                        };
-                        if let Some(keep) = keep {
-                            // The sentinel follows in the same write: give
-                            // the socket back before the terminal frame, so
-                            // the caller's next request finds it.
-                            finish(conn, keep, &idle);
-                            let _ = tx.send(frame);
-                            return;
-                        }
-                        if tx.send(frame).is_err() {
-                            return;
-                        }
-                        frame = match read_frame(&mut conn, MAX_REPLY_FRAME) {
-                            Ok(Some(next)) => next,
-                            _ => return,
-                        };
-                    }
+                let _ = reader.send(Stream {
+                    socket,
+                    first,
+                    tx,
+                    idle: self.idle.clone(),
                 });
                 Ok(Reply::Stream(rx))
             }
@@ -669,13 +719,13 @@ impl NetClientTransport {
 
 /// Read the sentinel behind a reply's last frame, then keep the socket
 /// for the next request if the server keeps its end open (`keep`).
-fn finish(mut conn: BufReader<TcpStream>, keep: bool, idle: &IdleSocket) {
+fn finish(mut socket: Socket, keep: bool, idle: &IdleSocket) {
     let sentinel = matches!(
-        read_frame::<WireFrame>(&mut conn, MAX_REPLY_FRAME),
+        read_frame::<WireFrame>(&mut socket.conn, MAX_REPLY_FRAME),
         Ok(None)
     );
     if sentinel && keep {
-        *idle.lock().unwrap_or_else(PoisonError::into_inner) = Some((conn, Instant::now()));
+        *idle.lock().unwrap_or_else(PoisonError::into_inner) = Some((socket, Instant::now()));
     }
 }
 
@@ -944,6 +994,40 @@ mod tests {
             lead >= Duration::from_millis(150),
             "first line only {lead:?} before End"
         );
+    }
+
+    /// A handler that panics is answered with a typed error on the same
+    /// socket, which then serves the next request; the endpoint counts
+    /// one request, one error and nothing in flight.
+    #[test]
+    fn handler_panic_gets_a_typed_error_and_keeps_the_connection() {
+        let (srv, _client) = serve();
+        let mut stream = TcpStream::connect(srv.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
+        let login = Request::Login {
+            username: crate::server::PANIC_USER.into(),
+            password: "pw".into(),
+        };
+        write_msg(&mut stream, &RequestEnvelope::new(login)).unwrap();
+        match read_frame::<WireFrame>(&mut stream, MAX_REPLY_FRAME).unwrap() {
+            Some(WireFrame::Value(Response::Error(e))) => {
+                assert!(e.starts_with("internal error: handler panic"), "{e}")
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(read_frame::<WireFrame>(&mut stream, MAX_REPLY_FRAME)
+            .unwrap()
+            .is_none());
+        let ep = srv.server.metrics().endpoint("Login");
+        assert_eq!(ep.requests.get(), 1);
+        assert_eq!(ep.errors.get(), 1);
+        assert_eq!(ep.in_flight.get(), 0);
+        // The same socket serves the next request.
+        write_msg(&mut stream, &RequestEnvelope::new(Request::Health {})).unwrap();
+        assert!(matches!(
+            read_frame::<WireFrame>(&mut stream, MAX_REPLY_FRAME).unwrap(),
+            Some(WireFrame::Value(Response::Health { .. }))
+        ));
     }
 
     #[test]

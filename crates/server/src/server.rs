@@ -11,12 +11,14 @@ use crate::protocol::*;
 use crate::resources::ResourceCache;
 use crate::service::run::RunSpec;
 use aroma::AromaConfig;
+use d4py::mapping::panic_message;
 use embed::{CodeT5Sim, DenseVec, DescriptionContext, ReaccSim, UniXcoderSim};
 use laminar_execengine::ExecutionEngine;
 use laminar_registry::{Registry, RegistryError};
 use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -66,11 +68,18 @@ impl Default for ServerConfig {
     }
 }
 
+/// A `Login` for this user panics in `dispatch`: the ingress's panic
+/// handling has something to catch.
+#[cfg(test)]
+pub(crate) const PANIC_USER: &str = "panics-in-dispatch";
+
 /// Internal server error (mapped to `Response::Error` at the boundary).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerError {
     NotLoggedIn,
     Registry(RegistryError),
+    /// A handler panicked; the panic's message.
+    Internal(String),
 }
 
 impl fmt::Display for ServerError {
@@ -78,6 +87,7 @@ impl fmt::Display for ServerError {
         match self {
             ServerError::NotLoggedIn => write!(f, "not logged in"),
             ServerError::Registry(e) => write!(f, "{e}"),
+            ServerError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }
@@ -231,7 +241,7 @@ impl LaminarServer {
     fn warm_load_indexes(&self) {
         let start = std::time::Instant::now();
         let warm = &self.metrics.groups.warm;
-        let (pes, workflows) = (self.registry.all_pes(), self.registry.all_workflows());
+        let (pes, workflows) = (self.registry.pe_rows(), self.registry.workflow_rows());
         let contents: Vec<u64> = pes
             .iter()
             .map(|p| {
@@ -304,8 +314,8 @@ impl LaminarServer {
                 desc,
                 reacc,
                 pe: Some(PeSnippet {
-                    name: p.name,
-                    code: p.code,
+                    name: p.name.clone(),
+                    code: p.code.clone(),
                     spt,
                 }),
                 content: contents.next().expect("a hash per row"),
@@ -423,7 +433,14 @@ impl LaminarServer {
             // The tokenless endpoints never read the user id they are
             // handed.
             let user = env.body.token().map_or(Ok(0), |token| self.auth(token));
-            match user.and_then(|user| self.dispatch(env.body, user, &scope)) {
+            // A handler that panics is answered like one that failed: the
+            // connection stays open, and nothing tells a client that read
+            // no reply to send the request again.
+            let handled = catch_unwind(AssertUnwindSafe(|| {
+                user.and_then(|user| self.dispatch(env.body, user, &scope))
+            }))
+            .unwrap_or_else(|p| Err(ServerError::Internal(panic_message(p))));
+            match handled {
                 Ok(reply) => reply,
                 Err(e) => {
                     // Central persist-error observation: any mutation that
@@ -467,6 +484,10 @@ impl LaminarServer {
         user: u64,
         scope: &Arc<InFlight>,
     ) -> Result<Reply, ServerError> {
+        #[cfg(test)]
+        if matches!(&req, Request::Login { username, .. } if username == PANIC_USER) {
+            panic!("handler panic for {PANIC_USER}");
+        }
         let response = match req {
             Request::RegisterUser { username, password } => {
                 self.register_user(&username, &password)?

@@ -288,15 +288,17 @@ impl LaminarServer {
     /// `GetPesByWorkflow`: a workflow's members, in order.
     pub(crate) fn get_pes_by_workflow(&self, ident: &Ident) -> Result<Response, ServerError> {
         let wf = self.resolve_workflow(ident)?;
-        let pes = self.registry.pes_by_workflow(wf.id)?;
-        Ok(Response::Pes(pes.iter().map(pe_info).collect()))
+        let pes = self.registry.pe_rows_by_workflow(wf.id)?;
+        Ok(Response::Pes(pes.iter().map(|p| pe_info(p)).collect()))
     }
 
     /// `GetRegistry`: every PE and workflow.
     pub(crate) fn get_registry(&self) -> Response {
         Response::Registry {
-            pes: self.registry.all_pes().iter().map(pe_info).collect(),
-            workflows: self.registry.all_workflows().iter().map(wf_info).collect(),
+            pes: self.registry.pe_rows().iter().map(|p| pe_info(p)).collect(),
+            workflows: (self.registry.workflow_rows().iter())
+                .map(|w| wf_info(w))
+                .collect(),
         }
     }
 

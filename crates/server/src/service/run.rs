@@ -26,11 +26,11 @@ pub(crate) struct RunSpec {
 }
 
 /// A streamed run's reply until it settles: the stream's sender, the
-/// lines sent so far (the history's response) and the request's
-/// accounting.
+/// lines sent so far, each followed by a newline (the history's
+/// response), and the request's accounting.
 struct OpenStream {
     tx: Sender<WireFrame>,
-    lines: Vec<String>,
+    history: String,
     scope: Arc<InFlight>,
 }
 
@@ -109,10 +109,12 @@ impl LaminarServer {
             };
         let registry = self.registry.clone();
         let health = self.health.clone();
-        let finish = move |status: ExecutionStatus, lines: &[String]| {
+        let finish = move |status: ExecutionStatus, history: &str| {
             let Some(exec_id) = exec_id else { return };
+            // The lines joined by newlines: the last one's is dropped.
+            let response = history.strip_suffix('\n').unwrap_or(history);
             if let Err(RegistryError::Persistence(msg)) =
-                registry.finish_execution(exec_id, &lines.join("\n"), status)
+                registry.finish_execution(exec_id, response, status)
             {
                 health.record_persist_error(&msg);
             }
@@ -124,7 +126,7 @@ impl LaminarServer {
         });
         let open = Mutex::new(Some(OpenStream {
             tx,
-            lines: Vec::new(),
+            history: String::new(),
             scope,
         }));
         let metrics = self.metrics.clone();
@@ -154,9 +156,10 @@ impl LaminarServer {
             let (wire, status) = match frame {
                 Frame::Info(i) => (WireFrame::Info(i), None),
                 Frame::Line(l) => {
-                    // Pushed and sent under one lock: the history's line
-                    // order is the wire order.
-                    stream.lines.push(l.clone());
+                    // Appended and sent under one lock: the history's
+                    // line order is the wire order.
+                    stream.history.push_str(&l);
+                    stream.history.push('\n');
                     (WireFrame::Line(l), None)
                 }
                 Frame::Summary(s) => (WireFrame::Summary(s), None),
@@ -187,7 +190,7 @@ impl LaminarServer {
                 let stream = guard.take().expect("the stream is open");
                 drop(guard);
                 stream.scope.fail();
-                finish(ExecutionStatus::Failed, &stream.lines);
+                finish(ExecutionStatus::Failed, &stream.history);
                 return;
             };
             let stream = guard.take().expect("the stream is open");
@@ -203,7 +206,7 @@ impl LaminarServer {
                 enactment.runs_failed.inc();
                 stream.scope.fail();
             }
-            finish(status, &stream.lines);
+            finish(status, &stream.history);
             drop(stream.scope);
             let _ = stream.tx.send(wire);
         });

@@ -500,6 +500,60 @@ fn receiver_dropped_mid_stream_records_the_run_failed() {
     await_in_flight(&net, 0, Duration::from_secs(5));
 }
 
+/// A stream whose receiver is dropped mid-run takes its socket with it
+/// (the server records the run `Failed`); the next `run_stream` on the
+/// same transport connects afresh and completes.
+#[test]
+fn run_stream_after_a_dropped_stream_completes() {
+    let laminar = Laminar::deploy(LaminarConfig::default());
+    let server = laminar.server();
+    let token = register_user(&server, "u");
+    register_slow_workflow(&server, token, "drop_wf", 10);
+    let net = NetServer::bind("127.0.0.1:0", server.clone()).unwrap();
+    let mut client = tcp_client(net.addr());
+    client.login("u", "p").unwrap();
+
+    let ident = || Ident::Name("drop_wf".into());
+    let first = client
+        .run_stream(
+            ident(),
+            RunInputWire::Iterations(100),
+            RunMode::Sequential,
+            false,
+        )
+        .unwrap();
+    assert!(first.iter().any(|f| matches!(f, WireFrame::Line(_))));
+    drop(first);
+    let t0 = Instant::now();
+    while client.get_executions(ident()).unwrap()[0].status != "Failed" {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the socket stayed open"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let next = client
+        .run_stream(
+            ident(),
+            RunInputWire::Iterations(3),
+            RunMode::Sequential,
+            false,
+        )
+        .unwrap();
+    let frames: Vec<WireFrame> = next.iter().collect();
+    let lines = frames
+        .iter()
+        .filter(|f| matches!(f, WireFrame::Line(_)))
+        .count();
+    assert_eq!(lines, 3);
+    assert!(
+        matches!(frames.last(), Some(WireFrame::End { ok: true, .. })),
+        "{:?}",
+        frames.last()
+    );
+}
+
 /// `graceful_shutdown` closes idle kept-alive connections at once: with
 /// nothing but idle sockets open it returns long before the drain
 /// deadline.
