@@ -165,18 +165,21 @@ impl AromaEngine {
         self.recommend_parsed(&tree, &Spt::from_parse_tree(&tree).feature_vec())
     }
 
-    /// [`recommend_with_stats`](Self::recommend_with_stats) for a query
-    /// the caller has analysed: `tree` is the parsed query and `qvec` its
-    /// whole-tree feature vector. The pipeline never parses the query
-    /// itself; its granule-space vector comes from `tree` too.
-    pub fn recommend_parsed(
+    /// Stages 2 and 3 for an analysed query, as
+    /// [`recommend_parsed`](Self::recommend_parsed) runs them: retrieve the
+    /// best `retrieve_n` candidates by feature overlap with `qvec` (those
+    /// at or above `min_overlap`), prune & rerank each against `tree`'s
+    /// granule-space vector, and materialise the best `rerank_keep`, best
+    /// first (equal rerank scores by ascending id), each beside its
+    /// retrieval score. Fills `stats`' retrieve and prune fields.
+    pub fn pruned_candidates(
         &self,
         tree: &ParseTree,
         qvec: &FeatureVec,
-    ) -> (Vec<Recommendation>, RecoStats) {
-        let mut stats = RecoStats::default();
+        stats: &mut RecoStats,
+    ) -> (Vec<PrunedSnippet>, Vec<f32>) {
         if qvec.is_empty() {
-            return (Vec::new(), stats);
+            return (Vec::new(), Vec::new());
         }
 
         // Stage 2: light-weight retrieval — exact, over the posting lists.
@@ -190,7 +193,7 @@ impl AromaEngine {
         stats.retrieve = t.elapsed();
         stats.retrieved = hits.len();
         if hits.is_empty() {
-            return (Vec::new(), stats);
+            return (Vec::new(), Vec::new());
         }
 
         // Stage 3: prune & rerank, from each candidate's memoised
@@ -238,6 +241,23 @@ impl AromaEngine {
             .collect();
         stats.prune = t.elapsed();
         stats.pruned = pruned.len();
+        (pruned, retrieval_scores)
+    }
+
+    /// [`recommend_with_stats`](Self::recommend_with_stats) for a query
+    /// the caller has analysed: `tree` is the parsed query and `qvec` its
+    /// whole-tree feature vector. The pipeline never parses the query
+    /// itself; its granule-space vector comes from `tree` too.
+    pub fn recommend_parsed(
+        &self,
+        tree: &ParseTree,
+        qvec: &FeatureVec,
+    ) -> (Vec<Recommendation>, RecoStats) {
+        let mut stats = RecoStats::default();
+        let (pruned, retrieval_scores) = self.pruned_candidates(tree, qvec, &mut stats);
+        if stats.retrieved == 0 {
+            return (Vec::new(), stats);
+        }
 
         // Stage 4: cluster.
         let t = Instant::now();

@@ -10,7 +10,6 @@
 //! cargo run -p laminar-bench --release --bin ablation_aroma_variants
 //! ```
 
-use csn::best_f1;
 use laminar_bench::{
     code_to_code_eval, full_aroma_eval, standard_corpus, CodeRetriever, OMISSION_LEVELS,
 };
@@ -29,13 +28,13 @@ fn main() {
     for &omission in OMISSION_LEVELS {
         // Simplified: straight overlap ranking (what the server ships).
         let t0 = Instant::now();
-        let simple_f1 = best_f1(&code_to_code_eval(&corpus, CodeRetriever::Aroma, omission)).0;
+        let simple_f1 = code_to_code_eval(&corpus, CodeRetriever::Aroma, omission).best_f1();
         let t_simple = t0.elapsed();
 
         // Full pipeline: retrieve top-50 by overlap, prune & rerank each
         // candidate against the granulated query, rank by rerank score.
         let t1 = Instant::now();
-        let full_f1 = best_f1(&full_aroma_eval(&corpus, omission)).0;
+        let full_f1 = full_aroma_eval(&corpus, omission).best_f1();
         let t_full = t1.elapsed();
 
         println!(

@@ -30,7 +30,7 @@ fn main() {
     ] {
         let mut max_f1: f64 = 0.0;
         for &omission in OMISSION_LEVELS {
-            let curve = code_to_code_eval(&corpus, retriever, omission);
+            let curve = code_to_code_eval(&corpus, retriever, omission).curve();
             println!(
                 "{}",
                 render_curve(

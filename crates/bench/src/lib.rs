@@ -18,19 +18,21 @@
 //! | `eval_mappings` | §II-A mappings / Fig. 5b | E10 |
 //! | `eval_search_latency` | search latency vs registry size | E11 |
 //! | `eval_warm_load` | server start (warm load, index cache) vs registry size | E11 |
+//! | `eval_write_stalls` | what a write costs a reader; literal search | DESIGN.md §6 |
 //! | `ablation_aroma_variants` | simplified-vs-full Aroma | E12 |
 //! | `ablation_description_context` | Fig. 10 → Fig. 11 coupling | E13 |
 //! | `ablation_lsh` | §IX future work: LSH for structural code | E14 |
 //! | `ablation_spt_features` | Aroma feature-family ablation | E15 |
 
-use aroma::prune::{granulated_vec, prune_and_rerank};
+use aroma::{AromaConfig, LshConfig, LshIndex, RecoStats};
 use csn::{pr_curve, Dataset, DatasetConfig, PeEntry, PrPoint};
-use embed::{CodeT5Sim, DescriptionContext, ReaccSim, UniXcoderSim};
+use embed::{CodeT5Sim, DenseVec, DescriptionContext, ReaccSim, UniXcoderSim};
 use laminar_core::{Laminar, LaminarConfig, PoolConfig};
+use laminar_server::indexes::IndexHit;
 use laminar_server::protocol::{
     content_hash, FaultPolicyWire, Ident, ResourceRefWire, RunInputWire, RunMode,
 };
-use laminar_server::{LaminarServer, Reply, Request, Response, WireFrame};
+use laminar_server::{IndexRow, LaminarServer, Reply, Request, Response, SearchIndexes, WireFrame};
 use spt::{extract_features, Feature, FeatureVec, Spt};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -98,65 +100,96 @@ pub fn relevant_set(dataset: &Dataset, entry: &PeEntry) -> HashSet<u64> {
 pub const MAX_K: usize = 30;
 
 // ---------------------------------------------------------------------------
+// Ranking through the served indexes
+// ---------------------------------------------------------------------------
+
+/// The indexes the server serves, holding every PE of `dataset` under its
+/// corpus id with description embedding `desc(code)` and SPT vector
+/// `spt(code)`; its ReACC embedding is the one the server computes, and
+/// `aroma` tunes its engine. Every retrieval experiment ranks through
+/// these, so the reproduced numbers are the served rankings'.
+pub fn served_indexes(
+    dataset: &Dataset,
+    aroma: AromaConfig,
+    desc: impl Fn(&str) -> DenseVec,
+    spt: impl Fn(&str) -> FeatureVec,
+) -> SearchIndexes {
+    let indexes = SearchIndexes::with_aroma(aroma);
+    indexes.bulk_upsert(
+        dataset
+            .entries
+            .iter()
+            .map(|e| IndexRow::pe(e.id, &e.name, &e.code, desc(&e.code), spt(&e.code)))
+            .collect(),
+    );
+    indexes
+}
+
+/// One retrieval experiment's queries, one per corpus entry in corpus
+/// order: the ids each ranked, best first, and the ids that count as hits.
+pub struct Rankings {
+    pub queries: Vec<(Vec<u64>, HashSet<u64>)>,
+}
+
+impl Rankings {
+    /// The precision-recall curve at depths 1 to [`MAX_K`].
+    pub fn curve(&self) -> Vec<PrPoint> {
+        pr_curve(&self.queries, MAX_K)
+    }
+
+    /// The best F1 along [`curve`](Self::curve).
+    pub fn best_f1(&self) -> f64 {
+        csn::best_f1(&self.curve()).0
+    }
+}
+
+/// Score `rank` over every PE of `dataset`: `rank(entry, k)` answers the
+/// entry's query with the ids of its best `k` hits, best first, and the
+/// query's family, itself included, counts as hits.
+pub fn score_corpus(
+    dataset: &Dataset,
+    mut rank: impl FnMut(&PeEntry, usize) -> Vec<u64>,
+) -> Rankings {
+    let queries = dataset
+        .entries
+        .iter()
+        .map(|e| (rank(e, MAX_K), relevant_set(dataset, e)))
+        .collect();
+    Rankings { queries }
+}
+
+fn ids(hits: Vec<IndexHit>) -> Vec<u64> {
+    hits.into_iter().map(|h| h.id).collect()
+}
+
+/// The SPT feature vector the server indexes `code` under.
+fn spt_vec(code: &str) -> FeatureVec {
+    Spt::parse_source(code).feature_vec()
+}
+
+// ---------------------------------------------------------------------------
 // E2 — Fig. 11: text-to-code search
 // ---------------------------------------------------------------------------
 
 /// Run the Fig. 11 protocol: for every PE, generate a description with
 /// CodeT5 (context per `ctx`), embed it with UniXcoder, store; then query
-/// with the entry's ground-truth description paraphrase and rank by cosine.
-/// Returns the averaged PR curve.
+/// with the entry's ground-truth description paraphrase and rank by cosine
+/// ([`SearchIndexes::rank_semantic`]). Returns the averaged PR curve.
 pub fn text_to_code_eval(dataset: &Dataset, ctx: DescriptionContext) -> Vec<PrPoint> {
     let gen = CodeT5Sim::new(ctx);
     let embedder = UniXcoderSim::new();
-
     // Stored side: auto-generated description embeddings (§V-B).
-    let stored: Vec<embed::DenseVec> = dataset
-        .entries
-        .iter()
-        .map(|e| embedder.embed_text(&gen.describe_pe(&e.code)))
-        .collect();
-
+    let indexes = served_indexes(
+        dataset,
+        AromaConfig::default(),
+        |code| embedder.embed_text(&gen.describe_pe(code)),
+        |_| FeatureVec::default(),
+    );
     // Query side: the CodeSearchNet-style natural-language descriptions.
-    let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
-        .entries
-        .iter()
-        .map(|e| {
-            let qvec = embedder.embed_text(&e.description);
-            (rank_dense(&qvec, &stored), relevant_set(dataset, e))
-        })
-        .collect();
-
-    pr_curve(&queries, MAX_K)
-}
-
-fn rank_dense(query: &embed::DenseVec, stored: &[embed::DenseVec]) -> Vec<u64> {
-    let mut scored: Vec<(u64, f32)> = stored
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as u64, query.cosine(v)))
-        .collect();
-    sort_best_first(&mut scored);
-    scored.into_iter().map(|(id, _)| id).collect()
-}
-
-/// Ids of `stored` ranked by SPT overlap with `query`, best first, equal
-/// scores by id.
-pub fn rank_by_overlap(query: &FeatureVec, stored: &[FeatureVec]) -> Vec<u64> {
-    let mut scored: Vec<(u64, f32)> = stored
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as u64, query.overlap(v)))
-        .collect();
-    sort_best_first(&mut scored);
-    scored.into_iter().map(|(id, _)| id).collect()
-}
-
-fn sort_best_first(scored: &mut [(u64, f32)]) {
-    scored.sort_unstable_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    score_corpus(dataset, |e, k| {
+        ids(indexes.rank_semantic(&embedder.embed_text(&e.description), None, k))
+    })
+    .curve()
 }
 
 // ---------------------------------------------------------------------------
@@ -166,57 +199,29 @@ fn sort_best_first(scored: &mut [(u64, f32)]) {
 /// Which code-to-code retriever to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodeRetriever {
-    /// Aroma SPT structural features (Fig. 12).
+    /// Aroma SPT structural features (Fig. 12): [`SearchIndexes::rank_spt`].
     Aroma,
-    /// ReACC-py-retriever substitute (Fig. 13).
+    /// ReACC-py-retriever substitute (Fig. 13): [`SearchIndexes::rank_reacc`].
     Reacc,
 }
 
 /// Run the Fig. 12/13 protocol: index every PE's full code; query with each
-/// PE's code truncated by `omission` (0.0 / 0.5 / 0.75 / 0.9); rank and
-/// sweep precision/recall.
-pub fn code_to_code_eval(
-    dataset: &Dataset,
-    retriever: CodeRetriever,
-    omission: f64,
-) -> Vec<PrPoint> {
-    match retriever {
-        CodeRetriever::Aroma => {
-            let stored: Vec<FeatureVec> = dataset
-                .entries
-                .iter()
-                .map(|e| Spt::parse_source(&e.code).feature_vec())
-                .collect();
-            let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
-                .entries
-                .iter()
-                .map(|e| {
-                    let partial = pyparse::drop_suffix_fraction(&e.code, omission);
-                    let qvec = Spt::parse_source(&partial).feature_vec();
-                    (rank_by_overlap(&qvec, &stored), relevant_set(dataset, e))
-                })
-                .collect();
-            pr_curve(&queries, MAX_K)
-        }
-        CodeRetriever::Reacc => {
-            let model = ReaccSim::new();
-            let stored: Vec<embed::DenseVec> = dataset
-                .entries
-                .iter()
-                .map(|e| model.embed_code(&e.code))
-                .collect();
-            let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
-                .entries
-                .iter()
-                .map(|e| {
-                    let partial = pyparse::drop_suffix_fraction(&e.code, omission);
-                    let qvec = model.embed_code(&partial);
-                    (rank_dense(&qvec, &stored), relevant_set(dataset, e))
-                })
-                .collect();
-            pr_curve(&queries, MAX_K)
-        }
-    }
+/// PE's code truncated by `omission` (0.0 / 0.5 / 0.75 / 0.9).
+pub fn code_to_code_eval(dataset: &Dataset, retriever: CodeRetriever, omission: f64) -> Rankings {
+    let indexes = served_indexes(
+        dataset,
+        AromaConfig::default(),
+        |_| DenseVec::zero(),
+        spt_vec,
+    );
+    let reacc = ReaccSim::new();
+    score_corpus(dataset, |e, k| {
+        let partial = pyparse::drop_suffix_fraction(&e.code, omission);
+        ids(match retriever {
+            CodeRetriever::Aroma => indexes.rank_spt(&spt_vec(&partial), None, k),
+            CodeRetriever::Reacc => indexes.rank_reacc(&reacc.embed_code(&partial), None, k),
+        })
+    })
 }
 
 /// The omission levels of §VII-D.
@@ -226,41 +231,83 @@ pub const OMISSION_LEVELS: &[f64] = &[0.0, 0.5, 0.75, 0.9];
 // E12 — simplified vs full Aroma
 // ---------------------------------------------------------------------------
 
-/// How many overlap-ranked candidates E12's full pipeline prunes and
-/// reranks per query.
-const FULL_AROMA_RETRIEVE: usize = 50;
+/// E12: the full Aroma pipeline on the Fig. 12 protocol, ranked by the
+/// served engine's own stages 2–3 ([`aroma::AromaEngine::pruned_candidates`]):
+/// retrieve the top 50 PEs by overlap, prune and rerank each against the
+/// granulated query, and keep all 50 in rerank order.
+pub fn full_aroma_eval(dataset: &Dataset, omission: f64) -> Rankings {
+    let aroma = AromaConfig {
+        rerank_keep: 50,
+        ..AromaConfig::default()
+    };
+    let engine = served_indexes(dataset, aroma, |_| DenseVec::zero(), spt_vec).engine();
+    score_corpus(dataset, |e, _| {
+        let tree = pyparse::parse(&pyparse::drop_suffix_fraction(&e.code, omission));
+        let qvec = Spt::from_parse_tree(&tree).feature_vec();
+        let (pruned, _) = engine.pruned_candidates(&tree, &qvec, &mut RecoStats::default());
+        pruned.into_iter().map(|p| p.id).collect()
+    })
+}
 
-/// E12: the full Aroma pipeline on the Fig. 12 protocol. Retrieve the top
-/// 50 PEs by overlap, prune and rerank each against the granulated query,
-/// and rank them by rerank score.
-pub fn full_aroma_eval(dataset: &Dataset, omission: f64) -> Vec<PrPoint> {
-    let stored: Vec<FeatureVec> = dataset
+// ---------------------------------------------------------------------------
+// E14 — MinHash-LSH vs the exhaustive SPT ranking
+// ---------------------------------------------------------------------------
+
+/// E14 over one corpus: the Fig. 12 protocol at `omission`, ranked by the
+/// served SPT ranking ([`SearchIndexes::rank_spt`], which scores every
+/// PE) and by MinHash-LSH (16 bands × 2 rows) candidate generation.
+pub struct LshEval {
+    pub exhaustive: Rankings,
+    pub lsh: Rankings,
+    /// The mean share of the corpus an LSH query rescored.
+    pub candidate_fraction: f64,
+    /// Mean microseconds per query of each ranking alone.
+    pub exhaustive_us: f64,
+    pub lsh_us: f64,
+}
+
+pub fn lsh_eval(dataset: &Dataset, omission: f64) -> LshEval {
+    let indexes = served_indexes(
+        dataset,
+        AromaConfig::default(),
+        |_| DenseVec::zero(),
+        spt_vec,
+    );
+    let mut lsh = LshIndex::new(LshConfig { bands: 16, rows: 2 });
+    for e in &dataset.entries {
+        lsh.add(e.id, spt_vec(&e.code));
+    }
+    let queries: Vec<FeatureVec> = dataset
         .entries
         .iter()
-        .map(|e| Spt::parse_source(&e.code).feature_vec())
+        .map(|e| spt_vec(&pyparse::drop_suffix_fraction(&e.code, omission)))
         .collect();
-    let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
-        .entries
-        .iter()
-        .map(|e| {
-            let partial = pyparse::drop_suffix_fraction(&e.code, omission);
-            let qvec = Spt::parse_source(&partial).feature_vec();
-            let top = rank_by_overlap(&qvec, &stored);
-            let gq = granulated_vec(&partial);
-            let mut reranked: Vec<(u64, f32)> = top
-                .into_iter()
-                .take(FULL_AROMA_RETRIEVE)
-                .map(|id| {
-                    let pruned = prune_and_rerank(id, &dataset.entries[id as usize].code, &gq);
-                    (id, pruned.rerank_score)
-                })
-                .collect();
-            sort_best_first(&mut reranked);
-            let ranked = reranked.into_iter().map(|(id, _)| id).collect();
-            (ranked, relevant_set(dataset, e))
-        })
-        .collect();
-    pr_curve(&queries, MAX_K)
+    let per_query_us = |spent: Duration| spent.as_secs_f64() * 1e6 / dataset.len() as f64;
+
+    let mut spent = Duration::ZERO;
+    let exhaustive = score_corpus(dataset, |e, k| {
+        let t = Instant::now();
+        let hits = indexes.rank_spt(&queries[e.id as usize], None, k);
+        spent += t.elapsed();
+        ids(hits)
+    });
+    let exhaustive_us = per_query_us(spent);
+
+    let (mut spent, mut candidates) = (Duration::ZERO, 0.0);
+    let lsh = score_corpus(dataset, |e, k| {
+        let t = Instant::now();
+        let (hits, stats) = lsh.search(&queries[e.id as usize], k, 0.0);
+        spent += t.elapsed();
+        candidates += stats.candidates as f64 / stats.indexed.max(1) as f64;
+        hits.into_iter().map(|h| h.id).collect()
+    });
+    LshEval {
+        exhaustive,
+        lsh,
+        candidate_fraction: candidates / dataset.len() as f64,
+        exhaustive_us,
+        lsh_us: per_query_us(spent),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -336,24 +383,24 @@ impl FeatureFamilies {
     }
 }
 
-/// E15: best F1 of the Fig. 12 protocol at `omission`, ranking by overlap
-/// over the feature families in `families` only.
-pub fn feature_families_eval(dataset: &Dataset, families: FeatureFamilies, omission: f64) -> f64 {
-    let stored: Vec<FeatureVec> = dataset
-        .entries
-        .iter()
-        .map(|e| families.feature_vec(&e.code))
-        .collect();
-    let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
-        .entries
-        .iter()
-        .map(|e| {
-            let partial = pyparse::drop_suffix_fraction(&e.code, omission);
-            let q = families.feature_vec(&partial);
-            (rank_by_overlap(&q, &stored), relevant_set(dataset, e))
-        })
-        .collect();
-    csn::best_f1(&pr_curve(&queries, MAX_K)).0
+/// E15: the Fig. 12 protocol at `omission` over the feature families in
+/// `families` only: [`SearchIndexes::rank_spt`] over an index of each PE's
+/// vector of those families.
+pub fn feature_families_eval(
+    dataset: &Dataset,
+    families: FeatureFamilies,
+    omission: f64,
+) -> Rankings {
+    let indexes = served_indexes(
+        dataset,
+        AromaConfig::default(),
+        |_| DenseVec::zero(),
+        |code| families.feature_vec(code),
+    );
+    score_corpus(dataset, |e, k| {
+        let partial = pyparse::drop_suffix_fraction(&e.code, omission);
+        ids(indexes.rank_spt(&families.feature_vec(&partial), None, k))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -638,8 +685,8 @@ mod tests {
     #[test]
     fn fig12_aroma_degrades_gracefully() {
         let d = tiny();
-        let full = best_f1(&code_to_code_eval(&d, CodeRetriever::Aroma, 0.0)).0;
-        let ninety = best_f1(&code_to_code_eval(&d, CodeRetriever::Aroma, 0.9)).0;
+        let full = code_to_code_eval(&d, CodeRetriever::Aroma, 0.0).best_f1();
+        let ninety = code_to_code_eval(&d, CodeRetriever::Aroma, 0.9).best_f1();
         assert!(full > ninety, "full {full} vs 90% dropped {ninety}");
         assert!(
             ninety > 0.1,

@@ -63,7 +63,7 @@ fn e9_cached_bytes_stay_flat_while_inline_bytes_grow_with_runs() {
 fn f1_per_level(d: &Dataset, retriever: CodeRetriever) -> Vec<f64> {
     OMISSION_LEVELS
         .iter()
-        .map(|&omission| best_f1(&code_to_code_eval(d, retriever, omission)).0)
+        .map(|&omission| code_to_code_eval(d, retriever, omission).best_f1())
         .collect()
 }
 
@@ -169,7 +169,7 @@ fn e12_simplified_search_matches_the_full_pipeline_on_full_and_half_code() {
         let simplified = f1_per_level(&d, CodeRetriever::Aroma);
         let full: Vec<f64> = OMISSION_LEVELS
             .iter()
-            .map(|&omission| best_f1(&full_aroma_eval(&d, omission)).0)
+            .map(|&omission| full_aroma_eval(&d, omission).best_f1())
             .collect();
         println!(
             "seed {seed}: simplified {simplified:.4?}, full pipeline {full:.4?} at {OMISSION_LEVELS:?}"
@@ -201,7 +201,7 @@ fn e15_var_usage_is_the_strongest_feature_family() {
     for seed in SHAPE_SEEDS {
         let d = shape_corpus(seed);
         for omission in [0.0, 0.5] {
-            let f1 = |families| feature_families_eval(&d, families, omission);
+            let f1 = |families| feature_families_eval(&d, families, omission).best_f1();
             let vu = f1(FeatureFamilies::VAR_USAGE);
             let rivals: Vec<(&str, f64)> = rivals
                 .iter()
