@@ -10,8 +10,7 @@
 //! cargo run -p laminar-bench --release --bin ablation_lsh
 //! ```
 
-use csn::{Dataset, DatasetConfig};
-use laminar_bench::lsh_eval;
+use laminar_bench::{corpus_with_variants, lsh_eval};
 
 const OMISSION: f64 = 0.5;
 
@@ -23,11 +22,7 @@ fn main() {
     );
 
     for &variants in &[5usize, 10, 20] {
-        let corpus = Dataset::generate(DatasetConfig {
-            variants_per_family: variants,
-            seed: 42,
-            ..DatasetConfig::default()
-        });
+        let corpus = corpus_with_variants(variants);
         let e = lsh_eval(&corpus, OMISSION);
         println!(
             "{:>8}  {:>12.4}  {:>8.4}  {:>11.1}%  {:>8.1}  {:>10.0}",

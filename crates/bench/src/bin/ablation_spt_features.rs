@@ -41,5 +41,5 @@ fn main() {
         let f50 = feature_families_eval(&corpus, k, 0.5).best_f1();
         println!("{:<22} {:>12.4} {:>12.4}", label, f0, f50);
     }
-    println!("\nnote: on the synthetic corpus the variable-usage family alone is the single strongest signal (usage-context bigrams are highly idiom-specific and fully rename-invariant); every leave-one-out row stays close to the full combination, i.e. the families are largely redundant on family-level retrieval and the combination buys robustness rather than peak accuracy.");
+    println!("\nnote: on the synthetic corpus the variable-usage family alone is the single strongest signal (usage-context bigrams are highly idiom-specific and fully rename-invariant); every without-one-family row stays close to the full combination, i.e. the families are largely redundant on family-level retrieval and the combination buys robustness rather than peak accuracy.");
 }

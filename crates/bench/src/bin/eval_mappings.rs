@@ -11,45 +11,20 @@
 //!
 //! Expected shape: parallel ≪ sequential on latency-bound work; the
 //! dynamic mapping matches or beats the static partition on the *skewed*
-//! variant, where fixed ranks sit idle.
+//! variant, where fixed ranks sit idle. `tests/paper_shapes.rs` gates the
+//! latency-bound half.
 //!
 //! ```text
 //! cargo run -p laminar-bench --release --bin eval_mappings
 //! ```
 
-use d4py::mapping::{run, DynamicConfig, Mapping, RunInput};
-use d4py::workflows::{cpu_bound_graph, latency_bound_graph};
-use std::time::{Duration, Instant};
+use d4py::workflows::cpu_bound_graph;
+use laminar_bench::{latency_workload, mappings, time_mapping, MAPPING_ITEMS, MAPPING_PROCESSES};
 
-const ITEMS: u64 = 96;
-const PROCESSES: usize = 6;
-const DELAY_US: u64 = 2_000;
 const CPU_WORK: u64 = 800;
 
-fn time_run(graph: &d4py::WorkflowGraph, mapping: &Mapping) -> Duration {
-    let t0 = Instant::now();
-    let r = run(graph, RunInput::Iterations(ITEMS), mapping).expect("run");
-    assert_eq!(r.lines().len(), ITEMS as usize);
-    t0.elapsed()
-}
-
 fn row(label: &str, graph_of: impl Fn() -> d4py::WorkflowGraph) {
-    let seq = time_run(&graph_of(), &Mapping::Simple);
-    let multi = time_run(
-        &graph_of(),
-        &Mapping::Multi {
-            processes: PROCESSES,
-        },
-    );
-    let dynamic = time_run(
-        &graph_of(),
-        &Mapping::Dynamic(DynamicConfig {
-            initial_workers: PROCESSES,
-            max_workers: PROCESSES,
-            autoscale: false,
-            scale_threshold: 4,
-        }),
-    );
+    let [seq, multi, dynamic] = mappings().map(|m| time_mapping(&graph_of(), &m));
     println!(
         "{:<22} {:>14.1} {:>14.1} {:>14.1}   {:>5.1}x / {:>4.1}x",
         label,
@@ -63,15 +38,15 @@ fn row(label: &str, graph_of: impl Fn() -> d4py::WorkflowGraph) {
 
 fn main() {
     println!(
-        "# Mapping comparison — {ITEMS} items, {PROCESSES} processes/workers, {} cores\n",
+        "# Mapping comparison — {MAPPING_ITEMS} items, {MAPPING_PROCESSES} processes/workers, {} cores\n",
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     );
     println!(
         "{:<22} {:>14} {:>14} {:>14}   speedups",
         "workload", "sequential ms", "multi ms", "dynamic ms"
     );
-    row("latency uniform", || latency_bound_graph(DELAY_US, false));
-    row("latency skewed", || latency_bound_graph(DELAY_US, true));
+    row("latency uniform", || latency_workload(false));
+    row("latency skewed", || latency_workload(true));
     row("cpu uniform", || cpu_bound_graph(CPU_WORK, false));
     row("cpu skewed", || cpu_bound_graph(CPU_WORK, true));
 

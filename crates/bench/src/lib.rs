@@ -26,6 +26,8 @@
 
 use aroma::{AromaConfig, LshConfig, LshIndex, RecoStats};
 use csn::{pr_curve, Dataset, DatasetConfig, PeEntry, PrPoint};
+use d4py::mapping::{DynamicConfig, Mapping, RunInput};
+use d4py::WorkflowGraph;
 use embed::{CodeT5Sim, DenseVec, DescriptionContext, ReaccSim, UniXcoderSim};
 use laminar_core::{Laminar, LaminarConfig, PoolConfig};
 use laminar_server::indexes::IndexHit;
@@ -89,11 +91,9 @@ pub fn shape_corpus(seed: u64) -> Dataset {
     })
 }
 
-/// The ground truth of `entry`'s query: its family, itself included.
+/// The ground truth of `entry`'s query: the other PEs of its family.
 pub fn relevant_set(dataset: &Dataset, entry: &PeEntry) -> HashSet<u64> {
-    let mut relevant: HashSet<u64> = dataset.relevant_to(entry).into_iter().collect();
-    relevant.insert(entry.id);
-    relevant
+    dataset.relevant_to(entry).into_iter().collect()
 }
 
 /// Ranking depth for the PR sweeps.
@@ -143,17 +143,25 @@ impl Rankings {
     }
 }
 
-/// Score `rank` over every PE of `dataset`: `rank(entry, k)` answers the
-/// entry's query with the ids of its best `k` hits, best first, and the
-/// query's family, itself included, counts as hits.
-pub fn score_corpus(
+/// Score `rank` leave-one-out over every PE of `dataset`: `rank(entry, k)`
+/// answers the entry's query with the ids of its best `k` hits, best
+/// first. It is asked for one hit more than [`MAX_K`], the query's own id
+/// is dropped from its ranking, and its relevant set is
+/// [`relevant_set`]: a query cut from a stored PE never scores by finding
+/// that PE, which its unique class name alone would.
+pub fn leave_one_out(
     dataset: &Dataset,
     mut rank: impl FnMut(&PeEntry, usize) -> Vec<u64>,
 ) -> Rankings {
     let queries = dataset
         .entries
         .iter()
-        .map(|e| (rank(e, MAX_K), relevant_set(dataset, e)))
+        .map(|e| {
+            let mut ranked = rank(e, MAX_K + 1);
+            ranked.retain(|&id| id != e.id);
+            ranked.truncate(MAX_K);
+            (ranked, relevant_set(dataset, e))
+        })
         .collect();
     Rankings { queries }
 }
@@ -165,6 +173,12 @@ fn ids(hits: Vec<IndexHit>) -> Vec<u64> {
 /// The SPT feature vector the server indexes `code` under.
 fn spt_vec(code: &str) -> FeatureVec {
     Spt::parse_source(code).feature_vec()
+}
+
+/// [`served_indexes`] with the default engine, for the structural and
+/// ReACC rankings: every PE under SPT vector `spt(code)`.
+fn code_indexes(dataset: &Dataset, spt: impl Fn(&str) -> FeatureVec) -> SearchIndexes {
+    served_indexes(dataset, AromaConfig::default(), |_| DenseVec::zero(), spt)
 }
 
 // ---------------------------------------------------------------------------
@@ -186,10 +200,19 @@ pub fn text_to_code_eval(dataset: &Dataset, ctx: DescriptionContext) -> Vec<PrPo
         |_| FeatureVec::default(),
     );
     // Query side: the CodeSearchNet-style natural-language descriptions.
-    score_corpus(dataset, |e, k| {
-        ids(indexes.rank_semantic(&embedder.embed_text(&e.description), None, k))
-    })
-    .curve()
+    // A query paraphrases its family's description and is not the stored
+    // text, so its own PE stays in the index and counts as a hit.
+    let queries: Vec<(Vec<u64>, HashSet<u64>)> = dataset
+        .entries
+        .iter()
+        .map(|e| {
+            let qvec = embedder.embed_text(&e.description);
+            let mut relevant = relevant_set(dataset, e);
+            relevant.insert(e.id);
+            (ids(indexes.rank_semantic(&qvec, None, MAX_K)), relevant)
+        })
+        .collect();
+    pr_curve(&queries, MAX_K)
 }
 
 // ---------------------------------------------------------------------------
@@ -206,16 +229,12 @@ pub enum CodeRetriever {
 }
 
 /// Run the Fig. 12/13 protocol: index every PE's full code; query with each
-/// PE's code truncated by `omission` (0.0 / 0.5 / 0.75 / 0.9).
+/// PE's code truncated by `omission` (0.0 / 0.5 / 0.75 / 0.9); score
+/// [`leave_one_out`].
 pub fn code_to_code_eval(dataset: &Dataset, retriever: CodeRetriever, omission: f64) -> Rankings {
-    let indexes = served_indexes(
-        dataset,
-        AromaConfig::default(),
-        |_| DenseVec::zero(),
-        spt_vec,
-    );
+    let indexes = code_indexes(dataset, spt_vec);
     let reacc = ReaccSim::new();
-    score_corpus(dataset, |e, k| {
+    leave_one_out(dataset, |e, k| {
         let partial = pyparse::drop_suffix_fraction(&e.code, omission);
         ids(match retriever {
             CodeRetriever::Aroma => indexes.rank_spt(&spt_vec(&partial), None, k),
@@ -234,14 +253,15 @@ pub const OMISSION_LEVELS: &[f64] = &[0.0, 0.5, 0.75, 0.9];
 /// E12: the full Aroma pipeline on the Fig. 12 protocol, ranked by the
 /// served engine's own stages 2–3 ([`aroma::AromaEngine::pruned_candidates`]):
 /// retrieve the top 50 PEs by overlap, prune and rerank each against the
-/// granulated query, and keep all 50 in rerank order.
+/// granulated query, and keep all 50 in rerank order. Scored
+/// [`leave_one_out`].
 pub fn full_aroma_eval(dataset: &Dataset, omission: f64) -> Rankings {
     let aroma = AromaConfig {
         rerank_keep: 50,
         ..AromaConfig::default()
     };
     let engine = served_indexes(dataset, aroma, |_| DenseVec::zero(), spt_vec).engine();
-    score_corpus(dataset, |e, _| {
+    leave_one_out(dataset, |e, _| {
         let tree = pyparse::parse(&pyparse::drop_suffix_fraction(&e.code, omission));
         let qvec = Spt::from_parse_tree(&tree).feature_vec();
         let (pruned, _) = engine.pruned_candidates(&tree, &qvec, &mut RecoStats::default());
@@ -255,7 +275,8 @@ pub fn full_aroma_eval(dataset: &Dataset, omission: f64) -> Rankings {
 
 /// E14 over one corpus: the Fig. 12 protocol at `omission`, ranked by the
 /// served SPT ranking ([`SearchIndexes::rank_spt`], which scores every
-/// PE) and by MinHash-LSH (16 bands × 2 rows) candidate generation.
+/// PE) and by MinHash-LSH (16 bands × 2 rows) candidate generation, each
+/// scored [`leave_one_out`].
 pub struct LshEval {
     pub exhaustive: Rankings,
     pub lsh: Rankings,
@@ -266,47 +287,37 @@ pub struct LshEval {
     pub lsh_us: f64,
 }
 
+/// Run E14 over `dataset` at `omission`.
 pub fn lsh_eval(dataset: &Dataset, omission: f64) -> LshEval {
-    let indexes = served_indexes(
-        dataset,
-        AromaConfig::default(),
-        |_| DenseVec::zero(),
-        spt_vec,
-    );
-    let mut lsh = LshIndex::new(LshConfig { bands: 16, rows: 2 });
+    let indexes = code_indexes(dataset, spt_vec);
+    let mut lsh_index = LshIndex::new(LshConfig { bands: 16, rows: 2 });
     for e in &dataset.entries {
-        lsh.add(e.id, spt_vec(&e.code));
+        lsh_index.add(e.id, spt_vec(&e.code));
     }
-    let queries: Vec<FeatureVec> = dataset
-        .entries
-        .iter()
-        .map(|e| spt_vec(&pyparse::drop_suffix_fraction(&e.code, omission)))
-        .collect();
-    let per_query_us = |spent: Duration| spent.as_secs_f64() * 1e6 / dataset.len() as f64;
-
-    let mut spent = Duration::ZERO;
-    let exhaustive = score_corpus(dataset, |e, k| {
+    let query = |e: &PeEntry| spt_vec(&pyparse::drop_suffix_fraction(&e.code, omission));
+    let (mut exhaustive_time, mut lsh_time, mut candidates) = (Duration::ZERO, Duration::ZERO, 0.0);
+    let exhaustive = leave_one_out(dataset, |e, k| {
+        let q = query(e);
         let t = Instant::now();
-        let hits = indexes.rank_spt(&queries[e.id as usize], None, k);
-        spent += t.elapsed();
+        let hits = indexes.rank_spt(&q, None, k);
+        exhaustive_time += t.elapsed();
         ids(hits)
     });
-    let exhaustive_us = per_query_us(spent);
-
-    let (mut spent, mut candidates) = (Duration::ZERO, 0.0);
-    let lsh = score_corpus(dataset, |e, k| {
+    let lsh = leave_one_out(dataset, |e, k| {
+        let q = query(e);
         let t = Instant::now();
-        let (hits, stats) = lsh.search(&queries[e.id as usize], k, 0.0);
-        spent += t.elapsed();
+        let (hits, stats) = lsh_index.search(&q, k, 0.0);
+        lsh_time += t.elapsed();
         candidates += stats.candidates as f64 / stats.indexed.max(1) as f64;
         hits.into_iter().map(|h| h.id).collect()
     });
+    let n = dataset.len() as f64;
     LshEval {
         exhaustive,
         lsh,
-        candidate_fraction: candidates / dataset.len() as f64,
-        exhaustive_us,
-        lsh_us: per_query_us(spent),
+        candidate_fraction: candidates / n,
+        exhaustive_us: exhaustive_time.as_secs_f64() * 1e6 / n,
+        lsh_us: lsh_time.as_secs_f64() * 1e6 / n,
     }
 }
 
@@ -314,63 +325,32 @@ pub fn lsh_eval(dataset: &Dataset, omission: f64) -> LshEval {
 // E15 — Aroma's feature families
 // ---------------------------------------------------------------------------
 
-/// Which of Aroma's four feature families (§II-E) a feature vector keeps.
+/// Which of Aroma's four feature families (§II-E) a feature vector keeps,
+/// one bit per family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeatureFamilies {
-    pub token: bool,
-    pub parent: bool,
-    pub sibling: bool,
-    pub var_usage: bool,
-}
+pub struct FeatureFamilies(u8);
 
 impl FeatureFamilies {
+    pub const TOKEN: FeatureFamilies = FeatureFamilies(1);
+    pub const PARENT: FeatureFamilies = FeatureFamilies(2);
+    pub const SIBLING: FeatureFamilies = FeatureFamilies(4);
+    pub const VAR_USAGE: FeatureFamilies = FeatureFamilies(8);
     /// All four families: the vector the server indexes.
-    pub const ALL: FeatureFamilies = FeatureFamilies {
-        token: true,
-        parent: true,
-        sibling: true,
-        var_usage: true,
-    };
-    const NONE: FeatureFamilies = FeatureFamilies {
-        token: false,
-        parent: false,
-        sibling: false,
-        var_usage: false,
-    };
-    pub const TOKEN: FeatureFamilies = FeatureFamilies {
-        token: true,
-        ..Self::NONE
-    };
-    pub const PARENT: FeatureFamilies = FeatureFamilies {
-        parent: true,
-        ..Self::NONE
-    };
-    pub const SIBLING: FeatureFamilies = FeatureFamilies {
-        sibling: true,
-        ..Self::NONE
-    };
-    pub const VAR_USAGE: FeatureFamilies = FeatureFamilies {
-        var_usage: true,
-        ..Self::NONE
-    };
+    pub const ALL: FeatureFamilies = FeatureFamilies(15);
 
     /// These families less those of `other`.
     pub const fn without(self, other: FeatureFamilies) -> FeatureFamilies {
-        FeatureFamilies {
-            token: self.token && !other.token,
-            parent: self.parent && !other.parent,
-            sibling: self.sibling && !other.sibling,
-            var_usage: self.var_usage && !other.var_usage,
-        }
+        FeatureFamilies(self.0 & !other.0)
     }
 
     fn keeps(&self, f: &Feature) -> bool {
-        match f {
-            Feature::Token(_) => self.token,
-            Feature::Parent(..) => self.parent,
-            Feature::Sibling(..) => self.sibling,
-            Feature::VarUsage(..) => self.var_usage,
-        }
+        let family = match f {
+            Feature::Token(_) => Self::TOKEN,
+            Feature::Parent(..) => Self::PARENT,
+            Feature::Sibling(..) => Self::SIBLING,
+            Feature::VarUsage(..) => Self::VAR_USAGE,
+        };
+        self.0 & family.0 != 0
     }
 
     /// The feature vector of `code` over the kept families.
@@ -385,19 +365,14 @@ impl FeatureFamilies {
 
 /// E15: the Fig. 12 protocol at `omission` over the feature families in
 /// `families` only: [`SearchIndexes::rank_spt`] over an index of each PE's
-/// vector of those families.
+/// vector of those families, scored [`leave_one_out`].
 pub fn feature_families_eval(
     dataset: &Dataset,
     families: FeatureFamilies,
     omission: f64,
 ) -> Rankings {
-    let indexes = served_indexes(
-        dataset,
-        AromaConfig::default(),
-        |_| DenseVec::zero(),
-        |code| families.feature_vec(code),
-    );
-    score_corpus(dataset, |e, k| {
+    let indexes = code_indexes(dataset, |code| families.feature_vec(code));
+    leave_one_out(dataset, |e, k| {
         let partial = pyparse::drop_suffix_fraction(&e.code, omission);
         ids(indexes.rank_spt(&families.feature_vec(&partial), None, k))
     })
@@ -578,6 +553,49 @@ impl SlowRuns {
 }
 
 // ---------------------------------------------------------------------------
+// E10 — §II-A: sequential vs multiprocessing vs dynamic enactment
+// ---------------------------------------------------------------------------
+
+/// Items per E10 run.
+pub const MAPPING_ITEMS: u64 = 96;
+
+/// Ranks of the multi mapping and workers of the dynamic one in E10.
+pub const MAPPING_PROCESSES: usize = 6;
+
+/// E10's three mappings, in order: sequential, multi with
+/// [`MAPPING_PROCESSES`] static ranks, and dynamic with as many workers
+/// and no autoscaling.
+pub fn mappings() -> [Mapping; 3] {
+    [
+        Mapping::Simple,
+        Mapping::Multi {
+            processes: MAPPING_PROCESSES,
+        },
+        Mapping::Dynamic(DynamicConfig {
+            initial_workers: MAPPING_PROCESSES,
+            max_workers: MAPPING_PROCESSES,
+            autoscale: false,
+            scale_threshold: 4,
+        }),
+    ]
+}
+
+/// E10's latency-bound workload: every item waits 2 ms (an I/O-ish PE),
+/// and with `skewed` every seventh waits eight times as long.
+pub fn latency_workload(skewed: bool) -> WorkflowGraph {
+    d4py::workflows::latency_bound_graph(2_000, skewed)
+}
+
+/// The wall time of one run of `graph` over [`MAPPING_ITEMS`] items under
+/// `mapping`.
+pub fn time_mapping(graph: &WorkflowGraph, mapping: &Mapping) -> Duration {
+    let t0 = Instant::now();
+    let r = d4py::mapping::run(graph, RunInput::Iterations(MAPPING_ITEMS), mapping).expect("run");
+    assert_eq!(r.lines().len(), MAPPING_ITEMS as usize);
+    t0.elapsed()
+}
+
+// ---------------------------------------------------------------------------
 // E9 — §IV-F: resource caching
 // ---------------------------------------------------------------------------
 
@@ -692,6 +710,42 @@ mod tests {
             ninety > 0.1,
             "Aroma must still work at 90% omission: {ninety}"
         );
+    }
+
+    /// Every experiment scored leave-one-out (E3, E4, E12, E14's two arms,
+    /// E15) drops each query's own PE from its ranking and from its
+    /// relevant set, whatever the omission.
+    #[test]
+    fn leave_one_out_rankings_never_hold_the_query() {
+        let d = tiny();
+        let check = |what: &str, r: Rankings| {
+            assert_eq!(r.queries.len(), d.len(), "{what}");
+            for (e, (ranked, relevant)) in d.entries.iter().zip(&r.queries) {
+                assert!(
+                    !ranked.contains(&e.id),
+                    "{what}: query {} ranks itself",
+                    e.id
+                );
+                assert!(
+                    !relevant.contains(&e.id),
+                    "{what}: query {} is its own hit",
+                    e.id
+                );
+                assert!(ranked.len() <= MAX_K, "{what}: {} hits", ranked.len());
+            }
+        };
+        for &omission in OMISSION_LEVELS {
+            check("E3", code_to_code_eval(&d, CodeRetriever::Aroma, omission));
+            check("E4", code_to_code_eval(&d, CodeRetriever::Reacc, omission));
+            check("E12", full_aroma_eval(&d, omission));
+            check(
+                "E15",
+                feature_families_eval(&d, FeatureFamilies::VAR_USAGE, omission),
+            );
+            let lsh = lsh_eval(&d, omission);
+            check("E14 exhaustive", lsh.exhaustive);
+            check("E14 LSH", lsh.lsh);
+        }
     }
 
     #[test]

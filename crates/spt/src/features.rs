@@ -18,7 +18,7 @@
 //! query goes through: it streams each feature's encoding straight from
 //! the tree into an FNV-1a state and never builds a string.
 //! [`extract_features`] materialises the same multiset as [`Feature`]
-//! values — for the E13 ablation, which filters by family, and as the
+//! values — for the E15 ablation, which filters by family, and as the
 //! reference the streamed ids are tested against.
 
 use crate::tree::{Spt, SptNode, SptNodeId};

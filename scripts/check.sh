@@ -91,6 +91,17 @@ if grep -rnw "SimClock\|SystemClock\|SharedClock\|with_clock\|set_description_co
     exit 1
 fi
 
+# The paper's search experiments rank through what the server serves
+# (`laminar_bench::served_indexes`): no private scorer or sort in
+# crates/bench may come back beside it.
+echo "==> one ranker (no .overlap( / .cosine( / partial_cmp in crates/bench/src above #[cfg(test)])"
+for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "\.overlap(\|\.cosine(\|partial_cmp"; then
+        echo "$f ranks with a private scorer again"
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
