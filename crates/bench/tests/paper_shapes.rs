@@ -4,8 +4,8 @@
 //! either. Byte counts are compared exactly. Retrieval shapes run on
 //! every seed of `SHAPE_SEEDS` with margins fixed in advance, and
 //! print their per-seed numbers. The code-to-code shapes (Fig. 12/13,
-//! E12, E15) are scored leave-one-out (`laminar_bench::leave_one_out`),
-//! under the margins they had when the query's own PE still counted:
+//! E12, E15) are scored leave-one-out, under the margins they had when
+//! the query's own PE still counted:
 //!
 //! ```text
 //! cargo test -p laminar-bench --release --test paper_shapes -- --nocapture

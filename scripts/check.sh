@@ -92,7 +92,7 @@ if grep -rnw "SimClock\|SystemClock\|SharedClock\|with_clock\|set_description_co
 fi
 
 # The paper's search experiments rank through what the server serves
-# (`laminar_bench::served_indexes`): no private scorer or sort in
+# (`served_indexes` in crates/bench/src/lib.rs): no private scorer or sort in
 # crates/bench may come back beside it.
 echo "==> one ranker (no .overlap( / .cosine( / partial_cmp in crates/bench/src above #[cfg(test)])"
 for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
