@@ -1,14 +1,15 @@
 //! E11, warm-load column — what a server start costs at 10³ and 10⁴
 //! registered PEs: opening the registry (snapshot parse), then the index
 //! warm load without and with the index cache (`index.cache`), and the
-//! cache's bytes per row. The registry is written the way a deployment
-//! writes it: csn PEs registered in batches of 64 through the server, then
-//! one `Compact`, which writes the snapshot and the cache.
+//! snapshot's and the cache's bytes per row. The registry is written the
+//! way a deployment writes it: csn PEs registered in batches of 64 through
+//! the server, then one `Compact`, which writes the snapshot and the cache.
 //!
-//! Expected shape: the warm load without the cache re-derives every row
-//! (JSON decode of two CLOBs, a ReACC embedding) and grows linearly; with
-//! the cache it reads fixed-size binary rows and grows linearly too, at a
-//! fraction of the cost. Registry open is untouched by the cache.
+//! Expected shape: the warm load without the cache re-analyses every row
+//! (a description embedding, a ReACC embedding, an SPT parse) and grows
+//! linearly; with the cache it reads fixed-size binary rows and grows
+//! linearly too, at a fraction of the cost. Registry open is untouched by
+//! the cache.
 //!
 //! ```text
 //! cargo run -p laminar-bench --release --bin eval_warm_load
@@ -16,7 +17,7 @@
 
 use laminar_bench::search_corpus;
 use laminar_execengine::ExecutionEngine;
-use laminar_registry::{PersistOptions, Registry};
+use laminar_registry::{PersistOptions, Registry, SNAPSHOT_FILE};
 use laminar_server::index_cache::CACHE_FILE;
 use laminar_server::protocol::BatchItemWire;
 use laminar_server::{LaminarServer, PeSubmission, Request, Response, ServerConfig};
@@ -100,8 +101,13 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn main() {
     println!("# E11 — server start vs registry size (median of {STARTS} starts)\n");
     println!(
-        "{:>7}  {:>16}  {:>17}  {:>14}  {:>15}",
-        "PEs", "registry open ms", "warm, no cache ms", "warm, cache ms", "cache bytes/row"
+        "{:>7}  {:>16}  {:>17}  {:>14}  {:>18}  {:>15}",
+        "PEs",
+        "registry open ms",
+        "warm, no cache ms",
+        "warm, cache ms",
+        "snapshot bytes/row",
+        "cache bytes/row"
     );
     for n in [1_000usize, 10_000] {
         let dir = std::env::temp_dir().join(format!("laminar-e11-warm-{}-{n}", std::process::id()));
@@ -110,6 +116,9 @@ fn main() {
         let cache = dir.join(CACHE_FILE);
         let cache_bytes = std::fs::metadata(&cache)
             .expect("a cache after Compact")
+            .len();
+        let snapshot_bytes = std::fs::metadata(dir.join(SNAPSHOT_FILE))
+            .expect("a snapshot after Compact")
             .len();
         let aside = dir.with_extension("cache-aside");
         let mut opens = Vec::new();
@@ -127,11 +136,12 @@ fn main() {
             std::fs::rename(&aside, &cache).expect("put the cache back");
         }
         println!(
-            "{:>7}  {:>16.1}  {:>17.1}  {:>14.1}  {:>15.0}",
+            "{:>7}  {:>16.1}  {:>17.1}  {:>14.1}  {:>18.0}  {:>15.0}",
             n,
             median(opens),
             median(cold),
             median(warm),
+            snapshot_bytes as f64 / n as f64,
             cache_bytes as f64 / n as f64
         );
         let _ = std::fs::remove_dir_all(&dir);

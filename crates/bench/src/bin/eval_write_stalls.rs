@@ -27,10 +27,9 @@ use csn::{family_catalogue, Dataset, DatasetConfig};
 use embed::DenseVec;
 use laminar_execengine::ExecutionEngine;
 use laminar_registry::{Registry, SearchTarget};
-use laminar_server::indexes::{EntryKind, IndexRow};
+use laminar_server::indexes::{Analysis, EntryKind};
 use laminar_server::protocol::BatchItemWire;
 use laminar_server::{LaminarServer, PeSubmission, Request, Response, ServerConfig};
-use spt::FeatureVec;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -102,12 +101,11 @@ fn main() {
     let fresh_id = pes.iter().map(|p| p.id).max().unwrap_or(0) + 1;
     let mut rows = (0..2 * SAMPLES).map(|k| {
         let p = &pes[k * 97 % pes.len()];
-        IndexRow::pe(
+        Analysis::of(EntryKind::Pe, &p.code, &p.description).into_row(
             fresh_id + k as u64,
+            0,
             &p.name,
             &p.code,
-            DenseVec::from_json(&p.description_embedding).expect("a stored embedding"),
-            FeatureVec::from_json(&p.spt_embedding).expect("a stored SPT vector"),
         )
     });
 

@@ -37,8 +37,6 @@ fn main() {
             name: "isprime_wf".into(),
             description: String::new(),
             code: String::new(),
-            description_embedding: String::new(),
-            spt_embedding: String::new(),
             pe_ids: vec![pe],
         })
         .expect("wf insert");

@@ -80,18 +80,10 @@ impl DenseVec {
         dot(&self.values, &other.values)
     }
 
-    /// Serialise for registry storage (JSON array, as the paper's
-    /// `descriptionEmbedding` column).
+    /// Render as the paper's `descriptionEmbedding` JSON array; nothing
+    /// stores that text, and nothing parses it back.
     pub fn to_json(&self) -> String {
         serde_json::to_string(&self.values).expect("DenseVec serialisation cannot fail")
-    }
-
-    pub fn from_json(s: &str) -> Result<DenseVec, String> {
-        let values: Vec<f32> = serde_json::from_str(s).map_err(|e| e.to_string())?;
-        if values.len() != DIM {
-            return Err(format!("expected {DIM} dims, got {}", values.len()));
-        }
-        Ok(DenseVec { values })
     }
 }
 
@@ -185,12 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_validation() {
+    fn json_is_the_values() {
         let v = vec_of(&[(3, 1.0), (7, -2.0)]);
-        let back = DenseVec::from_json(&v.to_json()).unwrap();
-        assert_eq!(v, back);
-        assert!(DenseVec::from_json("[1.0, 2.0]").is_err(), "wrong dim");
-        assert!(DenseVec::from_json("nope").is_err());
+        let values: Vec<f32> = serde_json::from_str(&v.to_json()).unwrap();
+        assert_eq!(values, v.values);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! responses, with Python code and embeddings held in character large
 //! objects. This crate is the in-memory relational substitute: the same
 //! tables, keys, unique and secondary indexes, foreign-key integrity rules
-//! and CLOB-style unbounded text columns, plus JSON snapshot persistence.
+//! and CLOB-style unbounded text columns, plus a WAL and JSON snapshots.
+//! A row keeps what its user wrote; the embeddings are derived from it,
+//! and the server holds them (see `rows`).
 //!
 //! What it deliberately does *not* replicate is the SQL wire protocol — no
 //! experiment in the paper exercises it.

@@ -1,8 +1,10 @@
 //! Row types for the Fig. 6 schema.
 //!
-//! `code`, `description_embedding` and `spt_embedding` are CLOB-style
-//! columns: unbounded `String`s (the paper's §IV-D change from bounded
-//! VARCHAR to character large objects).
+//! A row keeps what its user wrote. `code` and `description` are
+//! CLOB-style columns: unbounded `String`s (the paper's §IV-D change from
+//! bounded VARCHAR to character large objects). Fig. 6's two embedding
+//! columns are derived data here: the server analyses them from `code` and
+//! `description` and keeps them in its indexes and `index.cache`.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,10 +30,6 @@ pub struct PeRow {
     pub description: String,
     /// Full Python source (CLOB).
     pub code: String,
-    /// UniXcoder-style description embedding, JSON (CLOB).
-    pub description_embedding: String,
-    /// Aroma SPT feature embedding, JSON (CLOB) — Fig. 6's `sptEmbedding`.
-    pub spt_embedding: String,
 }
 
 /// `Workflow` table.
@@ -42,8 +40,6 @@ pub struct WorkflowRow {
     pub name: String,
     pub description: String,
     pub code: String,
-    pub description_embedding: String,
-    pub spt_embedding: String,
     /// Member PEs in graph order (the `WorkflowPe` association rows).
     pub pe_ids: Vec<u64>,
 }
@@ -88,6 +84,9 @@ pub struct NewPe {
     pub name: String,
     pub description: String,
     pub code: String,
+    /// Unused, frozen-benchmark names: the registry stores no embedding
+    /// and never reads them. `crates/benchmark` still sets them; its next
+    /// PR removes them.
     pub description_embedding: String,
     pub spt_embedding: String,
 }
@@ -99,8 +98,6 @@ pub struct NewWorkflow {
     pub name: String,
     pub description: String,
     pub code: String,
-    pub description_embedding: String,
-    pub spt_embedding: String,
     pub pe_ids: Vec<u64>,
 }
 
@@ -116,8 +113,6 @@ mod tests {
             name: "IsPrime".into(),
             description: "d".into(),
             code: "class IsPrime: pass".into(),
-            description_embedding: "[]".into(),
-            spt_embedding: "[]".into(),
         };
         let json = serde_json::to_string(&pe).unwrap();
         assert_eq!(serde_json::from_str::<PeRow>(&json).unwrap(), pe);
@@ -145,8 +140,6 @@ mod tests {
             name: "Big".into(),
             description: String::new(),
             code: big.clone(),
-            description_embedding: String::new(),
-            spt_embedding: String::new(),
         };
         assert_eq!(pe.code.len(), big.len());
     }

@@ -2,7 +2,8 @@
 //!
 //! `schema_ddl` renders the schema as MySQL-flavoured DDL; the evaluation
 //! binary `table2_schema` prints it next to Table II's prose so a reviewer
-//! can diff the two.
+//! can diff the two. It is the paper's DDL: its two embedding columns are
+//! derived data here, which `rows` does not store.
 
 /// One table's summary row for Table II.
 pub struct TableDescription {

@@ -404,15 +404,10 @@ impl Inner {
                 self.pe_literal.upsert(row.id, &row.name, &row.description);
                 self.pes.insert(row.id, Arc::new(row.clone()));
             }
-            WalOp::UpdatePeDescription {
-                id,
-                description,
-                description_embedding,
-            } => {
+            WalOp::UpdatePeDescription { id, description } => {
                 if let Some(pe) = self.pes.get_mut(id) {
                     let pe = Arc::make_mut(pe);
                     pe.description = description.clone();
-                    pe.description_embedding = description_embedding.clone();
                     self.pe_literal.set_description(*id, description);
                 }
             }
@@ -431,15 +426,10 @@ impl Inner {
                 self.wf_literal.upsert(row.id, &row.name, &row.description);
                 self.workflows.insert(row.id, Arc::new(row.clone()));
             }
-            WalOp::UpdateWorkflowDescription {
-                id,
-                description,
-                description_embedding,
-            } => {
+            WalOp::UpdateWorkflowDescription { id, description } => {
                 if let Some(wf) = self.workflows.get_mut(id) {
                     let wf = Arc::make_mut(wf);
                     wf.description = description.clone();
-                    wf.description_embedding = description_embedding.clone();
                     self.wf_literal.set_description(*id, description);
                 }
             }
@@ -587,8 +577,6 @@ impl Stage {
                 name: new.name.clone(),
                 description: new.description,
                 code: new.code,
-                description_embedding: new.description_embedding,
-                spt_embedding: new.spt_embedding,
             }),
         });
         Ok(PeOutcome { name: new.name, id, created: true })
@@ -619,8 +607,6 @@ impl Stage {
                 name: new.name,
                 description: new.description,
                 code: new.code,
-                description_embedding: new.description_embedding,
-                spt_embedding: new.spt_embedding,
                 pe_ids: new.pe_ids,
             }),
         });
@@ -1371,12 +1357,7 @@ impl Registry {
         self.read().pes.values().cloned().collect()
     }
 
-    pub fn update_pe_description(
-        &self,
-        id: u64,
-        description: &str,
-        description_embedding: &str,
-    ) -> Result<(), RegistryError> {
+    pub fn update_pe_description(&self, id: u64, description: &str) -> Result<(), RegistryError> {
         let mut inner = self.write();
         if !inner.pes.contains_key(&id) {
             return Err(RegistryError::NotFound("ProcessingElement", id.to_string()));
@@ -1386,11 +1367,7 @@ impl Registry {
             &mut inner,
             &[WalRecord {
                 seq,
-                op: WalOp::UpdatePeDescription {
-                    id,
-                    description: description.to_string(),
-                    description_embedding: description_embedding.to_string(),
-                },
+                op: WalOp::UpdatePeDescription { id, description: description.to_string() },
             }],
         )?;
         Ok(())
@@ -1508,12 +1485,7 @@ impl Registry {
             .collect())
     }
 
-    pub fn update_workflow_description(
-        &self,
-        id: u64,
-        description: &str,
-        description_embedding: &str,
-    ) -> Result<(), RegistryError> {
+    pub fn update_workflow_description(&self, id: u64, description: &str) -> Result<(), RegistryError> {
         let mut inner = self.write();
         if !inner.workflows.contains_key(&id) {
             return Err(RegistryError::NotFound("Workflow", id.to_string()));
@@ -1523,11 +1495,7 @@ impl Registry {
             &mut inner,
             &[WalRecord {
                 seq,
-                op: WalOp::UpdateWorkflowDescription {
-                    id,
-                    description: description.to_string(),
-                    description_embedding: description_embedding.to_string(),
-                },
+                op: WalOp::UpdateWorkflowDescription { id, description: description.to_string() },
             }],
         )?;
         Ok(())
@@ -1720,22 +1688,6 @@ impl Registry {
         Registry::with_inner(Inner::from_snapshot(snap))
     }
 
-    /// Write a snapshot atomically: temp file + fsync + rename, so a
-    /// crash mid-write can never corrupt an existing snapshot.
-    pub fn save_to(&self, path: &Path) -> Result<(), RegistryError> {
-        let view = self.read().view();
-        let json = serde_json::to_vec(&view).map_err(|e| persist_err("serialise snapshot", e))?;
-        wal::write_atomic(path, &json).map_err(|e| persist_err("write snapshot", e))
-    }
-
-    pub fn load_from(path: &Path) -> Result<Registry, RegistryError> {
-        let json =
-            std::fs::read_to_string(path).map_err(|e| RegistryError::Persistence(e.to_string()))?;
-        let snap: RegistrySnapshot =
-            serde_json::from_str(&json).map_err(|e| RegistryError::Persistence(e.to_string()))?;
-        Ok(Registry::from_snapshot(snap))
-    }
-
     /// Registry contents summary (the CLI's `list`): (PE count, WF count).
     pub fn counts(&self) -> (usize, usize) {
         let inner = self.read();
@@ -1811,7 +1763,7 @@ mod tests {
         assert_eq!(r.get_pe_by_name("isprime").unwrap().id, id, "index is case-insensitive");
         assert!(r.get_pe(999).is_err());
         assert!(r.get_pe_by_name("nope").is_err());
-        r.update_pe_description(id, "new desc", "[0.1]").unwrap();
+        r.update_pe_description(id, "new desc").unwrap();
         assert_eq!(r.get_pe(id).unwrap().description, "new desc");
         r.remove_pe(id).unwrap();
         assert!(r.get_pe(id).is_err());
@@ -1855,8 +1807,6 @@ mod tests {
             name: "Pipeline".into(),
             description: String::new(),
             code: String::new(),
-            description_embedding: String::new(),
-            spt_embedding: String::new(),
             pe_ids: vec![],
         })
         .unwrap();
@@ -1866,8 +1816,6 @@ mod tests {
                 name: "pipeline".into(),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![],
             })
             .unwrap_err(),
@@ -1894,8 +1842,6 @@ mod tests {
                     name: format!("ChurnWf{i}"),
                     description: String::new(),
                     code: String::new(),
-                    description_embedding: String::new(),
-                    spt_embedding: String::new(),
                     pe_ids: vec![],
                 })
                 .unwrap();
@@ -1923,7 +1869,7 @@ mod tests {
         bump(&r, "register_user");
         let p = r.add_pe(pe(u, "A")).unwrap();
         bump(&r, "add_pe");
-        r.update_pe_description(p, "d", "[1.0]").unwrap();
+        r.update_pe_description(p, "d").unwrap();
         bump(&r, "update_pe_description");
         let wf = r
             .add_workflow(NewWorkflow {
@@ -1931,13 +1877,11 @@ mod tests {
                 name: "wf".into(),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![p],
             })
             .unwrap();
         bump(&r, "add_workflow");
-        r.update_workflow_description(wf, "d", "[1.0]").unwrap();
+        r.update_workflow_description(wf, "d").unwrap();
         bump(&r, "update_workflow_description");
         let ex = r.add_execution(wf, u, "simple", "1").unwrap();
         bump(&r, "add_execution");
@@ -1962,8 +1906,6 @@ mod tests {
             name: "wf".into(),
             description: String::new(),
             code: String::new(),
-            description_embedding: String::new(),
-            spt_embedding: String::new(),
             pe_ids: vec![p1, 999],
         };
         assert!(matches!(
@@ -1976,8 +1918,6 @@ mod tests {
                 name: "wf".into(),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![p1, p2],
             })
             .unwrap();
@@ -2002,8 +1942,6 @@ mod tests {
                 name: "wf".into(),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![p2, p1],
             })
             .unwrap();
@@ -2025,8 +1963,6 @@ mod tests {
             name: "words_wf".into(),
             description: "workflow about words".into(),
             code: String::new(),
-            description_embedding: String::new(),
-            spt_embedding: String::new(),
             pe_ids: vec![],
         })
         .unwrap();
@@ -2058,8 +1994,6 @@ mod tests {
                 name: format!("counter_wf{i}"),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![],
             })
             .unwrap();
@@ -2100,8 +2034,6 @@ mod tests {
                 name: "wf".into(),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![p],
             })
             .unwrap();
@@ -2135,8 +2067,6 @@ mod tests {
                 name: "wf".into(),
                 description: String::new(),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![p],
             })
             .unwrap();
@@ -2186,15 +2116,13 @@ mod tests {
                 name: "wf".into(),
                 description: "über".into(),
                 code: "line\nbreak".into(),
-                description_embedding: "[1.0, -0.0]".into(),
-                spt_embedding: "[[1, 2.0]]".into(),
                 pe_ids: vec![b, a],
             })
             .unwrap();
         let ex = r.add_execution(wf, u, "simple", "5").unwrap();
         r.finish_execution(ex, "out\n", ExecutionStatus::Completed).unwrap();
         let running = r.add_execution(wf, u, "multi", "[1]").unwrap();
-        r.update_pe_description(a, "changed", "[0.5]").unwrap();
+        r.update_pe_description(a, "changed").unwrap();
         (r, vec![a, b, wf, ex, running])
     }
 
@@ -2237,7 +2165,7 @@ mod tests {
         };
         assert_eq!(shared(&cut, &r), (vec![true, true], vec![true, true], true));
 
-        r.update_pe_description(a, "after the cut", "[0.9]").unwrap();
+        r.update_pe_description(a, "after the cut").unwrap();
         r.finish_execution(running, "late", ExecutionStatus::Failed).unwrap();
         assert_eq!(
             shared(&cut, &r),
@@ -2261,7 +2189,9 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrip_preserves_everything() {
-        let (r, u) = with_user();
+        let dir = tmp_dir("roundtrip");
+        let r = Registry::open(&dir, PersistOptions::default()).unwrap();
+        let u = r.register_user("rosa", "pw").unwrap();
         let p = r.add_pe(pe(u, "A")).unwrap();
         let wf = r
             .add_workflow(NewWorkflow {
@@ -2269,69 +2199,26 @@ mod tests {
                 name: "wf".into(),
                 description: "d".into(),
                 code: "c".into(),
-                description_embedding: "[1.0]".into(),
-                spt_embedding: "[[1, 2.0]]".into(),
                 pe_ids: vec![p],
             })
             .unwrap();
         let ex = r.add_execution(wf, u, "simple", "5").unwrap();
         r.finish_execution(ex, "out", ExecutionStatus::Completed).unwrap();
 
-        let dir = tmp_dir("roundtrip");
-        let path = dir.join("snapshot.json");
-        r.save_to(&path).unwrap();
-        let r2 = Registry::load_from(&path).unwrap();
+        r.compact().unwrap();
+        drop(r);
+        let r2 = Registry::open(&dir, PersistOptions::default()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
+        assert_eq!(r2.persist_stats().unwrap().recovered_records, 0, "all from the snapshot");
         assert_eq!(r2.counts(), (1, 1));
         assert_eq!(r2.get_pe(p).unwrap().name, "A");
-        assert_eq!(r2.get_workflow(wf).unwrap().spt_embedding, "[[1, 2.0]]");
+        assert_eq!(r2.get_workflow(wf).unwrap().code, "c");
         assert_eq!(r2.get_pe_by_name("a").unwrap().id, p, "indexes rebuilt after load");
         assert_eq!(r2.login("rosa", "pw").unwrap(), u);
         // Ids continue from where they left off.
         let next = r2.add_pe(pe(u, "B")).unwrap();
         assert!(next > ex);
-    }
-
-    #[test]
-    fn load_from_missing_or_corrupt_file() {
-        assert!(Registry::load_from(Path::new("/nonexistent/reg.json")).is_err());
-        let dir = tmp_dir("corrupt-load");
-        let path = dir.join("corrupt.json");
-        std::fs::write(&path, "not json").unwrap();
-        assert!(Registry::load_from(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn save_to_is_atomic_and_truncated_snapshot_fails_loudly() {
-        // Regression: save_to used a bare fs::write, so a crash mid-write
-        // corrupted the only copy. Now it goes temp + fsync + rename.
-        let (r, u) = with_user();
-        r.add_pe(pe(u, "A")).unwrap();
-        let dir = tmp_dir("atomic-save");
-        let path = dir.join("snapshot.json");
-        r.save_to(&path).unwrap();
-        let intact = std::fs::read(&path).unwrap();
-        assert!(!wal::tmp_path(&path).exists(), "temp file renamed away");
-
-        // A truncated snapshot (simulated torn write) fails loudly…
-        let truncated = &intact[..intact.len() / 2];
-        let torn = dir.join("torn.json");
-        std::fs::write(&torn, truncated).unwrap();
-        assert!(matches!(
-            Registry::load_from(&torn).err().unwrap(),
-            RegistryError::Persistence(_)
-        ));
-
-        // …while the previous intact snapshot still loads: overwriting
-        // through save_to never leaves a torn live file even if the new
-        // state serialises first to the side.
-        r.add_pe(pe(u, "B")).unwrap();
-        r.save_to(&path).unwrap();
-        let r2 = Registry::load_from(&path).unwrap();
-        assert_eq!(r2.counts().0, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2349,8 +2236,6 @@ mod tests {
                     name: "wf".into(),
                     description: "d".into(),
                     code: "c".into(),
-                    description_embedding: "[1.0]".into(),
-                    spt_embedding: String::new(),
                     pe_ids: vec![p],
                 })
                 .unwrap();
@@ -2473,8 +2358,6 @@ mod tests {
                 name: wf_name.into(),
                 description: format!("{wf_name} description"),
                 code: String::new(),
-                description_embedding: String::new(),
-                spt_embedding: String::new(),
                 pe_ids: vec![],
             }),
         }
@@ -2581,8 +2464,6 @@ mod tests {
             name: "taken".into(),
             description: String::new(),
             code: String::new(),
-            description_embedding: String::new(),
-            spt_embedding: String::new(),
             pe_ids: vec![],
         })
         .unwrap();

@@ -80,7 +80,6 @@ pub enum WalOp {
     UpdatePeDescription {
         id: u64,
         description: String,
-        description_embedding: String,
     },
     RemovePe {
         id: u64,
@@ -89,7 +88,6 @@ pub enum WalOp {
     UpdateWorkflowDescription {
         id: u64,
         description: String,
-        description_embedding: String,
     },
     RemoveWorkflow {
         id: u64,
@@ -208,15 +206,12 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// rename over `path`, then fsync the parent directory so the rename
 /// itself is durable. A crash at any point leaves either the old intact
 /// file or the new intact file — never a torn one.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    write_atomic_hooked(path, bytes, None)
-}
-
-/// [`write_atomic`] with an optional fault hook consulted at each of its
-/// three IO sites (`SnapshotWrite`, `SnapshotFsync`, `SnapshotRename`).
-/// On an injected failure the tmp file is removed (or left torn for a
-/// short write — the next open discards leftover tmps either way) and
-/// the target file is untouched.
+///
+/// An optional fault hook is consulted at each of the three IO sites
+/// (`SnapshotWrite`, `SnapshotFsync`, `SnapshotRename`). On an injected
+/// failure the tmp file is removed (or left torn for a short write — the
+/// next open discards leftover tmps either way) and the target file is
+/// untouched.
 pub fn write_atomic_hooked(
     path: &Path,
     bytes: &[u8],
@@ -798,7 +793,7 @@ mod tests {
         let dir = tmp_dir("atomic");
         let path = dir.join("snapshot.json");
         std::fs::write(&path, b"old").unwrap();
-        write_atomic(&path, b"new contents").unwrap();
+        write_atomic_hooked(&path, b"new contents", None).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new contents");
         assert!(!tmp_path(&path).exists(), "tmp renamed away");
         std::fs::remove_dir_all(&dir).ok();
@@ -978,7 +973,6 @@ mod tests {
             WalOp::UpdatePeDescription {
                 id: 1,
                 description: "d".into(),
-                description_embedding: "[0.5]".into(),
             },
         ];
         let dir = tmp_dir("ops");

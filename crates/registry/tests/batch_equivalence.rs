@@ -90,8 +90,6 @@ fn new_wf(user_id: u64, name: String, pe_ids: Vec<u64>) -> NewWorkflow {
         name,
         description: "a batch-equivalence workflow".into(),
         code: "graph = WorkflowGraph()".into(),
-        description_embedding: "0.4".into(),
-        spt_embedding: "0.5".into(),
         pe_ids,
     }
 }

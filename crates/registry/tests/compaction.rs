@@ -72,8 +72,6 @@ fn new_wf(user_id: u64, name: &str, pe_ids: Vec<u64>) -> NewWorkflow {
         name: name.into(),
         description: "a compaction-suite workflow".into(),
         code: "graph = WorkflowGraph()".into(),
-        description_embedding: "[0.4]".into(),
-        spt_embedding: "[[3, 1.0]]".into(),
         pe_ids,
     }
 }
@@ -354,7 +352,7 @@ fn matrix_cell(dir: &Path, snapshot: Snapshot, sealed: bool, after: bool) -> Cel
         .unwrap();
     let exec = reg.add_execution(wf, user, "simple", "5").unwrap();
     let before_last = reg.snapshot();
-    reg.update_pe_description(a, "before the cut", "[0.7]")
+    reg.update_pe_description(a, "before the cut")
         .unwrap();
     let at_tear = match snapshot {
         Snapshot::Old => before_last,
@@ -381,7 +379,7 @@ fn matrix_cell(dir: &Path, snapshot: Snapshot, sealed: bool, after: bool) -> Cel
         reg.add_pe(new_pe(user, "Tokenizer")).unwrap();
         reg.finish_execution(exec, "5 is prime", ExecutionStatus::Completed)
             .unwrap();
-        reg.update_pe_description(a, "after the cut", "[0.9]")
+        reg.update_pe_description(a, "after the cut")
             .unwrap();
         reg.remove_pe(reg.add_pe(new_pe(user, "Scratch")).unwrap())
             .unwrap();
@@ -548,7 +546,7 @@ fn compaction_writes_the_bytes_of_the_snapshot() {
     reg.finish_execution(exec, "line1\nline2 ü", ExecutionStatus::Failed)
         .unwrap();
     reg.add_execution(wf, user, "dynamic", "3").unwrap();
-    reg.update_workflow_description(wf, "renamed", "[0.5, -0.0, 1e-7]")
+    reg.update_workflow_description(wf, "renamed")
         .unwrap();
     let stats = reg.compact().unwrap().unwrap();
     let expected = serde_json::to_vec(&reg.snapshot()).unwrap();

@@ -64,8 +64,6 @@ fn new_wf(user_id: u64, name: &str) -> NewWorkflow {
         name: name.into(),
         description: "a chaos-suite workflow".into(),
         code: "graph = WorkflowGraph()".into(),
-        description_embedding: "0.4".into(),
-        spt_embedding: "0.5".into(),
         pe_ids: Vec::new(),
     }
 }
@@ -126,7 +124,7 @@ fn drive(reg: &Registry) -> (u64, u64) {
     });
     d.step(|r| r.compact().map(|_| ()));
     d.step(|r| match r.all_pes().first().map(|p| p.id) {
-        Some(id) => r.update_pe_description(id, "updated", "0.9"),
+        Some(id) => r.update_pe_description(id, "updated"),
         None => Ok(()),
     });
     let wf = reg.all_workflows().first().map(|w| w.id);

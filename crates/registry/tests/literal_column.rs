@@ -187,19 +187,17 @@ fn script(seed: u64, steps: usize) {
                     name,
                     description: text(&mut rng),
                     code: String::new(),
-                    description_embedding: String::new(),
-                    spt_embedding: String::new(),
                     pe_ids: members,
                 })
                 .unwrap();
             }
             10..=12 if !pe_ids.is_empty() => {
                 let id = pe_ids[rng.below(pe_ids.len())];
-                reg.update_pe_description(id, &text(&mut rng), "").unwrap();
+                reg.update_pe_description(id, &text(&mut rng)).unwrap();
             }
             13..=14 if !wf_ids.is_empty() => {
                 let id = wf_ids[rng.below(wf_ids.len())];
-                reg.update_workflow_description(id, &text(&mut rng), "")
+                reg.update_workflow_description(id, &text(&mut rng))
                     .unwrap();
             }
             15..=16 if !pe_ids.is_empty() => {
@@ -227,7 +225,7 @@ fn script(seed: u64, steps: usize) {
     }
     reg.compact().unwrap();
     let pes = reg.all_pes();
-    reg.update_pe_description(pes.first().map_or(0, |p| p.id), "ẞ after the snapshot", "")
+    reg.update_pe_description(pes.first().map_or(0, |p| p.id), "ẞ after the snapshot")
         .ok();
     let before = (reg.all_pes(), reg.all_workflows());
     drop(reg);

@@ -92,8 +92,6 @@ fn new_wf(user_id: u64, name: String, pe_ids: Vec<u64>) -> NewWorkflow {
         name,
         description: "a property-test workflow".into(),
         code: "graph = WorkflowGraph()".into(),
-        description_embedding: "0.4".into(),
-        spt_embedding: "0.5".into(),
         pe_ids,
     }
 }
@@ -159,7 +157,7 @@ fn drive(reg: &Registry, user: u64, op: &Op) -> bool {
         Op::UpdatePeDescription(n) => {
             let ids: Vec<u64> = reg.all_pes().iter().map(|p| p.id).collect();
             pick(&ids, *n)
-                .map(|id| reg.update_pe_description(id, "updated", "0.9").is_ok())
+                .map(|id| reg.update_pe_description(id, "updated").is_ok())
                 .unwrap_or(false)
         }
         Op::RemovePe(n) => {
@@ -418,7 +416,7 @@ fn compaction_crash_at_every_site_recovers_the_acknowledged_state() {
             );
             // Writes after the cut, including updates of rows it shared.
             reg.add_pe(new_pe(user, "AfterCut".into())).unwrap();
-            reg.update_pe_description(a, "updated after the cut", "0.8").unwrap();
+            reg.update_pe_description(a, "updated after the cut").unwrap();
             reg.finish_execution(exec, "the num 5 is prime", ExecutionStatus::Completed)
                 .unwrap();
             assert_eq!(

@@ -1,13 +1,15 @@
-//! The index cache: `index.cache` in the data directory, a binary copy of
-//! what the warm load derives from each registry row — its description
-//! vector, its ReACC vector and, for a PE, its SPT vector.
+//! The index cache: `index.cache` in the data directory, the one persisted
+//! copy of what the server analyses from each registry row — its
+//! description vector, its ReACC vector and, for a PE, its SPT vector
+//! ([`Analysis`]). The registry keeps only what users wrote.
 //!
 //! It is a cache and never the truth: the registry (snapshot + WAL) is.
 //! A start reads it frame by frame and serves a row from it only while
-//! that row's registry content is unchanged; every other row — and every
-//! row when the file is absent, from another analyser build, or torn — is
-//! derived from the registry as if there were no cache. So deleting the
-//! file, at any time, changes nothing but the time a start takes.
+//! that row's code and description are unchanged; every other row — and
+//! every row when the file is absent, from another analyser build, or torn
+//! — is re-analysed from its code and description ([`Analysis::of`], the
+//! function registration runs). So deleting the file, at any time, changes
+//! nothing but the time a start takes.
 //!
 //! # On-disk format
 //!
@@ -26,19 +28,18 @@
 //!
 //! # Validity
 //!
-//! * **Per row**: the content hash ([`content_hash`]) covers exactly the
-//!   registry columns the three vectors are derived from — `code`,
-//!   `description`, `description_embedding`, `spt_embedding`, each
-//!   length-prefixed — so it also covers the re-embedding fallbacks for
-//!   rows whose stored embeddings do not decode. A row is served from the
-//!   cache only when its id, kind and content hash all match.
+//! * **Per row**: the content hash ([`content_hash`]) covers exactly what
+//!   the three vectors are analysed from — the row's `code` and
+//!   `description`, each length-prefixed. A row is served from the cache
+//!   only when its id, kind and content hash all match.
 //! * **Per file**: the header's magic, version, `DIM` and analyser
-//!   fingerprint ([`analyser_fingerprint`]: the output bits of the three
-//!   analysers and the JSON decoders on fixed probes) must all match this
-//!   build, or the whole file is ignored.
+//!   fingerprint ([`analyser_fingerprint`]: the output bits of
+//!   [`Analysis::of`] on a fixed probe) must all match this build, or the
+//!   whole file is ignored. Version 1 also hashed the JSON embedding
+//!   columns registry rows no longer have, so it is rejected whole.
 //! * **Per frame**: a CRC mismatch, a torn tail, an over-long length or a
 //!   payload that does not decode to exactly its length ends the cache at
-//!   that frame; the rows after it are derived.
+//!   that frame; the rows after it are re-analysed.
 //!
 //! # Writing
 //!
@@ -47,17 +48,17 @@
 //! auto-compaction, which runs mid-ingest — from one consistent read of
 //! the index cell ([`SearchIndexes::rows`]), so a row's hash and vectors
 //! come from the same publication. Rows the index holds no content hash
-//! for (a re-described row, a row indexed from embeddings alone) are left
-//! out. It goes to `index.cache.tmp`, renamed into place; a leftover
-//! temporary file is removed when the server opens the directory. No
-//! fsync: a file torn by a power cut fails its CRCs and costs misses,
-//! never a wrong row.
+//! for (a row re-described since the start, a row indexed from embeddings
+//! alone) are left out. It goes to `index.cache.tmp`, renamed into place;
+//! a leftover temporary file is removed when the server opens the
+//! directory. No fsync: a file torn by a power cut fails its CRCs and
+//! costs misses, never a wrong row.
 
-use crate::indexes::{EntryKind, IndexedRow, SearchIndexes};
+use crate::indexes::{Analysis, EntryKind, IndexedRow, SearchIndexes};
 use crate::obs::WarmMetrics;
-use embed::{DenseVec, ReaccSim, UniXcoderSim, DIM};
+use embed::{DenseVec, DIM};
 use laminar_registry::wal::{crc32, tmp_path};
-use spt::{FeatureVec, Spt};
+use spt::FeatureVec;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -69,7 +70,7 @@ pub const CACHE_FILE: &str = "index.cache";
 /// The header's first eight bytes.
 pub const MAGIC: [u8; 8] = *b"LMNCACHE";
 /// The layout version; a file of another version is ignored whole.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Header bytes: magic, version, `DIM`, fingerprint.
 pub const HEADER_LEN: usize = 24;
 /// A frame claiming a longer payload is corrupt (a PE row of a million
@@ -125,27 +126,18 @@ impl RowHasher {
     }
 }
 
-/// The content hash of a registry row: its `code`, `description`,
-/// `description_embedding` and `spt_embedding` columns, each
-/// length-prefixed. Never 0.
-pub fn content_hash(
-    code: &str,
-    description: &str,
-    description_embedding: &str,
-    spt_embedding: &str,
-) -> u64 {
+/// The content hash of a registry row: its `code` and `description`,
+/// each length-prefixed. Never 0.
+pub fn content_hash(code: &str, description: &str) -> u64 {
     let mut h = RowHasher::new();
-    for column in [code, description, description_embedding, spt_embedding] {
-        h.field(column.as_bytes());
-    }
+    h.field(code.as_bytes());
+    h.field(description.as_bytes());
     h.finish()
 }
 
-/// What this build's analysers make of fixed probes: the bits of
-/// `ReaccSim::embed_code`, `UniXcoderSim::embed_text` and
-/// `Spt::parse_source(..).feature_vec()`, each through the registry's JSON
-/// round trip the warm load decodes with. A build that changes any of
-/// them writes and accepts another fingerprint, so it never serves an
+/// What this build's [`Analysis::of`] makes of a fixed probe PE: the bits
+/// of its description, ReACC and SPT vectors. A build that changes any
+/// analyser writes and accepts another fingerprint, so it never serves an
 /// older build's vectors.
 pub fn analyser_fingerprint() -> u64 {
     static FINGERPRINT: OnceLock<u64> = OnceLock::new();
@@ -154,20 +146,15 @@ pub fn analyser_fingerprint() -> u64 {
                             total = 0\n        for x in data:\n            if x > 0:\n                \
                             total += x * 2\n        return total\n";
         const TEXT: &str = "sums twice every positive number it reads";
+        let probe = Analysis::of(EntryKind::Pe, CODE, TEXT);
         let mut h = RowHasher::new();
-        let dense = [
-            ReaccSim::new().embed_code(CODE),
-            UniXcoderSim::new().embed_text(TEXT),
-        ];
-        for v in dense {
-            let v = DenseVec::from_json(&v.to_json()).expect("a probe vector round-trips");
+        for v in [probe.reacc, probe.desc] {
             h.word(v.values.len() as u64);
             for x in v.values {
                 h.word(x.to_bits().into());
             }
         }
-        let spt = Spt::parse_source(CODE).feature_vec();
-        let spt = FeatureVec::from_json(&spt.to_json()).expect("a probe vector round-trips");
+        let spt = probe.spt.expect("a PE is analysed with its SPT vector");
         h.word(spt.items.len() as u64);
         for (id, count) in spt.items {
             h.word(id);
@@ -192,10 +179,7 @@ pub struct CachedRow {
     pub id: u64,
     pub kind: EntryKind,
     pub content: u64,
-    pub desc: DenseVec,
-    pub reacc: DenseVec,
-    /// `Some` exactly for a PE row.
-    pub spt: Option<FeatureVec>,
+    pub vectors: Analysis,
 }
 
 /// How a read ended.
@@ -272,13 +256,15 @@ fn decode_row(p: &[u8]) -> Option<CachedRow> {
         id: u64_at(0)?,
         kind,
         content: u64_at(9)?,
-        desc: DenseVec {
-            values: f32s(ROW_HEAD)?,
+        vectors: Analysis {
+            desc: DenseVec {
+                values: f32s(ROW_HEAD)?,
+            },
+            reacc: DenseVec {
+                values: f32s(ROW_HEAD + 4 * DIM)?,
+            },
+            spt,
         },
-        reacc: DenseVec {
-            values: f32s(ROW_HEAD + 4 * DIM)?,
-        },
-        spt,
     })
 }
 
@@ -389,21 +375,17 @@ mod tests {
 
     #[test]
     fn content_hash_separates_columns_and_is_never_zero() {
-        let h = content_hash("ab", "c", "", "");
+        let h = content_hash("ab", "c");
         assert_ne!(h, 0);
-        assert_ne!(
-            h,
-            content_hash("a", "bc", "", ""),
-            "fields are length-prefixed"
-        );
-        assert_ne!(h, content_hash("ab", "c", "", " "));
-        assert_eq!(h, content_hash("ab", "c", "", ""));
+        assert_ne!(h, content_hash("a", "bc"), "fields are length-prefixed");
+        assert_ne!(h, content_hash("ab", "c "));
+        assert_eq!(h, content_hash("ab", "c"));
         // Every tail length hashes its bytes, not its padding.
         let long = "x".repeat(40);
         for n in 0..40 {
             assert_ne!(
-                content_hash(&long[..n], "", "", ""),
-                content_hash(&long[..n + 1], "", "", "")
+                content_hash(&long[..n], ""),
+                content_hash(&long[..n + 1], "")
             );
         }
     }
@@ -428,9 +410,9 @@ mod tests {
             encode_row(&row, &mut bytes);
             let back = decode_row(&bytes).expect("decodes");
             assert_eq!((back.id, back.kind, back.content), (42, kind, 7));
-            assert_eq!(back.desc.values, desc);
-            assert_eq!(back.reacc.values, reacc);
-            assert_eq!(back.spt.as_ref(), spt);
+            assert_eq!(back.vectors.desc.values, desc);
+            assert_eq!(back.vectors.reacc.values, reacc);
+            assert_eq!(back.vectors.spt.as_ref(), spt);
             // One byte more or less is not a row.
             assert!(decode_row(&bytes[..bytes.len() - 1]).is_none());
             bytes.push(0);

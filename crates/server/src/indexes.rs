@@ -1,10 +1,11 @@
 //! The search service's in-memory embedding indexes — a top-k vector
 //! engine over three modalities.
 //!
-//! The registry persists embeddings as JSON CLOBs; serving queries from
-//! parsed JSON on every search would dominate latency, so the server keeps
-//! decoded copies here, updated incrementally on every registration or
-//! removal. Three indexes, one per search modality:
+//! The registry keeps what users wrote; every vector here is analysed
+//! from a row's code and description ([`Analysis::of`]) at registration,
+//! or at start-up on a row `index.cache` does not hold, and updated
+//! incrementally on every registration or removal. Three indexes, one per
+//! search modality:
 //!
 //! * description embeddings (UniXcoderSim) — text-to-code search (§V-B);
 //! * SPT feature vectors (Aroma) — structural code recommendation (§VI);
@@ -83,8 +84,8 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use aroma::{AromaConfig, AromaEngine, Snippet};
 use embed::topk::{ScoredRow, TopK};
-use embed::{DenseVec, ReaccSim, DIM};
-use spt::FeatureVec;
+use embed::{DenseVec, ReaccSim, UniXcoderSim, DIM};
+use spt::{FeatureVec, Spt};
 
 /// What kind of registry row an index entry points at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -288,6 +289,47 @@ impl IndexState {
     #[inline]
     fn accepts(&self, row: usize, kind: Option<EntryKind>) -> bool {
         kind.is_none_or(|k| self.kinds[row] == k)
+    }
+}
+
+/// Every vector the indexes hold of one registry row.
+#[derive(Debug)]
+pub struct Analysis {
+    /// UniXcoder embedding of the description.
+    pub desc: DenseVec,
+    /// ReACC embedding of the code.
+    pub reacc: DenseVec,
+    /// Aroma SPT features of the code; `Some` exactly for a PE.
+    pub spt: Option<FeatureVec>,
+}
+
+impl Analysis {
+    /// The one analysis of a registry row, from what its user wrote:
+    /// registration runs it on a submission, the warm load on a row
+    /// `index.cache` does not hold. The analysers are deterministic, so
+    /// both give the same bits.
+    pub fn of(kind: EntryKind, code: &str, description: &str) -> Analysis {
+        Analysis {
+            desc: UniXcoderSim::new().embed_text(description),
+            reacc: ReaccSim::new().embed_code(code),
+            spt: (kind == EntryKind::Pe).then(|| Spt::parse_source(code).feature_vec()),
+        }
+    }
+
+    /// The index row of registry row `id` with content hash `content`; a
+    /// PE's engine entry posts `name` and `code` under its SPT vector.
+    pub fn into_row(self, id: u64, content: u64, name: &str, code: &str) -> IndexRow {
+        IndexRow {
+            id,
+            desc: self.desc,
+            reacc: self.reacc,
+            pe: self.spt.map(|spt| PeSnippet {
+                name: name.to_string(),
+                code: code.to_string(),
+                spt,
+            }),
+            content,
+        }
     }
 }
 
@@ -709,8 +751,7 @@ fn to_hits(st: &IndexState, rows: Vec<ScoredRow>) -> Vec<IndexHit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use embed::{Embedder, UniXcoderSim};
-    use spt::Spt;
+    use embed::Embedder;
 
     const ALL: usize = usize::MAX;
 

@@ -4,18 +4,17 @@
 //! one forwarding dispatch; the handlers live in `crate::service`.
 
 use crate::health::StorageHealth;
-use crate::index_cache::{self, CachedRow, IndexCache, ReadEnd};
-use crate::indexes::{EntryKind, IndexRow, PeSnippet, SearchIndexes};
+use crate::index_cache::{self, IndexCache, ReadEnd};
+use crate::indexes::{Analysis, EntryKind, IndexRow, SearchIndexes};
 use crate::obs::{EndpointMetrics, Metrics, RequestId};
 use crate::protocol::*;
 use crate::resources::ResourceCache;
 use crate::service::run::RunSpec;
 use aroma::AromaConfig;
 use d4py::mapping::panic_message;
-use embed::{CodeT5Sim, DenseVec, DescriptionContext, ReaccSim, UniXcoderSim};
+use embed::{CodeT5Sim, DescriptionContext, UniXcoderSim};
 use laminar_execengine::ExecutionEngine;
 use laminar_registry::{Registry, RegistryError};
-use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -229,54 +228,46 @@ impl LaminarServer {
     }
 
     /// Cold-start warm load: rebuild the search indexes from whatever the
-    /// registry already holds (a registry restored via `load_from` arrives
-    /// populated). A row whose content hash matches its index-cache row
-    /// takes that row's vectors; every other row is derived as if there
-    /// were no cache: its embedding CLOBs decode and its ReACC code
-    /// embedding is computed. Then everything — slabs and, under its SPT
+    /// registry already holds. A row whose content hash matches its
+    /// index-cache row takes that row's vectors; every other row is
+    /// re-analysed from its code and description ([`Analysis::of`], as
+    /// registration does). Then everything — slabs and, under its SPT
     /// vector, every PE's source for the engine — publishes as one write,
     /// PEs first, each kind in registry order, whatever came from the
-    /// cache. A workflow's `spt_embedding` stays in the registry: nothing
-    /// ranks by it.
+    /// cache.
     fn warm_load_indexes(&self) {
         let start = std::time::Instant::now();
         let warm = &self.metrics.groups.warm;
         let (pes, workflows) = (self.registry.pe_rows(), self.registry.workflow_rows());
-        let contents: Vec<u64> = pes
-            .iter()
-            .map(|p| {
-                index_cache::content_hash(
-                    &p.code,
-                    &p.description,
-                    &p.description_embedding,
-                    &p.spt_embedding,
-                )
-            })
-            .chain(workflows.iter().map(|w| {
-                index_cache::content_hash(
-                    &w.code,
-                    &w.description,
-                    &w.description_embedding,
-                    &w.spt_embedding,
+        // Every registry row as (kind, id, name, code, description), in
+        // publication order.
+        let registry_rows: Vec<(EntryKind, u64, &str, &str, &str)> = (pes.iter())
+            .map(|p| (EntryKind::Pe, p.id, &*p.name, &*p.code, &*p.description))
+            .chain((workflows.iter()).map(|w| {
+                (
+                    EntryKind::Workflow,
+                    w.id,
+                    &*w.name,
+                    &*w.code,
+                    &*w.description,
                 )
             }))
             .collect();
-        // Slot per registry row, in publication order.
-        let mut cached: Vec<Option<CachedRow>> = std::iter::repeat_with(|| None)
+        let contents: Vec<u64> = (registry_rows.iter())
+            .map(|&(_, _, _, code, description)| index_cache::content_hash(code, description))
+            .collect();
+        // Slot per registry row.
+        let mut cached: Vec<Option<Analysis>> = std::iter::repeat_with(|| None)
             .take(contents.len())
             .collect();
         if let Some(cache) = &self.index_cache {
-            let slot: HashMap<(u64, EntryKind), usize> = pes
-                .iter()
-                .map(|p| (p.id, EntryKind::Pe))
-                .chain(workflows.iter().map(|w| (w.id, EntryKind::Workflow)))
-                .enumerate()
-                .map(|(i, key)| (key, i))
+            let slot: HashMap<(u64, EntryKind), usize> = (registry_rows.iter().enumerate())
+                .map(|(i, &(kind, id, ..))| ((id, kind), i))
                 .collect();
             let end = cache.read(|row| {
                 if let Some(&i) = slot.get(&(row.id, row.kind)) {
                     if contents[i] == row.content {
-                        cached[i] = Some(row);
+                        cached[i] = Some(row.vectors);
                     }
                 }
             });
@@ -284,59 +275,13 @@ impl LaminarServer {
                 warm.cache_rejected.inc();
             }
         }
-
-        // A miss is derived from its row. Stored CLOBs are authoritative;
-        // rows predating the embedding columns fall back to re-embedding.
-        let desc_of = |json: &str, description: &str| {
-            DenseVec::from_json(json).unwrap_or_else(|_| self.unixcoder.embed_text(description))
-        };
-        let reacc_of = |code: &str| ReaccSim::new().embed_code(code);
         let hits = cached.iter().filter(|row| row.is_some()).count() as u64;
-        let mut cached = cached.into_iter();
-        let mut contents = contents.into_iter();
-        let mut rows: Vec<IndexRow> = Vec::with_capacity(contents.len());
-        for p in pes {
-            let (desc, reacc, spt) = match cached.next().flatten() {
-                Some(hit) => (
-                    hit.desc,
-                    hit.reacc,
-                    hit.spt.expect("a PE row has an SPT vector"),
-                ),
-                None => (
-                    desc_of(&p.description_embedding, &p.description),
-                    reacc_of(&p.code),
-                    FeatureVec::from_json(&p.spt_embedding)
-                        .unwrap_or_else(|_| Spt::parse_source(&p.code).feature_vec()),
-                ),
-            };
-            rows.push(IndexRow {
-                id: p.id,
-                desc,
-                reacc,
-                pe: Some(PeSnippet {
-                    name: p.name.clone(),
-                    code: p.code.clone(),
-                    spt,
-                }),
-                content: contents.next().expect("a hash per row"),
-            });
-        }
-        for w in workflows {
-            let (desc, reacc) = match cached.next().flatten() {
-                Some(hit) => (hit.desc, hit.reacc),
-                None => (
-                    desc_of(&w.description_embedding, &w.description),
-                    reacc_of(&w.code),
-                ),
-            };
-            rows.push(IndexRow {
-                id: w.id,
-                desc,
-                reacc,
-                pe: None,
-                content: contents.next().expect("a hash per row"),
-            });
-        }
+        let rows: Vec<IndexRow> = (registry_rows.iter().zip(contents).zip(cached))
+            .map(|((&(kind, id, name, code, description), content), hit)| {
+                hit.unwrap_or_else(|| Analysis::of(kind, code, description))
+                    .into_row(id, content, name, code)
+            })
+            .collect();
         let missed = rows.len() as u64 - hits;
         self.indexes.bulk_upsert(rows);
         self.sync_index_gauges();
@@ -626,6 +571,7 @@ mod tests {
     use super::*;
     use crate::service::reco::sweep_workflows;
     use laminar_registry::ExecutionStatus;
+    use spt::Spt;
 
     const PRODUCER: &str = "class NumberProducer(ProducerPE):\n    def _process(self, inputs):\n        return random.randint(1, 1000)\n";
     const ISPRIME: &str = "class IsPrime(IterativePE):\n    def _process(self, num):\n        if all(num % i != 0 for i in range(2, num)):\n            return num\n";
@@ -726,8 +672,6 @@ mod tests {
             "{}",
             pe.description
         );
-        assert!(!pe.description_embedding.is_empty());
-        assert!(!pe.spt_embedding.is_empty());
         // Idempotent re-registration reuses PEs but fails on workflow name.
         let resp = server
             .handle(Request::RegisterWorkflow {
@@ -1284,20 +1228,25 @@ mod tests {
 
     #[test]
     fn warm_load_rebuilds_indexes_from_registry() {
-        // Persist a populated registry, restore it into a fresh server, and
-        // verify the indexes were rebuilt from the stored CLOBs at startup.
-        let (server, token) = server_with_session();
-        register_isprime(&server, token);
-        let path =
-            std::env::temp_dir().join(format!("laminar-warmload-{}.json", std::process::id()));
-        server.registry().save_to(&path).unwrap();
-        let restored = Registry::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let server2 = LaminarServer::new(
-            restored,
-            ExecutionEngine::with_stock(),
-            ServerConfig::default(),
-        );
+        // Populate a durable registry, reopen its directory in a fresh
+        // server (no compaction, so no index cache), and verify the indexes
+        // were re-analysed from the stored rows at startup.
+        use laminar_registry::PersistOptions;
+        let dir = std::env::temp_dir().join(format!("laminar-warmload-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            LaminarServer::new(
+                Registry::open(&dir, PersistOptions::default()).unwrap(),
+                ExecutionEngine::with_stock(),
+                ServerConfig::default(),
+            )
+        };
+        let server = open();
+        register_isprime(&server, session(&server));
+        drop(server);
+        let server2 = open();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(!dir.exists());
         assert_eq!(server2.indexes().counts(), (3, 1));
         assert_eq!(server2.indexes().engine().len(), 3);
         assert_eq!(
@@ -1305,8 +1254,9 @@ mod tests {
             1,
             "a warm load is one publication, not one per row"
         );
-        // The engine was handed the stored SPT vectors; it must recommend
-        // exactly like one that parsed and featurised the same rows.
+        // The engine was handed the re-analysed SPT vectors; it must
+        // recommend exactly like one that parsed and featurised the same
+        // rows.
         let engine = server2.indexes().engine();
         let mut fresh = aroma::AromaEngine::new(engine.config().clone());
         let held = engine.index();

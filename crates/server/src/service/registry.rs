@@ -2,15 +2,13 @@
 //! description updates and removals.
 
 use crate::index_cache::content_hash;
-use crate::indexes::{EntryKind, IndexRow, PeSnippet};
+use crate::indexes::{Analysis, EntryKind, IndexRow};
 use crate::protocol::{
     BatchItemWire, BatchOutcomeWire, Ident, PeInfo, PeSubmission, Response, SearchScope,
     WorkflowInfo,
 };
 use crate::server::{LaminarServer, ServerError};
-use embed::{DenseVec, ReaccSim};
 use laminar_registry::{NewPe, NewWorkflow, PeRow, RegistrationUnit, UnitsCommitted, WorkflowRow};
-use spt::{FeatureVec, Spt};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -48,15 +46,15 @@ impl LaminarServer {
     /// `RegisterWorkflow` as a batch of one, `RegisterBatch` as sent — is
     /// a list of units that is
     ///
-    /// 1. **analysed** once (no locks held): per submission,
-    ///    codet5 description (§IV-C) → unixcoder embedding, pyparse → SPT
-    ///    features (§VI), reacc embedding;
+    /// 1. **analysed** once (no locks held): per submission, its
+    ///    description — as sent, else written by codet5 (§IV-C) — and then
+    ///    [`Analysis::of`]: the unixcoder embedding, the reacc embedding
+    ///    and, for a PE, the SPT features (§VI);
     /// 2. **committed** once ([`Registry::add_units`]): every unit staged
-    ///    under one write-lock hold, all rows appended as one WAL frame
-    ///    (one fsync), then applied;
+    ///    under one write-lock hold, all rows — what the user wrote, no
+    ///    vector — appended as one WAL frame (one fsync), then applied;
     /// 3. **published** once: every created row through one bulk upsert —
-    ///    one generation bump, the engine handed each PE's own SPT vector
-    ///    (a workflow's goes to its registry row only).
+    ///    one generation bump, the engine handed each PE's own SPT vector.
     ///
     /// Outcomes are per item (partial success): re-registering a PE name
     /// the user owns reuses that PE's id, a duplicate workflow name fails
@@ -69,48 +67,35 @@ impl LaminarServer {
         user: u64,
         items: Vec<BatchItemWire>,
     ) -> Result<Vec<BatchOutcomeWire>, ServerError> {
-        /// An analysed submission: what its registry row and, once the
-        /// commit has given it an id, its index row are made of.
-        struct Analysed {
+        /// A submission with its description settled: what its registry
+        /// row holds.
+        struct Submitted {
             name: String,
             code: String,
             description: String,
-            desc: DenseVec,
-            spt: FeatureVec,
-            reacc: DenseVec,
-            /// The committed row's content hash, set with its columns.
-            content: u64,
         }
-        struct AnalysedItem {
-            pes: Vec<Analysed>,
-            workflow: Option<Analysed>,
+        struct SubmittedItem {
+            pes: Vec<Submitted>,
+            workflow: Option<Submitted>,
         }
         let item_count = items.len();
 
-        // Stage 1: per-submission analysis — pure, before any lock is
+        // Stage 1: descriptions and analysis — pure, before any lock is
         // taken; duplicates waste some of it.
         let analyse_start = std::time::Instant::now();
-        let analyse = |name: String, code: String, description: String| Analysed {
-            desc: self.unixcoder.embed_text(&description),
-            spt: Spt::parse_source(&code).feature_vec(),
-            reacc: ReaccSim::new().embed_code(&code),
-            content: 0,
-            name,
-            code,
-            description,
-        };
-        let analyse_pe = |pe: PeSubmission| {
-            let description = match pe.description {
+        let submit_pe = |pe: PeSubmission| Submitted {
+            description: match pe.description {
                 Some(d) if !d.is_empty() => d,
                 _ => self.codet5.describe_pe(&pe.code),
-            };
-            analyse(pe.name, pe.code, description)
+            },
+            name: pe.name,
+            code: pe.code,
         };
-        let mut analysed: Vec<AnalysedItem> = items
+        let mut submitted: Vec<SubmittedItem> = items
             .into_iter()
             .map(|item| match item {
-                BatchItemWire::Pe(pe) => AnalysedItem {
-                    pes: vec![analyse_pe(pe)],
+                BatchItemWire::Pe(pe) => SubmittedItem {
+                    pes: vec![submit_pe(pe)],
                     workflow: None,
                 },
                 BatchItemWire::Workflow {
@@ -118,25 +103,28 @@ impl LaminarServer {
                     code,
                     description,
                     pes,
-                } => AnalysedItem {
-                    pes: pes.into_iter().map(&analyse_pe).collect(),
-                    // A workflow sent without a description keeps an empty
-                    // one (embedding zero) until its member codes resolve.
-                    workflow: Some(analyse(name, code, description.unwrap_or_default())),
+                } => SubmittedItem {
+                    pes: pes.into_iter().map(submit_pe).collect(),
+                    // Described below when sent without a description.
+                    workflow: Some(Submitted {
+                        name,
+                        code,
+                        description: description.unwrap_or_default(),
+                    }),
                 },
             })
             .collect();
 
-        // Stage 2a (sequential, pre-lock): describe the workflows sent
-        // without a description from the member codes their rows will
-        // reference — the registered row's code for a name the user owns
-        // (looked up per member, only for these workflows), else the
-        // first submission of the name here, which the commit creates.
-        let mut submitted: HashMap<String, &str> = HashMap::new();
-        for AnalysedItem { pes, workflow } in &mut analysed {
-            let pes: &[Analysed] = pes;
+        // Describe the workflows sent without a description from the
+        // member codes their rows will reference — the registered row's
+        // code for a name the user owns (looked up per member, only for
+        // these workflows), else the first submission of the name here,
+        // which the commit creates.
+        let mut first_code: HashMap<String, &str> = HashMap::new();
+        for SubmittedItem { pes, workflow } in &mut submitted {
+            let pes: &[Submitted] = pes;
             for pe in pes {
-                submitted.entry(pe.name.to_lowercase()).or_insert(&pe.code);
+                first_code.entry(pe.name.to_lowercase()).or_insert(&pe.code);
             }
             let Some(wf) = workflow.as_mut().filter(|w| w.description.is_empty()) else {
                 continue;
@@ -147,58 +135,49 @@ impl LaminarServer {
                     self.registry
                         .get_pe_by_name_for_user(user, &pe.name)
                         .map(|row| row.code)
-                        .unwrap_or_else(|_| submitted[&pe.name.to_lowercase()].to_string())
+                        .unwrap_or_else(|_| first_code[&pe.name.to_lowercase()].to_string())
                 })
                 .collect();
             let codes: Vec<&str> = codes.iter().map(String::as_str).collect();
             wf.description = self.codet5.describe_workflow(&wf.name, &codes);
-            wf.desc = self.unixcoder.embed_text(&wf.description);
         }
+        let analyse = |kind: EntryKind, s: &Submitted| Analysis::of(kind, &s.code, &s.description);
+        let analysed: Vec<(Vec<Analysis>, Option<Analysis>)> = submitted
+            .iter()
+            .map(|item| {
+                (
+                    item.pes
+                        .iter()
+                        .map(|pe| analyse(EntryKind::Pe, pe))
+                        .collect(),
+                    (item.workflow.as_ref()).map(|wf| analyse(EntryKind::Workflow, wf)),
+                )
+            })
+            .collect();
         let analyse_elapsed = analyse_start.elapsed();
 
-        // Stage 2b: one lock hold, one WAL frame. Each row's content hash
-        // is taken over the very strings its registry row stores.
+        // Stage 2: one lock hold, one WAL frame.
         let commit_start = std::time::Instant::now();
-        let columns = |a: &mut Analysed| {
-            let (description_embedding, spt_embedding) = (a.desc.to_json(), a.spt.to_json());
-            a.content = content_hash(
-                &a.code,
-                &a.description,
-                &description_embedding,
-                &spt_embedding,
-            );
-            (description_embedding, spt_embedding)
-        };
-        let units: Vec<RegistrationUnit> = analysed
-            .iter_mut()
+        let units: Vec<RegistrationUnit> = submitted
+            .iter()
             .map(|item| RegistrationUnit {
-                pes: item
-                    .pes
-                    .iter_mut()
-                    .map(|a| {
-                        let (description_embedding, spt_embedding) = columns(a);
-                        NewPe {
-                            user_id: user,
-                            name: a.name.clone(),
-                            description: a.description.clone(),
-                            code: a.code.clone(),
-                            description_embedding,
-                            spt_embedding,
-                        }
+                pes: (item.pes.iter())
+                    .map(|pe| NewPe {
+                        user_id: user,
+                        name: pe.name.clone(),
+                        description: pe.description.clone(),
+                        code: pe.code.clone(),
+                        description_embedding: String::new(),
+                        spt_embedding: String::new(),
                     })
                     .collect(),
-                workflow: item.workflow.as_mut().map(|a| {
-                    let (description_embedding, spt_embedding) = columns(a);
-                    NewWorkflow {
-                        user_id: user,
-                        name: a.name.clone(),
-                        description: a.description.clone(),
-                        code: a.code.clone(),
-                        description_embedding,
-                        spt_embedding,
-                        // Resolved per unit inside `add_units`.
-                        pe_ids: Vec::new(),
-                    }
+                workflow: item.workflow.as_ref().map(|wf| NewWorkflow {
+                    user_id: user,
+                    name: wf.name.clone(),
+                    description: wf.description.clone(),
+                    code: wf.code.clone(),
+                    // Resolved per unit inside `add_units`.
+                    pe_ids: Vec::new(),
                 }),
             })
             .collect();
@@ -208,31 +187,22 @@ impl LaminarServer {
         // Stage 3: publish every *created* row (a reused PE is already
         // indexed) in one snapshot swap.
         let index_start = std::time::Instant::now();
+        let row = |id: u64, s: &Submitted, a: Analysis| {
+            a.into_row(id, content_hash(&s.code, &s.description), &s.name, &s.code)
+        };
         let mut rows: Vec<IndexRow> = Vec::new();
-        for (outcome, item) in outcomes.iter().zip(analysed) {
-            for (po, pe) in outcome.pes.iter().zip(item.pes) {
+        for ((outcome, item), (pe_vectors, wf_vectors)) in
+            outcomes.iter().zip(&submitted).zip(analysed)
+        {
+            for ((po, pe), a) in outcome.pes.iter().zip(&item.pes).zip(pe_vectors) {
                 if po.created {
-                    rows.push(IndexRow {
-                        id: po.id,
-                        desc: pe.desc,
-                        reacc: pe.reacc,
-                        pe: Some(PeSnippet {
-                            name: pe.name,
-                            code: pe.code,
-                            spt: pe.spt,
-                        }),
-                        content: pe.content,
-                    });
+                    rows.push(row(po.id, pe, a));
                 }
             }
-            if let (Some((_, id)), Some(wf)) = (&outcome.workflow, item.workflow) {
-                rows.push(IndexRow {
-                    id: *id,
-                    desc: wf.desc,
-                    reacc: wf.reacc,
-                    pe: None,
-                    content: wf.content,
-                });
+            if let (Some((_, id)), Some(wf), Some(a)) =
+                (&outcome.workflow, &item.workflow, wf_vectors)
+            {
+                rows.push(row(*id, wf, a));
             }
         }
         let created_rows = rows.len() as u64;
@@ -325,30 +295,28 @@ impl LaminarServer {
     }
 
     /// `UpdatePeDescription` / `UpdateWorkflowDescription`: store the new
-    /// text with its embedding and publish that embedding — the only
-    /// indexed value a description feeds — in one write.
+    /// text, then publish its embedding — the only indexed value a
+    /// description feeds — in one write.
     pub(crate) fn update_description(
         &self,
         kind: EntryKind,
         ident: &Ident,
         description: &str,
     ) -> Result<Response, ServerError> {
-        let emb = self.unixcoder.embed_text(description);
         let id = match kind {
             EntryKind::Pe => {
                 let id = self.resolve_pe(ident)?.id;
-                self.registry
-                    .update_pe_description(id, description, &emb.to_json())?;
+                self.registry.update_pe_description(id, description)?;
                 id
             }
             EntryKind::Workflow => {
                 let id = self.resolve_workflow(ident)?.id;
-                self.registry
-                    .update_workflow_description(id, description, &emb.to_json())?;
+                self.registry.update_workflow_description(id, description)?;
                 id
             }
         };
-        self.indexes.set_description(id, kind, &emb);
+        let desc = self.unixcoder.embed_text(description);
+        self.indexes.set_description(id, kind, &desc);
         Ok(Response::Ok)
     }
 

@@ -5,23 +5,25 @@
 //! whole, stale, torn, corrupt, from another build, absent or left half
 //! written; only the warm group's hit/miss/rejected counters may differ.
 //!
-//! The oracle is the registry itself: per row, the description vector
-//! decoded from `description_embedding` (or re-embedded), the SPT vector
-//! decoded from `spt_embedding` (or re-parsed) and the ReACC vector
-//! computed from `code`, the derivation a cache-less warm load runs.
+//! The oracle is the registry itself: per row, the three analysers run on
+//! what its user wrote — the description embedded, the code embedded and,
+//! for a PE, parsed into SPT features. A registering server must publish
+//! those same bits, and so must a start that re-analyses every row.
 
 use aroma::Recommendation;
 use csn::{Dataset, DatasetConfig};
 use embed::{DenseVec, ReaccSim, UniXcoderSim, DIM};
 use laminar_execengine::ExecutionEngine;
+use laminar_registry::wal::crc32;
 use laminar_registry::{PersistOptions, Registry, SNAPSHOT_FILE, WAL_FILE};
 use laminar_server::index_cache::{CACHE_FILE, HEADER_LEN};
 use laminar_server::indexes::{EntryKind, IndexHit};
-use laminar_server::protocol::{BatchItemWire, BatchOutcomeWire};
+use laminar_server::protocol::{BatchItemWire, BatchOutcomeWire, EmbeddingType, SearchScope};
 use laminar_server::{
     Ident, LaminarServer, PeSubmission, Request, Response, ServerConfig, WarmSnapshot,
 };
-use spt::{FeatureVec, Spt};
+use serde_json::Value;
+use spt::Spt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -181,26 +183,23 @@ fn rows(server: &LaminarServer) -> Vec<RowBits> {
         .collect()
 }
 
-/// What a cache-less warm load derives for every registry row, PEs then
-/// workflows, each in registry order — the slot order of a warm load.
+/// What the analysers make of every registry row, PEs then workflows,
+/// each in registry order — the slot order of a warm load.
 fn oracle(server: &LaminarServer) -> Vec<Derived> {
     let bits = |v: &DenseVec| v.values.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    let desc = |json: &str, text: &str| {
-        DenseVec::from_json(json).unwrap_or_else(|_| UniXcoderSim::new().embed_text(text))
-    };
-    let reacc = |code: &str| ReaccSim::new().embed_code(code);
+    let desc = |text: &str| bits(&UniXcoderSim::new().embed_text(text));
+    let reacc = |code: &str| bits(&ReaccSim::new().embed_code(code));
     let reg = server.registry();
     let mut out: Vec<_> = reg
         .all_pes()
         .iter()
         .map(|p| {
-            let spt = FeatureVec::from_json(&p.spt_embedding)
-                .unwrap_or_else(|_| Spt::parse_source(&p.code).feature_vec());
+            let spt = Spt::parse_source(&p.code).feature_vec();
             (
                 p.id,
                 EntryKind::Pe,
-                bits(&desc(&p.description_embedding, &p.description)),
-                bits(&reacc(&p.code)),
+                desc(&p.description),
+                reacc(&p.code),
                 Some(spt.items.iter().map(|&(id, c)| (id, c.to_bits())).collect()),
             )
         })
@@ -209,8 +208,8 @@ fn oracle(server: &LaminarServer) -> Vec<Derived> {
         (
             w.id,
             EntryKind::Workflow,
-            bits(&desc(&w.description_embedding, &w.description)),
-            bits(&reacc(&w.code)),
+            desc(&w.description),
+            reacc(&w.code),
             None,
         )
     }));
@@ -615,5 +614,261 @@ fn a_failed_cache_write_is_counted_and_the_compaction_still_answers() {
     let n = server.indexes().len() as u64;
     assert_eq!(counts(&server), (0, n, 1));
     assert_rows_are_the_oracle(&server, "unreadable cache");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Every indexed row as bits, sorted by kind and id, without its content
+/// hash: what a registering server and a re-analysing start must share
+/// (their slot orders differ, and a row re-described since the start has
+/// no content hash).
+fn rows_by_key(server: &LaminarServer) -> Vec<Derived> {
+    let mut rows: Vec<Derived> = rows(server)
+        .into_iter()
+        .map(|(id, kind, _, desc, reacc, spt)| (id, kind, desc, reacc, spt))
+        .collect();
+    rows.sort_by_key(|r| (r.1 == EntryKind::Workflow, r.0));
+    rows
+}
+
+fn describe(server: &LaminarServer, token: u64, kind: EntryKind, id: u64, text: &str) {
+    let (ident, description) = (Ident::Id(id), text.to_string());
+    let request = match kind {
+        EntryKind::Pe => Request::UpdatePeDescription {
+            token,
+            ident,
+            description,
+        },
+        EntryKind::Workflow => Request::UpdateWorkflowDescription {
+            token,
+            ident,
+            description,
+        },
+    };
+    assert_eq!(server.handle(request).value(), Response::Ok);
+}
+
+/// Re-describe the first PE and the first workflow.
+fn redescribe_one_of_each(server: &LaminarServer, token: u64) {
+    let pe = server.registry().all_pes()[0].id;
+    let wf = server.registry().all_workflows()[0].id;
+    describe(server, token, EntryKind::Pe, pe, "a PE described anew");
+    describe(
+        server,
+        token,
+        EntryKind::Workflow,
+        wf,
+        "a workflow described anew",
+    );
+}
+
+/// A start that re-analyses every row (no `index.cache`) publishes the
+/// index the registering server published: every row's bits, every
+/// ranking and every recommendation. `populate` covers PEs sent with a
+/// description and PEs CodeT5 describes, workflows sent with one and
+/// workflows described from their member codes; one PE and one workflow
+/// are re-described after.
+#[test]
+fn re_analysis_equals_registration_bit_for_bit() {
+    let dir = fresh_dir("re-analysis");
+    let (registered, registered_answers, n) = {
+        let server = open(&dir);
+        let token = login(&server);
+        populate(&server, token, 60, 6);
+        redescribe_one_of_each(&server, token);
+        assert_rows_are_the_oracle_by_key(&server, "registering server");
+        (
+            rows_by_key(&server),
+            answers(&server),
+            server.indexes().len() as u64,
+        )
+    };
+    assert!(!dir.join(CACHE_FILE).exists());
+    let server = open(&dir);
+    assert_eq!(counts(&server), (0, n, 0), "every row is re-analysed");
+    assert_eq!(rows_by_key(&server), registered);
+    assert_eq!(answers(&server), registered_answers);
+    assert_rows_are_the_oracle(&server, "re-analysed");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+fn assert_rows_are_the_oracle_by_key(server: &LaminarServer, what: &str) {
+    let mut want = oracle(server);
+    want.sort_by_key(|r| (r.1 == EntryKind::Workflow, r.0));
+    assert_eq!(rows_by_key(server), want, "{what}");
+}
+
+/// Every answer a client sees for a fixed set of requests: each PE by
+/// id, semantic and literal search, both recommendation paths and
+/// completion.
+fn replies(server: &LaminarServer, token: u64) -> Vec<String> {
+    let data = corpus(40);
+    let mut requests: Vec<Request> = (server.registry().all_pes().iter())
+        .map(|p| Request::GetPe {
+            token,
+            ident: Ident::Id(p.id),
+        })
+        .collect();
+    for e in data.entries.iter().step_by(7) {
+        let lines: Vec<&str> = e.code.lines().collect();
+        let partial = lines[..lines.len().div_ceil(2)].join("\n");
+        for scope in [SearchScope::Pe, SearchScope::Workflow, SearchScope::Both] {
+            requests.push(Request::SearchSemantic {
+                token,
+                scope,
+                query: e.description.clone(),
+                top_n: None,
+            });
+            requests.push(Request::SearchLiteral {
+                token,
+                scope,
+                term: e.name[..4].to_string(),
+                top_n: None,
+            });
+            for embedding_type in [EmbeddingType::Spt, EmbeddingType::Llm] {
+                requests.push(Request::CodeRecommendation {
+                    token,
+                    scope,
+                    snippet: partial.clone(),
+                    embedding_type,
+                    top_n: None,
+                });
+            }
+        }
+        requests.push(Request::CodeCompletion {
+            token,
+            snippet: partial,
+        });
+    }
+    requests
+        .into_iter()
+        .map(|r| {
+            let reply = server.handle(r).value();
+            assert!(!matches!(reply, Response::Error(_)), "{reply:?}");
+            format!("{reply:?}")
+        })
+        .collect()
+}
+
+/// Rewrite every PE and workflow row, and every description update, in
+/// `value` as the previous format stored them: with the two JSON
+/// embedding columns, filled as that format filled them.
+fn with_embedding_columns(value: &mut Value) {
+    let columns = |map: &mut serde_json::Map, spt_of_code: bool| {
+        let text = |map: &serde_json::Map, key: &str| match map.get(key) {
+            Some(Value::String(s)) => s.clone(),
+            other => panic!("{key}: {other:?}"),
+        };
+        let desc = UniXcoderSim::new().embed_text(&text(map, "description"));
+        map.insert(
+            "description_embedding".into(),
+            Value::String(desc.to_json()),
+        );
+        if spt_of_code {
+            let spt = Spt::parse_source(&text(map, "code")).feature_vec();
+            map.insert("spt_embedding".into(), Value::String(spt.to_json()));
+        }
+    };
+    match value {
+        Value::Array(items) => items.iter_mut().for_each(with_embedding_columns),
+        Value::Object(map) => {
+            for (key, inner) in map.iter_mut() {
+                match (key.as_str(), inner) {
+                    ("pes" | "workflows", Value::Array(rows)) => {
+                        for row in rows {
+                            let Value::Object(row) = row else { panic!() };
+                            columns(row, true);
+                        }
+                    }
+                    ("AddPe" | "AddWorkflow", Value::Object(row)) => columns(row, true),
+                    ("UpdatePeDescription" | "UpdateWorkflowDescription", Value::Object(op)) => {
+                        columns(op, false)
+                    }
+                    (_, inner) => with_embedding_columns(inner),
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A WAL file's frames, each payload rewritten by `edit` and re-framed.
+fn rewrite_wal(path: &Path, edit: impl Fn(&mut Value)) {
+    let bytes = std::fs::read(path).unwrap();
+    let (mut at, mut out) = (0, Vec::new());
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let mut payload: Value = serde_json::from_slice(&bytes[at + 8..at + 8 + len]).unwrap();
+        edit(&mut payload);
+        let payload = serde_json::to_vec(&payload).unwrap();
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        at += 8 + len;
+    }
+    std::fs::write(path, out).unwrap();
+}
+
+/// A data directory in the previous format — rows and description
+/// updates carrying the two JSON embedding columns, beside a version-1
+/// `index.cache` — opens, answers every request as the server that
+/// registered its rows does, serves no row from the old cache, and after
+/// one `Compact` restarts with every row a cache hit.
+#[test]
+fn a_directory_in_the_previous_format_opens_and_answers_as_registered() {
+    let dir = fresh_dir("previous-format");
+    let registered = {
+        let server = open(&dir);
+        let token = login(&server);
+        populate(&server, token, 30, 3);
+        compact(&server, token);
+        // After the snapshot: rows and description updates in the WAL.
+        populate_more(&server, token);
+        redescribe_one_of_each(&server, token);
+        replies(&server, token)
+    };
+    // The snapshot and the WAL as the previous format wrote them.
+    let snapshot = dir.join(SNAPSHOT_FILE);
+    let mut value: Value = serde_json::from_slice(&std::fs::read(&snapshot).unwrap()).unwrap();
+    with_embedding_columns(&mut value);
+    std::fs::write(&snapshot, serde_json::to_vec(&value).unwrap()).unwrap();
+    rewrite_wal(&dir.join(WAL_FILE), with_embedding_columns);
+    for file in [SNAPSHOT_FILE, WAL_FILE] {
+        let bytes = std::fs::read(dir.join(file)).unwrap();
+        let text = String::from_utf8_lossy(&bytes);
+        assert!(text.contains("\"spt_embedding\""), "{file}");
+        assert!(text.contains("\"description_embedding\""), "{file}");
+    }
+    // A version-1 cache whose row hashes match today's rows but whose
+    // description vectors are negated: serving any of its rows would show.
+    let cache = dir.join(CACHE_FILE);
+    let mut bytes = std::fs::read(&cache).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for (at, len) in frames(&bytes) {
+        let payload = &mut bytes[at + 8..at + len];
+        for x in payload[17..17 + 4 * DIM].chunks_exact_mut(4) {
+            x[3] ^= 0x80;
+        }
+        let crc = crc32(payload);
+        bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+    std::fs::write(&cache, bytes).unwrap();
+
+    let n = {
+        let server = open(&dir);
+        let n = server.indexes().len() as u64;
+        assert_eq!(counts(&server), (0, n, 1), "no row from the old cache");
+        assert_rows_are_the_oracle(&server, "previous format");
+        let token = login(&server);
+        assert_eq!(replies(&server, token), registered);
+        compact(&server, token);
+        n
+    };
+    let text = std::fs::read_to_string(&snapshot).unwrap();
+    assert!(!text.contains("_embedding"), "compaction drops the columns");
+    let server = open(&dir);
+    assert_eq!(counts(&server), (n, 0, 0), "every row hits after Compact");
+    assert_rows_are_the_oracle(&server, "after Compact");
+    let token = login(&server);
+    assert_eq!(replies(&server, token), registered);
     std::fs::remove_dir_all(dir).ok();
 }

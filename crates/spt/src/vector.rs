@@ -6,8 +6,9 @@
 //! multiplication for quick snippet identification" step of the Aroma
 //! pipeline (paper Fig. 3) in row form.
 //!
-//! The JSON encoding (`to_json` / `from_json`) matches what the registry
-//! stores in its `sptEmbedding` CLOB column (paper §VI, Fig. 6).
+//! `to_json` renders a vector as the paper's `sptEmbedding` CLOB column
+//! held it (§VI, Fig. 6); nothing here stores that text, and nothing
+//! parses it back.
 
 use crate::features::Feature;
 use serde::{Deserialize, Serialize};
@@ -178,24 +179,9 @@ impl FeatureVec {
         self.overlap(other) / t
     }
 
-    /// Serialise to the registry's JSON embedding format.
+    /// Render as the paper's `sptEmbedding` JSON: `[[id, count], ...]`.
     pub fn to_json(&self) -> String {
         serde_json::to_string(&self.items).expect("FeatureVec serialisation cannot fail")
-    }
-
-    /// Parse the registry's JSON embedding format.
-    pub fn from_json(s: &str) -> Result<FeatureVec, serde_json::Error> {
-        let mut items: Vec<(u64, f32)> = serde_json::from_str(s)?;
-        items.sort_unstable_by_key(|&(id, _)| id);
-        items.dedup_by(|a, b| {
-            if a.0 == b.0 {
-                b.1 += a.1;
-                true
-            } else {
-                false
-            }
-        });
-        Ok(FeatureVec { items })
     }
 }
 
@@ -265,24 +251,11 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let v = fv(&["alpha", "beta", "alpha"]);
-        let json = v.to_json();
-        let back = FeatureVec::from_json(&json).unwrap();
-        assert_eq!(v, back);
-    }
-
-    #[test]
-    fn from_json_normalises_unsorted_duplicates() {
-        let s = "[[5, 1.0], [3, 2.0], [5, 2.0]]";
-        let v = FeatureVec::from_json(s).unwrap();
-        assert_eq!(v.items, vec![(3, 2.0), (5, 3.0)]);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(FeatureVec::from_json("not json").is_err());
-        assert!(FeatureVec::from_json("{\"a\": 1}").is_err());
+    fn json_is_the_items() {
+        let v = FeatureVec {
+            items: vec![(3, 2.0), (5, 0.5)],
+        };
+        assert_eq!(v.to_json(), "[[3,2.0],[5,0.5]]");
     }
 
     #[test]

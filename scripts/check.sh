@@ -102,6 +102,20 @@ for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
     fi
 done
 
+# A registry row keeps what its user wrote; every vector is analysed from
+# it (`Analysis::of` in crates/server/src/indexes.rs) and persisted only in
+# `index.cache`, in binary: no vector is rendered to or parsed from JSON on
+# the serving path or in the registry. The scan stops at a file's test
+# module (`#[cfg(test)]` over `mod`), not at a test-only item above it.
+echo "==> vectors are not text (no to_json( / from_json( in crates/server/src or crates/registry/src above #[cfg(test)] mod)"
+for f in $(find crates/server/src crates/registry/src -name '*.rs' | sort); do
+    if awk '/^#\[cfg\(test\)\]$/ { cfg = $0; getline; if ($0 ~ /^mod /) exit; print cfg }
+            { print }' "$f" | grep -n "to_json(\|from_json("; then
+        echo "$f renders or parses a vector as JSON again"
+        exit 1
+    fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 

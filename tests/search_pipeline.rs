@@ -1,10 +1,10 @@
-//! Cross-crate integration of the search pipeline: registration populates
-//! embeddings (registry CLOBs + server indexes), and all three search
-//! modalities answer consistently on a CSN corpus.
+//! Cross-crate integration of the search pipeline: registration stores
+//! what the user wrote and indexes the vectors analysed from it, and all
+//! three search modalities answer consistently on a CSN corpus.
 
 use laminar::core::{EmbeddingType, Laminar, LaminarConfig, SearchScope};
 use laminar::csn::{Dataset, DatasetConfig};
-use laminar::spt::FeatureVec;
+use laminar::embed::UniXcoderSim;
 
 fn corpus() -> Dataset {
     Dataset::generate(DatasetConfig {
@@ -16,22 +16,23 @@ fn corpus() -> Dataset {
 }
 
 #[test]
-fn registration_persists_embeddings_in_registry() {
+fn registration_stores_the_source_and_indexes_its_vectors() {
     let laminar = Laminar::deploy(LaminarConfig::default());
     let mut client = laminar.client();
     client.register("u", "p").unwrap();
     let e = &corpus().entries[0];
     let id = client.register_pe(&e.name, &e.code, None).unwrap();
-    let row = laminar.server().registry().get_pe(id).unwrap();
-    // Both embedding CLOBs present and decodable (Fig. 6's columns).
-    assert!(!row.description_embedding.is_empty());
-    assert!(!row.spt_embedding.is_empty());
-    let spt_vec = FeatureVec::from_json(&row.spt_embedding).unwrap();
-    assert!(spt_vec.len() > 10);
-    let desc_vec: Vec<f32> = serde_json::from_str(&row.description_embedding).unwrap();
-    assert_eq!(desc_vec.len(), 256);
+    let server = laminar.server();
+    let row = server.registry().get_pe(id).unwrap();
+    assert_eq!((&row.name, &row.code), (&e.name, &e.code));
     // Auto-generated description is non-trivial (§IV-C).
     assert!(row.description.len() > 10);
+    // Fig. 6's embedding columns, analysed from the row, live in the index.
+    let rows = server.indexes().rows();
+    let indexed = rows.iter().find(|r| r.id == id).unwrap();
+    assert!(indexed.spt.unwrap().len() > 10);
+    let desc = UniXcoderSim::new().embed_text(&row.description);
+    assert_eq!(indexed.desc.to_vec(), desc.values);
 }
 
 #[test]
@@ -157,20 +158,37 @@ fn remove_pe_removes_it_from_search() {
 
 #[test]
 fn registry_snapshot_roundtrip_preserves_search_data() {
-    let laminar = Laminar::deploy(LaminarConfig::default());
-    let mut client = laminar.client();
-    client.register("u", "p").unwrap();
-    for e in corpus().entries.iter().take(6) {
-        client.register_pe(&e.name, &e.code, None).unwrap();
-    }
     let dir = std::env::temp_dir().join(format!("laminar-snap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("registry.json");
-    laminar.server().registry().save_to(&path).unwrap();
-    let restored = laminar::registry::Registry::load_from(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(restored.counts().0, 6);
-    for pe in restored.all_pes() {
-        assert!(FeatureVec::from_json(&pe.spt_embedding).is_ok());
-    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let deploy = || {
+        Laminar::deploy(LaminarConfig {
+            data_dir: Some(dir.clone()),
+            ..LaminarConfig::default()
+        })
+    };
+    let entries: Vec<_> = corpus().entries.into_iter().take(6).collect();
+    let before = {
+        let laminar = deploy();
+        let mut client = laminar.client();
+        client.register("u", "p").unwrap();
+        for e in &entries {
+            client.register_pe(&e.name, &e.code, None).unwrap();
+        }
+        laminar.server().registry().compact().unwrap();
+        client
+            .search_registry_semantic(SearchScope::Pe, &entries[0].description)
+            .unwrap()
+    };
+    // Reopened from the snapshot: the rows, and the search answers the
+    // indexes re-analysed from them give.
+    let laminar = deploy();
+    let mut client = laminar.client();
+    client.login("u", "p").unwrap();
+    assert_eq!(laminar.server().registry().counts().0, 6);
+    let after = client
+        .search_registry_semantic(SearchScope::Pe, &entries[0].description)
+        .unwrap();
+    assert_eq!(after, before);
+    drop(laminar);
+    std::fs::remove_dir_all(&dir).ok();
 }
