@@ -26,8 +26,9 @@ pub struct AromaConfig {
     /// Maximum number of recommendations returned.
     pub max_recommendations: usize,
     /// Unused, frozen-benchmark names: prune & rerank runs on the calling
-    /// thread and retrieval is exact at every size. `crates/benchmark`
-    /// still fills both; its next PR removes them.
+    /// thread and retrieval is exact at every size; no LSH code remains
+    /// in the workspace (DESIGN.md §10). `crates/benchmark` still fills
+    /// both; its next PR removes them.
     pub parallel_threshold: usize,
     pub lsh_min_entries: usize,
     /// Drop retrieval candidates whose feature overlap with the query is
@@ -78,8 +79,9 @@ pub struct RecoStats {
     pub pruned: usize,
     /// Clusters formed.
     pub clusters: usize,
-    /// Unused, frozen-benchmark name: always `None`. `crates/benchmark`
-    /// still reads it; its next PR removes it.
+    /// Unused, frozen-benchmark name: always `None`, since no LSH code
+    /// remains in the workspace (DESIGN.md §10). `crates/benchmark` still
+    /// reads it; its next PR removes it.
     pub lsh_candidates: Option<usize>,
     pub retrieve: Duration,
     pub prune: Duration,
@@ -102,10 +104,6 @@ impl AromaEngine {
             index: SnippetIndex::new(),
             config,
         }
-    }
-
-    pub fn with_default_config() -> Self {
-        AromaEngine::new(AromaConfig::default())
     }
 
     pub fn config(&self) -> &AromaConfig {
@@ -303,7 +301,7 @@ mod tests {
     use super::*;
 
     fn engine() -> AromaEngine {
-        let mut e = AromaEngine::with_default_config();
+        let mut e = AromaEngine::default();
         e.add_batch(vec![
             Snippet::new(
                 1,
@@ -417,11 +415,11 @@ mod tests {
                 )
             })
             .collect();
-        let mut a = AromaEngine::with_default_config();
+        let mut a = AromaEngine::default();
         for s in snippets.clone() {
             a.upsert(s);
         }
-        let mut b = AromaEngine::with_default_config();
+        let mut b = AromaEngine::default();
         b.add_batch(snippets);
         assert_eq!(a.len(), b.len());
         let q = "def f(x):\n    return x + 5\n";
@@ -466,7 +464,7 @@ mod tests {
                 Snippet::new(i, format!("S{i}"), code)
             })
             .collect();
-        let mut e = AromaEngine::with_default_config();
+        let mut e = AromaEngine::default();
         e.add_batch(snippets.clone());
         for query in [
             "total = 3\nfor item in data4:\n",

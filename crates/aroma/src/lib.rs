@@ -31,7 +31,6 @@ pub mod cluster;
 pub mod completion;
 pub mod engine;
 pub mod index;
-pub mod lsh;
 pub mod prune;
 pub mod recommend;
 
@@ -39,7 +38,6 @@ pub use cluster::{cluster_results, Cluster};
 pub use completion::{complete_from, complete_with, Completion};
 pub use engine::{AromaConfig, AromaEngine, RecoStats, Recommendation};
 pub use index::{ScoredSnippet, Snippet, SnippetId, SnippetIndex};
-pub use lsh::{LshConfig, LshIndex, LshSearchStats};
 pub use prune::{
     first_function_text, granulated_vec, granulated_vec_of, prune, prune_and_rerank,
     statement_granules, Granules, PrunedSnippet,

@@ -93,7 +93,7 @@ fn pruned_via_stages(e: &AromaEngine, query: &str) -> Vec<PrunedSnippet> {
 #[test]
 fn clusters_cover_every_pruned_input_exactly_once() {
     for seed in [3, 7, 99] {
-        let mut e = AromaEngine::with_default_config();
+        let mut e = AromaEngine::default();
         e.add_batch(corpus(seed, 120));
         for q in QUERIES {
             let pruned = pruned_via_stages(&e, q);
@@ -114,7 +114,7 @@ fn clusters_cover_every_pruned_input_exactly_once() {
 #[test]
 fn every_seed_is_the_best_ranked_member() {
     for seed in [5, 42] {
-        let mut e = AromaEngine::with_default_config();
+        let mut e = AromaEngine::default();
         e.add_batch(corpus(seed, 150));
         for q in QUERIES {
             let pruned = pruned_via_stages(&e, q);
@@ -143,7 +143,7 @@ fn engine_matches_stage_functions_end_to_end() {
     // The engine's recommendations must come from exactly the pruned set
     // the public stage functions produce — no hidden divergence between
     // the library pipeline and what the server composes from it.
-    let mut e = AromaEngine::with_default_config();
+    let mut e = AromaEngine::default();
     e.add_batch(corpus(17, 80));
     for q in QUERIES {
         let pruned = pruned_via_stages(&e, q);

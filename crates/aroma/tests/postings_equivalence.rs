@@ -148,7 +148,7 @@ fn corpus(seed: u64, n: u64) -> Vec<Snippet> {
 }
 
 fn engine_over(snippets: Vec<Snippet>) -> AromaEngine {
-    let mut e = AromaEngine::with_default_config();
+    let mut e = AromaEngine::default();
     e.add_batch(snippets);
     e
 }

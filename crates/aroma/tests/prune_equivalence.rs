@@ -146,7 +146,7 @@ fn dataset(seed: u64) -> Dataset {
 }
 
 fn engine_over(data: &Dataset) -> AromaEngine {
-    let mut e = AromaEngine::with_default_config();
+    let mut e = AromaEngine::default();
     e.add_batch(
         data.entries
             .iter()

@@ -1,7 +1,8 @@
 //! E9 — the §IV-F resource-management claim: bytes on the wire for E
 //! repeated executions of a workflow needing R resources, Laminar 1.0
 //! (inline resend every run) vs Laminar 2.0 (content-hash cache +
-//! multipart upload of missing files only).
+//! multipart upload of missing files only). The 1.0 column is computed,
+//! E×R×S bytes; the 2.0 column is what a served run receives.
 //!
 //! Expected shape: 2.0 transmits each resource once; 1.0 transmits
 //! R×S bytes per execution, so the ratio grows linearly with E.

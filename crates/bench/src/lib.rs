@@ -21,10 +21,9 @@
 //! | `eval_write_stalls` | what a write costs a reader; literal search | DESIGN.md §6 |
 //! | `ablation_aroma_variants` | simplified-vs-full Aroma | E12 |
 //! | `ablation_description_context` | Fig. 10 → Fig. 11 coupling | E13 |
-//! | `ablation_lsh` | §IX future work: LSH for structural code | E14 |
 //! | `ablation_spt_features` | Aroma feature-family ablation | E15 |
 
-use aroma::{AromaConfig, LshConfig, LshIndex, RecoStats};
+use aroma::{AromaConfig, RecoStats};
 use csn::{pr_curve, Dataset, DatasetConfig, PeEntry, PrPoint};
 use d4py::mapping::{DynamicConfig, Mapping, RunInput};
 use d4py::WorkflowGraph;
@@ -264,58 +263,6 @@ pub fn full_aroma_eval(dataset: &Dataset, omission: f64) -> Rankings {
         let (pruned, _) = engine.pruned_candidates(&tree, &qvec, &mut RecoStats::default());
         pruned.into_iter().map(|p| p.id).collect()
     })
-}
-
-// ---------------------------------------------------------------------------
-// E14 — MinHash-LSH vs the exhaustive SPT ranking
-// ---------------------------------------------------------------------------
-
-/// E14 over one corpus: the Fig. 12 protocol at `omission`, ranked by the
-/// served SPT ranking ([`SearchIndexes::rank_spt`], which scores every
-/// PE) and by MinHash-LSH (16 bands × 2 rows) candidate generation, each
-/// scored leave-one-out.
-pub struct LshEval {
-    pub exhaustive: Rankings,
-    pub lsh: Rankings,
-    /// The mean share of the corpus an LSH query rescored.
-    pub candidate_fraction: f64,
-    /// Mean microseconds per query of each ranking alone.
-    pub exhaustive_us: f64,
-    pub lsh_us: f64,
-}
-
-/// Run E14 over `dataset` at `omission`.
-pub fn lsh_eval(dataset: &Dataset, omission: f64) -> LshEval {
-    let indexes = code_indexes(dataset, spt_vec);
-    let mut lsh_index = LshIndex::new(LshConfig { bands: 16, rows: 2 });
-    for e in &dataset.entries {
-        lsh_index.add(e.id, spt_vec(&e.code));
-    }
-    let query = |e: &PeEntry| spt_vec(&pyparse::drop_suffix_fraction(&e.code, omission));
-    let (mut exhaustive_time, mut lsh_time, mut candidates) = (Duration::ZERO, Duration::ZERO, 0.0);
-    let exhaustive = leave_one_out(dataset, |e, k| {
-        let q = query(e);
-        let t = Instant::now();
-        let hits = indexes.rank_spt(&q, None, k);
-        exhaustive_time += t.elapsed();
-        ids(hits)
-    });
-    let lsh = leave_one_out(dataset, |e, k| {
-        let q = query(e);
-        let t = Instant::now();
-        let (hits, stats) = lsh_index.search(&q, k, 0.0);
-        lsh_time += t.elapsed();
-        candidates += stats.candidates as f64 / stats.indexed.max(1) as f64;
-        hits.into_iter().map(|h| h.id).collect()
-    });
-    let n = dataset.len() as f64;
-    LshEval {
-        exhaustive,
-        lsh,
-        candidate_fraction: candidates / n,
-        exhaustive_us: exhaustive_time.as_secs_f64() * 1e6 / n,
-        lsh_us: lsh_time.as_secs_f64() * 1e6 / n,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -611,27 +558,13 @@ fn resources() -> Vec<(String, Vec<u8>)> {
 
 /// E9 (§IV-F): the bytes a fresh server receives over `runs` runs of
 /// `doubler_wf` that each need [`N_RESOURCES`] resources, as
-/// `(inline, cached)`. Laminar 1.0 resends every resource inline on every
-/// run; Laminar 2.0 sends content hashes and uploads only the files the
-/// server's cache misses.
+/// `(inline, cached)`. Laminar 1.0 resent every resource inline on every
+/// run, so its column is computed: `runs × N_RESOURCES × RESOURCE_SIZE`.
+/// Laminar 2.0's is served: the run sends content hashes and uploads only
+/// the files the server's cache misses.
 pub fn resource_bytes(runs: usize) -> (u64, u64) {
-    (inline_resource_bytes(runs), cached_resource_bytes(runs))
-}
-
-fn inline_resource_bytes(runs: usize) -> u64 {
-    let (laminar, token) = deploy_for("doubler_wf", "doubles");
-    let server = laminar.server();
-    for _ in 0..runs {
-        let reply = server.handle(Request::RunWithInlineResources {
-            token,
-            ident: Ident::Name("doubler_wf".into()),
-            input: RunInputWire::Iterations(2),
-            mode: RunMode::Sequential,
-            resources: resources(),
-        });
-        assert!(reply.drain().unwrap().ok);
-    }
-    server.resources().stats().bytes_received
+    let inline = (runs * N_RESOURCES * RESOURCE_SIZE) as u64;
+    (inline, cached_resource_bytes(runs))
 }
 
 fn cached_resource_bytes(runs: usize) -> u64 {
@@ -705,9 +638,9 @@ mod tests {
         );
     }
 
-    /// Every experiment scored leave-one-out (E3, E4, E12, E14's two arms,
-    /// E15) drops each query's own PE from its ranking and from its
-    /// relevant set, whatever the omission.
+    /// Every experiment scored leave-one-out (E3, E4, E12, E15) drops
+    /// each query's own PE from its ranking and from its relevant set,
+    /// whatever the omission.
     #[test]
     fn leave_one_out_rankings_never_hold_the_query() {
         let d = tiny();
@@ -735,9 +668,6 @@ mod tests {
                 "E15",
                 feature_families_eval(&d, FeatureFamilies::VAR_USAGE, omission),
             );
-            let lsh = lsh_eval(&d, omission);
-            check("E14 exhaustive", lsh.exhaustive);
-            check("E14 LSH", lsh.lsh);
         }
     }
 

@@ -46,13 +46,6 @@ impl Data {
         }
     }
 
-    pub fn as_list(&self) -> Option<&[Data]> {
-        match self {
-            Data::List(l) => Some(l),
-            _ => None,
-        }
-    }
-
     pub fn as_map(&self) -> Option<&BTreeMap<String, Data>> {
         match self {
             Data::Map(m) => Some(m),
@@ -194,7 +187,7 @@ mod tests {
         assert_eq!(Data::from(7i64).as_float(), Some(7.0));
         assert_eq!(Data::from("hi").as_str(), Some("hi"));
         assert_eq!(Data::from(true).as_int(), Some(1));
-        assert_eq!(Data::from(vec![1i64, 2]).as_list().unwrap().len(), 2);
+        assert!(matches!(Data::from(vec![1i64, 2]), Data::List(l) if l.len() == 2));
         assert_eq!(Data::Null.as_int(), None);
     }
 

@@ -263,42 +263,6 @@ impl WorkflowGraph {
         Ok(ranges)
     }
 
-    /// Render the abstract workflow as Graphviz DOT (the Fig. 1 diagram):
-    /// one box per PE, labelled edges for non-default ports, dashed styles
-    /// for non-shuffle groupings.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(s, "digraph \"{}\" {{", self.name);
-        let _ = writeln!(s, "  rankdir=LR;");
-        let _ = writeln!(s, "  node [shape=box, style=rounded];");
-        for (i, node) in self.nodes.iter().enumerate() {
-            let _ = writeln!(s, "  n{i} [label=\"{}\"];", node.name);
-        }
-        for e in &self.edges {
-            let mut attrs: Vec<String> = Vec::new();
-            if e.from_port != OUTPUT || e.to_port != INPUT {
-                attrs.push(format!("label=\"{}→{}\"", e.from_port, e.to_port));
-            }
-            match &e.grouping {
-                Grouping::Shuffle => {}
-                Grouping::GroupBy(k) => {
-                    attrs.push(format!("style=dashed, taillabel=\"groupby {k}\""))
-                }
-                Grouping::OneToAll => attrs.push("style=bold, taillabel=\"all\"".into()),
-                Grouping::AllToOne => attrs.push("style=dotted, taillabel=\"one\"".into()),
-            }
-            let attr_str = if attrs.is_empty() {
-                String::new()
-            } else {
-                format!(" [{}]", attrs.join(", "))
-            };
-            let _ = writeln!(s, "  n{} -> n{}{attr_str};", e.from.0, e.to.0);
-        }
-        s.push_str("}\n");
-        s
-    }
-
     /// Route a datum on `edge` to target-rank offsets (0-based within the
     /// target PE's rank range). `counter` is the sender's per-edge
     /// round-robin state.
@@ -494,24 +458,6 @@ mod tests {
     fn display_name_is_indexed() {
         let (g, _, _, _) = pipeline();
         assert_eq!(g.node(NodeId(1)).display_name(1), "Mid1");
-    }
-
-    #[test]
-    fn dot_rendering_covers_nodes_edges_groupings() {
-        let mut g = WorkflowGraph::new("dot_wf");
-        let a = g.add(number_producer(10));
-        let b = g.add(identity_pe("Mid"));
-        let c = g.add(print_consumer("Sink"));
-        g.connect(a, OUTPUT, b, INPUT).unwrap();
-        g.connect_grouped(b, OUTPUT, c, INPUT, Grouping::GroupBy("k".into()))
-            .unwrap();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph \"dot_wf\""), "{dot}");
-        assert!(dot.contains("n0 [label=\"Numbers\"]"), "{dot}");
-        assert!(dot.contains("n0 -> n1;"), "{dot}");
-        assert!(dot.contains("n1 -> n2 [style=dashed, taillabel=\"groupby k\"];"), "{dot}");
-        // Balanced braces → loadable by graphviz.
-        assert_eq!(dot.matches('{').count(), dot.matches('}').count());
     }
 
     #[test]

@@ -80,13 +80,6 @@ impl PackageIndex {
             .contains(module)
     }
 
-    pub fn installed_count(&self) -> usize {
-        self.installed
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
     /// Resolve one root module name.
     pub fn resolve(&self, module: &str) -> ImportResolution {
         if STDLIB.binary_search(&module).is_ok() {
@@ -224,7 +217,7 @@ from ..pkg import thing
             ix.resolve("totally_private_pkg"),
             ImportResolution::Unresolved("totally_private_pkg".into())
         );
-        assert_eq!(ix.installed_count(), 1);
+        assert_eq!(ix.installed.read().unwrap().len(), 1);
     }
 
     #[test]

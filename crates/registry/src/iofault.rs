@@ -246,10 +246,6 @@ impl IoFaultInjector {
         self.armed.store(true, Ordering::SeqCst);
     }
 
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::SeqCst)
-    }
-
     /// Total faults injected across all sites.
     pub fn injected_total(&self) -> u64 {
         self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
@@ -402,7 +398,7 @@ mod tests {
             assert!(inj.induce(IoSite::WalAppend, 8).is_some());
         }
         inj.clear();
-        assert!(!inj.is_armed());
+        assert!(!inj.armed.load(Ordering::SeqCst));
         assert!(inj.induce(IoSite::WalAppend, 8).is_none());
         inj.arm();
         assert!(inj.induce(IoSite::WalAppend, 8).is_some());

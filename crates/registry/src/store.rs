@@ -1231,10 +1231,6 @@ impl Registry {
         Ok(user.id)
     }
 
-    pub fn user_count(&self) -> usize {
-        self.read().users.len()
-    }
-
     fn check_user(inner: &Inner, user_id: u64) -> Result<(), RegistryError> {
         if inner.users.iter().any(|u| u.id == user_id) {
             Ok(())
@@ -1745,7 +1741,7 @@ mod tests {
             r.register_user("rosa", "other").unwrap_err(),
             RegistryError::DuplicateUser(_)
         ));
-        assert_eq!(r.user_count(), 1);
+        assert_eq!(r.read().users.len(), 1);
     }
 
     #[test]
@@ -2184,7 +2180,7 @@ mod tests {
         r.add_pe(pe(u, "B")).unwrap();
         r.remove_all().unwrap();
         assert_eq!(r.counts(), (0, 0));
-        assert_eq!(r.user_count(), 1);
+        assert_eq!(r.read().users.len(), 1);
     }
 
     #[test]
@@ -2345,7 +2341,7 @@ mod tests {
         // Simulate a compaction that died before the rename.
         std::fs::write(dir.join("snapshot.json.tmp"), "garbage{{{").unwrap();
         let r2 = Registry::open(&dir, PersistOptions::default()).unwrap();
-        assert_eq!(r2.user_count(), 1);
+        assert_eq!(r2.read().users.len(), 1);
         assert!(!dir.join("snapshot.json.tmp").exists());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1192,24 +1192,49 @@ mod tests {
         ));
     }
 
+    /// A payload no current request decodes from gets the typed
+    /// `malformed request` error, then the sentinel, then the close: bytes
+    /// that are not JSON, and a current-version envelope whose tag names
+    /// an endpoint that no longer exists (Laminar 1.0's inline-resources
+    /// run, as an old client sends it). Neither runs a workflow.
     #[test]
     fn malformed_request_gets_typed_error() {
         let (_srv, client) = serve();
-        let mut stream = TcpStream::connect(client.addr).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
-        let garbage = b"this is not json";
-        stream
-            .write_all(&(garbage.len() as u32).to_be_bytes())
-            .unwrap();
-        stream.write_all(garbage).unwrap();
-        stream.flush().unwrap();
-        let frame: Option<WireFrame> = read_frame(&mut stream, MAX_REPLY_FRAME).unwrap();
-        match frame {
-            Some(WireFrame::Value(Response::Error(e))) => {
-                assert!(e.contains("malformed request"), "{e}");
+        let token = with_workflow(&client, "isprime_wf");
+        let inline_run = format!(
+            r#"{{"protocol_version":{PROTOCOL_VERSION},"RunWithInlineResources":{{"token":{token},"ident":{{"Name":"isprime_wf"}},"input":{{"Iterations":3}},"mode":"Sequential","resources":[["input_0.bin",[1,2,3]]]}}}}"#
+        );
+        for payload in [&b"this is not json"[..], inline_run.as_bytes()] {
+            let mut stream = TcpStream::connect(client.addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).ok();
+            stream
+                .write_all(&(payload.len() as u32).to_be_bytes())
+                .unwrap();
+            stream.write_all(payload).unwrap();
+            stream.flush().unwrap();
+            let frame: Option<WireFrame> = read_frame(&mut stream, MAX_REPLY_FRAME).unwrap();
+            match frame {
+                Some(WireFrame::Value(Response::Error(e))) => {
+                    assert!(e.contains("malformed request"), "{e}");
+                }
+                other => panic!("{other:?}"),
             }
-            other => panic!("{other:?}"),
+            assert!(matches!(
+                read_frame::<WireFrame>(&mut stream, MAX_REPLY_FRAME),
+                Ok(None)
+            ));
+            assert!(matches!(
+                read_frame::<WireFrame>(&mut stream, MAX_REPLY_FRAME),
+                Err(ReadError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+            ));
         }
+        let history = client
+            .call(Request::GetExecutions {
+                token,
+                ident: Ident::Name("isprime_wf".into()),
+            })
+            .unwrap();
+        assert!(matches!(history.value(), Response::Executions(runs) if runs.is_empty()));
     }
 
     #[test]

@@ -148,11 +148,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Estimated quantile in µs (`q` in `0.0..=1.0`).
-    pub fn quantile_us(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.bucket_counts(), q)
-    }
-
     fn bucket_counts(&self) -> Vec<u64> {
         self.buckets
             .iter()
@@ -732,9 +727,10 @@ mod tests {
             h.record(Duration::from_millis(40)); // bucket bound 50_000
         }
         assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile_us(0.50), 100);
-        assert_eq!(h.quantile_us(0.95), 50_000);
-        assert_eq!(h.quantile_us(0.99), 50_000);
+        let snap = h.snapshot();
+        assert_eq!(snap.p50_us, 100);
+        assert_eq!(snap.p95_us, 50_000);
+        assert_eq!(snap.p99_us, 50_000);
         // An absurdly large value lands in the overflow bucket.
         h.record(Duration::from_secs(3600));
         let snap = h.snapshot();
@@ -749,7 +745,7 @@ mod tests {
     #[test]
     fn empty_histogram_quantile_is_zero() {
         let h = Histogram::default();
-        assert_eq!(h.quantile_us(0.99), 0);
+        assert_eq!(h.snapshot().p99_us, 0);
     }
 
     #[test]

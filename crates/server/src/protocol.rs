@@ -348,15 +348,6 @@ pub enum Request {
         name: String,
         bytes: Vec<u8>,
     },
-    /// Laminar 1.0-style run: all resources inline on every request
-    /// (kept for experiment E9's baseline).
-    RunWithInlineResources {
-        token: Token,
-        ident: Ident,
-        input: RunInputWire,
-        mode: RunMode,
-        resources: Vec<(String, Vec<u8>)>,
-    },
     /// Observability endpoint: a point-in-time [`MetricsSnapshot`].
     /// Tokenless by design — it is the ops surface, not user data.
     Metrics {},
@@ -389,7 +380,7 @@ pub struct Endpoint {
 /// endpoint needs a session is not a column: it does exactly when its
 /// variant carries a token ([`Request::token`]).
 #[rustfmt::skip]
-pub static ENDPOINTS: [Endpoint; 26] = [
+pub static ENDPOINTS: [Endpoint; 25] = [
     Endpoint { name: "RegisterUser",              mutating: true,  idempotent: false },
     Endpoint { name: "Login",                     mutating: false, idempotent: true },
     Endpoint { name: "RegisterPe",                mutating: true,  idempotent: false },
@@ -414,7 +405,6 @@ pub static ENDPOINTS: [Endpoint; 26] = [
     // best-effort, and the resource cache is in memory.
     Endpoint { name: "Run",                       mutating: false, idempotent: false },
     Endpoint { name: "UploadResource",            mutating: false, idempotent: false },
-    Endpoint { name: "RunWithInlineResources",    mutating: false, idempotent: false },
     Endpoint { name: "Metrics",                   mutating: false, idempotent: true },
     // Compacting a compacted registry rewrites the same snapshot.
     Endpoint { name: "Compact",                   mutating: true,  idempotent: true },
@@ -448,10 +438,9 @@ impl Request {
             GetExecutions { .. } => 19,
             Run { .. } => 20,
             UploadResource { .. } => 21,
-            RunWithInlineResources { .. } => 22,
-            Metrics {} => 23,
-            Compact { .. } => 24,
-            Health {} => 25,
+            Metrics {} => 22,
+            Compact { .. } => 23,
+            Health {} => 24,
         }]
     }
 
@@ -480,7 +469,6 @@ impl Request {
             | GetExecutions { token, .. }
             | Run { token, .. }
             | UploadResource { token, .. }
-            | RunWithInlineResources { token, .. }
             | Compact { token } => Some(*token),
             RegisterUser { .. } | Login { .. } | Metrics {} | Health {} => None,
         }
@@ -1110,8 +1098,8 @@ mod tests {
             },
             Request::Run {
                 token: 1,
-                ident: ident.clone(),
-                input: run_input.clone(),
+                ident,
+                input: run_input,
                 mode: RunMode::Sequential,
                 streaming: true,
                 verbose: false,
@@ -1123,13 +1111,6 @@ mod tests {
                 token: 1,
                 name: "r".into(),
                 bytes: vec![1],
-            },
-            Request::RunWithInlineResources {
-                token: 1,
-                ident,
-                input: run_input,
-                mode: RunMode::Sequential,
-                resources: vec![],
             },
             Request::Metrics {},
             Request::Compact { token: 1 },

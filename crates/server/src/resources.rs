@@ -81,16 +81,6 @@ impl ResourceCache {
         dedup
     }
 
-    /// Laminar 1.0 baseline: resources arrive inline with every request —
-    /// counted in full, no cache consulted.
-    pub fn receive_inline(&self, resources: &[(String, Vec<u8>)]) {
-        let mut st = self.state.write().unwrap_or_else(PoisonError::into_inner);
-        for (_, bytes) in resources {
-            st.bytes_received += bytes.len() as u64;
-            st.uploads += 1;
-        }
-    }
-
     /// Fetch a resource's bytes by name (the execution engine's view).
     pub fn get(&self, name: &str) -> Option<Vec<u8>> {
         let st = self.state.read().unwrap_or_else(PoisonError::into_inner);
@@ -154,20 +144,6 @@ mod tests {
         let v2 = b"version 2".to_vec();
         let r2 = make_ref("f", &v2);
         assert_eq!(cache.missing(&[r2]), vec!["f"], "hash mismatch → re-upload");
-    }
-
-    #[test]
-    fn inline_baseline_counts_everything() {
-        let cache = ResourceCache::new();
-        let payload = vec![
-            ("a".to_string(), vec![0u8; 1000]),
-            ("b".to_string(), vec![0u8; 500]),
-        ];
-        // Three "executions" (the 1.0 behaviour): all bytes re-sent each time.
-        for _ in 0..3 {
-            cache.receive_inline(&payload);
-        }
-        assert_eq!(cache.stats().bytes_received, 4500);
     }
 
     #[test]

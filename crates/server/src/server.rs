@@ -39,8 +39,9 @@ pub struct ServerConfig {
     /// Aroma stage 4: cosine floor for joining a cluster.
     pub reco_cluster_sim: f32,
     /// Unused, frozen-benchmark names: the rayon tier and the LSH gate
-    /// they sized are gone and nothing reads them. `crates/benchmark`
-    /// still does; its next PR removes them.
+    /// they sized are gone, no LSH code remains in the workspace
+    /// (DESIGN.md §10), and nothing reads them. `crates/benchmark` still
+    /// does; its next PR removes them.
     pub reco_parallel_threshold: usize,
     pub reco_lsh_min_entries: usize,
     /// Interval of the background storage-recovery probe in milliseconds
@@ -509,26 +510,6 @@ impl LaminarServer {
                     task_timeout_ms,
                 };
                 return self.run(user, spec, &resources, scope);
-            }
-            Request::RunWithInlineResources {
-                ident,
-                input,
-                mode,
-                resources,
-                ..
-            } => {
-                // The Laminar 1.0 run: a batch reply under the default
-                // fault policy, with no task timeout.
-                let spec = RunSpec {
-                    ident,
-                    input,
-                    mode,
-                    streaming: false,
-                    verbose: false,
-                    fault: FaultPolicyWire::default(),
-                    task_timeout_ms: None,
-                };
-                return self.run_with_inline_resources(user, spec, &resources, scope);
             }
             Request::Metrics {} => self.metrics_response(),
             Request::Compact { .. } => self.compact()?,

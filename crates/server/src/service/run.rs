@@ -14,7 +14,7 @@ use laminar_registry::{ExecutionStatus, RegistryError};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// What a run request asks for, whichever endpoint carried it.
+/// What a `Run` request asks for.
 pub(crate) struct RunSpec {
     pub(crate) ident: Ident,
     pub(crate) input: RunInputWire,
@@ -48,19 +48,6 @@ impl LaminarServer {
         if !missing.is_empty() {
             return Ok(Reply::Value(Response::NeedResources(missing)));
         }
-        self.start_run(user, spec, scope.clone())
-    }
-
-    /// `RunWithInlineResources`, the Laminar 1.0 baseline: every byte
-    /// re-transmitted with every run.
-    pub(crate) fn run_with_inline_resources(
-        &self,
-        user: u64,
-        spec: RunSpec,
-        resources: &[(String, Vec<u8>)],
-        scope: &Arc<InFlight>,
-    ) -> Result<Reply, ServerError> {
-        self.resources.receive_inline(resources);
         self.start_run(user, spec, scope.clone())
     }
 

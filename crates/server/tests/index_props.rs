@@ -254,7 +254,7 @@ fn assert_engine_matches_model(ix: &SearchIndexes, model: &NaiveModel) {
         );
     }
 
-    let mut fresh = AromaEngine::with_default_config();
+    let mut fresh = AromaEngine::default();
     fresh.add_batch(
         pes.iter()
             .map(|&(id, pe)| Snippet::new(id, pe.name.as_str(), pe.code.as_str()))

@@ -180,10 +180,7 @@ impl NetState {
         // side effects in ways no real at-least-once transport batches
         // into one reply stream; downgrade to a harmless delay.
         match (fault, req) {
-            (
-                Some(NetFault::DuplicateRequest),
-                Request::Run { .. } | Request::RunWithInlineResources { .. },
-            ) => Some(NetFault::Delay),
+            (Some(NetFault::DuplicateRequest), Request::Run { .. }) => Some(NetFault::Delay),
             _ => fault,
         }
     }

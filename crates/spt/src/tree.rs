@@ -160,10 +160,6 @@ impl Spt {
         }
     }
 
-    pub fn is_leaf(&self, id: SptNodeId) -> bool {
-        matches!(self.nodes[id.index()], SptNode::Leaf { .. })
-    }
-
     /// Leaf ids in source order under `id`.
     pub fn leaves_under(&self, id: SptNodeId) -> Vec<SptNodeId> {
         let mut out = Vec::new();
@@ -253,7 +249,10 @@ mod tests {
         // just the leaf.
         let spt = Spt::parse_source("x\n");
         assert_eq!(spt.size(), 1);
-        assert!(spt.is_leaf(spt.root.unwrap()));
+        assert!(matches!(
+            spt.nodes[spt.root.unwrap().index()],
+            SptNode::Leaf { .. }
+        ));
     }
 
     #[test]

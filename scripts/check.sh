@@ -102,6 +102,20 @@ for f in crates/bench/src/*.rs crates/bench/src/bin/*.rs; do
     fi
 done
 
+# The serving crates carry no baselines: the MinHash-LSH ablation and the
+# Laminar 1.0 inline-resources endpoint were deleted (DESIGN.md §10), and
+# E9's 1.0 column is computed in crates/bench. Whole words, so the frozen
+# benchmark's `lsh_*` field names pass; the endpoint's name as a JSON key
+# passes too, since an old client's bytes still carry it (net.rs tests
+# that the server refuses them).
+echo "==> no baselines in the serving crates (no LSH index, no inline-resources run)"
+if grep -rnw "LshIndex\|LshConfig\|LshSearchStats\|RunWithInlineResources\|receive_inline" \
+        crates/*/src src tests examples | grep -v "^crates/benchmark/" \
+        | grep -v '"RunWithInlineResources":'; then
+    echo "a deleted baseline is back"
+    exit 1
+fi
+
 # A registry row keeps what its user wrote; every vector is analysed from
 # it (`Analysis::of` in crates/server/src/indexes.rs) and persisted only in
 # `index.cache`, in binary: no vector is rendered to or parsed from JSON on

@@ -316,33 +316,6 @@ fn completion_lines_come_from_the_candidate() {
     });
 }
 
-#[test]
-fn lsh_hits_are_true_overlap_scores() {
-    use laminar::aroma::{LshConfig, LshIndex};
-    check(32, |rng| {
-        let vecs: Vec<FeatureVec> = corpus(5, 3, rng.below(200) as u64)
-            .entries
-            .iter()
-            .map(|e| Spt::parse_source(&e.code).feature_vec())
-            .collect();
-        let mut ix = LshIndex::new(LshConfig { bands: 8, rows: 2 });
-        for (i, v) in vecs.iter().enumerate() {
-            ix.add(i as u64, v.clone());
-        }
-        let q = &vecs[0];
-        let (hits, stats) = ix.search(q, 10, 0.0);
-        assert!(stats.candidates <= stats.indexed);
-        for h in &hits {
-            // Every reported score is the exact overlap, not an estimate.
-            assert!((h.score - q.overlap(&vecs[h.id as usize])).abs() < 1e-5);
-        }
-        // Scores are non-increasing.
-        for w in hits.windows(2) {
-            assert!(w[0].score >= w[1].score);
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Dataset generation invariants
 // ---------------------------------------------------------------------------
