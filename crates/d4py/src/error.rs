@@ -18,6 +18,9 @@ pub enum GraphError {
     NoRoots,
     /// A mapping was asked to run with an invalid process count.
     InvalidProcessCount { requested: usize, minimum: usize },
+    /// A mapping was asked for more ranks or workers than
+    /// [`MAX_RANKS`](crate::graph::MAX_RANKS).
+    TooManyRanks { requested: usize, maximum: usize },
     /// A worker thread panicked during enactment.
     WorkerPanicked(String),
     /// A PE kept failing after the retry budget was exhausted.
@@ -46,6 +49,10 @@ impl fmt::Display for GraphError {
             GraphError::InvalidProcessCount { requested, minimum } => write!(
                 f,
                 "process count {requested} is below the minimum {minimum} for this graph"
+            ),
+            GraphError::TooManyRanks { requested, maximum } => write!(
+                f,
+                "process count {requested} is above the maximum {maximum} a run may use"
             ),
             GraphError::WorkerPanicked(msg) => write!(f, "worker thread panicked: {msg}"),
             GraphError::PeFailed {

@@ -16,6 +16,23 @@ pub const INPUT: &str = crate::pe::INPUT_PORT;
 /// Default output port name (re-exported at crate root).
 pub const OUTPUT: &str = crate::pe::OUTPUT_PORT;
 
+/// The most ranks a multi run, or workers a dynamic run, may ask for.
+/// The paper's largest run uses 9 (Fig. 5b) and the dynamic mapping's
+/// default is 8; the bound keeps one request from starting threads and
+/// allocating rank channels without limit.
+pub const MAX_RANKS: usize = 64;
+
+/// Refuse a rank or worker count above [`MAX_RANKS`].
+pub(crate) fn within_max_ranks(requested: usize) -> Result<(), GraphError> {
+    if requested > MAX_RANKS {
+        return Err(GraphError::TooManyRanks {
+            requested,
+            maximum: MAX_RANKS,
+        });
+    }
+    Ok(())
+}
+
 /// Node handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
@@ -222,8 +239,9 @@ impl WorkflowGraph {
     /// are split as evenly as possible over the other PEs (at least one
     /// each). Returns, per node, the assigned rank range — the
     /// `{'NumberProducer': range(0, 1), 'IsPrime1': range(1, 5), …}`
-    /// partition printed in Fig. 5b.
+    /// partition printed in Fig. 5b. At most [`MAX_RANKS`] ranks.
     pub fn partition(&self, processes: usize) -> Result<Vec<Range<usize>>, GraphError> {
+        within_max_ranks(processes)?;
         let n = self.nodes.len();
         if n == 0 {
             return Err(GraphError::EmptyGraph);
@@ -380,6 +398,21 @@ mod tests {
                 minimum: 3
             }
         );
+    }
+
+    #[test]
+    fn partition_refuses_more_than_max_ranks() {
+        let (g, _, _, _) = pipeline();
+        assert_eq!(g.partition(MAX_RANKS).unwrap().last().unwrap().end, MAX_RANKS);
+        for processes in [MAX_RANKS + 1, usize::MAX] {
+            assert_eq!(
+                g.partition(processes).unwrap_err(),
+                GraphError::TooManyRanks {
+                    requested: processes,
+                    maximum: MAX_RANKS
+                }
+            );
+        }
     }
 
     #[test]

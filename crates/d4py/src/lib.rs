@@ -16,7 +16,7 @@
 //!   and DAG validation;
 //! * [`mapping::simple`] — sequential enactment (dispel4py's *simple*
 //!   mapping);
-//! * [`mapping::multi`] — static workload distribution over OS threads with
+//! * [`mapping::multi`] — static workload distribution over ranks with
 //!   bounded channels (dispel4py's *multiprocessing* mapping; Fig. 5b's
 //!   `{'NumberProducer': range(0, 1), 'IsPrime1': range(1, 5), …}` rank
 //!   partition);
@@ -29,7 +29,10 @@
 //! All three mappings enact through one core: a per-run plan (display
 //! names, port indices and out-edges resolved once), one supervised step
 //! per PE invocation, one root feed and one local drain. Each mapping
-//! keeps only its scheduling.
+//! keeps only its scheduling. The multi mapping's ranks and the dynamic
+//! mapping's workers run on one process-wide pool of parked threads, woken
+//! per run rather than started (at most [`MAX_RANKS`] per run); that
+//! pool's job hand-off is the crate's one `unsafe` block.
 //!
 //! # Quickstart
 //!
@@ -52,6 +55,8 @@
 //! assert!(result.lines()[0].starts_with("got"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod data;
 pub mod error;
 pub mod fault;
@@ -67,7 +72,7 @@ pub use fault::{
     inject_chaos, ChaosConfig, ChaosFactory, ChaosPE, DeadLetterEntry, FaultInjector, FaultPolicy,
     FaultStats, RunOptions,
 };
-pub use graph::{Grouping, NodeId, WorkflowGraph, INPUT, OUTPUT};
+pub use graph::{Grouping, NodeId, WorkflowGraph, INPUT, MAX_RANKS, OUTPUT};
 pub use mapping::{run, run_with_options, DynamicConfig, Mapping, RunInput, RunResult};
 pub use monitor::{Monitor, OutputSink};
 pub use pe::{

@@ -9,8 +9,8 @@
 //!
 //! Auto-provisioning (paper §III "auto-provisioning", §IV "dynamic process
 //! allocation") is simulated with an autoscaler: when queue depth per
-//! active worker exceeds a threshold, another lazily spawned worker joins,
-//! up to `max_workers`.
+//! active worker exceeds a threshold, one more worker wakes on a warm pool
+//! thread (`mapping/threads.rs`), up to `max_workers`.
 //!
 //! Nothing polls. A worker blocks on the broker's condvar until a task
 //! arrives or the run is over; the autoscaler blocks on a second condvar,
@@ -22,19 +22,20 @@
 //! supervisor (`catch_unwind` + the run's [`FaultPolicy`]).
 //! With a per-task timeout set, the autoscaler thread doubles as a task
 //! supervisor: a task still running past the budget is *abandoned* (its
-//! late completion is discarded), the hung worker is detached, and a fresh
-//! lazily spawned worker takes its place — the same machinery a scale-up
-//! uses. The abandoned task is then retried, dead-lettered, or fails the
-//! run, per policy. A worker hung forever still delays final scope join,
-//! but the stream keeps flowing on its replacement in the meantime
-//! (bounded stragglers — the common chaos case — fully recover).
+//! late completion is discarded), the hung worker is detached, keeping its
+//! pool thread, and a fresh worker takes its place — the same machinery a
+//! scale-up uses. The abandoned task is then retried, dead-lettered, or
+//! fails the run, per policy. A worker hung forever still delays the end
+//! of the run, but the stream keeps flowing on its replacement in the
+//! meantime (bounded stragglers — the common chaos case — fully recover).
 
 use crate::data::Data;
 use crate::error::GraphError;
 use crate::fault::FaultPolicy;
+use crate::graph::within_max_ranks;
 use crate::lock;
 use crate::mapping::enact::{Call, Local, Plan};
-use crate::mapping::{DynamicConfig, RunInput};
+use crate::mapping::{threads, DynamicConfig, RunInput};
 use crate::pe::{Context, PortSpec, PE};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -379,6 +380,7 @@ pub(crate) fn execute(
             minimum: 1,
         });
     }
+    within_max_ranks(cfg.max_workers)?;
     let watched = task_timeout.is_some();
     let slots = if watched { cfg.max_workers } else { 0 };
     let shared = Shared {
@@ -398,10 +400,10 @@ pub(crate) fn execute(
         return Ok(()); // nothing to do
     }
 
-    let result: Result<Vec<()>, GraphError> = std::thread::scope(|scope| {
+    threads::scope(|scope| {
         let shared = &shared;
         let mut handles = Vec::new();
-        // Workers are spawned lazily: the initial ones now, one more per
+        // Workers start lazily: the initial ones now, one more per
         // scale-up or timeout replacement, never more than `max_workers`.
         let spawn = |handles: &mut Vec<_>| {
             let w = handles.len();
@@ -451,15 +453,8 @@ pub(crate) fn execute(
         }
         drop(q);
 
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(p) => Err(GraphError::WorkerPanicked(super::panic_message(p))),
-            })
-            .collect()
-    });
-    result?;
+        handles.into_iter().try_for_each(super::joined)
+    })?;
     if let Some(err) = lock(&shared.broker.failure).take() {
         return Err(err);
     }

@@ -4,13 +4,14 @@
 //! | dispel4py | here | characteristics |
 //! |---|---|---|
 //! | *simple* | [`Mapping::Simple`] | sequential, single instance per PE |
-//! | *multiprocessing* | [`Mapping::Multi`] | static rank partition over OS threads, channel-connected |
-//! | *redis* (dynamic) | [`Mapping::Dynamic`] | shared work queue, autoscaling worker pool |
+//! | *multiprocessing* | [`Mapping::Multi`] | static rank partition, channel-connected ranks on warm pool threads |
+//! | *redis* (dynamic) | [`Mapping::Dynamic`] | shared work queue, autoscaling workers on warm pool threads |
 
 pub mod dynamic;
 mod enact;
 pub mod multi;
 pub mod simple;
+mod threads;
 
 use crate::data::Data;
 use crate::error::GraphError;
@@ -119,6 +120,12 @@ pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "unknown panic".to_string()
     }
+}
+
+/// A rank's or worker's outcome, its panic as the typed worker-panic error.
+fn joined(rank: threads::ScopedJoinHandle<'_, Result<(), GraphError>>) -> Result<(), GraphError> {
+    rank.join()
+        .unwrap_or_else(|p| Err(GraphError::WorkerPanicked(panic_message(p))))
 }
 
 /// Enact `graph` with the given input and mapping, capturing output.

@@ -3,8 +3,9 @@
 //!
 //! The process count is partitioned statically over the PEs —
 //! `{'NumberProducer': range(0, 1), 'IsPrime1': range(1, 5), 'PrintPrime2':
-//! range(5, 9)}` for 9 processes — and each rank becomes an OS thread owning
-//! its own PE instance and a bounded `std::sync::mpsc` channel. Data is
+//! range(5, 9)}` for 9 processes — and each rank runs on a warm pool thread
+//! (`mapping/threads.rs`), owning its own PE instance and a bounded
+//! `std::sync::mpsc` channel. Data is
 //! routed to target ranks according to the edge's
 //! [`Grouping`](crate::graph::Grouping); termination uses end-of-stream
 //! tokens counted per upstream rank, the standard dataflow discipline.
@@ -24,7 +25,7 @@ use crate::error::GraphError;
 use crate::graph::{NodeId, WorkflowGraph};
 use crate::lock;
 use crate::mapping::enact::{Call, Plan};
-use crate::mapping::RunInput;
+use crate::mapping::{threads, RunInput};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -84,7 +85,7 @@ pub(crate) fn execute(
 
     let fail_slot = FailSlot(Mutex::new(None));
 
-    let result: Result<Vec<()>, GraphError> = std::thread::scope(|scope| {
+    let result = threads::scope(|scope| {
         let (fail_slot, partition) = (&fail_slot, &partition);
         let mut handles = Vec::with_capacity(processes);
         for (rank, rx) in receivers.into_iter().enumerate() {
@@ -181,25 +182,12 @@ pub(crate) fn execute(
                 worked
             }));
         }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(p) => Err(GraphError::WorkerPanicked(super::panic_message(p))),
-            })
-            .collect()
+        handles.into_iter().try_for_each(super::joined)
     });
-    match result {
-        Ok(_) => Ok(partition),
-        Err(e) => {
-            // Prefer the first-recorded failure: a panic that killed a rank
-            // beats the peer-disconnect errors it caused downstream.
-            Err(match fail_slot.take() {
-                Some(first) => first,
-                None => e,
-            })
-        }
-    }
+    // Prefer the first-recorded failure: a panic that killed a rank beats
+    // the peer-disconnect errors it caused downstream.
+    result.map_err(|e| fail_slot.take().unwrap_or(e))?;
+    Ok(partition)
 }
 
 #[cfg(test)]

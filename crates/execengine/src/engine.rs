@@ -545,6 +545,40 @@ mod tests {
         assert!(rep.summaries[0].contains("Processed"), "{:?}", rep.summaries);
     }
 
+    /// No deadlock with every container running a parallel mapping: 8
+    /// multi (5) runs and 8 dynamic runs at once on the default 8-container
+    /// pool all end, each within a 10 s watchdog. A run holds its container
+    /// while its ranks or workers run, so those must never wait for
+    /// threads another run holds.
+    #[test]
+    fn a_full_pool_of_parallel_runs_never_deadlocks() {
+        let e = ExecutionEngine::with_stock();
+        let runs: Vec<_> = (0..16)
+            .map(|i| {
+                let mut r = req("isprime_wf", ResponseMode::Streaming);
+                r.input = RunInput::Iterations(20);
+                r.mapping = if i % 2 == 0 {
+                    Mapping::Multi { processes: 5 }
+                } else {
+                    Mapping::Dynamic(d4py::DynamicConfig::default())
+                };
+                (i, e.execute(r))
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (i, rx) in runs {
+            loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match rx.recv_timeout(left) {
+                    Ok(Frame::End { .. }) => break,
+                    Ok(Frame::Error(err)) => panic!("run {i} failed: {err}"),
+                    Ok(_) => {}
+                    Err(_) => panic!("run {i} wedged"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_mapping_through_engine() {
         let e = engine();

@@ -1485,6 +1485,40 @@ mod tests {
         assert_eq!((enactment.runs, enactment.runs_failed), (1, 0));
     }
 
+    /// A multi run asking for more than `d4py::MAX_RANKS` ranks is refused
+    /// with an error frame before any rank starts, and the server serves
+    /// the next run. 65, not a huge count: were the check gone, the run
+    /// would start at most 65 threads.
+    #[test]
+    fn run_above_max_ranks_is_refused_and_the_next_run_is_served() {
+        let (server, token) = server_with_session();
+        let (_, wf_id) = register_isprime(&server, token);
+        let run = |processes| {
+            server
+                .handle(Request::Run {
+                    token,
+                    ident: Ident::Id(wf_id),
+                    input: RunInputWire::Iterations(5),
+                    mode: RunMode::Multiprocess { processes },
+                    streaming: true,
+                    verbose: false,
+                    resources: vec![],
+                    fault: FaultPolicyWire::default(),
+                    task_timeout_ms: None,
+                })
+                .drain()
+        };
+        let refused = d4py::GraphError::TooManyRanks {
+            requested: d4py::MAX_RANKS + 1,
+            maximum: d4py::MAX_RANKS,
+        };
+        match run(d4py::MAX_RANKS + 1) {
+            Err(RunFailure::Server(msg)) => assert!(msg.contains(&refused.to_string()), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(run(9).unwrap().ok);
+    }
+
     #[test]
     fn run_with_missing_resources_asks_for_upload() {
         let (server, token) = server_with_session();
