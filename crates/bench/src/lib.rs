@@ -507,8 +507,8 @@ pub const MAPPING_ITEMS: u64 = 96;
 pub const MAPPING_PROCESSES: usize = 6;
 
 /// E10's three mappings, in order: sequential, multi with
-/// [`MAPPING_PROCESSES`] static ranks, and dynamic with as many workers
-/// and no autoscaling.
+/// [`MAPPING_PROCESSES`] static ranks, and dynamic on a fixed pool of as
+/// many workers.
 pub fn mappings() -> [Mapping; 3] {
     [
         Mapping::Simple,
@@ -518,8 +518,6 @@ pub fn mappings() -> [Mapping; 3] {
         Mapping::Dynamic(DynamicConfig {
             initial_workers: MAPPING_PROCESSES,
             max_workers: MAPPING_PROCESSES,
-            autoscale: false,
-            scale_threshold: 4,
         }),
     ]
 }

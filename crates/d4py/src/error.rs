@@ -31,6 +31,9 @@ pub enum GraphError {
     },
     /// A task exceeded the per-task execution timeout.
     TaskTimedOut { pe: String, timeout_ms: u64 },
+    /// A run was asked for a task timeout of zero, which every task
+    /// would exceed.
+    ZeroTaskTimeout,
     /// A channel peer disappeared mid-stream (its rank died without
     /// propagating end-of-stream).
     PeerDisconnected { from: String, to: String },
@@ -63,6 +66,7 @@ impl fmt::Display for GraphError {
             GraphError::TaskTimedOut { pe, timeout_ms } => {
                 write!(f, "task on PE '{pe}' exceeded the {timeout_ms} ms timeout")
             }
+            GraphError::ZeroTaskTimeout => write!(f, "a task timeout must be above 0 ms"),
             GraphError::PeerDisconnected { from, to } => {
                 write!(f, "channel peer lost: '{from}' could not reach '{to}'")
             }

@@ -108,8 +108,8 @@ pub struct FaultStats {
     /// Tasks abandoned because they exceeded the per-task timeout
     /// (dynamic mapping only).
     pub task_timeouts: u64,
-    /// Hung workers detached and replaced by a fresh lazily spawned one
-    /// (dynamic mapping only).
+    /// Workers retired from a timed-out task and replaced by a fresh
+    /// lazily spawned one (dynamic mapping only).
     pub worker_replacements: u64,
 }
 
@@ -124,7 +124,8 @@ impl FaultStats {
 pub struct RunOptions {
     pub fault_policy: FaultPolicy,
     /// Per-task wall-clock budget; a task still running past it is
-    /// abandoned and its worker replaced. Dynamic mapping only.
+    /// abandoned and its worker replaced. Dynamic mapping only; zero is
+    /// refused.
     pub task_timeout: Option<Duration>,
 }
 

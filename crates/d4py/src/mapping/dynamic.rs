@@ -8,59 +8,58 @@
 //! `GroupBy`, the same restriction the real Redis mapping has.
 //!
 //! Auto-provisioning (paper §III "auto-provisioning", §IV "dynamic process
-//! allocation") is simulated with an autoscaler: when queue depth per
-//! active worker exceeds a threshold, one more worker wakes on a warm pool
-//! thread (`mapping/threads.rs`), up to `max_workers`.
+//! allocation") is simulated with an autoscaler: while more than
+//! [`SCALE_THRESHOLD`] tasks are queued per live worker, one more worker
+//! wakes on a warm pool thread (`mapping/threads.rs`), up to `max_workers`.
 //!
 //! Nothing polls. A worker blocks on the broker's condvar until a task
 //! arrives or the run is over; the autoscaler blocks on a second condvar,
-//! woken by a submit that takes the queue past `scale_threshold × active`
+//! woken by a submit that takes the queue past `SCALE_THRESHOLD × live`
 //! and by the end of the run. Only with a task timeout set does it also
 //! wake at the next task's deadline.
 //!
 //! Fault model: every PE invocation is a `Plan::step` under the run's
-//! supervisor (`catch_unwind` + the run's [`FaultPolicy`]).
-//! With a per-task timeout set, the autoscaler thread doubles as a task
-//! supervisor: a task still running past the budget is *abandoned* (its
-//! late completion is discarded), the hung worker is detached, keeping its
-//! pool thread, and a fresh worker takes its place — the same machinery a
-//! scale-up uses. The abandoned task is then retried, dead-lettered, or
-//! fails the run, per policy. A worker hung forever still delays the end
-//! of the run, but the stream keeps flowing on its replacement in the
-//! meantime (bounded stragglers — the common chaos case — fully recover).
+//! supervisor (`catch_unwind` + the run's [`FaultPolicy`]). With a
+//! per-task timeout set, each worker has one execution slot holding its
+//! task, and the autoscaler doubles as a task supervisor. Whoever takes
+//! the task out of the slot owns it: the worker after its step, or the
+//! supervisor once the task is overdue. The supervisor settles it per
+//! policy (retry, dead letter or abort) and starts a fresh worker; the
+//! hung one, finding its slot empty after its step, discards the step's
+//! output and retires. Replacements are capped by the [`MAX_RANKS`]
+//! workers a run may start, not by `max_workers`, so every run ends: one
+//! left with no live worker and no room to start one fails with
+//! `TaskTimedOut`, once the hung steps have returned (the scope joins every
+//! worker). A zero timeout is refused before any worker starts.
 
 use crate::data::Data;
 use crate::error::GraphError;
 use crate::fault::FaultPolicy;
-use crate::graph::within_max_ranks;
+use crate::graph::{within_max_ranks, MAX_RANKS};
 use crate::lock;
 use crate::mapping::enact::{Call, Local, Plan};
 use crate::mapping::{threads, DynamicConfig, RunInput};
 use crate::pe::{Context, PortSpec, PE};
-use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// What a task does; cloneable so the timeout supervisor can requeue it.
+/// Queued tasks per live worker past which the autoscaler adds a worker.
+const SCALE_THRESHOLD: usize = 8;
+
+/// One unit of work in the broker queue; cloneable so the timeout
+/// supervisor can requeue it.
 #[derive(Clone)]
-struct Work {
+struct Task {
     node: usize,
     /// The root feed's iteration; `None` for a delivery, which runs at
     /// the worker's count for the node.
     iteration: Option<u64>,
     /// (input-port index, datum); `None` drives a producer once.
     input: Option<(usize, Data)>,
-}
-
-/// One unit of work in the broker queue.
-#[derive(Clone)]
-struct Task {
-    /// Unique per run; keys the abandoned-task set.
-    id: u64,
     /// Timed-out attempts so far (timeout retries requeue with +1).
     attempts: u32,
-    work: Work,
 }
 
 /// What a worker is executing right now, visible to the timeout supervisor.
@@ -68,6 +67,9 @@ struct ActiveTask {
     task: Task,
     started: Instant,
 }
+
+/// One worker's execution slot: whoever takes the task out owns it.
+type Slot = Mutex<Option<ActiveTask>>;
 
 /// The broker's queue and the wait state that goes with it, under one lock.
 struct Queue {
@@ -77,7 +79,7 @@ struct Queue {
     /// The run finished or failed; every waiter returns.
     done: bool,
     /// Depth past which a submit wakes the autoscaler
-    /// (`scale_threshold × active`); `usize::MAX` while it need not hear.
+    /// (`SCALE_THRESHOLD × live`); `usize::MAX` while it need not hear.
     scale_above: usize,
 }
 
@@ -90,10 +92,6 @@ struct Broker {
     wake: Condvar,
     in_flight: AtomicUsize,
     failure: Mutex<Option<GraphError>>,
-    next_id: AtomicU64,
-    /// Tasks the timeout supervisor gave up waiting for; the worker that
-    /// eventually finishes one discards its results.
-    abandoned: Mutex<HashSet<u64>>,
 }
 
 impl Broker {
@@ -109,17 +107,10 @@ impl Broker {
             wake: Condvar::new(),
             in_flight: AtomicUsize::new(0),
             failure: Mutex::new(None),
-            next_id: AtomicU64::new(0),
-            abandoned: Mutex::new(HashSet::new()),
         }
     }
 
-    fn submit(&self, attempts: u32, work: Work) {
-        let task = Task {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            attempts,
-            work,
-        };
+    fn submit(&self, task: Task) {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         let mut q = lock(&self.queue);
         q.tasks.push_back(task);
@@ -180,7 +171,7 @@ impl Broker {
 /// A PE whose every process attempt restarts its worker's timeout clock.
 struct Clocked<'a> {
     pe: &'a mut dyn PE,
-    slot: &'a Mutex<Option<ActiveTask>>,
+    slot: &'a Slot,
 }
 
 impl PE for Clocked<'_> {
@@ -200,52 +191,44 @@ impl PE for Clocked<'_> {
 struct Shared<'a> {
     plan: &'a Plan<'a>,
     broker: Broker,
-    /// Per-worker execution slots for the timeout supervisor; written
-    /// only when a task timeout is set.
-    slots: Vec<Mutex<Option<ActiveTask>>>,
-    /// Detach flags: a detached worker retires after its current task.
-    detached: Vec<AtomicBool>,
-    watched: bool,
+    /// One execution slot per worker the run may start, for the timeout
+    /// supervisor; empty when no task timeout is set.
+    slots: Vec<Slot>,
 }
 
 impl Shared<'_> {
-    /// Worker `w`: pull tasks until the run is done (or `w` is detached),
-    /// then flush its PE instances' teardowns.
+    /// Worker `w`: pull tasks until the run is done or the timeout
+    /// supervisor abandons its task, then flush its PE instances'
+    /// teardowns.
     fn work(&self, w: usize) -> Result<(), GraphError> {
         let (plan, broker) = (self.plan, &self.broker);
+        let slot = self.slots.get(w);
         let mut local = Local::new(plan.nodes.len());
-        loop {
-            if self.watched && self.detached[w].load(Ordering::SeqCst) {
-                break;
-            }
-            let Some(task) = broker.pop() else { break };
-            if self.watched {
-                *lock(&self.slots[w]) = Some(ActiveTask {
+        while let Some(task) = broker.pop() {
+            if let Some(slot) = slot {
+                *lock(slot) = Some(ActiveTask {
                     task: task.clone(),
                     started: Instant::now(),
                 });
             }
-            let Work { node, iteration, input } = task.work;
+            let Task { node, iteration, input, .. } = task;
             let iteration = iteration.unwrap_or(local.counts[node]);
             let pe = local.pes[node].get_or_insert_with(|| plan.nodes[node].factory.create());
             let mut clocked;
-            let pe: &mut dyn PE = if self.watched {
-                clocked = Clocked { pe: pe.as_mut(), slot: &self.slots[w] };
-                &mut clocked
-            } else {
-                pe.as_mut()
+            let pe: &mut dyn PE = match slot {
+                Some(slot) => {
+                    clocked = Clocked { pe: pe.as_mut(), slot };
+                    &mut clocked
+                }
+                None => pe.as_mut(),
             };
             let call = Call::Process(input);
             let outcome = plan.step(node, pe, call, w, iteration, &mut local.emitted);
-            if self.watched {
-                *lock(&self.slots[w]) = None;
-                if lock(&broker.abandoned).remove(&task.id) {
-                    // The timeout supervisor already accounted for this
-                    // task (requeue / dead-letter / abort) — discard this
-                    // late completion; the detach check at the top of the
-                    // loop retires the worker.
-                    continue;
-                }
+            if slot.is_some_and(|slot| lock(slot).take().is_none()) {
+                // The timeout supervisor took the task and settled it
+                // (requeue / dead-letter / abort), and a replacement took
+                // this worker's place: discard this late step and retire.
+                break;
             }
             match outcome {
                 Err(e) => {
@@ -261,7 +244,7 @@ impl Shared<'_> {
             // key-partitioned state).
             plan.fan_out(node, &mut local.emitted, |t, d| {
                 let input = Some((t.port, d));
-                broker.submit(0, Work { node: t.to, iteration: None, input });
+                broker.submit(Task { node: t.to, iteration: None, input, attempts: 0 });
             });
             broker.finish_one();
         }
@@ -282,89 +265,51 @@ impl Shared<'_> {
         Ok(())
     }
 
-    /// The timeout supervisor's pass over the execution slots: abandon
-    /// every task past `timeout`, detach its worker and settle the task
-    /// per policy. Returns how many replacement workers to spawn and the
-    /// earliest deadline still pending.
-    fn reap_overdue(&self, timeout: Duration) -> (usize, Instant) {
+    /// The timeout supervisor's pass over the execution slots: take every
+    /// task past `timeout` out of its slot, settle it per policy and hand
+    /// its timeout error to `retired`, since its worker retires. Returns
+    /// the earliest deadline still pending.
+    fn reap_overdue(&self, timeout: Duration, mut retired: impl FnMut(GraphError)) -> Instant {
         let (broker, supervisor) = (&self.broker, self.plan.supervisor);
-        let mut replace = 0;
         let now = Instant::now();
         // A task that starts after this pass is due no earlier than this.
         let mut next = now + timeout;
-        for w in 0..self.slots.len() {
-            let mut slot = lock(&self.slots[w]);
-            let Some(started) = slot.as_ref().map(|a| a.started) else {
+        for slot in &self.slots {
+            let mut slot = lock(slot);
+            let Some(due) = slot.as_ref().map(|a| a.started + timeout) else {
                 continue;
             };
-            if now.duration_since(started) < timeout {
-                next = next.min(started + timeout);
+            if now < due {
+                next = next.min(due);
                 continue;
             }
-            let Some(abandoned_task) = slot.take() else { continue };
-            let newly = lock(&broker.abandoned).insert(abandoned_task.task.id);
+            let Some(ActiveTask { task, .. }) = slot.take() else { continue };
             drop(slot);
-            if !newly {
-                continue;
-            }
-            let task = abandoned_task.task;
             supervisor.note_task_timeout();
             supervisor.note_fault();
-            // Detach the hung worker; a fresh one takes its place
-            // (autoscaler machinery).
-            if !self.detached[w].swap(true, Ordering::SeqCst) {
-                replace += 1;
-                supervisor.note_worker_replacement();
-            }
-            let Work { node, input, .. } = &task.work;
-            let pe = self.plan.nodes[*node].display.clone();
-            let port = input.as_ref().map(|(p, _)| self.plan.nodes[*node].inputs[*p].as_str());
+            let n = &self.plan.nodes[task.node];
+            let port = task.input.as_ref().map(|(p, _)| n.inputs[*p].as_str());
             let timeout_ms = timeout.as_millis() as u64;
+            let timed_out = GraphError::TaskTimedOut { pe: n.display.clone(), timeout_ms };
             match supervisor.policy() {
-                FaultPolicy::FailFast => {
-                    broker.fail(GraphError::TaskTimedOut { pe, timeout_ms });
+                FaultPolicy::Retry { max_attempts, .. }
+                    if task.attempts + 1 < (*max_attempts).max(1) =>
+                {
+                    supervisor.note_retry();
+                    broker.submit(Task { attempts: task.attempts + 1, ..task });
+                    broker.finish_one();
                 }
-                FaultPolicy::Retry { max_attempts, .. } => {
-                    if task.attempts + 1 < (*max_attempts).max(1) {
-                        supervisor.note_retry();
-                        broker.submit(task.attempts + 1, task.work.clone());
-                        broker.finish_one();
-                    } else {
-                        broker.fail(GraphError::TaskTimedOut { pe, timeout_ms });
-                    }
-                }
+                FaultPolicy::FailFast | FaultPolicy::Retry { .. } => broker.fail(timed_out.clone()),
                 FaultPolicy::DeadLetter { .. } => {
-                    supervisor.dead_letter(
-                        &pe,
-                        port,
-                        input.as_ref().map(|(_, d)| d.clone()),
-                        format!("task timed out after {timeout_ms} ms"),
-                        task.attempts + 1,
-                    );
+                    let datum = task.input.map(|(_, d)| d);
+                    let error = format!("task timed out after {timeout_ms} ms");
+                    supervisor.dead_letter(&n.display, port, datum, error, task.attempts + 1);
                     broker.finish_one();
                 }
             }
+            retired(timed_out);
         }
-        (replace, next)
-    }
-}
-
-/// Wait on the broker's `wake` condvar, up to `deadline` if there is one.
-fn wait_for<'q>(
-    broker: &Broker,
-    q: MutexGuard<'q, Queue>,
-    deadline: Option<Instant>,
-) -> MutexGuard<'q, Queue> {
-    match deadline {
-        None => broker.wake.wait(q).unwrap_or_else(PoisonError::into_inner),
-        Some(at) => {
-            let left = at.saturating_duration_since(Instant::now());
-            broker
-                .wake
-                .wait_timeout(q, left)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0
-        }
+        next
     }
 }
 
@@ -381,20 +326,20 @@ pub(crate) fn execute(
         });
     }
     within_max_ranks(cfg.max_workers)?;
-    let watched = task_timeout.is_some();
-    let slots = if watched { cfg.max_workers } else { 0 };
+    if task_timeout == Some(Duration::ZERO) {
+        return Err(GraphError::ZeroTaskTimeout);
+    }
+    let slots = if task_timeout.is_some() { MAX_RANKS } else { 0 };
     let shared = Shared {
         plan,
         broker: Broker::new(),
         slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-        detached: (0..slots).map(|_| AtomicBool::new(false)).collect(),
-        watched,
     };
     let broker = &shared.broker;
 
     // Seed the queue from the root feed.
     for (node, iteration, input) in plan.feed(input) {
-        broker.submit(0, Work { node, iteration: Some(iteration), input });
+        broker.submit(Task { node, iteration: Some(iteration), input, attempts: 0 });
     }
     if broker.in_flight.load(Ordering::SeqCst) == 0 {
         return Ok(()); // nothing to do
@@ -403,8 +348,8 @@ pub(crate) fn execute(
     threads::scope(|scope| {
         let shared = &shared;
         let mut handles = Vec::new();
-        // Workers start lazily: the initial ones now, one more per
-        // scale-up or timeout replacement, never more than `max_workers`.
+        // Workers start lazily: the initial ones now, then one per
+        // scale-up or timeout replacement, never more than `MAX_RANKS`.
         let spawn = |handles: &mut Vec<_>| {
             let w = handles.len();
             handles.push(scope.spawn(move || shared.work(w)));
@@ -412,35 +357,46 @@ pub(crate) fn execute(
         for _ in 0..cfg.initial_workers {
             spawn(&mut handles);
         }
+        // Started workers less those retired from an abandoned task
+        // without a replacement; `max_workers` caps only these.
+        let mut live = cfg.initial_workers;
 
         // Autoscaler + task supervisor: runs on this thread, asleep until
-        // a submit takes the queue past `scale_threshold × active`, a task
+        // a submit takes the queue past `SCALE_THRESHOLD × live`, a task
         // deadline passes (only with a timeout set) or the run ends. Each
-        // wake-up provisions at most one worker.
+        // wake-up provisions at most one worker, beside the replacements.
         let mut deadline = task_timeout.map(|t| Instant::now() + t);
         let mut q = lock(&broker.queue);
         while !q.done {
-            let scale_at = |active: usize| {
-                if cfg.autoscale && active < cfg.max_workers {
-                    cfg.scale_threshold.saturating_mul(active)
+            let scale_at = |live: usize, started: usize| {
+                if live < cfg.max_workers && started < MAX_RANKS {
+                    SCALE_THRESHOLD * live
                 } else {
                     usize::MAX
                 }
             };
-            let scale_up = q.tasks.len() > scale_at(handles.len());
+            let scale_up = q.tasks.len() > scale_at(live, handles.len());
             let due = deadline.is_some_and(|at| Instant::now() >= at);
             if scale_up || due {
                 drop(q);
                 if scale_up {
                     spawn(&mut handles);
+                    live += 1;
                 }
                 if let (true, Some(timeout)) = (due, task_timeout) {
-                    let (replace, next) = shared.reap_overdue(timeout);
-                    for _ in 0..replace {
-                        if handles.len() < cfg.max_workers {
+                    let next = shared.reap_overdue(timeout, |timed_out| {
+                        if handles.len() < MAX_RANKS {
                             spawn(&mut handles);
+                            plan.supervisor.note_worker_replacement();
+                            return;
                         }
-                    }
+                        // No room to replace the retired worker: a run
+                        // left with no live worker and work to do fails.
+                        live -= 1;
+                        if live == 0 && broker.in_flight.load(Ordering::SeqCst) > 0 {
+                            broker.fail(timed_out);
+                        }
+                    });
                     deadline = Some(next);
                 }
                 q = lock(&broker.queue);
@@ -448,8 +404,15 @@ pub(crate) fn execute(
                     break;
                 }
             }
-            q.scale_above = scale_at(handles.len());
-            q = wait_for(broker, q, deadline);
+            q.scale_above = scale_at(live, handles.len());
+            q = match deadline {
+                None => broker.wake.wait(q).unwrap_or_else(PoisonError::into_inner),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    let woken = broker.wake.wait_timeout(q, left);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
         }
         drop(q);
 
@@ -464,7 +427,7 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use crate::error::GraphError;
-    use crate::mapping::{run, run_with_options, DynamicConfig, Mapping, RunInput};
+    use crate::mapping::{run, run_with_options, DynamicConfig, Mapping, RunInput, RunResult};
     use crate::monitor::OutputSink;
     use crate::prelude::*;
     use crate::workflows;
@@ -479,9 +442,33 @@ mod tests {
         Mapping::Dynamic(DynamicConfig {
             initial_workers: initial,
             max_workers: max,
-            autoscale: true,
-            scale_threshold: 4,
         })
+    }
+
+    /// `items` data through one root PE that sleeps `sleep_ms` on each,
+    /// under `fault_policy` and a `timeout_ms` task timeout. The run goes
+    /// on its own thread, and a run that takes past 10 s fails the test
+    /// instead of hanging the suite.
+    fn run_slow(
+        items: i64,
+        sleep_ms: u64,
+        mapping: Mapping,
+        fault_policy: FaultPolicy,
+        timeout_ms: u64,
+    ) -> Result<RunResult, GraphError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut g = WorkflowGraph::new("w");
+            g.add(IterativePE::new("Slow", move |d: Data| {
+                std::thread::sleep(Duration::from_millis(sleep_ms));
+                Some(d)
+            }));
+            let input = RunInput::Data((0..items).map(Data::from).collect());
+            let task_timeout = Some(Duration::from_millis(timeout_ms));
+            let options = RunOptions { fault_policy, task_timeout };
+            let _ = tx.send(run_with_options(&g, input, &mapping, OutputSink::new(), &options));
+        });
+        rx.recv_timeout(Duration::from_secs(10)).expect("the run ends within 10 s")
     }
 
     #[test]
@@ -512,12 +499,7 @@ mod tests {
         let err = run(
             &workflows::doubler_graph(),
             RunInput::Iterations(1),
-            &Mapping::Dynamic(DynamicConfig {
-                initial_workers: 0,
-                max_workers: 0,
-                autoscale: false,
-                scale_threshold: 1,
-            }),
+            &dyn_mapping(0, 0),
         )
         .unwrap_err();
         assert!(matches!(err, GraphError::InvalidProcessCount { .. }));
@@ -563,15 +545,10 @@ mod tests {
 
     #[test]
     fn fixed_pool_never_spawns_past_its_initial_workers() {
-        // Workers are spawned lazily: without autoscaling (and without a
-        // task timeout to replace hung ones) only the initial two exist,
+        // A fixed pool is `initial_workers == max_workers`: without a task
+        // timeout to replace hung workers only the initial two exist,
         // however deep the queue gets.
-        let fixed = Mapping::Dynamic(DynamicConfig {
-            initial_workers: 2,
-            max_workers: 8,
-            autoscale: false,
-            scale_threshold: 1,
-        });
+        let fixed = dyn_mapping(2, 2);
         let r = run(&workflows::isprime_graph(), RunInput::Iterations(200), &fixed).unwrap();
         let workers: std::collections::HashSet<usize> =
             r.counts.keys().map(|(_, w)| *w).collect();
@@ -636,8 +613,9 @@ mod tests {
     #[test]
     fn hung_task_times_out_and_worker_is_replaced() {
         // One datum hangs far past the timeout; under DeadLetter the task
-        // is abandoned, its worker detached and replaced, and the rest of
-        // the stream completes.
+        // is abandoned, its worker retired and replaced (a fixed pool of
+        // one does not cap replacements), and the rest of the stream
+        // completes.
         let mut g = WorkflowGraph::new("w");
         let src = g.add(ProducerPE::new("Numbers", |i| Some(Data::from(i as i64))));
         let slowpoke = g.add(IterativePE::new("Slowpoke", |d: Data| {
@@ -652,12 +630,7 @@ mod tests {
         let r = run_with_options(
             &g,
             RunInput::Iterations(8),
-            &Mapping::Dynamic(DynamicConfig {
-                initial_workers: 1,
-                max_workers: 4,
-                autoscale: false,
-                scale_threshold: 4,
-            }),
+            &dyn_mapping(1, 1),
             OutputSink::new(),
             &RunOptions {
                 fault_policy: FaultPolicy::DeadLetter { max_attempts: 1 },
@@ -699,5 +672,37 @@ mod tests {
             matches!(err, GraphError::TaskTimedOut { ref pe, .. } if pe == "Hang1"),
             "{err:?}"
         );
+    }
+
+    /// The default pool under DeadLetter with every task timing out: each
+    /// abandoned task's worker is replaced, so the run ends with every
+    /// datum dead-lettered.
+    #[test]
+    fn default_pool_dead_letters_every_timed_out_task_and_ends() {
+        let dead_letter = FaultPolicy::DeadLetter { max_attempts: 1 };
+        let r = run_slow(20, 20, Mapping::Dynamic(DynamicConfig::default()), dead_letter, 5).unwrap();
+        let mut datums: Vec<_> =
+            r.dead_letters.iter().filter_map(|d| d.datum.as_ref()?.as_int()).collect();
+        datums.sort_unstable();
+        assert_eq!(datums, (0..20).collect::<Vec<_>>());
+        assert_eq!(r.fault_stats.task_timeouts, r.dead_letters.len() as u64);
+    }
+
+    /// A task timing out on every attempt retires one worker per attempt:
+    /// once the run has started `MAX_RANKS` workers and has none left, it
+    /// fails with the typed timeout.
+    #[test]
+    fn run_past_max_ranks_replacements_fails_with_typed_timeout() {
+        let retry = FaultPolicy::Retry { max_attempts: 1_000, backoff: Duration::ZERO };
+        let err = run_slow(1, 30, dyn_mapping(1, 1), retry, 5).unwrap_err();
+        assert_eq!(err, GraphError::TaskTimedOut { pe: "Slow0".into(), timeout_ms: 5 });
+    }
+
+    /// A zero timeout, which every task would exceed, is refused.
+    #[test]
+    fn zero_task_timeout_is_refused() {
+        let dead_letter = FaultPolicy::DeadLetter { max_attempts: 1 };
+        let err = run_slow(3, 0, Mapping::Dynamic(DynamicConfig::default()), dead_letter, 0).unwrap_err();
+        assert_eq!(err, GraphError::ZeroTaskTimeout);
     }
 }

@@ -22,17 +22,15 @@ use enact::Plan;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Configuration of the dynamic (Redis-style) mapping.
+/// Configuration of the dynamic (Redis-style) mapping. A fixed pool is
+/// `initial_workers == max_workers`; workers replacing those a task
+/// timeout retired do not count against `max_workers` ([`dynamic`]).
 #[derive(Debug, Clone)]
 pub struct DynamicConfig {
     /// Workers active at start.
     pub initial_workers: usize,
-    /// Upper bound the autoscaler may grow to.
+    /// Upper bound on live workers the autoscaler may grow to.
     pub max_workers: usize,
-    /// Enable autoscaling (auto-provisioning, paper §III).
-    pub autoscale: bool,
-    /// Queue-depth-per-worker threshold that triggers a scale-up.
-    pub scale_threshold: usize,
 }
 
 impl Default for DynamicConfig {
@@ -40,8 +38,6 @@ impl Default for DynamicConfig {
         DynamicConfig {
             initial_workers: 2,
             max_workers: 8,
-            autoscale: true,
-            scale_threshold: 8,
         }
     }
 }
@@ -183,7 +179,6 @@ mod tests {
     fn dynamic_config_defaults_sane() {
         let c = DynamicConfig::default();
         assert!(c.initial_workers >= 1);
-        assert!(c.max_workers >= c.initial_workers);
-        assert!(c.autoscale);
+        assert!(c.max_workers > c.initial_workers);
     }
 }

@@ -350,8 +350,6 @@ mod tests {
             &Mapping::Dynamic(crate::mapping::DynamicConfig {
                 initial_workers: 3,
                 max_workers: 3,
-                autoscale: false,
-                scale_threshold: 4,
             }),
         )
         .unwrap();

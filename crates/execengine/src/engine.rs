@@ -97,7 +97,6 @@ pub struct ExecutionReport {
     pub lines: Vec<String>,
     pub summaries: Vec<String>,
     pub cold_start: bool,
-    pub imports: Vec<ImportResolution>,
     pub duration: Duration,
     pub dead_letters: Vec<DeadLetterEntry>,
     pub fault_stats: FaultStats,
@@ -189,7 +188,6 @@ impl ExecutionEngine {
         let mut lines = Vec::new();
         let mut summaries = Vec::new();
         let mut cold = false;
-        let mut imports = Vec::new();
         let mut duration = Duration::ZERO;
         let mut dead_letters = Vec::new();
         let mut fault_stats = FaultStats::default();
@@ -197,14 +195,7 @@ impl ExecutionEngine {
             match frame {
                 Frame::Line(l) => lines.push(l),
                 Frame::Summary(s) => summaries.push(s),
-                Frame::Info(i) => {
-                    if i.contains("cold start") {
-                        cold = true;
-                    }
-                    if let Some(rest) = i.strip_prefix("import ") {
-                        imports.push(ImportResolution::Cached(rest.to_string()));
-                    }
-                }
+                Frame::Info(i) => cold |= i.contains("cold start"),
                 Frame::DeadLetter(d) => dead_letters.push(d),
                 Frame::Faults(s) => fault_stats = s,
                 Frame::End { duration: d } => {
@@ -220,7 +211,6 @@ impl ExecutionEngine {
             lines,
             summaries,
             cold_start: cold,
-            imports,
             duration,
             dead_letters,
             fault_stats,

@@ -114,6 +114,15 @@ pub struct PersistSnapshot {
     pub last_error: Option<String>,
 }
 
+impl PersistSnapshot {
+    /// Record a persistence-path IO failure so callers (metrics, health
+    /// probes) can see storage trouble without parsing error strings.
+    fn io_failed(&mut self, context: &str, e: &dyn std::fmt::Display) {
+        self.io_errors += 1;
+        self.last_error = Some(format!("{context}: {e}"));
+    }
+}
+
 /// One unit of a registration: member PEs plus an optional workflow row
 /// referencing them. A bare PE registration is a unit with one PE and no
 /// workflow. The workflow's `pe_ids` field is ignored — it is filled with
@@ -165,27 +174,6 @@ pub struct CompactStats {
     pub snapshot_bytes: u64,
 }
 
-#[derive(Debug, Default)]
-struct PersistCounters {
-    wal_appends: u64,
-    wal_bytes: u64,
-    fsyncs: u64,
-    compactions: u64,
-    recovered_records: u64,
-    recovery_ms: u64,
-    io_errors: u64,
-    last_error: Option<String>,
-}
-
-impl PersistCounters {
-    /// Record a persistence-path IO failure so callers (metrics, health
-    /// probes) can see storage trouble without parsing error strings.
-    fn io_failed(&mut self, context: &str, e: &dyn std::fmt::Display) {
-        self.io_errors += 1;
-        self.last_error = Some(format!("{context}: {e}"));
-    }
-}
-
 /// Records and bytes of a stretch of WAL.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Span {
@@ -223,7 +211,9 @@ struct Persist {
     dir: PathBuf,
     wal: Wal,
     opts: PersistOptions,
-    stats: PersistCounters,
+    /// The counters; `wal_records` stays 0 here, since `persist_stats`
+    /// reads it from `pending()`.
+    stats: PersistSnapshot,
     /// Fault hook shared with the WAL, kept here so snapshot writes and
     /// the storage probe consult the same injector.
     fault: Option<FaultHook>,
@@ -928,7 +918,7 @@ impl Registry {
         // disk until the next snapshot covers it.
         let sealed_path = dir.join(SEALED_WAL_FILE);
         let wal_path = dir.join(WAL_FILE);
-        let mut stats = PersistCounters::default();
+        let mut stats = PersistSnapshot::default();
         let sealed = if sealed_path.exists() {
             let replayed =
                 wal::replay(&sealed_path).map_err(|e| persist_err("replay sealed wal", e))?;
@@ -989,7 +979,7 @@ impl Registry {
             dir: dir.to_path_buf(),
             wal,
             opts,
-            stats: PersistCounters {
+            stats: PersistSnapshot {
                 recovered_records: recovered,
                 recovery_ms: start.elapsed().as_millis() as u64,
                 ..stats
@@ -1103,15 +1093,8 @@ impl Registry {
         drop(self.shared.wait_idle());
         let inner = self.read();
         inner.persist.as_ref().map(|p| PersistSnapshot {
-            wal_appends: p.stats.wal_appends,
-            wal_bytes: p.stats.wal_bytes,
-            fsyncs: p.stats.fsyncs,
-            compactions: p.stats.compactions,
             wal_records: p.pending().records,
-            recovered_records: p.stats.recovered_records,
-            recovery_ms: p.stats.recovery_ms,
-            io_errors: p.stats.io_errors,
-            last_error: p.stats.last_error.clone(),
+            ..p.stats.clone()
         })
     }
 

@@ -302,7 +302,7 @@ macro_rules! with_row_groups {
                 dead_letters: Counter,
                 /// Tasks abandoned for exceeding the per-task timeout.
                 task_timeouts: Counter,
-                /// Hung workers detached and replaced.
+                /// Workers retired from a timed-out task and replaced.
                 worker_replacements: Counter,
             }
             /// Write-path metrics, fed by every registration (`RegisterPe`

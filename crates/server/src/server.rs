@@ -2379,6 +2379,19 @@ mod tests {
         }
     }
 
+    /// A server whose engine has one container: a run that kept it would
+    /// block every later run.
+    fn one_container_server() -> LaminarServer {
+        let pool = laminar_execengine::PoolConfig {
+            max_containers: 1,
+            cold_start: std::time::Duration::from_millis(1),
+            prewarmed: 0,
+        };
+        let library = laminar_execengine::WorkflowLibrary::with_stock_workflows();
+        let engine = ExecutionEngine::new(pool, library);
+        LaminarServer::new(Registry::new(), engine, ServerConfig::default())
+    }
+
     /// A PE factory that hands out its first instance (the one the graph
     /// reads its ports from) and panics on every later call.
     struct PanicOnCreate(AtomicBool);
@@ -2400,19 +2413,7 @@ mod tests {
 
     #[test]
     fn panicking_run_fails_its_row_and_counts_an_error() {
-        // One container: a run that kept it would block the next one.
-        let server = LaminarServer::new(
-            Registry::new(),
-            ExecutionEngine::new(
-                laminar_execengine::PoolConfig {
-                    max_containers: 1,
-                    cold_start: std::time::Duration::from_millis(1),
-                    prewarmed: 0,
-                },
-                laminar_execengine::WorkflowLibrary::with_stock_workflows(),
-            ),
-            ServerConfig::default(),
-        );
+        let server = one_container_server();
         let token = session(&server);
         register_isprime(&server, token);
         server.engine().library().register("boom_wf", || {
@@ -2465,6 +2466,43 @@ mod tests {
             .expect("Run endpoint tracked");
         assert_eq!((run_endpoint.requests, run_endpoint.errors), (2, 1));
         assert_eq!(run_endpoint.in_flight, 0);
+    }
+
+    /// A dynamic run asking for a zero task timeout gets a typed error
+    /// value, and the engine's one container then serves a sequential run.
+    /// Each happens within a 10 s watchdog: a zero timeout abandons every
+    /// task the supervisor sees, and a run that never ends keeps its
+    /// container from every later run.
+    #[test]
+    fn zero_task_timeout_is_refused_and_the_next_run_is_served() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let server = one_container_server();
+            let token = session(&server);
+            register_isprime(&server, token);
+            let zero = Request::Run {
+                token,
+                ident: Ident::Name("isprime_wf".into()),
+                input: RunInputWire::Iterations(20_000),
+                mode: RunMode::Dynamic,
+                streaming: true,
+                verbose: false,
+                resources: vec![],
+                fault: FaultPolicyWire::DeadLetter { max_attempts: 1 },
+                task_timeout_ms: Some(0),
+            };
+            let _ = tx.send(server.handle(zero).drain());
+            let _ = tx.send(server.handle(run_request(token, "isprime_wf")).drain());
+        });
+        let watchdog = std::time::Duration::from_secs(10);
+        let zero = rx.recv_timeout(watchdog).expect("the refusal comes");
+        let refused = d4py::GraphError::ZeroTaskTimeout.to_string();
+        match zero {
+            Err(RunFailure::Server(msg)) => assert!(msg.contains(&refused), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        let next = rx.recv_timeout(watchdog).expect("the next run is served");
+        assert!(next.unwrap().ok);
     }
 
     /// A run writes its history as two WAL frames: the `Running` row, then

@@ -194,21 +194,6 @@ pub fn feature_ids(spt: &Spt) -> Vec<u64> {
     ids
 }
 
-/// Reusable extractor (kept for API symmetry with the paper's pipeline
-/// stages; extraction itself is stateless).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FeatureExtractor;
-
-impl FeatureExtractor {
-    pub fn new() -> Self {
-        FeatureExtractor
-    }
-
-    pub fn extract(&self, spt: &Spt) -> Vec<Feature> {
-        extract_features(spt)
-    }
-}
-
 /// Extract all features of `spt` as values — the reference form of
 /// [`feature_ids`].
 pub fn extract_features(spt: &Spt) -> Vec<Feature> {
@@ -373,12 +358,5 @@ mod tests {
         let s = Feature::Sibling("a".into(), "b".into());
         let v = Feature::VarUsage("a".into(), "b".into());
         assert_ne!(s.encode(), v.encode());
-    }
-
-    #[test]
-    fn extractor_api() {
-        let spt = Spt::parse_source("x = 1\n");
-        let fx = FeatureExtractor::new();
-        assert_eq!(fx.extract(&spt), extract_features(&spt));
     }
 }

@@ -32,7 +32,7 @@ pub mod postings;
 pub mod tree;
 pub mod vector;
 
-pub use features::{extract_features, feature_ids, Feature, FeatureExtractor};
+pub use features::{extract_features, feature_ids, Feature};
 pub use locals::local_variables;
 pub use postings::{Overlaps, Postings};
 pub use tree::{Spt, SptNode, SptNodeId};

@@ -83,10 +83,11 @@ fi
 
 # An option with one value in use is a constant (the simplicity rule the
 # paper's Listing 3 makes for run_dynamic): the clock seam nothing read,
-# the config fields and binary flags no caller set, and the setter nothing
-# called stay deleted. Whole words, so `with_stock_workflows` passes.
+# the config fields and binary flags no caller set, the dynamic mapping's
+# autoscale switch and scale threshold, and the setter nothing called stay
+# deleted. Whole words, so `with_stock_workflows` and `autoscaler` pass.
 echo "==> one value per option (no deleted seam, field or flag comes back)"
-if grep -rnw "SimClock\|SystemClock\|SharedClock\|with_clock\|set_description_context\|stock_workflows\|description_context:\|semantic_top_n\|reco_top_n\|literal_top_n\|config\.dynamic\|--reco-retrieve-n\|--reco-rerank-keep\|--reco-cluster-sim" \
+if grep -rnw "SimClock\|SystemClock\|SharedClock\|with_clock\|set_description_context\|stock_workflows\|description_context:\|semantic_top_n\|reco_top_n\|literal_top_n\|config\.dynamic\|--reco-retrieve-n\|--reco-rerank-keep\|--reco-cluster-sim\|autoscale\|scale_threshold" \
         crates/*/src src tests examples | grep -v "^crates/benchmark/"; then
     echo "an option with one value in use is back"
     exit 1

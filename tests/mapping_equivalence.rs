@@ -21,14 +21,10 @@ fn mappings() -> Vec<Mapping> {
         Mapping::Dynamic(DynamicConfig {
             initial_workers: 1,
             max_workers: 4,
-            autoscale: true,
-            scale_threshold: 2,
         }),
         Mapping::Dynamic(DynamicConfig {
             initial_workers: 4,
             max_workers: 4,
-            autoscale: false,
-            scale_threshold: 4,
         }),
     ]
 }

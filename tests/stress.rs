@@ -39,8 +39,6 @@ fn ten_thousand_items_every_mapping() {
         Mapping::Dynamic(DynamicConfig {
             initial_workers: 4,
             max_workers: 4,
-            autoscale: false,
-            scale_threshold: 8,
         }),
     ] {
         let t0 = std::time::Instant::now();
