@@ -21,6 +21,9 @@ pub enum GraphError {
     /// A mapping was asked for more ranks or workers than
     /// [`MAX_RANKS`](crate::graph::MAX_RANKS).
     TooManyRanks { requested: usize, maximum: usize },
+    /// A run was asked for more input items than
+    /// [`MAX_RUN_ITEMS`](crate::mapping::MAX_RUN_ITEMS).
+    TooManyItems { requested: u64, maximum: u64 },
     /// A worker thread panicked during enactment.
     WorkerPanicked(String),
     /// A PE kept failing after the retry budget was exhausted.
@@ -56,6 +59,10 @@ impl fmt::Display for GraphError {
             GraphError::TooManyRanks { requested, maximum } => write!(
                 f,
                 "process count {requested} is above the maximum {maximum} a run may use"
+            ),
+            GraphError::TooManyItems { requested, maximum } => write!(
+                f,
+                "run of {requested} items is above the maximum {maximum} a run may use"
             ),
             GraphError::WorkerPanicked(msg) => write!(f, "worker thread panicked: {msg}"),
             GraphError::PeFailed {

@@ -30,9 +30,10 @@
 //! names, port indices and out-edges resolved once), one supervised step
 //! per PE invocation, one root feed and one local drain. Each mapping
 //! keeps only its scheduling. The multi mapping's ranks and the dynamic
-//! mapping's workers run on one process-wide pool of parked threads, woken
-//! per run rather than started (at most [`MAX_RANKS`] per run); that
-//! pool's job hand-off is the crate's one `unsafe` block.
+//! mapping's workers (at most [`MAX_RANKS`] per run) are owned jobs on one
+//! process-wide pool of parked threads, woken per run rather than started
+//! ([`mapping::threads`]); the execution engine's containers run on it
+//! too. The crate forbids `unsafe` code.
 //!
 //! # Quickstart
 //!
@@ -55,7 +56,7 @@
 //! assert!(result.lines()[0].starts_with("got"));
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod data;
 pub mod error;
@@ -73,7 +74,9 @@ pub use fault::{
     FaultStats, RunOptions,
 };
 pub use graph::{Grouping, NodeId, WorkflowGraph, INPUT, MAX_RANKS, OUTPUT};
-pub use mapping::{run, run_with_options, DynamicConfig, Mapping, RunInput, RunResult};
+pub use mapping::{
+    run, run_with_options, DynamicConfig, Mapping, RunInput, RunResult, MAX_RUN_ITEMS,
+};
 pub use monitor::{Monitor, OutputSink};
 pub use pe::{
     AggregatePE, ConsumerPE, Context, GenericPE, IterativePE, NamedPE, PortSpec, ProducerPE,

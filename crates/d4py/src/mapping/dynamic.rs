@@ -24,13 +24,15 @@
 //! task, and the autoscaler doubles as a task supervisor. Whoever takes
 //! the task out of the slot owns it: the worker after its step, or the
 //! supervisor once the task is overdue. The supervisor settles it per
-//! policy (retry, dead letter or abort) and starts a fresh worker; the
-//! hung one, finding its slot empty after its step, discards the step's
-//! output and retires. Replacements are capped by the [`MAX_RANKS`]
-//! workers a run may start, not by `max_workers`, so every run ends: one
-//! left with no live worker and no room to start one fails with
-//! `TaskTimedOut`, once the hung steps have returned (the scope joins every
-//! worker). A zero timeout is refused before any worker starts.
+//! policy (retry, dead letter or abort), drops the hung worker's handle
+//! and starts a fresh worker; the run joins only the workers still live,
+//! so it returns once its tasks settle, whether or not the hung steps ever
+//! return. A hung worker that finds its slot empty after its step returns
+//! at once: no teardown, no count, and its lines go to a closed sink.
+//! Replacements are capped by the [`MAX_RANKS`] workers a run may start,
+//! not by `max_workers`, so every run ends: one left with no live worker
+//! and no room to start one fails with `TaskTimedOut`. A zero timeout is
+//! refused before any worker starts.
 
 use crate::data::Data;
 use crate::error::GraphError;
@@ -38,11 +40,11 @@ use crate::fault::FaultPolicy;
 use crate::graph::{within_max_ranks, MAX_RANKS};
 use crate::lock;
 use crate::mapping::enact::{Call, Local, Plan};
-use crate::mapping::{threads, DynamicConfig, RunInput};
+use crate::mapping::{threads, DynamicConfig};
 use crate::pe::{Context, PortSpec, PE};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Queued tasks per live worker past which the autoscaler adds a worker.
@@ -188,20 +190,20 @@ impl PE for Clocked<'_> {
 }
 
 /// What every worker of one run shares.
-struct Shared<'a> {
-    plan: &'a Plan<'a>,
+struct Shared {
+    plan: Arc<Plan>,
     broker: Broker,
     /// One execution slot per worker the run may start, for the timeout
     /// supervisor; empty when no task timeout is set.
     slots: Vec<Slot>,
 }
 
-impl Shared<'_> {
-    /// Worker `w`: pull tasks until the run is done or the timeout
-    /// supervisor abandons its task, then flush its PE instances'
-    /// teardowns.
+impl Shared {
+    /// Worker `w`: pull tasks until the run is done, then flush its PE
+    /// instances' teardowns; or until the timeout supervisor abandons its
+    /// task, then return at once.
     fn work(&self, w: usize) -> Result<(), GraphError> {
-        let (plan, broker) = (self.plan, &self.broker);
+        let (plan, broker) = (&*self.plan, &self.broker);
         let slot = self.slots.get(w);
         let mut local = Local::new(plan.nodes.len());
         while let Some(task) = broker.pop() {
@@ -227,8 +229,9 @@ impl Shared<'_> {
             if slot.is_some_and(|slot| lock(slot).take().is_none()) {
                 // The timeout supervisor took the task and settled it
                 // (requeue / dead-letter / abort), and a replacement took
-                // this worker's place: discard this late step and retire.
-                break;
+                // this worker's place: discard this late step and retire,
+                // with no teardown and no count.
+                return Ok(());
             }
             match outcome {
                 Err(e) => {
@@ -267,14 +270,18 @@ impl Shared<'_> {
 
     /// The timeout supervisor's pass over the execution slots: take every
     /// task past `timeout` out of its slot, settle it per policy and hand
-    /// its timeout error to `retired`, since its worker retires. Returns
-    /// the earliest deadline still pending.
-    fn reap_overdue(&self, timeout: Duration, mut retired: impl FnMut(GraphError)) -> Instant {
-        let (broker, supervisor) = (&self.broker, self.plan.supervisor);
+    /// its worker and timeout error to `retired`, since that worker
+    /// retires. Returns the earliest deadline still pending.
+    fn reap_overdue(
+        &self,
+        timeout: Duration,
+        mut retired: impl FnMut(usize, GraphError),
+    ) -> Instant {
+        let (broker, supervisor) = (&self.broker, &self.plan.supervisor);
         let now = Instant::now();
         // A task that starts after this pass is due no earlier than this.
         let mut next = now + timeout;
-        for slot in &self.slots {
+        for (w, slot) in self.slots.iter().enumerate() {
             let mut slot = lock(slot);
             let Some(due) = slot.as_ref().map(|a| a.started + timeout) else {
                 continue;
@@ -307,15 +314,14 @@ impl Shared<'_> {
                     broker.finish_one();
                 }
             }
-            retired(timed_out);
+            retired(w, timed_out);
         }
         next
     }
 }
 
 pub(crate) fn execute(
-    plan: &Plan,
-    input: &RunInput,
+    plan: &Arc<Plan>,
     cfg: &DynamicConfig,
     task_timeout: Option<Duration>,
 ) -> Result<(), GraphError> {
@@ -330,95 +336,102 @@ pub(crate) fn execute(
         return Err(GraphError::ZeroTaskTimeout);
     }
     let slots = if task_timeout.is_some() { MAX_RANKS } else { 0 };
-    let shared = Shared {
-        plan,
+    let shared = Arc::new(Shared {
+        plan: plan.clone(),
         broker: Broker::new(),
         slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-    };
+    });
     let broker = &shared.broker;
 
     // Seed the queue from the root feed.
-    for (node, iteration, input) in plan.feed(input) {
+    for (node, iteration, input) in plan.feed() {
         broker.submit(Task { node, iteration: Some(iteration), input, attempts: 0 });
     }
     if broker.in_flight.load(Ordering::SeqCst) == 0 {
         return Ok(()); // nothing to do
     }
 
-    threads::scope(|scope| {
-        let shared = &shared;
-        let mut handles = Vec::new();
-        // Workers start lazily: the initial ones now, then one per
-        // scale-up or timeout replacement, never more than `MAX_RANKS`.
-        let spawn = |handles: &mut Vec<_>| {
-            let w = handles.len();
-            handles.push(scope.spawn(move || shared.work(w)));
-        };
-        for _ in 0..cfg.initial_workers {
-            spawn(&mut handles);
-        }
-        // Started workers less those retired from an abandoned task
-        // without a replacement; `max_workers` caps only these.
-        let mut live = cfg.initial_workers;
+    // Workers start lazily: the initial ones now, then one per scale-up
+    // or timeout replacement, never more than `MAX_RANKS`. A retired
+    // worker's handle is dropped: the run never waits for its step.
+    let mut handles = Vec::new();
+    let spawn = |handles: &mut Vec<_>| {
+        let (w, shared) = (handles.len(), shared.clone());
+        handles.push(Some(threads::spawn(move || shared.work(w))));
+    };
+    for _ in 0..cfg.initial_workers {
+        spawn(&mut handles);
+    }
+    // Started workers less those retired from an abandoned task without a
+    // replacement; `max_workers` caps only these.
+    let mut live = cfg.initial_workers;
 
-        // Autoscaler + task supervisor: runs on this thread, asleep until
-        // a submit takes the queue past `SCALE_THRESHOLD × live`, a task
-        // deadline passes (only with a timeout set) or the run ends. Each
-        // wake-up provisions at most one worker, beside the replacements.
-        let mut deadline = task_timeout.map(|t| Instant::now() + t);
-        let mut q = lock(&broker.queue);
-        while !q.done {
-            let scale_at = |live: usize, started: usize| {
-                if live < cfg.max_workers && started < MAX_RANKS {
-                    SCALE_THRESHOLD * live
-                } else {
-                    usize::MAX
-                }
-            };
-            let scale_up = q.tasks.len() > scale_at(live, handles.len());
-            let due = deadline.is_some_and(|at| Instant::now() >= at);
-            if scale_up || due {
-                drop(q);
-                if scale_up {
-                    spawn(&mut handles);
-                    live += 1;
-                }
-                if let (true, Some(timeout)) = (due, task_timeout) {
-                    let next = shared.reap_overdue(timeout, |timed_out| {
-                        if handles.len() < MAX_RANKS {
-                            spawn(&mut handles);
-                            plan.supervisor.note_worker_replacement();
-                            return;
-                        }
-                        // No room to replace the retired worker: a run
-                        // left with no live worker and work to do fails.
-                        live -= 1;
-                        if live == 0 && broker.in_flight.load(Ordering::SeqCst) > 0 {
-                            broker.fail(timed_out);
-                        }
-                    });
-                    deadline = Some(next);
-                }
-                q = lock(&broker.queue);
-                if q.done {
-                    break;
-                }
+    // Autoscaler + task supervisor: runs on this thread, asleep until a
+    // submit takes the queue past `SCALE_THRESHOLD × live`, a task
+    // deadline passes (only with a timeout set) or the run ends. Each
+    // wake-up provisions at most one worker, beside the replacements.
+    let mut deadline = task_timeout.map(|t| Instant::now() + t);
+    let mut q = lock(&broker.queue);
+    while !q.done {
+        let scale_at = |live: usize, started: usize| {
+            if live < cfg.max_workers && started < MAX_RANKS {
+                SCALE_THRESHOLD * live
+            } else {
+                usize::MAX
             }
-            q.scale_above = scale_at(live, handles.len());
-            q = match deadline {
-                None => broker.wake.wait(q).unwrap_or_else(PoisonError::into_inner),
-                Some(at) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    let woken = broker.wake.wait_timeout(q, left);
-                    woken.unwrap_or_else(PoisonError::into_inner).0
-                }
-            };
+        };
+        let scale_up = q.tasks.len() > scale_at(live, handles.len());
+        let due = deadline.is_some_and(|at| Instant::now() >= at);
+        if scale_up || due {
+            drop(q);
+            if scale_up {
+                spawn(&mut handles);
+                live += 1;
+            }
+            if let (true, Some(timeout)) = (due, task_timeout) {
+                let next = shared.reap_overdue(timeout, |w, timed_out| {
+                    handles[w] = None;
+                    if handles.len() < MAX_RANKS {
+                        spawn(&mut handles);
+                        plan.supervisor.note_worker_replacement();
+                        return;
+                    }
+                    // No room to replace the retired worker: a run left
+                    // with no live worker and work to do fails.
+                    live -= 1;
+                    if live == 0 && broker.in_flight.load(Ordering::SeqCst) > 0 {
+                        broker.fail(timed_out);
+                    }
+                });
+                deadline = Some(next);
+            }
+            q = lock(&broker.queue);
+            if q.done {
+                break;
+            }
         }
-        drop(q);
+        q.scale_above = scale_at(live, handles.len());
+        q = match deadline {
+            None => broker.wake.wait(q).unwrap_or_else(PoisonError::into_inner),
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                let woken = broker.wake.wait_timeout(q, left);
+                woken.unwrap_or_else(PoisonError::into_inner).0
+            }
+        };
+    }
+    drop(q);
 
-        handles.into_iter().try_for_each(super::joined)
-    })?;
-    if let Some(err) = lock(&shared.broker.failure).take() {
+    // A failed run may leave workers mid-step: retire them as well, so the
+    // failure returns without waiting for a step that may never return.
+    for (w, slot) in shared.slots.iter().enumerate() {
+        if lock(slot).take().is_some() {
+            handles[w] = None;
+        }
+    }
+    let joined = handles.into_iter().flatten().map(super::joined);
+    joined.fold(Ok(()), Result::and)?;
+    if let Some(err) = lock(&broker.failure).take() {
         return Err(err);
     }
     Ok(())
@@ -686,6 +699,69 @@ mod tests {
         datums.sort_unstable();
         assert_eq!(datums, (0..20).collect::<Vec<_>>());
         assert_eq!(r.fault_stats.task_timeouts, r.dead_letters.len() as u64);
+    }
+
+    /// A timed run returns once its tasks settle, not once its hung steps
+    /// return: the one item that sleeps 2 s is dead-lettered and its
+    /// worker replaced, and the run ends well before the sleep does.
+    #[test]
+    fn a_timed_run_returns_once_its_tasks_settle() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut g = WorkflowGraph::new("w");
+            g.add(IterativePE::new("Slow", |d: Data| {
+                if d.as_int() == Some(3) {
+                    std::thread::sleep(Duration::from_secs(2));
+                }
+                Some(d)
+            }));
+            let input = RunInput::Data((0..10).map(Data::from).collect());
+            let options = RunOptions {
+                fault_policy: FaultPolicy::DeadLetter { max_attempts: 1 },
+                task_timeout: Some(Duration::from_millis(5)),
+            };
+            let mapping = Mapping::Dynamic(DynamicConfig::default());
+            let started = std::time::Instant::now();
+            let r = run_with_options(&g, input, &mapping, OutputSink::new(), &options);
+            let _ = tx.send((r, started.elapsed()));
+        });
+        let (r, took) = rx.recv_timeout(Duration::from_secs(10)).expect("the run ends");
+        let r = r.unwrap();
+        assert!(took < Duration::from_secs(1), "the run took {took:?}");
+        assert_eq!(r.dead_letters.len(), 1, "{:?}", r.dead_letters);
+        assert_eq!(r.dead_letters[0].datum, Some(Data::from(3i64)));
+        assert_eq!(r.fault_stats.task_timeouts, 1);
+        assert_eq!(r.fault_stats.worker_replacements, 1);
+    }
+
+    /// A timed run that fails returns at once, not once the steps still in
+    /// flight return: one worker's datum panics under FailFast while the
+    /// other's step sleeps 5 s, far inside its 2 s timeout.
+    #[test]
+    fn a_failed_timed_run_does_not_wait_for_a_step_in_flight() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut g = WorkflowGraph::new("w");
+            g.add(IterativePE::new("Mixed", |d: Data| {
+                if d.as_int() == Some(1) {
+                    std::thread::sleep(Duration::from_secs(5));
+                    return Some(d);
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                panic!("intentional failure beside a long step");
+            }));
+            let input = RunInput::Data((0..2).map(Data::from).collect());
+            let options = RunOptions {
+                fault_policy: FaultPolicy::FailFast,
+                task_timeout: Some(Duration::from_secs(2)),
+            };
+            let started = std::time::Instant::now();
+            let r = run_with_options(&g, input, &dyn_mapping(2, 2), OutputSink::new(), &options);
+            let _ = tx.send((r.map(|_| ()), started.elapsed()));
+        });
+        let (r, took) = rx.recv_timeout(Duration::from_secs(10)).expect("the run ends");
+        assert!(matches!(r, Err(GraphError::WorkerPanicked(_))), "{r:?}");
+        assert!(took < Duration::from_secs(1), "the run took {took:?}");
     }
 
     /// A task timing out on every attempt retires one worker per attempt:

@@ -8,15 +8,16 @@
 use crate::data::Data;
 use crate::error::GraphError;
 use crate::fault::Supervisor;
-use crate::graph::{PEFactory, WorkflowGraph};
+use crate::graph::{Edge, PEFactory, WorkflowGraph};
 use crate::mapping::RunInput;
 use crate::monitor::{Monitor, OutputSink};
 use crate::pe::{Context, PE};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One out-edge as the plan routes it.
 pub(crate) struct Target {
-    /// Index into `graph.edges`: the grouping, and the sender's Shuffle
+    /// Index into `Plan::edges`: the grouping, and the sender's Shuffle
     /// counter.
     pub edge: usize,
     pub to: usize,
@@ -25,12 +26,12 @@ pub(crate) struct Target {
 }
 
 /// One node, resolved once per run.
-pub(crate) struct NodePlan<'r> {
+pub(crate) struct NodePlan {
     /// `IsPrime1`: the name every line, count and dead letter carries.
     pub display: String,
-    pub factory: &'r dyn PEFactory,
-    pub inputs: &'r [String],
-    outputs: &'r [String],
+    pub factory: Arc<dyn PEFactory>,
+    pub inputs: Vec<String>,
+    outputs: Vec<String>,
     /// Out-edges per output-port index, in edge-insertion order.
     pub out: Vec<Vec<Target>>,
 }
@@ -50,31 +51,35 @@ pub(crate) type Delivery = (usize, usize, Data);
 pub(crate) type Feed = (usize, u64, Option<(usize, Data)>);
 
 /// Everything a run's mappings share, built once before the first datum.
-pub(crate) struct Plan<'r> {
-    pub graph: &'r WorkflowGraph,
-    pub nodes: Vec<NodePlan<'r>>,
+/// It owns what its ranks and workers use, so they share it through an
+/// `Arc` and none borrows from the caller.
+pub(crate) struct Plan {
+    pub nodes: Vec<NodePlan>,
+    /// The graph's edges, for their groupings.
+    pub edges: Vec<Edge>,
     /// Nodes with no in-edge, in index order.
     pub roots: Vec<usize>,
     /// Topological order: setup and local teardown run in it.
     pub order: Vec<usize>,
-    pub monitor: &'r Monitor,
-    pub supervisor: &'r Supervisor,
-    sink: &'r OutputSink,
+    pub input: RunInput,
+    pub monitor: Monitor,
+    pub supervisor: Supervisor,
+    pub sink: OutputSink,
 }
 
-impl<'r> Plan<'r> {
+impl Plan {
     pub(crate) fn new(
-        graph: &'r WorkflowGraph,
-        sink: &'r OutputSink,
-        monitor: &'r Monitor,
-        supervisor: &'r Supervisor,
+        graph: &WorkflowGraph,
+        input: RunInput,
+        sink: OutputSink,
+        supervisor: Supervisor,
     ) -> Result<Self, GraphError> {
         let mut nodes: Vec<NodePlan> = (graph.nodes.iter().enumerate())
             .map(|(i, n)| NodePlan {
                 display: n.display_name(i),
-                factory: &*n.factory,
-                inputs: &n.ports.inputs,
-                outputs: &n.ports.outputs,
+                factory: n.factory.clone(),
+                inputs: n.ports.inputs.clone(),
+                outputs: n.ports.outputs.clone(),
                 out: n.ports.outputs.iter().map(|_| Vec::new()).collect(),
             })
             .collect();
@@ -83,17 +88,18 @@ impl<'r> Plan<'r> {
             let to = e.to.0;
             is_root[to] = false;
             let at = |ports: &[String], name: &str| ports.iter().position(|p| p == name);
-            let from = at(nodes[e.from.0].outputs, &e.from_port);
-            if let (Some(from), Some(port)) = (from, at(nodes[to].inputs, &e.to_port)) {
+            let from = at(&nodes[e.from.0].outputs, &e.from_port);
+            if let (Some(from), Some(port)) = (from, at(&nodes[to].inputs, &e.to_port)) {
                 nodes[e.from.0].out[from].push(Target { edge, to, port });
             }
         }
         Ok(Plan {
-            graph,
             nodes,
+            edges: graph.edges.clone(),
             roots: (0..is_root.len()).filter(|&n| is_root[n]).collect(),
             order: graph.topo_order()?.into_iter().map(|n| n.0).collect(),
-            monitor,
+            input,
+            monitor: Monitor::new(),
             supervisor,
             sink,
         })
@@ -162,9 +168,9 @@ impl<'r> Plan<'r> {
     /// The root feed, item by item: every root once per input item, the
     /// item's index its iteration. An item goes to a root's first input
     /// port; a root without one (a producer) is driven once per item.
-    pub(crate) fn feed<'a>(&'a self, input: &'a RunInput) -> impl Iterator<Item = Feed> + 'a {
-        (0..input.len()).flat_map(move |i| {
-            self.roots.iter().map(move |&root| match input {
+    pub(crate) fn feed(&self) -> impl Iterator<Item = Feed> + '_ {
+        (0..self.input.len()).flat_map(move |i| {
+            self.roots.iter().map(move |&root| match &self.input {
                 RunInput::Data(items) if !self.nodes[root].inputs.is_empty() => {
                     (root, i as u64, Some((0, items[i].clone())))
                 }

@@ -11,16 +11,24 @@ pub mod dynamic;
 mod enact;
 pub mod multi;
 pub mod simple;
-mod threads;
+pub mod threads;
 
 use crate::data::Data;
 use crate::error::GraphError;
 use crate::fault::{DeadLetterEntry, FaultStats, RunOptions, Supervisor};
 use crate::graph::WorkflowGraph;
-use crate::monitor::{Monitor, OutputSink};
+use crate::monitor::OutputSink;
 use enact::Plan;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// The most input items one run may be fed. The tree's largest run is
+/// 20,000 iterations, and the benchmark's are smaller. Every item is a
+/// root firing, and the dynamic mapping queues all of them before its
+/// first worker starts, so one request past this bound would grow the
+/// server's memory, or hold a container and its output, without limit.
+pub const MAX_RUN_ITEMS: u64 = 100_000;
 
 /// Configuration of the dynamic (Redis-style) mapping. A fixed pool is
 /// `initial_workers == max_workers`; workers replacing those a task
@@ -65,6 +73,21 @@ pub enum RunInput {
 }
 
 impl RunInput {
+    /// Refuse a run of more than [`MAX_RUN_ITEMS`] items.
+    fn within_max_items(&self) -> Result<(), GraphError> {
+        let requested = match self {
+            RunInput::Iterations(n) => *n,
+            RunInput::Data(v) => v.len() as u64,
+        };
+        if requested > MAX_RUN_ITEMS {
+            return Err(GraphError::TooManyItems {
+                requested,
+                maximum: MAX_RUN_ITEMS,
+            });
+        }
+        Ok(())
+    }
+
     pub fn len(&self) -> usize {
         match self {
             RunInput::Iterations(n) => *n as usize,
@@ -119,7 +142,7 @@ pub fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// A rank's or worker's outcome, its panic as the typed worker-panic error.
-fn joined(rank: threads::ScopedJoinHandle<'_, Result<(), GraphError>>) -> Result<(), GraphError> {
+fn joined(rank: threads::Handle<Result<(), GraphError>>) -> Result<(), GraphError> {
     rank.join()
         .unwrap_or_else(|p| Err(GraphError::WorkerPanicked(panic_message(p))))
 }
@@ -140,27 +163,27 @@ pub fn run_with_options(
     sink: OutputSink,
     options: &RunOptions,
 ) -> Result<RunResult, GraphError> {
+    input.within_max_items()?;
     graph.validate()?;
-    let monitor = Monitor::new();
     let supervisor = Supervisor::new(options.fault_policy.clone());
     let start = std::time::Instant::now();
-    let plan = Plan::new(graph, &sink, &monitor, &supervisor)?;
+    let plan = Arc::new(Plan::new(graph, input, sink, supervisor)?);
     let partition = match mapping {
-        Mapping::Simple => simple::execute(&plan, &input).map(|()| None)?,
-        Mapping::Multi { processes } => Some(multi::execute(&plan, &input, *processes)?),
-        Mapping::Dynamic(cfg) => {
-            dynamic::execute(&plan, &input, cfg, options.task_timeout).map(|()| None)?
-        }
+        Mapping::Simple => simple::execute(&plan).map(|()| None)?,
+        Mapping::Multi { processes } => Some(multi::execute(graph, &plan, *processes)?),
+        Mapping::Dynamic(cfg) => dynamic::execute(&plan, cfg, options.task_timeout).map(|()| None)?,
     };
     Ok(RunResult {
         workflow: graph.name.clone(),
-        lines: sink.into_lines(),
-        counts: monitor.counts(),
+        // A retired dynamic worker may still hold the plan: its hung
+        // step's lines are dropped from here on.
+        lines: plan.sink.close(),
+        counts: plan.monitor.counts(),
         partition,
         duration: start.elapsed(),
         // Stats first: they count the queue that `take` drains.
-        fault_stats: supervisor.stats(),
-        dead_letters: supervisor.take_dead_letters(),
+        fault_stats: plan.supervisor.stats(),
+        dead_letters: plan.supervisor.take_dead_letters(),
     })
 }
 
@@ -173,6 +196,32 @@ mod tests {
         assert_eq!(RunInput::Iterations(5).len(), 5);
         assert_eq!(RunInput::Data(vec![Data::Null]).len(), 1);
         assert!(RunInput::Iterations(0).is_empty());
+    }
+
+    /// A run of more than `MAX_RUN_ITEMS` items is refused before any
+    /// work, under every mapping and for either kind of input; one at the
+    /// bound is not refused, and `u64::MAX` is.
+    #[test]
+    fn a_run_past_max_run_items_is_refused() {
+        let g = crate::workflows::doubler_graph();
+        let refused = GraphError::TooManyItems {
+            requested: MAX_RUN_ITEMS + 1,
+            maximum: MAX_RUN_ITEMS,
+        };
+        for mapping in [
+            Mapping::Simple,
+            Mapping::Multi { processes: 3 },
+            Mapping::Dynamic(DynamicConfig::default()),
+        ] {
+            let err = run(&g, RunInput::Iterations(MAX_RUN_ITEMS + 1), &mapping).unwrap_err();
+            assert_eq!(err, refused);
+        }
+        let items = RunInput::Data(vec![Data::Null; MAX_RUN_ITEMS as usize + 1]);
+        let err = run(&g, items, &Mapping::Simple).unwrap_err();
+        let message = "run of 100001 items is above the maximum 100000 a run may use";
+        assert_eq!(err.to_string(), message);
+        assert!(RunInput::Iterations(MAX_RUN_ITEMS).within_max_items().is_ok());
+        assert!(RunInput::Iterations(u64::MAX).within_max_items().is_err());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! The process count is partitioned statically over the PEs —
 //! `{'NumberProducer': range(0, 1), 'IsPrime1': range(1, 5), 'PrintPrime2':
-//! range(5, 9)}` for 9 processes — and each rank runs on a warm pool thread
-//! (`mapping/threads.rs`), owning its own PE instance and a bounded
-//! `std::sync::mpsc` channel. Data is
+//! range(5, 9)}` for 9 processes — and each rank is a job on a warm pool
+//! thread (`mapping/threads.rs`), owning its own PE instance and a bounded
+//! `std::sync::mpsc` channel; the run joins every rank. Data is
 //! routed to target ranks according to the edge's
 //! [`Grouping`](crate::graph::Grouping); termination uses end-of-stream
 //! tokens counted per upstream rank, the standard dataflow discipline.
@@ -25,11 +25,10 @@ use crate::error::GraphError;
 use crate::graph::{NodeId, WorkflowGraph};
 use crate::lock;
 use crate::mapping::enact::{Call, Plan};
-use crate::mapping::{threads, RunInput};
-use std::collections::VecDeque;
+use crate::mapping::threads;
 use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Channel capacity per rank — bounded for backpressure (HPC guide idiom).
 const CHANNEL_CAP: usize = 1024;
@@ -58,135 +57,142 @@ impl FailSlot {
     }
 }
 
-pub(crate) fn execute(
-    plan: &Plan,
-    input: &RunInput,
-    processes: usize,
-) -> Result<Vec<Range<usize>>, GraphError> {
-    let graph = plan.graph;
-    let partition = graph.partition(processes)?;
+/// What every rank of one run shares.
+struct Ranks {
+    plan: Arc<Plan>,
+    partition: Vec<Range<usize>>,
+    /// One per rank. Every rank holds them all, so no channel ever
+    /// disconnects while a rank runs.
+    senders: Vec<SyncSender<Msg>>,
+    fail_slot: FailSlot,
+}
 
-    // rank → owning node.
-    let mut rank_node: Vec<usize> = vec![0; processes];
-    for (node, range) in partition.iter().enumerate() {
-        for r in range.clone() {
-            rank_node[r] = node;
-        }
-    }
-
-    // Channels, one per rank; popped front-to-back as ranks spawn.
-    let mut senders: Vec<SyncSender<Msg>> = Vec::with_capacity(processes);
-    let mut receivers: VecDeque<Receiver<Msg>> = VecDeque::with_capacity(processes);
-    for _ in 0..processes {
-        let (tx, rx) = sync_channel::<Msg>(CHANNEL_CAP);
-        senders.push(tx);
-        receivers.push_back(rx);
-    }
-
-    let fail_slot = FailSlot(Mutex::new(None));
-
-    let result = threads::scope(|scope| {
-        let (fail_slot, partition) = (&fail_slot, &partition);
-        let mut handles = Vec::with_capacity(processes);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let node = rank_node[rank];
-            let n = &plan.nodes[node];
-            let senders = senders.clone();
-            // Expected EOS tokens = Σ over in-edges of |source ranks|.
-            let sources = graph.in_edges(NodeId(node));
-            let expected: usize = sources.iter().map(|e| partition[e.from.0].len()).sum();
-
-            handles.push(scope.spawn(move || -> Result<(), GraphError> {
-                let mut pe = n.factory.create();
-                let mut iterations = 0u64;
-                // Per-edge round-robin counters, offset by rank to spread load.
-                let mut counters = vec![rank; graph.edges.len()];
-                let mut emitted = Vec::new();
-                // One supervised step, its emissions routed by each edge's
-                // grouping over the target's ranks.
-                let mut step = |call: Call, iteration: u64| -> Result<bool, GraphError> {
-                    let done = plan
-                        .step(node, pe.as_mut(), call, rank, iteration, &mut emitted)
-                        .inspect_err(|e| fail_slot.record(e.clone()))?;
-                    plan.fan_out(node, &mut emitted, |t, data| {
-                        let targets = partition[t.to].clone();
-                        let (edge, counter) = (&graph.edges[t.edge], &mut counters[t.edge]);
-                        let send = |o: usize, data: Data| {
-                            let msg = Msg::Item { port: t.port, data };
-                            if senders[targets.start + o].send(msg).is_err() {
-                                // Receiver gone = downstream rank died
-                                // abnormally. Record typed (the primary
-                                // failure was recorded first by the dying
-                                // rank); keep this rank draining so upstream
-                                // ranks can terminate.
-                                fail_slot.record(GraphError::PeerDisconnected {
-                                    from: n.display.clone(),
-                                    to: format!("rank {}", targets.start + o),
-                                });
-                            }
-                        };
-                        // Every rank but the last gets a clone; the last
-                        // takes the datum.
-                        let mut ranks = WorkflowGraph::route(edge, &data, targets.len(), counter);
-                        let last = ranks.next_back();
-                        for o in ranks {
-                            send(o, data.clone());
-                        }
-                        if let Some(o) = last {
-                            send(o, data);
-                        }
-                    });
-                    Ok(done)
+impl Ranks {
+    /// Rank `rank`, an instance of `node`: run its share of the stream
+    /// until it has `expected` EOS tokens (a root rank: its share of the
+    /// feed), then send EOS to every rank below it.
+    fn run(
+        &self,
+        rank: usize,
+        node: usize,
+        expected: usize,
+        rx: Receiver<Msg>,
+    ) -> Result<(), GraphError> {
+        let (plan, partition) = (&*self.plan, &self.partition);
+        let n = &plan.nodes[node];
+        let mut pe = n.factory.create();
+        let mut iterations = 0u64;
+        // Per-edge round-robin counters, offset by rank to spread load.
+        let mut counters = vec![rank; plan.edges.len()];
+        let mut emitted = Vec::new();
+        // One supervised step, its emissions routed by each edge's
+        // grouping over the target's ranks.
+        let mut step = |call: Call, iteration: u64| -> Result<bool, GraphError> {
+            let done = plan
+                .step(node, pe.as_mut(), call, rank, iteration, &mut emitted)
+                .inspect_err(|e| self.fail_slot.record(e.clone()))?;
+            plan.fan_out(node, &mut emitted, |t, data| {
+                let targets = partition[t.to].clone();
+                let (edge, counter) = (&plan.edges[t.edge], &mut counters[t.edge]);
+                let send = |o: usize, data: Data| {
+                    let msg = Msg::Item { port: t.port, data };
+                    if self.senders[targets.start + o].send(msg).is_err() {
+                        // Receiver gone = downstream rank died abnormally.
+                        // Record typed (the primary failure was recorded
+                        // first by the dying rank); keep this rank draining
+                        // so upstream ranks can terminate.
+                        self.fail_slot.record(GraphError::PeerDisconnected {
+                            from: n.display.clone(),
+                            to: format!("rank {}", targets.start + o),
+                        });
+                    }
                 };
+                // Every rank but the last gets a clone; the last takes the
+                // datum.
+                let mut ranks = WorkflowGraph::route(edge, &data, targets.len(), counter);
+                let last = ranks.next_back();
+                for o in ranks {
+                    send(o, data.clone());
+                }
+                if let Some(o) = last {
+                    send(o, data);
+                }
+            });
+            Ok(done)
+        };
 
-                // The rank's work as one fallible block: however it ends, the
-                // EOS fan-out below must run. Every rank holds a clone of every
-                // sender, so no channel ever disconnects, and a downstream rank
-                // that is never sent this rank's EOS waits in `recv` forever.
-                let worked = (|| -> Result<(), GraphError> {
-                    step(Call::Setup, 0)?;
-                    if plan.roots.contains(&node) {
-                        // A root rank drives its share of the feed. (Each
-                        // root PE has exactly one rank by construction of
-                        // `partition`.)
-                        for (_, i, datum) in plan.feed(input).filter(|f| f.0 == node) {
-                            if step(Call::Process(datum), i)? {
+        // The rank's work as one fallible block: however it ends, the EOS
+        // fan-out below must run, or a downstream rank that is never sent
+        // this rank's EOS waits in `recv` forever.
+        let worked = (|| -> Result<(), GraphError> {
+            step(Call::Setup, 0)?;
+            if plan.roots.contains(&node) {
+                // A root rank drives its share of the feed. (Each root PE
+                // has exactly one rank by construction of `partition`.)
+                for (_, i, datum) in plan.feed().filter(|f| f.0 == node) {
+                    if step(Call::Process(datum), i)? {
+                        iterations += 1;
+                    }
+                }
+            } else {
+                // Worker rank: consume until all upstream EOS received.
+                let mut eos = 0usize;
+                while eos < expected {
+                    match rx.recv() {
+                        Ok(Msg::Item { port, data }) => {
+                            if step(Call::Process(Some((port, data))), iterations)? {
                                 iterations += 1;
                             }
                         }
-                    } else {
-                        // Worker rank: consume until all upstream EOS received.
-                        let mut eos = 0usize;
-                        while eos < expected {
-                            match rx.recv() {
-                                Ok(Msg::Item { port, data }) => {
-                                    if step(Call::Process(Some((port, data))), iterations)? {
-                                        iterations += 1;
-                                    }
-                                }
-                                Ok(Msg::Eos) => eos += 1,
-                                Err(_) => break, // all senders gone — treat as EOS
-                            }
-                        }
-                    }
-                    step(Call::Teardown, iterations)?;
-                    Ok(())
-                })();
-                for t in n.out.iter().flatten() {
-                    for target in partition[t.to].clone() {
-                        let _ = senders[target].send(Msg::Eos);
+                        Ok(Msg::Eos) => eos += 1,
+                        Err(_) => break, // all senders gone — treat as EOS
                     }
                 }
-                drop(senders);
-                plan.monitor.record(&n.display, rank, iterations);
-                worked
-            }));
+            }
+            step(Call::Teardown, iterations)?;
+            Ok(())
+        })();
+        for t in n.out.iter().flatten() {
+            for target in partition[t.to].clone() {
+                let _ = self.senders[target].send(Msg::Eos);
+            }
         }
-        handles.into_iter().try_for_each(super::joined)
+        plan.monitor.record(&n.display, rank, iterations);
+        worked
+    }
+}
+
+pub(crate) fn execute(
+    graph: &WorkflowGraph,
+    plan: &Arc<Plan>,
+    processes: usize,
+) -> Result<Vec<Range<usize>>, GraphError> {
+    let partition = graph.partition(processes)?;
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..processes).map(|_| sync_channel::<Msg>(CHANNEL_CAP)).unzip();
+    let ranks = Arc::new(Ranks {
+        plan: plan.clone(),
+        partition: partition.clone(),
+        senders,
+        fail_slot: FailSlot(Mutex::new(None)),
     });
+
+    let mut rx = receivers.into_iter();
+    let mut handles = Vec::with_capacity(processes);
+    for (node, range) in partition.iter().enumerate() {
+        // Expected EOS tokens = Σ over in-edges of |source ranks|.
+        let sources = graph.in_edges(NodeId(node));
+        let expected: usize = sources.iter().map(|e| partition[e.from.0].len()).sum();
+        for rank in range.clone() {
+            let (ranks, rx) = (ranks.clone(), rx.next().expect("one channel per rank"));
+            handles.push(threads::spawn(move || ranks.run(rank, node, expected, rx)));
+        }
+    }
+    // Join every rank, then report the first failure in rank order.
+    let result = (handles.into_iter().map(super::joined)).fold(Ok(()), Result::and);
     // Prefer the first-recorded failure: a panic that killed a rank beats
     // the peer-disconnect errors it caused downstream.
-    result.map_err(|e| fail_slot.take().unwrap_or(e))?;
+    result.map_err(|e| ranks.fail_slot.take().unwrap_or(e))?;
     Ok(partition)
 }
 

@@ -10,9 +10,8 @@
 
 use crate::error::GraphError;
 use crate::mapping::enact::{Call, Local, Plan};
-use crate::mapping::RunInput;
 
-pub(crate) fn execute(plan: &Plan, input: &RunInput) -> Result<(), GraphError> {
+pub(crate) fn execute(plan: &Plan) -> Result<(), GraphError> {
     let mut local = Local::new(plan.nodes.len());
     // Setup in topological order, as dispel4py does; its emissions wait in
     // the queue for the first drain.
@@ -21,7 +20,7 @@ pub(crate) fn execute(plan: &Plan, input: &RunInput) -> Result<(), GraphError> {
     }
     // Drain after each root firing: streaming semantics, outputs appear as
     // soon as their inputs exist.
-    for (root, iteration, datum) in plan.feed(input) {
+    for (root, iteration, datum) in plan.feed() {
         plan.run_local(&mut local, root, Call::Process(datum), Some(iteration), 0)?;
         plan.drain(&mut local, 0)?;
     }

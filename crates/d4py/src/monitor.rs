@@ -7,7 +7,7 @@
 
 use crate::lock;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Streaming tap invoked synchronously for every pushed line.
 pub type LineTap = Arc<dyn Fn(String) + Send + Sync>;
@@ -15,11 +15,24 @@ pub type LineTap = Arc<dyn Fn(String) + Send + Sync>;
 /// Where a run's output stream goes: collected and handed to the
 /// `RunResult` by move, or handed line by line to a streaming *tap* that
 /// owns each line and leaves nothing behind — what the execution engine's
-/// HTTP/2-style streaming hooks into (paper §IV-E).
-#[derive(Default)]
+/// HTTP/2-style streaming hooks into (paper §IV-E). Once
+/// [`OutputSink::close`] has taken the lines, a push is dropped.
 pub struct OutputSink {
     collected: Mutex<Vec<String>>,
     tap: Option<LineTap>,
+    /// Pushes hold it shared; `close` takes it exclusively, so no push is
+    /// still inside the tap when `close` returns.
+    open: RwLock<bool>,
+}
+
+impl Default for OutputSink {
+    fn default() -> Self {
+        OutputSink {
+            collected: Mutex::default(),
+            tap: None,
+            open: RwLock::new(true),
+        }
+    }
 }
 
 impl OutputSink {
@@ -30,21 +43,25 @@ impl OutputSink {
     /// Stream every line to `tap`, synchronously; collect nothing.
     pub fn with_tap(tap: LineTap) -> Self {
         OutputSink {
-            collected: Mutex::default(),
             tap: Some(tap),
+            ..OutputSink::default()
         }
     }
 
     pub fn push(&self, line: String) {
+        let open = self.open.read().unwrap_or_else(PoisonError::into_inner);
         match &self.tap {
+            _ if !*open => {}
             Some(tap) => tap(line),
             None => lock(&self.collected).push(line),
         }
     }
 
-    /// The collected lines, in push order (none for a tapped sink).
-    pub fn into_lines(self) -> Vec<String> {
-        self.collected.into_inner().unwrap_or_else(PoisonError::into_inner)
+    /// Close the sink and take the collected lines, in push order (none
+    /// for a tapped sink).
+    pub fn close(&self) -> Vec<String> {
+        *self.open.write().unwrap_or_else(PoisonError::into_inner) = false;
+        std::mem::take(&mut *lock(&self.collected))
     }
 }
 
@@ -96,7 +113,24 @@ mod tests {
         let sink = OutputSink::new();
         sink.push("a".into());
         sink.push("b".into());
-        assert_eq!(sink.into_lines(), vec!["a", "b"]);
+        assert_eq!(sink.close(), vec!["a", "b"]);
+    }
+
+    /// A line pushed after `close` reaches neither the lines nor the tap.
+    #[test]
+    fn a_closed_sink_drops_every_later_line() {
+        let sink = OutputSink::new();
+        sink.push("a".into());
+        assert_eq!(sink.close(), vec!["a"]);
+        sink.push("late".into());
+        assert!(sink.close().is_empty());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = seen.clone();
+        let tapped = OutputSink::with_tap(Arc::new(move |line| lock(&s).push(line)));
+        tapped.push("one".into());
+        tapped.close();
+        tapped.push("late".into());
+        assert_eq!(*lock(&seen), vec!["one"]);
     }
 
     #[test]
@@ -107,7 +141,7 @@ mod tests {
         sink.push("one".into());
         sink.push("two".into());
         assert_eq!(*lock(&seen), vec!["one", "two"]);
-        assert!(sink.into_lines().is_empty());
+        assert!(sink.close().is_empty());
     }
 
     #[test]

@@ -9,20 +9,21 @@
 //! starts are 100× longer; only the ratio matters for the evaluation
 //! shape).
 //!
-//! A container is a thread. A warm container is a thread parked on its
-//! own channel; [`ContainerPool::submit`] hands a job to the idle
-//! container released most recently (LIFO). With none idle and headroom
-//! left, a new thread starts, sleeps `cold_start` once and runs the job.
+//! The pool is bookkeeping only: container ids, warm or cold, the cap and
+//! the queue. It starts no thread; each job runs on d4py's pool of parked
+//! threads (`d4py::mapping::threads`), which the mappings' ranks and
+//! workers share. [`ContainerPool::submit`] hands a job the idle container
+//! released most recently (LIFO). With none idle and headroom left, it
+//! provisions a new id, and the job sleeps `cold_start` before it runs.
 //! With the pool full, the job queues and the first container released
 //! takes it; `submit` never blocks its caller. A job holds its container
 //! through a [`Lease`], which gives the container back when it is
-//! released or dropped, a panicking job's included; the thread survives
-//! the panic. Dropping the pool ends every thread once its queued jobs
-//! have run.
+//! released or dropped, a panicking job's included. Pool threads outlive
+//! the pool: dropping it ends no thread, and a job still queued runs when
+//! a container is released.
 
+use d4py::mapping::threads;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -57,76 +58,68 @@ pub struct PoolStats {
     pub waited: u64,
 }
 
-/// What a container runs: one job, handed the lease on its container.
-type Job = Box<dyn FnOnce(Lease) + Send>;
-
-/// A job on its way to a container, with the container's own handle: the
-/// lease gives that handle back to the pool.
-struct Task {
-    job: Job,
-    cold: bool,
-    handle: Handle,
-}
-
-/// A container as the pool holds it while idle: its id and the channel
-/// its thread is parked on. It is the channel's only sender, so dropping
-/// it ends the thread.
-struct Handle {
-    id: u64,
-    tx: Sender<Task>,
-}
-
-impl Handle {
-    /// Wake the container with `job`.
-    fn run(self, job: Job, cold: bool) {
-        let tx = self.tx.clone();
-        let _ = tx.send(Task {
-            job,
-            cold,
-            handle: self,
-        });
-    }
-}
+/// What a container runs: one job, handed the lease on its container; it
+/// returns what to do once its pool thread is idle again.
+type Job = Box<dyn FnOnce(Lease) -> threads::Then + Send>;
 
 struct PoolState {
-    /// Idle containers; the last one released is on top.
-    idle: Vec<Handle>,
+    /// Idle container ids; the last one released is on top.
+    idle: Vec<u64>,
     /// Jobs waiting for a container, oldest first.
     queue: VecDeque<Job>,
     total: usize,
-    next_id: u64,
     stats: PoolStats,
-    /// Set when the pool is dropped: a released container then ends.
-    closed: bool,
 }
 
 /// The pool state, shared by the pool and every lease.
-struct Shared(Mutex<PoolState>);
+struct Shared {
+    state: Mutex<PoolState>,
+    config: PoolConfig,
+}
 
 impl Shared {
     /// The pool state. A poisoned lock is handed on, not re-raised: a run
     /// that panicked must not take the pool down with it.
     fn state(&self) -> MutexGuard<'_, PoolState> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Give a container back: it takes the oldest queued job, or parks.
-    fn release(&self, handle: Handle) {
+    /// Give container `id` back: it takes the oldest queued job, or idles.
+    fn release(self: &Arc<Self>, id: u64) {
         let mut st = self.state();
-        if let Some(job) = st.queue.pop_front() {
-            st.stats.warm_hits += 1;
-            drop(st);
-            handle.run(job, false);
-        } else if !st.closed {
-            st.idle.push(handle);
+        match st.queue.pop_front() {
+            Some(job) => {
+                st.stats.warm_hits += 1;
+                drop(st);
+                self.run(job, id, false);
+            }
+            None => st.idle.push(id),
         }
+    }
+
+    /// Run `job` on container `id`, on a pool thread; a cold one sleeps
+    /// the cold start first.
+    fn run(self: &Arc<Self>, job: Job, id: u64, cold: bool) {
+        let lease = Lease {
+            shared: self.clone(),
+            id,
+            cold,
+        };
+        let cold_start = self.config.cold_start;
+        threads::start(move || {
+            if cold {
+                std::thread::sleep(cold_start);
+            }
+            // A panicking job drops its lease while unwinding, which gives
+            // the container back.
+            job(lease)
+        });
     }
 }
 
 /// A running job's hold on its container.
 pub(crate) struct Lease {
     shared: Arc<Shared>,
-    handle: Option<Handle>,
     id: u64,
     cold: bool,
 }
@@ -143,68 +136,66 @@ impl Lease {
     }
 
     /// Give the container back to the pool now. The job may go on running
-    /// on its thread; the container's next job waits for it to return.
+    /// on its thread; the container's next job runs beside it.
     pub fn release(self) {}
 }
 
 impl Drop for Lease {
     fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.release(handle);
-        }
+        self.shared.release(self.id);
     }
 }
 
 /// The container pool.
 pub struct ContainerPool {
-    config: PoolConfig,
     shared: Arc<Shared>,
 }
 
 impl ContainerPool {
+    /// A pool whose first `prewarmed` ids start warm; no thread starts.
     pub fn new(config: PoolConfig) -> Self {
-        let shared = Arc::new(Shared(Mutex::new(PoolState {
-            idle: Vec::new(),
-            queue: VecDeque::new(),
-            total: 0,
-            next_id: 0,
-            stats: PoolStats::default(),
-            closed: false,
-        })));
         let prewarmed = config.prewarmed.min(config.max_containers);
-        let idle = (1..=prewarmed as u64)
-            .map(|id| start(id, &shared, Duration::ZERO))
-            .collect();
-        {
-            let mut st = shared.state();
-            st.idle = idle;
-            st.total = prewarmed;
-            st.next_id = prewarmed as u64;
-            st.stats.created = prewarmed as u64;
+        let state = PoolState {
+            idle: (1..=prewarmed as u64).collect(),
+            queue: VecDeque::new(),
+            total: prewarmed,
+            stats: PoolStats {
+                created: prewarmed as u64,
+                ..PoolStats::default()
+            },
+        };
+        ContainerPool {
+            shared: Arc::new(Shared {
+                state: Mutex::new(state),
+                config,
+            }),
         }
-        ContainerPool { config, shared }
     }
 
     /// Run `job` on a container: a warm one at once, a new one after its
     /// cold start if the pool has headroom, otherwise the first one
-    /// released. Never blocks.
-    pub(crate) fn submit(&self, job: impl FnOnce(Lease) + Send + 'static) {
-        let job: Job = Box::new(job);
+    /// released. What `job` returns runs once its pool thread is idle
+    /// again. Never blocks.
+    pub(crate) fn submit<R>(&self, job: impl FnOnce(Lease) -> R + Send + 'static)
+    where
+        R: FnOnce() + Send + 'static,
+    {
+        let job: Job = Box::new(move |lease| Box::new(job(lease)));
         let mut st = self.shared.state();
-        if let Some(handle) = st.idle.pop() {
+        if let Some(id) = st.idle.pop() {
             st.stats.warm_hits += 1;
             drop(st);
-            return handle.run(job, false);
+            return self.shared.run(job, id, false);
         }
-        if st.total < self.config.max_containers {
-            // Auto-provision: the new thread sleeps the cold start.
+        if st.total < self.shared.config.max_containers {
+            // Auto-provision: the new container's first job sleeps the
+            // cold start.
             st.total += 1;
-            st.next_id += 1;
             st.stats.cold_starts += 1;
             st.stats.created += 1;
-            let id = st.next_id;
+            let id = st.total as u64;
             drop(st);
-            return start(id, &self.shared, self.config.cold_start).run(job, true);
+            return self.shared.run(job, id, true);
         }
         st.stats.waited += 1;
         st.queue.push_back(job);
@@ -213,56 +204,12 @@ impl ContainerPool {
     pub fn stats(&self) -> PoolStats {
         self.shared.state().stats
     }
-
-    /// Containers parked and waiting for a job.
-    pub fn warm_count(&self) -> usize {
-        self.shared.state().idle.len()
-    }
-
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
-    }
-}
-
-impl Drop for ContainerPool {
-    /// Idle containers end now; busy ones run what is queued, then end.
-    fn drop(&mut self) {
-        let mut st = self.shared.state();
-        st.closed = true;
-        let idle = std::mem::take(&mut st.idle);
-        drop(st);
-        drop(idle);
-    }
-}
-
-/// Start container `id`'s thread: it sleeps `cold_start`, then runs the
-/// jobs sent to its handle until the handle is dropped.
-fn start(id: u64, shared: &Arc<Shared>, cold_start: Duration) -> Handle {
-    let (tx, rx) = channel::<Task>();
-    let shared = shared.clone();
-    std::thread::spawn(move || park(rx, &shared, cold_start));
-    Handle { id, tx }
-}
-
-fn park(rx: Receiver<Task>, shared: &Arc<Shared>, cold_start: Duration) {
-    std::thread::sleep(cold_start);
-    for Task { job, cold, handle } in rx {
-        let lease = Lease {
-            shared: shared.clone(),
-            id: handle.id,
-            handle: Some(handle),
-            cold,
-        };
-        // A panicking job drops its lease while unwinding, which gives
-        // the container back; the thread parks again.
-        let _ = catch_unwind(AssertUnwindSafe(|| job(lease)));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::sync::mpsc::{channel, Sender};
     use std::time::Instant;
 
     fn fast_pool(max: usize, prewarmed: usize) -> ContainerPool {
@@ -273,6 +220,10 @@ mod tests {
         })
     }
 
+    fn idle(pool: &ContainerPool) -> usize {
+        pool.shared.state().idle.len()
+    }
+
     /// Submit a job that releases its container at once and reports
     /// `(id, cold)`; wait for the report.
     fn run_one(pool: &ContainerPool) -> (u64, bool) {
@@ -281,6 +232,7 @@ mod tests {
             let seen = (lease.id(), lease.cold());
             lease.release();
             tx.send(seen).unwrap();
+            || ()
         });
         rx.recv_timeout(Duration::from_secs(5))
             .expect("the job ran")
@@ -294,15 +246,16 @@ mod tests {
         pool.submit(move |lease| {
             ran.send((lease.id(), lease.cold())).unwrap();
             let _ = wait.recv();
+            || ()
         });
         gate
     }
 
-    /// Drop `gate` and wait until its container is parked again.
+    /// Drop `gate` and wait until its container is idle again.
     fn release(pool: &ContainerPool, gate: Sender<()>) {
-        let before = pool.warm_count();
+        let before = idle(pool);
         drop(gate);
-        while pool.warm_count() == before {
+        while idle(pool) == before {
             std::thread::yield_now();
         }
     }
@@ -329,7 +282,7 @@ mod tests {
     #[test]
     fn prewarmed_containers_skip_cold_start() {
         let pool = fast_pool(2, 2);
-        assert_eq!(pool.warm_count(), 2);
+        assert_eq!(idle(&pool), 2);
         let (_, cold) = run_one(&pool);
         assert!(!cold);
         assert_eq!(pool.stats().cold_starts, 0);
@@ -361,11 +314,11 @@ mod tests {
     #[test]
     fn a_panicking_job_gives_its_container_back() {
         let pool = fast_pool(1, 0);
-        pool.submit(|_lease| panic!("job boom"));
+        pool.submit(|_lease| -> fn() { panic!("job boom") });
         assert_eq!(
             run_one(&pool),
             (1, false),
-            "the same thread serves the next job"
+            "the container serves the next job warm"
         );
         assert_eq!(pool.stats().created, 1);
     }
@@ -410,7 +363,7 @@ mod tests {
         assert_eq!(pool.stats().waited, 1);
         drop(gates);
         assert!(!seen.recv().unwrap().1, "the fourth runs warm");
-        while pool.warm_count() < 3 {
+        while idle(&pool) < 3 {
             std::thread::yield_now();
         }
     }
@@ -433,65 +386,32 @@ mod tests {
         assert!(s.created <= 4);
     }
 
-    /// Sends its container's id when its thread ends: a thread-local's
-    /// destructor runs at thread exit.
-    struct OnExit(Sender<u64>, u64);
-
-    impl Drop for OnExit {
-        fn drop(&mut self) {
-            let _ = self.0.send(self.1);
-        }
-    }
-
-    thread_local! {
-        static EXIT: RefCell<Option<OnExit>> = const { RefCell::new(None) };
-    }
-
-    /// A job that marks its thread (its id is sent on `exited` when the
-    /// thread ends) and holds its container until the returned gate is
-    /// dropped; waits for it to run and returns its container's id.
-    fn hold_marked(pool: &ContainerPool, exited: &Sender<u64>) -> (Sender<()>, u64) {
-        let (gate, wait) = channel::<()>();
-        let (ran, seen) = channel();
-        let exited = exited.clone();
-        pool.submit(move |lease| {
-            EXIT.with(|e| *e.borrow_mut() = Some(OnExit(exited, lease.id())));
-            ran.send(lease.id()).unwrap();
-            let _ = wait.recv();
-        });
-        (gate, seen.recv().unwrap())
-    }
-
-    /// Dropping the pool ends its threads: an idle one at once, a busy
-    /// one after its job and the job queued behind it.
+    /// What a job returns runs once its thread is idle again, after the
+    /// job's container is back in the pool.
     #[test]
-    fn dropping_the_pool_ends_its_threads() {
-        let (exited, exits) = channel();
-        let pool = fast_pool(1, 1);
-        let (gate, id) = hold_marked(&pool, &exited);
-        release(&pool, gate);
-        drop(pool);
-        assert_eq!(
-            exits.recv_timeout(Duration::from_secs(5)),
-            Ok(id),
-            "idle: at once"
-        );
+    fn a_job_runs_its_return_once_its_container_is_back() {
+        let pool = Arc::new(fast_pool(1, 0));
+        let (tx, rx) = channel();
+        let p = pool.clone();
+        pool.submit(move |lease| {
+            drop(lease);
+            move || tx.send(idle(&p)).unwrap()
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(1));
+    }
 
-        let pool = fast_pool(2, 0);
-        let (first, first_id) = hold_marked(&pool, &exited);
-        let (second, second_id) = hold_marked(&pool, &exited);
-        let (ran, queued) = channel();
-        pool.submit(move |lease| ran.send(lease.id()).unwrap());
-        assert_eq!(pool.stats().waited, 1);
+    /// Dropping the pool leaves a queued job to run when the busy
+    /// container is released.
+    #[test]
+    fn dropping_the_pool_still_runs_its_queued_jobs() {
+        let pool = fast_pool(1, 0);
+        let (ran, seen) = channel();
+        let gate = hold(&pool, &ran);
+        assert_eq!(seen.recv().unwrap(), (1, true));
+        let queued = hold(&pool, &ran);
         drop(pool);
-        assert!(
-            exits.recv_timeout(Duration::from_millis(20)).is_err(),
-            "busy: not yet"
-        );
-        drop(first);
-        assert_eq!(queued.recv_timeout(Duration::from_secs(5)), Ok(first_id));
-        assert_eq!(exits.recv_timeout(Duration::from_secs(5)), Ok(first_id));
-        drop(second);
-        assert_eq!(exits.recv_timeout(Duration::from_secs(5)), Ok(second_id));
+        drop(gate);
+        assert_eq!(seen.recv_timeout(Duration::from_secs(5)), Ok((1, false)));
+        drop(queued);
     }
 }

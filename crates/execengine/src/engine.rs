@@ -13,7 +13,10 @@ use crate::imports::{resolve_imports, ImportResolution, PackageIndex};
 use crate::library::WorkflowLibrary;
 use d4py::mapping::{panic_message, run_with_options};
 use d4py::monitor::OutputSink;
-use d4py::{DeadLetterEntry, FaultStats, GraphError, Mapping, RunInput, RunOptions, WorkflowGraph};
+use d4py::{
+    DeadLetterEntry, FaultStats, GraphError, Mapping, RunInput, RunOptions, RunResult,
+    WorkflowGraph,
+};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver};
@@ -104,8 +107,9 @@ pub struct ExecutionReport {
 
 /// The serverless execution engine.
 ///
-/// Dropping the engine drops its pool, which ends the container threads
-/// once the runs they hold have finished.
+/// Its runs go on d4py's process-wide pool of parked threads, which
+/// outlives every engine: dropping the engine ends no thread, and a run it
+/// started or queued still ends on its terminal frame.
 pub struct ExecutionEngine {
     pool: ContainerPool,
     packages: PackageIndex,
@@ -130,10 +134,6 @@ impl ExecutionEngine {
         &self.pool
     }
 
-    pub fn packages(&self) -> &PackageIndex {
-        &self.packages
-    }
-
     pub fn library(&self) -> &WorkflowLibrary {
         &self.library
     }
@@ -142,10 +142,13 @@ impl ExecutionEngine {
     /// resolved and its imports checked on the caller's thread, and a
     /// failure there is its only frame. The enactment then runs on a
     /// container of the pool, and its frames come from that container's
-    /// thread and, while a streaming run enacts, from the mapping's
-    /// workers. The last frame is always `End` or `Error`, a panicking
-    /// workflow builder or PE factory included. Never blocks: with every
-    /// container busy the run queues.
+    /// pool thread and, while a streaming run enacts, from the mapping's
+    /// ranks and workers. The terminal frame is sent once the container
+    /// is back in the pool and its thread idle again, so the caller's next
+    /// run finds both warm. The last frame is always `End` or `Error`, a
+    /// panicking workflow builder or PE factory included, and nothing
+    /// follows it: a line a timed-out step logs later is dropped. Never
+    /// blocks: with every container busy the run queues.
     pub fn execute_into(&self, req: ExecRequest, emit: impl Fn(Frame) + Send + Sync + 'static) {
         let started = Instant::now();
 
@@ -166,9 +169,14 @@ impl ExecutionEngine {
             }
         }
 
-        // 3. A container (its cold start visible to the caller) enacts.
+        // 3. A container (its cold start visible to the caller) enacts,
+        // and the outcome is sent once its thread is idle again.
         let emit: Arc<dyn Fn(Frame) + Send + Sync> = Arc::new(emit);
-        self.pool.submit(move |lease| enact(req, &graph, lease, started, emit));
+        self.pool.submit(move |lease| {
+            let verbose = req.verbose;
+            let result = enact(req, &graph, lease, &emit);
+            move || settle(result, verbose, started, &*emit)
+        });
     }
 
     /// [`ExecutionEngine::execute_into`] onto a channel: frames arrive on
@@ -225,21 +233,20 @@ fn unwound<T>(f: impl FnOnce() -> Result<T, GraphError>) -> Result<T, EngineErro
         .map_err(EngineError::from)
 }
 
-/// Enact `graph` on the leased container and emit the outcome.
+/// Enact `graph` on the leased container, streaming or batching its
+/// lines, and give the container back.
 fn enact(
     req: ExecRequest,
     graph: &WorkflowGraph,
     lease: Lease,
-    started: Instant,
-    emit: Arc<dyn Fn(Frame) + Send + Sync>,
-) {
+    emit: &Arc<dyn Fn(Frame) + Send + Sync>,
+) -> Result<RunResult, EngineError> {
     let warmth = if lease.cold() { "cold start" } else { "warm" };
     emit(Frame::Info(format!("container {} {warmth}", lease.id())));
 
     // Streaming taps the sink, each line moving into its frame; batch
     // collects the lines and moves them into frames at the end. The
-    // container goes back to the pool however the enactment ends, before
-    // the terminal frame.
+    // container goes back to the pool however the enactment ends.
     let result = unwound(|| match req.mode {
         ResponseMode::Streaming => {
             let tap = emit.clone();
@@ -258,10 +265,19 @@ fn enact(
         }
     });
     lease.release();
+    result
+}
 
+/// Emit a run's outcome, its terminal frame last.
+fn settle(
+    result: Result<RunResult, EngineError>,
+    verbose: bool,
+    started: Instant,
+    emit: &dyn Fn(Frame),
+) {
     match result {
         Ok(res) => {
-            if req.verbose {
+            if verbose {
                 for ((pe, rank), n) in &res.counts {
                     emit(Frame::Summary(format!("{pe} (rank {rank}): Processed {n} iterations.")));
                 }
@@ -520,9 +536,64 @@ mod tests {
                 other => panic!("{workflow}: expected a typed worker panic, got {other:?}"),
             }
         }
-        assert_eq!(e.pool().warm_count(), 1, "the container is back in the pool");
         let rep = e.execute_collect(req("doubler_wf", ResponseMode::Batch)).unwrap();
         assert_eq!(rep.lines.len(), 10);
+        assert!(!rep.cold_start, "the container is back in the pool, warm");
+        assert_eq!(e.pool().stats().created, 1);
+    }
+
+    /// A timed dynamic run whose step hangs returns once its tasks
+    /// settle: on a one-container engine, its `End` and a following
+    /// sequential run both arrive within 1 s although one step sleeps
+    /// 3 s, and the line that step logs when it wakes never follows `End`.
+    #[test]
+    fn a_hung_step_holds_neither_its_run_nor_its_container() {
+        let lib = WorkflowLibrary::with_stock_workflows();
+        lib.register("hang_wf", || {
+            use d4py::prelude::*;
+            let mut g = WorkflowGraph::new("hang_wf");
+            let src = g.add(ProducerPE::new("Src", |i| Some(Data::from(i as i64))));
+            let hang = g.add(ConsumerPE::new("Hang", |d: Data, ctx: &mut Context<'_>| {
+                if d.as_int() == Some(2) {
+                    std::thread::sleep(Duration::from_secs(3));
+                }
+                ctx.log(format!("{d}"));
+            }));
+            g.connect(src, OUTPUT, hang, INPUT).unwrap();
+            g
+        });
+        let e = ExecutionEngine::new(
+            PoolConfig {
+                max_containers: 1,
+                cold_start: Duration::from_millis(1),
+                prewarmed: 1,
+            },
+            lib,
+        );
+        let mut timed = req("hang_wf", ResponseMode::Streaming);
+        timed.input = RunInput::Iterations(5);
+        timed.mapping = Mapping::Dynamic(d4py::DynamicConfig::default());
+        timed.options = RunOptions {
+            fault_policy: d4py::FaultPolicy::DeadLetter { max_attempts: 1 },
+            task_timeout: Some(Duration::from_millis(20)),
+        };
+        let t0 = Instant::now();
+        let rx = e.execute(timed);
+        let deadline = t0 + Duration::from_secs(1);
+        loop {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(Frame::End { .. }) => break,
+                Ok(Frame::Error(err)) => panic!("the timed run failed: {err}"),
+                Ok(_) => {}
+                Err(_) => panic!("no End within 1 s"),
+            }
+        }
+        let rep = e.execute_collect(req("doubler_wf", ResponseMode::Batch)).unwrap();
+        assert_eq!(rep.lines.len(), 10);
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        // The channel closes once the hung step returns and drops the run.
+        let after = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(after, Err(std::sync::mpsc::RecvTimeoutError::Disconnected));
     }
 
     #[test]

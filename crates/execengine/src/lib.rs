@@ -8,8 +8,9 @@
 //! streaming). This crate reproduces each piece:
 //!
 //! * [`containers`] — a simulated container pool with a cold-start latency
-//!   model, warm-pool reuse and auto-provisioning; a container is a thread,
-//!   parked while warm, so a run spawns none;
+//!   model, warm-pool reuse and auto-provisioning; it is bookkeeping only,
+//!   and each run is a job on d4py's pool of parked threads, so a warm run
+//!   starts no thread;
 //! * [`imports`] — auto-import dependency resolution: scan the workflow's
 //!   Python source for `import`s (once per source), resolve them against a
 //!   simulated package index, "install" (cache) what is missing;

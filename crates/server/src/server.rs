@@ -1519,6 +1519,40 @@ mod tests {
         assert!(run(9).unwrap().ok);
     }
 
+    /// A run asking for more than `d4py::MAX_RUN_ITEMS` items is refused
+    /// with the typed error before any work, and the next run is served.
+    /// Unbounded, one request's dynamic run would queue every item before
+    /// its first worker starts.
+    #[test]
+    fn run_above_max_run_items_is_refused_and_the_next_run_is_served() {
+        let (server, token) = server_with_session();
+        let (_, wf_id) = register_isprime(&server, token);
+        let run = |items| {
+            server
+                .handle(Request::Run {
+                    token,
+                    ident: Ident::Id(wf_id),
+                    input: RunInputWire::Iterations(items),
+                    mode: RunMode::Dynamic,
+                    streaming: true,
+                    verbose: false,
+                    resources: vec![],
+                    fault: FaultPolicyWire::default(),
+                    task_timeout_ms: None,
+                })
+                .drain()
+        };
+        let refused = d4py::GraphError::TooManyItems {
+            requested: d4py::MAX_RUN_ITEMS + 1,
+            maximum: d4py::MAX_RUN_ITEMS,
+        };
+        match run(d4py::MAX_RUN_ITEMS + 1) {
+            Err(RunFailure::Server(msg)) => assert!(msg.contains(&refused.to_string()), "{msg}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(run(5).unwrap().ok);
+    }
+
     #[test]
     fn run_with_missing_resources_asks_for_upload() {
         let (server, token) = server_with_session();

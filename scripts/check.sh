@@ -55,13 +55,13 @@ done
 
 # A streamed run crosses one channel, engine to reply: the engine calls
 # the run service's frame consumer, and no service spawns a thread. The
-# engine's threads are its containers: only the pool starts one, never a
-# run. A mapping's ranks and workers wake parked threads of d4py's one
-# pool (mapping/threads.rs): no mapping starts or scopes threads per run.
-echo "==> no-spawn gate (no thread::spawn / thread::scope in crates/server/src/service/, crates/execengine/src/ outside containers.rs, crates/d4py/src/mapping/ outside threads.rs, above #[cfg(test)])"
+# engine's containers, a multi run's ranks and a dynamic run's workers are
+# all jobs on d4py's one pool of parked threads (mapping/threads.rs), the
+# only place either crate starts a thread.
+echo "==> no-spawn gate (no thread::spawn / thread::scope / thread::Builder in crates/server/src/service/, crates/execengine/src/, crates/d4py/src/mapping/ outside threads.rs, above #[cfg(test)])"
 for f in crates/server/src/service/*.rs crates/execengine/src/*.rs crates/d4py/src/mapping/*.rs; do
-    [[ $f == crates/execengine/src/containers.rs || $f == crates/d4py/src/mapping/threads.rs ]] && continue
-    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "thread::spawn\|thread::scope"; then
+    [[ $f == crates/d4py/src/mapping/threads.rs ]] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "thread::spawn\|thread::scope\|thread::Builder"; then
         echo "$f spawns a thread again"
         exit 1
     fi
